@@ -12,8 +12,8 @@ import argparse
 
 import numpy as np
 
-from gruschin import Direction, make_power_law_model, observable
-from gruschin.estimators import estimate_gradient_bismut, estimate_gradient_fd
+from gruschin import Direction, bismut_panel, fd_panel, make_power_law_model, observable
+
 
 def main() -> None:
     ap = argparse.ArgumentParser()
@@ -31,18 +31,18 @@ def main() -> None:
           f"N={args.n_paths}, steps={args.n_steps}")
     print(f"{'observable':<12}{'direction':<10}{'weight est':>14}{'fd est':>14}"
           f"{'closed form':>14}")
-    for fname in ("y_squared", "sin_y", "x_plus_y"):
-        f = observable(fname, model)
-        for dname, v in dirs.items():
-            gb = estimate_gradient_bismut(model, f, z0, v, args.t,
-                                          args.n_paths, args.n_steps, args.seed)
-            gf = estimate_gradient_fd(model, f, z0, v, args.t,
-                                      args.n_paths, args.n_steps, args.seed + 1)
+    fs = [observable(fname, model) for fname in ("y_squared", "sin_y", "x_plus_y")]
+    vs = list(dirs.values())
+    pb = bismut_panel(model, z0, args.t, fs, vs, args.n_paths, args.n_steps, args.seed)
+    pf = fd_panel(model, z0, args.t, fs, vs, args.n_paths, args.n_steps, args.seed + 1)
+    for f in fs:
+        for j, (dname, v) in enumerate(dirs.items()):
+            gb, gf = pb[("grad", f.name, j)], pf[("grad_fd", f.name, j)]
             closed = ""
             if f.closed_form_grad_pt is not None:
                 g = np.asarray(f.closed_form_grad_pt(args.t, z0[:1], z0[1:]))
                 closed = f"{float(g @ np.concatenate([v.v1, v.v2])):>14.4f}"
-            print(f"{fname:<12}{dname:<10}"
+            print(f"{f.name:<12}{dname:<10}"
                   f"{gb.mean:>9.4f}+-{gb.stderr:.3f}"
                   f"{gf.mean:>9.4f}+-{gf.stderr:.3f}{closed}")
 

@@ -19,28 +19,22 @@ from .models import (
 )
 from .paths import (
     PathBatch,
-    PathFunctionals,
     TimeGrid,
-    simulate_basic,
     simulate_basic_batch,
-    simulate_extended,
     simulate_extended_batch,
 )
-from .rng import PathStreams, RngStream, derive_seed
-from .weights import (
-    InvalidPathError,
-    WeightBreakdown,
-    bismut_weight,
-    extended_weight,
-)
+from .rng import PathStreams, derive_seed
+from .weights import weight_terms_batch
 from .estimators import (
     EstimationError,
     MCEstimate,
+    bismut_panel,
     estimate_gradient_bismut,
     estimate_gradient_fd,
     estimate_lq_moment,
     estimate_negative_moment,
     estimate_pt,
+    fd_panel,
 )
 
 __version__ = "0.1.0"

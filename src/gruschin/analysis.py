@@ -27,8 +27,14 @@ from .estimators import (
     split_point,
 )
 from .models import Direction, ModelKind, ModelSpec, TestFunction
-from .paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
-from .rng import PathStreams, derive_seed
+from .paths import (
+    TimeGrid,
+    brownian_increments,
+    brownian_left_nodes,
+    simulate_basic_batch,
+    simulate_extended_batch,
+)
+from .rng import derive_seed
 
 __all__ = [
     "McParams",
@@ -610,12 +616,8 @@ def integrability_diagnostic(model: ModelSpec, z0, T: float, mc: McParams,
     for start in range(0, mc.n_paths, chunk):
         stop = min(start + chunk, mc.n_paths)
         idx = np.arange(start, stop, dtype=np.int64)
-        streams = PathStreams(mc.seed)
-        dB = streams.fill_normals(idx, (grid.n_steps, model.m)) * math.sqrt(grid.dt)
-        nodes = np.concatenate(
-            [np.zeros((len(idx), 1, model.m)), np.cumsum(dB, axis=1)], axis=1
-        )
-        x_left = x0 + nodes[:, : grid.n_steps, :]
+        (dB,) = brownian_increments(mc.seed, idx, grid, (model.m,))
+        x_left, _ = brownian_left_nodes(x0, dB)
         r = np.abs(x_left[..., 0]) if model.m == 1 else np.linalg.norm(x_left, axis=-1)
         sig = np.abs(model.sigma_scalar(x_left))
         grad_norm = l * r ** (l - 1.0)

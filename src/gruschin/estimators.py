@@ -18,9 +18,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from .models import Direction, ModelKind, ModelSpec, TestFunction
-from .paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
-from .rng import PathStreams
-from .weights import weight_terms_batch, weight_terms_shared
+from .paths import (
+    TimeGrid,
+    brownian_increments,
+    brownian_left_nodes,
+    simulate_basic_batch,
+    simulate_extended_batch,
+)
+from .weights import weight_terms_shared
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -179,24 +184,13 @@ def estimate_gradient_bismut(model: ModelSpec, f: TestFunction, z0, v: Direction
                              batch_size: Optional[int] = None) -> MCEstimate:
     """Directional semigroup derivative via the weight representation E[f * M_T].
 
-    The observable should be bounded or polynomially bounded so that f * M_T is
-    integrable (the weight has finite moments of every order).
+    The one-observable, one-direction case of ``bismut_panel``.  The observable
+    should be bounded or polynomially bounded so that f * M_T is integrable (the
+    weight has finite moments of every order).
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    x0, y0 = split_point(model, z0)
-    grid = TimeGrid(T, n_steps)
-
-    def batch_fn(start, stop):
-        batch = _simulate(model, x0, y0, v, grid, seed, start, stop)
-        drift, trace, inner, solvable = weight_terms_batch(batch, v, T)
-        m_t = drift + trace + inner
-        vals = np.asarray(f.eval(batch.z_final), dtype=float) * m_t
-        vals = np.where(solvable, vals, 0.0)
-        return {"value": vals}, batch.valid & solvable & np.isfinite(vals)
-
-    cols, valid = run_batches(n_paths, ["value"], batch_fn, workers, batch_size)
-    return _finalize(cols["value"], valid, seed)
+    panel = bismut_panel(model, z0, T, [f], [v], n_paths, n_steps, seed,
+                         workers=workers, batch_size=batch_size)
+    return panel[("grad", f.name, 0)]
 
 
 def estimate_gradient_fd(model: ModelSpec, f: TestFunction, z0, v: Direction,
@@ -206,31 +200,11 @@ def estimate_gradient_fd(model: ModelSpec, f: TestFunction, z0, v: Direction,
                          batch_size: Optional[int] = None) -> MCEstimate:
     """Central finite difference of the semigroup along v with common random numbers.
 
-    Both shifted estimates reuse the identical Brownian increments per path index,
-    so the per-path difference has drastically reduced variance.
+    The one-observable, one-direction case of ``fd_panel``.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    eps = default_fd_eps(z0) if eps is None else float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    z = np.asarray(z0, dtype=float)
-    shift = np.concatenate([v.v1, v.v2])
-    x_up, y_up = split_point(model, z + eps * shift)
-    x_dn, y_dn = split_point(model, z - eps * shift)
-    grid = TimeGrid(T, n_steps)
-    v0 = _zero_direction(model)
-
-    def batch_fn(start, stop):
-        up = _simulate(model, x_up, y_up, v0, grid, seed, start, stop)
-        dn = _simulate(model, x_dn, y_dn, v0, grid, seed, start, stop)
-        f_up = np.asarray(f.eval(up.z_final), dtype=float)
-        f_dn = np.asarray(f.eval(dn.z_final), dtype=float)
-        diff = (f_up - f_dn) / (2.0 * eps)
-        return {"value": diff}, up.valid & dn.valid & np.isfinite(diff)
-
-    cols, valid = run_batches(n_paths, ["value"], batch_fn, workers, batch_size)
-    return _finalize(cols["value"], valid, seed)
+    panel = fd_panel(model, z0, T, [f], [v], n_paths, n_steps, seed, eps,
+                     workers=workers, batch_size=batch_size)
+    return panel[("grad_fd", f.name, 0)]
 
 
 def estimate_negative_moment(m: int, x, T: float, n_exp: float, alpha: float,
@@ -248,15 +222,11 @@ def estimate_negative_moment(m: int, x, T: float, n_exp: float, alpha: float,
     if x.shape != (m,):
         raise ValueError(f"x must have shape ({m},)")
     grid = TimeGrid(T, n_steps)
-    root_dt = math.sqrt(grid.dt)
-    n = grid.n_steps
 
     def batch_fn(start, stop):
         idx = np.arange(start, stop, dtype=np.int64)
-        streams = PathStreams(seed)
-        dB = streams.fill_normals(idx, (n, m)) * root_dt
-        nodes = np.concatenate([np.zeros((len(idx), 1, m)), np.cumsum(dB, axis=1)], axis=1)
-        x_left = x + nodes[:, :n, :]
+        (dB,) = brownian_increments(seed, idx, grid, (m,))
+        x_left, _ = brownian_left_nodes(x, dB)
         r = np.abs(x_left[..., 0]) if m == 1 else np.linalg.norm(x_left, axis=-1)
         integral = T * np.mean(r ** (2.0 * n_exp), axis=1)
         ok = integral > 0.0
@@ -344,30 +314,20 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     grid = TimeGrid(T, n_steps)
-    n = grid.n_steps
-    root_dt = math.sqrt(grid.dt)
-    n_streams = 2 if integrand == "sigma_row" else 1
+    widths = (1, 1) if integrand == "sigma_row" else (1,)
 
     def batch_fn(start, stop):
         idx = np.arange(start, stop, dtype=np.int64)
-        streams = PathStreams(seed)
-        eps = streams.fill_normals(idx, (n, n_streams)) * root_dt
-        dBt = eps[:, :, -1]
+        increments = [inc[:, :, 0] for inc in brownian_increments(seed, idx, grid, widths)]
+        dBt = increments[-1]
         if integrand == "zero":
             rho = np.zeros_like(dBt)
         elif integrand == "constant_unit":
             rho = np.ones_like(dBt)
         elif integrand == "adapted_cos":
-            nodes = np.concatenate(
-                [np.zeros((len(idx), 1)), np.cumsum(dBt, axis=1)], axis=1
-            )
-            rho = np.cos(nodes[:, :n])
+            rho = np.cos(brownian_left_nodes(0.0, dBt)[0])
         else:  # sigma_row
-            dW = eps[:, :, 0]
-            nodes = np.concatenate(
-                [np.zeros((len(idx), 1)), np.cumsum(dW, axis=1)], axis=1
-            )
-            w_left = x + nodes[:, :n]
+            w_left, _ = brownian_left_nodes(x, increments[0])
             rho = np.sign(w_left) * np.abs(w_left) ** l
         n_T = (rho * dBt).sum(axis=1)
         vals = np.abs(n_T) ** q
@@ -413,6 +373,13 @@ def _direction_groups(vs: Sequence[Direction]):
     return groups
 
 
+def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
+    """``ok`` restricted to the paths whose values are finite in every column."""
+    for vals in cols.values():
+        ok &= np.isfinite(vals)
+    return ok
+
+
 def bismut_panel(model: ModelSpec, z0, T: float,
                  fs: Sequence[TestFunction], vs: Sequence[Direction],
                  n_paths: int, n_steps: int, seed: int,
@@ -422,7 +389,12 @@ def bismut_panel(model: ModelSpec, z0, T: float,
 
     Directions whose v1 components are parallel share one simulation per batch;
     the returned dict maps ("grad", f.name, j) and ("pt", label) to MCEstimates.
+    All estimates share one validity mask: a path counts as invalid in every
+    column if its simulation is invalid, its Q_T is not solvable, or any of its
+    column values is not finite.
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
     x0, y0 = split_point(model, z0)
     grid = TimeGrid(T, n_steps)
     groups = _direction_groups(vs)
@@ -431,28 +403,25 @@ def bismut_panel(model: ModelSpec, z0, T: float,
 
     def batch_fn(start, stop):
         out = {}
-        ok = None
+        ok = np.ones(stop - start, dtype=bool)
         for gi, grp in enumerate(groups):
             u = Direction(np.asarray(grp["u1"], dtype=float), np.zeros(model.d))
             batch = _simulate(model, x0, y0, u, grid, seed, start, stop)
             fvals = {f.name: np.asarray(f.eval(batch.z_final), dtype=float) for f in fs}
-            group_ok = None
             for j, scale in grp["members"]:
                 drift, trace, inner, solvable = weight_terms_shared(
                     batch, T, vs[j].v2, v1_scale=scale
                 )
+                ok &= solvable  # solvable implies batch.valid
                 m_t = np.where(solvable, drift + trace + inner, 0.0)
-                group_ok = solvable  # solvability depends on Q_T only, not on v
                 for f in fs:
                     out[f"grad:{f.name}:{j}"] = fvals[f.name] * m_t
-            good = batch.valid & group_ok
-            ok = good if ok is None else (ok & good)
             if gi == 0:
                 # the state trajectory does not depend on the direction, so plain
                 # observables from the first group's batch serve every direction
                 for label, fn in extra_obs:
                     out[f"pt:{label}"] = np.asarray(fn(batch.z_final), dtype=float)
-        return out, ok
+        return out, _all_finite(out, ok)
 
     cols, valid = run_batches(n_paths, names, batch_fn, workers, batch_size)
     result = {}
@@ -469,8 +438,17 @@ def fd_panel(model: ModelSpec, z0, T: float,
              n_paths: int, n_steps: int, seed: int,
              eps: Optional[float] = None,
              *, workers: int = 1, batch_size: Optional[int] = None) -> dict:
-    """Common-random-number central differences for every (f, v) pair."""
+    """Common-random-number central differences for every (f, v) pair.
+
+    Both shifted simulations reuse the identical Brownian increments per path
+    index, so the per-path difference has drastically reduced variance.  All
+    estimates share one validity mask, as in ``bismut_panel``.
+    """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
     eps = default_fd_eps(z0) if eps is None else float(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     z = np.asarray(z0, dtype=float)
     grid = TimeGrid(T, n_steps)
     v0 = _zero_direction(model)
@@ -478,20 +456,19 @@ def fd_panel(model: ModelSpec, z0, T: float,
 
     def batch_fn(start, stop):
         out = {}
-        ok = None
+        ok = np.ones(stop - start, dtype=bool)
         for j, v in enumerate(vs):
             shift = np.concatenate([v.v1, v.v2])
             x_up, y_up = split_point(model, z + eps * shift)
             x_dn, y_dn = split_point(model, z - eps * shift)
             up = _simulate(model, x_up, y_up, v0, grid, seed, start, stop)
             dn = _simulate(model, x_dn, y_dn, v0, grid, seed, start, stop)
-            good = up.valid & dn.valid
-            ok = good if ok is None else (ok & good)
+            ok &= up.valid & dn.valid
             for f in fs:
                 f_up = np.asarray(f.eval(up.z_final), dtype=float)
                 f_dn = np.asarray(f.eval(dn.z_final), dtype=float)
                 out[f"fd:{f.name}:{j}"] = (f_up - f_dn) / (2.0 * eps)
-        return out, ok
+        return out, _all_finite(out, ok)
 
     cols, valid = run_batches(n_paths, names, batch_fn, workers, batch_size)
     return {

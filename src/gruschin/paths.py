@@ -10,8 +10,7 @@ All discretization is left-point (Ito):
   (T-t-dt)/(T-t) per step, which telescopes and pins xi to 0 at the final node.
 
 Time integrals are evaluated as T * mean(integrand over left nodes), which equals
-the left Riemann sum but is exact for constant integrands.  The sequential
-accumulators of the extended kernel use Kahan compensated summation.
+the left Riemann sum but is exact for constant integrands.
 """
 
 from __future__ import annotations
@@ -22,14 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .models import Direction, ModelKind, ModelSpec
-from .rng import PathStreams, RngStream
+from .rng import PathStreams
 
 __all__ = [
     "TimeGrid",
-    "PathFunctionals",
     "PathBatch",
-    "simulate_basic",
-    "simulate_extended",
+    "brownian_increments",
+    "brownian_left_nodes",
     "simulate_basic_batch",
     "simulate_extended_batch",
 ]
@@ -64,48 +62,30 @@ class TimeGrid:
 
 
 @dataclass
-class PathFunctionals:
-    """Everything a single simulated path contributes to the derivative weights."""
+class PathBatch:
+    """Everything a batch of simulated paths contributes to the derivative weights.
+
+    Every array carries a leading path axis of length P.
+    """
 
     kind: ModelKind
     sim_direction: Direction       # the v the v-dependent accumulators were built with
-    b_final: np.ndarray            # (m,) terminal value of the first Brownian motion
-    x_final: np.ndarray            # (m,)
-    y_final: np.ndarray            # (d,)
-    q_matrix: np.ndarray           # (d, d)  discretized int sigma sigma^* dt
-    trace_integral: np.ndarray     # (d, d)  basic: int ((T-t)/T){(grad_v1 sigma) sigma^*} dt;
+    path_indices: np.ndarray       # (P,)
+    b_final: np.ndarray            # (P, m) terminal value of the first Brownian motion
+    x_final: np.ndarray            # (P, m)
+    y_final: np.ndarray            # (P, d)
+    q_matrix: np.ndarray           # (P, d, d)  discretized int sigma sigma^* dt
+    trace_integral: np.ndarray     # (P, d, d)  basic: int ((T-t)/T){(grad_v1 sigma) sigma^*} dt;
     #                                extended: int {(grad_xi sigma2) sigma2^*} dt
-    weighted_stoch_integral: np.ndarray  # (d,) basic: int ((T-t)/T)(grad_v1 sigma) dBt;
+    weighted_stoch_integral: np.ndarray  # (P, d) basic: int ((T-t)/T)(grad_v1 sigma) dBt;
     #                                      extended: int (grad_xi sigma2) dBt
-    sigma_stoch_integral: np.ndarray     # (d,) int sigma dBt
-    drift_grad_integral: np.ndarray      # (d,) int (grad_xi b2) dt  (extended only)
-    xi_drift_weight: float         # int <sigma1^{-1} xi/(T-t), dB>  (extended only)
-    min_eig_q: float
-    degeneracy_scalar: float       # a^2 int |X_t|^{2l} dt when power params declared
-    valid: bool
-    xi_path: Optional[np.ndarray] = None  # (n_steps+1, m) when recording requested
-
-
-@dataclass
-class PathBatch:
-    """Batched PathFunctionals: every array carries a leading path axis."""
-
-    kind: ModelKind
-    sim_direction: Direction
-    path_indices: np.ndarray
-    b_final: np.ndarray
-    x_final: np.ndarray
-    y_final: np.ndarray
-    q_matrix: np.ndarray
-    trace_integral: np.ndarray
-    weighted_stoch_integral: np.ndarray
-    sigma_stoch_integral: np.ndarray
-    drift_grad_integral: np.ndarray
-    xi_drift_weight: np.ndarray
-    min_eig_q: np.ndarray
-    degeneracy_scalar: np.ndarray
-    valid: np.ndarray
-    xi_path: Optional[np.ndarray] = None
+    sigma_stoch_integral: np.ndarray     # (P, d) int sigma dBt
+    drift_grad_integral: np.ndarray      # (P, d) int (grad_xi b2) dt  (extended only)
+    xi_drift_weight: np.ndarray    # (P,) int <sigma1^{-1} xi/(T-t), dB>  (extended only)
+    min_eig_q: np.ndarray          # (P,)
+    degeneracy_scalar: np.ndarray  # (P,) a^2 int |X_t|^{2l} dt when power params declared
+    valid: np.ndarray              # (P,) bool
+    xi_path: Optional[np.ndarray] = None  # (P, n_steps+1, m) when recording requested
 
     def __len__(self) -> int:
         return len(self.path_indices)
@@ -115,25 +95,6 @@ class PathBatch:
         """Terminal states stacked as points in R^{m+d}."""
         return np.concatenate([self.x_final, self.y_final], axis=1)
 
-    def select(self, row: int) -> PathFunctionals:
-        return PathFunctionals(
-            kind=self.kind,
-            sim_direction=self.sim_direction,
-            b_final=self.b_final[row].copy(),
-            x_final=self.x_final[row].copy(),
-            y_final=self.y_final[row].copy(),
-            q_matrix=self.q_matrix[row].copy(),
-            trace_integral=self.trace_integral[row].copy(),
-            weighted_stoch_integral=self.weighted_stoch_integral[row].copy(),
-            sigma_stoch_integral=self.sigma_stoch_integral[row].copy(),
-            drift_grad_integral=self.drift_grad_integral[row].copy(),
-            xi_drift_weight=float(self.xi_drift_weight[row]),
-            min_eig_q=float(self.min_eig_q[row]),
-            degeneracy_scalar=float(self.degeneracy_scalar[row]),
-            valid=bool(self.valid[row]),
-            xi_path=None if self.xi_path is None else self.xi_path[row].copy(),
-        )
-
 
 def _as_state(value, dim: int, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
@@ -142,24 +103,34 @@ def _as_state(value, dim: int, name: str) -> np.ndarray:
     return arr
 
 
-def _draw_increments(model, grid, master_seed, path_indices, substream):
+def brownian_increments(master_seed: int, path_indices, grid: TimeGrid,
+                        widths: tuple[int, ...], substream: int = 0) -> list[np.ndarray]:
+    """Increments (P, n_steps, w) of independent Brownian motions of each width w.
+
+    The noise of a path is a pure function of (master_seed, substream, path index).
+    """
     streams = PathStreams(master_seed, substream)
-    eps = streams.fill_normals(np.asarray(path_indices), (grid.n_steps, model.m + model.d))
+    eps = streams.fill_normals(np.asarray(path_indices), (grid.n_steps, sum(widths)))
     root_dt = np.sqrt(grid.dt)
-    return eps[:, :, : model.m] * root_dt, eps[:, :, model.m:] * root_dt
+    edges = np.cumsum((0,) + tuple(widths))
+    return [eps[:, :, a:b] * root_dt for a, b in zip(edges[:-1], edges[1:])]
+
+
+def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brownian paths from their increments dB (P, n_steps, ...).
+
+    Returns the left-node values start + B_{t_k}, k < n_steps, and the terminal
+    value B_T (started at 0).
+    """
+    P, n = dB.shape[:2]
+    nodes = np.concatenate([np.zeros((P, 1) + dB.shape[2:]), np.cumsum(dB, axis=1)], axis=1)
+    return start + nodes[:, :n], nodes[:, n]
 
 
 def _batch_radius(x: np.ndarray) -> np.ndarray:
     if x.shape[-1] == 1:
         return np.abs(x[..., 0])
     return np.linalg.norm(x, axis=-1)
-
-
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    y = term - comp
-    t = total + y
-    comp[...] = (t - total) - y
-    total[...] = t
 
 
 def simulate_basic_batch(
@@ -187,16 +158,14 @@ def simulate_basic_batch(
     n, T = grid.n_steps, grid.horizon
 
     if increments is None:
-        dB, dBt = _draw_increments(model, grid, master_seed, path_indices, substream)
+        dB, dBt = brownian_increments(master_seed, path_indices, grid, (m, d), substream)
     else:
         dB, dBt = increments
         if dB.shape != (len(path_indices), n, m) or dBt.shape != (len(path_indices), n, d):
             raise ValueError("increment override has wrong shape")
     P = len(path_indices)
 
-    b_nodes = np.concatenate([np.zeros((P, 1, m)), np.cumsum(dB, axis=1)], axis=1)
-    b_final = b_nodes[:, n, :]
-    x_left = x0 + b_nodes[:, :n, :]
+    x_left, b_final = brownian_left_nodes(x0, dB)
     x_final = x0 + b_final
     w = grid.decay_weights()
 
@@ -284,7 +253,7 @@ def simulate_extended_batch(
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
     if increments is None:
-        dB, dBt = _draw_increments(model, grid, master_seed, path_indices, substream)
+        dB, dBt = brownian_increments(master_seed, path_indices, grid, (m, d), substream)
     else:
         dB, dBt = increments
     P = len(path_indices)
@@ -298,17 +267,14 @@ def simulate_extended_batch(
     b_running = np.zeros((P, m))
     eye_m = np.eye(m)
 
-    def zeros(*shape):
-        return np.zeros((P,) + shape), np.zeros((P,) + shape)
-
-    q_acc, q_c = zeros(d, d)
-    tr_acc, tr_c = zeros(d, d)
-    wsi_acc, wsi_c = zeros(d)
-    ssi_acc, ssi_c = zeros(d)
-    dgi_acc, dgi_c = zeros(d)
-    ydrift_acc, ydrift_c = zeros(d)
-    xdw_acc, xdw_c = zeros()
-    deg_acc, deg_c = zeros()
+    q_acc = np.zeros((P, d, d))
+    tr_acc = np.zeros((P, d, d))
+    wsi_acc = np.zeros((P, d))
+    ssi_acc = np.zeros((P, d))
+    dgi_acc = np.zeros((P, d))
+    ydrift_acc = np.zeros((P, d))
+    xdw_acc = np.zeros(P)
+    deg_acc = np.zeros(P)
     invalid = np.zeros(P, dtype=bool)
 
     power = model.power_params
@@ -336,20 +302,20 @@ def simulate_extended_batch(
             invalid |= bad
             s1_safe = np.where(bad[:, None, None], eye_m, s1)
             s1_inv_xi = np.linalg.solve(s1_safe, xi[..., None])[..., 0]
-        _kahan_add(xdw_acc, xdw_c, (s1_inv_xi * db).sum(axis=1) / remaining[k])
+        xdw_acc += (s1_inv_xi * db).sum(axis=1) / remaining[k]
 
         # the decay (T-t)/T of the basic weight lives inside xi here: in the
         # sigma1 = I, b1 = 0 reduction xi_t = v1 (T-t)/T exactly, so these
         # unweighted integrands coincide with the weighted basic ones
-        _kahan_add(q_acc, q_c, np.einsum("pij,pkj->pik", s2, s2) * dt)
-        _kahan_add(tr_acc, tr_c, dt * np.einsum("pij,pkj->pik", g2, s2))
-        _kahan_add(wsi_acc, wsi_c, np.einsum("pij,pj->pi", g2, dbt))
-        _kahan_add(ssi_acc, ssi_c, np.einsum("pij,pj->pi", s2, dbt))
-        _kahan_add(dgi_acc, dgi_c, np.asarray(model.grad_b2(x, xi), dtype=float) * dt)
-        _kahan_add(ydrift_acc, ydrift_c, np.asarray(model.b2(x), dtype=float) * dt)
+        q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
+        tr_acc += dt * np.einsum("pij,pkj->pik", g2, s2)
+        wsi_acc += np.einsum("pij,pj->pi", g2, dbt)
+        ssi_acc += np.einsum("pij,pj->pi", s2, dbt)
+        dgi_acc += np.asarray(model.grad_b2(x, xi), dtype=float) * dt
+        ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
         if power is not None:
             r = _batch_radius(x)
-            _kahan_add(deg_acc, deg_c, (power.a**2) * r ** (2.0 * power.l) * dt)
+            deg_acc += (power.a**2) * r ** (2.0 * power.l) * dt
 
         gs1 = np.asarray(model.grad_sigma1(x, xi), dtype=float)       # (P, m, m)
         gb1 = np.asarray(model.grad_b1(x, xi), dtype=float)           # (P, m)
@@ -391,22 +357,3 @@ def simulate_extended_batch(
         valid=finite & ~invalid,
         xi_path=xi_path,
     )
-
-
-def simulate_basic(model: ModelSpec, x0, y0, v: Direction, grid: TimeGrid,
-                   rng: RngStream) -> PathFunctionals:
-    """One basic-model path; a pure function of (model, inputs, rng identity)."""
-    batch = simulate_basic_batch(
-        model, x0, y0, v, grid, rng.master_seed, [rng.path_index], substream=rng.substream
-    )
-    return batch.select(0)
-
-
-def simulate_extended(model: ModelSpec, x0, y0, v: Direction, grid: TimeGrid,
-                      rng: RngStream, record_xi: bool = False) -> PathFunctionals:
-    """One extended-model path, optionally recording the auxiliary process."""
-    batch = simulate_extended_batch(
-        model, x0, y0, v, grid, rng.master_seed, [rng.path_index],
-        substream=rng.substream, record_xi=record_xi,
-    )
-    return batch.select(0)

@@ -10,11 +10,10 @@ were simulated, in what order, or on which worker.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngStream", "PathStreams", "derive_seed"]
+__all__ = ["PathStreams", "derive_seed"]
 
 _COUNTER_WORDS = 4
 _PATH_WORD = 2  # counter word 2 <=> jump of path_index * 2**128
@@ -64,15 +63,3 @@ class PathStreams:
             self._seek(int(idx))
             out[row] = self._gen.standard_normal(shape)
         return out
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Identity of a single path's noise: (master_seed, path_index) plus substream."""
-
-    master_seed: int
-    path_index: int
-    substream: int = 0
-
-    def normals(self, shape: tuple[int, ...]) -> np.ndarray:
-        return PathStreams(self.master_seed, self.substream).normals(self.path_index, shape)

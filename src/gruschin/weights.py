@@ -16,20 +16,14 @@ never by forming the inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import batch_trace, spd_solve
 from .models import Direction, ModelKind
-from .paths import PathBatch, PathFunctionals
+from .paths import PathBatch
 
 __all__ = [
     "INVERTIBILITY_FLOOR",
-    "InvalidPathError",
-    "WeightBreakdown",
-    "bismut_weight",
-    "extended_weight",
     "weight_terms_batch",
     "weight_terms_shared",
 ]
@@ -37,31 +31,6 @@ __all__ = [
 # Q_T counts as numerically invertible when min eig > floor * trace(Q_T).
 # Failures are surfaced and counted, never regularized away.
 INVERTIBILITY_FLOOR = 1e-12
-
-
-class InvalidPathError(RuntimeError):
-    """Raised when a path's covariance matrix is numerically degenerate."""
-
-    def __init__(self, min_eig: float, threshold: float):
-        self.min_eig = min_eig
-        self.threshold = threshold
-        super().__init__(
-            f"Q_T numerically singular: min eigenvalue {min_eig:.3e} "
-            f"<= threshold {threshold:.3e}"
-        )
-
-
-@dataclass(frozen=True)
-class WeightBreakdown:
-    """The three summands of M_T; their sum is the weight by construction."""
-
-    term_drift: float
-    term_trace: float
-    term_inner: float
-
-    @property
-    def m_t(self) -> float:
-        return self.term_drift + self.term_trace + self.term_inner
 
 
 def weight_terms_shared(
@@ -114,38 +83,3 @@ def weight_terms_batch(
             "direction-specific (use weight_terms_shared for rescaled directions)"
         )
     return weight_terms_shared(batch, T, v.v2, v1_scale=1.0)
-
-
-def _single_weight(pf: PathFunctionals, v: Direction, T: float,
-                   expected_kind: ModelKind) -> WeightBreakdown:
-    if pf.kind is not expected_kind:
-        raise ValueError(f"path functionals come from a {pf.kind.value} simulation")
-    trace_q = float(np.trace(pf.q_matrix))
-    threshold = INVERTIBILITY_FLOOR * trace_q
-    if not pf.valid or not (pf.min_eig_q > threshold and trace_q > 0):
-        raise InvalidPathError(pf.min_eig_q, threshold)
-
-    q = pf.q_matrix[None]
-    rhs = (np.asarray(v.v2, dtype=float) + pf.weighted_stoch_integral
-           + pf.drift_grad_integral)[None]
-    u = spd_solve(q, rhs)[0]
-    w_mat = spd_solve(q, pf.trace_integral[None])[0]
-    if expected_kind is ModelKind.BASIC:
-        drift = float(np.dot(v.v1, pf.b_final)) / T
-    else:
-        drift = float(pf.xi_drift_weight)
-    return WeightBreakdown(
-        term_drift=drift,
-        term_trace=-float(np.trace(w_mat)),
-        term_inner=float(np.dot(u, pf.sigma_stoch_integral)),
-    )
-
-
-def bismut_weight(pf: PathFunctionals, v: Direction, T: float) -> WeightBreakdown:
-    """Weight M_T for one basic-model path (pf must come from simulate_basic with v)."""
-    return _single_weight(pf, v, T, ModelKind.BASIC)
-
-
-def extended_weight(pf: PathFunctionals, v: Direction, T: float) -> WeightBreakdown:
-    """Weight M_T for one extended-model path (pf from simulate_extended with v)."""
-    return _single_weight(pf, v, T, ModelKind.EXTENDED)

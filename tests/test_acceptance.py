@@ -37,9 +37,8 @@ from gruschin.models import (
     observable,
 )
 from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
-from gruschin.rng import RngStream, derive_seed
+from gruschin.rng import derive_seed
 from gruschin.weights import weight_terms_batch
-from gruschin.paths import simulate_extended
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -275,9 +274,9 @@ def test_criterion_12_xi_solver_exactness():
     v1 = 1.0
     ok = True
     for i in range(5):
-        pf = simulate_extended(model, [1.0], [0.0], Direction.make(v1, 0.0),
-                               grid, RngStream(112, i), record_xi=True)
-        xi = pf.xi_path[:, 0]
+        pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0),
+                                     grid, 112, path_indices=[i], record_xi=True)
+        xi = pf.xi_path[0, :, 0]
         recon = np.empty(n + 1)
         recon[0] = v1
         for k in range(n):

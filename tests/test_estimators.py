@@ -25,6 +25,7 @@ from gruschin.models import (
     make_power_law_model,
     observable,
 )
+from gruschin.models import TestFunction as Observable  # not a pytest class
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -342,3 +343,21 @@ def test_panels_worker_invariant():
     c = fd_panel(model, [1.0, 0.0], 1.0, fs, [EX], 8000, 50, 83, workers=1)
     d = fd_panel(model, [1.0, 0.0], 1.0, fs, [EX], 8000, 50, 83, workers=4)
     assert c[("grad_fd", "sin_y", 0)].mean == d[("grad_fd", "sin_y", 0)].mean
+
+
+def test_panels_count_nonfinite_values_as_invalid():
+    # an observable that is NaN on part of the paths: those paths count as
+    # invalid in every column of the panel, and every estimate stays finite
+    model = make_power_law_model(1, 1, 1.0)
+    holey = Observable(name="nan_below_zero",
+                       eval=lambda z: np.where(z[..., 1] < 0.0, np.nan, z[..., 1]))
+    fs = [observable("sin_y", model), holey]
+    n = 4000
+    pb = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX, EY], n, 50, 89)
+    pf = fd_panel(model, [1.0, 0.0], 1.0, fs, [EX, EY], n, 50, 89)
+    for est in list(pb.values()) + list(pf.values()):
+        assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+        assert 0 < est.n_invalid < n
+        assert est.n_valid + est.n_invalid == n
+    single = estimate_gradient_bismut(model, holey, [1.0, 0.0], EX, 1.0, n, 50, 89)
+    assert single.n_invalid > 0 and math.isfinite(single.mean)

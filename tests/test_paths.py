@@ -12,14 +12,8 @@ from gruschin.models import (
     make_extended_demo_model,
     make_power_law_model,
 )
-from gruschin.paths import (
-    TimeGrid,
-    simulate_basic,
-    simulate_basic_batch,
-    simulate_extended,
-    simulate_extended_batch,
-)
-from gruschin.rng import PathStreams, RngStream
+from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
+from gruschin.rng import PathStreams
 
 V11 = Direction.make(1.0, 1.0)
 
@@ -45,16 +39,16 @@ def test_constant_sigma_exact_functionals():
     # constant integrands make the left sums exact: Q_T = T I, no gradient terms
     model = make_constant_identity_model()
     grid = TimeGrid(1.0, 100)
-    pf = simulate_basic(model, [0.2], [0.0], V11, grid, RngStream(3, 0))
-    assert pf.q_matrix[0, 0] == 1.0
-    assert pf.trace_integral[0, 0] == 0.0
-    assert pf.weighted_stoch_integral[0] == 0.0
-    assert pf.min_eig_q == 1.0
+    pf = simulate_basic_batch(model, [0.2], [0.0], V11, grid, 3, path_indices=[0])
+    assert pf.q_matrix[0, 0, 0] == 1.0
+    assert pf.trace_integral[0, 0, 0] == 0.0
+    assert pf.weighted_stoch_integral[0, 0] == 0.0
+    assert pf.min_eig_q[0] == 1.0
 
     # sigma = I telescopes the stochastic integral into the increment sum
     dB, dBt = draw_increments(3, [0], 100, 1, 1, grid.dt)
-    assert pf.sigma_stoch_integral[0] == dBt[0].sum()
-    assert pf.b_final[0] == np.cumsum(dB[0, :, 0])[-1]
+    assert pf.sigma_stoch_integral[0, 0] == dBt[0].sum()
+    assert pf.b_final[0, 0] == np.cumsum(dB[0, :, 0])[-1]
 
 
 def test_x_component_is_exact_brownian():
@@ -180,10 +174,10 @@ def test_xi_closed_form_with_identity_coefficients():
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
     v1 = 0.7
-    pf = simulate_extended(model, [1.0], [0.0], Direction.make(v1, 0.0), grid,
-                           RngStream(41, 2), record_xi=True)
+    pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0), grid,
+                                 41, path_indices=[2], record_xi=True)
     times = grid.times()
-    xi = pf.xi_path[:, 0]
+    xi = pf.xi_path[0, :, 0]
     assert xi[-1] == 0.0
     # bitwise reconstruction of the telescoping product
     recon = np.empty(n + 1)
@@ -216,10 +210,10 @@ def test_zero_direction_zeroes_every_direction_dependent_field():
     model = make_extended_demo_model()
     grid = TimeGrid(1.0, 60)
     v0 = Direction.make(0.0, 0.0)
-    pf = simulate_extended(model, [1.0], [0.0], v0, grid, RngStream(47, 0),
-                           record_xi=True)
+    pf = simulate_extended_batch(model, [1.0], [0.0], v0, grid, 47, path_indices=[0],
+                                 record_xi=True)
     assert np.all(pf.xi_path == 0.0)
-    assert pf.xi_drift_weight == 0.0
+    assert pf.xi_drift_weight[0] == 0.0
     assert np.all(pf.trace_integral == 0.0)
     assert np.all(pf.weighted_stoch_integral == 0.0)
     assert np.all(pf.drift_grad_integral == 0.0)
@@ -228,13 +222,13 @@ def test_zero_direction_zeroes_every_direction_dependent_field():
 def test_bitwise_determinism_across_calls_and_batching():
     model = make_power_law_model(1, 1, 2.0)
     grid = TimeGrid(0.5, 64)
-    one = simulate_basic(model, [1.0], [0.3], V11, grid, RngStream(53, 17))
+    one = simulate_basic_batch(model, [1.0], [0.3], V11, grid, 53, path_indices=[17])
     big = simulate_basic_batch(model, [1.0], [0.3], V11, grid, 53,
                                np.arange(10, 30))
-    again = simulate_basic(model, [1.0], [0.3], V11, grid, RngStream(53, 17))
-    assert np.array_equal(one.q_matrix, big.select(7).q_matrix)
+    again = simulate_basic_batch(model, [1.0], [0.3], V11, grid, 53, path_indices=[17])
+    assert np.array_equal(one.q_matrix[0], big.q_matrix[7])
     assert np.array_equal(one.sigma_stoch_integral, again.sigma_stoch_integral)
-    assert one.min_eig_q == big.select(7).min_eig_q
+    assert one.min_eig_q[0] == big.min_eig_q[7]
 
 
 def test_nonfinite_coefficients_flag_paths_invalid():

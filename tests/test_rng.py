@@ -3,18 +3,12 @@
 import numpy as np
 import pytest
 
-from gruschin.rng import PathStreams, RngStream, derive_seed
+from gruschin.rng import PathStreams, derive_seed
 
 
 def test_same_identity_same_values():
     a = PathStreams(42).normals(7, (100, 2))
     b = PathStreams(42).normals(7, (100, 2))
-    assert np.array_equal(a, b)
-
-
-def test_rngstream_matches_pathstreams():
-    a = RngStream(master_seed=5, path_index=3).normals((50,))
-    b = PathStreams(5).normals(3, (50,))
     assert np.array_equal(a, b)
 
 

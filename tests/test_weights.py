@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gruschin.estimators import estimate_gradient_bismut, pairwise_sum
 from gruschin.models import (
     Direction,
     ModelKind,
@@ -11,42 +12,45 @@ from gruschin.models import (
     make_constant_identity_model,
     make_extended_demo_model,
     make_power_law_model,
+    observable,
 )
-from gruschin.paths import TimeGrid, simulate_basic, simulate_basic_batch, simulate_extended
-from gruschin.rng import RngStream
-from gruschin.weights import (
-    InvalidPathError,
-    bismut_weight,
-    extended_weight,
-    weight_terms_batch,
-)
+from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
+from gruschin.weights import weight_terms_batch
 
 V11 = Direction.make(1.0, 1.0)
 GRID = TimeGrid(1.0, 100)
 
 
+def weight(batch, v, T=1.0):
+    drift, trace, inner, _ = weight_terms_batch(batch, v, T)
+    return drift + trace + inner
+
+
 def test_constant_sigma_collapses_to_brownian_weight():
     model = make_constant_identity_model()
-    pf = simulate_basic(model, [0.0], [0.0], V11, GRID, RngStream(2, 0))
-    w = bismut_weight(pf, V11, 1.0)
-    assert w.term_trace == 0.0
-    expected = pf.b_final[0] + pf.sigma_stoch_integral[0]
-    assert w.m_t == pytest.approx(expected, abs=1e-14)
+    pf = simulate_basic_batch(model, [0.0], [0.0], V11, GRID, 2, path_indices=[0])
+    _, trace, _, _ = weight_terms_batch(pf, V11, 1.0)
+    assert trace[0] == 0.0
+    expected = pf.b_final[0, 0] + pf.sigma_stoch_integral[0, 0]
+    assert weight(pf, V11)[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_zero_direction_gives_zero_weight():
     model = make_power_law_model(1, 1, 1.0)
     v0 = Direction.make(0.0, 0.0)
-    pf = simulate_basic(model, [1.0], [0.0], v0, GRID, RngStream(5, 1))
-    w = bismut_weight(pf, v0, 1.0)
-    assert w.m_t == 0.0
+    pf = simulate_basic_batch(model, [1.0], [0.0], v0, GRID, 5, path_indices=[1])
+    assert weight(pf, v0)[0] == 0.0
 
 
 def test_breakdown_sums_exactly():
+    # the weight the estimators average is exactly the sum of the three terms
     model = make_power_law_model(1, 1, 1.0)
-    pf = simulate_basic(model, [1.0], [0.0], V11, GRID, RngStream(5, 4))
-    w = bismut_weight(pf, V11, 1.0)
-    assert w.m_t == w.term_drift + w.term_trace + w.term_inner
+    batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, 5, np.arange(64))
+    drift, trace, inner, ok = weight_terms_batch(batch, V11, 1.0)
+    est = estimate_gradient_bismut(model, observable("one"), [1.0, 0.0], V11, 1.0,
+                                   64, 100, 5)
+    assert ok.all()
+    assert est.mean == pairwise_sum(drift + trace + inner) / 64
 
 
 def test_weight_linear_in_direction_on_fixed_noise():
@@ -55,10 +59,10 @@ def test_weight_linear_in_direction_on_fixed_noise():
     w_dir = Direction.make(-0.4, 0.9)
     both = u.plus(w_dir)
     for i in range(25):
-        rng = RngStream(7, i)
-        m_u = bismut_weight(simulate_basic(model, [1.0], [0.0], u, GRID, rng), u, 1.0).m_t
-        m_w = bismut_weight(simulate_basic(model, [1.0], [0.0], w_dir, GRID, rng), w_dir, 1.0).m_t
-        m_b = bismut_weight(simulate_basic(model, [1.0], [0.0], both, GRID, rng), both, 1.0).m_t
+        m_u, m_w, m_b = (
+            weight(simulate_basic_batch(model, [1.0], [0.0], d, GRID, 7, path_indices=[i]), d)[0]
+            for d in (u, w_dir, both)
+        )
         assert m_b == pytest.approx(m_u + m_w, rel=1e-10, abs=1e-12)
 
 
@@ -68,10 +72,11 @@ def test_extended_weight_linear_in_direction():
     w_dir = Direction.make(-0.4, 0.9)
     both = u.plus(w_dir)
     for i in range(15):
-        rng = RngStream(9, i)
-        m_u = extended_weight(simulate_extended(model, [1.0], [0.0], u, GRID, rng), u, 1.0).m_t
-        m_w = extended_weight(simulate_extended(model, [1.0], [0.0], w_dir, GRID, rng), w_dir, 1.0).m_t
-        m_b = extended_weight(simulate_extended(model, [1.0], [0.0], both, GRID, rng), both, 1.0).m_t
+        m_u, m_w, m_b = (
+            weight(simulate_extended_batch(model, [1.0], [0.0], d, GRID, 9, path_indices=[i]),
+                   d)[0]
+            for d in (u, w_dir, both)
+        )
         assert m_b == pytest.approx(m_u + m_w, rel=1e-10, abs=1e-12)
 
 
@@ -79,20 +84,17 @@ def test_extended_reduction_matches_basic_weight():
     model = make_power_law_model(1, 1, 1.0)
     ext = as_extended(model)
     for i in range(50):
-        pfb = simulate_basic(model, [1.0], [0.0], V11, GRID, RngStream(11, i))
-        pfe = simulate_extended(ext, [1.0], [0.0], V11, GRID, RngStream(11, i))
-        wb = bismut_weight(pfb, V11, 1.0)
-        we = extended_weight(pfe, V11, 1.0)
-        assert abs(wb.m_t - we.m_t) <= 1e-12
+        pfb = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, 11, path_indices=[i])
+        pfe = simulate_extended_batch(ext, [1.0], [0.0], V11, GRID, 11, path_indices=[i])
+        assert abs(weight(pfb, V11)[0] - weight(pfe, V11)[0]) <= 1e-12
 
 
 def test_extended_constant_coefficients_collapse():
     # sigma1 = I, b = 0, sigma2 = I: M = <v1,B_T>/T + <v2,Bt_T>/T
     ext = as_extended(make_constant_identity_model())
-    pf = simulate_extended(ext, [0.0], [0.0], V11, GRID, RngStream(13, 3))
-    w = extended_weight(pf, V11, 1.0)
-    expected = pf.b_final[0] + pf.sigma_stoch_integral[0]
-    assert w.m_t == pytest.approx(expected, abs=1e-12)
+    pf = simulate_extended_batch(ext, [0.0], [0.0], V11, GRID, 13, path_indices=[3])
+    expected = pf.b_final[0, 0] + pf.sigma_stoch_integral[0, 0]
+    assert weight(pf, V11)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_weight_mean_is_centered():
@@ -117,17 +119,11 @@ def test_invalid_path_error_carries_min_eig():
                            sigma_scalar=zero,
                            grad_sigma_scalar=lambda x, v: zero(x),
                            name="identically_degenerate")
-    pf = simulate_basic(degenerate, [1.0], [0.0], V11, GRID, RngStream(19, 0))
-    with pytest.raises(InvalidPathError) as err:
-        bismut_weight(pf, V11, 1.0)
-    assert err.value.min_eig == 0.0
-
-
-def test_weight_rejects_wrong_kind():
-    model = make_power_law_model(1, 1, 1.0)
-    pf = simulate_basic(model, [1.0], [0.0], V11, GRID, RngStream(23, 0))
-    with pytest.raises(ValueError):
-        extended_weight(pf, V11, 1.0)
+    pf = simulate_basic_batch(degenerate, [1.0], [0.0], V11, GRID, 19, path_indices=[0])
+    drift, trace, inner, solvable = weight_terms_batch(pf, V11, 1.0)
+    assert not solvable[0]  # counted as invalid, never regularized away
+    assert np.isnan(drift[0] + trace[0] + inner[0])
+    assert pf.min_eig_q[0] == 0.0
 
 
 def test_weight_terms_reject_mismatched_direction():
