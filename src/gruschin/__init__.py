@@ -35,6 +35,7 @@ from .estimators import (
     estimate_negative_moment,
     estimate_pt,
     fd_panel,
+    pt_panel,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .estimators import (
     estimate_negative_moment,
     estimate_pt,
     lq_moment_rhs,
+    pt_panel,
     split_point,
 )
 from .models import Direction, ModelKind, ModelSpec, TestFunction
@@ -87,7 +88,11 @@ class BoundCheckVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class RatioPoint:
-    """One normalized ratio with the statistical tolerance of its estimate."""
+    """One normalized ratio with the statistical tolerance of its estimate.
+
+    ``n_valid`` / ``n_invalid`` are the path counts of the estimate the ratio was
+    built from (of the one with the most invalid paths when there are several).
+    """
 
     label: str
     phase: str            # "calibration" | "holdout" | "check"
@@ -99,6 +104,8 @@ class RatioPoint:
     f_name: str = ""
     seed: int = 0
     n_steps: int = 0
+    n_valid: int = 0
+    n_invalid: int = 0
 
 
 @dataclass
@@ -207,6 +214,7 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
                         ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
                         v=(tuple(v.v1), tuple(v.v2)), f_name=f.name,
                         seed=seed, n_steps=mc.n_steps,
+                        n_valid=grad.n_valid, n_invalid=grad.n_invalid,
                     )
                     report.points.append(pt)
                     collected[phase].append(pt)
@@ -268,6 +276,7 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
                     label=f"T={T},x={x},f={f.name}", phase=phase,
                     ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
                     f_name=f.name, seed=seed, n_steps=mc.n_steps,
+                    n_valid=denom_est.n_valid, n_invalid=denom_est.n_invalid,
                 )
                 report.points.append(pt)
                 collected[phase].append(pt)
@@ -298,6 +307,7 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
                 ratio=est.mean * normalizer,
                 tolerance=4.0 * est.stderr * normalizer,
                 T=T, z0=(x,), seed=seed, n_steps=mc.n_steps,
+                n_valid=est.n_valid, n_invalid=est.n_invalid,
             )
             report.points.append(pt)
             collected[phase].append(pt)
@@ -332,6 +342,7 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
             label=f"{name},q={q}", phase="check",
             ratio=lhs.mean / rhs, tolerance=4.0 * lhs.stderr / rhs,
             T=T, z0=(), f_name=name, seed=seed, n_steps=mc.n_steps,
+            n_valid=lhs.n_valid, n_invalid=lhs.n_invalid,
         )
         report.points.append(pt)
         points.append(pt)
@@ -440,6 +451,8 @@ class HarnackResult:
     rho: float
     constant: float
     verdict: str       # "holds" | "violated" | "inconclusive"
+    n_valid: int       # path counts of the estimate with the most invalid paths
+    n_invalid: int
 
 
 def _assert_nonnegative(model: ModelSpec, f: TestFunction, z0, T: float, seed: int) -> None:
@@ -465,6 +478,7 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     ``rho`` defaults to the subunit-curve upper bound (power-law models) or the
     Euclidean distance (constant identity).  The same derived seed drives the
     estimates at both base points, so the z = z' case holds with exact equality.
+    P f(z') and P f^2(z') come from one simulation at z'.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     z_prime = np.atleast_1d(np.asarray(z_prime, dtype=float))
@@ -479,16 +493,18 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
             rho = rho_upper_bound(model, z, z_prime).bound
 
     f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f), bounded=f.bounded)
-    p_at_zp = estimate_pt(model, f, z_prime, T, mc.n_paths, mc.n_steps, seed,
-                          workers=mc.workers)
+    at_zp = pt_panel(model, z_prime, T, [f, f_sq], mc.n_paths, mc.n_steps, seed,
+                     workers=mc.workers)
+    p_at_zp, p_sq_zp = at_zp[("pt", f.name)], at_zp[("pt", f_sq.name)]
     p_at_z = estimate_pt(model, f, z, T, mc.n_paths, mc.n_steps, seed,
                          workers=mc.workers)
-    p_sq_zp = estimate_pt(model, f_sq, z_prime, T, mc.n_paths, mc.n_steps, seed,
-                          workers=mc.workers)
+    worst = min((p_at_zp, p_at_z), key=lambda e: e.n_valid)
+    counts = dict(n_valid=worst.n_valid, n_invalid=worst.n_invalid)
+    points = (tuple(z.tolist()), tuple(z_prime.tolist()))
 
     if p_sq_zp.mean < 0.0:
-        return HarnackResult(tuple(z), tuple(z_prime), p_at_zp.mean, float("nan"),
-                             float("nan"), rho, constant, "inconclusive")
+        return HarnackResult(*points, p_at_zp.mean, float("nan"),
+                             float("nan"), rho, constant, "inconclusive", **counts)
     root = math.sqrt(p_sq_zp.mean)
     rhs = p_at_z.mean + constant * rho * root
     root_se = p_sq_zp.stderr / (2.0 * root) if root > 0 else 0.0
@@ -496,8 +512,8 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
         p_at_zp.stderr**2 + p_at_z.stderr**2 + (constant * rho * root_se) ** 2
     )
     verdict = "holds" if p_at_zp.mean <= rhs + band else "violated"
-    return HarnackResult(tuple(z), tuple(z_prime), p_at_zp.mean, rhs, band, rho,
-                         constant, verdict)
+    return HarnackResult(*points, p_at_zp.mean, rhs, band, rho,
+                         constant, verdict, **counts)
 
 
 def check_harnack_suite(model: ModelSpec, T: float,
@@ -517,6 +533,7 @@ def check_harnack_suite(model: ModelSpec, T: float,
             ratio=res.lhs / res.rhs, tolerance=res.band / abs(res.rhs),
             T=T, z0=res.z, v=res.z_prime, f_name=f.name,
             seed=mc.seed, n_steps=mc.n_steps,
+            n_valid=res.n_valid, n_invalid=res.n_invalid,
         ))
     if not report.points:
         report.verdict = BoundCheckVerdict.INCONCLUSIVE

@@ -219,6 +219,13 @@ def _fmt_dir(v: Direction) -> str:
     return _fmt_vec(v.v1) + "|" + _fmt_vec(v.v2)
 
 
+def _fmt_ratio_v(v: tuple) -> str:
+    """A ratio point's ``v``: a direction (v1, v2) as in ``_fmt_dir``, else a point."""
+    if v and isinstance(v[0], tuple):
+        return "|".join(_fmt_vec(part) for part in v)
+    return _fmt_vec(v)
+
+
 def _row(experiment_id, quantity, mean, stderr, n_valid, n_invalid, seed, T, z0, v, n_steps):
     return {
         "experiment_id": experiment_id,
@@ -242,8 +249,8 @@ def _rows_from_bound_report(rep: an.BoundCheckReport) -> list[dict]:
             experiment_id=f"{rep.inequality_id}/{p.phase}/{p.label}",
             quantity=f"{rep.inequality_id.lower()}_ratio",
             mean=p.ratio, stderr=p.tolerance / 4.0,
-            n_valid=0, n_invalid=0, seed=p.seed, T=p.T,
-            z0=_fmt_vec(p.z0), v=str(p.v), n_steps=p.n_steps,
+            n_valid=p.n_valid, n_invalid=p.n_invalid, seed=p.seed, T=p.T,
+            z0=_fmt_vec(p.z0), v=_fmt_ratio_v(p.v), n_steps=p.n_steps,
         ))
     return rows
 

@@ -41,6 +41,7 @@ __all__ = [
     "LQ_INTEGRANDS",
     "default_fd_eps",
     "split_point",
+    "pt_panel",
     "bismut_panel",
     "fd_panel",
 ]
@@ -148,11 +149,17 @@ def default_fd_eps(z0) -> float:
     return 1e-3 * (1.0 + float(np.linalg.norm(np.asarray(z0, dtype=float))))
 
 
-def _simulate(model, x0, y0, v, grid, seed, start, stop, substream=0):
+def _simulate(model, x0, y0, v, grid, seed, start, stop, increments=None):
     idx = np.arange(start, stop, dtype=np.int64)
-    if model.kind is ModelKind.BASIC:
-        return simulate_basic_batch(model, x0, y0, v, grid, seed, idx, substream=substream)
-    return simulate_extended_batch(model, x0, y0, v, grid, seed, idx, substream=substream)
+    sim = simulate_basic_batch if model.kind is ModelKind.BASIC else simulate_extended_batch
+    return sim(model, x0, y0, v, grid, seed, idx, increments=increments)
+
+
+def _draw_noise(model, grid, seed, start, stop) -> tuple[np.ndarray, np.ndarray]:
+    """The Brownian increments (dB, dBt) of paths start..stop-1, drawn once per batch
+    and shared by every simulation of the batch."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    return tuple(brownian_increments(seed, idx, grid, (model.m, model.d)))
 
 
 def _zero_direction(model: ModelSpec) -> Direction:
@@ -162,20 +169,13 @@ def _zero_direction(model: ModelSpec) -> Direction:
 def estimate_pt(model: ModelSpec, f: TestFunction, z0, T: float,
                 n_paths: int, n_steps: int, seed: int,
                 *, workers: int = 1, batch_size: Optional[int] = None) -> MCEstimate:
-    """Monte Carlo estimate of the semigroup value E f(X_T, Y_T) from (x, y) = z0."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    x0, y0 = split_point(model, z0)
-    grid = TimeGrid(T, n_steps)
-    v0 = _zero_direction(model)
+    """Monte Carlo estimate of the semigroup value E f(X_T, Y_T) from (x, y) = z0.
 
-    def batch_fn(start, stop):
-        batch = _simulate(model, x0, y0, v0, grid, seed, start, stop)
-        vals = np.asarray(f.eval(batch.z_final), dtype=float)
-        return {"value": vals}, batch.valid & np.isfinite(vals)
-
-    cols, valid = run_batches(n_paths, ["value"], batch_fn, workers, batch_size)
-    return _finalize(cols["value"], valid, seed)
+    The one-observable case of ``pt_panel``.
+    """
+    panel = pt_panel(model, z0, T, [f], n_paths, n_steps, seed,
+                     workers=workers, batch_size=batch_size)
+    return panel[("pt", f.name)]
 
 
 def estimate_gradient_bismut(model: ModelSpec, f: TestFunction, z0, v: Direction,
@@ -380,6 +380,30 @@ def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
     return ok
 
 
+def pt_panel(model: ModelSpec, z0, T: float, fs: Sequence[TestFunction],
+             n_paths: int, n_steps: int, seed: int,
+             *, workers: int = 1, batch_size: Optional[int] = None) -> dict:
+    """Semigroup values E f(X_T, Y_T) for every f off one simulation per batch.
+
+    Maps ("pt", f.name) to MCEstimates that share one validity mask, as in
+    ``bismut_panel``.
+    """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
+    x0, y0 = split_point(model, z0)
+    grid = TimeGrid(T, n_steps)
+    v0 = _zero_direction(model)
+    names = [f"pt:{f.name}" for f in fs]
+
+    def batch_fn(start, stop):
+        batch = _simulate(model, x0, y0, v0, grid, seed, start, stop)
+        out = {f"pt:{f.name}": np.asarray(f.eval(batch.z_final), dtype=float) for f in fs}
+        return out, _all_finite(out, batch.valid.copy())
+
+    cols, valid = run_batches(n_paths, names, batch_fn, workers, batch_size)
+    return {("pt", f.name): _finalize(cols[f"pt:{f.name}"], valid, seed) for f in fs}
+
+
 def bismut_panel(model: ModelSpec, z0, T: float,
                  fs: Sequence[TestFunction], vs: Sequence[Direction],
                  n_paths: int, n_steps: int, seed: int,
@@ -387,8 +411,9 @@ def bismut_panel(model: ModelSpec, z0, T: float,
                  workers: int = 1, batch_size: Optional[int] = None) -> dict:
     """Weight-gradient estimates for every (f, v) plus plain semigroup observables.
 
-    Directions whose v1 components are parallel share one simulation per batch;
-    the returned dict maps ("grad", f.name, j) and ("pt", label) to MCEstimates.
+    Directions whose v1 components are parallel share one simulation per batch,
+    and every simulation of a batch runs on the same single noise draw; the
+    returned dict maps ("grad", f.name, j) and ("pt", label) to MCEstimates.
     All estimates share one validity mask: a path counts as invalid in every
     column if its simulation is invalid, its Q_T is not solvable, or any of its
     column values is not finite.
@@ -404,9 +429,10 @@ def bismut_panel(model: ModelSpec, z0, T: float,
     def batch_fn(start, stop):
         out = {}
         ok = np.ones(stop - start, dtype=bool)
+        noise = _draw_noise(model, grid, seed, start, stop)
         for gi, grp in enumerate(groups):
             u = Direction(np.asarray(grp["u1"], dtype=float), np.zeros(model.d))
-            batch = _simulate(model, x0, y0, u, grid, seed, start, stop)
+            batch = _simulate(model, x0, y0, u, grid, seed, start, stop, noise)
             fvals = {f.name: np.asarray(f.eval(batch.z_final), dtype=float) for f in fs}
             for j, scale in grp["members"]:
                 drift, trace, inner, solvable = weight_terms_shared(
@@ -440,9 +466,13 @@ def fd_panel(model: ModelSpec, z0, T: float,
              *, workers: int = 1, batch_size: Optional[int] = None) -> dict:
     """Common-random-number central differences for every (f, v) pair.
 
-    Both shifted simulations reuse the identical Brownian increments per path
-    index, so the per-path difference has drastically reduced variance.  All
-    estimates share one validity mask, as in ``bismut_panel``.
+    Every shifted start reuses one noise draw per batch, so the per-path
+    difference has drastically reduced variance.  The coefficients depend on x
+    alone, so on fixed noise a shift of y0 only translates Y_T: each distinct
+    x-start is simulated once, at y0 = 0, and every shifted start z +- eps*v
+    reads its terminal state as (X_T, y_shift + Y_T).  Directions with v1 = 0
+    share the unshifted x-path.  All estimates share one validity mask, as in
+    ``bismut_panel``.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -452,21 +482,34 @@ def fd_panel(model: ModelSpec, z0, T: float,
     z = np.asarray(z0, dtype=float)
     grid = TimeGrid(T, n_steps)
     v0 = _zero_direction(model)
+    y_origin = np.zeros(model.d)
     names = [f"fd:{f.name}:{j}" for f in fs for j in range(len(vs))]
 
     def batch_fn(start, stop):
         out = {}
         ok = np.ones(stop - start, dtype=bool)
+        noise = _draw_noise(model, grid, seed, start, stop)
+        sims = {}  # x-start bytes -> batch simulated from (x-start, 0)
+
+        def terminal(z_start):
+            x_start, y_start = split_point(model, z_start)
+            key = x_start.tobytes()
+            if key not in sims:
+                sims[key] = _simulate(model, x_start, y_origin, v0, grid, seed,
+                                      start, stop, noise)
+            batch = sims[key]
+            y_final = y_start + batch.y_final
+            valid = batch.valid & np.isfinite(y_final).all(axis=1)
+            return np.concatenate([batch.x_final, y_final], axis=1), valid
+
         for j, v in enumerate(vs):
             shift = np.concatenate([v.v1, v.v2])
-            x_up, y_up = split_point(model, z + eps * shift)
-            x_dn, y_dn = split_point(model, z - eps * shift)
-            up = _simulate(model, x_up, y_up, v0, grid, seed, start, stop)
-            dn = _simulate(model, x_dn, y_dn, v0, grid, seed, start, stop)
-            ok &= up.valid & dn.valid
+            z_up, up_valid = terminal(z + eps * shift)
+            z_dn, dn_valid = terminal(z - eps * shift)
+            ok &= up_valid & dn_valid
             for f in fs:
-                f_up = np.asarray(f.eval(up.z_final), dtype=float)
-                f_dn = np.asarray(f.eval(dn.z_final), dtype=float)
+                f_up = np.asarray(f.eval(z_up), dtype=float)
+                f_dn = np.asarray(f.eval(z_dn), dtype=float)
                 out[f"fd:{f.name}:{j}"] = (f_up - f_dn) / (2.0 * eps)
         return out, _all_finite(out, ok)
 

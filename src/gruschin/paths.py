@@ -11,6 +11,12 @@ All discretization is left-point (Ito):
 
 Time integrals are evaluated as T * mean(integrand over left nodes), which equals
 the left Riemann sum but is exact for constant integrands.
+
+Every coefficient depends on x alone, so on fixed noise Y_T - y0 does not depend
+on y0: a shift of y0 only translates Y_T.  Both kernels add y0 last, after every
+increment of Y is summed, so the translation is exact in floating point:
+simulating from (x0, y0) gives bit for bit the Y_T of y0 + (Y_T from (x0, 0)).
+The finite-difference panel relies on this to simulate each x-start once.
 """
 
 from __future__ import annotations
@@ -325,7 +331,7 @@ def simulate_extended_batch(
         if record_xi:
             xi_path[:, k + 1, :] = xi
 
-    y_final = y0 + ssi_acc + ydrift_acc
+    y_final = y0 + (ssi_acc + ydrift_acc)
     min_eig = q_acc[:, 0, 0] if d == 1 else np.linalg.eigvalsh(q_acc)[:, 0]
 
     finite = (

@@ -23,6 +23,7 @@ from gruschin.analysis import (
     rho_upper_bound,
     xi_moment_growth_rate,
 )
+from gruschin import estimators
 from gruschin.estimators import estimate_gradient_bismut, estimate_pt
 from gruschin.models import (
     Direction,
@@ -245,6 +246,25 @@ def test_harnack_rejects_negative_observable():
     with pytest.raises(ValueError, match="negative"):
         check_harnack(model, 1.0, (0.0, 0.0), (0.5, 0.5), f, 1.0,
                       McParams(2000, 40, 41))
+
+
+def test_harnack_simulates_each_base_point_once(monkeypatch):
+    # P f(z') and P f^2(z') share one simulation at z'; one more runs at z
+    calls = []
+    real = estimators.simulate_basic_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "simulate_basic_batch", counting)
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable("one_plus_tanh_y", model)
+    pairs = [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5))]
+    rep = check_harnack_suite(model, 1.0, pairs, f, 1.0, McParams(2000, 20, 47))
+    assert len(calls) == 2 * len(pairs)
+    for pt in rep.points:
+        assert pt.n_valid + pt.n_invalid == 2000
 
 
 def test_harnack_gaussian_exact_constant_suite():

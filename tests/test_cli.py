@@ -1,5 +1,7 @@
 """Config validation, artifact generation, reproducibility, subcommands."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -77,6 +79,35 @@ def test_minimal_run_produces_expected_artifacts(tmp_path):
     assert len(payload["rows"]) == 2
     assert payload["checks"][0]["verdict"] == "BoundedConstantFound"
     assert (tmp_path / "out" / "report.md").exists()
+
+
+BOUND_CHECKS = ("a5", "a6", "lemma31", "lemma_ll", "harnack")
+
+
+@pytest.fixture(scope="module")
+def bound_rows(tmp_path_factory):
+    """results.csv of a small run of every bound-ratio check."""
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=20)
+    body["suite"] = {"checks": list(BOUND_CHECKS)}
+    out = tmp_path_factory.mktemp("bound_rows")
+    run_experiment(ExperimentConfig.from_dict(body), out_dir=str(out))
+    return (out / "results.csv").read_text()
+
+
+def test_bound_ratio_rows_carry_path_counts(bound_rows):
+    rows = list(csv.DictReader(io.StringIO(bound_rows)))
+    prefixes = {r["experiment_id"].split("/")[0] for r in rows}
+    assert prefixes == {"A5", "A6", "Lemma31", "LemmaLL", "A8"}
+    for r in rows:
+        assert int(r["n_valid"]) + int(r["n_invalid"]) == 200, r["experiment_id"]
+
+
+def test_results_csv_has_no_numpy_reprs(bound_rows):
+    assert "np." not in bound_rows
+    rows = list(csv.DictReader(io.StringIO(bound_rows)))
+    a5 = [r for r in rows if r["experiment_id"].startswith("A5/")]
+    assert {r["v"] for r in a5} == {"1.0|0.0", "0.0|1.0"}
 
 
 def test_rerun_and_worker_count_are_byte_identical(tmp_path):

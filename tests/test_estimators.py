@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gruschin import estimators
 from gruschin.estimators import (
     EstimationError,
     bismut_panel,
@@ -16,6 +17,7 @@ from gruschin.estimators import (
     fd_panel,
     lq_moment_rhs,
     pairwise_sum,
+    split_point,
 )
 from gruschin.models import (
     Direction,
@@ -26,6 +28,7 @@ from gruschin.models import (
     observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
+from gruschin.paths import TimeGrid, simulate_basic_batch
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -361,3 +364,97 @@ def test_panels_count_nonfinite_values_as_invalid():
         assert est.n_valid + est.n_invalid == n
     single = estimate_gradient_bismut(model, holey, [1.0, 0.0], EX, 1.0, n, 50, 89)
     assert single.n_invalid > 0 and math.isfinite(single.mean)
+
+
+def _nondiagonal_model():
+    """m=1, d=2 with sigma(x) = [[x, 1/2], [x/4, 1]]: non-diagonal, not scalar."""
+    slope = np.array([[1.0, 0.0], [0.25, 0.0]])
+    offset = np.array([[0.0, 0.5], [0.0, 1.0]])
+
+    def sigma(x):
+        return np.asarray(x)[..., 0, None, None] * slope + offset
+
+    def grad_sigma(x, v):
+        vv = np.broadcast_to(np.asarray(v), np.asarray(x).shape)[..., 0]
+        return vv[..., None, None] * slope
+
+    return ModelSpec(m=1, d=2, kind=ModelKind.BASIC, sigma=sigma,
+                     grad_sigma=grad_sigma, name="nondiagonal(m=1,d=2)")
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(estimators, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, name, wrapper)
+    return calls
+
+
+def test_panels_draw_noise_once_per_batch(monkeypatch):
+    draws = _counting(monkeypatch, "brownian_increments")
+    sims = _counting(monkeypatch, "simulate_basic_batch")
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model), observable("y_squared", model)]
+    oblique = Direction.make(0.6, -0.8)
+    # 3 batches, 5 distinct x-starts per batch: x +- eps (EX), x +- 0.6 eps
+    # (oblique) and the unshifted x that EY's up and down starts share
+    fd_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY, oblique], 2500, 20, 5,
+             batch_size=1024)
+    assert len(draws) == 3
+    assert len(sims) == 3 * 5
+
+    draws.clear()
+    sims.clear()
+    model2 = make_power_law_model(2, 1, 1.0)
+    vs = [Direction.make([1.0, 0.0], [0.0]), Direction.make([0.0, 1.0], [0.0]),
+          Direction.make([0.0, 0.0], [1.0])]
+    bismut_panel(model2, [1.0, 0.5, 0.0], 1.0, [observable("sin_y", model2)], vs,
+                 2500, 20, 5, batch_size=1024)
+    assert len(draws) == 3        # one per batch, shared by both v1 groups
+    assert len(sims) == 3 * 2
+
+
+def _central_difference(model, z0, v, f, T, n_paths, n_steps, seed, eps):
+    """Per-path central difference from two independent simulations at z0 +- eps v."""
+    grid = TimeGrid(T, n_steps)
+    idx = np.arange(n_paths)
+    v0 = Direction(np.zeros(model.m), np.zeros(model.d))
+    shift = np.concatenate([v.v1, v.v2])
+    z = np.asarray(z0, dtype=float)
+    up = simulate_basic_batch(model, *split_point(model, z + eps * shift), v0, grid,
+                              seed, idx)
+    dn = simulate_basic_batch(model, *split_point(model, z - eps * shift), v0, grid,
+                              seed, idx)
+    assert up.valid.all() and dn.valid.all()
+    return (f.eval(up.z_final) - f.eval(dn.z_final)) / (2.0 * eps)
+
+
+@pytest.mark.parametrize("case", ["power_law", "nondiagonal"])
+def test_fd_panel_is_bitwise_a_central_difference_of_two_simulations(case):
+    if case == "power_law":
+        model = make_power_law_model(1, 1, 1.0)
+        z0 = [1.0, 0.5]
+        vs = [EX, EY, Direction.make(0.6, -0.8)]
+        fs = [observable("sin_y", model), observable("y_squared", model)]
+    else:
+        model = _nondiagonal_model()
+        z0 = [0.7, 0.3, -0.2]
+        vs = [Direction.make(1.0, [0.0, 0.0]), Direction.make(0.0, [0.0, 1.0]),
+              Direction.make(0.5, [0.3, -0.4])]
+        fs = [Observable(name="mixed", eval=lambda z: np.sin(z[..., 1]) * z[..., 2]
+                         + z[..., 0] * z[..., 2])]
+    T, n, steps, seed, eps = 1.0, 1500, 20, 97, 1e-3
+    panel = fd_panel(model, z0, T, fs, vs, n, steps, seed, eps=eps, batch_size=512)
+    for j, v in enumerate(vs):
+        for f in fs:
+            diff = _central_difference(model, z0, v, f, T, n, steps, seed, eps)
+            mean = pairwise_sum(diff) / n
+            stderr = math.sqrt(pairwise_sum((diff - mean) ** 2) / (n - 1) / n)
+            est = panel[("grad_fd", f.name, j)]
+            assert est.n_valid == n
+            assert est.mean == mean
+            assert est.stderr == stderr
