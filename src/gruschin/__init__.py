@@ -21,6 +21,7 @@ from .paths import (
     PathBatch,
     TimeGrid,
     simulate_basic_batch,
+    simulate_batch,
     simulate_extended_batch,
 )
 from .rng import PathStreams, derive_seed

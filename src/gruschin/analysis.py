@@ -27,12 +27,12 @@ from .estimators import (
     pt_panel,
     split_point,
 )
-from .models import Direction, ModelKind, ModelSpec, TestFunction
+from .models import Direction, ModelSpec, TestFunction
 from .paths import (
     TimeGrid,
     brownian_increments,
     brownian_left_nodes,
-    simulate_basic_batch,
+    simulate_batch,
     simulate_extended_batch,
 )
 from .rng import derive_seed
@@ -56,8 +56,8 @@ __all__ = [
     "check_xi_moment_bound",
     "IntegrabilityDiagnostic",
     "integrability_diagnostic",
-    "build_report",
-    "SuiteReport",
+    "suite_exit_code",
+    "report_markdown",
     "DEFAULT_CALIBRATION_GRID",
     "DEFAULT_HOLDOUT_GRID",
     "HOLDOUT_HEADROOM",
@@ -110,11 +110,23 @@ class RatioPoint:
 
 @dataclass
 class BoundCheckReport:
-    inequality_id: str    # "A5" | "A6" | "Lemma31" | "LemmaLL" | "A8"
+    """The result of one suite check.
+
+    A bound check (A5, A6, Lemma31, LemmaLL, A8) carries its ratio points and the
+    fitted constant.  An agreement check of an exact formula against an oracle
+    (BismutVsFD, ExtendedReduction) carries no points, only a ``detail`` line.
+    """
+
+    inequality_id: str
     points: list[RatioPoint] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     fitted_constant: float = float("nan")
     verdict: BoundCheckVerdict = BoundCheckVerdict.INCONCLUSIVE
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict is not BoundCheckVerdict.VIOLATED
 
     @property
     def ratios(self) -> list[float]:
@@ -125,6 +137,8 @@ class BoundCheckReport:
         return max(self.ratios) if self.points else float("nan")
 
     def summary_line(self) -> str:
+        if self.detail:
+            return f"{self.inequality_id}: {'passed' if self.passed else 'FAILED'} ({self.detail})"
         return (
             f"{self.inequality_id}: {self.verdict.value} "
             f"(fitted={self.fitted_constant:.4g}, max_ratio={self.max_ratio:.4g}, "
@@ -132,20 +146,17 @@ class BoundCheckReport:
         )
 
 
-def _two_grid_verdict(report: BoundCheckReport, calibration: list[RatioPoint],
-                      holdout: list[RatioPoint]) -> None:
+def _two_grid_verdict(report: BoundCheckReport) -> None:
     """Fit the constant on the calibration points, test boundedness on the holdout."""
+    calibration = [p.ratio for p in report.points if p.phase == "calibration"]
     if not calibration:
         report.verdict = BoundCheckVerdict.INCONCLUSIVE
         return
-    fitted = max(p.ratio for p in calibration)
-    report.fitted_constant = fitted
-    bad = [p for p in holdout
-           if p.ratio > HOLDOUT_HEADROOM * fitted + p.tolerance]
-    if bad:
-        report.verdict = BoundCheckVerdict.VIOLATED
-    else:
-        report.verdict = BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
+    report.fitted_constant = fitted = max(calibration)
+    violated = any(p.ratio > HOLDOUT_HEADROOM * fitted + p.tolerance
+                   for p in report.points if p.phase == "holdout")
+    report.verdict = (BoundCheckVerdict.VIOLATED if violated
+                      else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)
 
 
 def _abs_power_obs(f: TestFunction, p: float) -> Callable:
@@ -182,9 +193,7 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
     vs = [Direction(np.eye(model.m)[0], np.zeros(model.d)),
           Direction(np.zeros(model.m), np.eye(model.d)[0])]
 
-    phases = [("calibration", calibration), ("holdout", holdout)]
-    collected = {"calibration": [], "holdout": []}
-    for phase, grid_points in phases:
+    for phase, grid_points in (("calibration", calibration), ("holdout", holdout)):
         for (T, x) in grid_points:
             z0 = np.zeros(model.m + model.d)
             z0[0] = x
@@ -209,16 +218,14 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
                     tol = (4.0 * grad.stderr) / (denom * rate) + ratio * (
                         4.0 * denom_est.stderr / (p * denom_est.mean)
                     )
-                    pt = RatioPoint(
+                    report.points.append(RatioPoint(
                         label=f"T={T},x={x},f={f.name},v={j}", phase=phase,
                         ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
                         v=(tuple(v.v1), tuple(v.v2)), f_name=f.name,
                         seed=seed, n_steps=mc.n_steps,
                         n_valid=grad.n_valid, n_invalid=grad.n_invalid,
-                    )
-                    report.points.append(pt)
-                    collected[phase].append(pt)
-    _two_grid_verdict(report, collected["calibration"], collected["holdout"])
+                    ))
+    _two_grid_verdict(report)
     return report
 
 
@@ -237,9 +244,7 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
     vs = [Direction(np.eye(m)[i], np.zeros(d)) for i in range(m)]
     vs += [Direction(np.zeros(m), np.eye(d)[jj]) for jj in range(d)]
 
-    phases = [("calibration", calibration), ("holdout", holdout)]
-    collected = {"calibration": [], "holdout": []}
-    for phase, grid_points in phases:
+    for phase, grid_points in (("calibration", calibration), ("holdout", holdout)):
         for (T, x) in grid_points:
             z0 = np.zeros(m + d)
             z0[0] = x
@@ -272,15 +277,13 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
                 tol = dgamma * T / denom_est.mean + ratio * (
                     4.0 * denom_est.stderr / denom_est.mean
                 )
-                pt = RatioPoint(
+                report.points.append(RatioPoint(
                     label=f"T={T},x={x},f={f.name}", phase=phase,
                     ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
                     f_name=f.name, seed=seed, n_steps=mc.n_steps,
                     n_valid=denom_est.n_valid, n_invalid=denom_est.n_invalid,
-                )
-                report.points.append(pt)
-                collected[phase].append(pt)
-    _two_grid_verdict(report, collected["calibration"], collected["holdout"])
+                ))
+    _two_grid_verdict(report)
     return report
 
 
@@ -290,9 +293,7 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
                   ) -> BoundCheckReport:
     """Two-grid boundedness of E(int |x+B|^{2n})^{-alpha} * T^alpha (|x|^2+T)^{alpha n}."""
     report = BoundCheckReport(inequality_id="Lemma31")
-    phases = [("calibration", calibration), ("holdout", holdout)]
-    collected = {"calibration": [], "holdout": []}
-    for phase, grid_points in phases:
+    for phase, grid_points in (("calibration", calibration), ("holdout", holdout)):
         for (T, x) in grid_points:
             seed = derive_seed(mc.seed, f"lemma31:{phase}:{T}:{x}")
             xvec = np.zeros(m)
@@ -302,16 +303,14 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
                 workers=mc.workers,
             )
             normalizer = T**alpha * (x**2 + T) ** (alpha * n_exp)
-            pt = RatioPoint(
+            report.points.append(RatioPoint(
                 label=f"T={T},x={x}", phase=phase,
                 ratio=est.mean * normalizer,
                 tolerance=4.0 * est.stderr * normalizer,
                 T=T, z0=(x,), seed=seed, n_steps=mc.n_steps,
                 n_valid=est.n_valid, n_invalid=est.n_invalid,
-            )
-            report.points.append(pt)
-            collected[phase].append(pt)
-    _two_grid_verdict(report, collected["calibration"], collected["holdout"])
+            ))
+    _two_grid_verdict(report)
     return report
 
 
@@ -332,22 +331,19 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
     an equality for q = 2 (Ito isometry), which pins the ratio near 1 there.
     """
     report = BoundCheckReport(inequality_id="LemmaLL")
-    points = []
     for name, q, kwargs in cases:
         seed = derive_seed(mc.seed, f"lemma_ll:{name}:{q}")
         lhs = estimate_lq_moment(name, q, T, mc.n_paths, mc.n_steps, seed,
                                  workers=mc.workers, **kwargs)
         rhs = lq_moment_rhs(name, q, T, **kwargs)
-        pt = RatioPoint(
+        report.points.append(RatioPoint(
             label=f"{name},q={q}", phase="check",
             ratio=lhs.mean / rhs, tolerance=4.0 * lhs.stderr / rhs,
             T=T, z0=(), f_name=name, seed=seed, n_steps=mc.n_steps,
             n_valid=lhs.n_valid, n_invalid=lhs.n_invalid,
-        )
-        report.points.append(pt)
-        points.append(pt)
-    report.fitted_constant = max(p.ratio for p in points)
-    violated = [p for p in points if p.ratio > 1.0 + p.tolerance]
+        ))
+    report.fitted_constant = report.max_ratio
+    violated = [p for p in report.points if p.ratio > 1.0 + p.tolerance]
     report.verdict = (BoundCheckVerdict.VIOLATED if violated
                       else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)
     return report
@@ -453,6 +449,7 @@ class HarnackResult:
     verdict: str       # "holds" | "violated" | "inconclusive"
     n_valid: int       # path counts of the estimate with the most invalid paths
     n_invalid: int
+    seed: int          # the derived seed of the estimates at z and z'
 
 
 def _assert_nonnegative(model: ModelSpec, f: TestFunction, z0, T: float, seed: int) -> None:
@@ -461,10 +458,7 @@ def _assert_nonnegative(model: ModelSpec, f: TestFunction, z0, T: float, seed: i
     grid = TimeGrid(T, max(2, 64))
     idx = np.arange(512, dtype=np.int64)
     v0 = Direction(np.zeros(model.m), np.zeros(model.d))
-    if model.kind is ModelKind.BASIC:
-        batch = simulate_basic_batch(model, x0, y0, v0, grid, seed, idx)
-    else:
-        batch = simulate_extended_batch(model, x0, y0, v0, grid, seed, idx)
+    batch = simulate_batch(model, x0, y0, v0, grid, seed, idx)
     vals = np.asarray(f.eval(batch.z_final), dtype=float)
     if vals.min() < 0.0:
         raise ValueError(f"observable {f.name!r} is negative on sampled states")
@@ -482,7 +476,8 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     z_prime = np.atleast_1d(np.asarray(z_prime, dtype=float))
-    label = f"harnack:{tuple(z)}:{tuple(z_prime)}:{f.name}:{T}"
+    points = (tuple(z.tolist()), tuple(z_prime.tolist()))
+    label = f"harnack:{points[0]}:{points[1]}:{f.name}:{T}"
     seed = derive_seed(mc.seed, label)
     _assert_nonnegative(model, f, z_prime, T, derive_seed(mc.seed, label + ":probe"))
 
@@ -499,12 +494,11 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     p_at_z = estimate_pt(model, f, z, T, mc.n_paths, mc.n_steps, seed,
                          workers=mc.workers)
     worst = min((p_at_zp, p_at_z), key=lambda e: e.n_valid)
-    counts = dict(n_valid=worst.n_valid, n_invalid=worst.n_invalid)
-    points = (tuple(z.tolist()), tuple(z_prime.tolist()))
+    meta = dict(n_valid=worst.n_valid, n_invalid=worst.n_invalid, seed=seed)
 
     if p_sq_zp.mean < 0.0:
         return HarnackResult(*points, p_at_zp.mean, float("nan"),
-                             float("nan"), rho, constant, "inconclusive", **counts)
+                             float("nan"), rho, constant, "inconclusive", **meta)
     root = math.sqrt(p_sq_zp.mean)
     rhs = p_at_z.mean + constant * rho * root
     root_se = p_sq_zp.stderr / (2.0 * root) if root > 0 else 0.0
@@ -513,7 +507,7 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     )
     verdict = "holds" if p_at_zp.mean <= rhs + band else "violated"
     return HarnackResult(*points, p_at_zp.mean, rhs, band, rho,
-                         constant, verdict, **counts)
+                         constant, verdict, **meta)
 
 
 def check_harnack_suite(model: ModelSpec, T: float,
@@ -532,13 +526,13 @@ def check_harnack_suite(model: ModelSpec, T: float,
             label=f"{res.z}->{res.z_prime}", phase="check",
             ratio=res.lhs / res.rhs, tolerance=res.band / abs(res.rhs),
             T=T, z0=res.z, v=res.z_prime, f_name=f.name,
-            seed=mc.seed, n_steps=mc.n_steps,
+            seed=res.seed, n_steps=mc.n_steps,
             n_valid=res.n_valid, n_invalid=res.n_invalid,
         ))
     if not report.points:
         report.verdict = BoundCheckVerdict.INCONCLUSIVE
         return report
-    report.fitted_constant = max(p.ratio for p in report.points)
+    report.fitted_constant = report.max_ratio
     violated = any(r.verdict == "violated" for r in results)
     report.verdict = (BoundCheckVerdict.VIOLATED if violated
                       else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)
@@ -655,32 +649,24 @@ def integrability_diagnostic(model: ModelSpec, z0, T: float, mc: McParams,
 # Aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SuiteReport:
-    checks: list
+def suite_exit_code(checks: Sequence[BoundCheckReport]) -> int:
+    """Exit status of a suite run: nonzero iff any check is Violated."""
+    return 0 if all(c.passed for c in checks) else 1
 
-    @property
-    def all_passed(self) -> bool:
-        return all(
-            c.verdict is not BoundCheckVerdict.VIOLATED for c in self.checks
-        )
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.all_passed else 1
-
-    def summary_lines(self) -> list[str]:
-        return [c.summary_line() for c in self.checks]
-
-    def to_markdown(self) -> str:
-        lines = ["# Bound verification report", ""]
-        if not self.checks:
-            lines.append("No checks were run.")
-            return "\n".join(lines) + "\n"
-        for c in self.checks:
-            marker = "**VIOLATED**" if c.verdict is BoundCheckVerdict.VIOLATED else c.verdict.value
-            lines.append(f"## {c.inequality_id}: {marker}")
-            lines.append("")
+def report_markdown(checks: Sequence[BoundCheckReport]) -> str:
+    """The verdict summary: one section per check, in suite order."""
+    lines = ["# Bound verification report", ""]
+    if not checks:
+        lines.append("No checks were run.")
+        return "\n".join(lines) + "\n"
+    for c in checks:
+        marker = c.verdict.value if c.passed else "**VIOLATED**"
+        lines.append(f"## {c.inequality_id}: {marker}")
+        lines.append("")
+        if c.detail:
+            lines.append(f"- {c.summary_line()}")
+        else:
             lines.append(f"- fitted constant: {c.fitted_constant!r}")
             lines.append(f"- max ratio: {c.max_ratio!r}")
             lines.append("")
@@ -688,12 +674,7 @@ class SuiteReport:
             lines.append("|---|---|---|---|")
             for pnt in c.points:
                 lines.append(f"| {pnt.label} | {pnt.phase} | {pnt.ratio!r} | {pnt.tolerance!r} |")
-            for s in c.skipped:
-                lines.append(f"- skipped: {s}")
-            lines.append("")
-        return "\n".join(lines) + "\n"
-
-
-def build_report(checks: Sequence[BoundCheckReport]) -> SuiteReport:
-    """Aggregate check reports; exit status is nonzero iff any check is Violated."""
-    return SuiteReport(checks=list(checks))
+        for s in c.skipped:
+            lines.append(f"- skipped: {s}")
+        lines.append("")
+    return "\n".join(lines) + "\n"

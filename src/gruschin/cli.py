@@ -32,7 +32,7 @@ from .models import (
     crosscheck_suite,
     observable,
 )
-from .paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
+from .paths import TimeGrid, simulate_basic_batch, simulate_batch, simulate_extended_batch
 from .rng import derive_seed
 from .weights import weight_terms_batch
 
@@ -255,30 +255,11 @@ def _rows_from_bound_report(rep: an.BoundCheckReport) -> list[dict]:
     return rows
 
 
-@dataclass
-class AgreementCheck:
-    """A pass/fail check that is not one of the named inequalities."""
-
-    name: str
-    passed: bool
-    detail: str
-
-    @property
-    def verdict(self):
-        return (an.BoundCheckVerdict.BOUNDED_CONSTANT_FOUND if self.passed
-                else an.BoundCheckVerdict.VIOLATED)
-
-    @property
-    def inequality_id(self):
-        return self.name
-
-    fitted_constant = float("nan")
-    max_ratio = float("nan")
-    points: tuple = ()
-    skipped: tuple = ()
-
-    def summary_line(self) -> str:
-        return f"{self.name}: {'passed' if self.passed else 'FAILED'} ({self.detail})"
+def _agreement(name: str, passed: bool, detail: str) -> an.BoundCheckReport:
+    """The record of a check of an exact formula against an oracle."""
+    verdict = (an.BoundCheckVerdict.BOUNDED_CONSTANT_FOUND if passed
+               else an.BoundCheckVerdict.VIOLATED)
+    return an.BoundCheckReport(name, verdict=verdict, detail=detail)
 
 
 def _mc_for(cfg: ExperimentConfig, check: str, workers: int) -> an.McParams:
@@ -323,19 +304,16 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
                     rows.append(_row(f"bismut_vs_fd/{label}", "grad_fd",
                                      gf.mean, gf.stderr, gf.n_valid, gf.n_invalid,
                                      sf, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
-    check = AgreementCheck(
-        name="BismutVsFD",
-        passed=(n_bad == 0),
-        detail=f"{n_combos - n_bad}/{n_combos} combos agree within 4*stderr + {FD_BIAS_ALLOWANCE}",
+    return rows, _agreement(
+        "BismutVsFD", n_bad == 0,
+        f"{n_combos - n_bad}/{n_combos} combos agree within 4*stderr + {FD_BIAS_ALLOWANCE}",
     )
-    return rows, check
 
 
 def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     mc = _mc_for(cfg, "reduction", workers)
     if model.kind is not ModelKind.BASIC:
-        return [], AgreementCheck("ExtendedReduction", True,
-                                  "skipped: model already extended")
+        return [], _agreement("ExtendedReduction", True, "skipped: model already extended")
     ext = as_extended(model)
     T = cfg.run.horizons[0]
     z0 = cfg.run.points[0]
@@ -354,8 +332,8 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     passed = bool((okb & oke).all()) and gap <= 1e-12
     rows = [_row("reduction", "max_pathwise_gap", gap, 0.0, n, 0, seed, T,
                  _fmt_vec(z0), _fmt_dir(v), mc.n_steps)]
-    return rows, AgreementCheck("ExtendedReduction", passed,
-                                f"max pathwise |gap| = {gap:.3e} over {n} paths")
+    return rows, _agreement("ExtendedReduction", passed,
+                            f"max pathwise |gap| = {gap:.3e} over {n} paths")
 
 
 def _harnack_pairs(model: ModelSpec):
@@ -378,32 +356,23 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             "(power_law or extended_demo)"
         )
     rows: list[dict] = []
-    checks: list = []
+    checks: list[an.BoundCheckReport] = []
 
     a6_fit: float | None = None
     for check in cfg.suite.checks:
         mc = _mc_for(cfg, check, workers)
         if check == "bismut_vs_fd":
-            new_rows, outcome = _run_bismut_vs_fd(cfg, model, workers)
+            new_rows, rep = _run_bismut_vs_fd(cfg, model, workers)
             rows += new_rows
-            checks.append(outcome)
         elif check == "a5":
             rep = an.check_a5(model, 2.0, bounded_suite(model), mc)
-            rows += _rows_from_bound_report(rep)
-            checks.append(rep)
         elif check == "a6":
             rep = an.check_a6(model, bounded_suite(model), mc)
             a6_fit = rep.fitted_constant
-            rows += _rows_from_bound_report(rep)
-            checks.append(rep)
         elif check == "lemma31":
             rep = an.check_lemma31(mc)
-            rows += _rows_from_bound_report(rep)
-            checks.append(rep)
         elif check == "lemma_ll":
             rep = an.check_lemma_ll(mc, T=cfg.run.horizons[0])
-            rows += _rows_from_bound_report(rep)
-            checks.append(rep)
         elif check == "harnack":
             T = cfg.run.horizons[0]
             if model.name.startswith("constant_identity"):
@@ -420,15 +389,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             f = observable("one_plus_tanh_y", model)
             rep = an.check_harnack_suite(model, T, _harnack_pairs(model), f,
                                          constant, mc)
-            rows += _rows_from_bound_report(rep)
-            checks.append(rep)
         elif check == "reduction":
-            new_rows, outcome = _run_reduction(cfg, model, workers)
+            new_rows, rep = _run_reduction(cfg, model, workers)
             rows += new_rows
-            checks.append(outcome)
-
-    report = an.build_report([c for c in checks])
-    lines = [c.summary_line() for c in checks]
+        rows += _rows_from_bound_report(rep)
+        checks.append(rep)
 
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -438,9 +403,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
         payload = {
             "rows": rows,
             "checks": [
-                {"name": getattr(c, "inequality_id", getattr(c, "name", "?")),
+                {"name": c.inequality_id,
                  "verdict": c.verdict.value,
-                 "fitted_constant": repr(float(getattr(c, "fitted_constant", float("nan")))),
+                 "fitted_constant": repr(float(c.fitted_constant)),
                  "summary": c.summary_line()}
                 for c in checks
             ],
@@ -449,16 +414,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
         )
     if "markdown" in cfg.output.formats:
-        md = report.to_markdown()
-        for c in checks:
-            if isinstance(c, AgreementCheck):
-                md += f"\n- {c.summary_line()}\n"
-        (out / "report.md").write_bytes(md.encode("utf-8"))
-
-    exit_code = 0 if all(
-        c.verdict is not an.BoundCheckVerdict.VIOLATED for c in checks
-    ) else 1
-    return exit_code, lines
+        (out / "report.md").write_bytes(an.report_markdown(checks).encode("utf-8"))
+    return an.suite_exit_code(checks), [c.summary_line() for c in checks]
 
 
 def _render_csv(rows: list[dict]) -> str:
@@ -534,12 +491,7 @@ def _cmd_dump_paths(args) -> int:
     chunk = 8192
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        if model.kind is ModelKind.BASIC:
-            batch = simulate_basic_batch(model, x0, y0, v, grid,
-                                         cfg.run.master_seed, idx)
-        else:
-            batch = simulate_extended_batch(model, x0, y0, v, grid,
-                                            cfg.run.master_seed, idx)
+        batch = simulate_batch(model, x0, y0, v, grid, cfg.run.master_seed, idx)
         drift, trace, inner, _ = weight_terms_batch(batch, v, T)
         m_t = drift + trace + inner
         for row in range(len(idx)):

@@ -17,13 +17,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .models import Direction, ModelKind, ModelSpec, TestFunction
+from .models import Direction, ModelSpec, TestFunction
 from .paths import (
     TimeGrid,
     brownian_increments,
     brownian_left_nodes,
-    simulate_basic_batch,
-    simulate_extended_batch,
+    simulate_batch,
 )
 from .weights import weight_terms_shared
 
@@ -62,11 +61,6 @@ class MCEstimate:
     n_valid: int
     n_invalid: int
     master_seed: int
-
-    @property
-    def half_width(self) -> float:
-        """4-sigma acceptance band (two-sided ~99.99%)."""
-        return 4.0 * self.stderr
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -151,8 +145,7 @@ def default_fd_eps(z0) -> float:
 
 def _simulate(model, x0, y0, v, grid, seed, start, stop, increments=None):
     idx = np.arange(start, stop, dtype=np.int64)
-    sim = simulate_basic_batch if model.kind is ModelKind.BASIC else simulate_extended_batch
-    return sim(model, x0, y0, v, grid, seed, idx, increments=increments)
+    return simulate_batch(model, x0, y0, v, grid, seed, idx, increments=increments)
 
 
 def _draw_noise(model, grid, seed, start, stop) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,7 @@ __all__ = [
     "brownian_left_nodes",
     "simulate_basic_batch",
     "simulate_extended_batch",
+    "simulate_batch",
 ]
 
 
@@ -117,9 +118,9 @@ def brownian_increments(master_seed: int, path_indices, grid: TimeGrid,
     """
     streams = PathStreams(master_seed, substream)
     eps = streams.fill_normals(np.asarray(path_indices), (grid.n_steps, sum(widths)))
-    root_dt = np.sqrt(grid.dt)
+    eps *= np.sqrt(grid.dt)
     edges = np.cumsum((0,) + tuple(widths))
-    return [eps[:, :, a:b] * root_dt for a, b in zip(edges[:-1], edges[1:])]
+    return [eps[:, :, a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 
 def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,3 +364,13 @@ def simulate_extended_batch(
         valid=finite & ~invalid,
         xi_path=xi_path,
     )
+
+
+def simulate_batch(model: ModelSpec, x0, y0, v: Direction, grid: TimeGrid,
+                   master_seed: int, path_indices,
+                   increments: Optional[tuple[np.ndarray, np.ndarray]] = None) -> PathBatch:
+    """Simulate with the kernel of the model's kind, basic or extended."""
+    # the kernels are looked up as module globals at call time, so a rebinding
+    # of ``simulate_basic_batch`` / ``simulate_extended_batch`` sees every call
+    sim = simulate_basic_batch if model.kind is ModelKind.BASIC else simulate_extended_batch
+    return sim(model, x0, y0, v, grid, master_seed, path_indices, increments=increments)

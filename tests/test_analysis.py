@@ -12,7 +12,6 @@ from gruschin.analysis import (
     BoundCheckVerdict,
     McParams,
     RatioPoint,
-    build_report,
     check_a5,
     check_a6,
     check_harnack,
@@ -20,7 +19,9 @@ from gruschin.analysis import (
     check_lemma31,
     check_lemma_ll,
     check_xi_moment_bound,
+    report_markdown,
     rho_upper_bound,
+    suite_exit_code,
     xi_moment_growth_rate,
 )
 from gruschin import estimators
@@ -251,13 +252,13 @@ def test_harnack_rejects_negative_observable():
 def test_harnack_simulates_each_base_point_once(monkeypatch):
     # P f(z') and P f^2(z') share one simulation at z'; one more runs at z
     calls = []
-    real = estimators.simulate_basic_batch
+    real = estimators.simulate_batch
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "simulate_basic_batch", counting)
+    monkeypatch.setattr(estimators, "simulate_batch", counting)
     model = make_power_law_model(1, 1, 1.0)
     f = observable("one_plus_tanh_y", model)
     pairs = [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5))]
@@ -314,17 +315,15 @@ def test_integrability_diagnostic_runs():
 # report aggregation
 # ---------------------------------------------------------------------------
 
-def test_build_report_empty_is_success():
-    rep = build_report([])
-    assert rep.exit_code == 0
-    assert "No checks" in rep.to_markdown()
+def test_report_markdown_empty_is_success():
+    assert suite_exit_code([]) == 0
+    assert "No checks" in report_markdown([])
 
 
-def test_build_report_flags_violations():
+def test_report_markdown_flags_violations():
     bad = BoundCheckReport(inequality_id="A5",
                            points=[RatioPoint("pt", "holdout", 9.9, 0.1, 1.0, (0.0,))],
                            fitted_constant=1.0,
                            verdict=BoundCheckVerdict.VIOLATED)
-    rep = build_report([bad])
-    assert rep.exit_code == 1
-    assert "VIOLATED" in rep.to_markdown()
+    assert suite_exit_code([bad]) == 1
+    assert "VIOLATED" in report_markdown([bad])

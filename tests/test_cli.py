@@ -8,7 +8,12 @@ import sys
 
 import pytest
 
+from gruschin import cli
+from gruschin.analysis import McParams, check_harnack
 from gruschin.cli import ConfigError, ExperimentConfig, main, run_experiment
+from gruschin.estimators import estimate_pt
+from gruschin.models import builtin_model, observable
+from gruschin.rng import derive_seed
 
 MINIMAL = {
     "model": {"builtin": "power_law", "m": 1, "d": 1, "l": 1.0},
@@ -81,6 +86,22 @@ def test_minimal_run_produces_expected_artifacts(tmp_path):
     assert (tmp_path / "out" / "report.md").exists()
 
 
+def test_failing_agreement_check_fails_the_run(tmp_path, monkeypatch):
+    # no weight/FD gap fits inside a negative allowance
+    monkeypatch.setattr(cli, "FD_BIAS_ALLOWANCE", -1e6)
+    cfg = ExperimentConfig.from_dict(MINIMAL)
+    code, lines = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert code == 1
+    assert any("BismutVsFD: FAILED" in ln for ln in lines)
+    payload = json.loads((tmp_path / "out" / "results.json").read_text())
+    (entry,) = payload["checks"]
+    assert entry["verdict"] == "Violated"
+    assert "FAILED" in entry["summary"]
+    report = (tmp_path / "out" / "report.md").read_text()
+    assert "**VIOLATED**" in report
+    assert report.count("BismutVsFD") == 2   # the heading and its detail line
+
+
 BOUND_CHECKS = ("a5", "a6", "lemma31", "lemma_ll", "harnack")
 
 
@@ -141,6 +162,28 @@ def test_harnack_gaussian_model_uses_exact_constant(tmp_path):
     code, lines = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert code == 0
     assert any("BoundedConstantFound" in ln for ln in lines)
+
+
+def test_harnack_rows_carry_the_seed_of_their_estimates(tmp_path):
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"] = {"builtin": "constant_identity", "m": 1, "d": 1}
+    body["suite"] = {"checks": ["harnack"],
+                     "overrides": {"harnack": {"n_paths": 500, "n_steps": 20}}}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    model = builtin_model("constant_identity", 1, 1, 1.0)
+    f = observable("one_plus_tanh_y", model)
+    mc = McParams(500, 20, MINIMAL["run"]["master_seed"])
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
+    assert len(rows) == 5
+    for r in rows:
+        z = tuple(float(c) for c in r["z0"].split(";"))
+        zp = tuple(float(c) for c in r["v"].split(";"))
+        seed = int(r["seed"])
+        # the seed label holds plain floats, whatever the numpy version
+        assert seed == derive_seed(mc.seed, f"harnack:{z}:{zp}:{f.name}:1.0")
+        lhs = check_harnack(model, 1.0, z, zp, f, 1.0, mc).lhs
+        assert estimate_pt(model, f, zp, 1.0, mc.n_paths, mc.n_steps, seed).mean == lhs
 
 
 def test_a5_on_constant_identity_is_a_config_error(tmp_path):

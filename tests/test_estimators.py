@@ -396,7 +396,7 @@ def _counting(monkeypatch, name):
 
 def test_panels_draw_noise_once_per_batch(monkeypatch):
     draws = _counting(monkeypatch, "brownian_increments")
-    sims = _counting(monkeypatch, "simulate_basic_batch")
+    sims = _counting(monkeypatch, "simulate_batch")
     model = make_power_law_model(1, 1, 1.0)
     fs = [observable("sin_y", model), observable("y_squared", model)]
     oblique = Direction.make(0.6, -0.8)
