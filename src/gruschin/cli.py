@@ -400,22 +400,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     if "csv" in cfg.output.formats:
         (out / "results.csv").write_bytes(_render_csv(rows).encode("utf-8"))
     if "json" in cfg.output.formats:
-        payload = {
-            "rows": rows,
-            "checks": [
-                {"name": c.inequality_id,
-                 "verdict": c.verdict.value,
-                 "fitted_constant": repr(float(c.fitted_constant)),
-                 "summary": c.summary_line()}
-                for c in checks
-            ],
-        }
+        payload = {"rows": rows, "checks": [_check_entry(c) for c in checks]}
         (out / "results.json").write_bytes(
             json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
         )
     if "markdown" in cfg.output.formats:
         (out / "report.md").write_bytes(an.report_markdown(checks).encode("utf-8"))
     return an.suite_exit_code(checks), [c.summary_line() for c in checks]
+
+
+def _check_entry(c: an.BoundCheckReport) -> dict:
+    """One check of results.json; an agreement check has no fitted constant."""
+    entry = {"name": c.inequality_id, "verdict": c.verdict.value, "summary": c.summary_line()}
+    if not c.detail:
+        entry["fitted_constant"] = repr(float(c.fitted_constant))
+    return entry
 
 
 def _render_csv(rows: list[dict]) -> str:

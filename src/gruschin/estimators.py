@@ -2,9 +2,11 @@
 and the moment quantities behind the negative-moment and L^q inequalities.
 
 Determinism contract: per-path sample values are pure functions of
-(master_seed, path_index); they are assembled into arrays ordered by path index
-and reduced by a fixed pairwise tree.  Serial and multi-worker runs are therefore
-bitwise identical.
+(master_seed, substream, path_index), since path i reads column i % 256 of the
+Philox block i // 256 whatever batch asks for it (see ``rng``); they are
+assembled into arrays ordered by path index and reduced by a fixed pairwise tree.
+Serial and multi-worker runs, and any batch size, are therefore bitwise
+identical.
 """
 
 from __future__ import annotations

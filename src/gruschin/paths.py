@@ -129,9 +129,13 @@ def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the left-node values start + B_{t_k}, k < n_steps, and the terminal
     value B_T (started at 0).
     """
-    P, n = dB.shape[:2]
-    nodes = np.concatenate([np.zeros((P, 1) + dB.shape[2:]), np.cumsum(dB, axis=1)], axis=1)
-    return start + nodes[:, :n], nodes[:, n]
+    # one (P, n_steps, ...) array, and B_T does not keep it alive as a view
+    nodes = np.empty(dB.shape)
+    nodes[:, 0] = 0.0
+    np.cumsum(dB[:, :-1], axis=1, out=nodes[:, 1:])
+    b_final = nodes[:, -1] + dB[:, -1]
+    nodes += start
+    return nodes, b_final
 
 
 def _batch_radius(x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Counter-based random streams for reproducible, order-independent path simulation.
 
-Every path owns a disjoint block of the 256-bit Philox counter space: path ``i``
-under master seed ``s`` draws from ``Philox(key=(s, substream), counter=i << 128)``.
-The increments of a path are therefore a pure function of
-``(master_seed, substream, path_index)`` -- independent of how many other paths
-were simulated, in what order, or on which worker.
+Paths are grouped in blocks of ``BLOCK_PATHS``; each block owns a disjoint part
+of the 256-bit Philox counter space.  Under master seed ``s``, block ``b`` is
+drawn as ``standard_normal((n_steps, BLOCK_PATHS) + rest)`` from
+``Philox(key=(s, substream), counter=b << 128)``, and path ``i`` is column
+``i % BLOCK_PATHS`` of block ``i // BLOCK_PATHS``.  The increments of a path are
+therefore a pure function of ``(master_seed, substream, path_index)`` --
+independent of how many other paths were simulated, in what order, or on which
+worker -- and the first ``k`` steps of a draw equal a ``k``-step draw.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ import numpy as np
 
 __all__ = ["PathStreams", "derive_seed"]
 
-_COUNTER_WORDS = 4
-_PATH_WORD = 2  # counter word 2 <=> jump of path_index * 2**128
+BLOCK_PATHS = 256
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -27,39 +29,44 @@ def derive_seed(master_seed: int, label: str) -> int:
 
 
 class PathStreams:
-    """Per-path normal variates from counter-partitioned Philox streams.
+    """Per-path normal variates from block-partitioned Philox streams.
 
-    Not thread safe: the single underlying bit generator is re-pointed per path.
-    Each worker should own its own instance (construction is cheap).
+    Holds no generator state between calls, so one instance may serve several
+    threads at once.
     """
 
     def __init__(self, master_seed: int, substream: int = 0):
         self.master_seed = int(master_seed) & (2**64 - 1)
         self.substream = int(substream) & (2**64 - 1)
-        self._bitgen = np.random.Philox(key=[self.master_seed, self.substream])
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
-
-    def _seek(self, path_index: int) -> None:
-        st = self._state
-        st["state"]["counter"][:] = 0
-        st["state"]["counter"][_PATH_WORD] = path_index
-        st["buffer_pos"] = _COUNTER_WORDS
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
 
     def normals(self, path_index: int, shape: tuple[int, ...]) -> np.ndarray:
         """Standard normals for one path, a pure function of the stream identity."""
-        if path_index < 0 or path_index >= 2**64:
-            raise ValueError(f"path_index out of range: {path_index}")
-        self._seek(path_index)
-        return self._gen.standard_normal(shape)
+        return self.fill_normals([path_index], shape)[0]
 
     def fill_normals(self, path_indices: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """Stack of per-path normals, leading axis ordered as ``path_indices``."""
-        out = np.empty((len(path_indices),) + shape)
-        for row, idx in enumerate(path_indices):
-            self._seek(int(idx))
-            out[row] = self._gen.standard_normal(shape)
+        """Stack of per-path normals, leading axis ordered as ``path_indices``.
+
+        ``shape[0]`` is the step axis.  Each block that holds a requested path is
+        drawn once per call; the paths of a block that sit in consecutive rows
+        with consecutive indices are copied as one strided slice.
+        """
+        idx = np.asarray(path_indices)
+        shape = tuple(shape)
+        if idx.size and (idx.min() < 0 or idx.max() >= 2**64):
+            raise ValueError(f"path indices out of range: [{idx.min()}, {idx.max()}]")
+        out = np.empty((idx.size,) + shape)
+        block_of = idx // BLOCK_PATHS
+        order = np.argsort(block_of, kind="stable")
+        blocks, firsts = np.unique(block_of[order], return_index=True)
+        buf = np.empty((shape[0], BLOCK_PATHS) + shape[1:])
+        for block, lo, hi in zip(blocks, firsts, np.append(firsts[1:], idx.size)):
+            bitgen = np.random.Philox(key=[self.master_seed, self.substream],
+                                      counter=int(block) << 128)
+            np.random.Generator(bitgen).standard_normal(out=buf)
+            rows = order[lo:hi]
+            cols = idx[rows] - block * BLOCK_PATHS
+            if np.all(np.diff(rows) == 1) and np.all(np.diff(cols) == 1):
+                out[rows[0]:rows[-1] + 1] = np.moveaxis(buf[:, cols[0]:cols[-1] + 1], 1, 0)
+            else:
+                out[rows] = np.moveaxis(buf[:, cols], 1, 0)
         return out

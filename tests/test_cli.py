@@ -83,7 +83,8 @@ def test_minimal_run_produces_expected_artifacts(tmp_path):
     payload = json.loads((tmp_path / "out" / "results.json").read_text())
     assert len(payload["rows"]) == 2
     assert payload["checks"][0]["verdict"] == "BoundedConstantFound"
-    assert (tmp_path / "out" / "report.md").exists()
+    assert "fitted_constant" not in payload["checks"][0]
+    assert "## BismutVsFD: passed" in (tmp_path / "out" / "report.md").read_text()
 
 
 def test_failing_agreement_check_fails_the_run(tmp_path, monkeypatch):
@@ -97,8 +98,10 @@ def test_failing_agreement_check_fails_the_run(tmp_path, monkeypatch):
     (entry,) = payload["checks"]
     assert entry["verdict"] == "Violated"
     assert "FAILED" in entry["summary"]
+    assert "fitted_constant" not in entry
     report = (tmp_path / "out" / "report.md").read_text()
-    assert "**VIOLATED**" in report
+    assert "## BismutVsFD: **VIOLATED**" in report
+    assert "BoundedConstantFound" not in report
     assert report.count("BismutVsFD") == 2   # the heading and its detail line
 
 

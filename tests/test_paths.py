@@ -12,7 +12,12 @@ from gruschin.models import (
     make_extended_demo_model,
     make_power_law_model,
 )
-from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
+from gruschin.paths import (
+    TimeGrid,
+    brownian_increments,
+    simulate_basic_batch,
+    simulate_extended_batch,
+)
 from gruschin.rng import PathStreams
 
 V11 = Direction.make(1.0, 1.0)
@@ -229,6 +234,15 @@ def test_bitwise_determinism_across_calls_and_batching():
     assert np.array_equal(one.q_matrix[0], big.q_matrix[7])
     assert np.array_equal(one.sigma_stoch_integral, again.sigma_stoch_integral)
     assert one.min_eig_q[0] == big.min_eig_q[7]
+
+
+def test_brownian_increments_split_across_a_partial_block():
+    grid = TimeGrid(1.0, 30)
+    whole = brownian_increments(61, np.arange(1250), grid, (1, 2))
+    head = brownian_increments(61, np.arange(300), grid, (1, 2))
+    tail = brownian_increments(61, np.arange(300, 1250), grid, (1, 2))
+    for w, h, t in zip(whole, head, tail):
+        assert np.array_equal(w, np.concatenate([h, t]))
 
 
 def test_nonfinite_coefficients_flag_paths_invalid():

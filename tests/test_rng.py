@@ -1,4 +1,7 @@
-"""Reproducibility and independence of the counter-partitioned streams."""
+"""Reproducibility and independence of the block-partitioned streams."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,12 +29,37 @@ def test_distinct_paths_seeds_substreams_differ():
     assert not np.array_equal(base, PathStreams(1, substream=1).normals(0, (64,)))
 
 
-def test_state_seek_matches_fresh_constructor():
-    # the per-path seek must agree with building Philox at the jumped counter
-    fresh = np.random.Generator(np.random.Philox(key=[9, 0], counter=13 << 128))
-    want = fresh.standard_normal((32, 3))
-    got = PathStreams(9).normals(13, (32, 3))
-    assert np.array_equal(want, got)
+def test_block_layout_matches_fresh_constructor():
+    # path i is column i % 256 of the (n_steps, 256, w) draw of block i // 256
+    blocks = [np.random.Generator(np.random.Philox(key=[9, 0], counter=b << 128))
+              .standard_normal((32, 256, 3)) for b in (0, 1)]
+    got = PathStreams(9).fill_normals([13, 300], (32, 3))
+    assert np.array_equal(got[0], blocks[0][:, 13])
+    assert np.array_equal(got[1], blocks[1][:, 44])
+
+
+def test_step_prefixes_nest():
+    streams = PathStreams(5, substream=2)
+    idx = np.arange(250, 800)
+    assert np.array_equal(streams.fill_normals(idx, (100, 2))[:, :40],
+                          streams.fill_normals(idx, (40, 2)))
+
+
+def test_shared_instance_across_threads():
+    # more threads than cores and a short switch interval, to interleave draws
+    streams = PathStreams(17)
+    spans = [np.arange(s, s + 700) for s in range(0, 2800, 700)]
+    serial = [streams.fill_normals(idx, (50, 2)) for idx in spans]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(streams.fill_normals, idx, (50, 2)) for idx in spans * 4]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(threaded):
+        assert np.array_equal(got, serial[k % len(spans)])
 
 
 def test_rejects_out_of_range_index():
