@@ -22,7 +22,6 @@ from .estimators import (
     bismut_panel,
     estimate_lq_moment,
     estimate_negative_moment,
-    estimate_pt,
     lq_moment_rhs,
     pt_panel,
     split_point,
@@ -39,6 +38,7 @@ from .rng import derive_seed
 
 __all__ = [
     "McParams",
+    "GradientGrid",
     "BoundCheckVerdict",
     "RatioPoint",
     "BoundCheckReport",
@@ -167,6 +167,59 @@ def _square_obs(f: TestFunction) -> Callable:
     return lambda z: np.asarray(f.eval(z), dtype=float) ** 2
 
 
+class GradientGrid:
+    """The weight-gradient panels of the A5/A6 grid, one per (phase, T, x).
+
+    The panel of a point estimates, from z0 = (x, 0, ..., 0), the gradient of
+    every f of ``f_suite`` along all m + d axis directions, and P_T f^2 -- plus
+    P_T |f|^p when p != 2 -- under the seed label ``grad_grid:{phase}:{T}:{x}``.
+    ``check_a5`` reads axes 0 and m, ``check_a6`` every axis, so checks that
+    share a grid simulate each point once, and their verdicts are correlated.
+    A panel is built on first use and lives as long as the grid.
+    """
+
+    def __init__(self, model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
+                 p: float = 2.0):
+        self.model, self.f_suite, self.mc, self.p = model, list(f_suite), mc, float(p)
+        m, d = model.m, model.d
+        self.directions = [Direction(np.eye(m)[i], np.zeros(d)) for i in range(m)]
+        self.directions += [Direction(np.zeros(m), np.eye(d)[j]) for j in range(d)]
+        self._panels: dict[tuple, tuple] = {}
+
+    def point(self, phase: str, T: float, x: float) -> tuple[np.ndarray, int, dict]:
+        """(z0, seed, panel) of one grid point."""
+        key = (phase, T, x)
+        if key not in self._panels:
+            z0 = np.zeros(self.model.m + self.model.d)
+            z0[0] = x
+            seed = derive_seed(self.mc.seed, f"grad_grid:{phase}:{T}:{x}")
+            extra = [(_power_label(f, 2.0), _square_obs(f)) for f in self.f_suite]
+            if self.p != 2.0:
+                extra += [(_power_label(f, self.p), _abs_power_obs(f, self.p))
+                          for f in self.f_suite]
+            panel = bismut_panel(self.model, z0, T, self.f_suite, self.directions,
+                                 self.mc.n_paths, self.mc.n_steps, seed,
+                                 extra_obs=extra, workers=self.mc.workers)
+            self._panels[key] = (z0, seed, panel)
+        return self._panels[key]
+
+
+def _power_label(f: TestFunction, p: float) -> str:
+    """The panel label of P_T |f|^p; |f|^2 is f^2."""
+    return f"{f.name}^2" if p == 2.0 else f"|{f.name}|^{p}"
+
+
+def _grid_for(grid: Optional[GradientGrid], model: ModelSpec,
+              f_suite: Sequence[TestFunction], mc: McParams, p: float) -> GradientGrid:
+    """``grid``, checked against a check's own inputs, or a fresh grid for them."""
+    if grid is None:
+        return GradientGrid(model, f_suite, mc, p)
+    if (grid.model is not model or grid.mc != mc or p not in (2.0, grid.p)
+            or [f.name for f in grid.f_suite] != [f.name for f in f_suite]):
+        raise ValueError("the gradient grid was built for other inputs than this check's")
+    return grid
+
+
 def _a5_rate(v: Direction, T: float, x: np.ndarray, l: float) -> float:
     r2 = float(np.dot(x, x))
     n1 = float(np.linalg.norm(v.v1))
@@ -178,41 +231,38 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
              mc: McParams,
              calibration: Sequence[tuple[float, float]] = DEFAULT_CALIBRATION_GRID,
              holdout: Sequence[tuple[float, float]] = DEFAULT_HOLDOUT_GRID,
+             *, grid: Optional[GradientGrid] = None,
              ) -> BoundCheckReport:
     """Two-grid boundedness of |grad_v P_T f| / [(P_T|f|^p)^{1/p} * rate(v, T, x)].
 
     The rate factor is |v1|/sqrt(T) + |v2|/sqrt(T (|x|^2+T)^l), the claimed decay
-    for models comparable to |x|^l.  Grid points are (T, x) with y = 0.
+    for models comparable to |x|^l.  Grid points are (T, x) with y = 0, and v
+    runs over the first x and the first y axis.  The panels come from ``grid``,
+    which ``check_a6`` may share; without one the check builds its own.
     """
     if model.power_params is None:
         raise ValueError("the gradient-rate check needs a power-law comparable model")
     if p <= 1:
         raise ValueError("p must exceed 1")
+    grid = _grid_for(grid, model, f_suite, mc, p)
     l = model.power_params.l
     report = BoundCheckReport(inequality_id="A5")
-    vs = [Direction(np.eye(model.m)[0], np.zeros(model.d)),
-          Direction(np.zeros(model.m), np.eye(model.d)[0])]
+    axes = (0, model.m)
 
     for phase, grid_points in (("calibration", calibration), ("holdout", holdout)):
         for (T, x) in grid_points:
-            z0 = np.zeros(model.m + model.d)
-            z0[0] = x
-            seed = derive_seed(mc.seed, f"a5:{phase}:{T}:{x}")
-            panel = bismut_panel(
-                model, z0, T, f_suite, vs, mc.n_paths, mc.n_steps, seed,
-                extra_obs=[(f.name, _abs_power_obs(f, p)) for f in f_suite],
-                workers=mc.workers,
-            )
+            z0, seed, panel = grid.point(phase, T, x)
             for f in f_suite:
-                denom_est = panel[("pt", f.name)]
+                denom_est = panel[("pt", _power_label(f, p))]
                 if denom_est.mean <= 4.0 * denom_est.stderr:
                     report.skipped.append(
                         f"{phase} T={T} x={x} f={f.name}: denominator indistinguishable from 0"
                     )
                     continue
                 denom = denom_est.mean ** (1.0 / p)
-                for j, v in enumerate(vs):
-                    grad = panel[("grad", f.name, j)]
+                for j, axis in enumerate(axes):
+                    v = grid.directions[axis]
+                    grad = panel[("grad", f.name, axis)]
                     rate = _a5_rate(v, T, z0[: model.m], l)
                     ratio = abs(grad.mean) / (denom * rate)
                     tol = (4.0 * grad.stderr) / (denom * rate) + ratio * (
@@ -232,31 +282,25 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
 def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
              calibration: Sequence[tuple[float, float]] = DEFAULT_CALIBRATION_GRID,
              holdout: Sequence[tuple[float, float]] = DEFAULT_HOLDOUT_GRID,
+             *, grid: Optional[GradientGrid] = None,
              ) -> BoundCheckReport:
     """Two-grid boundedness of Gamma_1(P_T f)(z0) * T / P_T f^2 (z0).
 
     The square field of P_T f is assembled from directional weight-gradient
     estimates along the m + d coordinate directions, with the y-block contracted
-    against sigma(x0)^*.
+    against sigma(x0)^*.  The panels come from ``grid``, which ``check_a5`` may
+    share; without one the check builds its own.
     """
+    grid = _grid_for(grid, model, f_suite, mc, 2.0)
     report = BoundCheckReport(inequality_id="A6")
     m, d = model.m, model.d
-    vs = [Direction(np.eye(m)[i], np.zeros(d)) for i in range(m)]
-    vs += [Direction(np.zeros(m), np.eye(d)[jj]) for jj in range(d)]
 
     for phase, grid_points in (("calibration", calibration), ("holdout", holdout)):
         for (T, x) in grid_points:
-            z0 = np.zeros(m + d)
-            z0[0] = x
-            seed = derive_seed(mc.seed, f"a6:{phase}:{T}:{x}")
-            panel = bismut_panel(
-                model, z0, T, f_suite, vs, mc.n_paths, mc.n_steps, seed,
-                extra_obs=[(f.name, _square_obs(f)) for f in f_suite],
-                workers=mc.workers,
-            )
+            z0, seed, panel = grid.point(phase, T, x)
             sigma_x0 = np.asarray(model.sigma(z0[:m]))
             for f in f_suite:
-                denom_est = panel[("pt", f.name)]
+                denom_est = panel[("pt", _power_label(f, 2.0))]
                 if denom_est.mean <= 4.0 * denom_est.stderr:
                     report.skipped.append(
                         f"{phase} T={T} x={x} f={f.name}: P_T f^2 indistinguishable from 0"
@@ -447,7 +491,7 @@ class HarnackResult:
     rho: float
     constant: float
     verdict: str       # "holds" | "violated" | "inconclusive"
-    n_valid: int       # path counts of the estimate with the most invalid paths
+    n_valid: int       # path counts of the estimates, which share one validity mask
     n_invalid: int
     seed: int          # the derived seed of the estimates at z and z'
 
@@ -470,9 +514,10 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     """Test P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')) with 4-sigma bands.
 
     ``rho`` defaults to the subunit-curve upper bound (power-law models) or the
-    Euclidean distance (constant identity).  The same derived seed drives the
-    estimates at both base points, so the z = z' case holds with exact equality.
-    P f(z') and P f^2(z') come from one simulation at z'.
+    Euclidean distance (constant identity).  P f(z'), P f^2(z') and P f(z) come
+    from one ``pt_panel``: one noise draw per batch drives both base points, and
+    the three estimates share one validity mask, so the z = z' case holds with
+    exact equality.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     z_prime = np.atleast_1d(np.asarray(z_prime, dtype=float))
@@ -488,13 +533,11 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
             rho = rho_upper_bound(model, z, z_prime).bound
 
     f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f), bounded=f.bounded)
-    at_zp = pt_panel(model, z_prime, T, [f, f_sq], mc.n_paths, mc.n_steps, seed,
+    panel = pt_panel(model, [z_prime, z], T, [f, f_sq], mc.n_paths, mc.n_steps, seed,
                      workers=mc.workers)
-    p_at_zp, p_sq_zp = at_zp[("pt", f.name)], at_zp[("pt", f_sq.name)]
-    p_at_z = estimate_pt(model, f, z, T, mc.n_paths, mc.n_steps, seed,
-                         workers=mc.workers)
-    worst = min((p_at_zp, p_at_z), key=lambda e: e.n_valid)
-    meta = dict(n_valid=worst.n_valid, n_invalid=worst.n_invalid, seed=seed)
+    p_at_zp, p_sq_zp = panel[("pt", f.name, 0)], panel[("pt", f_sq.name, 0)]
+    p_at_z = panel[("pt", f.name, 1)]
+    meta = dict(n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid, seed=seed)
 
     if p_sq_zp.mean < 0.0:
         return HarnackResult(*points, p_at_zp.mean, float("nan"),
@@ -660,6 +703,7 @@ def report_markdown(checks: Sequence[BoundCheckReport]) -> str:
     if not checks:
         lines.append("No checks were run.")
         return "\n".join(lines) + "\n"
+    ids = {c.inequality_id for c in checks}
     for c in checks:
         # an agreement check (one with a detail line) passes or fails; it fits no constant
         if not c.passed:
@@ -668,6 +712,9 @@ def report_markdown(checks: Sequence[BoundCheckReport]) -> str:
             marker = "passed" if c.detail else c.verdict.value
         lines.append(f"## {c.inequality_id}: {marker}")
         lines.append("")
+        if c.inequality_id == "A6" and "A5" in ids:
+            lines.append("- A5 and A6 read their gradients off the same paths at each "
+                         "grid point, so their verdicts are correlated.")
         if c.detail:
             lines.append(f"- {c.summary_line()}")
         else:

@@ -32,7 +32,13 @@ from .models import (
     crosscheck_suite,
     observable,
 )
-from .paths import TimeGrid, simulate_basic_batch, simulate_batch, simulate_extended_batch
+from .paths import (
+    TimeGrid,
+    brownian_increments,
+    simulate_basic_batch,
+    simulate_batch,
+    simulate_extended_batch,
+)
 from .rng import derive_seed
 from .weights import weight_terms_batch
 
@@ -324,8 +330,9 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     n = min(mc.n_paths, 2000)
     idx = np.arange(n, dtype=np.int64)
     seed = derive_seed(mc.seed, "reduction")
-    bb = simulate_basic_batch(model, x0, y0, v, grid, seed, idx)
-    eb = simulate_extended_batch(ext, x0, y0, v, grid, seed, idx)
+    noise = tuple(brownian_increments(seed, idx, grid, (model.m, model.d)))
+    bb = simulate_basic_batch(model, x0, y0, v, grid, seed, idx, increments=noise)
+    eb = simulate_extended_batch(ext, x0, y0, v, grid, seed, idx, increments=noise)
     db, tb, ib, okb = weight_terms_batch(bb, v, T)
     de, te, ie, oke = weight_terms_batch(eb, v, T)
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
@@ -358,6 +365,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     rows: list[dict] = []
     checks: list[an.BoundCheckReport] = []
 
+    # A5 and A6 read one gradient grid per McParams; it lives for this run only
+    grids: dict[an.McParams, an.GradientGrid] = {}
+
+    def grid_for(mc: an.McParams) -> an.GradientGrid:
+        if mc not in grids:
+            grids[mc] = an.GradientGrid(model, bounded_suite(model), mc)
+        return grids[mc]
+
     a6_fit: float | None = None
     for check in cfg.suite.checks:
         mc = _mc_for(cfg, check, workers)
@@ -365,9 +380,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             new_rows, rep = _run_bismut_vs_fd(cfg, model, workers)
             rows += new_rows
         elif check == "a5":
-            rep = an.check_a5(model, 2.0, bounded_suite(model), mc)
+            rep = an.check_a5(model, 2.0, bounded_suite(model), mc, grid=grid_for(mc))
         elif check == "a6":
-            rep = an.check_a6(model, bounded_suite(model), mc)
+            rep = an.check_a6(model, bounded_suite(model), mc, grid=grid_for(mc))
             a6_fit = rep.fitted_constant
         elif check == "lemma31":
             rep = an.check_lemma31(mc)
@@ -384,7 +399,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                                     workers)
                 fit_rep = an.check_a6(model, bounded_suite(model), small,
                                       calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
-                                      holdout=((T, 0.5),))
+                                      holdout=((T, 0.5),), grid=grid_for(small))
                 constant = math.sqrt(max(fit_rep.fitted_constant, 1e-12) / T)
             f = observable("one_plus_tanh_y", model)
             rep = an.check_harnack_suite(model, T, _harnack_pairs(model), f,

@@ -3,7 +3,7 @@ and the moment quantities behind the negative-moment and L^q inequalities.
 
 Determinism contract: per-path sample values are pure functions of
 (master_seed, substream, path_index), since path i reads column i % 256 of the
-Philox block i // 256 whatever batch asks for it (see ``rng``); they are
+SFC64 block i // 256 whatever batch asks for it (see ``rng``); they are
 assembled into arrays ordered by path index and reduced by a fixed pairwise tree.
 Serial and multi-worker runs, and any batch size, are therefore bitwise
 identical.
@@ -168,9 +168,9 @@ def estimate_pt(model: ModelSpec, f: TestFunction, z0, T: float,
 
     The one-observable case of ``pt_panel``.
     """
-    panel = pt_panel(model, z0, T, [f], n_paths, n_steps, seed,
+    panel = pt_panel(model, [z0], T, [f], n_paths, n_steps, seed,
                      workers=workers, batch_size=batch_size)
-    return panel[("pt", f.name)]
+    return panel[("pt", f.name, 0)]
 
 
 def estimate_gradient_bismut(model: ModelSpec, f: TestFunction, z0, v: Direction,
@@ -375,28 +375,64 @@ def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
     return ok
 
 
-def pt_panel(model: ModelSpec, z0, T: float, fs: Sequence[TestFunction],
+def _terminal_states(model: ModelSpec, grid: TimeGrid, seed: int,
+                     start: int, stop: int) -> Callable:
+    """``terminal(z_start) -> (Z_T, valid)`` for paths start..stop-1, every start
+    on one noise draw of the batch.
+
+    The coefficients depend on x alone, so on fixed noise a shift of y0 only
+    translates Y_T: each distinct x-start is simulated once, at y0 = 0, and a
+    start (x, y) reads its terminal state as (X_T, y + Y_T), bit for bit the
+    state a simulation from (x, y) would give.
+    """
+    noise = _draw_noise(model, grid, seed, start, stop)
+    v0 = _zero_direction(model)
+    y_origin = np.zeros(model.d)
+    sims = {}  # x-start bytes -> batch simulated from (x-start, 0)
+
+    def terminal(z_start):
+        x_start, y_start = split_point(model, z_start)
+        key = x_start.tobytes()
+        if key not in sims:
+            sims[key] = _simulate(model, x_start, y_origin, v0, grid, seed,
+                                  start, stop, noise)
+        batch = sims[key]
+        y_final = y_start + batch.y_final
+        valid = batch.valid & np.isfinite(y_final).all(axis=1)
+        return np.concatenate([batch.x_final, y_final], axis=1), valid
+
+    return terminal
+
+
+def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunction],
              n_paths: int, n_steps: int, seed: int,
              *, workers: int = 1, batch_size: Optional[int] = None) -> dict:
-    """Semigroup values E f(X_T, Y_T) for every f off one simulation per batch.
+    """Semigroup values E f(X_T, Y_T) for every f from every start point.
 
-    Maps ("pt", f.name) to MCEstimates that share one validity mask, as in
-    ``bismut_panel``.
+    Every start of a batch runs on the same single noise draw, and starts with
+    equal x share one simulation (see ``_terminal_states``).  Maps
+    ("pt", f.name, k), k indexing ``starts``, to MCEstimates that share one
+    validity mask, as in ``bismut_panel``.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    x0, y0 = split_point(model, z0)
     grid = TimeGrid(T, n_steps)
-    v0 = _zero_direction(model)
-    names = [f"pt:{f.name}" for f in fs]
+    names = [f"pt:{f.name}:{k}" for f in fs for k in range(len(starts))]
 
     def batch_fn(start, stop):
-        batch = _simulate(model, x0, y0, v0, grid, seed, start, stop)
-        out = {f"pt:{f.name}": np.asarray(f.eval(batch.z_final), dtype=float) for f in fs}
-        return out, _all_finite(out, batch.valid.copy())
+        out = {}
+        ok = np.ones(stop - start, dtype=bool)
+        terminal = _terminal_states(model, grid, seed, start, stop)
+        for k, z0 in enumerate(starts):
+            z_final, valid = terminal(z0)
+            ok &= valid
+            for f in fs:
+                out[f"pt:{f.name}:{k}"] = np.asarray(f.eval(z_final), dtype=float)
+        return out, _all_finite(out, ok)
 
     cols, valid = run_batches(n_paths, names, batch_fn, workers, batch_size)
-    return {("pt", f.name): _finalize(cols[f"pt:{f.name}"], valid, seed) for f in fs}
+    return {("pt", f.name, k): _finalize(cols[f"pt:{f.name}:{k}"], valid, seed)
+            for f in fs for k in range(len(starts))}
 
 
 def bismut_panel(model: ModelSpec, z0, T: float,
@@ -462,12 +498,11 @@ def fd_panel(model: ModelSpec, z0, T: float,
     """Common-random-number central differences for every (f, v) pair.
 
     Every shifted start reuses one noise draw per batch, so the per-path
-    difference has drastically reduced variance.  The coefficients depend on x
-    alone, so on fixed noise a shift of y0 only translates Y_T: each distinct
-    x-start is simulated once, at y0 = 0, and every shifted start z +- eps*v
-    reads its terminal state as (X_T, y_shift + Y_T).  Directions with v1 = 0
-    share the unshifted x-path.  All estimates share one validity mask, as in
-    ``bismut_panel``.
+    difference has drastically reduced variance.  Each distinct x-start is
+    simulated once and every shifted start z +- eps*v reads its terminal state
+    from it, translated in y (see ``_terminal_states``), so directions with
+    v1 = 0 share the unshifted x-path.  All estimates share one validity mask,
+    as in ``bismut_panel``.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -476,27 +511,12 @@ def fd_panel(model: ModelSpec, z0, T: float,
         raise ValueError("eps must be positive")
     z = np.asarray(z0, dtype=float)
     grid = TimeGrid(T, n_steps)
-    v0 = _zero_direction(model)
-    y_origin = np.zeros(model.d)
     names = [f"fd:{f.name}:{j}" for f in fs for j in range(len(vs))]
 
     def batch_fn(start, stop):
         out = {}
         ok = np.ones(stop - start, dtype=bool)
-        noise = _draw_noise(model, grid, seed, start, stop)
-        sims = {}  # x-start bytes -> batch simulated from (x-start, 0)
-
-        def terminal(z_start):
-            x_start, y_start = split_point(model, z_start)
-            key = x_start.tobytes()
-            if key not in sims:
-                sims[key] = _simulate(model, x_start, y_origin, v0, grid, seed,
-                                      start, stop, noise)
-            batch = sims[key]
-            y_final = y_start + batch.y_final
-            valid = batch.valid & np.isfinite(y_final).all(axis=1)
-            return np.concatenate([batch.x_final, y_final], axis=1), valid
-
+        terminal = _terminal_states(model, grid, seed, start, stop)
         for j, v in enumerate(vs):
             shift = np.concatenate([v.v1, v.v2])
             z_up, up_valid = terminal(z + eps * shift)

@@ -16,7 +16,8 @@ Every coefficient depends on x alone, so on fixed noise Y_T - y0 does not depend
 on y0: a shift of y0 only translates Y_T.  Both kernels add y0 last, after every
 increment of Y is summed, so the translation is exact in floating point:
 simulating from (x0, y0) gives bit for bit the Y_T of y0 + (Y_T from (x0, 0)).
-The finite-difference panel relies on this to simulate each x-start once.
+The finite-difference and semigroup-value panels rely on this to simulate each
+x-start once.
 """
 
 from __future__ import annotations
@@ -182,13 +183,14 @@ def simulate_basic_batch(
 
     if model.scalar_identity:
         s = np.asarray(model.sigma_scalar(x_left), dtype=float)       # (P, n)
-        g = np.asarray(model.grad_sigma_scalar(x_left, v.v1), dtype=float)
+        wg = w * np.asarray(model.grad_sigma_scalar(x_left, v.v1), dtype=float)
         q_scalar = T * np.mean(s * s, axis=1)
-        tr_scalar = T * np.mean(w * g * s, axis=1)
+        tr_scalar = T * np.mean(wg * s, axis=1)
         eye = np.eye(d)
         q_matrix = q_scalar[:, None, None] * eye
         trace_integral = tr_scalar[:, None, None] * eye
-        wsi = ((w * g)[:, :, None] * dBt).sum(axis=1)
+        wsi = (wg[:, :, None] * dBt).sum(axis=1)
+        del wg  # free one (P, n) array before the products below reach the batch peak
         ssi = (s[:, :, None] * dBt).sum(axis=1)
         min_eig = q_scalar
     else:

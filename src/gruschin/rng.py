@@ -1,13 +1,15 @@
-"""Counter-based random streams for reproducible, order-independent path simulation.
+"""Block-keyed random streams for reproducible, order-independent path simulation.
 
-Paths are grouped in blocks of ``BLOCK_PATHS``; each block owns a disjoint part
-of the 256-bit Philox counter space.  Under master seed ``s``, block ``b`` is
-drawn as ``standard_normal((n_steps, BLOCK_PATHS) + rest)`` from
-``Philox(key=(s, substream), counter=b << 128)``, and path ``i`` is column
+Paths are grouped in blocks of ``BLOCK_PATHS``, and each block has a generator
+of its own, seeded by hashing the block's identity.  Under master seed ``s``,
+block ``b`` is drawn as ``standard_normal((n_steps, BLOCK_PATHS) + rest)`` from
+``SFC64(SeedSequence([s, substream, b]))``, and path ``i`` is column
 ``i % BLOCK_PATHS`` of block ``i // BLOCK_PATHS``.  The increments of a path are
 therefore a pure function of ``(master_seed, substream, path_index)`` --
 independent of how many other paths were simulated, in what order, or on which
 worker -- and the first ``k`` steps of a draw equal a ``k``-step draw.
+``SeedSequence`` hashes its whole entropy list, so distinct blocks, substreams
+and seeds start from well-separated states.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def derive_seed(master_seed: int, label: str) -> int:
 
 
 class PathStreams:
-    """Per-path normal variates from block-partitioned Philox streams.
+    """Per-path normal variates from block-keyed SFC64 streams.
 
     Holds no generator state between calls, so one instance may serve several
     threads at once.
@@ -60,8 +62,8 @@ class PathStreams:
         blocks, firsts = np.unique(block_of[order], return_index=True)
         buf = np.empty((shape[0], BLOCK_PATHS) + shape[1:])
         for block, lo, hi in zip(blocks, firsts, np.append(firsts[1:], idx.size)):
-            bitgen = np.random.Philox(key=[self.master_seed, self.substream],
-                                      counter=int(block) << 128)
+            bitgen = np.random.SFC64(np.random.SeedSequence(
+                [self.master_seed, self.substream, int(block)]))
             np.random.Generator(bitgen).standard_normal(out=buf)
             rows = order[lo:hi]
             cols = idx[rows] - block * BLOCK_PATHS

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gruschin.analysis import (
     BoundCheckReport,
     BoundCheckVerdict,
+    GradientGrid,
     McParams,
     RatioPoint,
     check_a5,
@@ -24,7 +25,7 @@ from gruschin.analysis import (
     suite_exit_code,
     xi_moment_growth_rate,
 )
-from gruschin import estimators
+from gruschin import estimators, rng
 from gruschin.estimators import estimate_gradient_bismut, estimate_pt
 from gruschin.models import (
     Direction,
@@ -150,6 +151,16 @@ def test_a5_requires_power_params():
         check_a5(make_constant_identity_model(), 2.0, [], McParams(100, 10, 1))
 
 
+def test_a5_and_a6_reject_a_grid_built_for_other_inputs():
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    grid = GradientGrid(model, fs, McParams(200, 10, 1))
+    with pytest.raises(ValueError, match="other inputs"):
+        check_a6(model, fs, McParams(300, 10, 1), grid=grid)
+    with pytest.raises(ValueError, match="other inputs"):
+        check_a5(model, 3.0, fs, McParams(200, 10, 1), grid=grid)
+
+
 def test_a6_gaussian_closed_form():
     # sigma = I, f = sin x: Gamma_1(P_T f) T / P_T f^2 has an exact value
     model = make_constant_identity_model()
@@ -251,6 +262,7 @@ def test_harnack_rejects_negative_observable():
 
 def test_harnack_simulates_each_base_point_once(monkeypatch):
     # P f(z') and P f^2(z') share one simulation at z'; one more runs at z
+    # unless z has the x of z', whose simulation it then reads translated in y
     calls = []
     real = estimators.simulate_batch
 
@@ -263,9 +275,28 @@ def test_harnack_simulates_each_base_point_once(monkeypatch):
     f = observable("one_plus_tanh_y", model)
     pairs = [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5))]
     rep = check_harnack_suite(model, 1.0, pairs, f, 1.0, McParams(2000, 20, 47))
-    assert len(calls) == 2 * len(pairs)
+    assert len(calls) == 1 + 2
     for pt in rep.points:
         assert pt.n_valid + pt.n_invalid == 2000
+
+
+def test_harnack_draws_noise_once_per_batch(monkeypatch):
+    # z and z' read one draw per batch; the nonnegativity probe draws once more
+    shapes = []
+    real = rng.PathStreams.fill_normals
+
+    def counting(self, path_indices, shape):
+        shapes.append(len(path_indices))
+        return real(self, path_indices, shape)
+
+    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable("one_plus_tanh_y", model)
+    n_paths = estimators.DEFAULT_BATCH_SIZE + 500
+    res = check_harnack(model, 1.0, (0.5, 0.0), (1.0, 0.5), f, 1.0,
+                        McParams(n_paths, 10, 53))
+    assert shapes == [512, estimators.DEFAULT_BATCH_SIZE, 500]
+    assert res.n_valid + res.n_invalid == n_paths
 
 
 def test_harnack_gaussian_exact_constant_suite():

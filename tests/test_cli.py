@@ -8,8 +8,13 @@ import sys
 
 import pytest
 
-from gruschin import cli
-from gruschin.analysis import McParams, check_harnack
+from gruschin import analysis, cli
+from gruschin.analysis import (
+    DEFAULT_CALIBRATION_GRID,
+    DEFAULT_HOLDOUT_GRID,
+    McParams,
+    check_harnack,
+)
 from gruschin.cli import ConfigError, ExperimentConfig, main, run_experiment
 from gruschin.estimators import estimate_pt
 from gruschin.models import builtin_model, observable
@@ -132,6 +137,56 @@ def test_results_csv_has_no_numpy_reprs(bound_rows):
     rows = list(csv.DictReader(io.StringIO(bound_rows)))
     a5 = [r for r in rows if r["experiment_id"].startswith("A5/")]
     assert {r["v"] for r in a5} == {"1.0|0.0", "0.0|1.0"}
+
+
+def test_a5_and_a6_rows_of_a_grid_point_share_its_seed(bound_rows):
+    rows = list(csv.DictReader(io.StringIO(bound_rows)))
+    seeds = {"A5": {}, "A6": {}}
+    for r in rows:
+        check, phase, label = r["experiment_id"].split("/")
+        if check in seeds:
+            point = (phase,) + tuple(label.split(",")[:2])   # (phase, "T=..", "x=..")
+            seeds[check].setdefault(point, set()).add(r["seed"])
+    assert len(seeds["A5"]) == len(DEFAULT_CALIBRATION_GRID) + len(DEFAULT_HOLDOUT_GRID)
+    assert seeds["A5"] == seeds["A6"]
+    assert all(len(s) == 1 for s in seeds["A5"].values())
+
+
+def _count_grid_panels(monkeypatch):
+    calls = []
+    real = analysis.bismut_panel
+
+    def counting(*args, **kwargs):
+        calls.append(args[5])   # n_paths
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "bismut_panel", counting)
+    return calls
+
+
+def test_a5_and_a6_build_one_panel_per_grid_point(tmp_path, monkeypatch):
+    calls = _count_grid_panels(monkeypatch)
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
+    body["suite"] = {"checks": ["a5", "a6"]}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    assert len(calls) == len(DEFAULT_CALIBRATION_GRID) + len(DEFAULT_HOLDOUT_GRID) == 13
+    assert "verdicts are correlated" in (tmp_path / "report.md").read_text()
+
+
+def test_a6_override_gets_its_own_grid(tmp_path, monkeypatch):
+    calls = _count_grid_panels(monkeypatch)
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
+    body["suite"] = {"checks": ["a5", "a6"], "overrides": {"a6": {"n_paths": 300}}}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    assert sorted(calls) == [200] * 13 + [300] * 13
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
+    for r in rows:
+        size = 300 if r["experiment_id"].startswith("A6/") else 200
+        assert int(r["n_valid"]) + int(r["n_invalid"]) == size, r["experiment_id"]
 
 
 def test_rerun_and_worker_count_are_byte_identical(tmp_path):
