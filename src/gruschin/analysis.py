@@ -23,6 +23,7 @@ from .estimators import (
     estimate_lq_moment,
     estimate_negative_moment,
     lq_moment_rhs,
+    parallel_map,
     pt_panel,
     split_point,
 )
@@ -167,41 +168,76 @@ def _square_obs(f: TestFunction) -> Callable:
     return lambda z: np.asarray(f.eval(z), dtype=float) ** 2
 
 
+def _reader_axes(model: ModelSpec, reader: str) -> tuple[int, ...]:
+    """The axis directions a reader of the gradient grid needs: A5 reads the
+    first x axis (0) and the first y axis (m), A6 every one of the m + d."""
+    if reader == "a5":
+        return (0, model.m)
+    if reader == "a6":
+        return tuple(range(model.m + model.d))
+    raise ValueError(f"unknown gradient-grid reader {reader!r}; choose 'a5' or 'a6'")
+
+
+def _axis_direction(model: ModelSpec, axis: int) -> Direction:
+    """Coordinate direction ``axis`` of R^{m+d}, split as (v1, v2)."""
+    e = np.eye(model.m + model.d)[axis]
+    return Direction(e[: model.m], e[model.m:])
+
+
+def _grid_keys(calibration, holdout) -> list[tuple[str, float, float]]:
+    """The (phase, T, x) points of a two-grid check, calibration first."""
+    return [(phase, T, x)
+            for phase, grid_points in (("calibration", calibration), ("holdout", holdout))
+            for (T, x) in grid_points]
+
+
 class GradientGrid:
     """The weight-gradient panels of the A5/A6 grid, one per (phase, T, x).
 
     The panel of a point estimates, from z0 = (x, 0, ..., 0), the gradient of
-    every f of ``f_suite`` along all m + d axis directions, and P_T f^2 -- plus
-    P_T |f|^p when p != 2 -- under the seed label ``grad_grid:{phase}:{T}:{x}``.
-    ``check_a5`` reads axes 0 and m, ``check_a6`` every axis, so checks that
-    share a grid simulate each point once, and their verdicts are correlated.
-    A panel is built on first use and lives as long as the grid.
+    every f of ``f_suite`` along the axis directions its ``readers`` need, and
+    P_T f^2 -- plus P_T |f|^p when p != 2 -- under the seed label
+    ``grad_grid:{phase}:{T}:{x}``.  ``check_a5`` reads axes 0 and m,
+    ``check_a6`` all m + d axes; the grid's axes are the union over its readers,
+    so checks that share a grid simulate each point once, and their verdicts
+    are correlated.  Panel keys ("grad", f.name, axis) name the axis.  A panel
+    is built on first use, or by ``build``, and lives as long as the grid.
     """
 
     def __init__(self, model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
-                 p: float = 2.0):
+                 p: float = 2.0, readers: Sequence[str] = ("a5", "a6")):
         self.model, self.f_suite, self.mc, self.p = model, list(f_suite), mc, float(p)
-        m, d = model.m, model.d
-        self.directions = [Direction(np.eye(m)[i], np.zeros(d)) for i in range(m)]
-        self.directions += [Direction(np.zeros(m), np.eye(d)[j]) for j in range(d)]
+        self.axes = tuple(sorted({a for r in readers for a in _reader_axes(model, r)}))
         self._panels: dict[tuple, tuple] = {}
+
+    def build(self, keys: Sequence[tuple[str, float, float]]) -> None:
+        """Build the panels of the (phase, T, x) points in ``keys`` not built yet,
+        mapped over ``mc.workers`` threads."""
+        missing = [k for k in dict.fromkeys(keys) if k not in self._panels]
+        built = parallel_map(lambda key: self._build_point(*key), missing, self.mc.workers)
+        self._panels.update(zip(missing, built))
 
     def point(self, phase: str, T: float, x: float) -> tuple[np.ndarray, int, dict]:
         """(z0, seed, panel) of one grid point."""
         key = (phase, T, x)
-        if key not in self._panels:
-            z0 = np.zeros(self.model.m + self.model.d)
-            z0[0] = x
-            seed = derive_seed(self.mc.seed, f"grad_grid:{phase}:{T}:{x}")
-            extra = [(_power_label(f, 2.0), _square_obs(f)) for f in self.f_suite]
-            if self.p != 2.0:
-                extra += [(_power_label(f, self.p), _abs_power_obs(f, self.p))
-                          for f in self.f_suite]
-            panel = bismut_panel(self.model, z0, T, self.f_suite, self.directions,
-                                 self.mc.n_paths, self.mc.n_steps, seed,
-                                 extra_obs=extra, workers=self.mc.workers)
-            self._panels[key] = (z0, seed, panel)
+        self.build([key])
         return self._panels[key]
+
+    def _build_point(self, phase: str, T: float, x: float) -> tuple[np.ndarray, int, dict]:
+        z0 = np.zeros(self.model.m + self.model.d)
+        z0[0] = x
+        seed = derive_seed(self.mc.seed, f"grad_grid:{phase}:{T}:{x}")
+        extra = [(_power_label(f, 2.0), _square_obs(f)) for f in self.f_suite]
+        if self.p != 2.0:
+            extra += [(_power_label(f, self.p), _abs_power_obs(f, self.p))
+                      for f in self.f_suite]
+        directions = [_axis_direction(self.model, a) for a in self.axes]
+        panel = bismut_panel(self.model, z0, T, self.f_suite, directions,
+                             self.mc.n_paths, self.mc.n_steps, seed,
+                             extra_obs=extra, workers=self.mc.workers)
+        panel = {(k[0], k[1], self.axes[k[2]]) if k[0] == "grad" else k: est
+                 for k, est in panel.items()}
+        return z0, seed, panel
 
 
 def _power_label(f: TestFunction, p: float) -> str:
@@ -209,13 +245,14 @@ def _power_label(f: TestFunction, p: float) -> str:
     return f"{f.name}^2" if p == 2.0 else f"|{f.name}|^{p}"
 
 
-def _grid_for(grid: Optional[GradientGrid], model: ModelSpec,
+def _grid_for(grid: Optional[GradientGrid], reader: str, model: ModelSpec,
               f_suite: Sequence[TestFunction], mc: McParams, p: float) -> GradientGrid:
     """``grid``, checked against a check's own inputs, or a fresh grid for them."""
     if grid is None:
-        return GradientGrid(model, f_suite, mc, p)
+        return GradientGrid(model, f_suite, mc, p, readers=(reader,))
     if (grid.model is not model or grid.mc != mc or p not in (2.0, grid.p)
-            or [f.name for f in grid.f_suite] != [f.name for f in f_suite]):
+            or [f.name for f in grid.f_suite] != [f.name for f in f_suite]
+            or not set(_reader_axes(model, reader)) <= set(grid.axes)):
         raise ValueError("the gradient grid was built for other inputs than this check's")
     return grid
 
@@ -244,37 +281,37 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
         raise ValueError("the gradient-rate check needs a power-law comparable model")
     if p <= 1:
         raise ValueError("p must exceed 1")
-    grid = _grid_for(grid, model, f_suite, mc, p)
+    grid = _grid_for(grid, "a5", model, f_suite, mc, p)
     l = model.power_params.l
     report = BoundCheckReport(inequality_id="A5")
-    axes = (0, model.m)
+    keys = _grid_keys(calibration, holdout)
+    grid.build(keys)
 
-    for phase, grid_points in (("calibration", calibration), ("holdout", holdout)):
-        for (T, x) in grid_points:
-            z0, seed, panel = grid.point(phase, T, x)
-            for f in f_suite:
-                denom_est = panel[("pt", _power_label(f, p))]
-                if denom_est.mean <= 4.0 * denom_est.stderr:
-                    report.skipped.append(
-                        f"{phase} T={T} x={x} f={f.name}: denominator indistinguishable from 0"
-                    )
-                    continue
-                denom = denom_est.mean ** (1.0 / p)
-                for j, axis in enumerate(axes):
-                    v = grid.directions[axis]
-                    grad = panel[("grad", f.name, axis)]
-                    rate = _a5_rate(v, T, z0[: model.m], l)
-                    ratio = abs(grad.mean) / (denom * rate)
-                    tol = (4.0 * grad.stderr) / (denom * rate) + ratio * (
-                        4.0 * denom_est.stderr / (p * denom_est.mean)
-                    )
-                    report.points.append(RatioPoint(
-                        label=f"T={T},x={x},f={f.name},v={j}", phase=phase,
-                        ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
-                        v=(tuple(v.v1), tuple(v.v2)), f_name=f.name,
-                        seed=seed, n_steps=mc.n_steps,
-                        n_valid=grad.n_valid, n_invalid=grad.n_invalid,
-                    ))
+    for phase, T, x in keys:
+        z0, seed, panel = grid.point(phase, T, x)
+        for f in f_suite:
+            denom_est = panel[("pt", _power_label(f, p))]
+            if denom_est.mean <= 4.0 * denom_est.stderr:
+                report.skipped.append(
+                    f"{phase} T={T} x={x} f={f.name}: denominator indistinguishable from 0"
+                )
+                continue
+            denom = denom_est.mean ** (1.0 / p)
+            for j, axis in enumerate(_reader_axes(model, "a5")):
+                v = _axis_direction(model, axis)
+                grad = panel[("grad", f.name, axis)]
+                rate = _a5_rate(v, T, z0[: model.m], l)
+                ratio = abs(grad.mean) / (denom * rate)
+                tol = (4.0 * grad.stderr) / (denom * rate) + ratio * (
+                    4.0 * denom_est.stderr / (p * denom_est.mean)
+                )
+                report.points.append(RatioPoint(
+                    label=f"T={T},x={x},f={f.name},v={j}", phase=phase,
+                    ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
+                    v=(tuple(v.v1), tuple(v.v2)), f_name=f.name,
+                    seed=seed, n_steps=mc.n_steps,
+                    n_valid=grad.n_valid, n_invalid=grad.n_invalid,
+                ))
     _two_grid_verdict(report)
     return report
 
@@ -291,42 +328,43 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
     against sigma(x0)^*.  The panels come from ``grid``, which ``check_a5`` may
     share; without one the check builds its own.
     """
-    grid = _grid_for(grid, model, f_suite, mc, 2.0)
+    grid = _grid_for(grid, "a6", model, f_suite, mc, 2.0)
     report = BoundCheckReport(inequality_id="A6")
     m, d = model.m, model.d
+    keys = _grid_keys(calibration, holdout)
+    grid.build(keys)
 
-    for phase, grid_points in (("calibration", calibration), ("holdout", holdout)):
-        for (T, x) in grid_points:
-            z0, seed, panel = grid.point(phase, T, x)
-            sigma_x0 = np.asarray(model.sigma(z0[:m]))
-            for f in f_suite:
-                denom_est = panel[("pt", _power_label(f, 2.0))]
-                if denom_est.mean <= 4.0 * denom_est.stderr:
-                    report.skipped.append(
-                        f"{phase} T={T} x={x} f={f.name}: P_T f^2 indistinguishable from 0"
-                    )
-                    continue
-                gx = np.array([panel[("grad", f.name, i)].mean for i in range(m)])
-                gx_se = np.array([panel[("grad", f.name, i)].stderr for i in range(m)])
-                gy = np.array([panel[("grad", f.name, m + jj)].mean for jj in range(d)])
-                gy_se = np.array([panel[("grad", f.name, m + jj)].stderr for jj in range(d)])
-                sty = sigma_x0.T @ gy
-                gamma_hat = float(np.sum(gx**2) + np.sum(sty**2))
-                # first-order error: d(g^2) = 2|g| dg, y-block through sigma^T
-                dgamma = float(
-                    2.0 * np.sum(np.abs(gx) * 4.0 * gx_se)
-                    + 2.0 * np.sum(np.abs(sty) * (np.abs(sigma_x0.T) @ (4.0 * gy_se)))
+    for phase, T, x in keys:
+        z0, seed, panel = grid.point(phase, T, x)
+        sigma_x0 = np.asarray(model.sigma(z0[:m]))
+        for f in f_suite:
+            denom_est = panel[("pt", _power_label(f, 2.0))]
+            if denom_est.mean <= 4.0 * denom_est.stderr:
+                report.skipped.append(
+                    f"{phase} T={T} x={x} f={f.name}: P_T f^2 indistinguishable from 0"
                 )
-                ratio = gamma_hat * T / denom_est.mean
-                tol = dgamma * T / denom_est.mean + ratio * (
-                    4.0 * denom_est.stderr / denom_est.mean
-                )
-                report.points.append(RatioPoint(
-                    label=f"T={T},x={x},f={f.name}", phase=phase,
-                    ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
-                    f_name=f.name, seed=seed, n_steps=mc.n_steps,
-                    n_valid=denom_est.n_valid, n_invalid=denom_est.n_invalid,
-                ))
+                continue
+            gx = np.array([panel[("grad", f.name, i)].mean for i in range(m)])
+            gx_se = np.array([panel[("grad", f.name, i)].stderr for i in range(m)])
+            gy = np.array([panel[("grad", f.name, m + jj)].mean for jj in range(d)])
+            gy_se = np.array([panel[("grad", f.name, m + jj)].stderr for jj in range(d)])
+            sty = sigma_x0.T @ gy
+            gamma_hat = float(np.sum(gx**2) + np.sum(sty**2))
+            # first-order error: d(g^2) = 2|g| dg, y-block through sigma^T
+            dgamma = float(
+                2.0 * np.sum(np.abs(gx) * 4.0 * gx_se)
+                + 2.0 * np.sum(np.abs(sty) * (np.abs(sigma_x0.T) @ (4.0 * gy_se)))
+            )
+            ratio = gamma_hat * T / denom_est.mean
+            tol = dgamma * T / denom_est.mean + ratio * (
+                4.0 * denom_est.stderr / denom_est.mean
+            )
+            report.points.append(RatioPoint(
+                label=f"T={T},x={x},f={f.name}", phase=phase,
+                ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
+                f_name=f.name, seed=seed, n_steps=mc.n_steps,
+                n_valid=denom_est.n_valid, n_invalid=denom_est.n_invalid,
+            ))
     _two_grid_verdict(report)
     return report
 
@@ -335,25 +373,31 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
                   calibration: Sequence[tuple[float, float]] = DEFAULT_CALIBRATION_GRID,
                   holdout: Sequence[tuple[float, float]] = DEFAULT_HOLDOUT_GRID,
                   ) -> BoundCheckReport:
-    """Two-grid boundedness of E(int |x+B|^{2n})^{-alpha} * T^alpha (|x|^2+T)^{alpha n}."""
+    """Two-grid boundedness of E(int |x+B|^{2n})^{-alpha} * T^alpha (|x|^2+T)^{alpha n}.
+
+    The grid points are mapped over ``mc.workers`` threads.
+    """
     report = BoundCheckReport(inequality_id="Lemma31")
-    for phase, grid_points in (("calibration", calibration), ("holdout", holdout)):
-        for (T, x) in grid_points:
-            seed = derive_seed(mc.seed, f"lemma31:{phase}:{T}:{x}")
-            xvec = np.zeros(m)
-            xvec[0] = x
-            est = estimate_negative_moment(
-                m, xvec, T, n_exp, alpha, mc.n_paths, mc.n_steps, seed,
-                workers=mc.workers,
-            )
-            normalizer = T**alpha * (x**2 + T) ** (alpha * n_exp)
-            report.points.append(RatioPoint(
-                label=f"T={T},x={x}", phase=phase,
-                ratio=est.mean * normalizer,
-                tolerance=4.0 * est.stderr * normalizer,
-                T=T, z0=(x,), seed=seed, n_steps=mc.n_steps,
-                n_valid=est.n_valid, n_invalid=est.n_invalid,
-            ))
+
+    def ratio_point(key: tuple[str, float, float]) -> RatioPoint:
+        phase, T, x = key
+        seed = derive_seed(mc.seed, f"lemma31:{phase}:{T}:{x}")
+        xvec = np.zeros(m)
+        xvec[0] = x
+        est = estimate_negative_moment(
+            m, xvec, T, n_exp, alpha, mc.n_paths, mc.n_steps, seed,
+            workers=mc.workers,
+        )
+        normalizer = T**alpha * (x**2 + T) ** (alpha * n_exp)
+        return RatioPoint(
+            label=f"T={T},x={x}", phase=phase,
+            ratio=est.mean * normalizer,
+            tolerance=4.0 * est.stderr * normalizer,
+            T=T, z0=(x,), seed=seed, n_steps=mc.n_steps,
+            n_valid=est.n_valid, n_invalid=est.n_invalid,
+        )
+
+    report.points = parallel_map(ratio_point, _grid_keys(calibration, holdout), mc.workers)
     _two_grid_verdict(report)
     return report
 
@@ -373,19 +417,24 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
 
     Every ratio must stay below 1 within statistical tolerance; the inequality is
     an equality for q = 2 (Ito isometry), which pins the ratio near 1 there.
+    The cases are mapped over ``mc.workers`` threads.
     """
     report = BoundCheckReport(inequality_id="LemmaLL")
-    for name, q, kwargs in cases:
+
+    def ratio_point(case: tuple[str, float, dict]) -> RatioPoint:
+        name, q, kwargs = case
         seed = derive_seed(mc.seed, f"lemma_ll:{name}:{q}")
         lhs = estimate_lq_moment(name, q, T, mc.n_paths, mc.n_steps, seed,
                                  workers=mc.workers, **kwargs)
         rhs = lq_moment_rhs(name, q, T, **kwargs)
-        report.points.append(RatioPoint(
+        return RatioPoint(
             label=f"{name},q={q}", phase="check",
             ratio=lhs.mean / rhs, tolerance=4.0 * lhs.stderr / rhs,
             T=T, z0=(), f_name=name, seed=seed, n_steps=mc.n_steps,
             n_valid=lhs.n_valid, n_invalid=lhs.n_invalid,
-        ))
+        )
+
+    report.points = parallel_map(ratio_point, cases, mc.workers)
     report.fitted_constant = report.max_ratio
     violated = [p for p in report.points if p.ratio > 1.0 + p.tolerance]
     report.verdict = (BoundCheckVerdict.VIOLATED if violated
@@ -556,12 +605,14 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
 def check_harnack_suite(model: ModelSpec, T: float,
                         pairs: Sequence[tuple], f: TestFunction,
                         constant: float, mc: McParams) -> BoundCheckReport:
-    """Aggregate Harnack point checks into a two-sided bound report (ratio = lhs/rhs)."""
+    """Aggregate Harnack point checks into a two-sided bound report (ratio = lhs/rhs).
+
+    The pairs are mapped over ``mc.workers`` threads.
+    """
     report = BoundCheckReport(inequality_id="A8")
-    results = []
-    for (z, zp) in pairs:
-        res = check_harnack(model, T, z, zp, f, constant, mc)
-        results.append(res)
+    results = parallel_map(lambda pair: check_harnack(model, T, *pair, f, constant, mc),
+                           pairs, mc.workers)
+    for res in results:
         if res.verdict == "inconclusive" or res.rhs == 0.0:
             report.skipped.append(f"{res.z}->{res.z_prime}: inconclusive")
             continue

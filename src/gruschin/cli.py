@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .estimators import bismut_panel, fd_panel
+from .estimators import bismut_panel, fd_panel, parallel_map
 from .models import (
     BUILTIN_MODELS,
     Direction,
@@ -279,7 +279,10 @@ def _mc_for(cfg: ExperimentConfig, check: str, workers: int) -> an.McParams:
 
 
 def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
-    """Weight vs finite-difference gradients: one panel of each per (T, z0)."""
+    """Weight vs finite-difference gradients: one panel of each per (T, z0).
+
+    The panels are mapped over ``workers`` threads; rows follow in (T, z0) order.
+    """
     rows, n_bad, n_combos = [], 0, 0
     mc = _mc_for(cfg, "bismut_vs_fd", workers)
     if cfg.run.functions:
@@ -287,29 +290,36 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     else:
         fs = crosscheck_suite(model)
     vs = [Direction.make(list(v1), list(v2)) for v1, v2 in cfg.run.directions]
-    for T in cfg.run.horizons:
-        for z0 in cfg.run.points:
-            point = f"T={T}/z0={_fmt_vec(z0)}"
-            sb = derive_seed(mc.seed, "bvf:bismut:" + point)
-            sf = derive_seed(mc.seed, "bvf:fd:" + point)
-            pb = bismut_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps, sb,
-                              workers=workers)
-            pf = fd_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps, sf,
-                          eps=cfg.run.fd_eps, workers=workers)
-            for j, v in enumerate(vs):
-                for f in fs:
-                    n_combos += 1
-                    label = f"{point}/v={_fmt_dir(v)}/f={f.name}"
-                    gb, gf = pb[("grad", f.name, j)], pf[("grad_fd", f.name, j)]
-                    tol = 4.0 * math.hypot(gb.stderr, gf.stderr) + FD_BIAS_ALLOWANCE
-                    if abs(gb.mean - gf.mean) > tol or gb.n_invalid or gf.n_invalid:
-                        n_bad += 1
-                    rows.append(_row(f"bismut_vs_fd/{label}", "grad_bismut",
-                                     gb.mean, gb.stderr, gb.n_valid, gb.n_invalid,
-                                     sb, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
-                    rows.append(_row(f"bismut_vs_fd/{label}", "grad_fd",
-                                     gf.mean, gf.stderr, gf.n_valid, gf.n_invalid,
-                                     sf, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
+    combos = [(T, z0, f"T={T}/z0={_fmt_vec(z0)}")
+              for T in cfg.run.horizons for z0 in cfg.run.points]
+
+    def panel(task):
+        (T, z0, point), kind = task
+        seed = derive_seed(mc.seed, f"bvf:{kind}:{point}")
+        if kind == "bismut":
+            return seed, bismut_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps,
+                                      seed, workers=workers)
+        return seed, fd_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps, seed,
+                              eps=cfg.run.fd_eps, workers=workers)
+
+    panels = parallel_map(panel, [(c, kind) for c in combos for kind in ("bismut", "fd")],
+                          workers)
+    for k, (T, z0, point) in enumerate(combos):
+        (sb, pb), (sf, pf) = panels[2 * k], panels[2 * k + 1]
+        for j, v in enumerate(vs):
+            for f in fs:
+                n_combos += 1
+                label = f"{point}/v={_fmt_dir(v)}/f={f.name}"
+                gb, gf = pb[("grad", f.name, j)], pf[("grad_fd", f.name, j)]
+                tol = 4.0 * math.hypot(gb.stderr, gf.stderr) + FD_BIAS_ALLOWANCE
+                if abs(gb.mean - gf.mean) > tol or gb.n_invalid or gf.n_invalid:
+                    n_bad += 1
+                rows.append(_row(f"bismut_vs_fd/{label}", "grad_bismut",
+                                 gb.mean, gb.stderr, gb.n_valid, gb.n_invalid,
+                                 sb, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
+                rows.append(_row(f"bismut_vs_fd/{label}", "grad_fd",
+                                 gf.mean, gf.stderr, gf.n_valid, gf.n_invalid,
+                                 sf, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
     return rows, _agreement(
         "BismutVsFD", n_bad == 0,
         f"{n_combos - n_bad}/{n_combos} combos agree within 4*stderr + {FD_BIAS_ALLOWANCE}",
@@ -365,13 +375,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     rows: list[dict] = []
     checks: list[an.BoundCheckReport] = []
 
-    # A5 and A6 read one gradient grid per McParams; it lives for this run only
-    grids: dict[an.McParams, an.GradientGrid] = {}
+    # A5 and A6 read one gradient grid per McParams; it lives for this run only and
+    # carries the axes of the checks that read it (all m + d only when A6 does)
+    grids: dict[tuple, an.GradientGrid] = {}
 
-    def grid_for(mc: an.McParams) -> an.GradientGrid:
-        if mc not in grids:
-            grids[mc] = an.GradientGrid(model, bounded_suite(model), mc)
-        return grids[mc]
+    def grid_for(mc: an.McParams, reader: str) -> an.GradientGrid:
+        readers = tuple(c for c in ("a5", "a6") if c == reader or (
+            c in cfg.suite.checks and _mc_for(cfg, c, workers) == mc))
+        if (mc, readers) not in grids:
+            grids[mc, readers] = an.GradientGrid(model, bounded_suite(model), mc,
+                                                 readers=readers)
+        return grids[mc, readers]
 
     a6_fit: float | None = None
     for check in cfg.suite.checks:
@@ -380,9 +394,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             new_rows, rep = _run_bismut_vs_fd(cfg, model, workers)
             rows += new_rows
         elif check == "a5":
-            rep = an.check_a5(model, 2.0, bounded_suite(model), mc, grid=grid_for(mc))
+            rep = an.check_a5(model, 2.0, bounded_suite(model), mc, grid=grid_for(mc, "a5"))
         elif check == "a6":
-            rep = an.check_a6(model, bounded_suite(model), mc, grid=grid_for(mc))
+            rep = an.check_a6(model, bounded_suite(model), mc, grid=grid_for(mc, "a6"))
             a6_fit = rep.fitted_constant
         elif check == "lemma31":
             rep = an.check_lemma31(mc)
@@ -399,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                                     workers)
                 fit_rep = an.check_a6(model, bounded_suite(model), small,
                                       calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
-                                      holdout=((T, 0.5),), grid=grid_for(small))
+                                      holdout=((T, 0.5),), grid=grid_for(small, "a6"))
                 constant = math.sqrt(max(fit_rep.fitted_constant, 1e-12) / T)
             f = observable("one_plus_tanh_y", model)
             rep = an.check_harnack_suite(model, T, _harnack_pairs(model), f,

@@ -7,14 +7,24 @@ SFC64 block i // 256 whatever batch asks for it (see ``rng``); they are
 assembled into arrays ordered by path index and reduced by a fixed pairwise tree.
 Serial and multi-worker runs, and any batch size, are therefore bitwise
 identical.
+
+Parallelism: ``parallel_map`` is the one place where work runs on threads.  It
+returns its results in input order, and a map called from inside a task of
+another map runs inline, so pools never nest and at most ``workers`` threads
+work at once.  The suite maps over its grid points, Harnack pairs, LemmaLL
+cases and bismut_vs_fd panels, whose estimator calls then run their batches
+inline; an estimator called on its own maps over its batches instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,6 +43,7 @@ __all__ = [
     "MCEstimate",
     "EstimationError",
     "pairwise_sum",
+    "parallel_map",
     "estimate_pt",
     "estimate_gradient_bismut",
     "estimate_gradient_fd",
@@ -99,6 +110,52 @@ def _chunks(n_paths: int, batch_size: int) -> list[tuple[int, int]]:
     return [(s, min(s + batch_size, n_paths)) for s in range(0, n_paths, batch_size)]
 
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+_task_thread = threading.local()
+
+
+def _cpu_shares(workers: int) -> list[set[int]]:
+    """The process's CPUs dealt round-robin into ``min(workers, #CPUs)`` shares;
+    empty where the platform cannot bind threads to CPUs."""
+    if not hasattr(os, "sched_getaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    k = min(workers, len(cpus))
+    return [set(cpus[i::k]) for i in range(k)]
+
+
+def _start_task_thread(shares: list[set[int]], counter: Iterator[int]) -> None:
+    """Mark a pool thread as a task thread and bind it to the next CPU share."""
+    _task_thread.active = True
+    if shares:
+        try:
+            os.sched_setaffinity(0, shares[next(counter) % len(shares)])
+        except OSError:
+            pass  # unbound threads give the same results, only less overlap
+
+
+def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) -> list[_R]:
+    """``[fn(x) for x in items]``, in input order, over up to ``workers`` threads.
+
+    Runs inline when ``workers <= 1``, when there is at most one item, or when
+    called from inside a task of another ``parallel_map``, so pools never nest.
+    The first exception raised by a task propagates.
+
+    Each pool thread is bound to its own share of the process's CPUs.  Unbound,
+    the scheduler kept both threads of a two-worker map on one CPU whenever
+    the tasks hand the GIL back and forth often (the suite's 1,250-path grid
+    points ran slower at two workers than at one on a 2-core Linux host).
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1 or getattr(_task_thread, "active", False):
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers, initializer=_start_task_thread,
+                            initargs=(_cpu_shares(workers), itertools.count())) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_batches(
     n_paths: int,
     column_names: Sequence[str],
@@ -107,26 +164,18 @@ def run_batches(
     batch_size: Optional[int] = None,
 ) -> tuple[dict, np.ndarray]:
     """Fill per-path columns chunk by chunk; placement by path index keeps the
-    result independent of worker count and completion order."""
+    result independent of worker count and completion order.
+
+    The batches go through ``parallel_map``: they overlap on ``workers`` threads
+    when the estimator is called on its own, and run inline when it is called
+    from a task of the suite's point-level map.
+    """
     batch_size = batch_size or DEFAULT_BATCH_SIZE
     cols = {name: np.empty(n_paths) for name in column_names}
     valid = np.empty(n_paths, dtype=bool)
     spans = _chunks(n_paths, batch_size)
-
-    def work(span):
-        start, stop = span
-        out, ok = batch_fn(start, stop)
-        return start, stop, out, ok
-
-    if workers <= 1:
-        results = map(work, spans)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(work, spans))
-        finally:
-            pool.shutdown(wait=True)
-    for start, stop, out, ok in results:
+    results = parallel_map(lambda span: batch_fn(*span), spans, workers)
+    for (start, stop), (out, ok) in zip(spans, results):
         for name in column_names:
             cols[name][start:stop] = out[name]
         valid[start:stop] = ok

@@ -1,6 +1,7 @@
 """Bound checkers, the intrinsic-distance upper bound, and the Harnack loop."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from gruschin.analysis import (
     suite_exit_code,
     xi_moment_growth_rate,
 )
-from gruschin import estimators, rng
+from gruschin import analysis, estimators, rng
 from gruschin.estimators import estimate_gradient_bismut, estimate_pt
 from gruschin.models import (
     Direction,
@@ -159,6 +160,82 @@ def test_a5_and_a6_reject_a_grid_built_for_other_inputs():
         check_a6(model, fs, McParams(300, 10, 1), grid=grid)
     with pytest.raises(ValueError, match="other inputs"):
         check_a5(model, 3.0, fs, McParams(200, 10, 1), grid=grid)
+
+
+def test_a5_alone_simulates_only_its_axes(monkeypatch):
+    # m = 3: A5 reads axes 0 and m, which share one simulation per batch; the
+    # other x axes, which only A6 reads, would add m - 1 more per grid point
+    calls = []
+    real = estimators.simulate_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "simulate_batch", counting)
+    model = make_power_law_model(3, 1, 1.0)
+    fs = [observable("tanh_y", model)]
+    rep = check_a5(model, 2.0, fs, McParams(200, 10, 3),
+                   calibration=((1.0, 1.0),), holdout=((1.0, 0.5),))
+    assert len(calls) == 2
+    assert [p.v for p in rep.points[:2]] == [((1.0, 0.0, 0.0), (0.0,)),
+                                             ((0.0, 0.0, 0.0), (1.0,))]
+
+
+def test_gradient_grid_axes_are_the_union_of_its_readers():
+    model = make_power_law_model(3, 2, 1.0)
+    fs = [observable("tanh_y", model)]
+    mc = McParams(200, 10, 1)
+    assert GradientGrid(model, fs, mc, readers=("a5",)).axes == (0, 3)
+    assert GradientGrid(model, fs, mc, readers=("a6",)).axes == (0, 1, 2, 3, 4)
+    assert GradientGrid(model, fs, mc).axes == (0, 1, 2, 3, 4)
+    with pytest.raises(ValueError, match="other inputs"):
+        check_a6(model, fs, mc, grid=GradientGrid(model, fs, mc, readers=("a5",)))
+
+
+def _record_threads(monkeypatch, name):
+    """Record the thread of every call of ``analysis.<name>``.  Once armed, the
+    first two calls wait for each other, so they pass only if they overlap."""
+    threads, armed = set(), []
+    barrier = threading.Barrier(2, timeout=30)
+    real = getattr(analysis, name)
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        try:
+            armed.pop()
+        except IndexError:
+            pass
+        else:
+            barrier.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, name, recording)
+    return threads, armed
+
+
+def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
+    model = make_power_law_model(1, 1, 1.0)
+    cases = [
+        ("estimate_negative_moment", lambda mc: check_lemma31(
+            mc, calibration=((0.25, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))),
+        ("check_harnack", lambda mc: check_harnack_suite(
+            model, 1.0, [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5)),
+                         ((1.0, 0.0), (1.5, 0.0))],
+            observable("one_plus_tanh_y", model), 1.0, mc)),
+        ("bismut_panel", lambda mc: check_a5(
+            model, 2.0, [observable("sin_y", model)], mc,
+            calibration=((1.0, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))),
+    ]
+    for name, run in cases:
+        threads, armed = _record_threads(monkeypatch, name)
+        serial = run(McParams(1000, 10, 59, workers=1))
+        threads.clear()
+        armed += [True, True]
+        parallel = run(McParams(1000, 10, 59, workers=2))
+        assert len(threads) >= 2, name
+        assert parallel == serial, name
+        assert parallel.points and parallel.points == serial.points
 
 
 def test_a6_gaussian_closed_form():

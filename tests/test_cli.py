@@ -189,6 +189,29 @@ def test_a6_override_gets_its_own_grid(tmp_path, monkeypatch):
         assert int(r["n_valid"]) + int(r["n_invalid"]) == size, r["experiment_id"]
 
 
+@pytest.mark.parametrize("checks, readers", [
+    (["a5"], [("a5",)]),
+    (["a5", "a6"], [("a5", "a6")]),
+    (["a6", "a5"], [("a5", "a6")]),
+])
+def test_a5_grid_carries_all_axes_only_when_a6_reads_it(tmp_path, monkeypatch, checks,
+                                                         readers):
+    built = []
+
+    class Recording(analysis.GradientGrid):
+        def __init__(self, *args, readers=("a5", "a6"), **kwargs):
+            built.append(tuple(readers))
+            super().__init__(*args, readers=readers, **kwargs)
+
+    monkeypatch.setattr(analysis, "GradientGrid", Recording)
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
+    body["suite"] = {"checks": checks}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    assert built == readers
+
+
 def test_rerun_and_worker_count_are_byte_identical(tmp_path):
     cfg = ExperimentConfig.from_dict(MINIMAL)
     run_experiment(cfg, workers=1, out_dir=str(tmp_path / "a"))

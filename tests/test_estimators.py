@@ -1,6 +1,10 @@
 """Monte Carlo estimators against closed forms, CRN exactness, moment oracles."""
 
 import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from gruschin.estimators import (
     fd_panel,
     lq_moment_rhs,
     pairwise_sum,
+    parallel_map,
     split_point,
 )
 from gruschin.models import (
@@ -458,3 +463,110 @@ def test_fd_panel_is_bitwise_a_central_difference_of_two_simulations(case):
             assert est.n_valid == n
             assert est.mean == mean
             assert est.stderr == stderr
+
+
+# ---------------------------------------------------------------------------
+# parallel_map
+# ---------------------------------------------------------------------------
+
+def _count_executors(monkeypatch) -> list:
+    built = []
+
+    class Counting(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers", args[0] if args else None))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", Counting)
+    return built
+
+
+def test_parallel_map_keeps_input_order_when_tasks_finish_out_of_order():
+    # item 0 cannot finish before item 1 has, so completion order is not input order
+    second_done = threading.Event()
+    finished = []
+
+    def task(k):
+        if k == 0:
+            assert second_done.wait(timeout=30)
+        finished.append(k)
+        if k == 1:
+            second_done.set()
+        return 10 * k
+
+    assert parallel_map(task, [0, 1, 2, 3], workers=2) == [0, 10, 20, 30]
+    assert finished.index(1) < finished.index(0)
+
+
+def test_parallel_map_keeps_order_under_oversubscribed_threads():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = parallel_map(lambda k: k * k, range(2000), workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [k * k for k in range(2000)]
+
+
+def test_parallel_map_nested_call_runs_inline(monkeypatch):
+    built = _count_executors(monkeypatch)
+
+    def outer(k):
+        return parallel_map(lambda j: (threading.get_ident(), k + j), [0, 1, 2], workers=4)
+
+    rows = parallel_map(outer, [10, 20], workers=2)
+    assert built == [2]  # the outer map's pool; the inner maps build none
+    assert [[v for _, v in row] for row in rows] == [[10, 11, 12], [20, 21, 22]]
+    for row in rows:  # an inner map runs on the thread of its outer task
+        assert len({ident for ident, _ in row}) == 1
+
+
+def test_parallel_map_builds_no_executor_for_one_item_or_one_worker(monkeypatch):
+    built = _count_executors(monkeypatch)
+    assert parallel_map(lambda k: k + 1, [5], workers=4) == [6]
+    assert parallel_map(lambda k: k + 1, [], workers=4) == []
+    assert parallel_map(lambda k: k + 1, [1, 2, 3], workers=1) == [2, 3, 4]
+    assert built == []
+
+
+def test_cpu_shares_deal_the_process_cpus_round_robin(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5, 6, 7})
+    assert estimators._cpu_shares(2) == [{0, 2, 4, 6}, {1, 3, 5, 7}]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 6})
+    assert estimators._cpu_shares(8) == [{4}, {6}]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_parallel_map_binds_its_threads_to_disjoint_cpu_shares():
+    mask = os.sched_getaffinity(0)
+    barrier = threading.Barrier(2, timeout=30)
+
+    def task(_):
+        barrier.wait()  # both pool threads are alive at once
+        return frozenset(os.sched_getaffinity(0))
+
+    a, b = parallel_map(task, [0, 1], workers=2)
+    assert a and b and not a & b and a | b <= mask
+    assert os.sched_getaffinity(0) == mask  # the calling thread keeps its CPUs
+
+
+def test_parallel_map_propagates_a_task_exception():
+    def task(k):
+        if k == 2:
+            raise ValueError("task 2")
+        return k
+
+    with pytest.raises(ValueError, match="task 2"):
+        parallel_map(task, range(4), workers=2)
+
+
+def test_panel_called_directly_overlaps_its_batches(monkeypatch):
+    built = _count_executors(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    a = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000)
+    b = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000,
+                     workers=2)
+    assert built == [2]
+    assert a == b
