@@ -15,6 +15,7 @@ from .models import (
     make_constant_identity_model,
     make_extended_demo_model,
     make_power_law_model,
+    make_tilted_matrix_model,
     observable,
 )
 from .paths import (

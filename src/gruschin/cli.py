@@ -35,9 +35,7 @@ from .models import (
 from .paths import (
     TimeGrid,
     brownian_increments,
-    simulate_basic_batch,
     simulate_batch,
-    simulate_extended_batch,
 )
 from .rng import derive_seed
 from .weights import weight_terms_batch
@@ -48,6 +46,9 @@ KNOWN_CHECKS = ("bismut_vs_fd", "a5", "a6", "lemma31", "lemma_ll", "harnack", "r
 
 # absolute allowance for the O(eps^2) central-difference bias in agreement checks
 FD_BIAS_ALLOWANCE = 1e-3
+
+# builtins built for one shape only; their points and directions must match it
+_FIXED_DIMS = {"extended_demo": (1, 1), "tilted_matrix": (1, 2)}
 
 CSV_FIELDS = ("experiment_id", "quantity", "mean", "stderr", "n_valid",
               "n_invalid", "seed", "T", "z0", "v", "n_steps")
@@ -140,6 +141,10 @@ class ExperimentConfig:
             raise ConfigError("model.m must be a positive integer")
         if model.d < 1:
             raise ConfigError("model.d must be a positive integer")
+        fixed = _FIXED_DIMS.get(builtin)
+        if fixed is not None and (model.m, model.d) != fixed:
+            raise ConfigError(f"model {builtin} has (m, d) = {fixed}, "
+                              f"got ({model.m}, {model.d})")
 
         rraw = raw["run"]
         seed = need(rraw, "run", "master_seed")
@@ -341,8 +346,10 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     idx = np.arange(n, dtype=np.int64)
     seed = derive_seed(mc.seed, "reduction")
     noise = tuple(brownian_increments(seed, idx, grid, (model.m, model.d)))
-    bb = simulate_basic_batch(model, x0, y0, v, grid, seed, idx, increments=noise)
-    eb = simulate_extended_batch(ext, x0, y0, v, grid, seed, idx, increments=noise)
+    # the two kernels only read the shared noise, so they run side by side
+    bb, eb = parallel_map(
+        lambda mdl: simulate_batch(mdl, x0, y0, v, grid, seed, idx, increments=noise),
+        [model, ext], mc.workers)
     db, tb, ib, okb = weight_terms_batch(bb, v, T)
     de, te, ie, oke = weight_terms_batch(eb, v, T)
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
@@ -372,6 +379,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             "suite.checks: a5 requires a model with comparability constants "
             "(power_law or extended_demo)"
         )
+    if "harnack" in cfg.suite.checks and model.m + model.d != 2:
+        raise ConfigError("suite.checks: harnack has point pairs for m + d = 2 only, "
+                          f"got m + d = {model.m + model.d}")
     rows: list[dict] = []
     checks: list[an.BoundCheckReport] = []
 
@@ -474,6 +484,7 @@ def _cmd_list_builtins(_args) -> int:
     print("  constant_identity    sigma = I; both components Brownian")
     print("  extended_demo        sigma1 = 1+0.25 tanh x, b1 = -0.3 tanh x, "
           "sigma2 = x, b2 = 0.5 sin x")
+    print("  tilted_matrix        sigma(x) = x [[1, 1/2], [tanh(x)/2, 1]]; m=1, d=2")
     print()
     print("test functions (closed forms noted where exact):")
     print("  one                 P_T f = 1")

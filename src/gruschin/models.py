@@ -33,6 +33,7 @@ __all__ = [
     "make_power_law_model",
     "make_constant_identity_model",
     "make_extended_demo_model",
+    "make_tilted_matrix_model",
     "as_extended",
     "builtin_model",
     "BUILTIN_MODELS",
@@ -335,7 +336,42 @@ def make_extended_demo_model() -> ModelSpec:
     )
 
 
-BUILTIN_MODELS = ("power_law", "constant_identity", "extended_demo")
+def make_tilted_matrix_model() -> ModelSpec:
+    """m = 1, d = 2 basic model with a non-diagonal sigma that vanishes at x = 0.
+
+        sigma(x) = x * [[1, 1/2], [tanh(x)/2, 1]]
+
+    det sigma = x^2 (1 - tanh(x)/4) > 0 away from 0, and sigma sigma^* has nonzero
+    off-diagonal entries, so it runs the matrix kernel, eigvalsh and the
+    Cholesky solve of the weight on a genuinely coupled Y.
+    """
+
+    def sigma(x):
+        xx = np.asarray(x)[..., 0]
+        out = np.empty(xx.shape + (2, 2))
+        out[..., 0, 0] = xx
+        out[..., 0, 1] = 0.5 * xx
+        out[..., 1, 0] = 0.5 * xx * np.tanh(xx)
+        out[..., 1, 1] = xx
+        return out
+
+    def grad_sigma(x, v):
+        xa = np.asarray(x)
+        xx = xa[..., 0]
+        vv = np.broadcast_to(np.asarray(v, dtype=float), xa.shape)[..., 0]
+        t = np.tanh(xx)
+        out = np.empty(xx.shape + (2, 2))
+        out[..., 0, 0] = vv
+        out[..., 0, 1] = 0.5 * vv
+        out[..., 1, 0] = 0.5 * (t + xx * (1.0 - t * t)) * vv
+        out[..., 1, 1] = vv
+        return out
+
+    return ModelSpec(m=1, d=2, kind=ModelKind.BASIC, sigma=sigma,
+                     grad_sigma=grad_sigma, name="tilted_matrix")
+
+
+BUILTIN_MODELS = ("power_law", "constant_identity", "extended_demo", "tilted_matrix")
 
 
 def builtin_model(name: str, m: int = 1, d: int = 1, l: float = 1.0) -> ModelSpec:
@@ -345,6 +381,8 @@ def builtin_model(name: str, m: int = 1, d: int = 1, l: float = 1.0) -> ModelSpe
         return make_constant_identity_model(m, d)
     if name == "extended_demo":
         return make_extended_demo_model()
+    if name == "tilted_matrix":
+        return make_tilted_matrix_model()
     raise ValueError(f"unknown builtin model {name!r}; choose from {BUILTIN_MODELS}")
 
 

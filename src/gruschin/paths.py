@@ -12,6 +12,16 @@ All discretization is left-point (Ito):
 Time integrals are evaluated as T * mean(integrand over left nodes), which equals
 the left Riemann sum but is exact for constant integrands.
 
+The basic kernel has two forms.  A scalar-times-identity sigma works on (P, n)
+arrays of the scalar field.  Any other sigma is laid out once as a contiguous
+(P, d, n*d) operand A with A[p, i, k*d + j] = sigma_ij(X_k), and the weighted
+gradient ((T-t_k)/T) grad sigma(X_k) as B in the same layout.  Step and column
+then form one contraction axis, and the four accumulators are batched matrix
+products: Q_T = T (A A^*)/n, the trace term T (B A^*)/n, and the stochastic
+integrals B dBt and A dBt with dBt flattened to (P, n*d).  Each path's
+products read only its own rows, so a path gives the same bits alone as in
+any batch.
+
 Every coefficient depends on x alone, so on fixed noise Y_T - y0 does not depend
 on y0: a shift of y0 only translates Y_T.  Both kernels add y0 last, after every
 increment of Y is summed, so the translation is exact in floating point:
@@ -139,6 +149,32 @@ def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, b_final
 
 
+def _noise(master_seed: int, path_indices: np.ndarray, grid: TimeGrid,
+           widths: tuple[int, int], substream: int,
+           increments: Optional[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (dB, dBt) a kernel runs on: drawn, or the caller's override once its
+    shapes (P, n_steps, m) and (P, n_steps, d) are checked."""
+    if increments is None:
+        return tuple(brownian_increments(master_seed, path_indices, grid, widths, substream))
+    dB, dBt = increments
+    P, n = len(path_indices), grid.n_steps
+    if np.shape(dB) != (P, n, widths[0]) or np.shape(dBt) != (P, n, widths[1]):
+        raise ValueError(f"increment override has shapes {np.shape(dB)} and {np.shape(dBt)}; "
+                         f"expected ({P}, {n}, {widths[0]}) and ({P}, {n}, {widths[1]})")
+    return dB, dBt
+
+
+def _row_major_steps(field) -> np.ndarray:
+    """A fresh contiguous (P, d, n*d) copy of coefficient values (P, n, d, d).
+
+    Row i of the matrix at step k sits at columns k*d .. k*d + d - 1, so a
+    product over that axis sums over steps and matrix columns at once.
+    """
+    arr = np.asarray(field, dtype=float)
+    P, n, d, _ = arr.shape
+    return np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(P, d, n * d)
+
+
 def _batch_radius(x: np.ndarray) -> np.ndarray:
     if x.shape[-1] == 1:
         return np.abs(x[..., 0])
@@ -159,7 +195,8 @@ def simulate_basic_batch(
     """Simulate a batch of basic-model paths and accumulate all weight functionals.
 
     ``increments`` overrides the generated Brownian increments (arrays of shape
-    (P, n_steps, m) and (P, n_steps, d)); used by refinement-coupling tests.
+    (P, n_steps, m) and (P, n_steps, d), checked); used by refinement-coupling
+    tests and by runs that share one draw between kernels.
     """
     if model.kind is not ModelKind.BASIC:
         raise ValueError("simulate_basic_batch expects a basic model")
@@ -169,12 +206,7 @@ def simulate_basic_batch(
     path_indices = np.asarray(path_indices, dtype=np.int64)
     n, T = grid.n_steps, grid.horizon
 
-    if increments is None:
-        dB, dBt = brownian_increments(master_seed, path_indices, grid, (m, d), substream)
-    else:
-        dB, dBt = increments
-        if dB.shape != (len(path_indices), n, m) or dBt.shape != (len(path_indices), n, d):
-            raise ValueError("increment override has wrong shape")
+    dB, dBt = _noise(master_seed, path_indices, grid, (m, d), substream, increments)
     P = len(path_indices)
 
     x_left, b_final = brownian_left_nodes(x0, dB)
@@ -194,12 +226,17 @@ def simulate_basic_batch(
         ssi = (s[:, :, None] * dBt).sum(axis=1)
         min_eig = q_scalar
     else:
-        S = np.asarray(model.sigma(x_left), dtype=float)              # (P, n, d, d)
-        G = np.asarray(model.grad_sigma(x_left, v.v1), dtype=float)
-        q_matrix = T * np.einsum("pnij,pnkj->pik", S, S) / n
-        trace_integral = T * np.einsum("n,pnij,pnkj->pik", w, G, S) / n
-        wsi = np.einsum("n,pnij,pnj->pi", w, G, dBt)
-        ssi = np.einsum("pnij,pnj->pi", S, dBt)
+        # A and B as in the module docstring; each callback's array is freed as
+        # soon as it is copied, so at most three (P, n, d, d) arrays are alive
+        A = _row_major_steps(model.sigma(x_left))                     # (P, d, n*d)
+        B = _row_major_steps(model.grad_sigma(x_left, v.v1))
+        B *= np.repeat(w, d)                                          # w_k on step k
+        At = A.transpose(0, 2, 1)
+        q_matrix = T * (A @ At) / n
+        trace_integral = T * (B @ At) / n
+        dbt = dBt.reshape(P, n * d, 1)
+        wsi = (B @ dbt)[..., 0]
+        ssi = (A @ dbt)[..., 0]
         min_eig = np.linalg.eigvalsh(q_matrix)[:, 0]
 
     y_final = y0 + ssi
@@ -256,6 +293,7 @@ def simulate_extended_batch(
     The xi step is exact for the singular part of the drift:
     xi_{k+1} = ((T-t_{k+1})/(T-t_k)) * [xi_k + (grad_xi sigma1) dB + (grad_xi b1) dt],
     so the factor at the last step is exactly 0 and xi lands on 0 at t = T.
+    ``increments`` overrides the Brownian increments as in ``simulate_basic_batch``.
     """
     if model.kind is not ModelKind.EXTENDED:
         raise ValueError("simulate_extended_batch expects an extended model")
@@ -265,10 +303,7 @@ def simulate_extended_batch(
     path_indices = np.asarray(path_indices, dtype=np.int64)
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
-    if increments is None:
-        dB, dBt = brownian_increments(master_seed, path_indices, grid, (m, d), substream)
-    else:
-        dB, dBt = increments
+    dB, dBt = _noise(master_seed, path_indices, grid, (m, d), substream, increments)
     P = len(path_indices)
 
     times = grid.times()

@@ -34,6 +34,7 @@ from gruschin.models import (
     make_constant_identity_model,
     make_extended_demo_model,
     make_power_law_model,
+    make_tilted_matrix_model,
     observable,
 )
 from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
@@ -86,22 +87,26 @@ def test_criterion_02_degenerate_closed_form():
 def test_criterion_03_bismut_vs_fd_matrix():
     t0 = time.perf_counter()
     n_paths, n_steps = 20_000, 100
-    points = [(1.0, 0.0), (-0.5, 0.5), (2.0, 1.0)]
+    # (label, model, directions, points): the scalar kernel on power_law, and the
+    # matrix kernel on a non-diagonal sigma with m=1, d=2
+    axes3 = [Direction.make([1.0], [0.0, 0.0]), Direction.make([0.0], [1.0, 0.0]),
+             Direction.make([0.0], [0.0, 1.0])]
+    cases = [(l, make_power_law_model(1, 1, l), [EX, EY],
+              [(1.0, 0.0), (-0.5, 0.5), (2.0, 1.0)]) for l in (1.0, 2.0)]
+    cases.append(("tilted_matrix", make_tilted_matrix_model(), axes3,
+                  [(1.0, 0.0, 0.0), (-0.5, 0.5, 0.5), (2.0, 1.0, -1.0)]))
     n_combo, n_fail, n_invalid = 0, 0, 0
     worst = -math.inf
-    for l in (1.0, 2.0):
-        model = make_power_law_model(1, 1, l)
+    for label, model, vs, points in cases:
         fs = crosscheck_suite(model)
         for T in (0.25, 1.0):
             for z0 in points:
-                sb = derive_seed(103, f"b:{l}:{T}:{z0}")
-                sf = derive_seed(103, f"f:{l}:{T}:{z0}")
-                pb = bismut_panel(model, list(z0), T, fs, [EX, EY],
-                                  n_paths, n_steps, sb)
-                pf = fd_panel(model, list(z0), T, fs, [EX, EY],
-                              n_paths, n_steps, sf)
+                sb = derive_seed(103, f"b:{label}:{T}:{z0}")
+                sf = derive_seed(103, f"f:{label}:{T}:{z0}")
+                pb = bismut_panel(model, list(z0), T, fs, vs, n_paths, n_steps, sb)
+                pf = fd_panel(model, list(z0), T, fs, vs, n_paths, n_steps, sf)
                 for f in fs:
-                    for j in range(2):
+                    for j in range(len(vs)):
                         b = pb[("grad", f.name, j)]
                         d = pf[("grad_fd", f.name, j)]
                         n_combo += 1

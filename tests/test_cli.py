@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -285,6 +286,64 @@ def test_extended_demo_suite_runs(tmp_path):
     code, lines = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert code == 0
     assert any("skipped: model already extended" in ln for ln in lines)
+
+
+def test_tilted_matrix_suite_runs(tmp_path, capsys):
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"] = {"builtin": "tilted_matrix", "m": 1, "d": 2}
+    body["run"]["points"] = [[1.0, 0.0, 0.5]]
+    body["run"]["directions"] = [[[1.0], [0.0, 0.0]], [[0.0], [0.0, 1.0]]]
+    body["run"]["n_steps"] = 30
+    body["suite"] = {"checks": ["bismut_vs_fd", "reduction"]}
+    code, lines = run_experiment(ExperimentConfig.from_dict(body),
+                                 out_dir=str(tmp_path / "out"))
+    assert code == 0
+    assert any(ln.startswith("ExtendedReduction: passed") for ln in lines)
+    assert main(["list-builtins"]) == 0
+    assert "tilted_matrix" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("builtin,m,d", [("tilted_matrix", 1, 1), ("extended_demo", 1, 2)])
+def test_fixed_shape_builtin_refuses_other_dimensions(tmp_path, builtin, m, d):
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"] = {"builtin": builtin, "m": m, "d": d}
+    body["run"]["points"] = [[1.0] * (m + d)]
+    body["run"]["directions"] = [[[1.0] * m, [0.0] * d]]
+    with pytest.raises(ConfigError, match=builtin):
+        ExperimentConfig.from_file(write_config(tmp_path, body))
+
+
+def test_harnack_on_three_coordinates_is_a_config_error(tmp_path):
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"] = {"builtin": "tilted_matrix", "m": 1, "d": 2}
+    body["run"]["points"] = [[1.0, 0.0, 0.0]]
+    body["run"]["directions"] = [[[1.0], [0.0, 0.0]]]
+    body["suite"] = {"checks": ["harnack"]}
+    cfg_path = write_config(tmp_path, body)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_reduction_runs_its_two_kernels_side_by_side(tmp_path, monkeypatch):
+    # at two workers the basic and extended kernels overlap: each waits for the
+    # other at a barrier before it simulates, and the artifacts stay the same
+    body = json.loads(json.dumps(MINIMAL))
+    body["suite"] = {"checks": ["reduction"]}
+    cfg = ExperimentConfig.from_dict(body)
+    run_experiment(cfg, workers=1, out_dir=str(tmp_path / "w1"))
+    barrier = threading.Barrier(2, timeout=30)
+    kinds, real = [], cli.simulate_batch
+
+    def waiting(model, *args, **kwargs):
+        kinds.append(model.kind)
+        barrier.wait()
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_batch", waiting)
+    code, _ = run_experiment(cfg, workers=2, out_dir=str(tmp_path / "w2"))
+    assert code == 0
+    assert sorted(k.value for k in kinds) == ["basic", "extended"]
+    for name in ("results.csv", "results.json", "report.md"):
+        assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
 
 def test_cli_run_exit_codes(tmp_path):

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
+from gruschin.estimators import bismut_panel, fd_panel
 from gruschin.models import (
     Direction,
     ModelKind,
     ModelSpec,
     as_extended,
+    crosscheck_suite,
     make_constant_identity_model,
     make_extended_demo_model,
     make_power_law_model,
+    make_tilted_matrix_model,
 )
 from gruschin.paths import (
     TimeGrid,
     brownian_increments,
+    brownian_left_nodes,
     simulate_basic_batch,
     simulate_extended_batch,
 )
@@ -85,6 +89,58 @@ def test_matrix_kernel_matches_scalar_kernel():
 
 def V11_d2():
     return Direction.make([1.0], [1.0, 1.0])
+
+
+def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
+    # every accumulator written out as the defining sum over steps and columns
+    model = make_tilted_matrix_model()
+    grid = TimeGrid(0.8, 60)
+    v = Direction.make([0.7], [0.3, -0.2])
+    idx = np.arange(300)
+    batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, 71, idx)
+
+    dB, dBt = brownian_increments(71, idx, grid, (1, 2))
+    x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
+    S = model.sigma(x_left)
+    G = model.grad_sigma(x_left, v.v1)
+    w, T, n = grid.decay_weights(), grid.horizon, grid.n_steps
+    assert np.abs(S[..., 1, 0]).max() > 0.1  # sigma really is off-diagonal
+    q = T * np.einsum("pnij,pnkj->pik", S, S) / n
+    want = {
+        "q_matrix": q,
+        "trace_integral": T * np.einsum("n,pnij,pnkj->pik", w, G, S) / n,
+        "weighted_stoch_integral": np.einsum("n,pnij,pnj->pi", w, G, dBt),
+        "sigma_stoch_integral": np.einsum("pnij,pnj->pi", S, dBt),
+        "min_eig_q": np.linalg.eigvalsh(q)[:, 0],
+    }
+    for name, ref in want.items():
+        np.testing.assert_allclose(getattr(batch, name), ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max(), err_msg=name)
+    assert np.abs(q[:, 0, 1]).min() > 0.0
+    assert batch.valid.all()
+
+
+def test_matrix_kernel_path_alone_equals_path_in_batch():
+    model = make_tilted_matrix_model()
+    grid = TimeGrid(1.0, 100)
+    v = Direction.make([1.0], [0.0, 1.0])
+    big = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid, 73, np.arange(1024))
+    one = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid, 73, path_indices=[7])
+    for name in ("q_matrix", "trace_integral", "weighted_stoch_integral",
+                 "sigma_stoch_integral", "y_final", "min_eig_q"):
+        assert np.array_equal(getattr(one, name)[0], getattr(big, name)[7]), name
+
+
+def test_matrix_panels_invariant_to_workers_and_batch_size():
+    model = make_tilted_matrix_model()
+    fs = crosscheck_suite(model)
+    vs = [Direction.make([1.0], [0.0, 0.0]), Direction.make([0.0], [1.0, 0.0]),
+          Direction.make([0.0], [0.0, 1.0])]
+    args = (model, [1.0, 0.0, 0.0], 1.0, fs, vs, 2048, 20, 79)
+    for panel in (bismut_panel, fd_panel):
+        ref = panel(*args, workers=1, batch_size=1024)
+        assert ref == panel(*args, workers=2, batch_size=1024), panel.__name__
+        assert ref == panel(*args, workers=1, batch_size=256), panel.__name__
 
 
 def test_step_halving_is_first_order():
@@ -243,6 +299,35 @@ def test_brownian_increments_split_across_a_partial_block():
     tail = brownian_increments(61, np.arange(300, 1250), grid, (1, 2))
     for w, h, t in zip(whole, head, tail):
         assert np.array_equal(w, np.concatenate([h, t]))
+
+
+def test_extended_increment_override_of_its_own_draw_changes_nothing():
+    model = make_extended_demo_model()
+    grid = TimeGrid(1.0, 20)
+    idx = np.arange(4)
+    own = brownian_increments(83, idx, grid, (1, 1))
+    drawn = simulate_extended_batch(model, [1.0], [0.0], V11, grid, 83, idx)
+    given = simulate_extended_batch(model, [1.0], [0.0], V11, grid, 83, idx,
+                                    increments=tuple(own))
+    assert np.array_equal(drawn.y_final, given.y_final)
+
+
+def test_extended_override_for_one_path_is_refused_for_four():
+    model = make_extended_demo_model()
+    grid = TimeGrid(1.0, 20)
+    one_path = tuple(brownian_increments(83, [0], grid, (1, 1)))
+    with pytest.raises(ValueError, match="increment override"):
+        simulate_extended_batch(model, [1.0], [0.0], V11, grid, 83, np.arange(4),
+                                increments=one_path)
+
+
+def test_extended_override_with_more_steps_than_the_grid_is_refused():
+    model = make_extended_demo_model()
+    idx = np.arange(4)
+    fine = tuple(brownian_increments(83, idx, TimeGrid(1.0, 40), (1, 1)))
+    with pytest.raises(ValueError, match="increment override"):
+        simulate_extended_batch(model, [1.0], [0.0], V11, TimeGrid(1.0, 20), 83, idx,
+                                increments=fine)
 
 
 def test_nonfinite_coefficients_flag_paths_invalid():
