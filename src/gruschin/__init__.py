@@ -3,6 +3,7 @@ degenerate diffusion semigroups."""
 
 from .models import (
     Direction,
+    Family,
     ModelKind,
     ModelSpec,
     PowerParams,
@@ -11,7 +12,6 @@ from .models import (
     bounded_suite,
     builtin_model,
     crosscheck_suite,
-    gamma1,
     make_constant_identity_model,
     make_extended_demo_model,
     make_power_law_model,

@@ -4,9 +4,9 @@ the intrinsic-distance upper bound, and the Harnack inequality.
 The bounds assert existence of constants, so verification is two-grid: a constant
 is fitted as the maximum normalized ratio on a calibration grid, then a disjoint
 holdout grid must stay below 1.2x the fit plus statistical tolerance.  The
-intrinsic distance is never computed exactly; only a constructive subunit-curve
-upper bound is used, which makes a detected Harnack violation meaningful while
-satisfaction is consistent.
+intrinsic distance is exact (Euclidean) only for the heat family; otherwise a
+constructive subunit-curve upper bound is used, which makes a detected Harnack
+violation meaningful while satisfaction is consistent.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ from .estimators import (
     pt_panel,
     split_point,
 )
-from .models import Direction, ModelSpec, TestFunction
-from .paths import (
-    TimeGrid,
-    brownian_increments,
-    brownian_left_nodes,
-    simulate_batch,
-    simulate_extended_batch,
-)
+from .models import Direction, Family, ModelSpec, TestFunction
+from .paths import TimeGrid, brownian_increments, brownian_left_nodes, simulate_batch
 from .rng import derive_seed
 
 __all__ = [
@@ -53,8 +47,6 @@ __all__ = [
     "euclidean_distance",
     "check_harnack",
     "check_harnack_suite",
-    "xi_moment_growth_rate",
-    "check_xi_moment_bound",
     "IntegrabilityDiagnostic",
     "integrability_diagnostic",
     "suite_exit_code",
@@ -562,8 +554,10 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
                   rho: Optional[float] = None) -> HarnackResult:
     """Test P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')) with 4-sigma bands.
 
-    ``rho`` defaults to the subunit-curve upper bound (power-law models) or the
-    Euclidean distance (constant identity).  P f(z'), P f^2(z') and P f(z) come
+    ``rho`` defaults to the exact Euclidean distance when the model declares
+    ``Family.HEAT`` (sigma = I), and otherwise to the subunit-curve upper bound,
+    which needs an m = d = 1 model with power-law constants and raises
+    ``ValueError`` for any other.  P f(z'), P f^2(z') and P f(z) come
     from one ``pt_panel``: one noise draw per batch drives both base points, and
     the three estimates share one validity mask, so the z = z' case holds with
     exact equality.
@@ -576,7 +570,7 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     _assert_nonnegative(model, f, z_prime, T, derive_seed(mc.seed, label + ":probe"))
 
     if rho is None:
-        if model.name.startswith("constant_identity"):
+        if model.family is Family.HEAT:
             rho = euclidean_distance(z, z_prime)
         else:
             rho = rho_upper_bound(model, z, z_prime).bound
@@ -631,63 +625,6 @@ def check_harnack_suite(model: ModelSpec, T: float,
     report.verdict = (BoundCheckVerdict.VIOLATED if violated
                       else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary-process moment growth
-# ---------------------------------------------------------------------------
-
-def xi_moment_growth_rate(model: ModelSpec) -> Optional[float]:
-    """Growth constant for E|xi_t|^2 <= (T-t) (|v1|^2/T) e^{Ct} from declared bounds.
-
-    C = 2 sup||grad b1|| + m (sup||grad sigma1||)^2; None when bounds are missing
-    (the check is then skipped and logged by the caller).
-    """
-    bounds = model.derivative_bounds
-    if "grad_b1" not in bounds or "grad_sigma1" not in bounds:
-        return None
-    return 2.0 * bounds["grad_b1"] + model.m * bounds["grad_sigma1"] ** 2
-
-
-def check_xi_moment_bound(model: ModelSpec, x0, v1, T: float, mc: McParams,
-                          ) -> tuple[Optional[bool], float]:
-    """Sample-mean check of E|xi_t|^2 <= (T-t)(|v1|^2/T) e^{Ct} at every grid node.
-
-    Returns (ok, worst_excess); ok is None when the model declares no derivative
-    bounds.  The bound is tested up to five standard errors per node.
-    """
-    growth = xi_moment_growth_rate(model)
-    if growth is None:
-        return None, float("nan")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    v1 = np.atleast_1d(np.asarray(v1, dtype=float))
-    grid = TimeGrid(T, mc.n_steps)
-    v = Direction(v1, np.zeros(model.d))
-    n = grid.n_steps
-
-    sum_sq = np.zeros(n + 1)
-    sum_quad = np.zeros(n + 1)
-    total = 0
-    chunk = 4096
-    for start in range(0, mc.n_paths, chunk):
-        stop = min(start + chunk, mc.n_paths)
-        idx = np.arange(start, stop, dtype=np.int64)
-        batch = simulate_extended_batch(
-            model, x0, np.zeros(model.d), v, grid, mc.seed, idx, record_xi=True
-        )
-        sq = np.sum(batch.xi_path**2, axis=2)   # (P, n+1)
-        sum_sq += sq.sum(axis=0)
-        sum_quad += (sq**2).sum(axis=0)
-        total += len(idx)
-
-    mean_sq = sum_sq / total
-    var = np.maximum(sum_quad / total - mean_sq**2, 0.0)
-    se = np.sqrt(var / total)
-    times = grid.times()
-    v1_sq = float(np.dot(v1, v1))
-    bound = (T - times) * (v1_sq / T) * np.exp(growth * times)
-    excess = mean_sq - (bound + 5.0 * se)
-    return bool(np.all(excess <= 0.0)), float(excess.max())
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .estimators import bismut_panel, fd_panel, parallel_map
 from .models import (
     BUILTIN_MODELS,
     Direction,
+    Family,
     ModelKind,
     ModelSpec,
     TEST_FUNCTION_NAMES,
@@ -46,9 +47,6 @@ KNOWN_CHECKS = ("bismut_vs_fd", "a5", "a6", "lemma31", "lemma_ll", "harnack", "r
 
 # absolute allowance for the O(eps^2) central-difference bias in agreement checks
 FD_BIAS_ALLOWANCE = 1e-3
-
-# builtins built for one shape only; their points and directions must match it
-_FIXED_DIMS = {"extended_demo": (1, 1), "tilted_matrix": (1, 2)}
 
 CSV_FIELDS = ("experiment_id", "quantity", "mean", "stderr", "n_valid",
               "n_invalid", "seed", "T", "z0", "v", "n_steps")
@@ -141,9 +139,13 @@ class ExperimentConfig:
             raise ConfigError("model.m must be a positive integer")
         if model.d < 1:
             raise ConfigError("model.d must be a positive integer")
-        fixed = _FIXED_DIMS.get(builtin)
-        if fixed is not None and (model.m, model.d) != fixed:
-            raise ConfigError(f"model {builtin} has (m, d) = {fixed}, "
+        try:
+            built = builtin_model(builtin, model.m, model.d, model.l)
+        except ValueError as exc:
+            raise ConfigError(f"model {builtin}: {exc}") from None
+        # a builtin built for one shape only ignores model.m and model.d
+        if (built.m, built.d) != (model.m, model.d):
+            raise ConfigError(f"model {builtin} has (m, d) = ({built.m}, {built.d}), "
                               f"got ({model.m}, {model.d})")
 
         rraw = raw["run"]
@@ -361,7 +363,7 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
 
 
 def _harnack_pairs(model: ModelSpec):
-    if model.name.startswith("constant_identity"):
+    if model.family is Family.HEAT:
         return [((0.0, 0.0), (0.0, 0.0)), ((0.3, 0.0), (0.8, 0.4)),
                 ((1.0, 0.0), (1.0, 0.5)), ((-0.5, 0.2), (0.5, -0.2)),
                 ((0.0, 1.0), (0.4, 1.4))]
@@ -414,7 +416,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             rep = an.check_lemma_ll(mc, T=cfg.run.horizons[0])
         elif check == "harnack":
             T = cfg.run.horizons[0]
-            if model.name.startswith("constant_identity"):
+            if model.family is Family.HEAT:
                 constant = 1.0 / math.sqrt(T)   # exact for the Gaussian semigroup
             elif a6_fit is not None and math.isfinite(a6_fit) and a6_fit > 0:
                 constant = math.sqrt(a6_fit / T)
@@ -486,14 +488,16 @@ def _cmd_list_builtins(_args) -> int:
           "sigma2 = x, b2 = 0.5 sin x")
     print("  tilted_matrix        sigma(x) = x [[1, 1/2], [tanh(x)/2, 1]]; m=1, d=2")
     print()
-    print("test functions (closed forms noted where exact):")
+    print("test functions (closed forms noted where exact; a model's declared family")
+    print("decides: linear = power_law l=1, m=d=1; heat = constant_identity):")
     print("  one                 P_T f = 1")
     print("  sin_x               P_T f = exp(-T/2) sin x          (any basic model, m=1)")
     print("  cos_x               P_T f = exp(-T/2) cos x          (any basic model, m=1)")
     print("  sin_y               P_T f = sin(y) sech(T)^(1/2) exp(-(x^2/2) tanh T)"
-          "  (power_law l=1, m=d=1)")
-    print("  y_squared           P_T f = y^2 + x^2 T + T^2/2      (power_law l=1, m=d=1)")
-    print("                      P_T f = y^2 + T                  (constant_identity)")
+          "  (linear)")
+    print("                      P_T f = exp(-T/2) sin y          (heat, m=d=1)")
+    print("  y_squared           P_T f = y^2 + x^2 T + T^2/2      (linear)")
+    print("                      P_T f = y^2 + T                  (heat, d=1)")
     print("  x_plus_y            P_T f = x + y                    (any basic model)")
     print("  tanh_y, sin_xy, one_plus_tanh_y   (bounded, no closed form)")
     print()

@@ -1,4 +1,4 @@
-"""Coefficient fields of the degenerate diffusion, its square field, and test observables.
+"""Coefficient fields of the degenerate diffusion, their declared families, and test observables.
 
 The basic model is the system
 
@@ -19,13 +19,14 @@ Directional derivatives accept a direction of shape (m,) or broadcastable (..., 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "ModelKind",
+    "Family",
     "PowerParams",
     "Direction",
     "ModelSpec",
@@ -41,9 +42,6 @@ __all__ = [
     "bounded_suite",
     "crosscheck_suite",
     "TEST_FUNCTION_NAMES",
-    "gamma1",
-    "spectral_norm",
-    "power_comparability_margins",
 ]
 
 Array = np.ndarray
@@ -52,6 +50,18 @@ Array = np.ndarray
 class ModelKind(enum.Enum):
     BASIC = "basic"
     EXTENDED = "extended"
+
+
+class Family(enum.Enum):
+    """A diffusion whose laws are known in closed form.
+
+    HEAT: sigma = I, so (X, Y) is a Brownian motion and the intrinsic distance
+    is Euclidean.  LINEAR: basic, m = d = 1, sigma(x) = x (the l = 1 case of
+    the power law).  A model declares its family; its name is only a label.
+    """
+
+    HEAT = "heat"
+    LINEAR = "linear"
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,9 @@ class ModelSpec:
     ``sigma``/``grad_sigma`` always refer to the diffusion matrix of the Y-equation
     (sigma2 when kind is EXTENDED).  When the matrix is scalar-times-identity the
     ``*_scalar`` closures are set and simulation uses the cheaper scalar kernel.
+    ``family`` is set only when the coefficients are exactly those of a
+    ``Family``; the closed forms, the exact Harnack constant and the Euclidean
+    distance are read from it.
     """
 
     m: int
@@ -100,6 +113,7 @@ class ModelSpec:
     sigma_scalar: Optional[Callable[[Array], Array]] = None
     grad_sigma_scalar: Optional[Callable[[Array, Array], Array]] = None
     power_params: Optional[PowerParams] = None
+    family: Optional[Family] = None
     # extended-only coefficient fields
     sigma1: Optional[Callable[[Array], Array]] = None
     grad_sigma1: Optional[Callable[[Array, Array], Array]] = None
@@ -107,10 +121,6 @@ class ModelSpec:
     grad_b1: Optional[Callable[[Array, Array], Array]] = None
     b2: Optional[Callable[[Array], Array]] = None
     grad_b2: Optional[Callable[[Array, Array], Array]] = None
-    sigma1_inverse_bound: Optional[float] = None
-    # declared sup-norms of coefficient derivatives, for the auxiliary-process
-    # moment check: keys "grad_sigma1", "grad_b1", "grad_b2"
-    derivative_bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
@@ -209,6 +219,7 @@ def make_power_law_model(m: int, d: int, l: float) -> ModelSpec:
         sigma_scalar=s,
         grad_sigma_scalar=ds,
         power_params=PowerParams(a=1.0, b=1.0 + l, l=l),
+        family=Family.LINEAR if (m, d, l) == (1, 1, 1.0) else None,
         name=f"power_law(m={m},d={d},l={l:g})",
     )
 
@@ -230,6 +241,7 @@ def make_constant_identity_model(m: int = 1, d: int = 1) -> ModelSpec:
         grad_sigma=_identity_lift_grad(ds, d),
         sigma_scalar=s,
         grad_sigma_scalar=ds,
+        family=Family.HEAT,
         name=f"constant_identity(m={m},d={d})",
     )
 
@@ -239,6 +251,7 @@ def as_extended(model: ModelSpec) -> ModelSpec:
 
     The auxiliary process then equals v1*(T-t)/T and the extended weight reduces
     pathwise to the basic one, which the tests exploit as an exact cross-check.
+    The embedding is the same diffusion, so it keeps the model's ``family``.
     """
     if model.kind is not ModelKind.BASIC:
         raise ValueError("as_extended expects a basic model")
@@ -270,8 +283,6 @@ def as_extended(model: ModelSpec) -> ModelSpec:
         grad_b1=zero_vec_m,
         b2=zero_vec_d,
         grad_b2=zero_vec_d,
-        sigma1_inverse_bound=1.0,
-        derivative_bounds={"grad_sigma1": 0.0, "grad_b1": 0.0, "grad_b2": 0.0},
     )
 
 
@@ -331,8 +342,6 @@ def make_extended_demo_model() -> ModelSpec:
         grad_b1=grad_b1,
         b2=b2,
         grad_b2=grad_b2,
-        sigma1_inverse_bound=4.0 / 3.0,
-        derivative_bounds={"grad_sigma1": 0.25, "grad_b1": 0.3, "grad_b2": 0.5},
     )
 
 
@@ -407,22 +416,6 @@ class TestFunction:
     bounded: bool = False
 
 
-def _is_one_dim_power_law(model: Optional[ModelSpec], l: float) -> bool:
-    return (
-        model is not None
-        and model.kind is ModelKind.BASIC
-        and model.m == 1
-        and model.d == 1
-        and model.power_params is not None
-        and model.power_params.l == l
-        and model.name.startswith("power_law")
-    )
-
-
-def _is_constant_identity(model: Optional[ModelSpec]) -> bool:
-    return model is not None and model.name.startswith("constant_identity")
-
-
 def _gaussian_y_factor(T, x):
     """E exp(-Q_T/2) for Q_T = int_0^T (x+B_t)^2 dt: sech(T)^(1/2) exp(-(x^2/2) tanh T)."""
     return np.cosh(T) ** -0.5 * np.exp(-0.5 * np.asarray(x) ** 2 * np.tanh(T))
@@ -430,6 +423,10 @@ def _gaussian_y_factor(T, x):
 
 def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
     m = model.m if model is not None else 1
+    family = model.family if model is not None else None
+    # the linear closed forms hold for the basic system with m = d = 1 only
+    linear = (family is Family.LINEAR and model.kind is ModelKind.BASIC
+              and model.m == 1 and model.d == 1)
 
     if name == "one":
         return TestFunction(
@@ -494,9 +491,9 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
 
         closed = None
         closed_grad = None
-        if _is_constant_identity(model) and model.m == 1 and model.d == 1:
+        if family is Family.HEAT and model.m == 1 and model.d == 1:
             closed = lambda T, x, y: np.exp(-T / 2.0) * np.sin(np.asarray(y)[..., 0])
-        elif _is_one_dim_power_law(model, l=1.0):
+        elif linear:
             def closed(T, x, y):
                 return np.sin(np.asarray(y)[..., 0]) * _gaussian_y_factor(T, np.asarray(x)[..., 0])
 
@@ -546,12 +543,12 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
 
         closed = None
         closed_grad = None
-        if _is_constant_identity(model) and model.d == 1:
+        if family is Family.HEAT and model.d == 1:
             closed = lambda T, x, y: np.asarray(y)[..., 0] ** 2 + T
 
             def closed_grad(T, x, y):
                 return np.array([0.0] * model.m + [2.0 * np.asarray(y)[..., 0]])
-        elif _is_one_dim_power_law(model, l=1.0):
+        elif linear:
             def closed(T, x, y):
                 return np.asarray(y)[..., 0] ** 2 + np.asarray(x)[..., 0] ** 2 * T + T**2 / 2.0
 
@@ -631,49 +628,3 @@ def bounded_suite(model: Optional[ModelSpec] = None) -> list[TestFunction]:
 def crosscheck_suite(model: Optional[ModelSpec] = None) -> list[TestFunction]:
     """Mixed observables (bounded and polynomial) for weight vs finite-difference runs."""
     return [observable(n, model) for n in ("sin_x", "sin_y", "y_squared", "x_plus_y")]
-
-
-# ---------------------------------------------------------------------------
-# Square field and comparability diagnostics
-# ---------------------------------------------------------------------------
-
-def gamma1(model: ModelSpec, f: TestFunction, z) -> float:
-    """Square field |grad_x f|^2 + |sigma(x)^* grad_y f|^2 at a point z = (x, y)."""
-    if f.grad is None:
-        raise ValueError(
-            f"gamma1 needs the analytic gradient of {f.name!r}; supply TestFunction.grad"
-        )
-    z = np.asarray(z, dtype=float)
-    g = np.asarray(f.grad(z), dtype=float)
-    gx = g[..., : model.m]
-    gy = g[..., model.m:]
-    sig = np.asarray(model.sigma(z[..., : model.m]))
-    sty = np.einsum("...ji,...j->...i", sig, gy)  # sigma^* grad_y f
-    return float(np.sum(gx**2, axis=-1) + np.sum(sty**2, axis=-1))
-
-
-def spectral_norm(model: ModelSpec, x) -> Array:
-    """Operator norm of sigma(x); exact for scalar-times-identity fields."""
-    x = np.asarray(x, dtype=float)
-    if model.scalar_identity:
-        return np.abs(model.sigma_scalar(x))
-    return np.linalg.norm(model.sigma(x), ord=2, axis=(-2, -1))
-
-
-def power_comparability_margins(model: ModelSpec, xs) -> tuple[Array, Array]:
-    """Slack in the two comparability inequalities on a grid of points.
-
-    Returns (lower, upper) with lower = ||sigma(x)|| - a|x|^l and
-    upper = b|x|^l - (||sigma(x)|| + ||grad sigma(x)|| |x|); both must be >= 0.
-    Only available for the built-in power-law family (exact derivative norm).
-    """
-    if model.power_params is None or not model.scalar_identity:
-        raise ValueError("comparability margins need a power-law model")
-    p = model.power_params
-    xs = np.asarray(xs, dtype=float)
-    r = np.abs(xs[..., 0]) if model.m == 1 else np.linalg.norm(xs, axis=-1)
-    sig_norm = np.abs(model.sigma_scalar(xs))
-    grad_norm = p.l * r ** (p.l - 1.0)  # sup over unit v of ||grad_v sigma||
-    lower = sig_norm - p.a * r**p.l
-    upper = p.b * r**p.l - (sig_norm + grad_norm * r)
-    return lower, upper

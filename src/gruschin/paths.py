@@ -101,7 +101,6 @@ class PathBatch:
     drift_grad_integral: np.ndarray      # (P, d) int (grad_xi b2) dt  (extended only)
     xi_drift_weight: np.ndarray    # (P,) int <sigma1^{-1} xi/(T-t), dB>  (extended only)
     min_eig_q: np.ndarray          # (P,)
-    degeneracy_scalar: np.ndarray  # (P,) a^2 int |X_t|^{2l} dt when power params declared
     valid: np.ndarray              # (P,) bool
     xi_path: Optional[np.ndarray] = None  # (P, n_steps+1, m) when recording requested
 
@@ -175,12 +174,6 @@ def _row_major_steps(field) -> np.ndarray:
     return np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(P, d, n * d)
 
 
-def _batch_radius(x: np.ndarray) -> np.ndarray:
-    if x.shape[-1] == 1:
-        return np.abs(x[..., 0])
-    return np.linalg.norm(x, axis=-1)
-
-
 def simulate_basic_batch(
     model: ModelSpec,
     x0,
@@ -241,13 +234,6 @@ def simulate_basic_batch(
 
     y_final = y0 + ssi
 
-    if model.power_params is not None:
-        p = model.power_params
-        r = _batch_radius(x_left)
-        degeneracy = (p.a**2) * T * np.mean(r ** (2.0 * p.l), axis=1)
-    else:
-        degeneracy = np.zeros(P)
-
     valid = (
         np.isfinite(q_matrix).all(axis=(1, 2))
         & np.isfinite(trace_integral).all(axis=(1, 2))
@@ -271,7 +257,6 @@ def simulate_basic_batch(
         drift_grad_integral=np.zeros((P, d)),
         xi_drift_weight=np.zeros(P),
         min_eig_q=min_eig,
-        degeneracy_scalar=degeneracy,
         valid=valid,
     )
 
@@ -322,10 +307,8 @@ def simulate_extended_batch(
     dgi_acc = np.zeros((P, d))
     ydrift_acc = np.zeros((P, d))
     xdw_acc = np.zeros(P)
-    deg_acc = np.zeros(P)
     invalid = np.zeros(P, dtype=bool)
 
-    power = model.power_params
     xi_path = np.empty((P, n + 1, m)) if record_xi else None
     if record_xi:
         xi_path[:, 0, :] = xi
@@ -361,9 +344,6 @@ def simulate_extended_batch(
         ssi_acc += np.einsum("pij,pj->pi", s2, dbt)
         dgi_acc += np.asarray(model.grad_b2(x, xi), dtype=float) * dt
         ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
-        if power is not None:
-            r = _batch_radius(x)
-            deg_acc += (power.a**2) * r ** (2.0 * power.l) * dt
 
         gs1 = np.asarray(model.grad_sigma1(x, xi), dtype=float)       # (P, m, m)
         gb1 = np.asarray(model.grad_b1(x, xi), dtype=float)           # (P, m)
@@ -401,7 +381,6 @@ def simulate_extended_batch(
         drift_grad_integral=dgi_acc,
         xi_drift_weight=xdw_acc,
         min_eig_q=min_eig,
-        degeneracy_scalar=deg_acc,
         valid=finite & ~invalid,
         xi_path=xi_path,
     )

@@ -37,7 +37,13 @@ from gruschin.models import (
     make_tilted_matrix_model,
     observable,
 )
-from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
+from gruschin.paths import (
+    TimeGrid,
+    brownian_increments,
+    brownian_left_nodes,
+    simulate_basic_batch,
+    simulate_extended_batch,
+)
 from gruschin.rng import derive_seed
 from gruschin.weights import weight_terms_batch
 
@@ -187,10 +193,16 @@ def test_criterion_06_weight_linearity():
 
 def test_criterion_07_discrete_degeneracy_bound():
     model = make_power_law_model(1, 1, 1.0)
+    grid, idx = TimeGrid(1.0, 200), np.arange(10_000)
     batch = simulate_basic_batch(model, [1.0], [0.0], Direction.make(1.0, 0.0),
-                                 TimeGrid(1.0, 200), 107, np.arange(10_000))
-    slack = batch.min_eig_q - batch.degeneracy_scalar
-    floor = -1e-10 * (1.0 + np.abs(batch.degeneracy_scalar))
+                                 grid, 107, idx)
+    # a^2 T mean |X_left|^{2l} on the batch's own Brownian x-path
+    dB, _ = brownian_increments(107, idx, grid, (1, 1))
+    x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
+    p = model.power_params
+    degeneracy = p.a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * p.l), axis=1)
+    slack = batch.min_eig_q - degeneracy
+    floor = -1e-10 * (1.0 + np.abs(degeneracy))
     ok = bool(np.all(slack >= floor))
     report(7, ok, f"min eig Q_T >= a^2 sum |X|^{{2l}} dt on every one of 10000 "
                   f"paths (worst slack = {float(slack.min()):.2e})")

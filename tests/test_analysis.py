@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,18 +21,16 @@ from gruschin.analysis import (
     check_harnack_suite,
     check_lemma31,
     check_lemma_ll,
-    check_xi_moment_bound,
+    euclidean_distance,
     report_markdown,
     rho_upper_bound,
     suite_exit_code,
-    xi_moment_growth_rate,
 )
 from gruschin import analysis, estimators, rng
 from gruschin.estimators import estimate_gradient_bismut, estimate_pt
 from gruschin.models import (
     Direction,
     make_constant_identity_model,
-    make_extended_demo_model,
     make_power_law_model,
     observable,
 )
@@ -329,6 +328,15 @@ def test_harnack_degenerate_model_pair_holds():
     assert res.rho <= 0.5 + 1e-9  # vertical segment at x* = 1
 
 
+def test_harnack_on_renamed_heat_model_uses_euclidean_distance():
+    # the distance follows the declared family, not the model's name
+    model = replace(make_constant_identity_model(), name="my_model")
+    f = observable("one_plus_tanh_y", model)
+    z, zp = (0.3, 0.0), (0.8, 0.4)
+    res = check_harnack(model, 1.0, z, zp, f, 1.0, McParams(2000, 20, 33))
+    assert res.rho == euclidean_distance(z, zp)
+
+
 def test_harnack_rejects_negative_observable():
     model = make_constant_identity_model()
     f = observable("sin_y", model)
@@ -388,23 +396,8 @@ def test_harnack_gaussian_exact_constant_suite():
 
 
 # ---------------------------------------------------------------------------
-# auxiliary-process moment bound
+# integrability diagnostic
 # ---------------------------------------------------------------------------
-
-def test_xi_moment_growth_rate_from_declared_bounds():
-    demo = make_extended_demo_model()
-    assert xi_moment_growth_rate(demo) == pytest.approx(2 * 0.3 + 0.25**2)
-    bare = make_power_law_model(1, 1, 1.0)
-    assert xi_moment_growth_rate(bare) is None
-
-
-def test_xi_moment_bound_holds_for_demo():
-    demo = make_extended_demo_model()
-    ok, excess = check_xi_moment_bound(demo, [1.0], [1.0], 1.0,
-                                       McParams(10000, 100, 47))
-    assert ok is True
-    assert excess <= 0.0
-
 
 def test_integrability_diagnostic_runs():
     from gruschin.analysis import integrability_diagnostic

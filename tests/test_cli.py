@@ -313,6 +313,15 @@ def test_fixed_shape_builtin_refuses_other_dimensions(tmp_path, builtin, m, d):
         ExperimentConfig.from_file(write_config(tmp_path, body))
 
 
+def test_bad_power_exponent_is_a_config_error(tmp_path, capsys):
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"]["l"] = 0.5
+    cfg_path = write_config(tmp_path, body)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "l >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_harnack_on_three_coordinates_is_a_config_error(tmp_path):
     body = json.loads(json.dumps(MINIMAL))
     body["model"] = {"builtin": "tilted_matrix", "m": 1, "d": 2}

@@ -1,4 +1,6 @@
-"""Coefficient fields, comparability constants, observables, and the square field."""
+"""Coefficient fields, declared families, and observables with their closed forms."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +9,15 @@ from hypothesis import strategies as st
 
 from gruschin.models import (
     Direction,
+    Family,
     ModelKind,
+    ModelSpec,
+    PowerParams,
     TEST_FUNCTION_NAMES,
     as_extended,
-    gamma1,
-    make_constant_identity_model,
+    builtin_model,
     make_extended_demo_model,
     make_power_law_model,
-    power_comparability_margins,
     observable,
 )
 
@@ -56,30 +59,6 @@ def test_power_law_noninteger_exponent_falls_back_to_abs():
     assert got == pytest.approx(-1.5)
 
 
-def test_spectral_norm_exact_for_scalar_identity():
-    from gruschin.models import ModelSpec, spectral_norm
-
-    scalar_model = make_power_law_model(1, 2, 2.0)
-    xs = np.array([[1.5], [-0.5], [0.0]])
-    got = spectral_norm(scalar_model, xs)
-    assert np.array_equal(got, np.array([2.25, 0.25, 0.0]))
-    matrix_view = ModelSpec(m=1, d=2, kind=scalar_model.kind,
-                            sigma=scalar_model.sigma,
-                            grad_sigma=scalar_model.grad_sigma,
-                            name="matrix_view")
-    assert np.allclose(spectral_norm(matrix_view, xs), got, atol=1e-12)
-
-
-@pytest.mark.parametrize("m,l", [(1, 1.0), (1, 2.0), (2, 1.0), (2, 2.5), (3, 3.0)])
-def test_comparability_margins_nonnegative(m, l):
-    model = make_power_law_model(m, 2, l)
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=(200, m)) * 2.0
-    lower, upper = power_comparability_margins(model, xs)
-    assert np.all(lower >= -1e-12)
-    assert np.all(upper >= -1e-12)
-
-
 @given(a=finite, b=finite, u=finite, w=finite, x=finite)
 @settings(max_examples=200, deadline=None)
 def test_grad_sigma_linear_in_direction(a, b, u, w, x):
@@ -95,7 +74,7 @@ def test_extended_demo_sigma1_inverse_bounded():
     model = make_extended_demo_model()
     xs = np.linspace(-5, 5, 101)[:, None]
     s1 = model.sigma1(xs)[:, 0, 0]
-    assert np.all(np.abs(1.0 / s1) <= model.sigma1_inverse_bound + 1e-12)
+    assert np.all(np.abs(1.0 / s1) <= 4.0 / 3.0 + 1e-12)
 
 
 def test_as_extended_requires_basic():
@@ -103,80 +82,6 @@ def test_as_extended_requires_basic():
         as_extended(make_extended_demo_model())
     ext = as_extended(make_power_law_model(1, 1, 1.0))
     assert ext.kind is ModelKind.EXTENDED
-
-
-# ---------------------------------------------------------------------------
-# square field
-# ---------------------------------------------------------------------------
-
-def test_gamma1_constant_sigma_linear_function():
-    model = make_constant_identity_model()
-    f = observable("x_plus_y", model)
-    assert gamma1(model, f, np.array([0.3, -0.7])) == pytest.approx(2.0)
-
-
-def test_gamma1_power_law_coordinate_function():
-    model = make_power_law_model(1, 1, 1.0)
-    f = observable("y_squared", model)
-    # f = y^2: Gamma_1 = (sigma(x) * 2y)^2; at y = 1/2 this is x^2
-    z = np.array([1.7, 0.5])
-    assert gamma1(model, f, z) == pytest.approx(1.7**2)
-
-
-def test_gamma1_hand_value_l2():
-    model = make_power_law_model(1, 1, 2.0)
-    f = observable("y_squared", model)  # reuse grad machinery below for x^2+y^2
-
-    def quad_eval(z):
-        z = np.asarray(z)
-        return z[..., 0] ** 2 + z[..., 1] ** 2
-
-    def quad_grad(z):
-        return 2.0 * np.asarray(z, dtype=float)
-
-    from gruschin.models import TestFunction
-
-    g = TestFunction(name="sum_sq", eval=quad_eval, grad=quad_grad)
-    assert gamma1(model, g, np.array([1.0, 1.0])) == pytest.approx(8.0)
-
-
-def test_gamma1_requires_gradient():
-    model = make_constant_identity_model()
-    from gruschin.models import TestFunction
-
-    bare = TestFunction(name="bare", eval=lambda z: np.asarray(z)[..., 0])
-    with pytest.raises(ValueError, match="grad"):
-        gamma1(model, bare, np.array([0.0, 0.0]))
-
-
-@given(alpha=st.floats(min_value=-4, max_value=4, allow_nan=False),
-       x=finite, y=finite)
-@settings(max_examples=100, deadline=None)
-def test_gamma1_quadratic_scaling(alpha, x, y):
-    model = make_power_law_model(1, 1, 1.0)
-    from gruschin.models import TestFunction
-
-    base = observable("sin_xy", model)
-    scaled = TestFunction(
-        name="scaled",
-        eval=lambda z: alpha * base.eval(z),
-        grad=lambda z: alpha * base.grad(z),
-    )
-    z = np.array([x, y])
-    got = gamma1(model, scaled, z)
-    want = alpha**2 * gamma1(model, base, z)
-    assert got == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
-
-
-def test_gamma1_nonnegative_and_zero_on_constants():
-    model = make_power_law_model(1, 1, 2.0)
-    one = observable("one", model)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        z = rng.normal(size=2)
-        assert gamma1(model, one, z) == 0.0
-        f = observable("sin_xy", model)
-        assert gamma1(model, f, z) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +122,102 @@ def test_closed_form_grad_consistent_with_closed_form_pt():
                 - f.closed_form_pt(T, np.array([x]), np.array([y - h]))) / (2 * h)
         assert g[0] == pytest.approx(float(fd_x), rel=1e-6, abs=1e-8)
         assert g[1] == pytest.approx(float(fd_y), rel=1e-6, abs=1e-8)
+
+
+# which closed forms each builtin attaches, per observable in TEST_FUNCTION_NAMES
+# order: "P" when closed_form_pt is set, "G" when closed_form_grad_pt is set
+CLOSED_FORM_TABLE = {
+    ("power_law", 1, 1, 1.0): "P- PG P- PG -- -- PG PG --",
+    ("power_law", 1, 1, 2.0): "P- PG P- -- -- -- -- PG --",
+    ("power_law", 2, 1, 1.0): "P- -- -- -- -- -- -- PG --",
+    ("power_law", 1, 2, 1.0): "P- PG P- -- -- -- -- PG --",
+    ("constant_identity", 1, 1, 1.0): "P- PG P- P- -- -- PG PG --",
+    ("constant_identity", 2, 1, 1.0): "P- -- -- -- -- -- PG PG --",
+    ("constant_identity", 1, 2, 1.0): "P- PG P- -- -- -- -- PG --",
+    ("extended_demo", 1, 1, 1.0): "P- -- -- -- -- -- -- -- --",
+    ("tilted_matrix", 1, 2, 1.0): "P- PG P- -- -- -- -- PG --",
+}
+
+# as_extended of each basic builtin: X and Y keep their laws, but only the
+# sigma = I forms and the constant one are attached to an extended model
+CLOSED_FORM_TABLE_EXTENDED = {
+    ("power_law", 1, 1, 1.0): "P- -- -- -- -- -- -- -- --",
+    ("power_law", 1, 1, 2.0): "P- -- -- -- -- -- -- -- --",
+    ("power_law", 2, 1, 1.0): "P- -- -- -- -- -- -- -- --",
+    ("power_law", 1, 2, 1.0): "P- -- -- -- -- -- -- -- --",
+    ("constant_identity", 1, 1, 1.0): "P- -- -- P- -- -- PG -- --",
+    ("constant_identity", 2, 1, 1.0): "P- -- -- -- -- -- PG -- --",
+    ("constant_identity", 1, 2, 1.0): "P- -- -- -- -- -- -- -- --",
+    ("tilted_matrix", 1, 2, 1.0): "P- -- -- -- -- -- -- -- --",
+}
+
+
+def _spec_id(spec) -> str:
+    return "-".join(f"{c:g}" if isinstance(c, float) else str(c) for c in spec)
+
+
+def _closed_form_row(model) -> str:
+    codes = []
+    for name in TEST_FUNCTION_NAMES:
+        f = observable(name, model)
+        codes.append(("P" if f.closed_form_pt is not None else "-")
+                     + ("G" if f.closed_form_grad_pt is not None else "-"))
+    return " ".join(codes)
+
+
+@pytest.mark.parametrize("spec", list(CLOSED_FORM_TABLE), ids=_spec_id)
+def test_closed_form_table_of_builtins(spec):
+    model = builtin_model(*spec)
+    assert _closed_form_row(model) == CLOSED_FORM_TABLE[spec]
+    if model.kind is ModelKind.BASIC:
+        assert _closed_form_row(as_extended(model)) == CLOSED_FORM_TABLE_EXTENDED[spec]
+    else:
+        assert spec not in CLOSED_FORM_TABLE_EXTENDED
+
+
+@pytest.mark.parametrize("spec,family", [
+    (("power_law", 1, 1, 1.0), Family.LINEAR),
+    (("power_law", 1, 1, 2.0), None),
+    (("power_law", 2, 1, 1.0), None),
+    (("power_law", 1, 2, 1.0), None),
+    (("constant_identity", 1, 1, 1.0), Family.HEAT),
+    (("constant_identity", 2, 3, 1.0), Family.HEAT),
+    (("extended_demo", 1, 1, 1.0), None),
+    (("tilted_matrix", 1, 2, 1.0), None),
+], ids=lambda p: _spec_id(p) if isinstance(p, tuple) else str(p))
+def test_builtins_declare_their_family(spec, family):
+    model = builtin_model(*spec)
+    assert model.family is family
+    if model.kind is ModelKind.BASIC:
+        assert as_extended(model).family is family
+
+
+def test_power_law_lookalike_gets_no_linear_closed_forms():
+    # sigma(x) = 2x is not the linear family, whatever the model is called
+    def s(x):
+        return 2.0 * np.asarray(x)[..., 0]
+
+    def ds(x, v):
+        vv = np.broadcast_to(np.asarray(v), np.asarray(x).shape)[..., 0]
+        return np.broadcast_to(2.0 * vv, np.asarray(x).shape[:-1])
+
+    doubled = ModelSpec(m=1, d=1, kind=ModelKind.BASIC,
+                        sigma=lambda x: s(x)[..., None, None],
+                        grad_sigma=lambda x, v: ds(x, v)[..., None, None],
+                        sigma_scalar=s, grad_sigma_scalar=ds,
+                        power_params=PowerParams(a=2.0, b=4.0, l=1.0),
+                        name="power_law_doubled")
+    for name in ("sin_y", "y_squared"):
+        f = observable(name, doubled)
+        assert f.closed_form_pt is None and f.closed_form_grad_pt is None, name
+
+
+@pytest.mark.parametrize("spec", [("power_law", 1, 1, 1.0), ("constant_identity", 1, 1, 1.0)],
+                         ids=_spec_id)
+def test_renamed_model_keeps_its_closed_forms(spec):
+    renamed = replace(builtin_model(*spec), name="my_model")
+    assert _closed_form_row(renamed) == CLOSED_FORM_TABLE[spec]
+    assert _closed_form_row(as_extended(renamed)) == CLOSED_FORM_TABLE_EXTENDED[spec]
 
 
 def test_direction_validation():

@@ -81,7 +81,7 @@ def test_matrix_kernel_matches_scalar_kernel():
     b = simulate_basic_batch(matrix_model, [1.0], [0.0, 0.0], V11_d2(), grid, 5,
                              np.arange(40))
     for name in ("q_matrix", "trace_integral", "weighted_stoch_integral",
-                 "sigma_stoch_integral", "y_final", "degeneracy_scalar"):
+                 "sigma_stoch_integral", "y_final"):
         lhs, rhs = getattr(a, name), getattr(b, name)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12), name
     assert np.allclose(a.min_eig_q, b.min_eig_q, rtol=1e-9, atol=1e-12)
@@ -188,10 +188,15 @@ def test_covariance_matrix_symmetric_psd():
 def test_discrete_degeneracy_inequality(l):
     # Q_T >= (a^2 int |X|^{2l}) I holds with the same quadrature on both sides
     model = make_power_law_model(1, 1, l)
-    batch = simulate_basic_batch(model, [1.0], [0.0], V11, TimeGrid(1.0, 100),
-                                 23, np.arange(2000))
-    slack = batch.min_eig_q - batch.degeneracy_scalar
-    assert np.all(slack >= -1e-10 * (1.0 + np.abs(batch.degeneracy_scalar)))
+    grid, idx = TimeGrid(1.0, 100), np.arange(2000)
+    batch = simulate_basic_batch(model, [1.0], [0.0], V11, grid, 23, idx)
+    # the right side on the batch's own Brownian x-path, by the same left-node rule
+    dB, _ = brownian_increments(23, idx, grid, (1, 1))
+    x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
+    a = model.power_params.a
+    degeneracy = a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * l), axis=1)
+    slack = batch.min_eig_q - degeneracy
+    assert np.all(slack >= -1e-10 * (1.0 + np.abs(degeneracy)))
 
 
 def test_accumulators_linear_in_direction():
@@ -259,7 +264,7 @@ def test_extended_reduces_to_basic_pathwise():
     e = simulate_extended_batch(ext, [1.0], [0.2], v, grid, 43, idx)
     for name in ("b_final", "x_final", "y_final", "q_matrix", "trace_integral",
                  "weighted_stoch_integral", "sigma_stoch_integral",
-                 "min_eig_q", "degeneracy_scalar"):
+                 "min_eig_q"):
         lhs, rhs = getattr(b, name), getattr(e, name)
         assert np.allclose(lhs, rhs, atol=1e-12), name
     # the xi drift weight reduces to <v1, B_T>/T
