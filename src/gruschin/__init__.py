@@ -26,7 +26,7 @@ from .paths import (
     simulate_extended_batch,
 )
 from .rng import PathStreams, derive_seed
-from .weights import weight_terms_batch
+from .weights import weight_terms_shared
 from .estimators import (
     EstimationError,
     MCEstimate,

@@ -476,14 +476,15 @@ def rho_upper_bound(model: ModelSpec, z, z_prime,
     """Constructive subunit-curve upper bound on the intrinsic distance (m = d = 1).
 
     The curve family has three segments: an x-move to a waypoint x* (unit cost per
-    unit length), a y-move at fixed x* (cost |dy| / |x*|^l), and an x-move to the
+    unit length), a y-move at fixed x* (cost |dy| / (a |x*|^l), at least
+    |dy| / |sigma(x*)| because a |x|^l <= |sigma(x)|), and an x-move to the
     target.  The waypoint is optimized by golden-section search on each sign of
     x*, with the two endpoints always evaluated exactly; every member of the
     family is subunit, so the minimum is an upper bound.
     """
     if model.power_params is None or model.m != 1 or model.d != 1:
         raise ValueError("the subunit-curve family is built for m = d = 1 power-law models")
-    l = model.power_params.l
+    a, l = model.power_params.a, model.power_params.l
     z = tuple(float(c) for c in np.atleast_1d(np.asarray(z, dtype=float)))
     z_prime = tuple(float(c) for c in np.atleast_1d(np.asarray(z_prime, dtype=float)))
     x, y = z
@@ -494,9 +495,9 @@ def rho_upper_bound(model: ModelSpec, z, z_prime,
         return RhoUpperBound(z, z_prime, abs(x - xp), None, (abs(x - xp), 0.0, 0.0))
 
     def cost(s_signed: float) -> float:
-        return abs(x - s_signed) + dy / abs(s_signed) ** l + abs(s_signed - xp)
+        return abs(x - s_signed) + dy / (a * abs(s_signed) ** l) + abs(s_signed - xp)
 
-    hi = max(abs(x), abs(xp), (l * dy) ** (1.0 / (l + 1.0)), 1.0) + 1.0
+    hi = max(abs(x), abs(xp), (l * dy / a) ** (1.0 / (l + 1.0)), 1.0) + 1.0
     lo = 1e-9
     best_s, best_c = None, math.inf
     for sign in (+1.0, -1.0):
@@ -509,7 +510,7 @@ def rho_upper_bound(model: ModelSpec, z, z_prime,
             best_s, best_c = s, cost(s)
     return RhoUpperBound(
         z, z_prime, best_c, best_s,
-        (abs(x - best_s), dy / abs(best_s) ** l, abs(best_s - xp)),
+        (abs(x - best_s), dy / (a * abs(best_s) ** l), abs(best_s - xp)),
     )
 
 
@@ -575,7 +576,7 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
         else:
             rho = rho_upper_bound(model, z, z_prime).bound
 
-    f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f), bounded=f.bounded)
+    f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f))
     panel = pt_panel(model, [z_prime, z], T, [f, f_sq], mc.n_paths, mc.n_steps, seed,
                      workers=mc.workers)
     p_at_zp, p_sq_zp = panel[("pt", f.name, 0)], panel[("pt", f_sq.name, 0)]

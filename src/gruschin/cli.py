@@ -39,7 +39,7 @@ from .paths import (
     simulate_batch,
 )
 from .rng import derive_seed
-from .weights import weight_terms_batch
+from .weights import weight_terms_shared
 
 __all__ = ["ConfigError", "ExperimentConfig", "run_experiment", "main"]
 
@@ -352,8 +352,8 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     bb, eb = parallel_map(
         lambda mdl: simulate_batch(mdl, x0, y0, v, grid, seed, idx, increments=noise),
         [model, ext], mc.workers)
-    db, tb, ib, okb = weight_terms_batch(bb, v, T)
-    de, te, ie, oke = weight_terms_batch(eb, v, T)
+    db, tb, ib, okb = weight_terms_shared(bb, v.v2)
+    de, te, ie, oke = weight_terms_shared(eb, v.v2)
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
     passed = bool((okb & oke).all()) and gap <= 1e-12
     rows = [_row("reduction", "max_pathwise_gap", gap, 0.0, n, 0, seed, T,
@@ -535,7 +535,7 @@ def _cmd_dump_paths(args) -> int:
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
         batch = simulate_batch(model, x0, y0, v, grid, cfg.run.master_seed, idx)
-        drift, trace, inner, _ = weight_terms_batch(batch, v, T)
+        drift, trace, inner, _ = weight_terms_shared(batch, v.v2)
         m_t = drift + trace + inner
         for row in range(len(idx)):
             writer.writerow([

@@ -158,28 +158,31 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) 
 
 def run_batches(
     n_paths: int,
-    column_names: Sequence[str],
+    seed: int,
     batch_fn: Callable[[int, int], tuple[dict, np.ndarray]],
     workers: int = 1,
     batch_size: Optional[int] = None,
-) -> tuple[dict, np.ndarray]:
-    """Fill per-path columns chunk by chunk; placement by path index keeps the
-    result independent of worker count and completion order.
+) -> dict:
+    """One MCEstimate per column that ``batch_fn`` fills, under the column's key.
+
+    ``batch_fn(start, stop)`` returns ``({key: values}, ok)`` for paths
+    start..stop-1, with the same keys for every batch; every column is averaged
+    over the paths ``ok`` marks valid.  Placement by path index keeps the result
+    independent of worker count, batch size and completion order.
 
     The batches go through ``parallel_map``: they overlap on ``workers`` threads
     when the estimator is called on its own, and run inline when it is called
     from a task of the suite's point-level map.
     """
-    batch_size = batch_size or DEFAULT_BATCH_SIZE
-    cols = {name: np.empty(n_paths) for name in column_names}
-    valid = np.empty(n_paths, dtype=bool)
-    spans = _chunks(n_paths, batch_size)
+    spans = _chunks(n_paths, batch_size or DEFAULT_BATCH_SIZE)
     results = parallel_map(lambda span: batch_fn(*span), spans, workers)
+    cols = {key: np.empty(n_paths) for key in results[0][0]}
+    valid = np.empty(n_paths, dtype=bool)
     for (start, stop), (out, ok) in zip(spans, results):
-        for name in column_names:
-            cols[name][start:stop] = out[name]
+        for key, col in cols.items():
+            col[start:stop] = out[key]
         valid[start:stop] = ok
-    return cols, valid
+    return {key: _finalize(col, valid, seed) for key, col in cols.items()}
 
 
 def split_point(model: ModelSpec, z0) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +280,7 @@ def estimate_negative_moment(m: int, x, T: float, n_exp: float, alpha: float,
         vals = np.where(ok, integral, 1.0) ** (-alpha)
         return {"value": np.where(ok, vals, 0.0)}, ok
 
-    cols, valid = run_batches(n_paths, ["value"], batch_fn, workers, batch_size)
-    return _finalize(cols["value"], valid, seed)
+    return run_batches(n_paths, seed, batch_fn, workers, batch_size)["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +379,7 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
         vals = np.abs(n_T) ** q
         return {"value": vals}, np.isfinite(vals)
 
-    cols, valid = run_batches(n_paths, ["value"], batch_fn, workers, batch_size)
-    return _finalize(cols["value"], valid, seed)
+    return run_batches(n_paths, seed, batch_fn, workers, batch_size)["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -466,22 +467,20 @@ def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunc
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     grid = TimeGrid(T, n_steps)
-    names = [f"pt:{f.name}:{k}" for f in fs for k in range(len(starts))]
 
     def batch_fn(start, stop):
-        out = {}
         ok = np.ones(stop - start, dtype=bool)
         terminal = _terminal_states(model, grid, seed, start, stop)
-        for k, z0 in enumerate(starts):
+        finals = []
+        for z0 in starts:
             z_final, valid = terminal(z0)
             ok &= valid
-            for f in fs:
-                out[f"pt:{f.name}:{k}"] = np.asarray(f.eval(z_final), dtype=float)
+            finals.append(z_final)
+        out = {("pt", f.name, k): np.asarray(f.eval(z_final), dtype=float)
+               for f in fs for k, z_final in enumerate(finals)}
         return out, _all_finite(out, ok)
 
-    cols, valid = run_batches(n_paths, names, batch_fn, workers, batch_size)
-    return {("pt", f.name, k): _finalize(cols[f"pt:{f.name}:{k}"], valid, seed)
-            for f in fs for k in range(len(starts))}
+    return run_batches(n_paths, seed, batch_fn, workers, batch_size)
 
 
 def bismut_panel(model: ModelSpec, z0, T: float,
@@ -500,43 +499,36 @@ def bismut_panel(model: ModelSpec, z0, T: float,
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
+    if not vs:
+        raise ValueError("bismut_panel needs at least one direction")
     x0, y0 = split_point(model, z0)
     grid = TimeGrid(T, n_steps)
     groups = _direction_groups(vs)
-    names = [f"grad:{f.name}:{j}" for f in fs for j in range(len(vs))]
-    names += [f"pt:{label}" for label, _ in extra_obs]
 
     def batch_fn(start, stop):
-        out = {}
         ok = np.ones(stop - start, dtype=bool)
         noise = _draw_noise(model, grid, seed, start, stop)
-        for gi, grp in enumerate(groups):
+        m_t = [None] * len(vs)
+        for grp in groups:
             u = Direction(np.asarray(grp["u1"], dtype=float), np.zeros(model.d))
             batch = _simulate(model, x0, y0, u, grid, seed, start, stop, noise)
-            fvals = {f.name: np.asarray(f.eval(batch.z_final), dtype=float) for f in fs}
             for j, scale in grp["members"]:
                 drift, trace, inner, solvable = weight_terms_shared(
-                    batch, T, vs[j].v2, v1_scale=scale
+                    batch, vs[j].v2, v1_scale=scale
                 )
                 ok &= solvable  # solvable implies batch.valid
-                m_t = np.where(solvable, drift + trace + inner, 0.0)
-                for f in fs:
-                    out[f"grad:{f.name}:{j}"] = fvals[f.name] * m_t
-            if gi == 0:
-                # the state trajectory does not depend on the direction, so plain
-                # observables from the first group's batch serve every direction
-                for label, fn in extra_obs:
-                    out[f"pt:{label}"] = np.asarray(fn(batch.z_final), dtype=float)
+                m_t[j] = np.where(solvable, drift + trace + inner, 0.0)
+        # the state trajectory does not depend on the direction, so the last
+        # group's terminal states serve every direction
+        z_final = batch.z_final
+        fvals = [np.asarray(f.eval(z_final), dtype=float) for f in fs]
+        out = {("grad", f.name, j): fval * m_t[j]
+               for f, fval in zip(fs, fvals) for j in range(len(vs))}
+        for label, fn in extra_obs:
+            out[("pt", label)] = np.asarray(fn(z_final), dtype=float)
         return out, _all_finite(out, ok)
 
-    cols, valid = run_batches(n_paths, names, batch_fn, workers, batch_size)
-    result = {}
-    for f in fs:
-        for j in range(len(vs)):
-            result[("grad", f.name, j)] = _finalize(cols[f"grad:{f.name}:{j}"], valid, seed)
-    for label, _ in extra_obs:
-        result[("pt", label)] = _finalize(cols[f"pt:{label}"], valid, seed)
-    return result
+    return run_batches(n_paths, seed, batch_fn, workers, batch_size)
 
 
 def fd_panel(model: ModelSpec, z0, T: float,
@@ -560,26 +552,20 @@ def fd_panel(model: ModelSpec, z0, T: float,
         raise ValueError("eps must be positive")
     z = np.asarray(z0, dtype=float)
     grid = TimeGrid(T, n_steps)
-    names = [f"fd:{f.name}:{j}" for f in fs for j in range(len(vs))]
 
     def batch_fn(start, stop):
-        out = {}
         ok = np.ones(stop - start, dtype=bool)
         terminal = _terminal_states(model, grid, seed, start, stop)
-        for j, v in enumerate(vs):
+        ends = []
+        for v in vs:
             shift = np.concatenate([v.v1, v.v2])
             z_up, up_valid = terminal(z + eps * shift)
             z_dn, dn_valid = terminal(z - eps * shift)
             ok &= up_valid & dn_valid
-            for f in fs:
-                f_up = np.asarray(f.eval(z_up), dtype=float)
-                f_dn = np.asarray(f.eval(z_dn), dtype=float)
-                out[f"fd:{f.name}:{j}"] = (f_up - f_dn) / (2.0 * eps)
+            ends.append((z_up, z_dn))
+        out = {("grad_fd", f.name, j): (np.asarray(f.eval(z_up), dtype=float)
+                                        - np.asarray(f.eval(z_dn), dtype=float)) / (2.0 * eps)
+               for f in fs for j, (z_up, z_dn) in enumerate(ends)}
         return out, _all_finite(out, ok)
 
-    cols, valid = run_batches(n_paths, names, batch_fn, workers, batch_size)
-    return {
-        ("grad_fd", f.name, j): _finalize(cols[f"fd:{f.name}:{j}"], valid, seed)
-        for f in fs
-        for j in range(len(vs))
-    }
+    return run_batches(n_paths, seed, batch_fn, workers, batch_size)

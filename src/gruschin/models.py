@@ -401,19 +401,17 @@ def builtin_model(name: str, m: int = 1, d: int = 1, l: float = 1.0) -> ModelSpe
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar observable f(x, y) with optional analytic gradient and closed forms.
+    """Scalar observable f(x, y) with optional closed forms of P_T f and its gradient.
 
-    ``eval``/``grad`` are vectorized over points of shape (..., m+d).  Closed forms
-    take (T, x, y) with x, y arrays and are only attached when exact for the model
+    ``eval`` is vectorized over points of shape (..., m+d).  Closed forms take
+    (T, x, y) with x, y arrays and are only attached when exact for the model
     the instance was built for.
     """
 
     name: str
     eval: Callable[[Array], Array]
-    grad: Optional[Callable[[Array], Array]] = None
     closed_form_pt: Optional[Callable] = None
     closed_form_grad_pt: Optional[Callable] = None
-    bounded: bool = False
 
 
 def _gaussian_y_factor(T, x):
@@ -432,19 +430,11 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
         return TestFunction(
             name="one",
             eval=lambda z: np.ones(np.asarray(z).shape[:-1]),
-            grad=lambda z: np.zeros(np.asarray(z).shape),
             closed_form_pt=lambda T, x, y: 1.0,
             closed_form_grad_pt=None,
-            bounded=True,
         )
 
     if name == "sin_x":
-        def grad(z):
-            z = np.asarray(z)
-            g = np.zeros(z.shape)
-            g[..., 0] = np.cos(z[..., 0])
-            return g
-
         closed = None
         closed_grad = None
         if m == 1:  # X is Brownian for every basic model, so the heat factor is exact
@@ -458,37 +448,21 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
         return TestFunction(
             name="sin_x",
             eval=lambda z: np.sin(np.asarray(z)[..., 0]),
-            grad=grad,
             closed_form_pt=closed,
             closed_form_grad_pt=closed_grad,
-            bounded=True,
         )
 
     if name == "cos_x":
-        def grad(z):
-            z = np.asarray(z)
-            g = np.zeros(z.shape)
-            g[..., 0] = -np.sin(z[..., 0])
-            return g
-
         closed = None
         if m == 1 and (model is None or model.kind is ModelKind.BASIC):
             closed = lambda T, x, y: np.exp(-T / 2.0) * np.cos(np.asarray(x)[..., 0])
         return TestFunction(
             name="cos_x",
             eval=lambda z: np.cos(np.asarray(z)[..., 0]),
-            grad=grad,
             closed_form_pt=closed,
-            bounded=True,
         )
 
     if name == "sin_y":
-        def grad(z):
-            z = np.asarray(z)
-            g = np.zeros(z.shape)
-            g[..., m] = np.cos(z[..., m])
-            return g
-
         closed = None
         closed_grad = None
         if family is Family.HEAT and model.m == 1 and model.d == 1:
@@ -506,41 +480,20 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
         return TestFunction(
             name="sin_y",
             eval=lambda z: np.sin(np.asarray(z)[..., m]),
-            grad=grad,
             closed_form_pt=closed,
             closed_form_grad_pt=closed_grad,
-            bounded=True,
         )
 
     if name == "tanh_y":
-        def grad(z):
-            z = np.asarray(z)
-            g = np.zeros(z.shape)
-            g[..., m] = 1.0 / np.cosh(z[..., m]) ** 2
-            return g
-
-        return TestFunction(
-            name="tanh_y",
-            eval=lambda z: np.tanh(np.asarray(z)[..., m]),
-            grad=grad,
-            bounded=True,
-        )
+        return TestFunction(name="tanh_y", eval=lambda z: np.tanh(np.asarray(z)[..., m]))
 
     if name == "sin_xy":
         return TestFunction(
             name="sin_xy",
             eval=lambda z: np.sin(np.asarray(z)[..., 0] + np.asarray(z)[..., m]),
-            grad=lambda z: _sin_xy_grad(z, m),
-            bounded=True,
         )
 
     if name == "y_squared":
-        def grad(z):
-            z = np.asarray(z)
-            g = np.zeros(z.shape)
-            g[..., m] = 2.0 * z[..., m]
-            return g
-
         closed = None
         closed_grad = None
         if family is Family.HEAT and model.d == 1:
@@ -558,17 +511,12 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
         return TestFunction(
             name="y_squared",
             eval=lambda z: np.asarray(z)[..., m] ** 2,
-            grad=grad,
             closed_form_pt=closed,
             closed_form_grad_pt=closed_grad,
-            bounded=False,
         )
 
     if name == "x_plus_y":
         # both coordinates are martingales under every basic model: P_T f = f
-        def grad(z):
-            return np.ones(np.asarray(z).shape)
-
         closed = None
         closed_grad = None
         if model is None or model.kind is ModelKind.BASIC:
@@ -577,36 +525,15 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
         return TestFunction(
             name="x_plus_y",
             eval=lambda z: np.sum(np.asarray(z), axis=-1),
-            grad=grad,
             closed_form_pt=closed,
             closed_form_grad_pt=closed_grad,
-            bounded=False,
         )
 
     if name == "one_plus_tanh_y":
-        def grad(z):
-            z = np.asarray(z)
-            g = np.zeros(z.shape)
-            g[..., m] = 1.0 / np.cosh(z[..., m]) ** 2
-            return g
-
-        return TestFunction(
-            name="one_plus_tanh_y",
-            eval=lambda z: 1.0 + np.tanh(np.asarray(z)[..., m]),
-            grad=grad,
-            bounded=True,
-        )
+        return TestFunction(name="one_plus_tanh_y",
+                            eval=lambda z: 1.0 + np.tanh(np.asarray(z)[..., m]))
 
     raise ValueError(f"unknown test function {name!r}; choose from {TEST_FUNCTION_NAMES}")
-
-
-def _sin_xy_grad(z, m):
-    z = np.asarray(z)
-    g = np.zeros(z.shape)
-    c = np.cos(z[..., 0] + z[..., m])
-    g[..., 0] = c
-    g[..., m] = c
-    return g
 
 
 TEST_FUNCTION_NAMES = (

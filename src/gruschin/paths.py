@@ -28,6 +28,14 @@ increment of Y is summed, so the translation is exact in floating point:
 simulating from (x0, y0) gives bit for bit the Y_T of y0 + (Y_T from (x0, 0)).
 The finite-difference and semigroup-value panels rely on this to simulate each
 x-start once.
+
+Both kernels fill the same functionals, so ``weights`` assembles M_T by one
+formula.  In particular ``xi_drift_weight`` is the extended model's
+int <sigma1^{-1} xi_t/(T-t), dB_t>, and the basic kernel stores the value that
+integral takes in the sigma1 = I, b1 = 0 reduction, <v1, B_T>/T.
+
+Paths draw their noise from substream 0 of ``rng.PathStreams``: the noise of
+path i is a pure function of (master_seed, i).
 """
 
 from __future__ import annotations
@@ -86,8 +94,6 @@ class PathBatch:
     Every array carries a leading path axis of length P.
     """
 
-    kind: ModelKind
-    sim_direction: Direction       # the v the v-dependent accumulators were built with
     path_indices: np.ndarray       # (P,)
     b_final: np.ndarray            # (P, m) terminal value of the first Brownian motion
     x_final: np.ndarray            # (P, m)
@@ -98,8 +104,8 @@ class PathBatch:
     weighted_stoch_integral: np.ndarray  # (P, d) basic: int ((T-t)/T)(grad_v1 sigma) dBt;
     #                                      extended: int (grad_xi sigma2) dBt
     sigma_stoch_integral: np.ndarray     # (P, d) int sigma dBt
-    drift_grad_integral: np.ndarray      # (P, d) int (grad_xi b2) dt  (extended only)
-    xi_drift_weight: np.ndarray    # (P,) int <sigma1^{-1} xi/(T-t), dB>  (extended only)
+    drift_grad_integral: np.ndarray      # (P, d) int (grad_xi b2) dt  (0 for basic)
+    xi_drift_weight: np.ndarray    # (P,) int <sigma1^{-1} xi/(T-t), dB>; basic: <v1, B_T>/T
     min_eig_q: np.ndarray          # (P,)
     valid: np.ndarray              # (P,) bool
     xi_path: Optional[np.ndarray] = None  # (P, n_steps+1, m) when recording requested
@@ -121,12 +127,13 @@ def _as_state(value, dim: int, name: str) -> np.ndarray:
 
 
 def brownian_increments(master_seed: int, path_indices, grid: TimeGrid,
-                        widths: tuple[int, ...], substream: int = 0) -> list[np.ndarray]:
+                        widths: tuple[int, ...]) -> list[np.ndarray]:
     """Increments (P, n_steps, w) of independent Brownian motions of each width w.
 
-    The noise of a path is a pure function of (master_seed, substream, path index).
+    The noise of a path is a pure function of (master_seed, path index): it is
+    drawn from substream 0.
     """
-    streams = PathStreams(master_seed, substream)
+    streams = PathStreams(master_seed)
     eps = streams.fill_normals(np.asarray(path_indices), (grid.n_steps, sum(widths)))
     eps *= np.sqrt(grid.dt)
     edges = np.cumsum((0,) + tuple(widths))
@@ -149,12 +156,12 @@ def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _noise(master_seed: int, path_indices: np.ndarray, grid: TimeGrid,
-           widths: tuple[int, int], substream: int,
+           widths: tuple[int, int],
            increments: Optional[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """The (dB, dBt) a kernel runs on: drawn, or the caller's override once its
     shapes (P, n_steps, m) and (P, n_steps, d) are checked."""
     if increments is None:
-        return tuple(brownian_increments(master_seed, path_indices, grid, widths, substream))
+        return tuple(brownian_increments(master_seed, path_indices, grid, widths))
     dB, dBt = increments
     P, n = len(path_indices), grid.n_steps
     if np.shape(dB) != (P, n, widths[0]) or np.shape(dBt) != (P, n, widths[1]):
@@ -182,7 +189,6 @@ def simulate_basic_batch(
     grid: TimeGrid,
     master_seed: int,
     path_indices,
-    substream: int = 0,
     increments: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> PathBatch:
     """Simulate a batch of basic-model paths and accumulate all weight functionals.
@@ -199,7 +205,7 @@ def simulate_basic_batch(
     path_indices = np.asarray(path_indices, dtype=np.int64)
     n, T = grid.n_steps, grid.horizon
 
-    dB, dBt = _noise(master_seed, path_indices, grid, (m, d), substream, increments)
+    dB, dBt = _noise(master_seed, path_indices, grid, (m, d), increments)
     P = len(path_indices)
 
     x_left, b_final = brownian_left_nodes(x0, dB)
@@ -244,8 +250,6 @@ def simulate_basic_batch(
     )
 
     return PathBatch(
-        kind=ModelKind.BASIC,
-        sim_direction=v,
         path_indices=path_indices,
         b_final=b_final,
         x_final=x_final,
@@ -255,7 +259,7 @@ def simulate_basic_batch(
         weighted_stoch_integral=wsi,
         sigma_stoch_integral=ssi,
         drift_grad_integral=np.zeros((P, d)),
-        xi_drift_weight=np.zeros(P),
+        xi_drift_weight=(b_final * v.v1).sum(axis=1) / T,
         min_eig_q=min_eig,
         valid=valid,
     )
@@ -269,7 +273,6 @@ def simulate_extended_batch(
     grid: TimeGrid,
     master_seed: int,
     path_indices,
-    substream: int = 0,
     record_xi: bool = False,
     increments: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> PathBatch:
@@ -288,7 +291,7 @@ def simulate_extended_batch(
     path_indices = np.asarray(path_indices, dtype=np.int64)
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
-    dB, dBt = _noise(master_seed, path_indices, grid, (m, d), substream, increments)
+    dB, dBt = _noise(master_seed, path_indices, grid, (m, d), increments)
     P = len(path_indices)
 
     times = grid.times()
@@ -368,8 +371,6 @@ def simulate_extended_batch(
     )
 
     return PathBatch(
-        kind=ModelKind.EXTENDED,
-        sim_direction=v,
         path_indices=path_indices,
         b_final=b_running,
         x_final=x,

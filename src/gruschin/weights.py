@@ -8,10 +8,12 @@ For the basic model,
               int sigma(X_t) dBt_t >,
 
 and the directional derivative of the semigroup is E[f(X_T, Y_T) M_T].  The
-extended model replaces the first term by the accumulated
-int <sigma1^{-1} xi_t/(T-t), dB_t> and adds int (grad_{xi} b2) dt inside the
-solve's right-hand side.  Q_T^{-1} is always applied through SPD linear solves,
-never by forming the inverse.
+extended model's first term is int <sigma1^{-1} xi_t/(T-t), dB_t>, and it adds
+int (grad_{xi} b2) dt inside the solve's right-hand side.  With sigma1 = I and
+b1 = 0, xi_t = v1 (T-t)/T and that integral is <v1, B_T>/T, so both kernels
+store their first term as ``xi_drift_weight`` and one formula assembles the
+weight.  Q_T^{-1} is always applied through SPD linear solves, never by
+forming the inverse.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import batch_trace, spd_solve
-from .models import Direction, ModelKind
 from .paths import PathBatch
 
 __all__ = [
     "INVERTIBILITY_FLOOR",
-    "weight_terms_batch",
     "weight_terms_shared",
 ]
 
@@ -35,7 +35,6 @@ INVERTIBILITY_FLOOR = 1e-12
 
 def weight_terms_shared(
     batch: PathBatch,
-    T: float,
     v2,
     v1_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -53,14 +52,10 @@ def weight_terms_shared(
     solvable = batch.valid & (batch.min_eig_q > INVERTIBILITY_FLOOR * trace_q) & (trace_q > 0)
 
     c = float(v1_scale)
-    if batch.kind is ModelKind.BASIC:
-        raw_drift = (batch.b_final * batch.sim_direction.v1).sum(axis=1) / T
-    else:
-        raw_drift = batch.xi_drift_weight
     rhs = v2 + c * (batch.weighted_stoch_integral + batch.drift_grad_integral)
 
     P = len(batch)
-    drift_out = np.where(solvable, c * raw_drift, np.nan)
+    drift_out = np.where(solvable, c * batch.xi_drift_weight, np.nan)
     trace_out = np.full(P, np.nan)
     inner_out = np.full(P, np.nan)
     if solvable.any():
@@ -72,14 +67,3 @@ def weight_terms_shared(
         inner_out[idx] = np.einsum("pd,pd->p", u, batch.sigma_stoch_integral[idx])
     return drift_out, trace_out, inner_out, solvable
 
-
-def weight_terms_batch(
-    batch: PathBatch, v: Direction, T: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weight terms for the direction the batch was simulated with."""
-    if not np.array_equal(batch.sim_direction.v1, v.v1):
-        raise ValueError(
-            "batch was simulated with a different v1; the accumulators are "
-            "direction-specific (use weight_terms_shared for rescaled directions)"
-        )
-    return weight_terms_shared(batch, T, v.v2, v1_scale=1.0)

@@ -45,7 +45,7 @@ from gruschin.paths import (
     simulate_extended_batch,
 )
 from gruschin.rng import derive_seed
-from gruschin.weights import weight_terms_batch
+from gruschin.weights import weight_terms_shared
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -154,8 +154,8 @@ def test_criterion_05_extended_reduction_pathwise():
     idx = np.arange(10_000)
     b = simulate_basic_batch(model, [1.0], [0.0], v, grid, 105, idx)
     e = simulate_extended_batch(ext, [1.0], [0.0], v, grid, 105, idx)
-    db, tb, ib, okb = weight_terms_batch(b, v, 1.0)
-    de, te, ie, oke = weight_terms_batch(e, v, 1.0)
+    db, tb, ib, okb = weight_terms_shared(b, v.v2)
+    de, te, ie, oke = weight_terms_shared(e, v.v2)
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
     ok = bool((okb & oke).all()) and gap <= 1e-12
     report(5, ok, f"extended weight equals basic weight pathwise, "
@@ -173,7 +173,7 @@ def test_criterion_06_weight_linearity():
         out = []
         for d in (u, w, uw):
             batch = sim_fn(model, [1.0], [0.0], d, grid, seed, idx)
-            drift, trace, inner, _ = weight_terms_batch(batch, d, 1.0)
+            drift, trace, inner, _ = weight_terms_shared(batch, d.v2)
             out.append(drift + trace + inner)
         return out
 

@@ -30,6 +30,9 @@ from gruschin import analysis, estimators, rng
 from gruschin.estimators import estimate_gradient_bismut, estimate_pt
 from gruschin.models import (
     Direction,
+    ModelKind,
+    ModelSpec,
+    PowerParams,
     make_constant_identity_model,
     make_power_law_model,
     observable,
@@ -100,6 +103,25 @@ def test_rho_triangle_inequality(x, y, xm, ym, xp, yp):
 def test_rho_horizontal_moves_cost_euclidean(x, xp, y):
     model = make_power_law_model(1, 1, 1.0)
     assert rho_upper_bound(model, (x, y), (xp, y)).bound <= abs(x - xp) + 1e-8
+
+
+def test_rho_charges_y_moves_by_the_lower_comparability_constant():
+    # sigma(x) = x/2 has a = 1/2: the vertical segment at x* = 1 costs
+    # 0.5 / sigma(1) = 1, and no waypoint of the family does better
+    def half(x):
+        return np.asarray(x)[..., 0] / 2.0
+
+    def half_grad(x, v):
+        return np.broadcast_to(np.asarray(v)[..., 0] / 2.0, np.shape(x)[:-1])
+
+    model = ModelSpec(m=1, d=1, kind=ModelKind.BASIC,
+                      sigma=lambda x: half(x)[..., None, None],
+                      grad_sigma=lambda x, v: half_grad(x, v)[..., None, None],
+                      sigma_scalar=half, grad_sigma_scalar=half_grad,
+                      power_params=PowerParams(a=0.5, b=1.0, l=1.0), name="half_linear")
+    rb = rho_upper_bound(model, (1.0, 0.0), (1.0, 0.5))
+    assert rb.bound >= 1.0
+    assert rb.bound == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rho_rejects_general_models():

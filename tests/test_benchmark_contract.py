@@ -6,6 +6,7 @@ checks that the spans it relies on are recorded and that ``restore`` undoes
 every patch.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -61,3 +62,14 @@ def test_tracer_sees_the_program_and_restores_it(tmp_path, tracer_cls):
         assert name in names, name
     for (owner, name), original in zip(patched, originals):
         assert getattr(owner, name) is original, name
+
+
+def test_tracer_names_resolve_in_the_program(tracer_cls):
+    # the tracer looks these names up with getattr and fails only when traced
+    tracer = sys.modules["tracer"]
+    missing = [fn for fn in tracer.ESTIMATORS if not hasattr(estimators, fn)]
+    missing += [fn for fn in tracer.CHECKS if not hasattr(analysis, fn)]
+    fields = {f.name for f in dataclasses.fields(models.ModelSpec)}
+    missing += [name for name in tracer.COEFF_FIELDS if name not in fields]
+    assert not missing, missing
+    assert rng.PathStreams(1).substream == 0

@@ -339,6 +339,28 @@ def test_bismut_panel_antiparallel_directions_share_simulation():
         -2.0 * panel[("grad", "y_squared", 0)].mean, rel=1e-12)
 
 
+def test_panels_return_exactly_their_documented_keys():
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model), observable("y_squared", model)]
+    vs = [EX, EY, Direction.make(-2.0, 0.5)]
+    extra = [("y_sq", lambda z: z[:, 1] ** 2), ("x", lambda z: z[:, 0])]
+    bis = bismut_panel(model, [1.0, 0.5], 1.0, fs, vs, 64, 10, 3, extra_obs=extra)
+    assert set(bis) == ({("grad", f.name, j) for f in fs for j in range(3)}
+                        | {("pt", "y_sq"), ("pt", "x")})
+    fd = fd_panel(model, [1.0, 0.5], 1.0, fs, vs, 64, 10, 3)
+    assert set(fd) == {("grad_fd", f.name, j) for f in fs for j in range(3)}
+    starts = [[1.0, 0.5], [0.0, 0.0]]
+    pt = estimators.pt_panel(model, starts, 1.0, fs, 64, 10, 3)
+    assert set(pt) == {("pt", f.name, k) for f in fs for k in range(2)}
+
+
+def test_bismut_panel_refuses_an_empty_direction_list():
+    # the terminal states come from a direction's simulation, so one is needed
+    model = make_power_law_model(1, 1, 1.0)
+    with pytest.raises(ValueError, match="direction"):
+        bismut_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [], 64, 10, 3)
+
+
 def test_panels_worker_invariant():
     model = make_power_law_model(1, 1, 1.0)
     fs = [observable("sin_y", model)]

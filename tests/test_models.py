@@ -88,25 +88,6 @@ def test_as_extended_requires_basic():
 # observables
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", [n for n in TEST_FUNCTION_NAMES])
-def test_analytic_gradients_match_finite_differences(name):
-    model = make_power_law_model(1, 1, 1.0)
-    f = observable(name, model)
-    if f.grad is None:
-        pytest.skip("no analytic gradient")
-    rng = np.random.default_rng(7)
-    h = 1e-5
-    for _ in range(10):
-        z = rng.normal(size=2)
-        g = np.asarray(f.grad(z), dtype=float)
-        for i in range(2):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            fd = (float(f.eval(zp)) - float(f.eval(zm))) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
 def test_closed_form_grad_consistent_with_closed_form_pt():
     model = make_power_law_model(1, 1, 1.0)
     h = 1e-6

@@ -264,7 +264,7 @@ def test_extended_reduces_to_basic_pathwise():
     e = simulate_extended_batch(ext, [1.0], [0.2], v, grid, 43, idx)
     for name in ("b_final", "x_final", "y_final", "q_matrix", "trace_integral",
                  "weighted_stoch_integral", "sigma_stoch_integral",
-                 "min_eig_q"):
+                 "xi_drift_weight", "min_eig_q"):
         lhs, rhs = getattr(b, name), getattr(e, name)
         assert np.allclose(lhs, rhs, atol=1e-12), name
     # the xi drift weight reduces to <v1, B_T>/T

@@ -15,21 +15,21 @@ from gruschin.models import (
     observable,
 )
 from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
-from gruschin.weights import weight_terms_batch
+from gruschin.weights import weight_terms_shared
 
 V11 = Direction.make(1.0, 1.0)
 GRID = TimeGrid(1.0, 100)
 
 
-def weight(batch, v, T=1.0):
-    drift, trace, inner, _ = weight_terms_batch(batch, v, T)
+def weight(batch, v):
+    drift, trace, inner, _ = weight_terms_shared(batch, v.v2)
     return drift + trace + inner
 
 
 def test_constant_sigma_collapses_to_brownian_weight():
     model = make_constant_identity_model()
     pf = simulate_basic_batch(model, [0.0], [0.0], V11, GRID, 2, path_indices=[0])
-    _, trace, _, _ = weight_terms_batch(pf, V11, 1.0)
+    _, trace, _, _ = weight_terms_shared(pf, V11.v2)
     assert trace[0] == 0.0
     expected = pf.b_final[0, 0] + pf.sigma_stoch_integral[0, 0]
     assert weight(pf, V11)[0] == pytest.approx(expected, abs=1e-14)
@@ -46,7 +46,7 @@ def test_breakdown_sums_exactly():
     # the weight the estimators average is exactly the sum of the three terms
     model = make_power_law_model(1, 1, 1.0)
     batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, 5, np.arange(64))
-    drift, trace, inner, ok = weight_terms_batch(batch, V11, 1.0)
+    drift, trace, inner, ok = weight_terms_shared(batch, V11.v2)
     est = estimate_gradient_bismut(model, observable("one"), [1.0, 0.0], V11, 1.0,
                                    64, 100, 5)
     assert ok.all()
@@ -101,7 +101,7 @@ def test_weight_mean_is_centered():
     model = make_power_law_model(1, 1, 1.0)
     batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, 17,
                                  np.arange(100000))
-    drift, trace, inner, ok = weight_terms_batch(batch, V11, 1.0)
+    drift, trace, inner, ok = weight_terms_shared(batch, V11.v2)
     m = drift + trace + inner
     assert ok.all()
     mean = m.mean()
@@ -120,17 +120,10 @@ def test_invalid_path_error_carries_min_eig():
                            grad_sigma_scalar=lambda x, v: zero(x),
                            name="identically_degenerate")
     pf = simulate_basic_batch(degenerate, [1.0], [0.0], V11, GRID, 19, path_indices=[0])
-    drift, trace, inner, solvable = weight_terms_batch(pf, V11, 1.0)
+    drift, trace, inner, solvable = weight_terms_shared(pf, V11.v2)
     assert not solvable[0]  # counted as invalid, never regularized away
     assert np.isnan(drift[0] + trace[0] + inner[0])
     assert pf.min_eig_q[0] == 0.0
-
-
-def test_weight_terms_reject_mismatched_direction():
-    model = make_power_law_model(1, 1, 1.0)
-    batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, 27, np.arange(8))
-    with pytest.raises(ValueError):
-        weight_terms_batch(batch, Direction.make(2.0, 1.0), 1.0)
 
 
 def test_relabeling_symmetry():
@@ -149,8 +142,8 @@ def test_relabeling_symmetry():
                              increments=(dB, dBt))
     b = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, 29, idx,
                              increments=(dB, dBt[:, :, ::-1].copy()))
-    da, ta, ia, _ = weight_terms_batch(a, v, 1.0)
-    db_, tb, ib, _ = weight_terms_batch(b, v, 1.0)
+    da, ta, ia, _ = weight_terms_shared(a, v.v2)
+    db_, tb, ib, _ = weight_terms_shared(b, v.v2)
     assert np.array_equal(ta, tb)           # trace term has no Bt dependence here
     assert np.allclose(ia, ib, rtol=1e-12)  # symmetric v2 makes the inner term invariant
     assert np.array_equal(da, db_)
