@@ -24,6 +24,7 @@ from .paths import (
     simulate_basic_batch,
     simulate_batch,
     simulate_extended_batch,
+    simulate_terminal_batch,
 )
 from .rng import PathStreams, derive_seed
 from .weights import weight_terms_shared

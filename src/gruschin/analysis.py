@@ -28,7 +28,12 @@ from .estimators import (
     split_point,
 )
 from .models import Direction, Family, ModelSpec, TestFunction
-from .paths import TimeGrid, brownian_increments, brownian_left_nodes, simulate_batch
+from .paths import (
+    TimeGrid,
+    brownian_increments,
+    brownian_left_nodes,
+    simulate_terminal_batch,
+)
 from .rng import derive_seed
 
 __all__ = [
@@ -543,9 +548,8 @@ def _assert_nonnegative(model: ModelSpec, f: TestFunction, z0, T: float, seed: i
     x0, y0 = split_point(model, z0)
     grid = TimeGrid(T, max(2, 64))
     idx = np.arange(512, dtype=np.int64)
-    v0 = Direction(np.zeros(model.m), np.zeros(model.d))
-    batch = simulate_batch(model, x0, y0, v0, grid, seed, idx)
-    vals = np.asarray(f.eval(batch.z_final), dtype=float)
+    x_final, y_final, _ = simulate_terminal_batch(model, x0, y0, grid, seed, idx)
+    vals = np.asarray(f.eval(np.concatenate([x_final, y_final], axis=1)), dtype=float)
     if vals.min() < 0.0:
         raise ValueError(f"observable {f.name!r} is negative on sampled states")
 

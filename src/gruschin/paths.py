@@ -29,6 +29,20 @@ simulating from (x0, y0) gives bit for bit the Y_T of y0 + (Y_T from (x0, 0)).
 The finite-difference and semigroup-value panels rely on this to simulate each
 x-start once.
 
+Each kernel has two parts.  The direction-free part reads only sigma (and, for
+the extended model, sigma1, b1 and b2): it builds the X path, Y_T, Q_T,
+int sigma dBt and, for the extended model, the sigma1-invertibility flag.  The
+direction part adds everything that depends on the direction v: grad sigma, the
+decay weights, the trace term, the weighted stochastic integral, the smallest
+eigenvalue of Q_T and, for the extended model, xi and the xi-drift weight.
+``simulate_basic_batch`` and ``simulate_extended_batch`` run both parts;
+``simulate_terminal_batch`` runs only the first, for callers that read nothing
+but (X_T, Y_T) and the validity mask.  The extended recursion is a generator
+over the steps, so its direction part runs inside the same loop and nothing is
+stored per step.  The terminal mask checks only direction-free quantities: it
+agrees with the full kernel's unless a direction callback is non-finite where
+sigma is finite.
+
 Both kernels fill the same functionals, so ``weights`` assembles M_T by one
 formula.  In particular ``xi_drift_weight`` is the extended model's
 int <sigma1^{-1} xi_t/(T-t), dB_t>, and the basic kernel stores the value that
@@ -56,6 +70,7 @@ __all__ = [
     "simulate_basic_batch",
     "simulate_extended_batch",
     "simulate_batch",
+    "simulate_terminal_batch",
 ]
 
 
@@ -181,6 +196,44 @@ def _row_major_steps(field) -> np.ndarray:
     return np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(P, d, n * d)
 
 
+def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, master_seed: int, path_indices,
+             increments: Optional[tuple[np.ndarray, np.ndarray]]):
+    """Checked starting point, path indices and noise (dB, dBt) of a kernel call."""
+    x0 = _as_state(x0, model.m, "x0")
+    y0 = _as_state(y0, model.d, "y0")
+    path_indices = np.asarray(path_indices, dtype=np.int64)
+    noise = _noise(master_seed, path_indices, grid, (model.m, model.d), increments)
+    return x0, y0, path_indices, noise
+
+
+def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
+                  dB: np.ndarray, dBt: np.ndarray):
+    """The direction-free part of the basic kernel.
+
+    Returns the left nodes of X, B_T, sigma at the left nodes (the (P, n) scalar
+    field, or the (P, d, n*d) operand A of the module docstring), Q_T,
+    int sigma dBt, Y_T and the mask of paths whose Q_T, int sigma dBt and Y_T
+    are finite.
+    """
+    n, T, d = grid.n_steps, grid.horizon, model.d
+    x_left, b_final = brownian_left_nodes(x0, dB)
+    if model.scalar_identity:
+        field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
+        q_matrix = (T * np.mean(field * field, axis=1))[:, None, None] * np.eye(d)
+        ssi = (field[:, :, None] * dBt).sum(axis=1)
+    else:
+        field = _row_major_steps(model.sigma(x_left))                 # A, (P, d, n*d)
+        q_matrix = T * (field @ field.transpose(0, 2, 1)) / n
+        ssi = (field @ dBt.reshape(len(dBt), n * d, 1))[..., 0]
+    y_final = y0 + ssi
+    valid = (
+        np.isfinite(q_matrix).all(axis=(1, 2))
+        & np.isfinite(ssi).all(axis=1)
+        & np.isfinite(y_final).all(axis=1)
+    )
+    return x_left, b_final, field, q_matrix, ssi, y_final, valid
+
+
 def simulate_basic_batch(
     model: ModelSpec,
     x0,
@@ -199,60 +252,38 @@ def simulate_basic_batch(
     """
     if model.kind is not ModelKind.BASIC:
         raise ValueError("simulate_basic_batch expects a basic model")
-    m, d = model.m, model.d
-    x0 = _as_state(x0, m, "x0")
-    y0 = _as_state(y0, d, "y0")
-    path_indices = np.asarray(path_indices, dtype=np.int64)
+    x0, y0, path_indices, (dB, dBt) = _prepare(model, x0, y0, grid, master_seed,
+                                               path_indices, increments)
+    x_left, b_final, field, q_matrix, ssi, y_final, valid = _basic_states(
+        model, x0, y0, grid, dB, dBt)
+    P, d = len(path_indices), model.d
     n, T = grid.n_steps, grid.horizon
-
-    dB, dBt = _noise(master_seed, path_indices, grid, (m, d), increments)
-    P = len(path_indices)
-
-    x_left, b_final = brownian_left_nodes(x0, dB)
-    x_final = x0 + b_final
     w = grid.decay_weights()
 
     if model.scalar_identity:
-        s = np.asarray(model.sigma_scalar(x_left), dtype=float)       # (P, n)
         wg = w * np.asarray(model.grad_sigma_scalar(x_left, v.v1), dtype=float)
-        q_scalar = T * np.mean(s * s, axis=1)
-        tr_scalar = T * np.mean(wg * s, axis=1)
-        eye = np.eye(d)
-        q_matrix = q_scalar[:, None, None] * eye
-        trace_integral = tr_scalar[:, None, None] * eye
+        trace_integral = (T * np.mean(wg * field, axis=1))[:, None, None] * np.eye(d)
         wsi = (wg[:, :, None] * dBt).sum(axis=1)
-        del wg  # free one (P, n) array before the products below reach the batch peak
-        ssi = (s[:, :, None] * dBt).sum(axis=1)
-        min_eig = q_scalar
+        min_eig = q_matrix[:, 0, 0]
     else:
-        # A and B as in the module docstring; each callback's array is freed as
-        # soon as it is copied, so at most three (P, n, d, d) arrays are alive
-        A = _row_major_steps(model.sigma(x_left))                     # (P, d, n*d)
-        B = _row_major_steps(model.grad_sigma(x_left, v.v1))
+        # B as in the module docstring; the callback's array is freed as soon as
+        # it is copied, so at most three (P, n, d, d) arrays are alive
+        B = _row_major_steps(model.grad_sigma(x_left, v.v1))          # (P, d, n*d)
         B *= np.repeat(w, d)                                          # w_k on step k
-        At = A.transpose(0, 2, 1)
-        q_matrix = T * (A @ At) / n
-        trace_integral = T * (B @ At) / n
-        dbt = dBt.reshape(P, n * d, 1)
-        wsi = (B @ dbt)[..., 0]
-        ssi = (A @ dbt)[..., 0]
+        trace_integral = T * (B @ field.transpose(0, 2, 1)) / n
+        wsi = (B @ dBt.reshape(P, n * d, 1))[..., 0]
         min_eig = np.linalg.eigvalsh(q_matrix)[:, 0]
 
-    y_final = y0 + ssi
-
-    valid = (
-        np.isfinite(q_matrix).all(axis=(1, 2))
-        & np.isfinite(trace_integral).all(axis=(1, 2))
+    valid &= (
+        np.isfinite(trace_integral).all(axis=(1, 2))
         & np.isfinite(wsi).all(axis=1)
-        & np.isfinite(ssi).all(axis=1)
-        & np.isfinite(y_final).all(axis=1)
         & np.isfinite(min_eig)
     )
 
     return PathBatch(
         path_indices=path_indices,
         b_final=b_final,
-        x_final=x_final,
+        x_final=x0 + b_final,
         y_final=y_final,
         q_matrix=q_matrix,
         trace_integral=trace_integral,
@@ -263,6 +294,63 @@ def simulate_basic_batch(
         min_eig_q=min_eig,
         valid=valid,
     )
+
+
+class _ExtendedStates:
+    """The direction-free part of the extended kernel: the (X, Y) recursion.
+
+    Iterating runs the steps.  At each left node k it updates Q_T, int sigma2 dBt,
+    int b2 dt and the sigma1-invertibility flag, yields (k, X_k, sigma1_k with
+    its non-invertible matrices replaced by I, sigma2_k), and then advances X.
+    Once the iteration ends, ``x_final``, ``y_final``, ``b_final``, ``q_matrix``,
+    ``ssi`` and ``valid`` (X_T, Y_T, Q_T and int sigma2 dBt finite, sigma1
+    invertible at every node) hold the path's direction-free results.
+    """
+
+    def __init__(self, model: ModelSpec, x0: np.ndarray, y0: np.ndarray,
+                 grid: TimeGrid, dB: np.ndarray, dBt: np.ndarray):
+        self.model, self.x0, self.y0, self.grid = model, x0, y0, grid
+        self.dB, self.dBt = dB, dBt
+
+    def __iter__(self):
+        model, grid, dB, dBt = self.model, self.grid, self.dB, self.dBt
+        P, m, d = len(dB), model.m, model.d
+        dt = grid.dt
+        eye_m = np.eye(m)
+        x = np.broadcast_to(self.x0, (P, m)).copy()
+        b_running = np.zeros((P, m))
+        q_acc = np.zeros((P, d, d))
+        ssi_acc = np.zeros((P, d))
+        ydrift_acc = np.zeros((P, d))
+        singular = np.zeros(P, dtype=bool)
+
+        for k in range(grid.n_steps):
+            db = dB[:, k, :]
+            s1 = np.asarray(model.sigma1(x), dtype=float)                 # (P, m, m)
+            s2 = np.asarray(model.sigma(x), dtype=float)                  # (P, d, d)
+            if m == 1:
+                bad = np.abs(s1[:, 0, 0]) < 1e-300
+            else:
+                det = np.abs(np.linalg.det(s1))
+                bad = det < 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
+            singular |= bad
+            q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
+            ssi_acc += np.einsum("pij,pj->pi", s2, dBt[:, k, :])
+            ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
+            yield k, x, np.where(bad[:, None, None], eye_m, s1), s2
+            x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
+            b_running = b_running + db
+
+        self.x_final, self.b_final = x, b_running
+        self.q_matrix, self.ssi = q_acc, ssi_acc
+        self.y_final = self.y0 + (ssi_acc + ydrift_acc)
+        self.valid = (
+            np.isfinite(x).all(axis=1)
+            & np.isfinite(self.y_final).all(axis=1)
+            & np.isfinite(q_acc).all(axis=(1, 2))
+            & np.isfinite(ssi_acc).all(axis=1)
+            & ~singular
+        )
 
 
 def simulate_extended_batch(
@@ -285,106 +373,102 @@ def simulate_extended_batch(
     """
     if model.kind is not ModelKind.EXTENDED:
         raise ValueError("simulate_extended_batch expects an extended model")
-    m, d = model.m, model.d
-    x0 = _as_state(x0, m, "x0")
-    y0 = _as_state(y0, d, "y0")
-    path_indices = np.asarray(path_indices, dtype=np.int64)
+    x0, y0, path_indices, (dB, dBt) = _prepare(model, x0, y0, grid, master_seed,
+                                               path_indices, increments)
+    P, m, d = len(path_indices), model.m, model.d
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
-    dB, dBt = _noise(master_seed, path_indices, grid, (m, d), increments)
-    P = len(path_indices)
-
-    times = grid.times()
-    remaining = T - times                      # (n+1,), exactly 0 at the final node
+    remaining = T - grid.times()               # (n+1,), exactly 0 at the final node
     factors = remaining[1:] / remaining[:n]    # integrating factors, last one exactly 0
 
-    x = np.broadcast_to(x0, (P, m)).copy()
     xi = np.broadcast_to(v.v1, (P, m)).copy()
-    b_running = np.zeros((P, m))
-    eye_m = np.eye(m)
-
-    q_acc = np.zeros((P, d, d))
     tr_acc = np.zeros((P, d, d))
     wsi_acc = np.zeros((P, d))
-    ssi_acc = np.zeros((P, d))
     dgi_acc = np.zeros((P, d))
-    ydrift_acc = np.zeros((P, d))
     xdw_acc = np.zeros(P)
-    invalid = np.zeros(P, dtype=bool)
 
     xi_path = np.empty((P, n + 1, m)) if record_xi else None
     if record_xi:
         xi_path[:, 0, :] = xi
 
-    for k in range(n):
+    states = _ExtendedStates(model, x0, y0, grid, dB, dBt)
+    for k, x, s1_safe, s2 in states:
         db = dB[:, k, :]
-        dbt = dBt[:, k, :]
-        s1 = np.asarray(model.sigma1(x), dtype=float)                 # (P, m, m)
-        s2 = np.asarray(model.sigma(x), dtype=float)                  # (P, d, d)
         g2 = np.asarray(model.grad_sigma(x, xi), dtype=float)         # (P, d, d)
 
         # xi-drift weight term at the left node, <sigma1^{-1} xi/(T-t_k), dB_k>
         if m == 1:
-            s1_scalar = s1[:, 0, 0]
-            bad = np.abs(s1_scalar) < 1e-300
-            invalid |= bad
-            safe = np.where(bad, 1.0, s1_scalar)
-            s1_inv_xi = xi / safe[:, None]
+            s1_inv_xi = xi / s1_safe[:, 0]
         else:
-            det = np.abs(np.linalg.det(s1))
-            bad = det < 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
-            invalid |= bad
-            s1_safe = np.where(bad[:, None, None], eye_m, s1)
             s1_inv_xi = np.linalg.solve(s1_safe, xi[..., None])[..., 0]
         xdw_acc += (s1_inv_xi * db).sum(axis=1) / remaining[k]
 
         # the decay (T-t)/T of the basic weight lives inside xi here: in the
         # sigma1 = I, b1 = 0 reduction xi_t = v1 (T-t)/T exactly, so these
         # unweighted integrands coincide with the weighted basic ones
-        q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
         tr_acc += dt * np.einsum("pij,pkj->pik", g2, s2)
-        wsi_acc += np.einsum("pij,pj->pi", g2, dbt)
-        ssi_acc += np.einsum("pij,pj->pi", s2, dbt)
+        wsi_acc += np.einsum("pij,pj->pi", g2, dBt[:, k, :])
         dgi_acc += np.asarray(model.grad_b2(x, xi), dtype=float) * dt
-        ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
 
         gs1 = np.asarray(model.grad_sigma1(x, xi), dtype=float)       # (P, m, m)
         gb1 = np.asarray(model.grad_b1(x, xi), dtype=float)           # (P, m)
         xi = factors[k] * (xi + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
-        x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
-        b_running = b_running + db
         if record_xi:
             xi_path[:, k + 1, :] = xi
 
-    y_final = y0 + (ssi_acc + ydrift_acc)
+    q_acc = states.q_matrix
     min_eig = q_acc[:, 0, 0] if d == 1 else np.linalg.eigvalsh(q_acc)[:, 0]
-
-    finite = (
-        np.isfinite(x).all(axis=1)
-        & np.isfinite(y_final).all(axis=1)
-        & np.isfinite(q_acc).all(axis=(1, 2))
+    valid = (
+        states.valid
         & np.isfinite(tr_acc).all(axis=(1, 2))
         & np.isfinite(wsi_acc).all(axis=1)
-        & np.isfinite(ssi_acc).all(axis=1)
         & np.isfinite(dgi_acc).all(axis=1)
         & np.isfinite(xdw_acc)
     )
 
     return PathBatch(
         path_indices=path_indices,
-        b_final=b_running,
-        x_final=x,
-        y_final=y_final,
+        b_final=states.b_final,
+        x_final=states.x_final,
+        y_final=states.y_final,
         q_matrix=q_acc,
         trace_integral=tr_acc,
         weighted_stoch_integral=wsi_acc,
-        sigma_stoch_integral=ssi_acc,
+        sigma_stoch_integral=states.ssi,
         drift_grad_integral=dgi_acc,
         xi_drift_weight=xdw_acc,
         min_eig_q=min_eig,
-        valid=finite & ~invalid,
+        valid=valid,
         xi_path=xi_path,
     )
+
+
+def simulate_terminal_batch(
+    model: ModelSpec,
+    x0,
+    y0,
+    grid: TimeGrid,
+    master_seed: int,
+    path_indices,
+    increments: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X_T, Y_T, valid) from the direction-free part of the model's kernel alone.
+
+    On the same noise, X_T and Y_T are bit for bit those of ``simulate_batch``
+    in any direction.  ``valid`` checks only the direction-free quantities
+    (see the module docstring): it equals the full kernel's mask unless a
+    direction callback is non-finite where sigma is finite.
+    ``increments`` overrides the Brownian increments as in ``simulate_basic_batch``.
+    """
+    x0, y0, _, (dB, dBt) = _prepare(model, x0, y0, grid, master_seed, path_indices,
+                                    increments)
+    if model.kind is ModelKind.BASIC:
+        _, b_final, _, _, _, y_final, valid = _basic_states(model, x0, y0, grid, dB, dBt)
+        return x0 + b_final, y_final, valid
+    states = _ExtendedStates(model, x0, y0, grid, dB, dBt)
+    for _ in states:
+        pass
+    return states.x_final, states.y_final, states.valid
 
 
 def simulate_batch(model: ModelSpec, x0, y0, v: Direction, grid: TimeGrid,

@@ -371,13 +371,13 @@ def test_harnack_simulates_each_base_point_once(monkeypatch):
     # P f(z') and P f^2(z') share one simulation at z'; one more runs at z
     # unless z has the x of z', whose simulation it then reads translated in y
     calls = []
-    real = estimators.simulate_batch
+    real = estimators.simulate_terminal_batch
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "simulate_batch", counting)
+    monkeypatch.setattr(estimators, "simulate_terminal_batch", counting)
     model = make_power_law_model(1, 1, 1.0)
     f = observable("one_plus_tanh_y", model)
     pairs = [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5))]

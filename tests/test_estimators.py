@@ -22,6 +22,7 @@ from gruschin.estimators import (
     lq_moment_rhs,
     pairwise_sum,
     parallel_map,
+    pt_panel,
     split_point,
 )
 from gruschin.models import (
@@ -239,6 +240,24 @@ def test_lq_adapted_and_sigma_row_hold():
         assert est.mean <= rhs * (1.0 + 1e-12) + 4.0 * est.stderr, name
 
 
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0, 30.0])
+def test_lq_adapted_cos_q2_matches_its_closed_form(T):
+    # E cos^2 W_t = (1 + e^{-2t})/2 and the q = 2 constant is 1
+    want = T / 2.0 + (1.0 - math.exp(-2.0 * T)) / 4.0
+    assert lq_moment_rhs("adapted_cos", 2.0, T) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0])
+def test_lq_adapted_cos_q4_matches_a_composite_simpson_sum(T):
+    # E cos^4 W_t = (3 + 4 e^{-2t} + e^{-8t})/8, integrated by Simpson's rule
+    n = 4000
+    t = np.linspace(0.0, T, n + 1)
+    g = np.sqrt((3.0 + 4.0 * np.exp(-2.0 * t) + np.exp(-8.0 * t)) / 8.0)
+    simpson = T / (3.0 * n) * (g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-1:2].sum())
+    assert lq_moment_rhs("adapted_cos", 4.0, T) == pytest.approx(36.0 * simpson**2,
+                                                                 rel=1e-11)
+
+
 def test_lq_zero_integrand():
     est = estimate_lq_moment("zero", 2.0, 1.0, 1000, 20, 3)
     assert est.mean == 0.0
@@ -424,6 +443,7 @@ def _counting(monkeypatch, name):
 def test_panels_draw_noise_once_per_batch(monkeypatch):
     draws = _counting(monkeypatch, "brownian_increments")
     sims = _counting(monkeypatch, "simulate_batch")
+    terminals = _counting(monkeypatch, "simulate_terminal_batch")
     model = make_power_law_model(1, 1, 1.0)
     fs = [observable("sin_y", model), observable("y_squared", model)]
     oblique = Direction.make(0.6, -0.8)
@@ -432,7 +452,14 @@ def test_panels_draw_noise_once_per_batch(monkeypatch):
     fd_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY, oblique], 2500, 20, 5,
              batch_size=1024)
     assert len(draws) == 3
-    assert len(sims) == 3 * 5
+    assert len(terminals) == 3 * 5
+    # 2 distinct x-starts per batch; the FD and semigroup-value panels never
+    # run the direction part of a kernel
+    pt_panel(model, [[1.0, 0.5], [1.0, -0.5], [0.5, 0.0]], 1.0, fs, 2500, 20, 5,
+             batch_size=1024)
+    assert len(draws) == 3 + 3
+    assert len(terminals) == 3 * 5 + 3 * 2
+    assert len(sims) == 0
 
     draws.clear()
     sims.clear()

@@ -1,6 +1,9 @@
 """Every exported name resolves, and the package re-exports only declared names."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -25,3 +28,11 @@ def test_package_reexports_only_declared_names():
     public = {n for n, val in vars(gruschin).items()
               if not n.startswith("_") and not isinstance(val, types.ModuleType)}
     assert sorted(public - declared) == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # the package depends on numpy alone; scipy's import cost half a second
+    code = "import sys, gruschin; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,11 @@
 """Simulation kernels: exactness, convergence order, invariants, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gruschin.estimators import bismut_panel, fd_panel
+from gruschin.estimators import EstimationError, bismut_panel, fd_panel, pt_panel
 from gruschin.models import (
     Direction,
     ModelKind,
@@ -15,12 +17,15 @@ from gruschin.models import (
     make_power_law_model,
     make_tilted_matrix_model,
 )
+from gruschin.models import TestFunction as Observable  # not a pytest class
 from gruschin.paths import (
     TimeGrid,
     brownian_increments,
     brownian_left_nodes,
     simulate_basic_batch,
+    simulate_batch,
     simulate_extended_batch,
+    simulate_terminal_batch,
 )
 from gruschin.rng import PathStreams
 
@@ -350,6 +355,174 @@ def test_nonfinite_coefficients_flag_paths_invalid():
     with np.errstate(invalid="ignore"):
         batch = simulate_basic_batch(model, [1.0], [0.0], V11, TimeGrid(4.0, 100),
                                      59, np.arange(2000))
+        _, _, terminal_valid = simulate_terminal_batch(model, [1.0], [0.0],
+                                                       TimeGrid(4.0, 100), 59, np.arange(2000))
     n_bad = int((~batch.valid).sum())
     assert 0 < n_bad < 2000  # flagged, counted, not silently dropped
     assert np.all(np.isfinite(batch.q_matrix[batch.valid]))
+    assert np.array_equal(terminal_valid, batch.valid)
+
+
+# ---------------------------------------------------------------------------
+# direction-free part against the full kernels
+# ---------------------------------------------------------------------------
+
+def _reference_basic(model, x0, y0, v, grid, dB, dBt):
+    """Every PathBatch field of the basic kernel, computed in one pass with the
+    same operations as the kernel before it was split into two parts."""
+    d, n, T = model.d, grid.n_steps, grid.horizon
+    P = len(dB)
+    x_left, b_final = brownian_left_nodes(x0, dB)
+    w = grid.decay_weights()
+    if model.scalar_identity:
+        s = np.asarray(model.sigma_scalar(x_left), dtype=float)
+        wg = w * np.asarray(model.grad_sigma_scalar(x_left, v.v1), dtype=float)
+        q_scalar = T * np.mean(s * s, axis=1)
+        q = q_scalar[:, None, None] * np.eye(d)
+        tr = (T * np.mean(wg * s, axis=1))[:, None, None] * np.eye(d)
+        wsi = (wg[:, :, None] * dBt).sum(axis=1)
+        ssi = (s[:, :, None] * dBt).sum(axis=1)
+        min_eig = q_scalar
+    else:
+        A = np.array(np.asarray(model.sigma(x_left)).transpose(0, 2, 1, 3),
+                     order="C").reshape(P, d, n * d)
+        B = np.array(np.asarray(model.grad_sigma(x_left, v.v1)).transpose(0, 2, 1, 3),
+                     order="C").reshape(P, d, n * d)
+        B *= np.repeat(w, d)
+        At = A.transpose(0, 2, 1)
+        q = T * (A @ At) / n
+        tr = T * (B @ At) / n
+        dbt = dBt.reshape(P, n * d, 1)
+        wsi = (B @ dbt)[..., 0]
+        ssi = (A @ dbt)[..., 0]
+        min_eig = np.linalg.eigvalsh(q)[:, 0]
+    y_final = y0 + ssi
+    valid = (np.isfinite(q).all(axis=(1, 2)) & np.isfinite(tr).all(axis=(1, 2))
+             & np.isfinite(wsi).all(axis=1) & np.isfinite(ssi).all(axis=1)
+             & np.isfinite(y_final).all(axis=1) & np.isfinite(min_eig))
+    return dict(b_final=b_final, x_final=x0 + b_final, y_final=y_final, q_matrix=q,
+                trace_integral=tr, weighted_stoch_integral=wsi, sigma_stoch_integral=ssi,
+                drift_grad_integral=np.zeros((P, d)),
+                xi_drift_weight=(b_final * v.v1).sum(axis=1) / T,
+                min_eig_q=min_eig, valid=valid)
+
+
+def _reference_extended(model, x0, y0, v, grid, dB, dBt):
+    """As ``_reference_basic``, for the extended kernel's joint (X, Y, xi) loop."""
+    m, d, n, T, dt = model.m, model.d, grid.n_steps, grid.horizon, grid.dt
+    P = len(dB)
+    remaining = T - grid.times()
+    factors = remaining[1:] / remaining[:n]
+    x = np.broadcast_to(x0, (P, m)).copy()
+    xi = np.broadcast_to(v.v1, (P, m)).copy()
+    b = np.zeros((P, m))
+    q, tr = np.zeros((P, d, d)), np.zeros((P, d, d))
+    wsi, ssi, dgi, ydrift = (np.zeros((P, d)) for _ in range(4))
+    xdw = np.zeros(P)
+    invalid = np.zeros(P, dtype=bool)
+    for k in range(n):
+        db, dbt = dB[:, k, :], dBt[:, k, :]
+        s1 = np.asarray(model.sigma1(x), dtype=float)
+        s2 = np.asarray(model.sigma(x), dtype=float)
+        g2 = np.asarray(model.grad_sigma(x, xi), dtype=float)
+        if m == 1:
+            bad = np.abs(s1[:, 0, 0]) < 1e-300
+            s1_inv_xi = xi / np.where(bad, 1.0, s1[:, 0, 0])[:, None]
+        else:
+            bad = np.abs(np.linalg.det(s1)) < 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
+            s1_safe = np.where(bad[:, None, None], np.eye(m), s1)
+            s1_inv_xi = np.linalg.solve(s1_safe, xi[..., None])[..., 0]
+        invalid |= bad
+        xdw += (s1_inv_xi * db).sum(axis=1) / remaining[k]
+        q += np.einsum("pij,pkj->pik", s2, s2) * dt
+        tr += dt * np.einsum("pij,pkj->pik", g2, s2)
+        wsi += np.einsum("pij,pj->pi", g2, dbt)
+        ssi += np.einsum("pij,pj->pi", s2, dbt)
+        dgi += np.asarray(model.grad_b2(x, xi), dtype=float) * dt
+        ydrift += np.asarray(model.b2(x), dtype=float) * dt
+        gs1 = np.asarray(model.grad_sigma1(x, xi), dtype=float)
+        gb1 = np.asarray(model.grad_b1(x, xi), dtype=float)
+        xi = factors[k] * (xi + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
+        x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
+        b = b + db
+    y_final = y0 + (ssi + ydrift)
+    finite = (np.isfinite(x).all(axis=1) & np.isfinite(y_final).all(axis=1)
+              & np.isfinite(q).all(axis=(1, 2)) & np.isfinite(tr).all(axis=(1, 2))
+              & np.isfinite(wsi).all(axis=1) & np.isfinite(ssi).all(axis=1)
+              & np.isfinite(dgi).all(axis=1) & np.isfinite(xdw))
+    return dict(b_final=b, x_final=x, y_final=y_final, q_matrix=q, trace_integral=tr,
+                weighted_stoch_integral=wsi, sigma_stoch_integral=ssi,
+                drift_grad_integral=dgi, xi_drift_weight=xdw,
+                min_eig_q=q[:, 0, 0] if d == 1 else np.linalg.eigvalsh(q)[:, 0],
+                valid=finite & ~invalid)
+
+
+SPLIT_MODELS = {
+    "power_law": make_power_law_model(1, 1, 1.0),
+    "power_law_m2": make_power_law_model(2, 1, 1.5),
+    "tilted_matrix": make_tilted_matrix_model(),
+    "extended_demo": make_extended_demo_model(),
+    "extended_m2": as_extended(make_power_law_model(2, 1, 1.0)),
+}
+
+
+@pytest.mark.parametrize("x_start", [1.0, 0.0])
+@pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+def test_direction_free_part_keeps_every_bit(name, x_start):
+    model = SPLIT_MODELS[name]
+    grid = TimeGrid(1.0, 40)
+    idx = np.arange(700)
+    x0, y0 = np.full(model.m, x_start), np.full(model.d, 0.3)
+    noise = tuple(brownian_increments(89, idx, grid, (model.m, model.d)))
+    reference = (_reference_basic if model.kind is ModelKind.BASIC
+                 else _reference_extended)
+    x_final, y_final, valid = simulate_terminal_batch(model, x0, y0, grid, 89, idx,
+                                                      increments=noise)
+    for v1 in (0.0, 1.0, -0.6):
+        v = Direction.make(np.full(model.m, v1), np.full(model.d, 0.5))
+        full = simulate_batch(model, x0, y0, v, grid, 89, idx, increments=noise)
+        assert np.array_equal(full.x_final, x_final)
+        assert np.array_equal(full.y_final, y_final)
+        assert np.array_equal(full.valid, valid)
+        for field, want in reference(model, x0, y0, v, grid, *noise).items():
+            got = getattr(full, field)
+            assert got.shape == want.shape and got.dtype == want.dtype, field
+            assert np.array_equal(got, want), field
+    assert valid.all()
+
+
+def _nan_direction(model):
+    """``model`` with every direction callback NaN; sigma is untouched."""
+    def nan_like(callback):
+        return lambda x, v: np.full(np.shape(callback(x, v)), np.nan)
+
+    fields = {"grad_sigma": nan_like(model.grad_sigma)}
+    if model.scalar_identity:
+        fields["grad_sigma_scalar"] = nan_like(model.grad_sigma_scalar)
+    if model.kind is ModelKind.EXTENDED:
+        fields["grad_b2"] = nan_like(model.grad_b2)
+    return replace(model, name=model.name + "+nan_direction", **fields)
+
+
+@pytest.mark.parametrize("name", ["power_law", "tilted_matrix", "extended_demo"])
+def test_nonfinite_direction_callback_leaves_the_terminal_mask_alone(name):
+    # the FD and semigroup-value panels read only terminal states: a path with a
+    # finite sigma is valid there, while the weight panel, which needs the
+    # derivative, counts it invalid
+    model = _nan_direction(SPLIT_MODELS[name])
+    z0 = np.ones(model.m + model.d)
+    grid = TimeGrid(1.0, 20)
+    idx = np.arange(300)
+    full = simulate_batch(model, z0[:model.m], z0[model.m:], Direction.make(
+        np.zeros(model.m), np.zeros(model.d)), grid, 7, idx)
+    _, _, valid = simulate_terminal_batch(model, z0[:model.m], z0[model.m:], grid, 7, idx)
+    assert not full.valid.any()
+    assert valid.all()
+
+    f = Observable(name="sum", eval=lambda z: z.sum(axis=-1))
+    ey = Direction.make(np.zeros(model.m), np.eye(model.d)[0])
+    fd = fd_panel(model, z0, 1.0, [f], [ey], 300, 20, 7)[("grad_fd", "sum", 0)]
+    pt = pt_panel(model, [z0], 1.0, [f], 300, 20, 7)[("pt", "sum", 0)]
+    assert fd.n_invalid == 0 and pt.n_invalid == 0
+    with pytest.raises(EstimationError):
+        bismut_panel(model, z0, 1.0, [f], [ey], 300, 20, 7)
