@@ -31,7 +31,6 @@ from .models import Direction, Family, ModelSpec, TestFunction
 from .paths import (
     TimeGrid,
     brownian_increments,
-    brownian_left_nodes,
     simulate_terminal_batch,
 )
 from .rng import derive_seed
@@ -52,8 +51,6 @@ __all__ = [
     "euclidean_distance",
     "check_harnack",
     "check_harnack_suite",
-    "IntegrabilityDiagnostic",
-    "integrability_diagnostic",
     "suite_exit_code",
     "report_markdown",
     "DEFAULT_CALIBRATION_GRID",
@@ -452,16 +449,21 @@ class RhoUpperBound:
     segment_costs: tuple
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12, max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
+# golden-section search of the subunit-curve waypoint: relative bracket width, step cap
+RHO_SEARCH_TOL = 1e-12
+RHO_SEARCH_ITERS = 200
+
+
+def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal function on [lo, hi], to
+    ``RHO_SEARCH_TOL`` relative width or ``RHO_SEARCH_ITERS`` steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a < tol * (1.0 + abs(a) + abs(b)):
+    for _ in range(RHO_SEARCH_ITERS):
+        if b - a < RHO_SEARCH_TOL * (1.0 + abs(a) + abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -475,9 +477,7 @@ def _golden_min(fn: Callable[[float], float], lo: float, hi: float,
     return xs, fn(xs)
 
 
-def rho_upper_bound(model: ModelSpec, z, z_prime,
-                    search_tol: float = 1e-12,
-                    search_iters: int = 200) -> RhoUpperBound:
+def rho_upper_bound(model: ModelSpec, z, z_prime) -> RhoUpperBound:
     """Constructive subunit-curve upper bound on the intrinsic distance (m = d = 1).
 
     The curve family has three segments: an x-move to a waypoint x* (unit cost per
@@ -506,8 +506,7 @@ def rho_upper_bound(model: ModelSpec, z, z_prime,
     lo = 1e-9
     best_s, best_c = None, math.inf
     for sign in (+1.0, -1.0):
-        s, c = _golden_min(lambda s: cost(sign * s), lo, hi,
-                           tol=search_tol, max_iter=search_iters)
+        s, c = _golden_min(lambda s: cost(sign * s), lo, hi)
         if c < best_c:
             best_s, best_c = sign * s, c
     for s in (x, xp):  # exact endpoint waypoints (zero-length first or last segment)
@@ -537,7 +536,7 @@ class HarnackResult:
     band: float
     rho: float
     constant: float
-    verdict: str       # "holds" | "violated" | "inconclusive"
+    verdict: str       # "holds" | "violated"
     n_valid: int       # path counts of the estimates, which share one validity mask
     n_invalid: int
     seed: int          # the derived seed of the estimates at z and z'
@@ -546,21 +545,20 @@ class HarnackResult:
 def _assert_nonnegative(model: ModelSpec, f: TestFunction, z0, T: float, seed: int) -> None:
     """Sampling check that the observable is nonnegative on reachable states."""
     x0, y0 = split_point(model, z0)
-    grid = TimeGrid(T, max(2, 64))
-    idx = np.arange(512, dtype=np.int64)
-    x_final, y_final, _ = simulate_terminal_batch(model, x0, y0, grid, seed, idx)
+    grid = TimeGrid(T, 64)
+    noise = brownian_increments(seed, np.arange(512), grid, (model.m, model.d))
+    x_final, y_final, _ = simulate_terminal_batch(model, x0, y0, grid, noise)
     vals = np.asarray(f.eval(np.concatenate([x_final, y_final], axis=1)), dtype=float)
     if vals.min() < 0.0:
         raise ValueError(f"observable {f.name!r} is negative on sampled states")
 
 
 def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
-                  constant: float, mc: McParams,
-                  rho: Optional[float] = None) -> HarnackResult:
+                  constant: float, mc: McParams) -> HarnackResult:
     """Test P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')) with 4-sigma bands.
 
-    ``rho`` defaults to the exact Euclidean distance when the model declares
-    ``Family.HEAT`` (sigma = I), and otherwise to the subunit-curve upper bound,
+    ``rho`` is the exact Euclidean distance when the model declares
+    ``Family.HEAT`` (sigma = I), and otherwise the subunit-curve upper bound,
     which needs an m = d = 1 model with power-law constants and raises
     ``ValueError`` for any other.  P f(z'), P f^2(z') and P f(z) come
     from one ``pt_panel``: one noise draw per batch drives both base points, and
@@ -574,11 +572,10 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     seed = derive_seed(mc.seed, label)
     _assert_nonnegative(model, f, z_prime, T, derive_seed(mc.seed, label + ":probe"))
 
-    if rho is None:
-        if model.family is Family.HEAT:
-            rho = euclidean_distance(z, z_prime)
-        else:
-            rho = rho_upper_bound(model, z, z_prime).bound
+    if model.family is Family.HEAT:
+        rho = euclidean_distance(z, z_prime)
+    else:
+        rho = rho_upper_bound(model, z, z_prime).bound
 
     f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f))
     panel = pt_panel(model, [z_prime, z], T, [f, f_sq], mc.n_paths, mc.n_steps, seed,
@@ -587,9 +584,6 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     p_at_z = panel[("pt", f.name, 1)]
     meta = dict(n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid, seed=seed)
 
-    if p_sq_zp.mean < 0.0:
-        return HarnackResult(*points, p_at_zp.mean, float("nan"),
-                             float("nan"), rho, constant, "inconclusive", **meta)
     root = math.sqrt(p_sq_zp.mean)
     rhs = p_at_z.mean + constant * rho * root
     root_se = p_sq_zp.stderr / (2.0 * root) if root > 0 else 0.0
@@ -612,7 +606,7 @@ def check_harnack_suite(model: ModelSpec, T: float,
     results = parallel_map(lambda pair: check_harnack(model, T, *pair, f, constant, mc),
                            pairs, mc.workers)
     for res in results:
-        if res.verdict == "inconclusive" or res.rhs == 0.0:
+        if res.rhs == 0.0:
             report.skipped.append(f"{res.z}->{res.z_prime}: inconclusive")
             continue
         report.points.append(RatioPoint(
@@ -630,55 +624,6 @@ def check_harnack_suite(model: ModelSpec, T: float,
     report.verdict = (BoundCheckVerdict.VIOLATED if violated
                       else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Optional diagnostic for the standing integrability assumption
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntegrabilityDiagnostic:
-    """MC probe of E ||Q_T^{-1}||^2 int (||grad sigma||^4 + ||sigma||^4 + 1) dt.
-
-    The integrand can be heavy-tailed near degeneracy, so this is a diagnostic
-    with a tail warning, not an acceptance quantity.
-    """
-
-    mean: float
-    stderr: float
-    max_over_mean: float
-    heavy_tail_warning: bool
-
-
-def integrability_diagnostic(model: ModelSpec, z0, T: float, mc: McParams,
-                             tail_factor: float = 100.0) -> IntegrabilityDiagnostic:
-    """Sample the integrability functional for a power-law basic model."""
-    if not model.scalar_identity or model.power_params is None:
-        raise ValueError("diagnostic implemented for scalar power-law models")
-    x0, _ = split_point(model, z0)
-    grid = TimeGrid(T, mc.n_steps)
-    l = model.power_params.l
-    vals = []
-    chunk = 8192
-    for start in range(0, mc.n_paths, chunk):
-        stop = min(start + chunk, mc.n_paths)
-        idx = np.arange(start, stop, dtype=np.int64)
-        (dB,) = brownian_increments(mc.seed, idx, grid, (model.m,))
-        x_left, _ = brownian_left_nodes(x0, dB)
-        r = np.abs(x_left[..., 0]) if model.m == 1 else np.linalg.norm(x_left, axis=-1)
-        sig = np.abs(model.sigma_scalar(x_left))
-        grad_norm = l * r ** (l - 1.0)
-        q = T * np.mean(sig**2, axis=1)
-        integral = T * np.mean(grad_norm**4 + sig**4 + 1.0, axis=1)
-        vals.append(integral / q**2)
-    v = np.concatenate(vals)
-    mean = float(v.mean())
-    stderr = float(v.std(ddof=1) / math.sqrt(len(v)))
-    ratio = float(v.max() / mean) if mean > 0 else float("inf")
-    return IntegrabilityDiagnostic(
-        mean=mean, stderr=stderr, max_over_mean=ratio,
-        heavy_tail_warning=bool(ratio > tail_factor),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,49 @@ KNOWN_CHECKS = ("bismut_vs_fd", "a5", "a6", "lemma31", "lemma_ll", "harnack", "r
 # absolute allowance for the O(eps^2) central-difference bias in agreement checks
 FD_BIAS_ALLOWANCE = 1e-3
 
+# the path and step counts a config may set, run-wide or per check, with their minima
+MIN_COUNTS = {"n_paths": 100, "n_steps": 2}
+
 CSV_FIELDS = ("experiment_id", "quantity", "mean", "stderr", "n_valid",
               "n_invalid", "seed", "T", "z0", "v", "n_steps")
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
+
+
+def _number(convert, value, name: str):
+    """``convert(value)`` for ``convert`` int or float, or a ConfigError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _count(value, name: str, minimum: int) -> int:
+    count = _number(int, value, name)
+    if count < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}")
+    return count
+
+
+def _list(block: dict, key: str, name: str, default=()):
+    """``block[key]``, or ``default`` when absent; a ConfigError names the field
+    unless it is a list."""
+    value = block.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _floats(value, name: str) -> tuple:
+    """A list of numbers as a tuple of floats, or a ConfigError naming the field."""
+    if isinstance(value, (list, tuple)):
+        try:
+            return tuple(float(c) for c in value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,24 +158,24 @@ class ExperimentConfig:
                 raise ConfigError(f"{block_name}.{key} is required")
             return block[key]
 
-        if "model" not in raw:
-            raise ConfigError("model block is required")
-        if "run" not in raw:
-            raise ConfigError("run block is required")
+        if not isinstance(raw, dict):
+            raise ConfigError("a config must be a JSON object")
+        for block in ("model", "run"):
+            if block not in raw:
+                raise ConfigError(f"{block} block is required")
+        for block in ("model", "run", "suite", "output"):
+            if not isinstance(raw.get(block, {}), dict):
+                raise ConfigError(f"{block} must be a mapping")
         mraw = raw["model"]
         builtin = mraw.get("builtin", "power_law")
         if builtin not in BUILTIN_MODELS:
             raise ConfigError(f"model.builtin must be one of {BUILTIN_MODELS}, got {builtin!r}")
         model = ModelConfig(
             builtin=builtin,
-            m=int(mraw.get("m", 1)),
-            d=int(mraw.get("d", 1)),
-            l=float(mraw.get("l", 1.0)),
+            m=_count(mraw.get("m", 1), "model.m", 1),
+            d=_count(mraw.get("d", 1), "model.d", 1),
+            l=_number(float, mraw.get("l", 1.0), "model.l"),
         )
-        if model.m < 1:
-            raise ConfigError("model.m must be a positive integer")
-        if model.d < 1:
-            raise ConfigError("model.d must be a positive integer")
         try:
             built = builtin_model(builtin, model.m, model.d, model.l)
         except ValueError as exc:
@@ -150,64 +187,77 @@ class ExperimentConfig:
 
         rraw = raw["run"]
         seed = need(rraw, "run", "master_seed")
-        horizons = tuple(float(t) for t in rraw.get("horizons", ()))
+        horizons = _floats(rraw.get("horizons", ()), "run.horizons")
         if not horizons:
             raise ConfigError("run.horizons must be a nonempty list")
-        if any(t <= 0 for t in horizons):
-            raise ConfigError("run.horizons entries must be positive")
-        points = tuple(tuple(float(c) for c in p) for p in rraw.get("points", ()))
+        if not all(0 < t < math.inf for t in horizons):
+            raise ConfigError("run.horizons entries must be positive and finite")
+        points = tuple(_floats(p, f"run.points[{i}]")
+                       for i, p in enumerate(_list(rraw, "points", "run.points")))
         if not points:
             raise ConfigError("run.points must be a nonempty list")
         dim = model.m + model.d
         for p in points:
             if len(p) != dim:
                 raise ConfigError(f"run.points entries must have length m+d={dim}")
-        directions = tuple(
-            (tuple(float(c) for c in v1), tuple(float(c) for c in v2))
-            for v1, v2 in rraw.get("directions", ())
-        )
+        directions = []
+        for i, pair in enumerate(_list(rraw, "directions", "run.directions")):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ConfigError(f"run.directions[{i}] must be a pair [v1, v2], got {pair!r}")
+            directions.append(tuple(_floats(part, f"run.directions[{i}][{k}]")
+                                    for k, part in enumerate(pair)))
+        directions = tuple(directions)
         if not directions:
             raise ConfigError("run.directions must be a nonempty list")
         for v1, v2 in directions:
             if len(v1) != model.m or len(v2) != model.d:
                 raise ConfigError("run.directions entries must have shapes (m, d)")
-        n_paths = int(need(rraw, "run", "n_paths"))
-        if n_paths < 100:
-            raise ConfigError("run.n_paths must be at least 100")
-        n_steps = int(need(rraw, "run", "n_steps"))
-        if n_steps < 2:
-            raise ConfigError("run.n_steps must be at least 2")
+        n_paths = _count(need(rraw, "run", "n_paths"), "run.n_paths", MIN_COUNTS["n_paths"])
+        n_steps = _count(need(rraw, "run", "n_steps"), "run.n_steps", MIN_COUNTS["n_steps"])
         fd_eps = rraw.get("fd_eps")
-        fd_eps = None if fd_eps is None else float(fd_eps)
-        functions = tuple(rraw.get("functions", ()))
+        if fd_eps is not None:
+            fd_eps = _number(float, fd_eps, "run.fd_eps")
+            if not 0 < fd_eps < math.inf:
+                raise ConfigError(f"run.fd_eps must be null, or positive and finite; "
+                                  f"got {fd_eps!r}")
+        functions = tuple(_list(rraw, "functions", "run.functions"))
         for fname in functions:
             if fname not in TEST_FUNCTION_NAMES:
                 raise ConfigError(f"run.functions contains unknown observable {fname!r}; "
                                   f"known: {TEST_FUNCTION_NAMES}")
         run = RunConfig(horizons=horizons, points=points, directions=directions,
                         n_paths=n_paths, n_steps=n_steps,
-                        master_seed=int(seed), fd_eps=fd_eps, functions=functions)
+                        master_seed=_number(int, seed, "run.master_seed"), fd_eps=fd_eps,
+                        functions=functions)
 
         sraw = raw.get("suite", {})
-        checks = tuple(sraw.get("checks", KNOWN_CHECKS))
+        checks = tuple(_list(sraw, "checks", "suite.checks", KNOWN_CHECKS))
         for c in checks:
             if c not in KNOWN_CHECKS:
                 raise ConfigError(f"suite.checks contains unknown check {c!r}; "
                                   f"known: {KNOWN_CHECKS}")
         if not checks:
             raise ConfigError("suite.checks must be a nonempty list")
-        overrides = dict(sraw.get("overrides", {}))
+        overrides = sraw.get("overrides", {})
+        if not isinstance(overrides, dict):
+            raise ConfigError("suite.overrides must be a mapping")
+        overrides = dict(overrides)
         for key, val in overrides.items():
             if key not in KNOWN_CHECKS:
                 raise ConfigError(f"suite.overrides names unknown check {key!r}")
             if not isinstance(val, dict):
                 raise ConfigError(f"suite.overrides.{key} must be a mapping")
+            for name, count in val.items():
+                if name not in MIN_COUNTS:
+                    raise ConfigError(f"suite.overrides.{key} sets unknown key {name!r}; "
+                                      f"known: {tuple(MIN_COUNTS)}")
+                _count(count, f"suite.overrides.{key}.{name}", MIN_COUNTS[name])
         suite = SuiteConfig(checks=checks, overrides=overrides)
 
         oraw = raw.get("output", {})
         output = OutputConfig(
             directory=str(oraw.get("directory", "out")),
-            formats=tuple(oraw.get("formats", ("csv", "json", "markdown"))),
+            formats=tuple(_list(oraw, "formats", "output.formats", ("csv", "json", "markdown"))),
         )
         for fmt in output.formats:
             if fmt not in ("csv", "json", "markdown"):
@@ -347,10 +397,10 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     n = min(mc.n_paths, 2000)
     idx = np.arange(n, dtype=np.int64)
     seed = derive_seed(mc.seed, "reduction")
-    noise = tuple(brownian_increments(seed, idx, grid, (model.m, model.d)))
+    noise = brownian_increments(seed, idx, grid, (model.m, model.d))
     # the two kernels only read the shared noise, so they run side by side
     bb, eb = parallel_map(
-        lambda mdl: simulate_batch(mdl, x0, y0, v, grid, seed, idx, increments=noise),
+        lambda mdl: simulate_batch(mdl, x0, y0, v, grid, noise),
         [model, ext], mc.workers)
     db, tb, ib, okb = weight_terms_shared(bb, v.v2)
     de, te, ie, oke = weight_terms_shared(eb, v.v2)
@@ -534,12 +584,13 @@ def _cmd_dump_paths(args) -> int:
     chunk = 8192
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        batch = simulate_batch(model, x0, y0, v, grid, cfg.run.master_seed, idx)
+        noise = brownian_increments(cfg.run.master_seed, idx, grid, (model.m, model.d))
+        batch = simulate_batch(model, x0, y0, v, grid, noise)
         drift, trace, inner, _ = weight_terms_shared(batch, v.v2)
         m_t = drift + trace + inner
         for row in range(len(idx)):
             writer.writerow([
-                int(batch.path_indices[row]),
+                int(idx[row]),
                 _fmt_vec(batch.b_final[row]),
                 _fmt_vec(batch.x_final[row]),
                 _fmt_vec(batch.y_final[row]),

@@ -197,16 +197,11 @@ def default_fd_eps(z0) -> float:
     return 1e-3 * (1.0 + float(np.linalg.norm(np.asarray(z0, dtype=float))))
 
 
-def _simulate(model, x0, y0, v, grid, seed, start, stop, increments=None):
-    idx = np.arange(start, stop, dtype=np.int64)
-    return simulate_batch(model, x0, y0, v, grid, seed, idx, increments=increments)
-
-
 def _draw_noise(model, grid, seed, start, stop) -> tuple[np.ndarray, np.ndarray]:
     """The Brownian increments (dB, dBt) of paths start..stop-1, drawn once per batch
     and shared by every simulation of the batch."""
     idx = np.arange(start, stop, dtype=np.int64)
-    return tuple(brownian_increments(seed, idx, grid, (model.m, model.d)))
+    return brownian_increments(seed, idx, grid, (model.m, model.d))
 
 
 def estimate_pt(model: ModelSpec, f: TestFunction, z0, T: float,
@@ -458,7 +453,6 @@ def _terminal_states(model: ModelSpec, grid: TimeGrid, seed: int,
     the derivative, counts them invalid.
     """
     noise = _draw_noise(model, grid, seed, start, stop)
-    idx = np.arange(start, stop, dtype=np.int64)
     y_origin = np.zeros(model.d)
     sims = {}  # x-start bytes -> (X_T, Y_T, valid) simulated from (x-start, 0)
 
@@ -466,8 +460,7 @@ def _terminal_states(model: ModelSpec, grid: TimeGrid, seed: int,
         x_start, y_start = split_point(model, z_start)
         key = x_start.tobytes()
         if key not in sims:
-            sims[key] = simulate_terminal_batch(model, x_start, y_origin, grid, seed, idx,
-                                                increments=noise)
+            sims[key] = simulate_terminal_batch(model, x_start, y_origin, grid, noise)
         x_final, y_rel, sim_valid = sims[key]
         y_final = y_start + y_rel
         valid = sim_valid & np.isfinite(y_final).all(axis=1)
@@ -533,7 +526,7 @@ def bismut_panel(model: ModelSpec, z0, T: float,
         m_t = [None] * len(vs)
         for grp in groups:
             u = Direction(np.asarray(grp["u1"], dtype=float), np.zeros(model.d))
-            batch = _simulate(model, x0, y0, u, grid, seed, start, stop, noise)
+            batch = simulate_batch(model, x0, y0, u, grid, noise)
             for j, scale in grp["members"]:
                 drift, trace, inner, solvable = weight_terms_shared(
                     batch, vs[j].v2, v1_scale=scale

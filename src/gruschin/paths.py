@@ -48,14 +48,19 @@ formula.  In particular ``xi_drift_weight`` is the extended model's
 int <sigma1^{-1} xi_t/(T-t), dB_t>, and the basic kernel stores the value that
 integral takes in the sigma1 = I, b1 = 0 reduction, <v1, B_T>/T.
 
-Paths draw their noise from substream 0 of ``rng.PathStreams``: the noise of
-path i is a pure function of (master_seed, i).
+Every kernel takes its noise as one required argument ``noise = (dB, dBt)``,
+the increments (P, n_steps, m) of B and (P, n_steps, d) of B~; the kernel
+checks the two shapes and draws nothing itself.  Row p of every output is a
+function of row p of the noise alone, so a path gives the same bits in any
+batch, and running two kernels (or a coarse and a fine grid) on one draw needs
+no other entry point.  ``brownian_increments`` draws the noise of paths from
+substream 0 of ``rng.PathStreams``: the noise of path i is a pure function of
+(master_seed, i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -109,7 +114,6 @@ class PathBatch:
     Every array carries a leading path axis of length P.
     """
 
-    path_indices: np.ndarray       # (P,)
     b_final: np.ndarray            # (P, m) terminal value of the first Brownian motion
     x_final: np.ndarray            # (P, m)
     y_final: np.ndarray            # (P, d)
@@ -123,10 +127,9 @@ class PathBatch:
     xi_drift_weight: np.ndarray    # (P,) int <sigma1^{-1} xi/(T-t), dB>; basic: <v1, B_T>/T
     min_eig_q: np.ndarray          # (P,)
     valid: np.ndarray              # (P,) bool
-    xi_path: Optional[np.ndarray] = None  # (P, n_steps+1, m) when recording requested
 
     def __len__(self) -> int:
-        return len(self.path_indices)
+        return len(self.valid)
 
     @property
     def z_final(self) -> np.ndarray:
@@ -142,7 +145,7 @@ def _as_state(value, dim: int, name: str) -> np.ndarray:
 
 
 def brownian_increments(master_seed: int, path_indices, grid: TimeGrid,
-                        widths: tuple[int, ...]) -> list[np.ndarray]:
+                        widths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Increments (P, n_steps, w) of independent Brownian motions of each width w.
 
     The noise of a path is a pure function of (master_seed, path index): it is
@@ -152,7 +155,7 @@ def brownian_increments(master_seed: int, path_indices, grid: TimeGrid,
     eps = streams.fill_normals(np.asarray(path_indices), (grid.n_steps, sum(widths)))
     eps *= np.sqrt(grid.dt)
     edges = np.cumsum((0,) + tuple(widths))
-    return [eps[:, :, a:b] for a, b in zip(edges[:-1], edges[1:])]
+    return tuple(eps[:, :, a:b] for a, b in zip(edges[:-1], edges[1:]))
 
 
 def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,21 +173,6 @@ def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, b_final
 
 
-def _noise(master_seed: int, path_indices: np.ndarray, grid: TimeGrid,
-           widths: tuple[int, int],
-           increments: Optional[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The (dB, dBt) a kernel runs on: drawn, or the caller's override once its
-    shapes (P, n_steps, m) and (P, n_steps, d) are checked."""
-    if increments is None:
-        return tuple(brownian_increments(master_seed, path_indices, grid, widths))
-    dB, dBt = increments
-    P, n = len(path_indices), grid.n_steps
-    if np.shape(dB) != (P, n, widths[0]) or np.shape(dBt) != (P, n, widths[1]):
-        raise ValueError(f"increment override has shapes {np.shape(dB)} and {np.shape(dBt)}; "
-                         f"expected ({P}, {n}, {widths[0]}) and ({P}, {n}, {widths[1]})")
-    return dB, dBt
-
-
 def _row_major_steps(field) -> np.ndarray:
     """A fresh contiguous (P, d, n*d) copy of coefficient values (P, n, d, d).
 
@@ -196,14 +184,20 @@ def _row_major_steps(field) -> np.ndarray:
     return np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(P, d, n * d)
 
 
-def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, master_seed: int, path_indices,
-             increments: Optional[tuple[np.ndarray, np.ndarray]]):
-    """Checked starting point, path indices and noise (dB, dBt) of a kernel call."""
+def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, noise):
+    """Checked starting point and noise (dB, dBt) of a kernel call.
+
+    dB must be (P, n_steps, m) and dBt (P, n_steps, d) with P = len(dB), so
+    noise drawn for another batch or another grid is refused, not truncated.
+    """
     x0 = _as_state(x0, model.m, "x0")
     y0 = _as_state(y0, model.d, "y0")
-    path_indices = np.asarray(path_indices, dtype=np.int64)
-    noise = _noise(master_seed, path_indices, grid, (model.m, model.d), increments)
-    return x0, y0, path_indices, noise
+    dB, dBt = noise
+    P, n = len(dB), grid.n_steps
+    if np.shape(dB) != (P, n, model.m) or np.shape(dBt) != (P, n, model.d):
+        raise ValueError(f"noise has shapes {np.shape(dB)} and {np.shape(dBt)}; "
+                         f"expected ({P}, {n}, {model.m}) and ({P}, {n}, {model.d})")
+    return x0, y0, dB, dBt
 
 
 def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
@@ -240,23 +234,16 @@ def simulate_basic_batch(
     y0,
     v: Direction,
     grid: TimeGrid,
-    master_seed: int,
-    path_indices,
-    increments: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    noise: tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
-    """Simulate a batch of basic-model paths and accumulate all weight functionals.
-
-    ``increments`` overrides the generated Brownian increments (arrays of shape
-    (P, n_steps, m) and (P, n_steps, d), checked); used by refinement-coupling
-    tests and by runs that share one draw between kernels.
-    """
+    """Simulate a batch of basic-model paths on ``noise = (dB, dBt)`` and
+    accumulate all weight functionals."""
     if model.kind is not ModelKind.BASIC:
         raise ValueError("simulate_basic_batch expects a basic model")
-    x0, y0, path_indices, (dB, dBt) = _prepare(model, x0, y0, grid, master_seed,
-                                               path_indices, increments)
+    x0, y0, dB, dBt = _prepare(model, x0, y0, grid, noise)
     x_left, b_final, field, q_matrix, ssi, y_final, valid = _basic_states(
         model, x0, y0, grid, dB, dBt)
-    P, d = len(path_indices), model.d
+    P, d = len(dB), model.d
     n, T = grid.n_steps, grid.horizon
     w = grid.decay_weights()
 
@@ -281,7 +268,6 @@ def simulate_basic_batch(
     )
 
     return PathBatch(
-        path_indices=path_indices,
         b_final=b_final,
         x_final=x0 + b_final,
         y_final=y_final,
@@ -359,23 +345,19 @@ def simulate_extended_batch(
     y0,
     v: Direction,
     grid: TimeGrid,
-    master_seed: int,
-    path_indices,
-    record_xi: bool = False,
-    increments: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    noise: tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
-    """Simulate extended-model paths, advancing (X, Y, xi) jointly.
+    """Simulate extended-model paths on ``noise = (dB, dBt)``, advancing
+    (X, Y, xi) jointly.
 
     The xi step is exact for the singular part of the drift:
     xi_{k+1} = ((T-t_{k+1})/(T-t_k)) * [xi_k + (grad_xi sigma1) dB + (grad_xi b1) dt],
     so the factor at the last step is exactly 0 and xi lands on 0 at t = T.
-    ``increments`` overrides the Brownian increments as in ``simulate_basic_batch``.
     """
     if model.kind is not ModelKind.EXTENDED:
         raise ValueError("simulate_extended_batch expects an extended model")
-    x0, y0, path_indices, (dB, dBt) = _prepare(model, x0, y0, grid, master_seed,
-                                               path_indices, increments)
-    P, m, d = len(path_indices), model.m, model.d
+    x0, y0, dB, dBt = _prepare(model, x0, y0, grid, noise)
+    P, m, d = len(dB), model.m, model.d
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
     remaining = T - grid.times()               # (n+1,), exactly 0 at the final node
@@ -386,10 +368,6 @@ def simulate_extended_batch(
     wsi_acc = np.zeros((P, d))
     dgi_acc = np.zeros((P, d))
     xdw_acc = np.zeros(P)
-
-    xi_path = np.empty((P, n + 1, m)) if record_xi else None
-    if record_xi:
-        xi_path[:, 0, :] = xi
 
     states = _ExtendedStates(model, x0, y0, grid, dB, dBt)
     for k, x, s1_safe, s2 in states:
@@ -413,8 +391,6 @@ def simulate_extended_batch(
         gs1 = np.asarray(model.grad_sigma1(x, xi), dtype=float)       # (P, m, m)
         gb1 = np.asarray(model.grad_b1(x, xi), dtype=float)           # (P, m)
         xi = factors[k] * (xi + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
-        if record_xi:
-            xi_path[:, k + 1, :] = xi
 
     q_acc = states.q_matrix
     min_eig = q_acc[:, 0, 0] if d == 1 else np.linalg.eigvalsh(q_acc)[:, 0]
@@ -427,7 +403,6 @@ def simulate_extended_batch(
     )
 
     return PathBatch(
-        path_indices=path_indices,
         b_final=states.b_final,
         x_final=states.x_final,
         y_final=states.y_final,
@@ -439,7 +414,6 @@ def simulate_extended_batch(
         xi_drift_weight=xdw_acc,
         min_eig_q=min_eig,
         valid=valid,
-        xi_path=xi_path,
     )
 
 
@@ -448,9 +422,7 @@ def simulate_terminal_batch(
     x0,
     y0,
     grid: TimeGrid,
-    master_seed: int,
-    path_indices,
-    increments: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    noise: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X_T, Y_T, valid) from the direction-free part of the model's kernel alone.
 
@@ -458,10 +430,8 @@ def simulate_terminal_batch(
     in any direction.  ``valid`` checks only the direction-free quantities
     (see the module docstring): it equals the full kernel's mask unless a
     direction callback is non-finite where sigma is finite.
-    ``increments`` overrides the Brownian increments as in ``simulate_basic_batch``.
     """
-    x0, y0, _, (dB, dBt) = _prepare(model, x0, y0, grid, master_seed, path_indices,
-                                    increments)
+    x0, y0, dB, dBt = _prepare(model, x0, y0, grid, noise)
     if model.kind is ModelKind.BASIC:
         _, b_final, _, _, _, y_final, valid = _basic_states(model, x0, y0, grid, dB, dBt)
         return x0 + b_final, y_final, valid
@@ -472,10 +442,9 @@ def simulate_terminal_batch(
 
 
 def simulate_batch(model: ModelSpec, x0, y0, v: Direction, grid: TimeGrid,
-                   master_seed: int, path_indices,
-                   increments: Optional[tuple[np.ndarray, np.ndarray]] = None) -> PathBatch:
+                   noise: tuple[np.ndarray, np.ndarray]) -> PathBatch:
     """Simulate with the kernel of the model's kind, basic or extended."""
     # the kernels are looked up as module globals at call time, so a rebinding
     # of ``simulate_basic_batch`` / ``simulate_extended_batch`` sees every call
     sim = simulate_basic_batch if model.kind is ModelKind.BASIC else simulate_extended_batch
-    return sim(model, x0, y0, v, grid, master_seed, path_indices, increments=increments)
+    return sim(model, x0, y0, v, grid, noise)

@@ -152,8 +152,9 @@ def test_criterion_05_extended_reduction_pathwise():
     grid = TimeGrid(1.0, 200)
     v = Direction.make(1.0, 1.0)
     idx = np.arange(10_000)
-    b = simulate_basic_batch(model, [1.0], [0.0], v, grid, 105, idx)
-    e = simulate_extended_batch(ext, [1.0], [0.0], v, grid, 105, idx)
+    noise = brownian_increments(105, idx, grid, (1, 1))
+    b = simulate_basic_batch(model, [1.0], [0.0], v, grid, noise)
+    e = simulate_extended_batch(ext, [1.0], [0.0], v, grid, noise)
     db, tb, ib, okb = weight_terms_shared(b, v.v2)
     de, te, ie, oke = weight_terms_shared(e, v.v2)
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
@@ -172,7 +173,8 @@ def test_criterion_06_weight_linearity():
     def weights_for(sim_fn, model, seed):
         out = []
         for d in (u, w, uw):
-            batch = sim_fn(model, [1.0], [0.0], d, grid, seed, idx)
+            batch = sim_fn(model, [1.0], [0.0], d, grid,
+                           brownian_increments(seed, idx, grid, (1, 1)))
             drift, trace, inner, _ = weight_terms_shared(batch, d.v2)
             out.append(drift + trace + inner)
         return out
@@ -194,10 +196,11 @@ def test_criterion_06_weight_linearity():
 def test_criterion_07_discrete_degeneracy_bound():
     model = make_power_law_model(1, 1, 1.0)
     grid, idx = TimeGrid(1.0, 200), np.arange(10_000)
+    noise = brownian_increments(107, idx, grid, (1, 1))
     batch = simulate_basic_batch(model, [1.0], [0.0], Direction.make(1.0, 0.0),
-                                 grid, 107, idx)
+                                 grid, noise)
     # a^2 T mean |X_left|^{2l} on the batch's own Brownian x-path
-    dB, _ = brownian_increments(107, idx, grid, (1, 1))
+    dB, _ = noise
     x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
     p = model.power_params
     degeneracy = p.a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * p.l), axis=1)
@@ -284,23 +287,33 @@ def test_criterion_11_harnack_loop(two_grid_reports):
 
 
 def test_criterion_12_xi_solver_exactness():
+    # sigma1 = I, b1 = 0: xi_k is the telescoped product of the integrating
+    # factors, and each accumulator that reads xi is its step sum on the noise
     model = as_extended(make_power_law_model(1, 1, 1.0))
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
-    times = grid.times()
+    times, remaining = grid.times(), T - grid.times()
     v1 = 1.0
-    ok = True
-    for i in range(5):
-        pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0),
-                                     grid, 112, path_indices=[i], record_xi=True)
-        xi = pf.xi_path[0, :, 0]
-        recon = np.empty(n + 1)
-        recon[0] = v1
-        for k in range(n):
-            recon[k + 1] = ((T - times[k + 1]) / (T - times[k])) * recon[k]
-        ok = ok and np.array_equal(xi, recon) and xi[-1] == 0.0
-    report(12, ok, "auxiliary process reproduces the telescoping factors "
-                   "bitwise on every node; terminal node exactly 0")
+    xi = np.empty(n + 1)
+    xi[0] = v1
+    for k in range(n):
+        xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
+    dB, dBt = brownian_increments(112, np.arange(5), grid, (1, 1))
+    pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0), grid,
+                                 (dB, dBt))
+    x = np.ones((5, 1))
+    xdw, tr, wsi = np.zeros(5), np.zeros((5, 1, 1)), np.zeros((5, 1))
+    for k in range(n):
+        g = model.grad_sigma(x, np.full((5, 1), xi[k]))
+        xdw += xi[k] * dB[:, k, 0] / remaining[k]
+        tr += grid.dt * (g * model.sigma(x))
+        wsi += g[:, :, 0] * dBt[:, k]
+        x = x + dB[:, k]
+    ok = (xi[-1] == 0.0 and np.array_equal(pf.xi_drift_weight, xdw)
+          and np.array_equal(pf.trace_integral, tr)
+          and np.array_equal(pf.weighted_stoch_integral, wsi))
+    report(12, ok, "xi-drift weight, trace term and weighted integral equal bitwise "
+                   "their step sums over the telescoped xi on 5 paths; xi_T exactly 0")
 
 
 def test_criterion_13_suite_determinism(tmp_path):

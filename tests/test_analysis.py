@@ -418,23 +418,6 @@ def test_harnack_gaussian_exact_constant_suite():
 
 
 # ---------------------------------------------------------------------------
-# integrability diagnostic
-# ---------------------------------------------------------------------------
-
-def test_integrability_diagnostic_runs():
-    from gruschin.analysis import integrability_diagnostic
-
-    model = make_power_law_model(1, 1, 1.0)
-    diag = integrability_diagnostic(model, [1.0, 0.0], 1.0, McParams(5000, 50, 49))
-    assert diag.mean > 0.0
-    assert diag.stderr > 0.0
-    assert diag.max_over_mean >= 1.0
-    with pytest.raises(ValueError):
-        integrability_diagnostic(make_constant_identity_model(), [0.0, 0.0], 1.0,
-                                 McParams(100, 10, 1))
-
-
-# ---------------------------------------------------------------------------
 # report aggregation
 # ---------------------------------------------------------------------------
 

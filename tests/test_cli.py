@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +69,36 @@ def test_validation_errors_name_offending_fields(tmp_path, mutate, needle):
     mutate(body)
     with pytest.raises(ConfigError, match=needle):
         ExperimentConfig.from_file(write_config(tmp_path, body))
+
+
+MINIMAL_FILE = Path(__file__).resolve().parents[1] / "configs" / "minimal.json"
+
+
+@pytest.mark.parametrize("mutate,needle", [
+    (lambda b: b["suite"].update(overrides={"bismut_vs_fd": {"n_path": 10}}),
+     "suite.overrides.bismut_vs_fd"),
+    (lambda b: b["suite"].update(overrides={"bismut_vs_fd": {"n_steps": 1}}),
+     "suite.overrides.bismut_vs_fd.n_steps"),
+    (lambda b: b["suite"].update(overrides={"bismut_vs_fd": {"n_paths": 1}}),
+     "suite.overrides.bismut_vs_fd.n_paths"),
+    (lambda b: b["suite"].update(overrides=[]), "suite.overrides must be a mapping"),
+    (lambda b: b["run"].update(fd_eps=-1), "run.fd_eps"),
+    (lambda b: b["run"].update(fd_eps=float("inf")), "run.fd_eps"),
+    (lambda b: b["run"].update(directions=[[1.0, 0.0]]), r"run.directions\[0\]"),
+    (lambda b: b["run"].update(points=[1.0]), r"run.points\[0\]"),
+    (lambda b: b["run"].update(points=1.0), "run.points"),
+    (lambda b: b.update(model=5), "model must be a mapping"),
+    (lambda b: b["run"].update(horizons=["x"]), "run.horizons"),
+    (lambda b: b["run"].update(master_seed="abc"), "run.master_seed"),
+])
+def test_malformed_config_fields_exit_2_naming_the_field(tmp_path, capsys, mutate, needle):
+    body = json.loads(MINIMAL_FILE.read_text())
+    mutate(body)
+    cfg_path = write_config(tmp_path, body)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and re.search(needle, err), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_round_trip_is_identity():
@@ -390,3 +423,13 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "power_law" in proc.stdout
+
+
+def test_gradient_demo_script_runs():
+    root = MINIMAL_FILE.parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "gradient_demo.py"),
+                           "--n-paths", "200", "--n-steps", "10"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert "y_squared" in proc.stdout

@@ -34,7 +34,7 @@ from gruschin.models import (
     observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
-from gruschin.paths import TimeGrid, simulate_basic_batch
+from gruschin.paths import TimeGrid, brownian_increments, simulate_basic_batch
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -479,10 +479,9 @@ def _central_difference(model, z0, v, f, T, n_paths, n_steps, seed, eps):
     v0 = Direction(np.zeros(model.m), np.zeros(model.d))
     shift = np.concatenate([v.v1, v.v2])
     z = np.asarray(z0, dtype=float)
-    up = simulate_basic_batch(model, *split_point(model, z + eps * shift), v0, grid,
-                              seed, idx)
-    dn = simulate_basic_batch(model, *split_point(model, z - eps * shift), v0, grid,
-                              seed, idx)
+    noise = brownian_increments(seed, idx, grid, (model.m, model.d))
+    up = simulate_basic_batch(model, *split_point(model, z + eps * shift), v0, grid, noise)
+    dn = simulate_basic_batch(model, *split_point(model, z - eps * shift), v0, grid, noise)
     assert up.valid.all() and dn.valid.all()
     return (f.eval(up.z_final) - f.eval(dn.z_final)) / (2.0 * eps)
 

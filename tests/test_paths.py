@@ -32,6 +32,11 @@ from gruschin.rng import PathStreams
 V11 = Direction.make(1.0, 1.0)
 
 
+def noise(model, grid, seed, idx):
+    """The noise of paths ``idx`` under ``seed``, as the estimators draw it."""
+    return brownian_increments(seed, idx, grid, (model.m, model.d))
+
+
 def draw_increments(seed, indices, n, m, d, dt):
     eps = PathStreams(seed).fill_normals(np.asarray(indices), (n, m + d))
     key = np.sqrt(dt)
@@ -53,7 +58,7 @@ def test_constant_sigma_exact_functionals():
     # constant integrands make the left sums exact: Q_T = T I, no gradient terms
     model = make_constant_identity_model()
     grid = TimeGrid(1.0, 100)
-    pf = simulate_basic_batch(model, [0.2], [0.0], V11, grid, 3, path_indices=[0])
+    pf = simulate_basic_batch(model, [0.2], [0.0], V11, grid, noise(model, grid, 3, [0]))
     assert pf.q_matrix[0, 0, 0] == 1.0
     assert pf.trace_integral[0, 0, 0] == 0.0
     assert pf.weighted_stoch_integral[0, 0] == 0.0
@@ -68,7 +73,8 @@ def test_constant_sigma_exact_functionals():
 def test_x_component_is_exact_brownian():
     model = make_power_law_model(1, 1, 1.0)
     grid = TimeGrid(2.0, 64)
-    batch = simulate_basic_batch(model, [0.7], [0.0], V11, grid, 11, np.arange(50))
+    batch = simulate_basic_batch(model, [0.7], [0.0], V11, grid,
+                                 noise(model, grid, 11, np.arange(50)))
     assert np.array_equal(batch.x_final, 0.7 + batch.b_final)
 
 
@@ -81,10 +87,10 @@ def test_matrix_kernel_matches_scalar_kernel():
     )
     assert not matrix_model.scalar_identity
     grid = TimeGrid(1.0, 50)
-    a = simulate_basic_batch(scalar_model, [1.0], [0.0, 0.0], V11_d2(), grid, 5,
-                             np.arange(40))
-    b = simulate_basic_batch(matrix_model, [1.0], [0.0, 0.0], V11_d2(), grid, 5,
-                             np.arange(40))
+    a = simulate_basic_batch(scalar_model, [1.0], [0.0, 0.0], V11_d2(), grid,
+                             noise(scalar_model, grid, 5, np.arange(40)))
+    b = simulate_basic_batch(matrix_model, [1.0], [0.0, 0.0], V11_d2(), grid,
+                             noise(matrix_model, grid, 5, np.arange(40)))
     for name in ("q_matrix", "trace_integral", "weighted_stoch_integral",
                  "sigma_stoch_integral", "y_final"):
         lhs, rhs = getattr(a, name), getattr(b, name)
@@ -102,7 +108,7 @@ def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
     grid = TimeGrid(0.8, 60)
     v = Direction.make([0.7], [0.3, -0.2])
     idx = np.arange(300)
-    batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, 71, idx)
+    batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, noise(model, grid, 71, idx))
 
     dB, dBt = brownian_increments(71, idx, grid, (1, 2))
     x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
@@ -129,8 +135,9 @@ def test_matrix_kernel_path_alone_equals_path_in_batch():
     model = make_tilted_matrix_model()
     grid = TimeGrid(1.0, 100)
     v = Direction.make([1.0], [0.0, 1.0])
-    big = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid, 73, np.arange(1024))
-    one = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid, 73, path_indices=[7])
+    big = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid,
+                               noise(model, grid, 73, np.arange(1024)))
+    one = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid, noise(model, grid, 73, [7]))
     for name in ("q_matrix", "trace_integral", "weighted_stoch_integral",
                  "sigma_stoch_integral", "y_final", "min_eig_q"):
         assert np.array_equal(getattr(one, name)[0], getattr(big, name)[7]), name
@@ -164,8 +171,7 @@ def test_step_halving_is_first_order():
     for factor in (4, 2, 1):
         steps = 4 * n // factor
         inc = (coarsen(dB_f, factor), coarsen(dBt_f, factor))
-        batch = simulate_basic_batch(model, [1.0], [0.0], V11, TimeGrid(T, steps),
-                                     17, np.arange(P), increments=inc)
+        batch = simulate_basic_batch(model, [1.0], [0.0], V11, TimeGrid(T, steps), inc)
         means[steps] = batch.q_matrix[:, 0, 0].mean()
     d1 = means[2 * n] - means[n]
     d2 = means[4 * n] - means[2 * n]
@@ -180,8 +186,9 @@ def test_covariance_matrix_symmetric_psd():
         sigma=scalar_model.sigma, grad_sigma=scalar_model.grad_sigma,
         power_params=scalar_model.power_params, name="matrix_view",
     )
-    batch = simulate_basic_batch(matrix_model, [0.5], [0.0, 0.0], V11_d2(),
-                                 TimeGrid(1.0, 50), 61, np.arange(500))
+    grid = TimeGrid(1.0, 50)
+    batch = simulate_basic_batch(matrix_model, [0.5], [0.0, 0.0], V11_d2(), grid,
+                                 noise(matrix_model, grid, 61, np.arange(500)))
     q = batch.q_matrix
     assert np.allclose(q, np.swapaxes(q, 1, 2), atol=1e-14)
     eigs = np.linalg.eigvalsh(q)
@@ -194,7 +201,7 @@ def test_discrete_degeneracy_inequality(l):
     # Q_T >= (a^2 int |X|^{2l}) I holds with the same quadrature on both sides
     model = make_power_law_model(1, 1, l)
     grid, idx = TimeGrid(1.0, 100), np.arange(2000)
-    batch = simulate_basic_batch(model, [1.0], [0.0], V11, grid, 23, idx)
+    batch = simulate_basic_batch(model, [1.0], [0.0], V11, grid, noise(model, grid, 23, idx))
     # the right side on the batch's own Brownian x-path, by the same left-node rule
     dB, _ = brownian_increments(23, idx, grid, (1, 1))
     x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
@@ -211,9 +218,9 @@ def test_accumulators_linear_in_direction():
     w = Direction.make(-1.5, 0.4)
     uw = u.plus(w)
     idx = np.arange(200)
-    a = simulate_basic_batch(model, [1.0], [0.5], u, grid, 31, idx)
-    b = simulate_basic_batch(model, [1.0], [0.5], w, grid, 31, idx)
-    c = simulate_basic_batch(model, [1.0], [0.5], uw, grid, 31, idx)
+    a = simulate_basic_batch(model, [1.0], [0.5], u, grid, noise(model, grid, 31, idx))
+    b = simulate_basic_batch(model, [1.0], [0.5], w, grid, noise(model, grid, 31, idx))
+    c = simulate_basic_batch(model, [1.0], [0.5], uw, grid, noise(model, grid, 31, idx))
     for name in ("trace_integral", "weighted_stoch_integral"):
         lhs = getattr(c, name)
         rhs = getattr(a, name) + getattr(b, name)
@@ -227,9 +234,9 @@ def test_extended_accumulators_linear_in_direction():
     w = Direction.make(-1.5, 0.4)
     uw = u.plus(w)
     idx = np.arange(100)
-    a = simulate_extended_batch(model, [1.0], [0.5], u, grid, 37, idx)
-    b = simulate_extended_batch(model, [1.0], [0.5], w, grid, 37, idx)
-    c = simulate_extended_batch(model, [1.0], [0.5], uw, grid, 37, idx)
+    a = simulate_extended_batch(model, [1.0], [0.5], u, grid, noise(model, grid, 37, idx))
+    b = simulate_extended_batch(model, [1.0], [0.5], w, grid, noise(model, grid, 37, idx))
+    c = simulate_extended_batch(model, [1.0], [0.5], uw, grid, noise(model, grid, 37, idx))
     for name in ("trace_integral", "weighted_stoch_integral",
                  "drift_grad_integral", "xi_drift_weight"):
         lhs = getattr(c, name)
@@ -238,25 +245,43 @@ def test_extended_accumulators_linear_in_direction():
         assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale), name
 
 
+def xi_weight_sums(model, grid, xi, x0, dB, dBt):
+    """The three xi-dependent accumulators of the extended kernel, summed step by
+    step from the given xi path, for sigma1 = I, b1 = 0 and m = d = 1."""
+    T, dt, P = grid.horizon, grid.dt, len(dB)
+    remaining = T - grid.times()
+    x = np.full((P, 1), x0)
+    xdw, tr, wsi = np.zeros(P), np.zeros((P, 1, 1)), np.zeros((P, 1))
+    for k in range(grid.n_steps):
+        g = model.grad_sigma(x, np.full((P, 1), xi[k]))
+        xdw += xi[k] * dB[:, k, 0] / remaining[k]
+        tr += dt * (g * model.sigma(x))
+        wsi += g[:, :, 0] * dBt[:, k]
+        x = x + dB[:, k]
+    return {"xi_drift_weight": xdw, "trace_integral": tr, "weighted_stoch_integral": wsi}
+
+
 def test_xi_closed_form_with_identity_coefficients():
     # sigma1 = I, b1 = 0: the integrating factors telescope to (T - t_k)/T and
-    # the final node lands on exactly zero
+    # the final node lands on exactly zero; every accumulator that reads xi is
+    # bit for bit the sum of the telescoped xi_k against the noise
     model = as_extended(make_power_law_model(1, 1, 1.0))
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
     v1 = 0.7
+    dB, dBt = noise(model, grid, 41, np.arange(2, 10))
     pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0), grid,
-                                 41, path_indices=[2], record_xi=True)
+                                 (dB, dBt))
     times = grid.times()
-    xi = pf.xi_path[0, :, 0]
-    assert xi[-1] == 0.0
     # bitwise reconstruction of the telescoping product
-    recon = np.empty(n + 1)
-    recon[0] = v1
+    xi = np.empty(n + 1)
+    xi[0] = v1
     for k in range(n):
-        recon[k + 1] = ((T - times[k + 1]) / (T - times[k])) * recon[k]
-    assert np.array_equal(xi, recon)
+        xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
+    assert xi[-1] == 0.0
     assert np.allclose(xi, v1 * (T - times) / T, atol=1e-12)
+    for name, want in xi_weight_sums(model, grid, xi, 1.0, dB, dBt).items():
+        assert np.array_equal(getattr(pf, name), want), name
 
 
 def test_extended_reduces_to_basic_pathwise():
@@ -265,8 +290,8 @@ def test_extended_reduces_to_basic_pathwise():
     grid = TimeGrid(1.0, 120)
     idx = np.arange(300)
     v = Direction.make(1.0, 1.0)
-    b = simulate_basic_batch(model, [1.0], [0.2], v, grid, 43, idx)
-    e = simulate_extended_batch(ext, [1.0], [0.2], v, grid, 43, idx)
+    b = simulate_basic_batch(model, [1.0], [0.2], v, grid, noise(model, grid, 43, idx))
+    e = simulate_extended_batch(ext, [1.0], [0.2], v, grid, noise(ext, grid, 43, idx))
     for name in ("b_final", "x_final", "y_final", "q_matrix", "trace_integral",
                  "weighted_stoch_integral", "sigma_stoch_integral",
                  "xi_drift_weight", "min_eig_q"):
@@ -281,9 +306,7 @@ def test_zero_direction_zeroes_every_direction_dependent_field():
     model = make_extended_demo_model()
     grid = TimeGrid(1.0, 60)
     v0 = Direction.make(0.0, 0.0)
-    pf = simulate_extended_batch(model, [1.0], [0.0], v0, grid, 47, path_indices=[0],
-                                 record_xi=True)
-    assert np.all(pf.xi_path == 0.0)
+    pf = simulate_extended_batch(model, [1.0], [0.0], v0, grid, noise(model, grid, 47, [0]))
     assert pf.xi_drift_weight[0] == 0.0
     assert np.all(pf.trace_integral == 0.0)
     assert np.all(pf.weighted_stoch_integral == 0.0)
@@ -293,10 +316,10 @@ def test_zero_direction_zeroes_every_direction_dependent_field():
 def test_bitwise_determinism_across_calls_and_batching():
     model = make_power_law_model(1, 1, 2.0)
     grid = TimeGrid(0.5, 64)
-    one = simulate_basic_batch(model, [1.0], [0.3], V11, grid, 53, path_indices=[17])
-    big = simulate_basic_batch(model, [1.0], [0.3], V11, grid, 53,
-                               np.arange(10, 30))
-    again = simulate_basic_batch(model, [1.0], [0.3], V11, grid, 53, path_indices=[17])
+    one = simulate_basic_batch(model, [1.0], [0.3], V11, grid, noise(model, grid, 53, [17]))
+    big = simulate_basic_batch(model, [1.0], [0.3], V11, grid,
+                               noise(model, grid, 53, np.arange(10, 30)))
+    again = simulate_basic_batch(model, [1.0], [0.3], V11, grid, noise(model, grid, 53, [17]))
     assert np.array_equal(one.q_matrix[0], big.q_matrix[7])
     assert np.array_equal(one.sigma_stoch_integral, again.sigma_stoch_integral)
     assert one.min_eig_q[0] == big.min_eig_q[7]
@@ -311,33 +334,21 @@ def test_brownian_increments_split_across_a_partial_block():
         assert np.array_equal(w, np.concatenate([h, t]))
 
 
-def test_extended_increment_override_of_its_own_draw_changes_nothing():
-    model = make_extended_demo_model()
-    grid = TimeGrid(1.0, 20)
-    idx = np.arange(4)
-    own = brownian_increments(83, idx, grid, (1, 1))
-    drawn = simulate_extended_batch(model, [1.0], [0.0], V11, grid, 83, idx)
-    given = simulate_extended_batch(model, [1.0], [0.0], V11, grid, 83, idx,
-                                    increments=tuple(own))
-    assert np.array_equal(drawn.y_final, given.y_final)
-
-
 def test_extended_override_for_one_path_is_refused_for_four():
     model = make_extended_demo_model()
     grid = TimeGrid(1.0, 20)
-    one_path = tuple(brownian_increments(83, [0], grid, (1, 1)))
-    with pytest.raises(ValueError, match="increment override"):
-        simulate_extended_batch(model, [1.0], [0.0], V11, grid, 83, np.arange(4),
-                                increments=one_path)
+    one_path = brownian_increments(83, [0], grid, (1, 1))
+    four_paths = brownian_increments(83, np.arange(4), grid, (1, 1))
+    with pytest.raises(ValueError, match="noise has shapes"):
+        simulate_extended_batch(model, [1.0], [0.0], V11, grid, (four_paths[0], one_path[1]))
 
 
 def test_extended_override_with_more_steps_than_the_grid_is_refused():
     model = make_extended_demo_model()
     idx = np.arange(4)
-    fine = tuple(brownian_increments(83, idx, TimeGrid(1.0, 40), (1, 1)))
-    with pytest.raises(ValueError, match="increment override"):
-        simulate_extended_batch(model, [1.0], [0.0], V11, TimeGrid(1.0, 20), 83, idx,
-                                increments=fine)
+    fine = brownian_increments(83, idx, TimeGrid(1.0, 40), (1, 1))
+    with pytest.raises(ValueError, match="noise has shapes"):
+        simulate_extended_batch(model, [1.0], [0.0], V11, TimeGrid(1.0, 20), fine)
 
 
 def test_nonfinite_coefficients_flag_paths_invalid():
@@ -352,11 +363,11 @@ def test_nonfinite_coefficients_flag_paths_invalid():
                       grad_sigma=lambda x, v: bad_grad(x, v)[..., None, None],
                       sigma_scalar=bad_scalar, grad_sigma_scalar=bad_grad,
                       name="sqrt_model")
+    grid = TimeGrid(4.0, 100)
+    drawn = noise(model, grid, 59, np.arange(2000))
     with np.errstate(invalid="ignore"):
-        batch = simulate_basic_batch(model, [1.0], [0.0], V11, TimeGrid(4.0, 100),
-                                     59, np.arange(2000))
-        _, _, terminal_valid = simulate_terminal_batch(model, [1.0], [0.0],
-                                                       TimeGrid(4.0, 100), 59, np.arange(2000))
+        batch = simulate_basic_batch(model, [1.0], [0.0], V11, grid, drawn)
+        _, _, terminal_valid = simulate_terminal_batch(model, [1.0], [0.0], grid, drawn)
     n_bad = int((~batch.valid).sum())
     assert 0 < n_bad < 2000  # flagged, counted, not silently dropped
     assert np.all(np.isfinite(batch.q_matrix[batch.valid]))
@@ -473,18 +484,17 @@ def test_direction_free_part_keeps_every_bit(name, x_start):
     grid = TimeGrid(1.0, 40)
     idx = np.arange(700)
     x0, y0 = np.full(model.m, x_start), np.full(model.d, 0.3)
-    noise = tuple(brownian_increments(89, idx, grid, (model.m, model.d)))
+    drawn = noise(model, grid, 89, idx)
     reference = (_reference_basic if model.kind is ModelKind.BASIC
                  else _reference_extended)
-    x_final, y_final, valid = simulate_terminal_batch(model, x0, y0, grid, 89, idx,
-                                                      increments=noise)
+    x_final, y_final, valid = simulate_terminal_batch(model, x0, y0, grid, drawn)
     for v1 in (0.0, 1.0, -0.6):
         v = Direction.make(np.full(model.m, v1), np.full(model.d, 0.5))
-        full = simulate_batch(model, x0, y0, v, grid, 89, idx, increments=noise)
+        full = simulate_batch(model, x0, y0, v, grid, drawn)
         assert np.array_equal(full.x_final, x_final)
         assert np.array_equal(full.y_final, y_final)
         assert np.array_equal(full.valid, valid)
-        for field, want in reference(model, x0, y0, v, grid, *noise).items():
+        for field, want in reference(model, x0, y0, v, grid, *drawn).items():
             got = getattr(full, field)
             assert got.shape == want.shape and got.dtype == want.dtype, field
             assert np.array_equal(got, want), field
@@ -513,9 +523,10 @@ def test_nonfinite_direction_callback_leaves_the_terminal_mask_alone(name):
     z0 = np.ones(model.m + model.d)
     grid = TimeGrid(1.0, 20)
     idx = np.arange(300)
+    drawn = noise(model, grid, 7, idx)
     full = simulate_batch(model, z0[:model.m], z0[model.m:], Direction.make(
-        np.zeros(model.m), np.zeros(model.d)), grid, 7, idx)
-    _, _, valid = simulate_terminal_batch(model, z0[:model.m], z0[model.m:], grid, 7, idx)
+        np.zeros(model.m), np.zeros(model.d)), grid, drawn)
+    _, _, valid = simulate_terminal_batch(model, z0[:model.m], z0[model.m:], grid, drawn)
     assert not full.valid.any()
     assert valid.all()
 

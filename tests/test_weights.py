@@ -14,11 +14,21 @@ from gruschin.models import (
     make_power_law_model,
     observable,
 )
-from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_extended_batch
+from gruschin.paths import (
+    TimeGrid,
+    brownian_increments,
+    simulate_basic_batch,
+    simulate_extended_batch,
+)
 from gruschin.weights import weight_terms_shared
 
 V11 = Direction.make(1.0, 1.0)
 GRID = TimeGrid(1.0, 100)
+
+
+def noise(model, grid, seed, idx):
+    """The noise of paths ``idx`` under ``seed``, as the estimators draw it."""
+    return brownian_increments(seed, idx, grid, (model.m, model.d))
 
 
 def weight(batch, v):
@@ -28,7 +38,7 @@ def weight(batch, v):
 
 def test_constant_sigma_collapses_to_brownian_weight():
     model = make_constant_identity_model()
-    pf = simulate_basic_batch(model, [0.0], [0.0], V11, GRID, 2, path_indices=[0])
+    pf = simulate_basic_batch(model, [0.0], [0.0], V11, GRID, noise(model, GRID, 2, [0]))
     _, trace, _, _ = weight_terms_shared(pf, V11.v2)
     assert trace[0] == 0.0
     expected = pf.b_final[0, 0] + pf.sigma_stoch_integral[0, 0]
@@ -38,14 +48,15 @@ def test_constant_sigma_collapses_to_brownian_weight():
 def test_zero_direction_gives_zero_weight():
     model = make_power_law_model(1, 1, 1.0)
     v0 = Direction.make(0.0, 0.0)
-    pf = simulate_basic_batch(model, [1.0], [0.0], v0, GRID, 5, path_indices=[1])
+    pf = simulate_basic_batch(model, [1.0], [0.0], v0, GRID, noise(model, GRID, 5, [1]))
     assert weight(pf, v0)[0] == 0.0
 
 
 def test_breakdown_sums_exactly():
     # the weight the estimators average is exactly the sum of the three terms
     model = make_power_law_model(1, 1, 1.0)
-    batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, 5, np.arange(64))
+    batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID,
+                                 noise(model, GRID, 5, np.arange(64)))
     drift, trace, inner, ok = weight_terms_shared(batch, V11.v2)
     est = estimate_gradient_bismut(model, observable("one"), [1.0, 0.0], V11, 1.0,
                                    64, 100, 5)
@@ -60,7 +71,8 @@ def test_weight_linear_in_direction_on_fixed_noise():
     both = u.plus(w_dir)
     for i in range(25):
         m_u, m_w, m_b = (
-            weight(simulate_basic_batch(model, [1.0], [0.0], d, GRID, 7, path_indices=[i]), d)[0]
+            weight(simulate_basic_batch(model, [1.0], [0.0], d, GRID, noise(model, GRID, 7, [i])),
+                   d)[0]
             for d in (u, w_dir, both)
         )
         assert m_b == pytest.approx(m_u + m_w, rel=1e-10, abs=1e-12)
@@ -73,7 +85,8 @@ def test_extended_weight_linear_in_direction():
     both = u.plus(w_dir)
     for i in range(15):
         m_u, m_w, m_b = (
-            weight(simulate_extended_batch(model, [1.0], [0.0], d, GRID, 9, path_indices=[i]),
+            weight(simulate_extended_batch(model, [1.0], [0.0], d, GRID,
+                                           noise(model, GRID, 9, [i])),
                    d)[0]
             for d in (u, w_dir, both)
         )
@@ -84,23 +97,23 @@ def test_extended_reduction_matches_basic_weight():
     model = make_power_law_model(1, 1, 1.0)
     ext = as_extended(model)
     for i in range(50):
-        pfb = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, 11, path_indices=[i])
-        pfe = simulate_extended_batch(ext, [1.0], [0.0], V11, GRID, 11, path_indices=[i])
+        pfb = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, noise(model, GRID, 11, [i]))
+        pfe = simulate_extended_batch(ext, [1.0], [0.0], V11, GRID, noise(ext, GRID, 11, [i]))
         assert abs(weight(pfb, V11)[0] - weight(pfe, V11)[0]) <= 1e-12
 
 
 def test_extended_constant_coefficients_collapse():
     # sigma1 = I, b = 0, sigma2 = I: M = <v1,B_T>/T + <v2,Bt_T>/T
     ext = as_extended(make_constant_identity_model())
-    pf = simulate_extended_batch(ext, [0.0], [0.0], V11, GRID, 13, path_indices=[3])
+    pf = simulate_extended_batch(ext, [0.0], [0.0], V11, GRID, noise(ext, GRID, 13, [3]))
     expected = pf.b_final[0, 0] + pf.sigma_stoch_integral[0, 0]
     assert weight(pf, V11)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_weight_mean_is_centered():
     model = make_power_law_model(1, 1, 1.0)
-    batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, 17,
-                                 np.arange(100000))
+    batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID,
+                                 noise(model, GRID, 17, np.arange(100000)))
     drift, trace, inner, ok = weight_terms_shared(batch, V11.v2)
     m = drift + trace + inner
     assert ok.all()
@@ -119,7 +132,8 @@ def test_invalid_path_error_carries_min_eig():
                            sigma_scalar=zero,
                            grad_sigma_scalar=lambda x, v: zero(x),
                            name="identically_degenerate")
-    pf = simulate_basic_batch(degenerate, [1.0], [0.0], V11, GRID, 19, path_indices=[0])
+    pf = simulate_basic_batch(degenerate, [1.0], [0.0], V11, GRID,
+                              noise(degenerate, GRID, 19, [0]))
     drift, trace, inner, solvable = weight_terms_shared(pf, V11.v2)
     assert not solvable[0]  # counted as invalid, never regularized away
     assert np.isnan(drift[0] + trace[0] + inner[0])
@@ -138,10 +152,9 @@ def test_relabeling_symmetry():
     eps = PathStreams(29).fill_normals(idx, (64, 3))
     root_dt = np.sqrt(grid.dt)
     dB, dBt = eps[:, :, :1] * root_dt, eps[:, :, 1:] * root_dt
-    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, 29, idx,
-                             increments=(dB, dBt))
-    b = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, 29, idx,
-                             increments=(dB, dBt[:, :, ::-1].copy()))
+    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, (dB, dBt))
+    b = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid,
+                             (dB, dBt[:, :, ::-1].copy()))
     da, ta, ia, _ = weight_terms_shared(a, v.v2)
     db_, tb, ib, _ = weight_terms_shared(b, v.v2)
     assert np.array_equal(ta, tb)           # trace term has no Bt dependence here
