@@ -41,7 +41,6 @@ __all__ = [
     "BoundCheckVerdict",
     "RatioPoint",
     "BoundCheckReport",
-    "RhoUpperBound",
     "HarnackResult",
     "check_a5",
     "check_a6",
@@ -96,7 +95,6 @@ class RatioPoint:
     T: float
     z0: tuple
     v: tuple = ()
-    f_name: str = ""
     seed: int = 0
     n_steps: int = 0
     n_valid: int = 0
@@ -302,8 +300,7 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
                 report.points.append(RatioPoint(
                     label=f"T={T},x={x},f={f.name},v={j}", phase=phase,
                     ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
-                    v=(tuple(v.v1), tuple(v.v2)), f_name=f.name,
-                    seed=seed, n_steps=mc.n_steps,
+                    v=(tuple(v.v1), tuple(v.v2)), seed=seed, n_steps=mc.n_steps,
                     n_valid=grad.n_valid, n_invalid=grad.n_invalid,
                 ))
     _two_grid_verdict(report)
@@ -356,7 +353,7 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
             report.points.append(RatioPoint(
                 label=f"T={T},x={x},f={f.name}", phase=phase,
                 ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
-                f_name=f.name, seed=seed, n_steps=mc.n_steps,
+                seed=seed, n_steps=mc.n_steps,
                 n_valid=denom_est.n_valid, n_invalid=denom_est.n_invalid,
             ))
     _two_grid_verdict(report)
@@ -424,7 +421,7 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
         return RatioPoint(
             label=f"{name},q={q}", phase="check",
             ratio=lhs.mean / rhs, tolerance=4.0 * lhs.stderr / rhs,
-            T=T, z0=(), f_name=name, seed=seed, n_steps=mc.n_steps,
+            T=T, z0=(), seed=seed, n_steps=mc.n_steps,
             n_valid=lhs.n_valid, n_invalid=lhs.n_invalid,
         )
 
@@ -440,22 +437,13 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
 # Intrinsic distance upper bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RhoUpperBound:
-    z: tuple
-    z_prime: tuple
-    bound: float
-    waypoint: Optional[float]       # signed x* of the y-move, None when no y-move
-    segment_costs: tuple
-
-
 # golden-section search of the subunit-curve waypoint: relative bracket width, step cap
 RHO_SEARCH_TOL = 1e-12
 RHO_SEARCH_ITERS = 200
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi], to
+def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Golden-section minimum value of a unimodal function on [lo, hi], to
     ``RHO_SEARCH_TOL`` relative width or ``RHO_SEARCH_ITERS`` steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -473,11 +461,10 @@ def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[flo
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    xs = (a + b) / 2.0
-    return xs, fn(xs)
+    return fn((a + b) / 2.0)
 
 
-def rho_upper_bound(model: ModelSpec, z, z_prime) -> RhoUpperBound:
+def rho_upper_bound(model: ModelSpec, z, z_prime) -> float:
     """Constructive subunit-curve upper bound on the intrinsic distance (m = d = 1).
 
     The curve family has three segments: an x-move to a waypoint x* (unit cost per
@@ -490,32 +477,25 @@ def rho_upper_bound(model: ModelSpec, z, z_prime) -> RhoUpperBound:
     if model.power_params is None or model.m != 1 or model.d != 1:
         raise ValueError("the subunit-curve family is built for m = d = 1 power-law models")
     a, l = model.power_params.a, model.power_params.l
-    z = tuple(float(c) for c in np.atleast_1d(np.asarray(z, dtype=float)))
-    z_prime = tuple(float(c) for c in np.atleast_1d(np.asarray(z_prime, dtype=float)))
-    x, y = z
-    xp, yp = z_prime
+    x, y = (float(c) for c in np.atleast_1d(np.asarray(z, dtype=float)))
+    xp, yp = (float(c) for c in np.atleast_1d(np.asarray(z_prime, dtype=float)))
     dy = abs(yp - y)
 
     if dy == 0.0:
-        return RhoUpperBound(z, z_prime, abs(x - xp), None, (abs(x - xp), 0.0, 0.0))
+        return abs(x - xp)
 
     def cost(s_signed: float) -> float:
         return abs(x - s_signed) + dy / (a * abs(s_signed) ** l) + abs(s_signed - xp)
 
     hi = max(abs(x), abs(xp), (l * dy / a) ** (1.0 / (l + 1.0)), 1.0) + 1.0
     lo = 1e-9
-    best_s, best_c = None, math.inf
+    best = math.inf
     for sign in (+1.0, -1.0):
-        s, c = _golden_min(lambda s: cost(sign * s), lo, hi)
-        if c < best_c:
-            best_s, best_c = sign * s, c
+        best = min(best, _golden_min(lambda s: cost(sign * s), lo, hi))
     for s in (x, xp):  # exact endpoint waypoints (zero-length first or last segment)
-        if s != 0.0 and cost(s) < best_c:
-            best_s, best_c = s, cost(s)
-    return RhoUpperBound(
-        z, z_prime, best_c, best_s,
-        (abs(x - best_s), dy / (a * abs(best_s) ** l), abs(best_s - xp)),
-    )
+        if s != 0.0:
+            best = min(best, cost(s))
+    return best
 
 
 def euclidean_distance(z, z_prime) -> float:
@@ -535,7 +515,6 @@ class HarnackResult:
     rhs: float
     band: float
     rho: float
-    constant: float
     verdict: str       # "holds" | "violated"
     n_valid: int       # path counts of the estimates, which share one validity mask
     n_invalid: int
@@ -575,7 +554,7 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     if model.family is Family.HEAT:
         rho = euclidean_distance(z, z_prime)
     else:
-        rho = rho_upper_bound(model, z, z_prime).bound
+        rho = rho_upper_bound(model, z, z_prime)
 
     f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f))
     panel = pt_panel(model, [z_prime, z], T, [f, f_sq], mc.n_paths, mc.n_steps, seed,
@@ -591,8 +570,7 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
         p_at_zp.stderr**2 + p_at_z.stderr**2 + (constant * rho * root_se) ** 2
     )
     verdict = "holds" if p_at_zp.mean <= rhs + band else "violated"
-    return HarnackResult(*points, p_at_zp.mean, rhs, band, rho,
-                         constant, verdict, **meta)
+    return HarnackResult(*points, p_at_zp.mean, rhs, band, rho, verdict, **meta)
 
 
 def check_harnack_suite(model: ModelSpec, T: float,
@@ -612,8 +590,7 @@ def check_harnack_suite(model: ModelSpec, T: float,
         report.points.append(RatioPoint(
             label=f"{res.z}->{res.z_prime}", phase="check",
             ratio=res.lhs / res.rhs, tolerance=res.band / abs(res.rhs),
-            T=T, z0=res.z, v=res.z_prime, f_name=f.name,
-            seed=res.seed, n_steps=mc.n_steps,
+            T=T, z0=res.z, v=res.z_prime, seed=res.seed, n_steps=mc.n_steps,
             n_valid=res.n_valid, n_invalid=res.n_invalid,
         ))
     if not report.points:

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -131,25 +131,6 @@ class ExperimentConfig:
     run: RunConfig
     suite: SuiteConfig
     output: OutputConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "model": asdict(self.model),
-            "run": {
-                "horizons": list(self.run.horizons),
-                "points": [list(p) for p in self.run.points],
-                "directions": [[list(v1), list(v2)] for v1, v2 in self.run.directions],
-                "n_paths": self.run.n_paths,
-                "n_steps": self.run.n_steps,
-                "master_seed": self.run.master_seed,
-                "fd_eps": self.run.fd_eps,
-                "functions": list(self.run.functions),
-            },
-            "suite": {"checks": list(self.suite.checks),
-                      "overrides": dict(self.suite.overrides)},
-            "output": {"directory": self.output.directory,
-                       "formats": list(self.output.formats)},
-        }
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -552,7 +533,6 @@ def _cmd_list_builtins(_args) -> int:
     print("  tanh_y, sin_xy, one_plus_tanh_y   (bounded, no closed form)")
     print()
     print("L^q integrand catalogue (one-dimensional):")
-    print("  zero                rho_t = 0;        both sides vanish")
     print("  constant_unit       rho_t = 1;        RHS = {q(q-1)/2}^{q/2} T^{q/2}")
     print("  adapted_cos         rho_t = cos(Bt_t); RHS by quadrature of E cos^q (even q)")
     print("  sigma_row           rho_t = (x+W_t)^l; RHS by quadrature of E|x+W|^{lq} "

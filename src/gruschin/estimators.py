@@ -73,7 +73,6 @@ class MCEstimate:
     stderr: float
     n_valid: int
     n_invalid: int
-    master_seed: int
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -90,7 +89,7 @@ def _pairwise(x: np.ndarray) -> float:
     return _pairwise(x[:mid]) + _pairwise(x[mid:])
 
 
-def _finalize(values: np.ndarray, valid: np.ndarray, seed: int) -> MCEstimate:
+def _finalize(values: np.ndarray, valid: np.ndarray) -> MCEstimate:
     n_total = len(values)
     good = values[valid]
     n_valid = int(valid.sum())
@@ -103,7 +102,7 @@ def _finalize(values: np.ndarray, valid: np.ndarray, seed: int) -> MCEstimate:
     else:
         stderr = float("inf")
     return MCEstimate(mean=mean, stderr=stderr, n_valid=n_valid,
-                      n_invalid=n_total - n_valid, master_seed=seed)
+                      n_invalid=n_total - n_valid)
 
 
 def _chunks(n_paths: int, batch_size: int) -> list[tuple[int, int]]:
@@ -158,7 +157,6 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) 
 
 def run_batches(
     n_paths: int,
-    seed: int,
     batch_fn: Callable[[int, int], tuple[dict, np.ndarray]],
     workers: int = 1,
     batch_size: Optional[int] = None,
@@ -182,7 +180,7 @@ def run_batches(
         for key, col in cols.items():
             col[start:stop] = out[key]
         valid[start:stop] = ok
-    return {key: _finalize(col, valid, seed) for key, col in cols.items()}
+    return {key: _finalize(col, valid) for key, col in cols.items()}
 
 
 def split_point(model: ModelSpec, z0) -> tuple[np.ndarray, np.ndarray]:
@@ -271,14 +269,14 @@ def estimate_negative_moment(m: int, x, T: float, n_exp: float, alpha: float,
         vals = np.where(ok, integral, 1.0) ** (-alpha)
         return {"value": np.where(ok, vals, 0.0)}, ok
 
-    return run_batches(n_paths, seed, batch_fn, workers, batch_size)["value"]
+    return run_batches(n_paths, batch_fn, workers, batch_size)["value"]
 
 
 # ---------------------------------------------------------------------------
 # L^q moment inequality: catalogue of integrands with computable right-hand sides
 # ---------------------------------------------------------------------------
 
-LQ_INTEGRANDS = ("zero", "constant_unit", "adapted_cos", "sigma_row")
+LQ_INTEGRANDS = ("constant_unit", "adapted_cos", "sigma_row")
 
 _LQ_CONSTANT_FACTOR = lambda q: (q * (q - 1.0) / 2.0) ** (q / 2.0)
 
@@ -326,8 +324,6 @@ def lq_moment_rhs(integrand: str, q: float, T: float, *, l: float = 1.0,
     """Closed-form bound {q(q-1)/2}^{q/2} (int_0^T (E|rho_t|^q)^{2/q} dt)^{q/2}."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    if integrand == "zero":
-        return 0.0
     if integrand == "constant_unit":
         return _LQ_CONSTANT_FACTOR(q) * T ** (q / 2.0)
     if integrand == "adapted_cos":
@@ -354,7 +350,6 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
     """Left-hand side E |int_0^T <rho_t, dBt_t>|^q for a catalogued predictable rho.
 
     Catalogue (all one-dimensional):
-      zero          -- rho_t = 0 (both sides vanish);
       constant_unit -- rho_t = 1;
       adapted_cos   -- rho_t = cos(Bt_{t}) at the left node (bounded, adapted);
       sigma_row     -- rho_t = (x + W_t)^l with W an independent Brownian motion.
@@ -372,9 +367,7 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
         idx = np.arange(start, stop, dtype=np.int64)
         increments = [inc[:, :, 0] for inc in brownian_increments(seed, idx, grid, widths)]
         dBt = increments[-1]
-        if integrand == "zero":
-            rho = np.zeros_like(dBt)
-        elif integrand == "constant_unit":
+        if integrand == "constant_unit":
             rho = np.ones_like(dBt)
         elif integrand == "adapted_cos":
             rho = np.cos(brownian_left_nodes(0.0, dBt)[0])
@@ -385,7 +378,7 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
         vals = np.abs(n_T) ** q
         return {"value": vals}, np.isfinite(vals)
 
-    return run_batches(n_paths, seed, batch_fn, workers, batch_size)["value"]
+    return run_batches(n_paths, batch_fn, workers, batch_size)["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +388,31 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
 def _direction_groups(vs: Sequence[Direction]):
     """Group directions by their v1 ray so each group shares one simulation.
 
-    Within a group every v1 is a scalar multiple of the representative, so the
-    weight follows from pathwise linearity.  v1 = 0 joins any group with scale 0.
+    Within a group every v1 is a scalar multiple of the representative u1, so the
+    weight follows from pathwise linearity.  The nonzero v1 are grouped first, in
+    order; every v1 = 0 direction then joins the first group with scale 0,
+    wherever it stands in ``vs``.  Without a nonzero v1 there is one group, with
+    u1 = 0.
     """
     groups: list[dict] = []
+    zero_members = []
     for j, v in enumerate(vs):
         norm = float(np.linalg.norm(v.v1))
-        placed = False
+        if norm == 0.0:
+            zero_members.append((j, 0.0))
+            continue
         for grp in groups:
             u1 = grp["u1"]
             u_norm = float(np.linalg.norm(u1))
-            if norm == 0.0:
-                grp["members"].append((j, 0.0))
-                placed = True
-                break
-            if u_norm == 0.0:
-                grp["u1"] = v.v1
-                grp["members"].append((j, 1.0))
-                placed = True
-                break
             cos = float(np.dot(u1, v.v1)) / (u_norm * norm)
             if abs(abs(cos) - 1.0) < 1e-12:
                 grp["members"].append((j, math.copysign(norm / u_norm, cos)))
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append({"u1": v.v1, "members": [(j, 1.0)]})
+    if not groups:
+        groups.append({"u1": vs[0].v1, "members": []})
+    groups[0]["members"] += zero_members
     return groups
 
 
@@ -495,7 +487,7 @@ def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunc
                for f in fs for k, z_final in enumerate(finals)}
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, seed, batch_fn, workers, batch_size)
+    return run_batches(n_paths, batch_fn, workers, batch_size)
 
 
 def bismut_panel(model: ModelSpec, z0, T: float,
@@ -506,6 +498,7 @@ def bismut_panel(model: ModelSpec, z0, T: float,
     """Weight-gradient estimates for every (f, v) plus plain semigroup observables.
 
     Directions whose v1 components are parallel share one simulation per batch,
+    directions with v1 = 0 read the first of them (see ``_direction_groups``),
     and every simulation of a batch runs on the same single noise draw; the
     returned dict maps ("grad", f.name, j) and ("pt", label) to MCEstimates.
     All estimates share one validity mask: a path counts as invalid in every
@@ -543,7 +536,7 @@ def bismut_panel(model: ModelSpec, z0, T: float,
             out[("pt", label)] = np.asarray(fn(z_final), dtype=float)
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, seed, batch_fn, workers, batch_size)
+    return run_batches(n_paths, batch_fn, workers, batch_size)
 
 
 def fd_panel(model: ModelSpec, z0, T: float,
@@ -583,4 +576,4 @@ def fd_panel(model: ModelSpec, z0, T: float,
                for f in fs for j, (z_up, z_dn) in enumerate(ends)}
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, seed, batch_fn, workers, batch_size)
+    return run_batches(n_paths, batch_fn, workers, batch_size)

@@ -88,9 +88,6 @@ class Direction:
             raise ValueError("direction entries must be finite")
         return Direction(a1, a2)
 
-    def plus(self, other: "Direction") -> "Direction":
-        return Direction(self.v1 + other.v1, self.v2 + other.v2)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -419,9 +416,8 @@ def _gaussian_y_factor(T, x):
     return np.cosh(T) ** -0.5 * np.exp(-0.5 * np.asarray(x) ** 2 * np.tanh(T))
 
 
-def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
-    m = model.m if model is not None else 1
-    family = model.family if model is not None else None
+def _build_test_function(name: str, model: ModelSpec) -> TestFunction:
+    m, family = model.m, model.family
     # the linear closed forms hold for the basic system with m = d = 1 only
     linear = (family is Family.LINEAR and model.kind is ModelKind.BASIC
               and model.m == 1 and model.d == 1)
@@ -437,13 +433,13 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
     if name == "sin_x":
         closed = None
         closed_grad = None
-        if m == 1:  # X is Brownian for every basic model, so the heat factor is exact
-            if model is None or model.kind is ModelKind.BASIC:
-                closed = lambda T, x, y: np.exp(-T / 2.0) * np.sin(np.asarray(x)[..., 0])
+        # X is Brownian for every basic model, so the heat factor is exact
+        if m == 1 and model.kind is ModelKind.BASIC:
+            closed = lambda T, x, y: np.exp(-T / 2.0) * np.sin(np.asarray(x)[..., 0])
 
-                def closed_grad(T, x, y):
-                    dx = np.exp(-T / 2.0) * np.cos(np.asarray(x)[..., 0])
-                    return np.concatenate([np.atleast_1d(dx), np.zeros(np.asarray(y).shape[-1])])
+            def closed_grad(T, x, y):
+                dx = np.exp(-T / 2.0) * np.cos(np.asarray(x)[..., 0])
+                return np.concatenate([np.atleast_1d(dx), np.zeros(np.asarray(y).shape[-1])])
 
         return TestFunction(
             name="sin_x",
@@ -454,7 +450,7 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
 
     if name == "cos_x":
         closed = None
-        if m == 1 and (model is None or model.kind is ModelKind.BASIC):
+        if m == 1 and model.kind is ModelKind.BASIC:
             closed = lambda T, x, y: np.exp(-T / 2.0) * np.cos(np.asarray(x)[..., 0])
         return TestFunction(
             name="cos_x",
@@ -519,7 +515,7 @@ def _build_test_function(name: str, model: Optional[ModelSpec]) -> TestFunction:
         # both coordinates are martingales under every basic model: P_T f = f
         closed = None
         closed_grad = None
-        if model is None or model.kind is ModelKind.BASIC:
+        if model.kind is ModelKind.BASIC:
             closed = lambda T, x, y: np.sum(np.asarray(x), axis=-1) + np.sum(np.asarray(y), axis=-1)
             closed_grad = lambda T, x, y: np.ones(np.asarray(x).shape[-1] + np.asarray(y).shape[-1])
         return TestFunction(
@@ -542,16 +538,16 @@ TEST_FUNCTION_NAMES = (
 )
 
 
-def observable(name: str, model: Optional[ModelSpec] = None) -> TestFunction:
+def observable(name: str, model: ModelSpec) -> TestFunction:
     """Builtin observable by name, with closed forms attached when exact for ``model``."""
     return _build_test_function(name, model)
 
 
-def bounded_suite(model: Optional[ModelSpec] = None) -> list[TestFunction]:
+def bounded_suite(model: ModelSpec) -> list[TestFunction]:
     """Bounded observables used by the gradient-bound and Harnack checks."""
     return [observable(n, model) for n in ("sin_y", "cos_x", "tanh_y", "sin_xy")]
 
 
-def crosscheck_suite(model: Optional[ModelSpec] = None) -> list[TestFunction]:
+def crosscheck_suite(model: ModelSpec) -> list[TestFunction]:
     """Mixed observables (bounded and polynomial) for weight vs finite-difference runs."""
     return [observable(n, model) for n in ("sin_x", "sin_y", "y_squared", "x_plus_y")]

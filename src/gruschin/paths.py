@@ -318,7 +318,7 @@ class _ExtendedStates:
                 bad = np.abs(s1[:, 0, 0]) < 1e-300
             else:
                 det = np.abs(np.linalg.det(s1))
-                bad = det < 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
+                bad = det <= 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
             singular |= bad
             q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
             ssi_acc += np.einsum("pij,pj->pi", s2, dBt[:, k, :])

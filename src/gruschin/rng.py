@@ -41,10 +41,6 @@ class PathStreams:
         self.master_seed = int(master_seed) & (2**64 - 1)
         self.substream = int(substream) & (2**64 - 1)
 
-    def normals(self, path_index: int, shape: tuple[int, ...]) -> np.ndarray:
-        """Standard normals for one path, a pure function of the stream identity."""
-        return self.fill_normals([path_index], shape)[0]
-
     def fill_normals(self, path_indices: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         """Stack of per-path normals, leading axis ordered as ``path_indices``.
 

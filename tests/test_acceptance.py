@@ -19,7 +19,7 @@ from gruschin.analysis import (
     check_harnack_suite,
     check_lemma31,
 )
-from gruschin.cli import ExperimentConfig, run_experiment
+from gruschin.cli import FD_BIAS_ALLOWANCE, ExperimentConfig, run_experiment
 from gruschin.estimators import (
     bismut_panel,
     estimate_gradient_bismut,
@@ -49,7 +49,6 @@ from gruschin.weights import weight_terms_shared
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
-FD_BIAS_ALLOWANCE = 1e-3
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -131,9 +130,9 @@ def test_criterion_03_bismut_vs_fd_matrix():
 
 
 def test_criterion_04_weight_centering():
-    one = observable("one")
     v = Direction.make(1.0, 1.0)
     basic = make_power_law_model(1, 1, 1.0)
+    one = observable("one", basic)
     eb = estimate_gradient_bismut(basic, one, [1.0, 0.0], v, 1.0,
                                   200_000, 200, seed=104)
     demo = make_extended_demo_model()
@@ -166,7 +165,7 @@ def test_criterion_05_extended_reduction_pathwise():
 def test_criterion_06_weight_linearity():
     u = Direction.make(0.7, -0.2)
     w = Direction.make(-0.3, 1.1)
-    uw = u.plus(w)
+    uw = Direction(u.v1 + w.v1, u.v2 + w.v2)
     grid = TimeGrid(1.0, 100)
     idx = np.arange(1000)
 

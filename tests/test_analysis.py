@@ -47,22 +47,21 @@ coord = st.floats(min_value=-2.5, max_value=2.5, allow_nan=False)
 
 def test_rho_zero_iff_same_point():
     model = make_power_law_model(1, 1, 1.0)
-    assert rho_upper_bound(model, (1.0, 0.5), (1.0, 0.5)).bound == 0.0
-    assert rho_upper_bound(model, (0.0, 0.0), (0.0, 1e-3)).bound > 0.0
+    assert rho_upper_bound(model, (1.0, 0.5), (1.0, 0.5)) == 0.0
+    assert rho_upper_bound(model, (0.0, 0.0), (0.0, 1e-3)) > 0.0
 
 
 def test_rho_vertical_segment_never_beaten_by_family():
     model = make_power_law_model(1, 1, 1.0)
     rb = rho_upper_bound(model, (1.0, 0.0), (1.0, 0.1))
-    assert rb.bound <= 0.1
+    assert rb <= 0.1
 
 
 def test_rho_origin_to_unit_y():
     # cost 2s + 1/s over waypoints s > 0 is minimized at s = 1/sqrt(2)
     model = make_power_law_model(1, 1, 1.0)
     rb = rho_upper_bound(model, (0.0, 0.0), (0.0, 1.0))
-    assert rb.bound == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
-    assert abs(rb.waypoint) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+    assert rb == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
 
 
 @pytest.mark.parametrize("l", [1.0, 2.0])
@@ -73,16 +72,16 @@ def test_rho_matches_dense_scan(l):
     dy = abs(zp[1] - z[1])
     ss = np.concatenate([np.linspace(1e-4, 4.0, 40001), -np.linspace(1e-4, 4.0, 40001)])
     dense = np.min(np.abs(z[0] - ss) + dy / np.abs(ss) ** l + np.abs(ss - zp[0]))
-    assert rb.bound <= dense + 1e-8
-    assert rb.bound == pytest.approx(dense, abs=1e-4)
+    assert rb <= dense + 1e-8
+    assert rb == pytest.approx(dense, abs=1e-4)
 
 
 @given(x=coord, y=coord, xp=coord, yp=coord)
 @settings(max_examples=60, deadline=None)
 def test_rho_symmetry(x, y, xp, yp):
     model = make_power_law_model(1, 1, 1.0)
-    ab = rho_upper_bound(model, (x, y), (xp, yp)).bound
-    ba = rho_upper_bound(model, (xp, yp), (x, y)).bound
+    ab = rho_upper_bound(model, (x, y), (xp, yp))
+    ba = rho_upper_bound(model, (xp, yp), (x, y))
     assert abs(ab - ba) <= 1e-8 * (1.0 + ab)
 
 
@@ -92,9 +91,9 @@ def test_rho_triangle_inequality(x, y, xm, ym, xp, yp):
     # reusing the cheaper of the two legs' waypoints shows the family minimum is
     # exactly sub-additive; only search tolerance is allowed on top
     model = make_power_law_model(1, 1, 1.0)
-    direct = rho_upper_bound(model, (x, y), (xp, yp)).bound
-    via = (rho_upper_bound(model, (x, y), (xm, ym)).bound
-           + rho_upper_bound(model, (xm, ym), (xp, yp)).bound)
+    direct = rho_upper_bound(model, (x, y), (xp, yp))
+    via = (rho_upper_bound(model, (x, y), (xm, ym))
+           + rho_upper_bound(model, (xm, ym), (xp, yp)))
     assert direct <= via + 1e-8
 
 
@@ -102,7 +101,7 @@ def test_rho_triangle_inequality(x, y, xm, ym, xp, yp):
 @settings(max_examples=60, deadline=None)
 def test_rho_horizontal_moves_cost_euclidean(x, xp, y):
     model = make_power_law_model(1, 1, 1.0)
-    assert rho_upper_bound(model, (x, y), (xp, y)).bound <= abs(x - xp) + 1e-8
+    assert rho_upper_bound(model, (x, y), (xp, y)) <= abs(x - xp) + 1e-8
 
 
 def test_rho_charges_y_moves_by_the_lower_comparability_constant():
@@ -120,8 +119,8 @@ def test_rho_charges_y_moves_by_the_lower_comparability_constant():
                       sigma_scalar=half, grad_sigma_scalar=half_grad,
                       power_params=PowerParams(a=0.5, b=1.0, l=1.0), name="half_linear")
     rb = rho_upper_bound(model, (1.0, 0.0), (1.0, 0.5))
-    assert rb.bound >= 1.0
-    assert rb.bound == pytest.approx(1.0, abs=1e-9)
+    assert rb >= 1.0
+    assert rb == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rho_rejects_general_models():
@@ -166,6 +165,26 @@ def test_a5_ratio_homogeneous_in_direction_scale():
     a = estimate_gradient_bismut(model, f, [1.0, 0.0], v1, 1.0, 5000, 50, 11)
     b = estimate_gradient_bismut(model, f, [1.0, 0.0], v2, 1.0, 5000, 50, 11)
     assert b.mean == pytest.approx(2.0 * a.mean, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [4.0, 1.5])
+def test_a5_ratio_at_p_other_than_2_reads_the_abs_power_column(p):
+    # rebuild |grad_v P f| / ((P|f|^p)^{1/p} rate) from a panel on the grid
+    # point's own seed, with |f|^p as the only plain observable
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable("sin_y", model)
+    mc = McParams(n_paths=2000, n_steps=20, seed=17)
+    rep = check_a5(model, p, [f], mc, calibration=((1.0, 1.0),), holdout=((0.5, 0.5),))
+    point = next(q for q in rep.points if q.label == "T=0.5,x=0.5,f=sin_y,v=1")
+    seed = rng.derive_seed(mc.seed, "grad_grid:holdout:0.5:0.5")
+    assert point.seed == seed
+    panel = estimators.bismut_panel(
+        model, [0.5, 0.0], 0.5, [f], [Direction.make(1.0, 0.0), Direction.make(0.0, 1.0)],
+        mc.n_paths, mc.n_steps, seed, extra_obs=[("abs_p", lambda z: np.abs(f.eval(z)) ** p)])
+    rate = 1.0 / math.sqrt(0.5 * (0.5**2 + 0.5))
+    want = abs(panel[("grad", "sin_y", 1)].mean) / (panel[("pt", "abs_p")].mean ** (1.0 / p) * rate)
+    assert point.ratio == pytest.approx(want, rel=1e-12)
+    assert rep.verdict is BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
 
 
 def test_a5_requires_power_params():

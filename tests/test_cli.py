@@ -101,10 +101,12 @@ def test_malformed_config_fields_exit_2_naming_the_field(tmp_path, capsys, mutat
     assert not (tmp_path / "out").exists()
 
 
-def test_config_round_trip_is_identity():
-    cfg = ExperimentConfig.from_dict(MINIMAL)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert cfg == again
+def test_default_config_with_its_directions_reversed_passes_the_agreement_check(tmp_path):
+    # the y-direction, listed first, must be weighted as itself
+    body = json.loads((MINIMAL_FILE.parent / "default.json").read_text())
+    body["run"]["directions"].reverse()
+    body["suite"]["checks"] = ["bismut_vs_fd"]
+    assert main(["run", str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_minimal_run_produces_expected_artifacts(tmp_path):

@@ -66,7 +66,7 @@ def test_pairwise_sum_deterministic():
 
 def test_pt_constant_observable_is_exact():
     model = make_power_law_model(1, 1, 1.0)
-    est = estimate_pt(model, observable("one"), [1.0, 0.0], 1.0, 2000, 50, 3)
+    est = estimate_pt(model, observable("one", model), [1.0, 0.0], 1.0, 2000, 50, 3)
     assert est.mean == 1.0
     assert est.stderr == 0.0
     assert est.n_invalid == 0
@@ -95,7 +95,7 @@ def test_pt_degenerate_closed_form():
 def test_pt_requires_two_paths():
     model = make_constant_identity_model()
     with pytest.raises(ValueError):
-        estimate_pt(model, observable("one"), [0.0, 0.0], 1.0, 1, 10, 1)
+        estimate_pt(model, observable("one", model), [0.0, 0.0], 1.0, 1, 10, 1)
 
 
 def test_pt_raises_when_every_path_invalid():
@@ -109,7 +109,7 @@ def test_pt_raises_when_every_path_invalid():
                        grad_sigma_scalar=lambda x, v: nan_scalar(x),
                        name="broken")
     with pytest.raises(EstimationError):
-        estimate_pt(broken, observable("one"), [0.0, 0.0], 1.0, 100, 10, 1)
+        estimate_pt(broken, observable("one", broken), [0.0, 0.0], 1.0, 100, 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_pt_raises_when_every_path_invalid():
 
 def test_gradient_of_constant_vanishes():
     model = make_power_law_model(1, 1, 1.0)
-    est = estimate_gradient_bismut(model, observable("one"), [1.0, 0.0], EX,
+    est = estimate_gradient_bismut(model, observable("one", model), [1.0, 0.0], EX,
                                    1.0, 30000, 100, 11)
     assert abs(est.mean) <= 4.0 * est.stderr
 
@@ -185,7 +185,7 @@ def test_fd_eps_robustness():
 def test_fd_rejects_nonpositive_eps():
     model = make_constant_identity_model()
     with pytest.raises(ValueError):
-        estimate_gradient_fd(model, observable("one"), [0.0, 0.0], EX, 1.0,
+        estimate_gradient_fd(model, observable("one", model), [0.0, 0.0], EX, 1.0,
                              100, 10, 1, eps=0.0)
 
 
@@ -256,13 +256,6 @@ def test_lq_adapted_cos_q4_matches_a_composite_simpson_sum(T):
     simpson = T / (3.0 * n) * (g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-1:2].sum())
     assert lq_moment_rhs("adapted_cos", 4.0, T) == pytest.approx(36.0 * simpson**2,
                                                                  rel=1e-11)
-
-
-def test_lq_zero_integrand():
-    est = estimate_lq_moment("zero", 2.0, 1.0, 1000, 20, 3)
-    assert est.mean == 0.0
-    assert est.stderr == 0.0
-    assert lq_moment_rhs("zero", 2.0, 1.0) == 0.0
 
 
 def test_lq_sigma_row_isometry():
@@ -356,6 +349,24 @@ def test_bismut_panel_antiparallel_directions_share_simulation():
                                                                  rel=1e-12)
     assert panel[("grad", "y_squared", 1)].mean == pytest.approx(
         -2.0 * panel[("grad", "y_squared", 0)].mean, rel=1e-12)
+
+
+def test_bismut_panel_entries_do_not_depend_on_the_direction_order():
+    # a v1 = 0 direction reads the group of the first nonzero v1 at scale 0,
+    # wherever it stands, so each entry is the same in any order and equals
+    # the entry of the direction alone
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable("sin_y", model)
+    z0 = [1.0, 1.0]
+    forward = bismut_panel(model, z0, 1.0, [f], [EX, EY], 2000, 50, 5)
+    reverse = bismut_panel(model, z0, 1.0, [f], [EY, EX], 2000, 50, 5)
+    alone = bismut_panel(model, z0, 1.0, [f], [EY], 2000, 50, 5)
+    assert reverse[("grad", "sin_y", 0)] == forward[("grad", "sin_y", 1)]
+    assert reverse[("grad", "sin_y", 1)] == forward[("grad", "sin_y", 0)]
+    assert alone[("grad", "sin_y", 0)] == forward[("grad", "sin_y", 1)]
+    exact = f.closed_form_grad_pt(1.0, np.array([1.0]), np.array([1.0]))[1]
+    est = reverse[("grad", "sin_y", 0)]
+    assert abs(est.mean - exact) <= 4.0 * est.stderr + 1e-3
 
 
 def test_panels_return_exactly_their_documented_keys():

@@ -216,7 +216,7 @@ def test_accumulators_linear_in_direction():
     grid = TimeGrid(1.0, 80)
     u = Direction.make(0.8, -0.3)
     w = Direction.make(-1.5, 0.4)
-    uw = u.plus(w)
+    uw = Direction(u.v1 + w.v1, u.v2 + w.v2)
     idx = np.arange(200)
     a = simulate_basic_batch(model, [1.0], [0.5], u, grid, noise(model, grid, 31, idx))
     b = simulate_basic_batch(model, [1.0], [0.5], w, grid, noise(model, grid, 31, idx))
@@ -232,7 +232,7 @@ def test_extended_accumulators_linear_in_direction():
     grid = TimeGrid(1.0, 80)
     u = Direction.make(0.8, -0.3)
     w = Direction.make(-1.5, 0.4)
-    uw = u.plus(w)
+    uw = Direction(u.v1 + w.v1, u.v2 + w.v2)
     idx = np.arange(100)
     a = simulate_extended_batch(model, [1.0], [0.5], u, grid, noise(model, grid, 37, idx))
     b = simulate_extended_batch(model, [1.0], [0.5], w, grid, noise(model, grid, 37, idx))
@@ -372,6 +372,28 @@ def test_nonfinite_coefficients_flag_paths_invalid():
     assert 0 < n_bad < 2000  # flagged, counted, not silently dropped
     assert np.all(np.isfinite(batch.q_matrix[batch.valid]))
     assert np.array_equal(terminal_valid, batch.valid)
+
+
+def test_all_zero_sigma1_flags_paths_invalid():
+    # for m >= 2 a path is singular when det sigma1 <= 1e-12 max|sigma1|^m; an
+    # all-zero sigma1 meets that with equality, so its path is counted invalid
+    # instead of reaching the xi solve, which would raise for the whole batch
+    def sigma1(x):
+        x = np.asarray(x)
+        out = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+        out[np.linalg.norm(x, axis=-1) > 1.5] = 0.0
+        return out
+
+    model = replace(as_extended(make_power_law_model(2, 1, 1.0)), sigma1=sigma1)
+    grid = TimeGrid(1.0, 20)
+    v = Direction.make([1.0, 0.0], [0.0])
+    batch = simulate_extended_batch(model, [1.0, 0.5], [0.0], v, grid,
+                                    noise(model, grid, 3, np.arange(256)))
+    n_bad = int((~batch.valid).sum())
+    assert 0 < n_bad < 256
+    y = Observable("y", lambda z: np.asarray(z)[..., 2])
+    est = bismut_panel(model, [1.0, 0.5, 0.0], 1.0, [y], [v], 256, 20, 3)[("grad", "y", 0)]
+    assert (est.n_valid, est.n_invalid) == (256 - n_bad, n_bad)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from gruschin.rng import PathStreams, derive_seed
 
 
 def test_same_identity_same_values():
-    a = PathStreams(42).normals(7, (100, 2))
-    b = PathStreams(42).normals(7, (100, 2))
+    a = PathStreams(42).fill_normals([7], (100, 2))[0]
+    b = PathStreams(42).fill_normals([7], (100, 2))[0]
     assert np.array_equal(a, b)
 
 
@@ -19,14 +19,14 @@ def test_order_independence():
     streams = PathStreams(11)
     batch = streams.fill_normals(np.array([5, 3, 9]), (20, 2))
     for row, idx in enumerate([5, 3, 9]):
-        assert np.array_equal(batch[row], PathStreams(11).normals(idx, (20, 2)))
+        assert np.array_equal(batch[row], PathStreams(11).fill_normals([idx], (20, 2))[0])
 
 
 def test_distinct_paths_seeds_substreams_differ():
-    base = PathStreams(1).normals(0, (64,))
-    assert not np.array_equal(base, PathStreams(1).normals(1, (64,)))
-    assert not np.array_equal(base, PathStreams(2).normals(0, (64,)))
-    assert not np.array_equal(base, PathStreams(1, substream=1).normals(0, (64,)))
+    base = PathStreams(1).fill_normals([0], (64,))[0]
+    assert not np.array_equal(base, PathStreams(1).fill_normals([1], (64,))[0])
+    assert not np.array_equal(base, PathStreams(2).fill_normals([0], (64,))[0])
+    assert not np.array_equal(base, PathStreams(1, substream=1).fill_normals([0], (64,))[0])
 
 
 def test_block_layout_matches_fresh_constructor():
@@ -64,7 +64,7 @@ def test_shared_instance_across_threads():
 
 def test_rejects_out_of_range_index():
     with pytest.raises(ValueError):
-        PathStreams(0).normals(-1, (4,))
+        PathStreams(0).fill_normals([-1], (4,))[0]
 
 
 def test_moments_sane():

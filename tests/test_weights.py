@@ -58,7 +58,7 @@ def test_breakdown_sums_exactly():
     batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID,
                                  noise(model, GRID, 5, np.arange(64)))
     drift, trace, inner, ok = weight_terms_shared(batch, V11.v2)
-    est = estimate_gradient_bismut(model, observable("one"), [1.0, 0.0], V11, 1.0,
+    est = estimate_gradient_bismut(model, observable("one", model), [1.0, 0.0], V11, 1.0,
                                    64, 100, 5)
     assert ok.all()
     assert est.mean == pairwise_sum(drift + trace + inner) / 64
@@ -68,7 +68,7 @@ def test_weight_linear_in_direction_on_fixed_noise():
     model = make_power_law_model(1, 1, 1.0)
     u = Direction.make(0.6, -1.1)
     w_dir = Direction.make(-0.4, 0.9)
-    both = u.plus(w_dir)
+    both = Direction(u.v1 + w_dir.v1, u.v2 + w_dir.v2)
     for i in range(25):
         m_u, m_w, m_b = (
             weight(simulate_basic_batch(model, [1.0], [0.0], d, GRID, noise(model, GRID, 7, [i])),
@@ -82,7 +82,7 @@ def test_extended_weight_linear_in_direction():
     model = make_extended_demo_model()
     u = Direction.make(0.6, -1.1)
     w_dir = Direction.make(-0.4, 0.9)
-    both = u.plus(w_dir)
+    both = Direction(u.v1 + w_dir.v1, u.v2 + w_dir.v2)
     for i in range(15):
         m_u, m_w, m_b = (
             weight(simulate_extended_batch(model, [1.0], [0.0], d, GRID,
