@@ -4,9 +4,10 @@ the intrinsic-distance upper bound, and the Harnack inequality.
 The bounds assert existence of constants, so verification is two-grid: a constant
 is fitted as the maximum normalized ratio on a calibration grid, then a disjoint
 holdout grid must stay below 1.2x the fit plus statistical tolerance.  The
-intrinsic distance is exact (Euclidean) only for the heat family; otherwise a
-constructive subunit-curve upper bound is used, which makes a detected Harnack
-violation meaningful while satisfaction is consistent.
+intrinsic distance is exact (Euclidean) only for the heat family; for every
+other model, of any (m, d), a constructive subunit-curve upper bound that reads
+sigma alone is used, which makes a detected Harnack violation meaningful while
+satisfaction is consistent.
 """
 
 from __future__ import annotations
@@ -464,37 +465,63 @@ def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return fn((a + b) / 2.0)
 
 
+def _waypoint_axis(x: list, xp: list) -> list:
+    """Unit vector u of the waypoint line x* = s u: along x + x', else along x,
+    else the first axis.  For m = 1 it is +-1, so the line is all of R."""
+    for v in (np.add(x, xp), np.asarray(x)):
+        if v.any():
+            v = v / np.abs(v).max()   # scaled first, so a tiny v cannot underflow
+            return (v / math.hypot(*v)).tolist()
+    return [1.0] + [0.0] * (len(x) - 1)
+
+
 def rho_upper_bound(model: ModelSpec, z, z_prime) -> float:
-    """Constructive subunit-curve upper bound on the intrinsic distance (m = d = 1).
+    """Constructive subunit-curve upper bound on the intrinsic distance.
 
-    The curve family has three segments: an x-move to a waypoint x* (unit cost per
-    unit length), a y-move at fixed x* (cost |dy| / (a |x*|^l), at least
-    |dy| / |sigma(x*)| because a |x|^l <= |sigma(x)|), and an x-move to the
-    target.  The waypoint is optimized by golden-section search on each sign of
-    x*, with the two endpoints always evaluated exactly; every member of the
-    family is subunit, so the minimum is an upper bound.
+    The curve family has three segments: a straight x-move to a waypoint x*
+    (unit cost per unit length), a y-move at fixed x* driven by
+    h2 = sigma(x*)^-1 dy / |sigma(x*)^-1 dy|, which costs |sigma(x*)^-1 dy|
+    (|dy| / |s(x*)| for a scalar sigma = s I, and infinity where sigma(x*) is
+    singular), and a straight x-move to the target.  Only ``model.sigma`` is
+    read, once per waypoint.  The waypoints are x* = +-s u with s in
+    [1e-9, hi], found by golden-section search on each sign, and the two
+    endpoints x and x', evaluated exactly; u is the unit vector along x + x'
+    (see ``_waypoint_axis``).  Past hi the two x-moves alone cost more than
+    the cheapest of the endpoints and +-r u, r = max(|x|, |x'|, 1).  Every
+    member of the family is subunit, so the minimum is an upper bound.
     """
-    if model.power_params is None or model.m != 1 or model.d != 1:
-        raise ValueError("the subunit-curve family is built for m = d = 1 power-law models")
-    a, l = model.power_params.a, model.power_params.l
-    x, y = (float(c) for c in np.atleast_1d(np.asarray(z, dtype=float)))
-    xp, yp = (float(c) for c in np.atleast_1d(np.asarray(z_prime, dtype=float)))
-    dy = abs(yp - y)
+    m = model.m
+    z = np.asarray(z, dtype=float).ravel()
+    z_prime = np.asarray(z_prime, dtype=float).ravel()
+    x, xp = z[:m].tolist(), z_prime[:m].tolist()
+    dy = z_prime[m:] - z[m:]
+    if not dy.any():
+        return math.dist(x, xp)
+    dy_norm = math.hypot(*dy.tolist())
 
-    if dy == 0.0:
-        return abs(x - xp)
+    def y_cost(xs: list) -> float:
+        if model.sigma_scalar is not None:
+            s = abs(float(model.sigma_scalar(np.array(xs))))
+            return dy_norm / s if s > 0.0 else math.inf
+        sig = model.sigma(np.array(xs))
+        try:
+            step = np.linalg.solve(sig, dy)
+        except np.linalg.LinAlgError:
+            return math.inf
+        c = math.hypot(*step.tolist())
+        return c if math.isfinite(c) else math.inf
 
-    def cost(s_signed: float) -> float:
-        return abs(x - s_signed) + dy / (a * abs(s_signed) ** l) + abs(s_signed - xp)
+    def cost(xs: list) -> float:
+        return math.dist(x, xs) + y_cost(xs) + math.dist(xs, xp)
 
-    hi = max(abs(x), abs(xp), (l * dy / a) ** (1.0 / (l + 1.0)), 1.0) + 1.0
-    lo = 1e-9
-    best = math.inf
+    u = _waypoint_axis(x, xp)
+    norm_x, norm_xp = math.hypot(*x), math.hypot(*xp)
+    r = max(norm_x, norm_xp, 1.0)
+    best = min(cost(x), cost(xp))   # exact endpoint waypoints
+    ref = min(best, cost([r * c for c in u]), cost([-r * c for c in u]))
+    hi = (ref + norm_x + norm_xp) / 2.0 if ref < math.inf else r
     for sign in (+1.0, -1.0):
-        best = min(best, _golden_min(lambda s: cost(sign * s), lo, hi))
-    for s in (x, xp):  # exact endpoint waypoints (zero-length first or last segment)
-        if s != 0.0:
-            best = min(best, cost(s))
+        best = min(best, _golden_min(lambda s: cost([sign * s * c for c in u]), 1e-9, hi))
     return best
 
 
@@ -537,12 +564,11 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     """Test P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')) with 4-sigma bands.
 
     ``rho`` is the exact Euclidean distance when the model declares
-    ``Family.HEAT`` (sigma = I), and otherwise the subunit-curve upper bound,
-    which needs an m = d = 1 model with power-law constants and raises
-    ``ValueError`` for any other.  P f(z'), P f^2(z') and P f(z) come
-    from one ``pt_panel``: one noise draw per batch drives both base points, and
-    the three estimates share one validity mask, so the z = z' case holds with
-    exact equality.
+    ``Family.HEAT`` (sigma = I), and otherwise the subunit-curve upper bound
+    ``rho_upper_bound``, which reads sigma alone and holds for any (m, d).
+    P f(z'), P f^2(z') and P f(z) come from one ``pt_panel``: one noise draw
+    per batch drives both base points, and the three estimates share one
+    validity mask, so the z = z' case holds with exact equality.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     z_prime = np.atleast_1d(np.asarray(z_prime, dtype=float))

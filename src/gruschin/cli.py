@@ -60,11 +60,15 @@ class ConfigError(ValueError):
 
 
 def _number(convert, value, name: str):
-    """``convert(value)`` for ``convert`` int or float, or a ConfigError naming the field."""
+    """``convert(value)`` for ``convert`` int or float, or a ConfigError naming the
+    field unless it is a finite number."""
     try:
-        return convert(value)
+        number = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _count(value, name: str, minimum: int) -> int:
@@ -84,13 +88,16 @@ def _list(block: dict, key: str, name: str, default=()):
 
 
 def _floats(value, name: str) -> tuple:
-    """A list of numbers as a tuple of floats, or a ConfigError naming the field."""
+    """A list of finite numbers as a tuple of floats, or a ConfigError naming the field."""
     if isinstance(value, (list, tuple)):
         try:
-            return tuple(float(c) for c in value)
+            floats = tuple(float(c) for c in value)
         except (TypeError, ValueError):
             pass
-    raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        else:
+            if all(map(math.isfinite, floats)):
+                return floats
+    raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,8 @@ class ExperimentConfig:
         horizons = _floats(rraw.get("horizons", ()), "run.horizons")
         if not horizons:
             raise ConfigError("run.horizons must be a nonempty list")
-        if not all(0 < t < math.inf for t in horizons):
-            raise ConfigError("run.horizons entries must be positive and finite")
+        if not all(t > 0 for t in horizons):
+            raise ConfigError("run.horizons entries must be positive")
         points = tuple(_floats(p, f"run.points[{i}]")
                        for i, p in enumerate(_list(rraw, "points", "run.points")))
         if not points:
@@ -198,9 +205,8 @@ class ExperimentConfig:
         fd_eps = rraw.get("fd_eps")
         if fd_eps is not None:
             fd_eps = _number(float, fd_eps, "run.fd_eps")
-            if not 0 < fd_eps < math.inf:
-                raise ConfigError(f"run.fd_eps must be null, or positive and finite; "
-                                  f"got {fd_eps!r}")
+            if fd_eps <= 0:
+                raise ConfigError(f"run.fd_eps must be null or positive, got {fd_eps!r}")
         functions = tuple(_list(rraw, "functions", "run.functions"))
         for fname in functions:
             if fname not in TEST_FUNCTION_NAMES:
@@ -393,14 +399,18 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
                             f"max pathwise |gap| = {gap:.3e} over {n} paths")
 
 
-def _harnack_pairs(model: ModelSpec):
-    if model.family is Family.HEAT:
-        return [((0.0, 0.0), (0.0, 0.0)), ((0.3, 0.0), (0.8, 0.4)),
-                ((1.0, 0.0), (1.0, 0.5)), ((-0.5, 0.2), (0.5, -0.2)),
-                ((0.0, 1.0), (0.4, 1.4))]
-    return [((1.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 0.5)),
-            ((1.0, 0.0), (1.5, 0.0)), ((0.5, 0.0), (1.0, 0.5)),
-            ((1.0, -0.5), (1.0, 0.5))]
+def _harnack_pairs(points, m: int) -> list[tuple]:
+    """Five Harnack pairs (z, z') per run point z, with e_x the first x axis (0)
+    and e_y the first y axis (m): (z, z), (z, z + e_y/2), (z, z + e_x/2),
+    (z - e_x/2, z + e_y/2) and (z - e_y/2, z + e_y/2)."""
+    def moved(z: tuple, axis: int, step: float) -> tuple:
+        out = list(z)
+        out[axis] += step
+        return tuple(out)
+
+    return [pair for z in points for pair in (
+        (z, z), (z, moved(z, m, 0.5)), (z, moved(z, 0, 0.5)),
+        (moved(z, 0, -0.5), moved(z, m, 0.5)), (moved(z, m, -0.5), moved(z, m, 0.5)))]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
@@ -412,9 +422,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             "suite.checks: a5 requires a model with comparability constants "
             "(power_law or extended_demo)"
         )
-    if "harnack" in cfg.suite.checks and model.m + model.d != 2:
-        raise ConfigError("suite.checks: harnack has point pairs for m + d = 2 only, "
-                          f"got m + d = {model.m + model.d}")
     rows: list[dict] = []
     checks: list[an.BoundCheckReport] = []
 
@@ -430,7 +437,24 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                                                  readers=readers)
         return grids[mc, readers]
 
-    a6_fit: float | None = None
+    def harnack_constant(T: float, mc: an.McParams) -> float:
+        """C of the Harnack check: exact for the heat family, else sqrt(fit / T)
+        of the A6 fit -- of the configured a6 check wherever it is listed (its
+        panels are shared), or of a small fit of its own."""
+        if model.family is Family.HEAT:
+            return 1.0 / math.sqrt(T)   # exact for the Gaussian semigroup
+        if "a6" in cfg.suite.checks:
+            mc_a6 = _mc_for(cfg, "a6", workers)
+            fit = an.check_a6(model, bounded_suite(model), mc_a6,
+                              grid=grid_for(mc_a6, "a6")).fitted_constant
+            if math.isfinite(fit) and fit > 0:
+                return math.sqrt(fit / T)
+        small = an.McParams(max(2000, mc.n_paths // 4), mc.n_steps, mc.seed, workers)
+        fit_rep = an.check_a6(model, bounded_suite(model), small,
+                              calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
+                              holdout=((T, 0.5),), grid=grid_for(small, "a6"))
+        return math.sqrt(max(fit_rep.fitted_constant, 1e-12) / T)
+
     for check in cfg.suite.checks:
         mc = _mc_for(cfg, check, workers)
         if check == "bismut_vs_fd":
@@ -440,27 +464,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             rep = an.check_a5(model, 2.0, bounded_suite(model), mc, grid=grid_for(mc, "a5"))
         elif check == "a6":
             rep = an.check_a6(model, bounded_suite(model), mc, grid=grid_for(mc, "a6"))
-            a6_fit = rep.fitted_constant
         elif check == "lemma31":
             rep = an.check_lemma31(mc)
         elif check == "lemma_ll":
             rep = an.check_lemma_ll(mc, T=cfg.run.horizons[0])
         elif check == "harnack":
             T = cfg.run.horizons[0]
-            if model.family is Family.HEAT:
-                constant = 1.0 / math.sqrt(T)   # exact for the Gaussian semigroup
-            elif a6_fit is not None and math.isfinite(a6_fit) and a6_fit > 0:
-                constant = math.sqrt(a6_fit / T)
-            else:
-                small = an.McParams(max(2000, mc.n_paths // 4), mc.n_steps, mc.seed,
-                                    workers)
-                fit_rep = an.check_a6(model, bounded_suite(model), small,
-                                      calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
-                                      holdout=((T, 0.5),), grid=grid_for(small, "a6"))
-                constant = math.sqrt(max(fit_rep.fitted_constant, 1e-12) / T)
             f = observable("one_plus_tanh_y", model)
-            rep = an.check_harnack_suite(model, T, _harnack_pairs(model), f,
-                                         constant, mc)
+            rep = an.check_harnack_suite(model, T, _harnack_pairs(cfg.run.points, model.m),
+                                         f, harnack_constant(T, mc), mc)
         elif check == "reduction":
             new_rows, rep = _run_reduction(cfg, model, workers)
             rows += new_rows
@@ -586,6 +598,17 @@ def _cmd_dump_paths(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gruschin",
@@ -596,7 +619,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the configured check suite")
     p_run.add_argument("config", help="path to a JSON experiment config")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=_positive_int, default=1)
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -606,7 +629,7 @@ def main(argv=None) -> int:
     p_dump = sub.add_parser("dump-paths", help="debug per-path CSV dump")
     p_dump.add_argument("config")
     p_dump.add_argument("--out", default=None)
-    p_dump.add_argument("--max-paths", type=int, default=10000)
+    p_dump.add_argument("--max-paths", type=_positive_int, default=10000)
     p_dump.set_defaults(fn=_cmd_dump_paths)
 
     args = parser.parse_args(argv)

@@ -35,6 +35,7 @@ from gruschin.models import (
     PowerParams,
     make_constant_identity_model,
     make_power_law_model,
+    make_tilted_matrix_model,
     observable,
 )
 
@@ -123,9 +124,41 @@ def test_rho_charges_y_moves_by_the_lower_comparability_constant():
     assert rb == pytest.approx(1.0, abs=1e-9)
 
 
-def test_rho_rejects_general_models():
-    with pytest.raises(ValueError):
-        rho_upper_bound(make_constant_identity_model(), (0.0, 0.0), (1.0, 1.0))
+def test_rho_on_a_matrix_sigma_matches_dense_scan():
+    # tilted_matrix (m = 1, d = 2): the y-move at x* costs |sigma(x*)^-1 dy|
+    model = make_tilted_matrix_model()
+    z, zp = (0.4, -0.3, 0.2), (-0.2, 0.9, -0.5)
+    rb = rho_upper_bound(model, z, zp)
+    dy = np.subtract(zp[1:], z[1:])
+    ss = np.concatenate([np.linspace(1e-4, 4.0, 40001), -np.linspace(1e-4, 4.0, 40001)])
+    y_cost = np.linalg.norm(np.linalg.solve(model.sigma(ss[:, None]), dy), axis=-1)
+    dense = np.min(np.abs(z[0] - ss) + y_cost + np.abs(ss - zp[0]))
+    assert rb <= dense + 1e-8
+    assert rb == pytest.approx(dense, abs=1e-4)
+
+
+@pytest.mark.parametrize("l", [1.0, 2.0])
+def test_rho_in_two_x_dimensions_on_the_first_axis_is_the_one_dimensional_value(l):
+    one = make_power_law_model(1, 1, l)
+    two = make_power_law_model(2, 1, l)
+    for (x, y), (xp, yp) in [((0.4, -0.3), (-0.2, 0.9)), ((0.0, 0.0), (0.0, 1.0)),
+                             ((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (-0.5, 0.2))]:
+        assert rho_upper_bound(two, (x, 0.0, y), (xp, 0.0, yp)) == pytest.approx(
+            rho_upper_bound(one, (x, y), (xp, yp)), rel=1e-12)
+
+
+def test_rho_charges_a_singular_sigma_infinity_without_raising():
+    # sigma(0) = 0 for tilted_matrix: both endpoint waypoints are singular, but
+    # the search finds finite waypoints away from x = 0
+    rb = rho_upper_bound(make_tilted_matrix_model(), (0.0, 0.0, 0.0), (0.0, 0.5, 0.0))
+    assert 0.0 < rb < math.inf
+    # a sigma singular at every waypoint leaves no finite y-move
+    rank_one = ModelSpec(m=1, d=2, kind=ModelKind.BASIC,
+                         sigma=lambda x: np.asarray(x)[..., 0, None, None] * np.ones((2, 2)),
+                         grad_sigma=lambda x, v: np.ones(np.shape(x)[:-1] + (2, 2)),
+                         name="rank_one")
+    assert rho_upper_bound(rank_one, (1.0, 0.0, 0.0), (1.0, 0.5, 0.0)) == math.inf
+    assert rho_upper_bound(rank_one, (1.0, 0.5, 0.0), (2.0, 0.5, 0.0)) == 1.0
 
 
 # ---------------------------------------------------------------------------

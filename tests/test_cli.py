@@ -90,6 +90,11 @@ MINIMAL_FILE = Path(__file__).resolve().parents[1] / "configs" / "minimal.json"
     (lambda b: b.update(model=5), "model must be a mapping"),
     (lambda b: b["run"].update(horizons=["x"]), "run.horizons"),
     (lambda b: b["run"].update(master_seed="abc"), "run.master_seed"),
+    (lambda b: b["model"].update(l=float("nan")), "model.l"),
+    (lambda b: b["run"].update(points=[[1.0, float("nan")]]),
+     r"run.points\[0\] must be a list of finite numbers"),
+    (lambda b: b["run"].update(directions=[[[1.0], [float("inf")]]]),
+     r"run.directions\[0\]\[1\]"),
 ])
 def test_malformed_config_fields_exit_2_naming_the_field(tmp_path, capsys, mutate, needle):
     body = json.loads(MINIMAL_FILE.read_text())
@@ -357,14 +362,61 @@ def test_bad_power_exponent_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_harnack_on_three_coordinates_is_a_config_error(tmp_path):
+def test_harnack_pairs_of_the_default_point():
+    body = json.loads((MINIMAL_FILE.parent / "default.json").read_text())
+    cfg = ExperimentConfig.from_dict(body)
+    assert cli._harnack_pairs(cfg.run.points, cfg.model.m) == [
+        ((1.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 0.5)),
+        ((1.0, 0.0), (1.5, 0.0)), ((0.5, 0.0), (1.0, 0.5)),
+        ((1.0, -0.5), (1.0, 0.5))]
+
+
+@pytest.mark.parametrize("model,points", [
+    ({"builtin": "tilted_matrix", "m": 1, "d": 2}, [[1.0, 0.0, 0.0]]),
+    ({"builtin": "power_law", "m": 2, "d": 1, "l": 1.0}, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+])
+def test_harnack_runs_on_three_coordinates(tmp_path, model, points):
     body = json.loads(json.dumps(MINIMAL))
-    body["model"] = {"builtin": "tilted_matrix", "m": 1, "d": 2}
-    body["run"]["points"] = [[1.0, 0.0, 0.0]]
-    body["run"]["directions"] = [[[1.0], [0.0, 0.0]]]
-    body["suite"] = {"checks": ["harnack"]}
+    body["model"] = model
+    body["run"]["points"] = points
+    body["run"]["directions"] = [[[1.0] * model["m"], [0.0] * model["d"]]]
+    body["suite"] = {"checks": ["harnack"],
+                     "overrides": {"harnack": {"n_paths": 500, "n_steps": 20}}}
     cfg_path = write_config(tmp_path, body)
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "results.csv").read_text())))
+    assert len(rows) == 5 * len(points)
+    assert all(r["quantity"] == "a8_ratio" for r in rows)
+
+
+def test_harnack_constant_does_not_depend_on_the_check_order(tmp_path):
+    # the constant is the configured a6 fit, whether a6 is listed first or last
+    body = json.loads((MINIMAL_FILE.parent / "default.json").read_text())
+    body["run"].update(n_paths=200, n_steps=10)
+    a8_rows = []
+    for checks in (["a6", "harnack"], ["harnack", "a6"]):
+        body["suite"]["checks"] = checks
+        out = tmp_path / "_".join(checks)
+        run_experiment(ExperimentConfig.from_dict(body), out_dir=str(out))
+        a8_rows.append([ln for ln in (out / "results.csv").read_text().splitlines()
+                        if ln.startswith('"A8/')])
+    assert len(a8_rows[0]) == 5
+    assert a8_rows[0] == a8_rows[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{cfg}", "--workers", "-3"],
+    ["run", "{cfg}", "--workers", "0"],
+    ["dump-paths", "{cfg}", "--max-paths", "-5"],
+    ["dump-paths", "{cfg}", "--max-paths", "0"],
+])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg_path) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reduction_runs_its_two_kernels_side_by_side(tmp_path, monkeypatch):
