@@ -6,8 +6,8 @@ is fitted as the maximum normalized ratio on a calibration grid, then a disjoint
 holdout grid must stay below 1.2x the fit plus statistical tolerance.  The
 intrinsic distance is exact (Euclidean) only for the heat family; for every
 other model, of any (m, d), a constructive subunit-curve upper bound that reads
-sigma alone is used, which makes a detected Harnack violation meaningful while
-satisfaction is consistent.
+sigma (and sigma1 for an extended model) is used, which makes a detected Harnack
+violation meaningful while satisfaction is consistent.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .estimators import (
+    _integrate,
     bismut_panel,
     estimate_lq_moment,
     estimate_negative_moment,
@@ -28,7 +29,7 @@ from .estimators import (
     pt_panel,
     split_point,
 )
-from .models import Direction, Family, ModelSpec, TestFunction
+from .models import Direction, Family, ModelKind, ModelSpec, TestFunction
 from .paths import (
     TimeGrid,
     brownian_increments,
@@ -475,28 +476,65 @@ def _waypoint_axis(x: list, xp: list) -> list:
     return [1.0] + [0.0] * (len(x) - 1)
 
 
+def _x_move_cost(model: ModelSpec) -> Callable[[list, list], float]:
+    """Cost of a straight x-move from a to b.
+
+    For a basic model X has unit diffusion, so the move costs |b - a|.  For an
+    extended model a subunit curve moves x at sigma1(x) h1, so the move costs
+    int_0^1 |sigma1(x(s))^-1 (b - a)| ds along x(s) = a + s (b - a): the
+    Gauss-Legendre rule of ``estimators._integrate`` on one sigma1 call per
+    segment, and infinity where sigma1 is singular on it.
+    """
+    if model.kind is not ModelKind.EXTENDED:
+        return math.dist
+
+    def cost(a: list, b: list) -> float:
+        a = np.asarray(a, dtype=float)
+        dx = np.asarray(b, dtype=float) - a
+        if not dx.any():
+            return 0.0
+
+        def speed(s: np.ndarray) -> np.ndarray:
+            sig = model.sigma1(a + s[..., None] * dx)
+            try:
+                step = np.linalg.solve(sig, np.broadcast_to(dx[:, None], sig.shape[:-1] + (1,)))
+            except np.linalg.LinAlgError:
+                return np.full(s.shape, math.inf)
+            return np.linalg.norm(step[..., 0], axis=-1)
+
+        c = _integrate(speed, 1.0)
+        return c if math.isfinite(c) else math.inf
+
+    return cost
+
+
 def rho_upper_bound(model: ModelSpec, z, z_prime) -> float:
     """Constructive subunit-curve upper bound on the intrinsic distance.
 
     The curve family has three segments: a straight x-move to a waypoint x*
-    (unit cost per unit length), a y-move at fixed x* driven by
-    h2 = sigma(x*)^-1 dy / |sigma(x*)^-1 dy|, which costs |sigma(x*)^-1 dy|
-    (|dy| / |s(x*)| for a scalar sigma = s I, and infinity where sigma(x*) is
-    singular), and a straight x-move to the target.  Only ``model.sigma`` is
-    read, once per waypoint.  The waypoints are x* = +-s u with s in
-    [1e-9, hi], found by golden-section search on each sign, and the two
-    endpoints x and x', evaluated exactly; u is the unit vector along x + x'
-    (see ``_waypoint_axis``).  Past hi the two x-moves alone cost more than
-    the cheapest of the endpoints and +-r u, r = max(|x|, |x'|, 1).  Every
-    member of the family is subunit, so the minimum is an upper bound.
+    (``_x_move_cost``: unit cost per unit length for a basic model), a y-move
+    at fixed x* driven by h2 = sigma(x*)^-1 dy / |sigma(x*)^-1 dy|, which costs
+    |sigma(x*)^-1 dy| (|dy| / |s(x*)| for a scalar sigma = s I, and infinity
+    where sigma(x*) is singular), and a straight x-move to the target.  Only
+    ``model.sigma`` (and ``sigma1`` for an extended model) is read, once per
+    waypoint.  The waypoints are x* = +-s u with s in [1e-9, hi], found by
+    golden-section search on each sign, and the two endpoints x and x',
+    evaluated exactly; u is the unit vector along x + x' (see
+    ``_waypoint_axis``).  Past hi the two x-moves alone cost more than the
+    cheapest of the endpoints and +-r u, r = max(|x|, |x'|, 1), when every
+    x-move costs at least |dx| / k: k = 1 for a basic model, and for an
+    extended model the largest speed |dx| / cost of the moves from x and x' to
+    +-r u, an estimate of sup ||sigma1||.  Every member of the family is
+    subunit, so the minimum is an upper bound.
     """
     m = model.m
     z = np.asarray(z, dtype=float).ravel()
     z_prime = np.asarray(z_prime, dtype=float).ravel()
     x, xp = z[:m].tolist(), z_prime[:m].tolist()
+    x_cost = _x_move_cost(model)
     dy = z_prime[m:] - z[m:]
     if not dy.any():
-        return math.dist(x, xp)
+        return x_cost(x, xp)
     dy_norm = math.hypot(*dy.tolist())
 
     def y_cost(xs: list) -> float:
@@ -512,14 +550,19 @@ def rho_upper_bound(model: ModelSpec, z, z_prime) -> float:
         return c if math.isfinite(c) else math.inf
 
     def cost(xs: list) -> float:
-        return math.dist(x, xs) + y_cost(xs) + math.dist(xs, xp)
+        return x_cost(x, xs) + y_cost(xs) + x_cost(xs, xp)
 
     u = _waypoint_axis(x, xp)
     norm_x, norm_xp = math.hypot(*x), math.hypot(*xp)
     r = max(norm_x, norm_xp, 1.0)
     best = min(cost(x), cost(xp))   # exact endpoint waypoints
-    ref = min(best, cost([r * c for c in u]), cost([-r * c for c in u]))
-    hi = (ref + norm_x + norm_xp) / 2.0 if ref < math.inf else r
+    far = ([r * c for c in u], [-r * c for c in u])
+    ref = min(best, *(cost(w) for w in far))
+    # an x-move costs at least |dx| / k: k = 1 for a basic model, and for an
+    # extended one the largest speed |dx| / cost of the moves to +-r u
+    k = max([1.0] + [math.dist(a, w) / c for a in (x, xp) for w in far
+                     if 0.0 < (c := x_cost(a, w)) < math.inf])
+    hi = (k * ref + norm_x + norm_xp) / 2.0 if ref < math.inf else r
     for sign in (+1.0, -1.0):
         best = min(best, _golden_min(lambda s: cost([sign * s * c for c in u]), 1e-9, hi))
     return best
@@ -565,7 +608,8 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
 
     ``rho`` is the exact Euclidean distance when the model declares
     ``Family.HEAT`` (sigma = I), and otherwise the subunit-curve upper bound
-    ``rho_upper_bound``, which reads sigma alone and holds for any (m, d).
+    ``rho_upper_bound``, which reads sigma (and sigma1 for an extended
+    model) and holds for any (m, d).
     P f(z'), P f^2(z') and P f(z) come from one ``pt_panel``: one noise draw
     per batch drives both base points, and the three estimates share one
     validity mask, so the z = z' case holds with exact equality.
@@ -604,7 +648,9 @@ def check_harnack_suite(model: ModelSpec, T: float,
                         constant: float, mc: McParams) -> BoundCheckReport:
     """Aggregate Harnack point checks into a two-sided bound report (ratio = lhs/rhs).
 
-    The pairs are mapped over ``mc.workers`` threads.
+    The pairs are mapped over ``mc.workers`` threads.  Every pair gives a row
+    and counts towards the verdict; the fitted constant is the largest ratio
+    over the pairs with z != z' (NaN without one).
     """
     report = BoundCheckReport(inequality_id="A8")
     results = parallel_map(lambda pair: check_harnack(model, T, *pair, f, constant, mc),
@@ -622,7 +668,10 @@ def check_harnack_suite(model: ModelSpec, T: float,
     if not report.points:
         report.verdict = BoundCheckVerdict.INCONCLUSIVE
         return report
-    report.fitted_constant = report.max_ratio
+    # a (z, z) pair has ratio exactly 1 (its estimates share one validity
+    # mask), so the constant is fitted on the pairs with z != z' alone
+    report.fitted_constant = max((p.ratio for p in report.points if p.z0 != p.v),
+                                 default=math.nan)
     violated = any(r.verdict == "violated" for r in results)
     report.verdict = (BoundCheckVerdict.VIOLATED if violated
                       else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)

@@ -14,6 +14,15 @@ another map runs inline, so pools never nest and at most ``workers`` threads
 work at once.  The suite maps over its grid points, Harnack pairs, LemmaLL
 cases and bismut_vs_fd panels, whose estimator calls then run their batches
 inline; an estimator called on its own maps over its batches instead.
+
+Batches and tiles: a batch (``batch_size`` paths, 8,192 by default) is the unit
+of parallel work, and a tile is one kernel call.  A batch runs as consecutive
+tiles, each the largest multiple of ``rng.BLOCK_PATHS`` whose noise fits
+``TILE_NORMALS`` normals (2 MiB), cut at absolute multiples of the tile, so
+the noise and the full-width temporaries of a call stay cache-sized and no tile
+cut splits an RNG block.  Panels on an extended model keep their batches whole:
+that kernel loops over the steps in Python, and its cost per step falls with
+the width of the call.  By the contract above, tiles change no result.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .models import Direction, ModelSpec, TestFunction
+from .models import Direction, ModelKind, ModelSpec, TestFunction
 from .paths import (
     TimeGrid,
     brownian_increments,
@@ -36,6 +45,7 @@ from .paths import (
     simulate_batch,
     simulate_terminal_batch,
 )
+from .rng import BLOCK_PATHS
 from .weights import weight_terms_shared
 
 __all__ = [
@@ -59,6 +69,10 @@ __all__ = [
 ]
 
 DEFAULT_BATCH_SIZE = 8192
+# normals one tile may draw: 2 MiB of float64, a per-core L2 on common hosts;
+# chosen over 2^17 and 2^19 on timings of `gruschin run configs/default.json`
+# (BENCH_cache_tiles.json)
+TILE_NORMALS = 2**18
 
 
 class EstimationError(RuntimeError):
@@ -155,28 +169,59 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) 
         return list(pool.map(fn, items))
 
 
+def _tile(n_steps: int, width: int) -> int:
+    """The tile of a kernel whose paths draw ``width`` normals per step: the
+    largest multiple of ``rng.BLOCK_PATHS`` whose noise fits ``TILE_NORMALS``
+    (at least one block)."""
+    return max(1, TILE_NORMALS // (n_steps * width) // BLOCK_PATHS) * BLOCK_PATHS
+
+
+def _model_tile(model: ModelSpec, n_steps: int) -> Optional[int]:
+    """The tile of a panel on ``model``; none for an extended model, whose
+    batches stay whole (see ``run_batches``)."""
+    if model.kind is ModelKind.EXTENDED:
+        return None
+    return _tile(n_steps, model.m + model.d)
+
+
+def _tiles(start: int, stop: int, tile: Optional[int]) -> list[tuple[int, int]]:
+    """start..stop cut at the absolute multiples of ``tile``; whole without one."""
+    if tile is None:
+        return [(start, stop)]
+    cuts = [start, *range((start // tile + 1) * tile, stop, tile), stop]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def run_batches(
     n_paths: int,
     batch_fn: Callable[[int, int], tuple[dict, np.ndarray]],
     workers: int = 1,
     batch_size: Optional[int] = None,
+    tile: Optional[int] = None,
 ) -> dict:
     """One MCEstimate per column that ``batch_fn`` fills, under the column's key.
 
     ``batch_fn(start, stop)`` returns ``({key: values}, ok)`` for paths
-    start..stop-1, with the same keys for every batch; every column is averaged
+    start..stop-1, with the same keys for every call; every column is averaged
     over the paths ``ok`` marks valid.  Placement by path index keeps the result
-    independent of worker count, batch size and completion order.
+    independent of worker count, batch size, tile and completion order.
 
-    The batches go through ``parallel_map``: they overlap on ``workers`` threads
-    when the estimator is called on its own, and run inline when it is called
-    from a task of the suite's point-level map.
+    A batch of ``batch_size`` paths is the unit of parallel work: the batches go
+    through ``parallel_map``, so they overlap on ``workers`` threads when the
+    estimator is called on its own, and run inline when it is called from a task
+    of the suite's point-level map.  A tile is one ``batch_fn`` call: a batch
+    runs as the consecutive tiles cut at the absolute multiples of ``tile``
+    (see ``_tile``), so every tile's noise and temporaries stay
+    cache-sized, and no RNG block is drawn by two tiles of one batch.  Without ``tile`` a
+    batch is one call; the extended panels keep their batches whole, as their
+    kernel loops over the steps in Python and a narrower call costs more per
+    step.
     """
-    spans = _chunks(n_paths, batch_size or DEFAULT_BATCH_SIZE)
-    results = parallel_map(lambda span: batch_fn(*span), spans, workers)
-    cols = {key: np.empty(n_paths) for key in results[0][0]}
+    spans = [_tiles(*span, tile) for span in _chunks(n_paths, batch_size or DEFAULT_BATCH_SIZE)]
+    results = parallel_map(lambda tiles: [batch_fn(*t) for t in tiles], spans, workers)
+    cols = {key: np.empty(n_paths) for key in results[0][0][0]}
     valid = np.empty(n_paths, dtype=bool)
-    for (start, stop), (out, ok) in zip(spans, results):
+    for (start, stop), (out, ok) in zip(itertools.chain(*spans), itertools.chain(*results)):
         for key, col in cols.items():
             col[start:stop] = out[key]
         valid[start:stop] = ok
@@ -269,7 +314,8 @@ def estimate_negative_moment(m: int, x, T: float, n_exp: float, alpha: float,
         vals = np.where(ok, integral, 1.0) ** (-alpha)
         return {"value": np.where(ok, vals, 0.0)}, ok
 
-    return run_batches(n_paths, batch_fn, workers, batch_size)["value"]
+    return run_batches(n_paths, batch_fn, workers, batch_size,
+                       _tile(n_steps, m))["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +424,8 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
         vals = np.abs(n_T) ** q
         return {"value": vals}, np.isfinite(vals)
 
-    return run_batches(n_paths, batch_fn, workers, batch_size)["value"]
+    return run_batches(n_paths, batch_fn, workers, batch_size,
+                       _tile(n_steps, len(widths)))["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +534,8 @@ def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunc
                for f in fs for k, z_final in enumerate(finals)}
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, batch_fn, workers, batch_size)
+    return run_batches(n_paths, batch_fn, workers, batch_size,
+                       _model_tile(model, n_steps))
 
 
 def bismut_panel(model: ModelSpec, z0, T: float,
@@ -536,7 +584,8 @@ def bismut_panel(model: ModelSpec, z0, T: float,
             out[("pt", label)] = np.asarray(fn(z_final), dtype=float)
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, batch_fn, workers, batch_size)
+    return run_batches(n_paths, batch_fn, workers, batch_size,
+                       _model_tile(model, n_steps))
 
 
 def fd_panel(model: ModelSpec, z0, T: float,
@@ -576,4 +625,5 @@ def fd_panel(model: ModelSpec, z0, T: float,
                for f in fs for j, (z_up, z_dn) in enumerate(ends)}
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, batch_fn, workers, batch_size)
+    return run_batches(n_paths, batch_fn, workers, batch_size,
+                       _model_tile(model, n_steps))

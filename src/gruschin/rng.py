@@ -15,6 +15,7 @@ and seeds start from well-separated states.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -46,17 +47,25 @@ class PathStreams:
 
         ``shape[0]`` is the step axis.  Each block that holds a requested path is
         drawn once per call; the paths of a block that sit in consecutive rows
-        with consecutive indices are copied as one strided slice.
+        with consecutive indices are copied as one strided slice.  The copy
+        moves the w = prod(shape[1:]) normals of one (path, step) as a single
+        8w-byte record, a 2-d transpose of records, so the bits do not change.
         """
         idx = np.asarray(path_indices)
         shape = tuple(shape)
         if idx.size and (idx.min() < 0 or idx.max() >= 2**64):
             raise ValueError(f"path indices out of range: [{idx.min()}, {idx.max()}]")
         out = np.empty((idx.size,) + shape)
+        n_steps, w = shape[0], math.prod(shape[1:])
+        if out.size == 0:
+            return out
+        record = np.dtype((np.void, 8 * w))
+        out_rec = out.reshape(idx.size, n_steps * w).view(record)   # (P, n_steps)
         block_of = idx // BLOCK_PATHS
         order = np.argsort(block_of, kind="stable")
         blocks, firsts = np.unique(block_of[order], return_index=True)
-        buf = np.empty((shape[0], BLOCK_PATHS) + shape[1:])
+        buf = np.empty((n_steps, BLOCK_PATHS) + shape[1:])
+        buf_rec = buf.reshape(n_steps, BLOCK_PATHS * w).view(record)  # (n_steps, 256)
         for block, lo, hi in zip(blocks, firsts, np.append(firsts[1:], idx.size)):
             bitgen = np.random.SFC64(np.random.SeedSequence(
                 [self.master_seed, self.substream, int(block)]))
@@ -64,7 +73,7 @@ class PathStreams:
             rows = order[lo:hi]
             cols = idx[rows] - block * BLOCK_PATHS
             if np.all(np.diff(rows) == 1) and np.all(np.diff(cols) == 1):
-                out[rows[0]:rows[-1] + 1] = np.moveaxis(buf[:, cols[0]:cols[-1] + 1], 1, 0)
+                out_rec[rows[0]:rows[-1] + 1] = buf_rec[:, cols[0]:cols[-1] + 1].T
             else:
-                out[rows] = np.moveaxis(buf[:, cols], 1, 0)
+                out_rec[rows] = buf_rec[:, cols].T
         return out

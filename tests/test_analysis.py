@@ -33,7 +33,9 @@ from gruschin.models import (
     ModelKind,
     ModelSpec,
     PowerParams,
+    as_extended,
     make_constant_identity_model,
+    make_extended_demo_model,
     make_power_law_model,
     make_tilted_matrix_model,
     observable,
@@ -159,6 +161,48 @@ def test_rho_charges_a_singular_sigma_infinity_without_raising():
                          name="rank_one")
     assert rho_upper_bound(rank_one, (1.0, 0.0, 0.0), (1.0, 0.5, 0.0)) == math.inf
     assert rho_upper_bound(rank_one, (1.0, 0.5, 0.0), (2.0, 0.5, 0.0)) == 1.0
+
+
+def test_rho_charges_extended_x_moves_through_sigma1():
+    # extended_demo: sigma1 = 1 + tanh(x)/4 < 1 for x < 0, so a pure x-move
+    # there costs int |sigma1^-1| dx > |dx|; above 0 it costs less than |dx|
+    model = make_extended_demo_model()
+    left = rho_upper_bound(model, (-2.0, 0.3), (-1.0, 0.3))
+    xs = np.linspace(-2.0, -1.0, 200001)
+    dense = np.trapezoid(1.0 / (1.0 + 0.25 * np.tanh(xs)), xs)
+    assert left > 1.0
+    assert left == pytest.approx(dense, rel=1e-9)
+    assert rho_upper_bound(model, (1.0, 0.3), (2.0, 0.3)) < 1.0
+    # sigma1 = I: the extended embedding costs what the basic model does
+    basic = make_power_law_model(1, 1, 1.0)
+    for z, zp in [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (-0.5, 0.2)), ((0.3, 0.1), (1.2, 0.1))]:
+        assert rho_upper_bound(as_extended(basic), z, zp) == pytest.approx(
+            rho_upper_bound(basic, z, zp), rel=1e-12)
+
+
+@pytest.mark.parametrize("z, zp", [((0.4, -0.3), (-0.2, 0.9)), ((2.0, 0.0), (2.5, 30.0))])
+def test_rho_on_an_extended_model_matches_dense_scan(z, zp):
+    # extended_demo: an x-move costs |G(b) - G(a)| with G' = 1 / sigma1, and a
+    # y-move at x* costs |dy| / |x*|
+    model = make_extended_demo_model()
+    rb = rho_upper_bound(model, z, zp)
+    ss = np.linspace(-12.0, 12.0, 480001)
+    g = np.concatenate([[0.0], np.cumsum(np.diff(ss) / (1.0 + 0.25 * np.tanh(0.5 * (ss[1:] + ss[:-1]))))])
+    G = lambda s: np.interp(s, ss, g)
+    with np.errstate(divide="ignore"):
+        dense = np.min(np.abs(G(ss) - G(z[0])) + abs(zp[1] - z[1]) / np.abs(ss)
+                       + np.abs(G(zp[0]) - G(ss)))
+    assert rb <= dense + 1e-6
+    assert rb == pytest.approx(dense, abs=1e-4)
+
+
+def test_rho_search_reaches_the_far_waypoints_of_a_fast_extended_x():
+    # sigma1 = 16: an x-move costs |dx| / 16, so (1, 0) -> (1, 8) is cheapest
+    # through x* = 8, where 2 * 7/16 + 8/8 = 1.875; a bracket that charged
+    # x-moves |dx| would stop at x* = 5 (cost 2.1)
+    fast = replace(as_extended(make_power_law_model(1, 1, 1.0)),
+                   sigma1=lambda x: np.full(np.shape(x)[:-1] + (1, 1), 16.0))
+    assert rho_upper_bound(fast, (1.0, 0.0), (1.0, 8.0)) == pytest.approx(1.875, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +511,23 @@ def test_harnack_gaussian_exact_constant_suite():
              ((-0.5, 0.2), (0.5, -0.2))]
     rep = check_harnack_suite(model, 1.0, pairs, f, 1.0, McParams(10000, 50, 43))
     assert rep.verdict is BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
+
+
+def test_harnack_fitted_constant_skips_the_pairs_with_z_equal_z_prime():
+    # a (z, z) pair has ratio exactly 1; it keeps its row and its verdict but
+    # does not fit the constant
+    model = make_constant_identity_model()
+    f = observable("one_plus_tanh_y", model)
+    pairs = [((0.0, 0.0), (0.0, 0.0)), ((0.3, 0.0), (0.8, 0.4)),
+             ((-0.5, 0.2), (0.5, -0.2))]
+    rep = check_harnack_suite(model, 1.0, pairs, f, 1.0, McParams(2000, 20, 43))
+    assert len(rep.points) == 3
+    assert rep.points[0].ratio == 1.0 and rep.max_ratio == 1.0
+    assert rep.fitted_constant == max(p.ratio for p in rep.points[1:])
+    assert rep.fitted_constant < 1.0
+    same = check_harnack_suite(model, 1.0, pairs[:1], f, 1.0, McParams(2000, 20, 43))
+    assert math.isnan(same.fitted_constant)
+    assert same.verdict is BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
 
 
 # ---------------------------------------------------------------------------

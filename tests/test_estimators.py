@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gruschin import estimators
+from gruschin import estimators, rng
 from gruschin.estimators import (
     EstimationError,
     bismut_panel,
@@ -30,6 +30,7 @@ from gruschin.models import (
     ModelKind,
     ModelSpec,
     make_constant_identity_model,
+    make_extended_demo_model,
     make_power_law_model,
     observable,
 )
@@ -481,6 +482,73 @@ def test_panels_draw_noise_once_per_batch(monkeypatch):
                  2500, 20, 5, batch_size=1024)
     assert len(draws) == 3        # one per batch, shared by both v1 groups
     assert len(sims) == 3 * 2
+
+
+def _counting_draws(monkeypatch):
+    draws = []
+    real = rng.PathStreams.fill_normals
+
+    def counting(self, path_indices, shape):
+        draws.append(np.asarray(path_indices).copy())
+        return real(self, path_indices, shape)
+
+    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
+    return draws
+
+
+def test_batches_run_as_block_aligned_tiles(monkeypatch):
+    # K = 100 steps, m + d = 2: a tile is 1,280 paths, cut at absolute
+    # multiples of 1,280 inside each 8,192-path batch
+    draws = _counting_draws(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    want = [1280] * 6 + [512] + [768] + [1280] * 5 + [1024]
+    for panel in (bismut_panel, fd_panel):
+        draws.clear()
+        panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 16_384, 100, 5, batch_size=8192)
+        assert [len(idx) for idx in draws] == want
+        starts = [int(idx[0]) for idx in draws]
+        assert all(s % 256 == 0 for s in starts)
+        assert np.array_equal(np.concatenate(draws), np.arange(16_384))
+        blocks = [b for idx in draws for b in np.unique(idx // rng.BLOCK_PATHS)]
+        assert len(blocks) == len(set(blocks))
+    # the extended kernel runs whole batches
+    draws.clear()
+    ext = make_extended_demo_model()
+    bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 3000, 100, 5,
+                 batch_size=2048)
+    assert [len(idx) for idx in draws] == [2048, 952]
+
+
+_PL11, _PL21 = make_power_law_model(1, 1, 1.0), make_power_law_model(2, 1, 1.0)
+_TILED_CALLS = {
+    "pt_panel": lambda **kw: pt_panel(
+        _PL11, [[1.0, 0.5], [0.5, 0.0]], 1.0, [observable("sin_y", _PL11)], 1100, 1024, 7, **kw),
+    "bismut_panel": lambda **kw: bismut_panel(
+        _PL21, [1.0, 0.5, 0.0], 1.0, [observable("sin_y", _PL21)],
+        [Direction.make([1.0, 0.0], [0.0]), Direction.make([0.0, 0.0], [1.0])],
+        1100, 1024, 7, **kw),
+    "fd_panel": lambda **kw: fd_panel(
+        _PL11, [1.0, 0.5], 1.0, [observable("sin_y", _PL11)], [EX, EY], 1100, 1024, 7, **kw),
+    "estimate_negative_moment": lambda **kw: estimate_negative_moment(
+        1, [0.3], 1.0, 1.0, 0.5, 1100, 1024, 7, **kw),
+    "estimate_lq_moment": lambda **kw: estimate_lq_moment(
+        "sigma_row", 4.0, 1.0, 1100, 1024, 7, l=0.5, x=0.2, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TILED_CALLS))
+def test_tiles_do_not_change_estimates(monkeypatch, name):
+    # K = 1,024 steps: every estimator's tile is one 256-path block; batches
+    # below, equal to and above the tile give the estimates of whole batches
+    call = _TILED_CALLS[name]
+    assert estimators._tile(1024, 1) == estimators._tile(1024, 3) == 256
+    with monkeypatch.context() as untiled:
+        untiled.setattr(estimators, "TILE_NORMALS", 2**40)
+        want = call(batch_size=1100)
+    for batch_size in (100, 256, 700):
+        for workers in (1, 2):
+            assert call(batch_size=batch_size, workers=workers) == want
 
 
 def _central_difference(model, z0, v, f, T, n_paths, n_steps, seed, eps):
