@@ -1,9 +1,12 @@
 """Verdicts on the quantitative bounds: gradient estimates, moment inequalities,
 the intrinsic-distance upper bound, and the Harnack inequality.
 
-The bounds assert existence of constants, so verification is two-grid: a constant
-is fitted as the maximum normalized ratio on a calibration grid, then a disjoint
-holdout grid must stay below 1.2x the fit plus statistical tolerance.  The
+Every bound check yields ``RatioPoint`` rows judged by one rule
+(``_verdict``).  The bounds assert existence of constants, so a check with a
+grid is two-grid: a constant is fitted as the maximum normalized ratio on a
+calibration grid, then a disjoint holdout grid must stay below 1.2x the fit
+plus statistical tolerance.  A check without a grid (LemmaLL, A8) has
+``check`` rows whose ratio must stay below 1 plus tolerance.  The
 intrinsic distance is exact (Euclidean) only for the heat family; for every
 other model, of any (m, d), a constructive subunit-curve upper bound that reads
 sigma (and sigma1 for an extended model) is used, which makes a detected Harnack
@@ -27,14 +30,8 @@ from .estimators import (
     lq_moment_rhs,
     parallel_map,
     pt_panel,
-    split_point,
 )
 from .models import Direction, Family, ModelKind, ModelSpec, TestFunction
-from .paths import (
-    TimeGrid,
-    brownian_increments,
-    simulate_terminal_batch,
-)
 from .rng import derive_seed
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "BoundCheckVerdict",
     "RatioPoint",
     "BoundCheckReport",
-    "HarnackResult",
     "check_a5",
     "check_a6",
     "check_lemma31",
@@ -141,15 +137,26 @@ class BoundCheckReport:
         )
 
 
-def _two_grid_verdict(report: BoundCheckReport) -> None:
-    """Fit the constant on the calibration points, test boundedness on the holdout."""
-    calibration = [p.ratio for p in report.points if p.phase == "calibration"]
-    if not calibration:
+def _verdict(report: BoundCheckReport,
+             fits: Callable[[RatioPoint], bool] = lambda p: True) -> None:
+    """The verdict rule of every bound check.
+
+    The constant is fitted as the largest ratio of the calibration rows, or of
+    the ``check`` rows when the check has no grid, over the rows that ``fits``
+    keeps (NaN when it keeps none).  A holdout row must stay at or below
+    HOLDOUT_HEADROOM x fit + its tolerance, and a ``check`` row at or below
+    1 + its tolerance; a report with no row to fit is Inconclusive.
+    """
+    grid = any(p.phase != "check" for p in report.points)
+    fit_rows = [p for p in report.points if p.phase == ("calibration" if grid else "check")]
+    if not fit_rows:
         report.verdict = BoundCheckVerdict.INCONCLUSIVE
         return
-    report.fitted_constant = fitted = max(calibration)
-    violated = any(p.ratio > HOLDOUT_HEADROOM * fitted + p.tolerance
-                   for p in report.points if p.phase == "holdout")
+    report.fitted_constant = fitted = max((p.ratio for p in fit_rows if fits(p)),
+                                          default=math.nan)
+    bound = {"holdout": HOLDOUT_HEADROOM * fitted, "check": 1.0}
+    violated = any(p.ratio > bound[p.phase] + p.tolerance
+                   for p in report.points if p.phase in bound)
     report.verdict = (BoundCheckVerdict.VIOLATED if violated
                       else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)
 
@@ -305,7 +312,7 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
                     v=(tuple(v.v1), tuple(v.v2)), seed=seed, n_steps=mc.n_steps,
                     n_valid=grad.n_valid, n_invalid=grad.n_invalid,
                 ))
-    _two_grid_verdict(report)
+    _verdict(report)
     return report
 
 
@@ -358,7 +365,7 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
                 seed=seed, n_steps=mc.n_steps,
                 n_valid=denom_est.n_valid, n_invalid=denom_est.n_invalid,
             ))
-    _two_grid_verdict(report)
+    _verdict(report)
     return report
 
 
@@ -391,7 +398,7 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
         )
 
     report.points = parallel_map(ratio_point, _grid_keys(calibration, holdout), mc.workers)
-    _two_grid_verdict(report)
+    _verdict(report)
     return report
 
 
@@ -408,9 +415,10 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
                    ) -> BoundCheckReport:
     """LHS/RHS of the stochastic-integral moment inequality on the integrand catalogue.
 
-    Every ratio must stay below 1 within statistical tolerance; the inequality is
-    an equality for q = 2 (Ito isometry), which pins the ratio near 1 there.
-    The cases are mapped over ``mc.workers`` threads.
+    The rows are ``check`` rows, judged by ``_verdict``: every ratio must stay at
+    or below 1 plus its tolerance, and the fitted constant is the largest ratio.
+    The inequality is an equality for q = 2 (Ito isometry), which pins the ratio
+    near 1 there.  The cases are mapped over ``mc.workers`` threads.
     """
     report = BoundCheckReport(inequality_id="LemmaLL")
 
@@ -428,10 +436,7 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
         )
 
     report.points = parallel_map(ratio_point, cases, mc.workers)
-    report.fitted_constant = report.max_ratio
-    violated = [p for p in report.points if p.ratio > 1.0 + p.tolerance]
-    report.verdict = (BoundCheckVerdict.VIOLATED if violated
-                      else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)
+    _verdict(report)
     return report
 
 
@@ -577,49 +582,28 @@ def euclidean_distance(z, z_prime) -> float:
 # Harnack inequality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HarnackResult:
-    z: tuple
-    z_prime: tuple
-    lhs: float
-    rhs: float
-    band: float
-    rho: float
-    verdict: str       # "holds" | "violated"
-    n_valid: int       # path counts of the estimates, which share one validity mask
-    n_invalid: int
-    seed: int          # the derived seed of the estimates at z and z'
-
-
-def _assert_nonnegative(model: ModelSpec, f: TestFunction, z0, T: float, seed: int) -> None:
-    """Sampling check that the observable is nonnegative on reachable states."""
-    x0, y0 = split_point(model, z0)
-    grid = TimeGrid(T, 64)
-    noise = brownian_increments(seed, np.arange(512), grid, (model.m, model.d))
-    x_final, y_final, _ = simulate_terminal_batch(model, x0, y0, grid, noise)
-    vals = np.asarray(f.eval(np.concatenate([x_final, y_final], axis=1)), dtype=float)
-    if vals.min() < 0.0:
-        raise ValueError(f"observable {f.name!r} is negative on sampled states")
-
-
 def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
-                  constant: float, mc: McParams) -> HarnackResult:
-    """Test P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')) with 4-sigma bands.
+                  constant: float, mc: McParams) -> RatioPoint:
+    """The A8 row of one pair: P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')).
 
+    The row, labelled ``z->z'``, has ratio P f(z') / rhs and tolerance
+    band / |rhs|, band being the 4-sigma band of P f(z') - rhs.  When rhs is 0,
+    the ratio is inf and the tolerance 0 if P f(z') exceeds its band, and NaN
+    (inconclusive) otherwise.
     ``rho`` is the exact Euclidean distance when the model declares
     ``Family.HEAT`` (sigma = I), and otherwise the subunit-curve upper bound
     ``rho_upper_bound``, which reads sigma (and sigma1 for an extended
     model) and holds for any (m, d).
     P f(z'), P f^2(z') and P f(z) come from one ``pt_panel``: one noise draw
     per batch drives both base points, and the three estimates share one
-    validity mask, so the z = z' case holds with exact equality.
+    validity mask, so the z = z' case has ratio exactly 1.  The panel also
+    estimates P 1{f < 0} at z' and z on the same paths; f must be nonnegative,
+    so a sampled state with f < 0 raises ValueError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     z_prime = np.atleast_1d(np.asarray(z_prime, dtype=float))
     points = (tuple(z.tolist()), tuple(z_prime.tolist()))
-    label = f"harnack:{points[0]}:{points[1]}:{f.name}:{T}"
-    seed = derive_seed(mc.seed, label)
-    _assert_nonnegative(model, f, z_prime, T, derive_seed(mc.seed, label + ":probe"))
+    seed = derive_seed(mc.seed, f"harnack:{points[0]}:{points[1]}:{f.name}:{T}")
 
     if model.family is Family.HEAT:
         rho = euclidean_distance(z, z_prime)
@@ -627,11 +611,13 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
         rho = rho_upper_bound(model, z, z_prime)
 
     f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f))
-    panel = pt_panel(model, [z_prime, z], T, [f, f_sq], mc.n_paths, mc.n_steps, seed,
-                     workers=mc.workers)
+    f_neg = TestFunction(name=f.name + "<0", eval=lambda w: np.asarray(f.eval(w)) < 0.0)
+    panel = pt_panel(model, [z_prime, z], T, [f, f_sq, f_neg], mc.n_paths, mc.n_steps,
+                     seed, workers=mc.workers)
+    if panel[("pt", f_neg.name, 0)].mean > 0.0 or panel[("pt", f_neg.name, 1)].mean > 0.0:
+        raise ValueError(f"observable {f.name!r} is negative on sampled states")
     p_at_zp, p_sq_zp = panel[("pt", f.name, 0)], panel[("pt", f_sq.name, 0)]
     p_at_z = panel[("pt", f.name, 1)]
-    meta = dict(n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid, seed=seed)
 
     root = math.sqrt(p_sq_zp.mean)
     rhs = p_at_z.mean + constant * rho * root
@@ -639,42 +625,36 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
     band = 4.0 * math.sqrt(
         p_at_zp.stderr**2 + p_at_z.stderr**2 + (constant * rho * root_se) ** 2
     )
-    verdict = "holds" if p_at_zp.mean <= rhs + band else "violated"
-    return HarnackResult(*points, p_at_zp.mean, rhs, band, rho, verdict, **meta)
+    lhs = p_at_zp.mean
+    if rhs == 0.0:
+        ratio, tolerance = (math.inf if lhs > band else math.nan), 0.0
+    else:
+        ratio, tolerance = lhs / rhs, band / abs(rhs)
+    return RatioPoint(
+        label=f"{points[0]}->{points[1]}", phase="check", ratio=ratio,
+        tolerance=tolerance, T=T, z0=points[0], v=points[1], seed=seed,
+        n_steps=mc.n_steps, n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid,
+    )
 
 
 def check_harnack_suite(model: ModelSpec, T: float,
                         pairs: Sequence[tuple], f: TestFunction,
                         constant: float, mc: McParams) -> BoundCheckReport:
-    """Aggregate Harnack point checks into a two-sided bound report (ratio = lhs/rhs).
+    """A8: the ``check_harnack`` rows of the pairs, judged by ``_verdict``.
 
-    The pairs are mapped over ``mc.workers`` threads.  Every pair gives a row
-    and counts towards the verdict; the fitted constant is the largest ratio
-    over the pairs with z != z' (NaN without one).
+    The pairs are mapped over ``mc.workers`` threads.  A row with a NaN ratio
+    is skipped as inconclusive; every other row counts towards the verdict.
+    A (z, z) pair has ratio exactly 1 (its estimates share one validity mask),
+    so the constant is fitted on the rows with z != z' alone (NaN without one).
     """
     report = BoundCheckReport(inequality_id="A8")
-    results = parallel_map(lambda pair: check_harnack(model, T, *pair, f, constant, mc),
-                           pairs, mc.workers)
-    for res in results:
-        if res.rhs == 0.0:
-            report.skipped.append(f"{res.z}->{res.z_prime}: inconclusive")
-            continue
-        report.points.append(RatioPoint(
-            label=f"{res.z}->{res.z_prime}", phase="check",
-            ratio=res.lhs / res.rhs, tolerance=res.band / abs(res.rhs),
-            T=T, z0=res.z, v=res.z_prime, seed=res.seed, n_steps=mc.n_steps,
-            n_valid=res.n_valid, n_invalid=res.n_invalid,
-        ))
-    if not report.points:
-        report.verdict = BoundCheckVerdict.INCONCLUSIVE
-        return report
-    # a (z, z) pair has ratio exactly 1 (its estimates share one validity
-    # mask), so the constant is fitted on the pairs with z != z' alone
-    report.fitted_constant = max((p.ratio for p in report.points if p.z0 != p.v),
-                                 default=math.nan)
-    violated = any(r.verdict == "violated" for r in results)
-    report.verdict = (BoundCheckVerdict.VIOLATED if violated
-                      else BoundCheckVerdict.BOUNDED_CONSTANT_FOUND)
+    for row in parallel_map(lambda pair: check_harnack(model, T, *pair, f, constant, mc),
+                            pairs, mc.workers):
+        if math.isnan(row.ratio):
+            report.skipped.append(f"{row.label}: inconclusive")
+        else:
+            report.points.append(row)
+    _verdict(report, fits=lambda p: p.z0 != p.v)
     return report
 
 

@@ -21,7 +21,6 @@ from gruschin.analysis import (
     check_harnack_suite,
     check_lemma31,
     check_lemma_ll,
-    euclidean_distance,
     report_markdown,
     rho_upper_bound,
     suite_exit_code,
@@ -415,6 +414,19 @@ def test_lemma_ll_catalogue():
     assert by_label["constant_unit,q=4.0"].ratio == pytest.approx(3.0 / 36.0, abs=0.02)
 
 
+@pytest.mark.parametrize("run", [
+    lambda mc: check_lemma31(mc, calibration=(), holdout=()),
+    lambda mc: check_lemma_ll(mc, cases=()),
+    lambda mc: check_harnack_suite(make_constant_identity_model(), 1.0, [],
+                                   observable("one", make_constant_identity_model()), 1.0, mc),
+], ids=["lemma31", "lemma_ll", "harnack"])
+def test_bound_check_without_rows_is_inconclusive(run):
+    # one rule for every bound check: no row to fit the constant on
+    rep = run(McParams(200, 10, 23))
+    assert rep.verdict is BoundCheckVerdict.INCONCLUSIVE
+    assert not rep.points and math.isnan(rep.fitted_constant)
+
+
 # ---------------------------------------------------------------------------
 # Harnack
 # ---------------------------------------------------------------------------
@@ -424,8 +436,7 @@ def test_harnack_same_point_holds_with_equality():
     f = observable("one_plus_tanh_y", model)
     res = check_harnack(model, 1.0, (0.4, 0.1), (0.4, 0.1), f, 1.0,
                         McParams(4000, 40, 29))
-    assert res.verdict == "holds"
-    assert res.lhs == res.rhs  # identical seeds at identical points
+    assert res.ratio == 1.0  # identical seeds at identical points
 
 
 def test_harnack_constant_observable_holds_for_any_constant():
@@ -433,8 +444,9 @@ def test_harnack_constant_observable_holds_for_any_constant():
     f = observable("one", model)
     res = check_harnack(model, 1.0, (0.0, 0.0), (1.0, 1.0), f, 5.0,
                         McParams(4000, 40, 31))
-    assert res.verdict == "holds"
-    assert res.lhs == pytest.approx(1.0)
+    # P f = 1 at both points and rho = sqrt(2): the ratio is 1 / (1 + 5 sqrt(2))
+    assert res.ratio == pytest.approx(1.0 / (1.0 + 5.0 * math.sqrt(2.0)))
+    assert res.ratio <= 1.0 + res.tolerance
 
 
 def test_harnack_degenerate_model_pair_holds():
@@ -442,17 +454,22 @@ def test_harnack_degenerate_model_pair_holds():
     f = observable("one_plus_tanh_y", model)
     res = check_harnack(model, 1.0, (1.0, 0.0), (1.0, 0.5), f, 1.0,
                         McParams(20000, 80, 37))
-    assert res.verdict == "holds"
-    assert res.rho <= 0.5 + 1e-9  # vertical segment at x* = 1
+    assert res.ratio <= 1.0 + res.tolerance
+    # the vertical segment at x* = 1
+    assert rho_upper_bound(model, (1.0, 0.0), (1.0, 0.5)) <= 0.5 + 1e-9
 
 
-def test_harnack_on_renamed_heat_model_uses_euclidean_distance():
+def test_harnack_on_renamed_heat_model_uses_euclidean_distance(monkeypatch):
     # the distance follows the declared family, not the model's name
+    def no_bound(*args):
+        raise AssertionError("a heat-family model reads the Euclidean distance")
+
     model = replace(make_constant_identity_model(), name="my_model")
     f = observable("one_plus_tanh_y", model)
     z, zp = (0.3, 0.0), (0.8, 0.4)
+    monkeypatch.setattr(analysis, "rho_upper_bound", no_bound)
     res = check_harnack(model, 1.0, z, zp, f, 1.0, McParams(2000, 20, 33))
-    assert res.rho == euclidean_distance(z, zp)
+    assert 0.0 < res.ratio <= 1.0 + res.tolerance
 
 
 def test_harnack_rejects_negative_observable():
@@ -484,7 +501,7 @@ def test_harnack_simulates_each_base_point_once(monkeypatch):
 
 
 def test_harnack_draws_noise_once_per_batch(monkeypatch):
-    # z and z' read one draw per batch; the nonnegativity probe draws once more
+    # z and z' read one draw per batch, which the nonnegativity check reads too
     shapes = []
     real = rng.PathStreams.fill_normals
 
@@ -498,7 +515,7 @@ def test_harnack_draws_noise_once_per_batch(monkeypatch):
     n_paths = estimators.DEFAULT_BATCH_SIZE + 500
     res = check_harnack(model, 1.0, (0.5, 0.0), (1.0, 0.5), f, 1.0,
                         McParams(n_paths, 10, 53))
-    assert shapes == [512, estimators.DEFAULT_BATCH_SIZE, 500]
+    assert shapes == [estimators.DEFAULT_BATCH_SIZE, 500]
     assert res.n_valid + res.n_invalid == n_paths
 
 
@@ -528,6 +545,28 @@ def test_harnack_fitted_constant_skips_the_pairs_with_z_equal_z_prime():
     same = check_harnack_suite(model, 1.0, pairs[:1], f, 1.0, McParams(2000, 20, 43))
     assert math.isnan(same.fitted_constant)
     assert same.verdict is BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
+
+
+def test_harnack_pair_with_zero_rhs_is_violated_alone():
+    # with C = 0 the right side is P f(z) = 0, while P f(z') is about 50: the
+    # row reads ratio inf, tolerance 0, and the suite is Violated even when the
+    # pair is its only row
+    from gruschin.models import TestFunction
+
+    model = make_constant_identity_model()
+    f = TestFunction(name="y_above_50",
+                     eval=lambda z: np.maximum(np.asarray(z)[..., 1] - 50.0, 0.0))
+    far = ((0.0, 0.0), (0.0, 100.0))
+    mc = McParams(500, 10, 1)
+    rep = check_harnack_suite(model, 1.0, [far], f, 0.0, mc)
+    assert rep.verdict is BoundCheckVerdict.VIOLATED
+    row = check_harnack(model, 1.0, *far, f, 0.0, mc)
+    assert row.ratio == math.inf and row.tolerance == 0.0
+    assert rep.points == [row] and not rep.skipped
+    # a pair with P f(z') within its band of rhs = 0 is still skipped
+    both = check_harnack_suite(model, 1.0, [far, ((0.0, 0.0), (0.0, 0.0))], f, 0.0, mc)
+    assert both.verdict is BoundCheckVerdict.VIOLATED
+    assert both.points == [row] and both.skipped == ["(0.0, 0.0)->(0.0, 0.0): inconclusive"]
 
 
 # ---------------------------------------------------------------------------

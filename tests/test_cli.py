@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gruschin import analysis, cli
+from gruschin import analysis, cli, models
 from gruschin.analysis import (
     DEFAULT_CALIBRATION_GRID,
     DEFAULT_HOLDOUT_GRID,
@@ -295,6 +296,7 @@ def test_harnack_rows_carry_the_seed_of_their_estimates(tmp_path):
     assert code == 0
     model = builtin_model("constant_identity", 1, 1, 1.0)
     f = observable("one_plus_tanh_y", model)
+    f_sq = models.TestFunction(name="f^2", eval=lambda w: f.eval(w) ** 2)
     mc = McParams(500, 20, MINIMAL["run"]["master_seed"])
     rows = list(csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
     assert len(rows) == 5
@@ -304,8 +306,16 @@ def test_harnack_rows_carry_the_seed_of_their_estimates(tmp_path):
         seed = int(r["seed"])
         # the seed label holds plain floats, whatever the numpy version
         assert seed == derive_seed(mc.seed, f"harnack:{z}:{zp}:{f.name}:1.0")
-        lhs = check_harnack(model, 1.0, z, zp, f, 1.0, mc).lhs
-        assert estimate_pt(model, f, zp, 1.0, mc.n_paths, mc.n_steps, seed).mean == lhs
+        pt = check_harnack(model, 1.0, z, zp, f, 1.0, mc)
+        assert (seed, int(r["n_valid"]), int(r["n_invalid"])) == (pt.seed, pt.n_valid,
+                                                                  pt.n_invalid)
+        assert (float(r["mean"]), float(r["stderr"])) == (pt.ratio, pt.tolerance / 4.0)
+        # the row's seed drives its estimates: P f(z') / rhs from estimate_pt,
+        # with the exact distance and C = 1 of the heat family at T = 1
+        p_zp, p_z, p_sq = (estimate_pt(model, g, w, 1.0, mc.n_paths, mc.n_steps, seed).mean
+                           for g, w in ((f, zp), (f, z), (f_sq, zp)))
+        rho = analysis.euclidean_distance(z, zp)
+        assert pt.ratio == p_zp / (p_z + 1.0 * rho * math.sqrt(p_sq))
 
 
 def test_a5_on_constant_identity_is_a_config_error(tmp_path):
