@@ -137,23 +137,20 @@ class BoundCheckReport:
         )
 
 
-def _verdict(report: BoundCheckReport,
-             fits: Callable[[RatioPoint], bool] = lambda p: True) -> None:
+def _verdict(report: BoundCheckReport) -> None:
     """The verdict rule of every bound check.
 
     The constant is fitted as the largest ratio of the calibration rows, or of
-    the ``check`` rows when the check has no grid, over the rows that ``fits``
-    keeps (NaN when it keeps none).  A holdout row must stay at or below
-    HOLDOUT_HEADROOM x fit + its tolerance, and a ``check`` row at or below
-    1 + its tolerance; a report with no row to fit is Inconclusive.
+    the ``check`` rows when the check has no grid.  A holdout row must stay at
+    or below HOLDOUT_HEADROOM x fit + its tolerance, and a ``check`` row at or
+    below 1 + its tolerance; a report with no row to fit is Inconclusive.
     """
     grid = any(p.phase != "check" for p in report.points)
     fit_rows = [p for p in report.points if p.phase == ("calibration" if grid else "check")]
     if not fit_rows:
         report.verdict = BoundCheckVerdict.INCONCLUSIVE
         return
-    report.fitted_constant = fitted = max((p.ratio for p in fit_rows if fits(p)),
-                                          default=math.nan)
+    report.fitted_constant = fitted = max(p.ratio for p in fit_rows)
     bound = {"holdout": HOLDOUT_HEADROOM * fitted, "check": 1.0}
     violated = any(p.ratio > bound[p.phase] + p.tolerance
                    for p in report.points if p.phase in bound)
@@ -643,9 +640,8 @@ def check_harnack_suite(model: ModelSpec, T: float,
     """A8: the ``check_harnack`` rows of the pairs, judged by ``_verdict``.
 
     The pairs are mapped over ``mc.workers`` threads.  A row with a NaN ratio
-    is skipped as inconclusive; every other row counts towards the verdict.
-    A (z, z) pair has ratio exactly 1 (its estimates share one validity mask),
-    so the constant is fitted on the rows with z != z' alone (NaN without one).
+    is skipped as inconclusive; every other row counts towards the verdict and
+    the fitted constant.
     """
     report = BoundCheckReport(inequality_id="A8")
     for row in parallel_map(lambda pair: check_harnack(model, T, *pair, f, constant, mc),
@@ -654,7 +650,7 @@ def check_harnack_suite(model: ModelSpec, T: float,
             report.skipped.append(f"{row.label}: inconclusive")
         else:
             report.points.append(row)
-    _verdict(report, fits=lambda p: p.z0 != p.v)
+    _verdict(report)
     return report
 
 

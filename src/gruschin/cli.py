@@ -35,7 +35,7 @@ from .models import (
 )
 from .paths import (
     TimeGrid,
-    brownian_increments,
+    draw_noise,
     simulate_batch,
 )
 from .rng import derive_seed
@@ -384,7 +384,7 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     n = min(mc.n_paths, 2000)
     idx = np.arange(n, dtype=np.int64)
     seed = derive_seed(mc.seed, "reduction")
-    noise = brownian_increments(seed, idx, grid, (model.m, model.d))
+    noise = draw_noise(seed, idx, grid, model)
     # the two kernels only read the shared noise, so they run side by side
     bb, eb = parallel_map(
         lambda mdl: simulate_batch(mdl, x0, y0, v, grid, noise),
@@ -400,16 +400,16 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
 
 
 def _harnack_pairs(points, m: int) -> list[tuple]:
-    """Five Harnack pairs (z, z') per run point z, with e_x the first x axis (0)
-    and e_y the first y axis (m): (z, z), (z, z + e_y/2), (z, z + e_x/2),
-    (z - e_x/2, z + e_y/2) and (z - e_y/2, z + e_y/2)."""
+    """Four Harnack pairs (z, z') per run point z, with e_x the first x axis (0)
+    and e_y the first y axis (m): (z, z + e_y/2), (z, z + e_x/2),
+    (z - e_x/2, z + e_y/2) and (z - e_y/2, z + e_y/2); no (z, z), whose ratio is 1."""
     def moved(z: tuple, axis: int, step: float) -> tuple:
         out = list(z)
         out[axis] += step
         return tuple(out)
 
     return [pair for z in points for pair in (
-        (z, z), (z, moved(z, m, 0.5)), (z, moved(z, 0, 0.5)),
+        (z, moved(z, m, 0.5)), (z, moved(z, 0, 0.5)),
         (moved(z, 0, -0.5), moved(z, m, 0.5)), (moved(z, m, -0.5), moved(z, m, 0.5)))]
 
 
@@ -576,7 +576,7 @@ def _cmd_dump_paths(args) -> int:
     chunk = 8192
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        noise = brownian_increments(cfg.run.master_seed, idx, grid, (model.m, model.d))
+        noise = draw_noise(cfg.run.master_seed, idx, grid, model)
         batch = simulate_batch(model, x0, y0, v, grid, noise)
         drift, trace, inner, _ = weight_terms_shared(batch, v.v2)
         m_t = drift + trace + inner

@@ -2,9 +2,10 @@
 and the moment quantities behind the negative-moment and L^q inequalities.
 
 Determinism contract: per-path sample values are pure functions of
-(master_seed, substream, path_index), since path i reads column i % 256 of the
-SFC64 block i // 256 whatever batch asks for it (see ``rng``); they are
-assembled into arrays ordered by path index and reduced by a fixed pairwise tree.
+(master_seed, path_index), since path i reads column i % 256 of the SFC64 block
+i // 256 of each substream it draws (0, and 1 for the panels' zeta; see ``rng``
+and ``paths.draw_noise``) whatever batch asks for it; they are assembled into
+arrays ordered by path index and reduced by a fixed pairwise tree.
 Serial and multi-worker runs, and any batch size, are therefore bitwise
 identical.
 
@@ -17,12 +18,12 @@ inline; an estimator called on its own maps over its batches instead.
 
 Batches and tiles: a batch (``batch_size`` paths, 8,192 by default) is the unit
 of parallel work, and a tile is one kernel call.  A batch runs as consecutive
-tiles, each the largest multiple of ``rng.BLOCK_PATHS`` whose noise fits
-``TILE_NORMALS`` normals (2 MiB), cut at absolute multiples of the tile, so
-the noise and the full-width temporaries of a call stay cache-sized and no tile
-cut splits an RNG block.  Panels on an extended model keep their batches whole:
-that kernel loops over the steps in Python, and its cost per step falls with
-the width of the call.  By the contract above, tiles change no result.
+tiles, each the largest multiple of ``rng.BLOCK_PATHS`` whose (P, n_steps, w)
+arrays fit ``TILE_NORMALS`` floats (2 MiB), w = m + d for a panel, cut at
+absolute multiples of the tile, so a call's arrays stay cache-sized and no
+tile cut splits an RNG block.  Panels on an extended model keep their batches
+whole: that kernel loops over the steps in Python, and its cost per step falls
+with the width of the call.  By the contract above, tiles change no result.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .paths import (
     TimeGrid,
     brownian_increments,
     brownian_left_nodes,
+    draw_noise,
     simulate_batch,
     simulate_terminal_batch,
 )
@@ -69,7 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_BATCH_SIZE = 8192
-# normals one tile may draw: 2 MiB of float64, a per-core L2 on common hosts;
+# floats of one (P, n_steps, w) array of a tile: 2 MiB, a per-core L2 on common hosts;
 # chosen over 2^17 and 2^19 on timings of `gruschin run configs/default.json`
 # (BENCH_cache_tiles.json)
 TILE_NORMALS = 2**18
@@ -170,15 +172,15 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) 
 
 
 def _tile(n_steps: int, width: int) -> int:
-    """The tile of a kernel whose paths draw ``width`` normals per step: the
-    largest multiple of ``rng.BLOCK_PATHS`` whose noise fits ``TILE_NORMALS``
-    (at least one block)."""
+    """The tile of a kernel whose per-step arrays have ``width`` columns: the
+    largest multiple of ``rng.BLOCK_PATHS`` whose (P, n_steps, width) array fits
+    ``TILE_NORMALS`` (at least one block)."""
     return max(1, TILE_NORMALS // (n_steps * width) // BLOCK_PATHS) * BLOCK_PATHS
 
 
 def _model_tile(model: ModelSpec, n_steps: int) -> Optional[int]:
-    """The tile of a panel on ``model``; none for an extended model, whose
-    batches stay whole (see ``run_batches``)."""
+    """The tile of a panel on ``model``, at the width m + d of the kernel's
+    per-step arrays; none for an extended model, whose batches stay whole."""
     if model.kind is ModelKind.EXTENDED:
         return None
     return _tile(n_steps, model.m + model.d)
@@ -240,13 +242,6 @@ def default_fd_eps(z0) -> float:
     return 1e-3 * (1.0 + float(np.linalg.norm(np.asarray(z0, dtype=float))))
 
 
-def _draw_noise(model, grid, seed, start, stop) -> tuple[np.ndarray, np.ndarray]:
-    """The Brownian increments (dB, dBt) of paths start..stop-1, drawn once per batch
-    and shared by every simulation of the batch."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    return brownian_increments(seed, idx, grid, (model.m, model.d))
-
-
 def estimate_pt(model: ModelSpec, f: TestFunction, z0, T: float,
                 n_paths: int, n_steps: int, seed: int,
                 *, workers: int = 1, batch_size: Optional[int] = None) -> MCEstimate:
@@ -306,7 +301,7 @@ def estimate_negative_moment(m: int, x, T: float, n_exp: float, alpha: float,
 
     def batch_fn(start, stop):
         idx = np.arange(start, stop, dtype=np.int64)
-        (dB,) = brownian_increments(seed, idx, grid, (m,))
+        dB = brownian_increments(seed, idx, grid, m)
         x_left, _ = brownian_left_nodes(x, dB)
         r = np.abs(x_left[..., 0]) if m == 1 else np.linalg.norm(x_left, axis=-1)
         integral = T * np.mean(r ** (2.0 * n_exp), axis=1)
@@ -407,25 +402,25 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     grid = TimeGrid(T, n_steps)
-    widths = (1, 1) if integrand == "sigma_row" else (1,)
+    width = 2 if integrand == "sigma_row" else 1
 
     def batch_fn(start, stop):
         idx = np.arange(start, stop, dtype=np.int64)
-        increments = [inc[:, :, 0] for inc in brownian_increments(seed, idx, grid, widths)]
-        dBt = increments[-1]
+        increments = brownian_increments(seed, idx, grid, width)
+        dBt = increments[:, :, -1]
         if integrand == "constant_unit":
             rho = np.ones_like(dBt)
         elif integrand == "adapted_cos":
             rho = np.cos(brownian_left_nodes(0.0, dBt)[0])
         else:  # sigma_row
-            w_left, _ = brownian_left_nodes(x, increments[0])
+            w_left, _ = brownian_left_nodes(x, increments[:, :, 0])
             rho = np.sign(w_left) * np.abs(w_left) ** l
         n_T = (rho * dBt).sum(axis=1)
         vals = np.abs(n_T) ** q
         return {"value": vals}, np.isfinite(vals)
 
     return run_batches(n_paths, batch_fn, workers, batch_size,
-                       _tile(n_steps, len(widths)))["value"]
+                       _tile(n_steps, width))["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +486,7 @@ def _terminal_states(model: ModelSpec, grid: TimeGrid, seed: int,
     their terminal state is well defined, while ``bismut_panel``, which needs
     the derivative, counts them invalid.
     """
-    noise = _draw_noise(model, grid, seed, start, stop)
+    noise = draw_noise(seed, np.arange(start, stop, dtype=np.int64), grid, model)
     y_origin = np.zeros(model.d)
     sims = {}  # x-start bytes -> (X_T, Y_T, valid) simulated from (x-start, 0)
 
@@ -563,7 +558,7 @@ def bismut_panel(model: ModelSpec, z0, T: float,
 
     def batch_fn(start, stop):
         ok = np.ones(stop - start, dtype=bool)
-        noise = _draw_noise(model, grid, seed, start, stop)
+        noise = draw_noise(seed, np.arange(start, stop, dtype=np.int64), grid, model)
         m_t = [None] * len(vs)
         for grp in groups:
             u = Direction(np.asarray(grp["u1"], dtype=float), np.zeros(model.d))

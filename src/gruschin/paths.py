@@ -3,38 +3,43 @@
 All discretization is left-point (Ito):
 
 * Basic model: the X-component has unit diffusion and no drift, so X is advanced
-  by exact Brownian accumulation (no scheme error in X); Y and every integral use
+  by exact Brownian accumulation (no scheme error in X); every integral uses
   left-endpoint sums.
-* Extended model: (X, Y, xi) advance jointly.  The auxiliary process xi carries
+* Extended model: (X, xi) advance jointly.  The auxiliary process xi carries
   the singular drift -xi/(T-t), handled by the exact integrating factor
   (T-t-dt)/(T-t) per step, which telescopes and pins xi to 0 at the final node.
 
 Time integrals are evaluated as T * mean(integrand over left nodes), which equals
 the left Riemann sum but is exact for constant integrands.
 
+Y is not simulated: it reads the second Brownian motion B~ only through
+S = int sigma(X) dB~, which given the B path is exactly N(0, Q_T), Q_T the
+left-point sum of sigma sigma^* dt.  The kernels set S = R zeta, with one
+zeta ~ N(0, I_d) per path and R the PSD square root of Q_T (``_root_times``),
+so (X_T, Y_T) has the law of the left-point scheme driven by (B, B~).
+
 The basic kernel has two forms.  A scalar-times-identity sigma works on (P, n)
 arrays of the scalar field.  Any other sigma is laid out once as a contiguous
 (P, d, n*d) operand A with A[p, i, k*d + j] = sigma_ij(X_k), and the weighted
 gradient ((T-t_k)/T) grad sigma(X_k) as B in the same layout.  Step and column
-then form one contraction axis, and the four accumulators are batched matrix
-products: Q_T = T (A A^*)/n, the trace term T (B A^*)/n, and the stochastic
-integrals B dBt and A dBt with dBt flattened to (P, n*d).  Each path's
+then form one contraction axis, and the accumulators are batched matrix
+products: Q_T = T (A A^*)/n and the trace term T (B A^*)/n.  Each path's
 products read only its own rows, so a path gives the same bits alone as in
 any batch.
 
 Every coefficient depends on x alone, so on fixed noise Y_T - y0 does not depend
-on y0: a shift of y0 only translates Y_T.  Both kernels add y0 last, after every
-increment of Y is summed, so the translation is exact in floating point:
-simulating from (x0, y0) gives bit for bit the Y_T of y0 + (Y_T from (x0, 0)).
-The finite-difference and semigroup-value panels rely on this to simulate each
-x-start once.
+on y0: a shift of y0 only translates Y_T.  Both kernels set
+Y_T = y0 + (S + int b2 dt), adding y0 last, so the translation is exact in
+floating point: simulating from (x0, y0) gives bit for bit the Y_T of
+y0 + (Y_T from (x0, 0)).  The finite-difference and semigroup-value panels rely
+on this to simulate each x-start once.
 
 Each kernel has two parts.  The direction-free part reads only sigma (and, for
-the extended model, sigma1, b1 and b2): it builds the X path, Y_T, Q_T,
-int sigma dBt and, for the extended model, the sigma1-invertibility flag.  The
-direction part adds everything that depends on the direction v: grad sigma, the
-decay weights, the trace term, the weighted stochastic integral, the smallest
-eigenvalue of Q_T and, for the extended model, xi and the xi-drift weight.
+the extended model, sigma1, b1 and b2): it builds the X path, Q_T, S, Y_T,
+the smallest eigenvalue of Q_T and, for the extended model, the
+sigma1-invertibility flag.  The direction part adds everything that depends on
+the direction v: grad sigma, the decay weights, the trace term and, for the
+extended model, xi and the xi-drift weight.
 ``simulate_basic_batch`` and ``simulate_extended_batch`` run both parts;
 ``simulate_terminal_batch`` runs only the first, for callers that read nothing
 but (X_T, Y_T) and the validity mask.  The extended recursion is a generator
@@ -48,14 +53,14 @@ formula.  In particular ``xi_drift_weight`` is the extended model's
 int <sigma1^{-1} xi_t/(T-t), dB_t>, and the basic kernel stores the value that
 integral takes in the sigma1 = I, b1 = 0 reduction, <v1, B_T>/T.
 
-Every kernel takes its noise as one required argument ``noise = (dB, dBt)``,
-the increments (P, n_steps, m) of B and (P, n_steps, d) of B~; the kernel
-checks the two shapes and draws nothing itself.  Row p of every output is a
-function of row p of the noise alone, so a path gives the same bits in any
-batch, and running two kernels (or a coarse and a fine grid) on one draw needs
-no other entry point.  ``brownian_increments`` draws the noise of paths from
-substream 0 of ``rng.PathStreams``: the noise of path i is a pure function of
-(master_seed, i).
+Every kernel takes its noise as one required argument ``noise = (dB, zeta)``,
+the increments (P, n_steps, m) of B and the (P, d) standard normals of S; the
+kernel checks the two shapes and draws nothing itself.  Row p of every output
+is a function of row p of the noise alone, so a path gives the same bits in
+any batch, and running two kernels (or a coarse and a fine grid) on one draw
+needs no other entry point.  ``draw_noise`` draws dB from substream 0 and zeta
+from substream 1 of ``rng.PathStreams``: the noise of path i is a pure function
+of (master_seed, i).
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ __all__ = [
     "PathBatch",
     "brownian_increments",
     "brownian_left_nodes",
+    "draw_noise",
     "simulate_basic_batch",
     "simulate_extended_batch",
     "simulate_batch",
@@ -120,9 +126,7 @@ class PathBatch:
     q_matrix: np.ndarray           # (P, d, d)  discretized int sigma sigma^* dt
     trace_integral: np.ndarray     # (P, d, d)  basic: int ((T-t)/T){(grad_v1 sigma) sigma^*} dt;
     #                                extended: int {(grad_xi sigma2) sigma2^*} dt
-    weighted_stoch_integral: np.ndarray  # (P, d) basic: int ((T-t)/T)(grad_v1 sigma) dBt;
-    #                                      extended: int (grad_xi sigma2) dBt
-    sigma_stoch_integral: np.ndarray     # (P, d) int sigma dBt
+    sigma_stoch_integral: np.ndarray     # (P, d) S = R zeta, int sigma dBt in law given B
     drift_grad_integral: np.ndarray      # (P, d) int (grad_xi b2) dt  (0 for basic)
     xi_drift_weight: np.ndarray    # (P,) int <sigma1^{-1} xi/(T-t), dB>; basic: <v1, B_T>/T
     min_eig_q: np.ndarray          # (P,)
@@ -145,17 +149,22 @@ def _as_state(value, dim: int, name: str) -> np.ndarray:
 
 
 def brownian_increments(master_seed: int, path_indices, grid: TimeGrid,
-                        widths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Increments (P, n_steps, w) of independent Brownian motions of each width w.
-
-    The noise of a path is a pure function of (master_seed, path index): it is
-    drawn from substream 0.
-    """
-    streams = PathStreams(master_seed)
-    eps = streams.fill_normals(np.asarray(path_indices), (grid.n_steps, sum(widths)))
+                        width: int) -> np.ndarray:
+    """Increments (P, n_steps, width) of a width-dimensional Brownian motion from
+    substream 0: those of a path are a pure function of (master_seed, path index)."""
+    eps = PathStreams(master_seed).fill_normals(np.asarray(path_indices),
+                                                (grid.n_steps, width))
     eps *= np.sqrt(grid.dt)
-    edges = np.cumsum((0,) + tuple(widths))
-    return tuple(eps[:, :, a:b] for a, b in zip(edges[:-1], edges[1:]))
+    return eps
+
+
+def draw_noise(master_seed: int, path_indices, grid: TimeGrid,
+               model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel noise (dB, zeta) of the paths: increments (P, n_steps, m) of B
+    from substream 0 and standard normals (P, d) from substream 1."""
+    idx = np.asarray(path_indices)
+    zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
+    return brownian_increments(master_seed, idx, grid, model.m), zeta
 
 
 def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,48 +193,65 @@ def _row_major_steps(field) -> np.ndarray:
     return np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(P, d, n * d)
 
 
-def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, noise):
-    """Checked starting point and noise (dB, dBt) of a kernel call.
+def _root_times(q: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R zeta, min eig Q_T) for R the PSD square root of Q_T (P, d, d).
 
-    dB must be (P, n_steps, m) and dBt (P, n_steps, d) with P = len(dB), so
-    noise drawn for another batch or another grid is refused, not truncated.
+    R = sqrt(Q_T) for d = 1; else R = U diag(sqrt(lambda+)) U^T from one
+    batched ``eigh``, which is continuous in Q_T (eigenvector signs cancel), so
+    Q_T that agree to rounding give S that agree to rounding.  Non-finite rows
+    are decomposed as I, with smallest eigenvalue NaN; their paths are invalid.
+    """
+    d = q.shape[-1]
+    if d == 1:
+        return np.sqrt(q[:, 0]) * zeta, q[:, 0, 0]
+    finite = np.isfinite(q).all(axis=(1, 2))
+    lam, u = np.linalg.eigh(np.where(finite[:, None, None], q, np.eye(d)))
+    root = (u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ u.transpose(0, 2, 1)
+    return (root @ zeta[..., None])[..., 0], np.where(finite, lam[:, 0], np.nan)
+
+
+def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, noise):
+    """Checked starting point and noise (dB, zeta) of a kernel call.
+
+    dB must be (P, n_steps, m) and zeta (P, d) with P = len(dB), so noise
+    drawn for another batch or another grid is refused, not truncated.
     """
     x0 = _as_state(x0, model.m, "x0")
     y0 = _as_state(y0, model.d, "y0")
-    dB, dBt = noise
+    dB, zeta = noise
     P, n = len(dB), grid.n_steps
-    if np.shape(dB) != (P, n, model.m) or np.shape(dBt) != (P, n, model.d):
-        raise ValueError(f"noise has shapes {np.shape(dB)} and {np.shape(dBt)}; "
-                         f"expected ({P}, {n}, {model.m}) and ({P}, {n}, {model.d})")
-    return x0, y0, dB, dBt
+    if np.shape(dB) != (P, n, model.m) or np.shape(zeta) != (P, model.d):
+        raise ValueError(f"noise has shapes {np.shape(dB)} and {np.shape(zeta)}; "
+                         f"expected ({P}, {n}, {model.m}) and ({P}, {model.d})")
+    return x0, y0, dB, zeta
 
 
 def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
-                  dB: np.ndarray, dBt: np.ndarray):
+                  dB: np.ndarray, zeta: np.ndarray):
     """The direction-free part of the basic kernel.
 
     Returns the left nodes of X, B_T, sigma at the left nodes (the (P, n) scalar
-    field, or the (P, d, n*d) operand A of the module docstring), Q_T,
-    int sigma dBt, Y_T and the mask of paths whose Q_T, int sigma dBt and Y_T
-    are finite.
+    field, or the (P, d, n*d) operand A of the module docstring), Q_T, S, Y_T,
+    min eig Q_T and the mask of paths whose Q_T, S and Y_T are finite.
     """
     n, T, d = grid.n_steps, grid.horizon, model.d
     x_left, b_final = brownian_left_nodes(x0, dB)
     if model.scalar_identity:
         field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
-        q_matrix = (T * np.mean(field * field, axis=1))[:, None, None] * np.eye(d)
-        ssi = (field[:, :, None] * dBt).sum(axis=1)
+        min_eig = T * np.mean(field * field, axis=1)
+        q_matrix = min_eig[:, None, None] * np.eye(d)
+        s = np.sqrt(min_eig)[:, None] * zeta
     else:
         field = _row_major_steps(model.sigma(x_left))                 # A, (P, d, n*d)
         q_matrix = T * (field @ field.transpose(0, 2, 1)) / n
-        ssi = (field @ dBt.reshape(len(dBt), n * d, 1))[..., 0]
-    y_final = y0 + ssi
+        s, min_eig = _root_times(q_matrix, zeta)
+    y_final = y0 + s
     valid = (
         np.isfinite(q_matrix).all(axis=(1, 2))
-        & np.isfinite(ssi).all(axis=1)
+        & np.isfinite(s).all(axis=1)
         & np.isfinite(y_final).all(axis=1)
     )
-    return x_left, b_final, field, q_matrix, ssi, y_final, valid
+    return x_left, b_final, field, q_matrix, s, y_final, min_eig, valid
 
 
 def simulate_basic_batch(
@@ -236,13 +262,13 @@ def simulate_basic_batch(
     grid: TimeGrid,
     noise: tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
-    """Simulate a batch of basic-model paths on ``noise = (dB, dBt)`` and
+    """Simulate a batch of basic-model paths on ``noise = (dB, zeta)`` and
     accumulate all weight functionals."""
     if model.kind is not ModelKind.BASIC:
         raise ValueError("simulate_basic_batch expects a basic model")
-    x0, y0, dB, dBt = _prepare(model, x0, y0, grid, noise)
-    x_left, b_final, field, q_matrix, ssi, y_final, valid = _basic_states(
-        model, x0, y0, grid, dB, dBt)
+    x0, y0, dB, zeta = _prepare(model, x0, y0, grid, noise)
+    x_left, b_final, field, q_matrix, s, y_final, min_eig, valid = _basic_states(
+        model, x0, y0, grid, dB, zeta)
     P, d = len(dB), model.d
     n, T = grid.n_steps, grid.horizon
     w = grid.decay_weights()
@@ -250,22 +276,14 @@ def simulate_basic_batch(
     if model.scalar_identity:
         wg = w * np.asarray(model.grad_sigma_scalar(x_left, v.v1), dtype=float)
         trace_integral = (T * np.mean(wg * field, axis=1))[:, None, None] * np.eye(d)
-        wsi = (wg[:, :, None] * dBt).sum(axis=1)
-        min_eig = q_matrix[:, 0, 0]
     else:
         # B as in the module docstring; the callback's array is freed as soon as
         # it is copied, so at most three (P, n, d, d) arrays are alive
         B = _row_major_steps(model.grad_sigma(x_left, v.v1))          # (P, d, n*d)
         B *= np.repeat(w, d)                                          # w_k on step k
         trace_integral = T * (B @ field.transpose(0, 2, 1)) / n
-        wsi = (B @ dBt.reshape(P, n * d, 1))[..., 0]
-        min_eig = np.linalg.eigvalsh(q_matrix)[:, 0]
 
-    valid &= (
-        np.isfinite(trace_integral).all(axis=(1, 2))
-        & np.isfinite(wsi).all(axis=1)
-        & np.isfinite(min_eig)
-    )
+    valid &= np.isfinite(trace_integral).all(axis=(1, 2))
 
     return PathBatch(
         b_final=b_final,
@@ -273,8 +291,7 @@ def simulate_basic_batch(
         y_final=y_final,
         q_matrix=q_matrix,
         trace_integral=trace_integral,
-        weighted_stoch_integral=wsi,
-        sigma_stoch_integral=ssi,
+        sigma_stoch_integral=s,
         drift_grad_integral=np.zeros((P, d)),
         xi_drift_weight=(b_final * v.v1).sum(axis=1) / T,
         min_eig_q=min_eig,
@@ -285,28 +302,27 @@ def simulate_basic_batch(
 class _ExtendedStates:
     """The direction-free part of the extended kernel: the (X, Y) recursion.
 
-    Iterating runs the steps.  At each left node k it updates Q_T, int sigma2 dBt,
-    int b2 dt and the sigma1-invertibility flag, yields (k, X_k, sigma1_k with
-    its non-invertible matrices replaced by I, sigma2_k), and then advances X.
-    Once the iteration ends, ``x_final``, ``y_final``, ``b_final``, ``q_matrix``,
-    ``ssi`` and ``valid`` (X_T, Y_T, Q_T and int sigma2 dBt finite, sigma1
-    invertible at every node) hold the path's direction-free results.
+    Iterating runs the steps.  At each left node k it updates Q_T, int b2 dt and
+    the sigma1-invertibility flag, yields (k, X_k, sigma1_k with its
+    non-invertible matrices replaced by I, sigma2_k), and then advances X.
+    Once the iteration ends, ``x_final``, ``y_final``, ``b_final``,
+    ``q_matrix``, ``s``, ``min_eig`` and ``valid`` (X_T, Y_T, Q_T and S finite,
+    sigma1 invertible at every node) hold the path's direction-free results.
     """
 
     def __init__(self, model: ModelSpec, x0: np.ndarray, y0: np.ndarray,
-                 grid: TimeGrid, dB: np.ndarray, dBt: np.ndarray):
+                 grid: TimeGrid, dB: np.ndarray, zeta: np.ndarray):
         self.model, self.x0, self.y0, self.grid = model, x0, y0, grid
-        self.dB, self.dBt = dB, dBt
+        self.dB, self.zeta = dB, zeta
 
     def __iter__(self):
-        model, grid, dB, dBt = self.model, self.grid, self.dB, self.dBt
+        model, grid, dB = self.model, self.grid, self.dB
         P, m, d = len(dB), model.m, model.d
         dt = grid.dt
         eye_m = np.eye(m)
         x = np.broadcast_to(self.x0, (P, m)).copy()
         b_running = np.zeros((P, m))
         q_acc = np.zeros((P, d, d))
-        ssi_acc = np.zeros((P, d))
         ydrift_acc = np.zeros((P, d))
         singular = np.zeros(P, dtype=bool)
 
@@ -321,20 +337,19 @@ class _ExtendedStates:
                 bad = det <= 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
             singular |= bad
             q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
-            ssi_acc += np.einsum("pij,pj->pi", s2, dBt[:, k, :])
             ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
             yield k, x, np.where(bad[:, None, None], eye_m, s1), s2
             x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
             b_running = b_running + db
 
-        self.x_final, self.b_final = x, b_running
-        self.q_matrix, self.ssi = q_acc, ssi_acc
-        self.y_final = self.y0 + (ssi_acc + ydrift_acc)
+        self.x_final, self.b_final, self.q_matrix = x, b_running, q_acc
+        self.s, self.min_eig = _root_times(q_acc, self.zeta)
+        self.y_final = self.y0 + (self.s + ydrift_acc)
         self.valid = (
             np.isfinite(x).all(axis=1)
             & np.isfinite(self.y_final).all(axis=1)
             & np.isfinite(q_acc).all(axis=(1, 2))
-            & np.isfinite(ssi_acc).all(axis=1)
+            & np.isfinite(self.s).all(axis=1)
             & ~singular
         )
 
@@ -347,8 +362,8 @@ def simulate_extended_batch(
     grid: TimeGrid,
     noise: tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
-    """Simulate extended-model paths on ``noise = (dB, dBt)``, advancing
-    (X, Y, xi) jointly.
+    """Simulate extended-model paths on ``noise = (dB, zeta)``, advancing
+    (X, xi) jointly.
 
     The xi step is exact for the singular part of the drift:
     xi_{k+1} = ((T-t_{k+1})/(T-t_k)) * [xi_k + (grad_xi sigma1) dB + (grad_xi b1) dt],
@@ -356,7 +371,7 @@ def simulate_extended_batch(
     """
     if model.kind is not ModelKind.EXTENDED:
         raise ValueError("simulate_extended_batch expects an extended model")
-    x0, y0, dB, dBt = _prepare(model, x0, y0, grid, noise)
+    x0, y0, dB, zeta = _prepare(model, x0, y0, grid, noise)
     P, m, d = len(dB), model.m, model.d
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
@@ -365,11 +380,10 @@ def simulate_extended_batch(
 
     xi = np.broadcast_to(v.v1, (P, m)).copy()
     tr_acc = np.zeros((P, d, d))
-    wsi_acc = np.zeros((P, d))
     dgi_acc = np.zeros((P, d))
     xdw_acc = np.zeros(P)
 
-    states = _ExtendedStates(model, x0, y0, grid, dB, dBt)
+    states = _ExtendedStates(model, x0, y0, grid, dB, zeta)
     for k, x, s1_safe, s2 in states:
         db = dB[:, k, :]
         g2 = np.asarray(model.grad_sigma(x, xi), dtype=float)         # (P, d, d)
@@ -385,19 +399,15 @@ def simulate_extended_batch(
         # sigma1 = I, b1 = 0 reduction xi_t = v1 (T-t)/T exactly, so these
         # unweighted integrands coincide with the weighted basic ones
         tr_acc += dt * np.einsum("pij,pkj->pik", g2, s2)
-        wsi_acc += np.einsum("pij,pj->pi", g2, dBt[:, k, :])
         dgi_acc += np.asarray(model.grad_b2(x, xi), dtype=float) * dt
 
         gs1 = np.asarray(model.grad_sigma1(x, xi), dtype=float)       # (P, m, m)
         gb1 = np.asarray(model.grad_b1(x, xi), dtype=float)           # (P, m)
         xi = factors[k] * (xi + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
 
-    q_acc = states.q_matrix
-    min_eig = q_acc[:, 0, 0] if d == 1 else np.linalg.eigvalsh(q_acc)[:, 0]
     valid = (
         states.valid
         & np.isfinite(tr_acc).all(axis=(1, 2))
-        & np.isfinite(wsi_acc).all(axis=1)
         & np.isfinite(dgi_acc).all(axis=1)
         & np.isfinite(xdw_acc)
     )
@@ -406,13 +416,12 @@ def simulate_extended_batch(
         b_final=states.b_final,
         x_final=states.x_final,
         y_final=states.y_final,
-        q_matrix=q_acc,
+        q_matrix=states.q_matrix,
         trace_integral=tr_acc,
-        weighted_stoch_integral=wsi_acc,
-        sigma_stoch_integral=states.ssi,
+        sigma_stoch_integral=states.s,
         drift_grad_integral=dgi_acc,
         xi_drift_weight=xdw_acc,
-        min_eig_q=min_eig,
+        min_eig_q=states.min_eig,
         valid=valid,
     )
 
@@ -431,11 +440,11 @@ def simulate_terminal_batch(
     (see the module docstring): it equals the full kernel's mask unless a
     direction callback is non-finite where sigma is finite.
     """
-    x0, y0, dB, dBt = _prepare(model, x0, y0, grid, noise)
+    x0, y0, dB, zeta = _prepare(model, x0, y0, grid, noise)
     if model.kind is ModelKind.BASIC:
-        _, b_final, _, _, _, y_final, valid = _basic_states(model, x0, y0, grid, dB, dBt)
+        _, b_final, _, _, _, y_final, _, valid = _basic_states(model, x0, y0, grid, dB, zeta)
         return x0 + b_final, y_final, valid
-    states = _ExtendedStates(model, x0, y0, grid, dB, dBt)
+    states = _ExtendedStates(model, x0, y0, grid, dB, zeta)
     for _ in states:
         pass
     return states.x_final, states.y_final, states.valid

@@ -39,8 +39,8 @@ from gruschin.models import (
 )
 from gruschin.paths import (
     TimeGrid,
-    brownian_increments,
     brownian_left_nodes,
+    draw_noise,
     simulate_basic_batch,
     simulate_extended_batch,
 )
@@ -151,7 +151,7 @@ def test_criterion_05_extended_reduction_pathwise():
     grid = TimeGrid(1.0, 200)
     v = Direction.make(1.0, 1.0)
     idx = np.arange(10_000)
-    noise = brownian_increments(105, idx, grid, (1, 1))
+    noise = draw_noise(105, idx, grid, model)
     b = simulate_basic_batch(model, [1.0], [0.0], v, grid, noise)
     e = simulate_extended_batch(ext, [1.0], [0.0], v, grid, noise)
     db, tb, ib, okb = weight_terms_shared(b, v.v2)
@@ -172,8 +172,7 @@ def test_criterion_06_weight_linearity():
     def weights_for(sim_fn, model, seed):
         out = []
         for d in (u, w, uw):
-            batch = sim_fn(model, [1.0], [0.0], d, grid,
-                           brownian_increments(seed, idx, grid, (1, 1)))
+            batch = sim_fn(model, [1.0], [0.0], d, grid, draw_noise(seed, idx, grid, model))
             drift, trace, inner, _ = weight_terms_shared(batch, d.v2)
             out.append(drift + trace + inner)
         return out
@@ -195,7 +194,7 @@ def test_criterion_06_weight_linearity():
 def test_criterion_07_discrete_degeneracy_bound():
     model = make_power_law_model(1, 1, 1.0)
     grid, idx = TimeGrid(1.0, 200), np.arange(10_000)
-    noise = brownian_increments(107, idx, grid, (1, 1))
+    noise = draw_noise(107, idx, grid, model)
     batch = simulate_basic_batch(model, [1.0], [0.0], Direction.make(1.0, 0.0),
                                  grid, noise)
     # a^2 T mean |X_left|^{2l} on the batch's own Brownian x-path
@@ -297,22 +296,20 @@ def test_criterion_12_xi_solver_exactness():
     xi[0] = v1
     for k in range(n):
         xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
-    dB, dBt = brownian_increments(112, np.arange(5), grid, (1, 1))
+    dB, zeta = draw_noise(112, np.arange(5), grid, model)
     pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0), grid,
-                                 (dB, dBt))
+                                 (dB, zeta))
     x = np.ones((5, 1))
-    xdw, tr, wsi = np.zeros(5), np.zeros((5, 1, 1)), np.zeros((5, 1))
+    xdw, tr = np.zeros(5), np.zeros((5, 1, 1))
     for k in range(n):
         g = model.grad_sigma(x, np.full((5, 1), xi[k]))
         xdw += xi[k] * dB[:, k, 0] / remaining[k]
         tr += grid.dt * (g * model.sigma(x))
-        wsi += g[:, :, 0] * dBt[:, k]
         x = x + dB[:, k]
     ok = (xi[-1] == 0.0 and np.array_equal(pf.xi_drift_weight, xdw)
-          and np.array_equal(pf.trace_integral, tr)
-          and np.array_equal(pf.weighted_stoch_integral, wsi))
-    report(12, ok, "xi-drift weight, trace term and weighted integral equal bitwise "
-                   "their step sums over the telescoped xi on 5 paths; xi_T exactly 0")
+          and np.array_equal(pf.trace_integral, tr))
+    report(12, ok, "xi-drift weight and trace term equal bitwise their step sums "
+                   "over the telescoped xi on 5 paths; xi_T exactly 0")
 
 
 def test_criterion_13_suite_determinism(tmp_path):

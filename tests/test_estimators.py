@@ -35,7 +35,7 @@ from gruschin.models import (
     observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
-from gruschin.paths import TimeGrid, brownian_increments, simulate_basic_batch
+from gruschin.paths import TimeGrid, draw_noise, simulate_basic_batch
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -453,7 +453,7 @@ def _counting(monkeypatch, name):
 
 
 def test_panels_draw_noise_once_per_batch(monkeypatch):
-    draws = _counting(monkeypatch, "brownian_increments")
+    draws = _counting(monkeypatch, "draw_noise")
     sims = _counting(monkeypatch, "simulate_batch")
     terminals = _counting(monkeypatch, "simulate_terminal_batch")
     model = make_power_law_model(1, 1, 1.0)
@@ -485,11 +485,12 @@ def test_panels_draw_noise_once_per_batch(monkeypatch):
 
 
 def _counting_draws(monkeypatch):
-    draws = []
+    """The path indices of every RNG draw, listed by substream."""
+    draws = {0: [], 1: []}
     real = rng.PathStreams.fill_normals
 
     def counting(self, path_indices, shape):
-        draws.append(np.asarray(path_indices).copy())
+        draws[self.substream].append(np.asarray(path_indices).copy())
         return real(self, path_indices, shape)
 
     monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
@@ -498,26 +499,30 @@ def _counting_draws(monkeypatch):
 
 def test_batches_run_as_block_aligned_tiles(monkeypatch):
     # K = 100 steps, m + d = 2: a tile is 1,280 paths, cut at absolute
-    # multiples of 1,280 inside each 8,192-path batch
+    # multiples of 1,280 inside each 8,192-path batch; each tile draws dB from
+    # substream 0 and zeta from substream 1 once
     draws = _counting_draws(monkeypatch)
     model = make_power_law_model(1, 1, 1.0)
     fs = [observable("sin_y", model)]
     want = [1280] * 6 + [512] + [768] + [1280] * 5 + [1024]
     for panel in (bismut_panel, fd_panel):
-        draws.clear()
+        for sub in draws.values():
+            sub.clear()
         panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 16_384, 100, 5, batch_size=8192)
-        assert [len(idx) for idx in draws] == want
-        starts = [int(idx[0]) for idx in draws]
-        assert all(s % 256 == 0 for s in starts)
-        assert np.array_equal(np.concatenate(draws), np.arange(16_384))
-        blocks = [b for idx in draws for b in np.unique(idx // rng.BLOCK_PATHS)]
-        assert len(blocks) == len(set(blocks))
+        for sub in draws.values():
+            assert [len(idx) for idx in sub] == want
+            starts = [int(idx[0]) for idx in sub]
+            assert all(s % 256 == 0 for s in starts)
+            assert np.array_equal(np.concatenate(sub), np.arange(16_384))
+            blocks = [b for idx in sub for b in np.unique(idx // rng.BLOCK_PATHS)]
+            assert len(blocks) == len(set(blocks))
     # the extended kernel runs whole batches
-    draws.clear()
+    for sub in draws.values():
+        sub.clear()
     ext = make_extended_demo_model()
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 3000, 100, 5,
                  batch_size=2048)
-    assert [len(idx) for idx in draws] == [2048, 952]
+    assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [2048, 952]
 
 
 _PL11, _PL21 = make_power_law_model(1, 1, 1.0), make_power_law_model(2, 1, 1.0)
@@ -558,7 +563,7 @@ def _central_difference(model, z0, v, f, T, n_paths, n_steps, seed, eps):
     v0 = Direction(np.zeros(model.m), np.zeros(model.d))
     shift = np.concatenate([v.v1, v.v2])
     z = np.asarray(z0, dtype=float)
-    noise = brownian_increments(seed, idx, grid, (model.m, model.d))
+    noise = draw_noise(seed, idx, grid, model)
     up = simulate_basic_batch(model, *split_point(model, z + eps * shift), v0, grid, noise)
     dn = simulate_basic_batch(model, *split_point(model, z - eps * shift), v0, grid, noise)
     assert up.valid.all() and dn.valid.all()

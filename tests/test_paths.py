@@ -16,31 +16,28 @@ from gruschin.models import (
     make_extended_demo_model,
     make_power_law_model,
     make_tilted_matrix_model,
+    observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
 from gruschin.paths import (
     TimeGrid,
     brownian_increments,
     brownian_left_nodes,
+    draw_noise,
     simulate_basic_batch,
     simulate_batch,
     simulate_extended_batch,
     simulate_terminal_batch,
 )
 from gruschin.rng import PathStreams
+from gruschin.weights import weight_terms_shared
 
 V11 = Direction.make(1.0, 1.0)
 
 
 def noise(model, grid, seed, idx):
-    """The noise of paths ``idx`` under ``seed``, as the estimators draw it."""
-    return brownian_increments(seed, idx, grid, (model.m, model.d))
-
-
-def draw_increments(seed, indices, n, m, d, dt):
-    eps = PathStreams(seed).fill_normals(np.asarray(indices), (n, m + d))
-    key = np.sqrt(dt)
-    return eps[:, :, :m] * key, eps[:, :, m:] * key
+    """The noise (dB, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
+    return draw_noise(seed, idx, grid, model)
 
 
 def test_time_grid_validation_and_endpoint():
@@ -61,13 +58,13 @@ def test_constant_sigma_exact_functionals():
     pf = simulate_basic_batch(model, [0.2], [0.0], V11, grid, noise(model, grid, 3, [0]))
     assert pf.q_matrix[0, 0, 0] == 1.0
     assert pf.trace_integral[0, 0, 0] == 0.0
-    assert pf.weighted_stoch_integral[0, 0] == 0.0
     assert pf.min_eig_q[0] == 1.0
 
-    # sigma = I telescopes the stochastic integral into the increment sum
-    dB, dBt = draw_increments(3, [0], 100, 1, 1, grid.dt)
-    assert pf.sigma_stoch_integral[0, 0] == dBt[0].sum()
-    assert pf.b_final[0, 0] == np.cumsum(dB[0, :, 0])[-1]
+    # Q_T = 1 makes S = zeta, and B_T is the increment sum
+    eps = PathStreams(3).fill_normals([0], (100, 1))
+    (zeta,) = PathStreams(3, substream=1).fill_normals([0], (1,))
+    assert pf.sigma_stoch_integral[0, 0] == zeta[0]
+    assert pf.b_final[0, 0] == np.cumsum(eps[0, :, 0] * np.sqrt(grid.dt))[-1]
 
 
 def test_x_component_is_exact_brownian():
@@ -91,8 +88,7 @@ def test_matrix_kernel_matches_scalar_kernel():
                              noise(scalar_model, grid, 5, np.arange(40)))
     b = simulate_basic_batch(matrix_model, [1.0], [0.0, 0.0], V11_d2(), grid,
                              noise(matrix_model, grid, 5, np.arange(40)))
-    for name in ("q_matrix", "trace_integral", "weighted_stoch_integral",
-                 "sigma_stoch_integral", "y_final"):
+    for name in ("q_matrix", "trace_integral", "sigma_stoch_integral", "y_final"):
         lhs, rhs = getattr(a, name), getattr(b, name)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12), name
     assert np.allclose(a.min_eig_q, b.min_eig_q, rtol=1e-9, atol=1e-12)
@@ -110,18 +106,18 @@ def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
     idx = np.arange(300)
     batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, noise(model, grid, 71, idx))
 
-    dB, dBt = brownian_increments(71, idx, grid, (1, 2))
+    dB, zeta = noise(model, grid, 71, idx)
     x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
     S = model.sigma(x_left)
     G = model.grad_sigma(x_left, v.v1)
     w, T, n = grid.decay_weights(), grid.horizon, grid.n_steps
     assert np.abs(S[..., 1, 0]).max() > 0.1  # sigma really is off-diagonal
     q = T * np.einsum("pnij,pnkj->pik", S, S) / n
+    lam, u = np.linalg.eigh(q)
     want = {
         "q_matrix": q,
         "trace_integral": T * np.einsum("n,pnij,pnkj->pik", w, G, S) / n,
-        "weighted_stoch_integral": np.einsum("n,pnij,pnj->pi", w, G, dBt),
-        "sigma_stoch_integral": np.einsum("pnij,pnj->pi", S, dBt),
+        "sigma_stoch_integral": np.einsum("pij,pj,pkj,pk->pi", u, np.sqrt(lam), u, zeta),
         "min_eig_q": np.linalg.eigvalsh(q)[:, 0],
     }
     for name, ref in want.items():
@@ -138,8 +134,7 @@ def test_matrix_kernel_path_alone_equals_path_in_batch():
     big = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid,
                                noise(model, grid, 73, np.arange(1024)))
     one = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid, noise(model, grid, 73, [7]))
-    for name in ("q_matrix", "trace_integral", "weighted_stoch_integral",
-                 "sigma_stoch_integral", "y_final", "min_eig_q"):
+    for name in ("q_matrix", "trace_integral", "sigma_stoch_integral", "y_final", "min_eig_q"):
         assert np.array_equal(getattr(one, name)[0], getattr(big, name)[7]), name
 
 
@@ -161,8 +156,7 @@ def test_step_halving_is_first_order():
     model = make_power_law_model(1, 1, 1.0)
     T, n = 1.0, 25
     P = 20000
-    dt_fine = T / (4 * n)
-    dB_f, dBt_f = draw_increments(17, np.arange(P), 4 * n, 1, 1, dt_fine)
+    dB_f, zeta = noise(model, TimeGrid(T, 4 * n), 17, np.arange(P))
 
     def coarsen(arr, factor):
         return arr.reshape(P, -1, factor, arr.shape[-1]).sum(axis=2)
@@ -170,7 +164,7 @@ def test_step_halving_is_first_order():
     means = {}
     for factor in (4, 2, 1):
         steps = 4 * n // factor
-        inc = (coarsen(dB_f, factor), coarsen(dBt_f, factor))
+        inc = (coarsen(dB_f, factor), zeta)
         batch = simulate_basic_batch(model, [1.0], [0.0], V11, TimeGrid(T, steps), inc)
         means[steps] = batch.q_matrix[:, 0, 0].mean()
     d1 = means[2 * n] - means[n]
@@ -203,7 +197,7 @@ def test_discrete_degeneracy_inequality(l):
     grid, idx = TimeGrid(1.0, 100), np.arange(2000)
     batch = simulate_basic_batch(model, [1.0], [0.0], V11, grid, noise(model, grid, 23, idx))
     # the right side on the batch's own Brownian x-path, by the same left-node rule
-    dB, _ = brownian_increments(23, idx, grid, (1, 1))
+    dB, _ = noise(model, grid, 23, idx)
     x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
     a = model.power_params.a
     degeneracy = a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * l), axis=1)
@@ -221,10 +215,8 @@ def test_accumulators_linear_in_direction():
     a = simulate_basic_batch(model, [1.0], [0.5], u, grid, noise(model, grid, 31, idx))
     b = simulate_basic_batch(model, [1.0], [0.5], w, grid, noise(model, grid, 31, idx))
     c = simulate_basic_batch(model, [1.0], [0.5], uw, grid, noise(model, grid, 31, idx))
-    for name in ("trace_integral", "weighted_stoch_integral"):
-        lhs = getattr(c, name)
-        rhs = getattr(a, name) + getattr(b, name)
-        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12), name
+    assert np.allclose(c.trace_integral, a.trace_integral + b.trace_integral,
+                       rtol=1e-10, atol=1e-12)
 
 
 def test_extended_accumulators_linear_in_direction():
@@ -237,28 +229,26 @@ def test_extended_accumulators_linear_in_direction():
     a = simulate_extended_batch(model, [1.0], [0.5], u, grid, noise(model, grid, 37, idx))
     b = simulate_extended_batch(model, [1.0], [0.5], w, grid, noise(model, grid, 37, idx))
     c = simulate_extended_batch(model, [1.0], [0.5], uw, grid, noise(model, grid, 37, idx))
-    for name in ("trace_integral", "weighted_stoch_integral",
-                 "drift_grad_integral", "xi_drift_weight"):
+    for name in ("trace_integral", "drift_grad_integral", "xi_drift_weight"):
         lhs = getattr(c, name)
         rhs = getattr(a, name) + getattr(b, name)
         scale = 1.0 + np.abs(lhs)
         assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale), name
 
 
-def xi_weight_sums(model, grid, xi, x0, dB, dBt):
-    """The three xi-dependent accumulators of the extended kernel, summed step by
+def xi_weight_sums(model, grid, xi, x0, dB):
+    """The two xi-dependent accumulators of the extended kernel, summed step by
     step from the given xi path, for sigma1 = I, b1 = 0 and m = d = 1."""
     T, dt, P = grid.horizon, grid.dt, len(dB)
     remaining = T - grid.times()
     x = np.full((P, 1), x0)
-    xdw, tr, wsi = np.zeros(P), np.zeros((P, 1, 1)), np.zeros((P, 1))
+    xdw, tr = np.zeros(P), np.zeros((P, 1, 1))
     for k in range(grid.n_steps):
         g = model.grad_sigma(x, np.full((P, 1), xi[k]))
         xdw += xi[k] * dB[:, k, 0] / remaining[k]
         tr += dt * (g * model.sigma(x))
-        wsi += g[:, :, 0] * dBt[:, k]
         x = x + dB[:, k]
-    return {"xi_drift_weight": xdw, "trace_integral": tr, "weighted_stoch_integral": wsi}
+    return {"xi_drift_weight": xdw, "trace_integral": tr}
 
 
 def test_xi_closed_form_with_identity_coefficients():
@@ -269,9 +259,9 @@ def test_xi_closed_form_with_identity_coefficients():
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
     v1 = 0.7
-    dB, dBt = noise(model, grid, 41, np.arange(2, 10))
+    dB, zeta = noise(model, grid, 41, np.arange(2, 10))
     pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0), grid,
-                                 (dB, dBt))
+                                 (dB, zeta))
     times = grid.times()
     # bitwise reconstruction of the telescoping product
     xi = np.empty(n + 1)
@@ -280,7 +270,7 @@ def test_xi_closed_form_with_identity_coefficients():
         xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
     assert xi[-1] == 0.0
     assert np.allclose(xi, v1 * (T - times) / T, atol=1e-12)
-    for name, want in xi_weight_sums(model, grid, xi, 1.0, dB, dBt).items():
+    for name, want in xi_weight_sums(model, grid, xi, 1.0, dB).items():
         assert np.array_equal(getattr(pf, name), want), name
 
 
@@ -293,8 +283,7 @@ def test_extended_reduces_to_basic_pathwise():
     b = simulate_basic_batch(model, [1.0], [0.2], v, grid, noise(model, grid, 43, idx))
     e = simulate_extended_batch(ext, [1.0], [0.2], v, grid, noise(ext, grid, 43, idx))
     for name in ("b_final", "x_final", "y_final", "q_matrix", "trace_integral",
-                 "weighted_stoch_integral", "sigma_stoch_integral",
-                 "xi_drift_weight", "min_eig_q"):
+                 "sigma_stoch_integral", "xi_drift_weight", "min_eig_q"):
         lhs, rhs = getattr(b, name), getattr(e, name)
         assert np.allclose(lhs, rhs, atol=1e-12), name
     # the xi drift weight reduces to <v1, B_T>/T
@@ -309,7 +298,6 @@ def test_zero_direction_zeroes_every_direction_dependent_field():
     pf = simulate_extended_batch(model, [1.0], [0.0], v0, grid, noise(model, grid, 47, [0]))
     assert pf.xi_drift_weight[0] == 0.0
     assert np.all(pf.trace_integral == 0.0)
-    assert np.all(pf.weighted_stoch_integral == 0.0)
     assert np.all(pf.drift_grad_integral == 0.0)
 
 
@@ -327,9 +315,15 @@ def test_bitwise_determinism_across_calls_and_batching():
 
 def test_brownian_increments_split_across_a_partial_block():
     grid = TimeGrid(1.0, 30)
-    whole = brownian_increments(61, np.arange(1250), grid, (1, 2))
-    head = brownian_increments(61, np.arange(300), grid, (1, 2))
-    tail = brownian_increments(61, np.arange(300, 1250), grid, (1, 2))
+    whole = brownian_increments(61, np.arange(1250), grid, 3)
+    head = brownian_increments(61, np.arange(300), grid, 3)
+    tail = brownian_increments(61, np.arange(300, 1250), grid, 3)
+    assert whole.shape == (1250, 30, 3)
+    assert np.array_equal(whole, np.concatenate([head, tail]))
+    model = make_tilted_matrix_model()
+    whole, head, tail = (noise(model, grid, 61, idx) for idx in (
+        np.arange(1250), np.arange(300), np.arange(300, 1250)))
+    assert whole[0].shape == (1250, 30, 1) and whole[1].shape == (1250, 2)
     for w, h, t in zip(whole, head, tail):
         assert np.array_equal(w, np.concatenate([h, t]))
 
@@ -337,8 +331,8 @@ def test_brownian_increments_split_across_a_partial_block():
 def test_extended_override_for_one_path_is_refused_for_four():
     model = make_extended_demo_model()
     grid = TimeGrid(1.0, 20)
-    one_path = brownian_increments(83, [0], grid, (1, 1))
-    four_paths = brownian_increments(83, np.arange(4), grid, (1, 1))
+    one_path = noise(model, grid, 83, [0])
+    four_paths = noise(model, grid, 83, np.arange(4))
     with pytest.raises(ValueError, match="noise has shapes"):
         simulate_extended_batch(model, [1.0], [0.0], V11, grid, (four_paths[0], one_path[1]))
 
@@ -346,7 +340,7 @@ def test_extended_override_for_one_path_is_refused_for_four():
 def test_extended_override_with_more_steps_than_the_grid_is_refused():
     model = make_extended_demo_model()
     idx = np.arange(4)
-    fine = brownian_increments(83, idx, TimeGrid(1.0, 40), (1, 1))
+    fine = noise(model, TimeGrid(1.0, 40), 83, idx)
     with pytest.raises(ValueError, match="noise has shapes"):
         simulate_extended_batch(model, [1.0], [0.0], V11, TimeGrid(1.0, 20), fine)
 
@@ -400,9 +394,12 @@ def test_all_zero_sigma1_flags_paths_invalid():
 # direction-free part against the full kernels
 # ---------------------------------------------------------------------------
 
-def _reference_basic(model, x0, y0, v, grid, dB, dBt):
-    """Every PathBatch field of the basic kernel, computed in one pass with the
-    same operations as the kernel before it was split into two parts."""
+def _reference_basic(model, x0, v, grid, dB, dBt):
+    """Every functional of the basic kernel in one pass, with the same
+    operations as the kernel before it was split into two parts, on B~
+    increments dBt: the PathBatch fields that do not read the noise of Y,
+    int b2 dt (``ydrift``, 0 here) and the B~ integrals W = int w grad sigma dBt
+    and S~ = int sigma dBt that the kernel no longer forms."""
     d, n, T = model.d, grid.n_steps, grid.horizon
     P = len(dB)
     x_left, b_final = brownian_left_nodes(x0, dB)
@@ -415,7 +412,6 @@ def _reference_basic(model, x0, y0, v, grid, dB, dBt):
         tr = (T * np.mean(wg * s, axis=1))[:, None, None] * np.eye(d)
         wsi = (wg[:, :, None] * dBt).sum(axis=1)
         ssi = (s[:, :, None] * dBt).sum(axis=1)
-        min_eig = q_scalar
     else:
         A = np.array(np.asarray(model.sigma(x_left)).transpose(0, 2, 1, 3),
                      order="C").reshape(P, d, n * d)
@@ -428,19 +424,13 @@ def _reference_basic(model, x0, y0, v, grid, dB, dBt):
         dbt = dBt.reshape(P, n * d, 1)
         wsi = (B @ dbt)[..., 0]
         ssi = (A @ dbt)[..., 0]
-        min_eig = np.linalg.eigvalsh(q)[:, 0]
-    y_final = y0 + ssi
-    valid = (np.isfinite(q).all(axis=(1, 2)) & np.isfinite(tr).all(axis=(1, 2))
-             & np.isfinite(wsi).all(axis=1) & np.isfinite(ssi).all(axis=1)
-             & np.isfinite(y_final).all(axis=1) & np.isfinite(min_eig))
-    return dict(b_final=b_final, x_final=x0 + b_final, y_final=y_final, q_matrix=q,
-                trace_integral=tr, weighted_stoch_integral=wsi, sigma_stoch_integral=ssi,
+    return dict(b_final=b_final, x_final=x0 + b_final, q_matrix=q, trace_integral=tr,
                 drift_grad_integral=np.zeros((P, d)),
                 xi_drift_weight=(b_final * v.v1).sum(axis=1) / T,
-                min_eig_q=min_eig, valid=valid)
+                ydrift=np.zeros((P, d)), w_tilde=wsi, s_tilde=ssi)
 
 
-def _reference_extended(model, x0, y0, v, grid, dB, dBt):
+def _reference_extended(model, x0, v, grid, dB, dBt):
     """As ``_reference_basic``, for the extended kernel's joint (X, Y, xi) loop."""
     m, d, n, T, dt = model.m, model.d, grid.n_steps, grid.horizon, grid.dt
     P = len(dB)
@@ -452,7 +442,6 @@ def _reference_extended(model, x0, y0, v, grid, dB, dBt):
     q, tr = np.zeros((P, d, d)), np.zeros((P, d, d))
     wsi, ssi, dgi, ydrift = (np.zeros((P, d)) for _ in range(4))
     xdw = np.zeros(P)
-    invalid = np.zeros(P, dtype=bool)
     for k in range(n):
         db, dbt = dB[:, k, :], dBt[:, k, :]
         s1 = np.asarray(model.sigma1(x), dtype=float)
@@ -465,7 +454,6 @@ def _reference_extended(model, x0, y0, v, grid, dB, dBt):
             bad = np.abs(np.linalg.det(s1)) < 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
             s1_safe = np.where(bad[:, None, None], np.eye(m), s1)
             s1_inv_xi = np.linalg.solve(s1_safe, xi[..., None])[..., 0]
-        invalid |= bad
         xdw += (s1_inv_xi * db).sum(axis=1) / remaining[k]
         q += np.einsum("pij,pkj->pik", s2, s2) * dt
         tr += dt * np.einsum("pij,pkj->pik", g2, s2)
@@ -478,16 +466,28 @@ def _reference_extended(model, x0, y0, v, grid, dB, dBt):
         xi = factors[k] * (xi + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
         x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
         b = b + db
-    y_final = y0 + (ssi + ydrift)
-    finite = (np.isfinite(x).all(axis=1) & np.isfinite(y_final).all(axis=1)
-              & np.isfinite(q).all(axis=(1, 2)) & np.isfinite(tr).all(axis=(1, 2))
-              & np.isfinite(wsi).all(axis=1) & np.isfinite(ssi).all(axis=1)
-              & np.isfinite(dgi).all(axis=1) & np.isfinite(xdw))
-    return dict(b_final=b, x_final=x, y_final=y_final, q_matrix=q, trace_integral=tr,
-                weighted_stoch_integral=wsi, sigma_stoch_integral=ssi,
-                drift_grad_integral=dgi, xi_drift_weight=xdw,
-                min_eig_q=q[:, 0, 0] if d == 1 else np.linalg.eigvalsh(q)[:, 0],
-                valid=finite & ~invalid)
+    return dict(b_final=b, x_final=x, q_matrix=q, trace_integral=tr,
+                drift_grad_integral=dgi, xi_drift_weight=xdw, ydrift=ydrift,
+                w_tilde=wsi, s_tilde=ssi)
+
+
+def _reference(model, x0, v, grid, dB, dBt):
+    kernel = _reference_basic if model.kind is ModelKind.BASIC else _reference_extended
+    return kernel(model, x0, v, grid, dB, dBt)
+
+
+def _given_b(model, ref, y0, zeta):
+    """The PathBatch fields that read zeta, from the reference's Q_T with the
+    kernel's operations: S = R zeta, Y_T = y0 + (S + int b2 dt), min eig Q_T."""
+    q = ref["q_matrix"]
+    if model.d == 1 or (model.kind is ModelKind.BASIC and model.scalar_identity):
+        s, min_eig = np.sqrt(q[:, 0, 0])[:, None] * zeta, q[:, 0, 0]
+    else:
+        lam, u = np.linalg.eigh(q)
+        root = (u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ u.transpose(0, 2, 1)
+        s, min_eig = (root @ zeta[..., None])[..., 0], lam[:, 0]
+    return {"sigma_stoch_integral": s, "y_final": y0 + (s + ref["ydrift"]),
+            "min_eig_q": min_eig}
 
 
 SPLIT_MODELS = {
@@ -497,6 +497,8 @@ SPLIT_MODELS = {
     "extended_demo": make_extended_demo_model(),
     "extended_m2": as_extended(make_power_law_model(2, 1, 1.0)),
 }
+FIELDS = ("b_final", "x_final", "q_matrix", "trace_integral", "drift_grad_integral",
+          "xi_drift_weight")
 
 
 @pytest.mark.parametrize("x_start", [1.0, 0.0])
@@ -507,8 +509,7 @@ def test_direction_free_part_keeps_every_bit(name, x_start):
     idx = np.arange(700)
     x0, y0 = np.full(model.m, x_start), np.full(model.d, 0.3)
     drawn = noise(model, grid, 89, idx)
-    reference = (_reference_basic if model.kind is ModelKind.BASIC
-                 else _reference_extended)
+    no_b_tilde = np.zeros((len(idx), grid.n_steps, model.d))  # W and S~ are not compared
     x_final, y_final, valid = simulate_terminal_batch(model, x0, y0, grid, drawn)
     for v1 in (0.0, 1.0, -0.6):
         v = Direction.make(np.full(model.m, v1), np.full(model.d, 0.5))
@@ -516,11 +517,58 @@ def test_direction_free_part_keeps_every_bit(name, x_start):
         assert np.array_equal(full.x_final, x_final)
         assert np.array_equal(full.y_final, y_final)
         assert np.array_equal(full.valid, valid)
-        for field, want in reference(model, x0, y0, v, grid, *drawn).items():
+        ref = _reference(model, x0, v, grid, drawn[0], no_b_tilde)
+        want = {key: ref[key] for key in FIELDS} | _given_b(model, ref, y0, drawn[1])
+        for field, value in want.items():
             got = getattr(full, field)
-            assert got.shape == want.shape and got.dtype == want.dtype, field
-            assert np.array_equal(got, want), field
+            assert got.shape == value.shape and got.dtype == value.dtype, field
+            assert np.array_equal(got, value), field
     assert valid.all()
+
+
+@pytest.mark.parametrize("name", ["power_law", "tilted_matrix", "extended_demo"])
+def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
+    # one B path on 100k rows: over zeta, S must be N(0, Q_T), and f M_T must
+    # average to what f M_T of the B~ scheme averages to over B~ on that path
+    model = SPLIT_MODELS[name]
+    grid, P = TimeGrid(1.0, 10), 100_000
+    idx = np.arange(P)
+    dB_one, _ = noise(model, grid, 101, [3])
+    dB = np.repeat(dB_one, P, axis=0)
+    zeta = PathStreams(101, substream=1).fill_normals(idx, (model.d,))
+    x0, y0 = np.full(model.m, 1.5), np.full(model.d, 0.3)
+    v = Direction.make(np.ones(model.m), np.full(model.d, 0.5))
+    batch = simulate_batch(model, x0, y0, v, grid, (dB, zeta))
+    assert batch.valid.all()
+    q = batch.q_matrix[0]
+    assert np.array_equal(batch.q_matrix, np.broadcast_to(q, batch.q_matrix.shape))
+
+    def within_4_sigma(samples, want):
+        se = samples.std(ddof=1) / np.sqrt(len(samples))
+        return abs(samples.mean() - want) <= 4.0 * se
+
+    s = batch.sigma_stoch_integral
+    for i in range(model.d):
+        assert within_4_sigma(s[:, i], 0.0), i
+        for j in range(model.d):
+            assert within_4_sigma(s[:, i] * s[:, j], q[i, j]), (i, j)
+
+    ref = _reference(model, x0, v, grid, dB, brownian_increments(102, idx, grid, model.d))
+    w_mat = np.linalg.solve(ref["q_matrix"], ref["trace_integral"])
+    u = np.linalg.solve(ref["q_matrix"], (v.v2 + ref["w_tilde"] + ref["drift_grad_integral"])
+                        [..., None])[..., 0]
+    m_ref = (ref["xi_drift_weight"] - np.einsum("pii->p", w_mat)
+             + np.einsum("pd,pd->p", u, ref["s_tilde"]))
+    z_ref = np.concatenate([ref["x_final"], y0 + (ref["s_tilde"] + ref["ydrift"])], axis=1)
+
+    drift, trace, inner, ok = weight_terms_shared(batch, v.v2)
+    assert ok.all()
+    m_t = drift + trace + inner
+    for f_name in ("sin_y", "y_squared"):
+        f = observable(f_name, model)
+        new, old = f.eval(batch.z_final) * m_t, f.eval(z_ref) * m_ref
+        se = np.hypot(new.std(ddof=1), old.std(ddof=1)) / np.sqrt(P)
+        assert abs(new.mean() - old.mean()) <= 4.0 * se, f_name
 
 
 def _nan_direction(model):

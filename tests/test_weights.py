@@ -16,7 +16,7 @@ from gruschin.models import (
 )
 from gruschin.paths import (
     TimeGrid,
-    brownian_increments,
+    draw_noise,
     simulate_basic_batch,
     simulate_extended_batch,
 )
@@ -27,8 +27,8 @@ GRID = TimeGrid(1.0, 100)
 
 
 def noise(model, grid, seed, idx):
-    """The noise of paths ``idx`` under ``seed``, as the estimators draw it."""
-    return brownian_increments(seed, idx, grid, (model.m, model.d))
+    """The noise (dB, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
+    return draw_noise(seed, idx, grid, model)
 
 
 def weight(batch, v):
@@ -103,7 +103,7 @@ def test_extended_reduction_matches_basic_weight():
 
 
 def test_extended_constant_coefficients_collapse():
-    # sigma1 = I, b = 0, sigma2 = I: M = <v1,B_T>/T + <v2,Bt_T>/T
+    # sigma1 = I, b = 0, sigma2 = I: M = <v1,B_T>/T + <v2,S>/T with S = Bt_T in law
     ext = as_extended(make_constant_identity_model())
     pf = simulate_extended_batch(ext, [0.0], [0.0], V11, GRID, noise(ext, GRID, 13, [3]))
     expected = pf.b_final[0, 0] + pf.sigma_stoch_integral[0, 0]
@@ -141,22 +141,18 @@ def test_invalid_path_error_carries_min_eig():
 
 
 def test_relabeling_symmetry():
-    # permuting the components of the second Brownian motion permutes the
-    # stochastic integrals but leaves each weight term invariant
+    # permuting the components of zeta, the noise of Y, permutes S but leaves
+    # each weight term invariant
     model = make_power_law_model(1, 2, 1.0)
     grid = TimeGrid(1.0, 64)
     idx = np.arange(64)
     v = Direction.make([1.0], [0.3, 0.3])
-    from gruschin.rng import PathStreams
-
-    eps = PathStreams(29).fill_normals(idx, (64, 3))
-    root_dt = np.sqrt(grid.dt)
-    dB, dBt = eps[:, :, :1] * root_dt, eps[:, :, 1:] * root_dt
-    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, (dB, dBt))
+    dB, zeta = noise(model, grid, 29, idx)
+    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, (dB, zeta))
     b = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid,
-                             (dB, dBt[:, :, ::-1].copy()))
+                             (dB, zeta[:, ::-1].copy()))
     da, ta, ia, _ = weight_terms_shared(a, v.v2)
     db_, tb, ib, _ = weight_terms_shared(b, v.v2)
-    assert np.array_equal(ta, tb)           # trace term has no Bt dependence here
+    assert np.array_equal(ta, tb)           # trace term has no zeta dependence
     assert np.allclose(ia, ib, rtol=1e-12)  # symmetric v2 makes the inner term invariant
     assert np.array_equal(da, db_)
