@@ -166,16 +166,6 @@ def _square_obs(f: TestFunction) -> Callable:
     return lambda z: np.asarray(f.eval(z), dtype=float) ** 2
 
 
-def _reader_axes(model: ModelSpec, reader: str) -> tuple[int, ...]:
-    """The axis directions a reader of the gradient grid needs: A5 reads the
-    first x axis (0) and the first y axis (m), A6 every one of the m + d."""
-    if reader == "a5":
-        return (0, model.m)
-    if reader == "a6":
-        return tuple(range(model.m + model.d))
-    raise ValueError(f"unknown gradient-grid reader {reader!r}; choose 'a5' or 'a6'")
-
-
 def _axis_direction(model: ModelSpec, axis: int) -> Direction:
     """Coordinate direction ``axis`` of R^{m+d}, split as (v1, v2)."""
     e = np.eye(model.m + model.d)[axis]
@@ -193,19 +183,18 @@ class GradientGrid:
     """The weight-gradient panels of the A5/A6 grid, one per (phase, T, x).
 
     The panel of a point estimates, from z0 = (x, 0, ..., 0), the gradient of
-    every f of ``f_suite`` along the axis directions its ``readers`` need, and
-    P_T f^2 -- plus P_T |f|^p when p != 2 -- under the seed label
-    ``grad_grid:{phase}:{T}:{x}``.  ``check_a5`` reads axes 0 and m,
-    ``check_a6`` all m + d axes; the grid's axes are the union over its readers,
-    so checks that share a grid simulate each point once, and their verdicts
-    are correlated.  Panel keys ("grad", f.name, axis) name the axis.  A panel
-    is built on first use, or by ``build``, and lives as long as the grid.
+    every f of ``f_suite`` along all m + d coordinate axes, and P_T f^2 -- plus
+    P_T |f|^p when p != 2 -- under the seed label ``grad_grid:{phase}:{T}:{x}``.
+    Panel keys ("grad", f.name, axis) name the axis.  One simulation per batch
+    serves every axis (see ``bismut_panel``), so ``check_a5``, which reads axes
+    0 and m, and ``check_a6``, which reads all of them, share a grid and
+    simulate each point once; their verdicts are then correlated.  A panel is
+    built on first use, or by ``build``, and lives as long as the grid.
     """
 
     def __init__(self, model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
-                 p: float = 2.0, readers: Sequence[str] = ("a5", "a6")):
+                 p: float = 2.0):
         self.model, self.f_suite, self.mc, self.p = model, list(f_suite), mc, float(p)
-        self.axes = tuple(sorted({a for r in readers for a in _reader_axes(model, r)}))
         self._panels: dict[tuple, tuple] = {}
 
     def build(self, keys: Sequence[tuple[str, float, float]]) -> None:
@@ -229,12 +218,10 @@ class GradientGrid:
         if self.p != 2.0:
             extra += [(_power_label(f, self.p), _abs_power_obs(f, self.p))
                       for f in self.f_suite]
-        directions = [_axis_direction(self.model, a) for a in self.axes]
+        directions = [_axis_direction(self.model, a) for a in range(len(z0))]
         panel = bismut_panel(self.model, z0, T, self.f_suite, directions,
                              self.mc.n_paths, self.mc.n_steps, seed,
                              extra_obs=extra, workers=self.mc.workers)
-        panel = {(k[0], k[1], self.axes[k[2]]) if k[0] == "grad" else k: est
-                 for k, est in panel.items()}
         return z0, seed, panel
 
 
@@ -243,14 +230,13 @@ def _power_label(f: TestFunction, p: float) -> str:
     return f"{f.name}^2" if p == 2.0 else f"|{f.name}|^{p}"
 
 
-def _grid_for(grid: Optional[GradientGrid], reader: str, model: ModelSpec,
+def _grid_for(grid: Optional[GradientGrid], model: ModelSpec,
               f_suite: Sequence[TestFunction], mc: McParams, p: float) -> GradientGrid:
     """``grid``, checked against a check's own inputs, or a fresh grid for them."""
     if grid is None:
-        return GradientGrid(model, f_suite, mc, p, readers=(reader,))
+        return GradientGrid(model, f_suite, mc, p)
     if (grid.model is not model or grid.mc != mc or p not in (2.0, grid.p)
-            or [f.name for f in grid.f_suite] != [f.name for f in f_suite]
-            or not set(_reader_axes(model, reader)) <= set(grid.axes)):
+            or [f.name for f in grid.f_suite] != [f.name for f in f_suite]):
         raise ValueError("the gradient grid was built for other inputs than this check's")
     return grid
 
@@ -279,7 +265,7 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
         raise ValueError("the gradient-rate check needs a power-law comparable model")
     if p <= 1:
         raise ValueError("p must exceed 1")
-    grid = _grid_for(grid, "a5", model, f_suite, mc, p)
+    grid = _grid_for(grid, model, f_suite, mc, p)
     l = model.power_params.l
     report = BoundCheckReport(inequality_id="A5")
     keys = _grid_keys(calibration, holdout)
@@ -295,7 +281,7 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
                 )
                 continue
             denom = denom_est.mean ** (1.0 / p)
-            for j, axis in enumerate(_reader_axes(model, "a5")):
+            for j, axis in enumerate((0, model.m)):
                 v = _axis_direction(model, axis)
                 grad = panel[("grad", f.name, axis)]
                 rate = _a5_rate(v, T, z0[: model.m], l)
@@ -325,7 +311,7 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
     against sigma(x0)^*.  The panels come from ``grid``, which ``check_a5`` may
     share; without one the check builds its own.
     """
-    grid = _grid_for(grid, "a6", model, f_suite, mc, 2.0)
+    grid = _grid_for(grid, model, f_suite, mc, 2.0)
     report = BoundCheckReport(inequality_id="A6")
     m, d = model.m, model.d
     keys = _grid_keys(calibration, holdout)

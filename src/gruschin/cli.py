@@ -387,10 +387,10 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     noise = draw_noise(seed, idx, grid, model)
     # the two kernels only read the shared noise, so they run side by side
     bb, eb = parallel_map(
-        lambda mdl: simulate_batch(mdl, x0, y0, v, grid, noise),
+        lambda mdl: simulate_batch(mdl, x0, y0, grid, noise),
         [model, ext], mc.workers)
-    db, tb, ib, okb = weight_terms_shared(bb, v.v2)
-    de, te, ie, oke = weight_terms_shared(eb, v.v2)
+    db, tb, ib, okb = weight_terms_shared(bb, v)
+    de, te, ie, oke = weight_terms_shared(eb, v)
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
     passed = bool((okb & oke).all()) and gap <= 1e-12
     rows = [_row("reduction", "max_pathwise_gap", gap, 0.0, n, 0, seed, T,
@@ -425,17 +425,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     rows: list[dict] = []
     checks: list[an.BoundCheckReport] = []
 
-    # A5 and A6 read one gradient grid per McParams; it lives for this run only and
-    # carries the axes of the checks that read it (all m + d only when A6 does)
-    grids: dict[tuple, an.GradientGrid] = {}
+    # A5 and A6 read one gradient grid per McParams; it lives for this run only
+    grids: dict[an.McParams, an.GradientGrid] = {}
 
-    def grid_for(mc: an.McParams, reader: str) -> an.GradientGrid:
-        readers = tuple(c for c in ("a5", "a6") if c == reader or (
-            c in cfg.suite.checks and _mc_for(cfg, c, workers) == mc))
-        if (mc, readers) not in grids:
-            grids[mc, readers] = an.GradientGrid(model, bounded_suite(model), mc,
-                                                 readers=readers)
-        return grids[mc, readers]
+    def grid_for(mc: an.McParams) -> an.GradientGrid:
+        if mc not in grids:
+            grids[mc] = an.GradientGrid(model, bounded_suite(model), mc)
+        return grids[mc]
 
     def harnack_constant(T: float, mc: an.McParams) -> float:
         """C of the Harnack check: exact for the heat family, else sqrt(fit / T)
@@ -446,13 +442,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
         if "a6" in cfg.suite.checks:
             mc_a6 = _mc_for(cfg, "a6", workers)
             fit = an.check_a6(model, bounded_suite(model), mc_a6,
-                              grid=grid_for(mc_a6, "a6")).fitted_constant
+                              grid=grid_for(mc_a6)).fitted_constant
             if math.isfinite(fit) and fit > 0:
                 return math.sqrt(fit / T)
         small = an.McParams(max(2000, mc.n_paths // 4), mc.n_steps, mc.seed, workers)
         fit_rep = an.check_a6(model, bounded_suite(model), small,
                               calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
-                              holdout=((T, 0.5),), grid=grid_for(small, "a6"))
+                              holdout=((T, 0.5),), grid=grid_for(small))
         return math.sqrt(max(fit_rep.fitted_constant, 1e-12) / T)
 
     for check in cfg.suite.checks:
@@ -461,9 +457,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             new_rows, rep = _run_bismut_vs_fd(cfg, model, workers)
             rows += new_rows
         elif check == "a5":
-            rep = an.check_a5(model, 2.0, bounded_suite(model), mc, grid=grid_for(mc, "a5"))
+            rep = an.check_a5(model, 2.0, bounded_suite(model), mc, grid=grid_for(mc))
         elif check == "a6":
-            rep = an.check_a6(model, bounded_suite(model), mc, grid=grid_for(mc, "a6"))
+            rep = an.check_a6(model, bounded_suite(model), mc, grid=grid_for(mc))
         elif check == "lemma31":
             rep = an.check_lemma31(mc)
         elif check == "lemma_ll":
@@ -577,8 +573,8 @@ def _cmd_dump_paths(args) -> int:
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
         noise = draw_noise(cfg.run.master_seed, idx, grid, model)
-        batch = simulate_batch(model, x0, y0, v, grid, noise)
-        drift, trace, inner, _ = weight_terms_shared(batch, v.v2)
+        batch = simulate_batch(model, x0, y0, grid, noise)
+        drift, trace, inner, _ = weight_terms_shared(batch, v)
         m_t = drift + trace + inner
         for row in range(len(idx)):
             writer.writerow([

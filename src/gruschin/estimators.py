@@ -24,6 +24,12 @@ absolute multiples of the tile, so a call's arrays stay cache-sized and no
 tile cut splits an RNG block.  Panels on an extended model keep their batches
 whole: that kernel loops over the steps in Python, and its cost per step falls
 with the width of the call.  By the contract above, tiles change no result.
+
+Panels share the work of a tile across their columns.  ``bismut_panel`` runs
+one simulation per tile for any list of directions: the kernels fill their
+direction part along the m coordinate axes, and ``weights`` combines those
+axes along each direction's v1.  ``fd_panel`` and ``pt_panel`` run the
+direction-free part once per distinct x-start.
 """
 
 from __future__ import annotations
@@ -427,37 +433,6 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
 # Panels: many observables / directions off shared simulations
 # ---------------------------------------------------------------------------
 
-def _direction_groups(vs: Sequence[Direction]):
-    """Group directions by their v1 ray so each group shares one simulation.
-
-    Within a group every v1 is a scalar multiple of the representative u1, so the
-    weight follows from pathwise linearity.  The nonzero v1 are grouped first, in
-    order; every v1 = 0 direction then joins the first group with scale 0,
-    wherever it stands in ``vs``.  Without a nonzero v1 there is one group, with
-    u1 = 0.
-    """
-    groups: list[dict] = []
-    zero_members = []
-    for j, v in enumerate(vs):
-        norm = float(np.linalg.norm(v.v1))
-        if norm == 0.0:
-            zero_members.append((j, 0.0))
-            continue
-        for grp in groups:
-            u1 = grp["u1"]
-            u_norm = float(np.linalg.norm(u1))
-            cos = float(np.dot(u1, v.v1)) / (u_norm * norm)
-            if abs(abs(cos) - 1.0) < 1e-12:
-                grp["members"].append((j, math.copysign(norm / u_norm, cos)))
-                break
-        else:
-            groups.append({"u1": v.v1, "members": [(j, 1.0)]})
-    if not groups:
-        groups.append({"u1": vs[0].v1, "members": []})
-    groups[0]["members"] += zero_members
-    return groups
-
-
 def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
     """``ok`` restricted to the paths whose values are finite in every column."""
     for vals in cols.values():
@@ -478,13 +453,13 @@ def _terminal_states(model: ModelSpec, grid: TimeGrid, seed: int,
 
     The simulations run only the direction-free part of the kernel
     (``simulate_terminal_batch``), so ``valid`` checks the quantities that
-    determine the terminal state and nothing that depends on a direction.  For
-    every builtin model the mask is the one the full kernel gives at direction
-    0.  A custom model whose direction callback (``grad_sigma``, and for the
-    extended kind ``grad_sigma1``, ``grad_b1`` or ``grad_b2``) is not finite at
-    direction 0 where sigma is finite gets those paths counted valid here, as
-    their terminal state is well defined, while ``bismut_panel``, which needs
-    the derivative, counts them invalid.
+    determine the terminal state and no gradient.  For every builtin model the
+    mask is the one the full kernel gives.  A custom model whose gradient
+    callback (``grad_sigma``, and for the extended kind ``grad_sigma1``,
+    ``grad_b1`` or ``grad_b2``) is not finite on the coordinate axes where sigma
+    is finite gets those paths counted valid here, as their terminal state is
+    well defined, while ``bismut_panel``, which needs the derivative, counts
+    them invalid.
     """
     noise = draw_noise(seed, np.arange(start, stop, dtype=np.int64), grid, model)
     y_origin = np.zeros(model.d)
@@ -540,13 +515,14 @@ def bismut_panel(model: ModelSpec, z0, T: float,
                  workers: int = 1, batch_size: Optional[int] = None) -> dict:
     """Weight-gradient estimates for every (f, v) plus plain semigroup observables.
 
-    Directions whose v1 components are parallel share one simulation per batch,
-    directions with v1 = 0 read the first of them (see ``_direction_groups``),
-    and every simulation of a batch runs on the same single noise draw; the
-    returned dict maps ("grad", f.name, j) and ("pt", label) to MCEstimates.
-    All estimates share one validity mask: a path counts as invalid in every
-    column if its simulation is invalid, its Q_T is not solvable, or any of its
-    column values is not finite.
+    Each batch draws its noise once and runs one simulation, whose direction
+    part runs along the m coordinate axes; every direction's weight is the
+    combination of those axes along its v1 (``weights.weight_terms_shared``),
+    so an entry does not depend on which other directions share the panel.
+    The returned dict maps ("grad", f.name, j) and ("pt", label) to
+    MCEstimates.  All estimates share one validity mask: a path counts as
+    invalid in every column if its simulation is invalid, its Q_T is not
+    solvable, or any of its column values is not finite.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -554,23 +530,16 @@ def bismut_panel(model: ModelSpec, z0, T: float,
         raise ValueError("bismut_panel needs at least one direction")
     x0, y0 = split_point(model, z0)
     grid = TimeGrid(T, n_steps)
-    groups = _direction_groups(vs)
 
     def batch_fn(start, stop):
         ok = np.ones(stop - start, dtype=bool)
         noise = draw_noise(seed, np.arange(start, stop, dtype=np.int64), grid, model)
-        m_t = [None] * len(vs)
-        for grp in groups:
-            u = Direction(np.asarray(grp["u1"], dtype=float), np.zeros(model.d))
-            batch = simulate_batch(model, x0, y0, u, grid, noise)
-            for j, scale in grp["members"]:
-                drift, trace, inner, solvable = weight_terms_shared(
-                    batch, vs[j].v2, v1_scale=scale
-                )
-                ok &= solvable  # solvable implies batch.valid
-                m_t[j] = np.where(solvable, drift + trace + inner, 0.0)
-        # the state trajectory does not depend on the direction, so the last
-        # group's terminal states serve every direction
+        batch = simulate_batch(model, x0, y0, grid, noise)
+        m_t = []
+        for v in vs:
+            drift, trace, inner, solvable = weight_terms_shared(batch, v)
+            ok &= solvable  # solvable implies batch.valid
+            m_t.append(np.where(solvable, drift + trace + inner, 0.0))
         z_final = batch.z_final
         fvals = [np.asarray(f.eval(z_final), dtype=float) for f in fs]
         out = {("grad", f.name, j): fval * m_t[j]

@@ -37,21 +37,25 @@ on this to simulate each x-start once.
 Each kernel has two parts.  The direction-free part reads only sigma (and, for
 the extended model, sigma1, b1 and b2): it builds the X path, Q_T, S, Y_T,
 the smallest eigenvalue of Q_T and, for the extended model, the
-sigma1-invertibility flag.  The direction part adds everything that depends on
-the direction v: grad sigma, the decay weights, the trace term and, for the
-extended model, xi and the xi-drift weight.
+sigma1-invertibility flag.  The direction part reads grad sigma (and, for the
+extended model, the other gradients), and no kernel takes a direction: it runs
+once along each coordinate axis e_1..e_m of R^m, and every functional it fills
+has one slot per axis.  The basic kernel loops over the axes, in both forms;
+the extended kernel carries xi as (P, m, m), xi[:, i] the xi started at e_i.
+Every such functional is linear in the direction on fixed noise, so
+``weights`` reads any direction v off one batch as sum_i v1_i (slot i).
 ``simulate_basic_batch`` and ``simulate_extended_batch`` run both parts;
 ``simulate_terminal_batch`` runs only the first, for callers that read nothing
 but (X_T, Y_T) and the validity mask.  The extended recursion is a generator
 over the steps, so its direction part runs inside the same loop and nothing is
 stored per step.  The terminal mask checks only direction-free quantities: it
-agrees with the full kernel's unless a direction callback is non-finite where
-sigma is finite.
+agrees with the full kernel's unless a gradient callback is non-finite on a
+coordinate axis where sigma is finite.
 
 Both kernels fill the same functionals, so ``weights`` assembles M_T by one
-formula.  In particular ``xi_drift_weight`` is the extended model's
-int <sigma1^{-1} xi_t/(T-t), dB_t>, and the basic kernel stores the value that
-integral takes in the sigma1 = I, b1 = 0 reduction, <v1, B_T>/T.
+formula.  In particular slot i of ``xi_drift_weight`` is the extended model's
+int <sigma1^{-1} xi^i_t/(T-t), dB_t>, and the basic kernel stores the value that
+integral takes in the sigma1 = I, b1 = 0 reduction, B_T/T.
 
 Every kernel takes its noise as one required argument ``noise = (dB, zeta)``,
 the increments (P, n_steps, m) of B and the (P, d) standard normals of S; the
@@ -69,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Direction, ModelKind, ModelSpec
+from .models import ModelKind, ModelSpec
 from .rng import PathStreams
 
 __all__ = [
@@ -124,11 +128,13 @@ class PathBatch:
     x_final: np.ndarray            # (P, m)
     y_final: np.ndarray            # (P, d)
     q_matrix: np.ndarray           # (P, d, d)  discretized int sigma sigma^* dt
-    trace_integral: np.ndarray     # (P, d, d)  basic: int ((T-t)/T){(grad_v1 sigma) sigma^*} dt;
-    #                                extended: int {(grad_xi sigma2) sigma2^*} dt
+    # the direction part, slot i for the coordinate axis e_i of R^m; in
+    # trace_integral it is int ((T-t)/T){(grad_{e_i} sigma) sigma^*} dt (basic)
+    # or int {(grad_{xi^i} sigma2) sigma2^*} dt (extended)
+    trace_integral: np.ndarray     # (P, m, d, d)
     sigma_stoch_integral: np.ndarray     # (P, d) S = R zeta, int sigma dBt in law given B
-    drift_grad_integral: np.ndarray      # (P, d) int (grad_xi b2) dt  (0 for basic)
-    xi_drift_weight: np.ndarray    # (P,) int <sigma1^{-1} xi/(T-t), dB>; basic: <v1, B_T>/T
+    drift_grad_integral: np.ndarray      # (P, m, d) int (grad_{xi^i} b2) dt  (0 for basic)
+    xi_drift_weight: np.ndarray    # (P, m) int <sigma1^{-1} xi^i/(T-t), dB>; basic: B_T/T
     min_eig_q: np.ndarray          # (P,)
     valid: np.ndarray              # (P,) bool
 
@@ -258,32 +264,33 @@ def simulate_basic_batch(
     model: ModelSpec,
     x0,
     y0,
-    v: Direction,
     grid: TimeGrid,
     noise: tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
     """Simulate a batch of basic-model paths on ``noise = (dB, zeta)`` and
-    accumulate all weight functionals."""
+    accumulate all weight functionals, one slot per coordinate axis of R^m."""
     if model.kind is not ModelKind.BASIC:
         raise ValueError("simulate_basic_batch expects a basic model")
     x0, y0, dB, zeta = _prepare(model, x0, y0, grid, noise)
     x_left, b_final, field, q_matrix, s, y_final, min_eig, valid = _basic_states(
         model, x0, y0, grid, dB, zeta)
-    P, d = len(dB), model.d
+    P, m, d = len(dB), model.m, model.d
     n, T = grid.n_steps, grid.horizon
     w = grid.decay_weights()
 
-    if model.scalar_identity:
-        wg = w * np.asarray(model.grad_sigma_scalar(x_left, v.v1), dtype=float)
-        trace_integral = (T * np.mean(wg * field, axis=1))[:, None, None] * np.eye(d)
-    else:
+    def trace_slot(e: np.ndarray) -> np.ndarray:
+        """int ((T-t)/T){(grad_e sigma) sigma^*} dt, (P, d, d)."""
+        if model.scalar_identity:
+            wg = w * np.asarray(model.grad_sigma_scalar(x_left, e), dtype=float)
+            return (T * np.mean(wg * field, axis=1))[:, None, None] * np.eye(d)
         # B as in the module docstring; the callback's array is freed as soon as
         # it is copied, so at most three (P, n, d, d) arrays are alive
-        B = _row_major_steps(model.grad_sigma(x_left, v.v1))          # (P, d, n*d)
+        B = _row_major_steps(model.grad_sigma(x_left, e))             # (P, d, n*d)
         B *= np.repeat(w, d)                                          # w_k on step k
-        trace_integral = T * (B @ field.transpose(0, 2, 1)) / n
+        return T * (B @ field.transpose(0, 2, 1)) / n
 
-    valid &= np.isfinite(trace_integral).all(axis=(1, 2))
+    trace_integral = np.stack([trace_slot(e) for e in np.eye(m)], axis=1)
+    valid &= np.isfinite(trace_integral).all(axis=(1, 2, 3))
 
     return PathBatch(
         b_final=b_final,
@@ -292,8 +299,8 @@ def simulate_basic_batch(
         q_matrix=q_matrix,
         trace_integral=trace_integral,
         sigma_stoch_integral=s,
-        drift_grad_integral=np.zeros((P, d)),
-        xi_drift_weight=(b_final * v.v1).sum(axis=1) / T,
+        drift_grad_integral=np.zeros((P, m, d)),
+        xi_drift_weight=b_final / T,
         min_eig_q=min_eig,
         valid=valid,
     )
@@ -358,12 +365,11 @@ def simulate_extended_batch(
     model: ModelSpec,
     x0,
     y0,
-    v: Direction,
     grid: TimeGrid,
     noise: tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
-    """Simulate extended-model paths on ``noise = (dB, zeta)``, advancing
-    (X, xi) jointly.
+    """Simulate extended-model paths on ``noise = (dB, zeta)``, advancing X and
+    one xi per coordinate axis e_i of R^m jointly.
 
     The xi step is exact for the singular part of the drift:
     xi_{k+1} = ((T-t_{k+1})/(T-t_k)) * [xi_k + (grad_xi sigma1) dB + (grad_xi b1) dt],
@@ -378,38 +384,40 @@ def simulate_extended_batch(
     remaining = T - grid.times()               # (n+1,), exactly 0 at the final node
     factors = remaining[1:] / remaining[:n]    # integrating factors, last one exactly 0
 
-    xi = np.broadcast_to(v.v1, (P, m)).copy()
-    tr_acc = np.zeros((P, d, d))
-    dgi_acc = np.zeros((P, d))
-    xdw_acc = np.zeros(P)
+    xi = np.broadcast_to(np.eye(m), (P, m, m)).copy()     # xi[:, i] starts at e_i
+    tr_acc = np.zeros((P, m, d, d))
+    dgi_acc = np.zeros((P, m, d))
+    xdw_acc = np.zeros((P, m))
 
     states = _ExtendedStates(model, x0, y0, grid, dB, zeta)
     for k, x, s1_safe, s2 in states:
         db = dB[:, k, :]
-        g2 = np.asarray(model.grad_sigma(x, xi), dtype=float)         # (P, d, d)
 
-        # xi-drift weight term at the left node, <sigma1^{-1} xi/(T-t_k), dB_k>
+        # xi-drift weight term of each axis at the left node, <sigma1^{-1} xi/(T-t_k), dB_k>
         if m == 1:
-            s1_inv_xi = xi / s1_safe[:, 0]
+            s1_inv_xi = xi / s1_safe
         else:
-            s1_inv_xi = np.linalg.solve(s1_safe, xi[..., None])[..., 0]
-        xdw_acc += (s1_inv_xi * db).sum(axis=1) / remaining[k]
+            s1_inv_xi = np.linalg.solve(s1_safe, xi.transpose(0, 2, 1)).transpose(0, 2, 1)
+        xdw_acc += (s1_inv_xi * db[:, None, :]).sum(axis=2) / remaining[k]
 
-        # the decay (T-t)/T of the basic weight lives inside xi here: in the
-        # sigma1 = I, b1 = 0 reduction xi_t = v1 (T-t)/T exactly, so these
-        # unweighted integrands coincide with the weighted basic ones
-        tr_acc += dt * np.einsum("pij,pkj->pik", g2, s2)
-        dgi_acc += np.asarray(model.grad_b2(x, xi), dtype=float) * dt
+        for i in range(m):
+            xi_i = xi[:, i]
+            g2 = np.asarray(model.grad_sigma(x, xi_i), dtype=float)   # (P, d, d)
+            # the decay (T-t)/T of the basic weight lives inside xi here: in the
+            # sigma1 = I, b1 = 0 reduction xi_t = e_i (T-t)/T exactly, so these
+            # unweighted integrands coincide with the weighted basic ones
+            tr_acc[:, i] += dt * np.einsum("pij,pkj->pik", g2, s2)
+            dgi_acc[:, i] += np.asarray(model.grad_b2(x, xi_i), dtype=float) * dt
 
-        gs1 = np.asarray(model.grad_sigma1(x, xi), dtype=float)       # (P, m, m)
-        gb1 = np.asarray(model.grad_b1(x, xi), dtype=float)           # (P, m)
-        xi = factors[k] * (xi + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
+            gs1 = np.asarray(model.grad_sigma1(x, xi_i), dtype=float)   # (P, m, m)
+            gb1 = np.asarray(model.grad_b1(x, xi_i), dtype=float)       # (P, m)
+            xi[:, i] = factors[k] * (xi_i + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
 
     valid = (
         states.valid
-        & np.isfinite(tr_acc).all(axis=(1, 2))
-        & np.isfinite(dgi_acc).all(axis=1)
-        & np.isfinite(xdw_acc)
+        & np.isfinite(tr_acc).all(axis=(1, 2, 3))
+        & np.isfinite(dgi_acc).all(axis=(1, 2))
+        & np.isfinite(xdw_acc).all(axis=1)
     )
 
     return PathBatch(
@@ -435,10 +443,10 @@ def simulate_terminal_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X_T, Y_T, valid) from the direction-free part of the model's kernel alone.
 
-    On the same noise, X_T and Y_T are bit for bit those of ``simulate_batch``
-    in any direction.  ``valid`` checks only the direction-free quantities
-    (see the module docstring): it equals the full kernel's mask unless a
-    direction callback is non-finite where sigma is finite.
+    On the same noise, X_T and Y_T are bit for bit those of ``simulate_batch``.
+    ``valid`` checks only the direction-free quantities (see the module
+    docstring): it equals the full kernel's mask unless a gradient callback is
+    non-finite on a coordinate axis where sigma is finite.
     """
     x0, y0, dB, zeta = _prepare(model, x0, y0, grid, noise)
     if model.kind is ModelKind.BASIC:
@@ -450,10 +458,10 @@ def simulate_terminal_batch(
     return states.x_final, states.y_final, states.valid
 
 
-def simulate_batch(model: ModelSpec, x0, y0, v: Direction, grid: TimeGrid,
+def simulate_batch(model: ModelSpec, x0, y0, grid: TimeGrid,
                    noise: tuple[np.ndarray, np.ndarray]) -> PathBatch:
     """Simulate with the kernel of the model's kind, basic or extended."""
     # the kernels are looked up as module globals at call time, so a rebinding
     # of ``simulate_basic_batch`` / ``simulate_extended_batch`` sees every call
     sim = simulate_basic_batch if model.kind is ModelKind.BASIC else simulate_extended_batch
-    return sim(model, x0, y0, v, grid, noise)
+    return sim(model, x0, y0, grid, noise)

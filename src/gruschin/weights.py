@@ -13,8 +13,14 @@ the same mean, as f(X_T, Y_T) reads B and S alone, and no larger variance.
 The extended model's first term is int <sigma1^{-1} xi_t/(T-t), dB_t>, its C
 and W read grad_xi sigma2, and it adds int (grad_xi b2) dt to v2.  With
 sigma1 = I and b1 = 0 that first term is <v1, B_T>/T, so both kernels store it
-as ``xi_drift_weight`` and one formula assembles the weight.  Q_T^{-1} is
-applied through SPD solves, never by forming the inverse.
+as ``xi_drift_weight`` and one formula assembles the weight.
+
+Every term is linear in v1 on fixed noise, and a batch stores each of C,
+int (grad_xi b2) dt and the first term along the coordinate axes e_i of R^m
+(see ``paths``).  So one batch serves every direction: C = sum_i v1_i C_i,
+int (grad_xi b2) dt = sum_i v1_i D_i and the first term is
+<v1, xi_drift_weight>.  Q_T^{-1} is applied through SPD solves, never by
+forming the inverse.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import batch_trace, spd_solve
+from .models import Direction
 from .paths import PathBatch
 
 __all__ = [
@@ -34,34 +41,35 @@ __all__ = [
 INVERTIBILITY_FLOOR = 1e-12
 
 
+def _along(slots: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """sum_i v1_i slots[:, i]: a per-axis field (P, m, ...) read along v1."""
+    return np.einsum("pi...,i->p...", slots, v1)
+
+
 def weight_terms_shared(
     batch: PathBatch,
-    v2,
-    v1_scale: float = 1.0,
+    v: Direction,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weight terms for direction (v1_scale * u1, v2), u1 the batch's simulated v1.
+    """Weight terms of direction v = (v1, v2) on a batch of any kernel.
 
-    Every u1-dependent accumulator (trace integral, drift-gradient integral, xi
-    and its drift weight) is linear in the direction on a fixed noise
-    realization, so rescaling the simulated direction is exact.  Returns
-    (drift, trace, inner, solvable) arrays over the batch; entries of
+    Returns (drift, trace, inner, solvable) arrays over the batch; entries of
     non-solvable paths are NaN.
     """
-    v2 = np.asarray(v2, dtype=float)
+    v1 = np.asarray(v.v1, dtype=float)
+    v2 = np.asarray(v.v2, dtype=float)
     q = batch.q_matrix
     trace_q = batch_trace(q)
     solvable = batch.valid & (batch.min_eig_q > INVERTIBILITY_FLOOR * trace_q) & (trace_q > 0)
 
-    c = float(v1_scale)
     P = len(batch)
-    drift_out = np.where(solvable, c * batch.xi_drift_weight, np.nan)
+    drift_out = np.where(solvable, _along(batch.xi_drift_weight, v1), np.nan)
     trace_out = np.full(P, np.nan)
     inner_out = np.full(P, np.nan)
     if solvable.any():
         idx = np.nonzero(solvable)[0]
-        q_s, c_s = q[idx], batch.trace_integral[idx]
+        q_s, c_s = q[idx], _along(batch.trace_integral[idx], v1)
         a = spd_solve(q_s, batch.sigma_stoch_integral[idx])
-        trace_out[idx] = -c * batch_trace(spd_solve(q_s, c_s))
-        linear = np.einsum("pd,pd->p", v2 + c * batch.drift_grad_integral[idx], a)
-        inner_out[idx] = linear + c * np.einsum("pi,pij,pj->p", a, c_s, a)
+        trace_out[idx] = -batch_trace(spd_solve(q_s, c_s))
+        linear = np.einsum("pd,pd->p", v2 + _along(batch.drift_grad_integral[idx], v1), a)
+        inner_out[idx] = linear + np.einsum("pi,pij,pj->p", a, c_s, a)
     return drift_out, trace_out, inner_out, solvable

@@ -152,10 +152,10 @@ def test_criterion_05_extended_reduction_pathwise():
     v = Direction.make(1.0, 1.0)
     idx = np.arange(10_000)
     noise = draw_noise(105, idx, grid, model)
-    b = simulate_basic_batch(model, [1.0], [0.0], v, grid, noise)
-    e = simulate_extended_batch(ext, [1.0], [0.0], v, grid, noise)
-    db, tb, ib, okb = weight_terms_shared(b, v.v2)
-    de, te, ie, oke = weight_terms_shared(e, v.v2)
+    b = simulate_basic_batch(model, [1.0], [0.0], grid, noise)
+    e = simulate_extended_batch(ext, [1.0], [0.0], grid, noise)
+    db, tb, ib, okb = weight_terms_shared(b, v)
+    de, te, ie, oke = weight_terms_shared(e, v)
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
     ok = bool((okb & oke).all()) and gap <= 1e-12
     report(5, ok, f"extended weight equals basic weight pathwise, "
@@ -170,10 +170,10 @@ def test_criterion_06_weight_linearity():
     idx = np.arange(1000)
 
     def weights_for(sim_fn, model, seed):
+        batch = sim_fn(model, [1.0], [0.0], grid, draw_noise(seed, idx, grid, model))
         out = []
         for d in (u, w, uw):
-            batch = sim_fn(model, [1.0], [0.0], d, grid, draw_noise(seed, idx, grid, model))
-            drift, trace, inner, _ = weight_terms_shared(batch, d.v2)
+            drift, trace, inner, _ = weight_terms_shared(batch, d)
             out.append(drift + trace + inner)
         return out
 
@@ -195,8 +195,7 @@ def test_criterion_07_discrete_degeneracy_bound():
     model = make_power_law_model(1, 1, 1.0)
     grid, idx = TimeGrid(1.0, 200), np.arange(10_000)
     noise = draw_noise(107, idx, grid, model)
-    batch = simulate_basic_batch(model, [1.0], [0.0], Direction.make(1.0, 0.0),
-                                 grid, noise)
+    batch = simulate_basic_batch(model, [1.0], [0.0], grid, noise)
     # a^2 T mean |X_left|^{2l} on the batch's own Brownian x-path
     dB, _ = noise
     x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
@@ -297,8 +296,7 @@ def test_criterion_12_xi_solver_exactness():
     for k in range(n):
         xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
     dB, zeta = draw_noise(112, np.arange(5), grid, model)
-    pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0), grid,
-                                 (dB, zeta))
+    pf = simulate_extended_batch(model, [1.0], [0.0], grid, (dB, zeta))
     x = np.ones((5, 1))
     xdw, tr = np.zeros(5), np.zeros((5, 1, 1))
     for k in range(n):
@@ -306,8 +304,9 @@ def test_criterion_12_xi_solver_exactness():
         xdw += xi[k] * dB[:, k, 0] / remaining[k]
         tr += grid.dt * (g * model.sigma(x))
         x = x + dB[:, k]
-    ok = (xi[-1] == 0.0 and np.array_equal(pf.xi_drift_weight, xdw)
-          and np.array_equal(pf.trace_integral, tr))
+    # v1 = 1 is the axis e_1, so slot 0 of each accumulator is its step sum
+    ok = (xi[-1] == 0.0 and np.array_equal(pf.xi_drift_weight[:, 0], xdw)
+          and np.array_equal(pf.trace_integral[:, 0], tr))
     report(12, ok, "xi-drift weight and trace term equal bitwise their step sums "
                    "over the telescoped xi on 5 paths; xi_T exactly 0")
 

@@ -279,8 +279,8 @@ def test_a5_and_a6_reject_a_grid_built_for_other_inputs():
 
 
 def test_a5_alone_simulates_only_its_axes(monkeypatch):
-    # m = 3: A5 reads axes 0 and m, which share one simulation per batch; the
-    # other x axes, which only A6 reads, would add m - 1 more per grid point
+    # m = 3: the grid's panels carry all m + d axes, and one simulation per
+    # batch serves them all, A5's axes 0 and m among them
     calls = []
     real = estimators.simulate_batch
 
@@ -296,17 +296,6 @@ def test_a5_alone_simulates_only_its_axes(monkeypatch):
     assert len(calls) == 2
     assert [p.v for p in rep.points[:2]] == [((1.0, 0.0, 0.0), (0.0,)),
                                              ((0.0, 0.0, 0.0), (1.0,))]
-
-
-def test_gradient_grid_axes_are_the_union_of_its_readers():
-    model = make_power_law_model(3, 2, 1.0)
-    fs = [observable("tanh_y", model)]
-    mc = McParams(200, 10, 1)
-    assert GradientGrid(model, fs, mc, readers=("a5",)).axes == (0, 3)
-    assert GradientGrid(model, fs, mc, readers=("a6",)).axes == (0, 1, 2, 3, 4)
-    assert GradientGrid(model, fs, mc).axes == (0, 1, 2, 3, 4)
-    with pytest.raises(ValueError, match="other inputs"):
-        check_a6(model, fs, mc, grid=GradientGrid(model, fs, mc, readers=("a5",)))
 
 
 def _record_threads(monkeypatch, name):

@@ -231,29 +231,6 @@ def test_a6_override_gets_its_own_grid(tmp_path, monkeypatch):
         assert int(r["n_valid"]) + int(r["n_invalid"]) == size, r["experiment_id"]
 
 
-@pytest.mark.parametrize("checks, readers", [
-    (["a5"], [("a5",)]),
-    (["a5", "a6"], [("a5", "a6")]),
-    (["a6", "a5"], [("a5", "a6")]),
-])
-def test_a5_grid_carries_all_axes_only_when_a6_reads_it(tmp_path, monkeypatch, checks,
-                                                         readers):
-    built = []
-
-    class Recording(analysis.GradientGrid):
-        def __init__(self, *args, readers=("a5", "a6"), **kwargs):
-            built.append(tuple(readers))
-            super().__init__(*args, readers=readers, **kwargs)
-
-    monkeypatch.setattr(analysis, "GradientGrid", Recording)
-    body = json.loads(json.dumps(MINIMAL))
-    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
-    body["suite"] = {"checks": checks}
-    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
-    assert code == 0
-    assert built == readers
-
-
 def test_rerun_and_worker_count_are_byte_identical(tmp_path):
     cfg = ExperimentConfig.from_dict(MINIMAL)
     run_experiment(cfg, workers=1, out_dir=str(tmp_path / "a"))
@@ -426,6 +403,18 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_reduction_holds_at_m2_on_an_oblique_direction(tmp_path):
+    # both kernels read the direction off their axis slots e_1, e_2
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"] = {"builtin": "power_law", "m": 2, "d": 1, "l": 1.0}
+    body["run"].update(points=[[1.0, 0.5, 0.0]], directions=[[[0.6, -0.8], [0.3]]])
+    body["suite"] = {"checks": ["reduction"]}
+    cfg_path = write_config(tmp_path, body)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    (row,) = csv.DictReader(io.StringIO((tmp_path / "out" / "results.csv").read_text()))
+    assert row["quantity"] == "max_pathwise_gap" and float(row["mean"]) <= 1e-12
 
 
 def test_reduction_runs_its_two_kernels_side_by_side(tmp_path, monkeypatch):

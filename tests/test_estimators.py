@@ -386,10 +386,22 @@ def test_panels_return_exactly_their_documented_keys():
 
 
 def test_bismut_panel_refuses_an_empty_direction_list():
-    # the terminal states come from a direction's simulation, so one is needed
+    # a weight panel estimates gradients; pt_panel serves semigroup values alone
     model = make_power_law_model(1, 1, 1.0)
     with pytest.raises(ValueError, match="direction"):
         bismut_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [], 64, 10, 3)
+
+
+def test_panel_entry_does_not_depend_on_the_other_directions():
+    # (1, 1e-7 | 0) is within 1e-12 in cosine of (1, 0 | 0), and its 1e-7 d/dx2
+    # part must not be dropped when the two share a panel
+    model = make_power_law_model(2, 1, 1.0)
+    f = observable("sin_y", model)
+    near = Direction.make([1.0, 1e-7], [0.0])
+    args = (model, [1.0, 0.5, 0.0], 1.0, [f])
+    shared = bismut_panel(*args, [Direction.make([1.0, 0.0], [0.0]), near], 4000, 20, 3)
+    alone = bismut_panel(*args, [near], 4000, 20, 3)
+    assert shared[("grad", "sin_y", 1)] == alone[("grad", "sin_y", 0)]
 
 
 def test_panels_worker_invariant():
@@ -480,8 +492,8 @@ def test_panels_draw_noise_once_per_batch(monkeypatch):
           Direction.make([0.0, 0.0], [1.0])]
     bismut_panel(model2, [1.0, 0.5, 0.0], 1.0, [observable("sin_y", model2)], vs,
                  2500, 20, 5, batch_size=1024)
-    assert len(draws) == 3        # one per batch, shared by both v1 groups
-    assert len(sims) == 3 * 2
+    assert len(draws) == 3
+    assert len(sims) == 3         # one per batch, whatever the directions
 
 
 def _counting_draws(monkeypatch):
@@ -560,12 +572,11 @@ def _central_difference(model, z0, v, f, T, n_paths, n_steps, seed, eps):
     """Per-path central difference from two independent simulations at z0 +- eps v."""
     grid = TimeGrid(T, n_steps)
     idx = np.arange(n_paths)
-    v0 = Direction(np.zeros(model.m), np.zeros(model.d))
     shift = np.concatenate([v.v1, v.v2])
     z = np.asarray(z0, dtype=float)
     noise = draw_noise(seed, idx, grid, model)
-    up = simulate_basic_batch(model, *split_point(model, z + eps * shift), v0, grid, noise)
-    dn = simulate_basic_batch(model, *split_point(model, z - eps * shift), v0, grid, noise)
+    up = simulate_basic_batch(model, *split_point(model, z + eps * shift), grid, noise)
+    dn = simulate_basic_batch(model, *split_point(model, z - eps * shift), grid, noise)
     assert up.valid.all() and dn.valid.all()
     return (f.eval(up.z_final) - f.eval(dn.z_final)) / (2.0 * eps)
 

@@ -32,8 +32,6 @@ from gruschin.paths import (
 from gruschin.rng import PathStreams
 from gruschin.weights import weight_terms_shared
 
-V11 = Direction.make(1.0, 1.0)
-
 
 def noise(model, grid, seed, idx):
     """The noise (dB, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
@@ -55,9 +53,9 @@ def test_constant_sigma_exact_functionals():
     # constant integrands make the left sums exact: Q_T = T I, no gradient terms
     model = make_constant_identity_model()
     grid = TimeGrid(1.0, 100)
-    pf = simulate_basic_batch(model, [0.2], [0.0], V11, grid, noise(model, grid, 3, [0]))
+    pf = simulate_basic_batch(model, [0.2], [0.0], grid, noise(model, grid, 3, [0]))
     assert pf.q_matrix[0, 0, 0] == 1.0
-    assert pf.trace_integral[0, 0, 0] == 0.0
+    assert pf.trace_integral[0, 0, 0, 0] == 0.0
     assert pf.min_eig_q[0] == 1.0
 
     # Q_T = 1 makes S = zeta, and B_T is the increment sum
@@ -70,7 +68,7 @@ def test_constant_sigma_exact_functionals():
 def test_x_component_is_exact_brownian():
     model = make_power_law_model(1, 1, 1.0)
     grid = TimeGrid(2.0, 64)
-    batch = simulate_basic_batch(model, [0.7], [0.0], V11, grid,
+    batch = simulate_basic_batch(model, [0.7], [0.0], grid,
                                  noise(model, grid, 11, np.arange(50)))
     assert np.array_equal(batch.x_final, 0.7 + batch.b_final)
 
@@ -84,9 +82,9 @@ def test_matrix_kernel_matches_scalar_kernel():
     )
     assert not matrix_model.scalar_identity
     grid = TimeGrid(1.0, 50)
-    a = simulate_basic_batch(scalar_model, [1.0], [0.0, 0.0], V11_d2(), grid,
+    a = simulate_basic_batch(scalar_model, [1.0], [0.0, 0.0], grid,
                              noise(scalar_model, grid, 5, np.arange(40)))
-    b = simulate_basic_batch(matrix_model, [1.0], [0.0, 0.0], V11_d2(), grid,
+    b = simulate_basic_batch(matrix_model, [1.0], [0.0, 0.0], grid,
                              noise(matrix_model, grid, 5, np.arange(40)))
     for name in ("q_matrix", "trace_integral", "sigma_stoch_integral", "y_final"):
         lhs, rhs = getattr(a, name), getattr(b, name)
@@ -94,29 +92,24 @@ def test_matrix_kernel_matches_scalar_kernel():
     assert np.allclose(a.min_eig_q, b.min_eig_q, rtol=1e-9, atol=1e-12)
 
 
-def V11_d2():
-    return Direction.make([1.0], [1.0, 1.0])
-
-
 def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
     # every accumulator written out as the defining sum over steps and columns
     model = make_tilted_matrix_model()
     grid = TimeGrid(0.8, 60)
-    v = Direction.make([0.7], [0.3, -0.2])
     idx = np.arange(300)
-    batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, noise(model, grid, 71, idx))
+    batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid, noise(model, grid, 71, idx))
 
     dB, zeta = noise(model, grid, 71, idx)
     x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
     S = model.sigma(x_left)
-    G = model.grad_sigma(x_left, v.v1)
+    G = model.grad_sigma(x_left, np.ones(1))             # along the one axis e_1
     w, T, n = grid.decay_weights(), grid.horizon, grid.n_steps
     assert np.abs(S[..., 1, 0]).max() > 0.1  # sigma really is off-diagonal
     q = T * np.einsum("pnij,pnkj->pik", S, S) / n
     lam, u = np.linalg.eigh(q)
     want = {
         "q_matrix": q,
-        "trace_integral": T * np.einsum("n,pnij,pnkj->pik", w, G, S) / n,
+        "trace_integral": (T * np.einsum("n,pnij,pnkj->pik", w, G, S) / n)[:, None],
         "sigma_stoch_integral": np.einsum("pij,pj,pkj,pk->pi", u, np.sqrt(lam), u, zeta),
         "min_eig_q": np.linalg.eigvalsh(q)[:, 0],
     }
@@ -130,10 +123,9 @@ def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
 def test_matrix_kernel_path_alone_equals_path_in_batch():
     model = make_tilted_matrix_model()
     grid = TimeGrid(1.0, 100)
-    v = Direction.make([1.0], [0.0, 1.0])
-    big = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid,
+    big = simulate_basic_batch(model, [1.0], [0.0, 0.5], grid,
                                noise(model, grid, 73, np.arange(1024)))
-    one = simulate_basic_batch(model, [1.0], [0.0, 0.5], v, grid, noise(model, grid, 73, [7]))
+    one = simulate_basic_batch(model, [1.0], [0.0, 0.5], grid, noise(model, grid, 73, [7]))
     for name in ("q_matrix", "trace_integral", "sigma_stoch_integral", "y_final", "min_eig_q"):
         assert np.array_equal(getattr(one, name)[0], getattr(big, name)[7]), name
 
@@ -165,7 +157,7 @@ def test_step_halving_is_first_order():
     for factor in (4, 2, 1):
         steps = 4 * n // factor
         inc = (coarsen(dB_f, factor), zeta)
-        batch = simulate_basic_batch(model, [1.0], [0.0], V11, TimeGrid(T, steps), inc)
+        batch = simulate_basic_batch(model, [1.0], [0.0], TimeGrid(T, steps), inc)
         means[steps] = batch.q_matrix[:, 0, 0].mean()
     d1 = means[2 * n] - means[n]
     d2 = means[4 * n] - means[2 * n]
@@ -181,7 +173,7 @@ def test_covariance_matrix_symmetric_psd():
         power_params=scalar_model.power_params, name="matrix_view",
     )
     grid = TimeGrid(1.0, 50)
-    batch = simulate_basic_batch(matrix_model, [0.5], [0.0, 0.0], V11_d2(), grid,
+    batch = simulate_basic_batch(matrix_model, [0.5], [0.0, 0.0], grid,
                                  noise(matrix_model, grid, 61, np.arange(500)))
     q = batch.q_matrix
     assert np.allclose(q, np.swapaxes(q, 1, 2), atol=1e-14)
@@ -195,7 +187,7 @@ def test_discrete_degeneracy_inequality(l):
     # Q_T >= (a^2 int |X|^{2l}) I holds with the same quadrature on both sides
     model = make_power_law_model(1, 1, l)
     grid, idx = TimeGrid(1.0, 100), np.arange(2000)
-    batch = simulate_basic_batch(model, [1.0], [0.0], V11, grid, noise(model, grid, 23, idx))
+    batch = simulate_basic_batch(model, [1.0], [0.0], grid, noise(model, grid, 23, idx))
     # the right side on the batch's own Brownian x-path, by the same left-node rule
     dB, _ = noise(model, grid, 23, idx)
     x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
@@ -203,37 +195,6 @@ def test_discrete_degeneracy_inequality(l):
     degeneracy = a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * l), axis=1)
     slack = batch.min_eig_q - degeneracy
     assert np.all(slack >= -1e-10 * (1.0 + np.abs(degeneracy)))
-
-
-def test_accumulators_linear_in_direction():
-    model = make_power_law_model(1, 1, 1.0)
-    grid = TimeGrid(1.0, 80)
-    u = Direction.make(0.8, -0.3)
-    w = Direction.make(-1.5, 0.4)
-    uw = Direction(u.v1 + w.v1, u.v2 + w.v2)
-    idx = np.arange(200)
-    a = simulate_basic_batch(model, [1.0], [0.5], u, grid, noise(model, grid, 31, idx))
-    b = simulate_basic_batch(model, [1.0], [0.5], w, grid, noise(model, grid, 31, idx))
-    c = simulate_basic_batch(model, [1.0], [0.5], uw, grid, noise(model, grid, 31, idx))
-    assert np.allclose(c.trace_integral, a.trace_integral + b.trace_integral,
-                       rtol=1e-10, atol=1e-12)
-
-
-def test_extended_accumulators_linear_in_direction():
-    model = make_extended_demo_model()
-    grid = TimeGrid(1.0, 80)
-    u = Direction.make(0.8, -0.3)
-    w = Direction.make(-1.5, 0.4)
-    uw = Direction(u.v1 + w.v1, u.v2 + w.v2)
-    idx = np.arange(100)
-    a = simulate_extended_batch(model, [1.0], [0.5], u, grid, noise(model, grid, 37, idx))
-    b = simulate_extended_batch(model, [1.0], [0.5], w, grid, noise(model, grid, 37, idx))
-    c = simulate_extended_batch(model, [1.0], [0.5], uw, grid, noise(model, grid, 37, idx))
-    for name in ("trace_integral", "drift_grad_integral", "xi_drift_weight"):
-        lhs = getattr(c, name)
-        rhs = getattr(a, name) + getattr(b, name)
-        scale = 1.0 + np.abs(lhs)
-        assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale), name
 
 
 def xi_weight_sums(model, grid, xi, x0, dB):
@@ -258,10 +219,9 @@ def test_xi_closed_form_with_identity_coefficients():
     model = as_extended(make_power_law_model(1, 1, 1.0))
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
-    v1 = 0.7
+    v1 = 1.0                       # the axis e_1, whose xi fills slot 0
     dB, zeta = noise(model, grid, 41, np.arange(2, 10))
-    pf = simulate_extended_batch(model, [1.0], [0.0], Direction.make(v1, 0.0), grid,
-                                 (dB, zeta))
+    pf = simulate_extended_batch(model, [1.0], [0.0], grid, (dB, zeta))
     times = grid.times()
     # bitwise reconstruction of the telescoping product
     xi = np.empty(n + 1)
@@ -271,7 +231,7 @@ def test_xi_closed_form_with_identity_coefficients():
     assert xi[-1] == 0.0
     assert np.allclose(xi, v1 * (T - times) / T, atol=1e-12)
     for name, want in xi_weight_sums(model, grid, xi, 1.0, dB).items():
-        assert np.array_equal(getattr(pf, name), want), name
+        assert np.array_equal(getattr(pf, name)[:, 0], want), name
 
 
 def test_extended_reduces_to_basic_pathwise():
@@ -279,35 +239,34 @@ def test_extended_reduces_to_basic_pathwise():
     ext = as_extended(model)
     grid = TimeGrid(1.0, 120)
     idx = np.arange(300)
-    v = Direction.make(1.0, 1.0)
-    b = simulate_basic_batch(model, [1.0], [0.2], v, grid, noise(model, grid, 43, idx))
-    e = simulate_extended_batch(ext, [1.0], [0.2], v, grid, noise(ext, grid, 43, idx))
+    b = simulate_basic_batch(model, [1.0], [0.2], grid, noise(model, grid, 43, idx))
+    e = simulate_extended_batch(ext, [1.0], [0.2], grid, noise(ext, grid, 43, idx))
     for name in ("b_final", "x_final", "y_final", "q_matrix", "trace_integral",
                  "sigma_stoch_integral", "xi_drift_weight", "min_eig_q"):
         lhs, rhs = getattr(b, name), getattr(e, name)
         assert np.allclose(lhs, rhs, atol=1e-12), name
-    # the xi drift weight reduces to <v1, B_T>/T
-    want = b.b_final[:, 0] * 1.0 / 1.0
-    assert np.allclose(e.xi_drift_weight, want, atol=1e-12)
+    # the xi drift weight of axis e_i reduces to the i-th entry of B_T/T
+    assert np.allclose(e.xi_drift_weight, b.b_final / grid.horizon, atol=1e-12)
 
 
 def test_zero_direction_zeroes_every_direction_dependent_field():
     model = make_extended_demo_model()
     grid = TimeGrid(1.0, 60)
     v0 = Direction.make(0.0, 0.0)
-    pf = simulate_extended_batch(model, [1.0], [0.0], v0, grid, noise(model, grid, 47, [0]))
-    assert pf.xi_drift_weight[0] == 0.0
-    assert np.all(pf.trace_integral == 0.0)
-    assert np.all(pf.drift_grad_integral == 0.0)
+    pf = simulate_extended_batch(model, [1.0], [0.0], grid, noise(model, grid, 47, [0]))
+    # every axis slot is read along v1 = 0, so only <v2, a> = 0 is left
+    drift, trace, inner, ok = weight_terms_shared(pf, v0)
+    assert ok[0]
+    assert drift[0] == 0.0 and trace[0] == 0.0 and inner[0] == 0.0
 
 
 def test_bitwise_determinism_across_calls_and_batching():
     model = make_power_law_model(1, 1, 2.0)
     grid = TimeGrid(0.5, 64)
-    one = simulate_basic_batch(model, [1.0], [0.3], V11, grid, noise(model, grid, 53, [17]))
-    big = simulate_basic_batch(model, [1.0], [0.3], V11, grid,
+    one = simulate_basic_batch(model, [1.0], [0.3], grid, noise(model, grid, 53, [17]))
+    big = simulate_basic_batch(model, [1.0], [0.3], grid,
                                noise(model, grid, 53, np.arange(10, 30)))
-    again = simulate_basic_batch(model, [1.0], [0.3], V11, grid, noise(model, grid, 53, [17]))
+    again = simulate_basic_batch(model, [1.0], [0.3], grid, noise(model, grid, 53, [17]))
     assert np.array_equal(one.q_matrix[0], big.q_matrix[7])
     assert np.array_equal(one.sigma_stoch_integral, again.sigma_stoch_integral)
     assert one.min_eig_q[0] == big.min_eig_q[7]
@@ -334,7 +293,7 @@ def test_extended_override_for_one_path_is_refused_for_four():
     one_path = noise(model, grid, 83, [0])
     four_paths = noise(model, grid, 83, np.arange(4))
     with pytest.raises(ValueError, match="noise has shapes"):
-        simulate_extended_batch(model, [1.0], [0.0], V11, grid, (four_paths[0], one_path[1]))
+        simulate_extended_batch(model, [1.0], [0.0], grid, (four_paths[0], one_path[1]))
 
 
 def test_extended_override_with_more_steps_than_the_grid_is_refused():
@@ -342,7 +301,7 @@ def test_extended_override_with_more_steps_than_the_grid_is_refused():
     idx = np.arange(4)
     fine = noise(model, TimeGrid(1.0, 40), 83, idx)
     with pytest.raises(ValueError, match="noise has shapes"):
-        simulate_extended_batch(model, [1.0], [0.0], V11, TimeGrid(1.0, 20), fine)
+        simulate_extended_batch(model, [1.0], [0.0], TimeGrid(1.0, 20), fine)
 
 
 def test_nonfinite_coefficients_flag_paths_invalid():
@@ -360,7 +319,7 @@ def test_nonfinite_coefficients_flag_paths_invalid():
     grid = TimeGrid(4.0, 100)
     drawn = noise(model, grid, 59, np.arange(2000))
     with np.errstate(invalid="ignore"):
-        batch = simulate_basic_batch(model, [1.0], [0.0], V11, grid, drawn)
+        batch = simulate_basic_batch(model, [1.0], [0.0], grid, drawn)
         _, _, terminal_valid = simulate_terminal_batch(model, [1.0], [0.0], grid, drawn)
     n_bad = int((~batch.valid).sum())
     assert 0 < n_bad < 2000  # flagged, counted, not silently dropped
@@ -381,7 +340,7 @@ def test_all_zero_sigma1_flags_paths_invalid():
     model = replace(as_extended(make_power_law_model(2, 1, 1.0)), sigma1=sigma1)
     grid = TimeGrid(1.0, 20)
     v = Direction.make([1.0, 0.0], [0.0])
-    batch = simulate_extended_batch(model, [1.0, 0.5], [0.0], v, grid,
+    batch = simulate_extended_batch(model, [1.0, 0.5], [0.0], grid,
                                     noise(model, grid, 3, np.arange(256)))
     n_bad = int((~batch.valid).sum())
     assert 0 < n_bad < 256
@@ -499,6 +458,7 @@ SPLIT_MODELS = {
 }
 FIELDS = ("b_final", "x_final", "q_matrix", "trace_integral", "drift_grad_integral",
           "xi_drift_weight")
+AXIS_FIELDS = ("trace_integral", "drift_grad_integral", "xi_drift_weight")
 
 
 @pytest.mark.parametrize("x_start", [1.0, 0.0])
@@ -511,19 +471,62 @@ def test_direction_free_part_keeps_every_bit(name, x_start):
     drawn = noise(model, grid, 89, idx)
     no_b_tilde = np.zeros((len(idx), grid.n_steps, model.d))  # W and S~ are not compared
     x_final, y_final, valid = simulate_terminal_batch(model, x0, y0, grid, drawn)
-    for v1 in (0.0, 1.0, -0.6):
-        v = Direction.make(np.full(model.m, v1), np.full(model.d, 0.5))
-        full = simulate_batch(model, x0, y0, v, grid, drawn)
-        assert np.array_equal(full.x_final, x_final)
-        assert np.array_equal(full.y_final, y_final)
-        assert np.array_equal(full.valid, valid)
+    full = simulate_batch(model, x0, y0, grid, drawn)
+    assert np.array_equal(full.x_final, x_final)
+    assert np.array_equal(full.y_final, y_final)
+    assert np.array_equal(full.valid, valid)
+    # the reference runs one direction; slot i of the kernel is its run along e_i
+    for i, e in enumerate(np.eye(model.m)):
+        v = Direction.make(e, np.full(model.d, 0.5))
         ref = _reference(model, x0, v, grid, drawn[0], no_b_tilde)
         want = {key: ref[key] for key in FIELDS} | _given_b(model, ref, y0, drawn[1])
         for field, value in want.items():
             got = getattr(full, field)
+            if field in AXIS_FIELDS:
+                got = got[:, i]
             assert got.shape == value.shape and got.dtype == value.dtype, field
             assert np.array_equal(got, value), field
     assert valid.all()
+
+
+AXIS_MODELS = {
+    "scalar": make_power_law_model(2, 1, 1.0),
+    "matrix": replace(make_power_law_model(2, 2, 1.0), sigma_scalar=None,
+                      grad_sigma_scalar=None),
+    "extended": as_extended(make_power_law_model(2, 1, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_MODELS))
+def test_axis_slots_combine_to_the_reference_kernel(name):
+    # the reference kernels run the direction itself and the kernels run the
+    # axes e_1, e_2: sum_i v1_i (slot i) must give the reference's fields, and
+    # weight_terms_shared the weight assembled from them
+    model = AXIS_MODELS[name]
+    assert model.m == 2 and (name != "matrix" or not model.scalar_identity)
+    grid = TimeGrid(1.0, 40)
+    idx = np.arange(400)
+    v = Direction.make([0.6, -0.8], np.full(model.d, 0.3))
+    x0, y0 = np.array([1.0, 0.5]), np.zeros(model.d)
+    dB, zeta = noise(model, grid, 97, idx)
+    batch = simulate_batch(model, x0, y0, grid, (dB, zeta))
+    ref = _reference(model, x0, v, grid, dB, np.zeros((len(idx), grid.n_steps, model.d)))
+    assert batch.valid.all()
+    for field in AXIS_FIELDS:
+        slots = getattr(batch, field)
+        got = v.v1[0] * slots[:, 0] + v.v1[1] * slots[:, 1]
+        np.testing.assert_allclose(got, ref[field], rtol=0,
+                                   atol=1e-12 * np.abs(ref[field]).max(), err_msg=field)
+
+    q, c = batch.q_matrix, ref["trace_integral"]
+    a = np.linalg.solve(q, batch.sigma_stoch_integral[..., None])[..., 0]
+    want = (ref["xi_drift_weight"] - np.einsum("pii->p", np.linalg.solve(q, c))
+            + np.einsum("pd,pd->p", v.v2 + ref["drift_grad_integral"], a)
+            + np.einsum("pi,pij,pj->p", a, c, a))
+    drift, trace, inner, ok = weight_terms_shared(batch, v)
+    assert ok.all()
+    np.testing.assert_allclose(drift + trace + inner, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("name", ["power_law", "tilted_matrix", "extended_demo"])
@@ -538,7 +541,7 @@ def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
     zeta = PathStreams(101, substream=1).fill_normals(idx, (model.d,))
     x0, y0 = np.full(model.m, 1.5), np.full(model.d, 0.3)
     v = Direction.make(np.ones(model.m), np.full(model.d, 0.5))
-    batch = simulate_batch(model, x0, y0, v, grid, (dB, zeta))
+    batch = simulate_batch(model, x0, y0, grid, (dB, zeta))
     assert batch.valid.all()
     q = batch.q_matrix[0]
     assert np.array_equal(batch.q_matrix, np.broadcast_to(q, batch.q_matrix.shape))
@@ -561,7 +564,7 @@ def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
              + np.einsum("pd,pd->p", u, ref["s_tilde"]))
     z_ref = np.concatenate([ref["x_final"], y0 + (ref["s_tilde"] + ref["ydrift"])], axis=1)
 
-    drift, trace, inner, ok = weight_terms_shared(batch, v.v2)
+    drift, trace, inner, ok = weight_terms_shared(batch, v)
     assert ok.all()
     m_t = drift + trace + inner
     for f_name in ("sin_y", "y_squared"):
@@ -594,8 +597,7 @@ def test_nonfinite_direction_callback_leaves_the_terminal_mask_alone(name):
     grid = TimeGrid(1.0, 20)
     idx = np.arange(300)
     drawn = noise(model, grid, 7, idx)
-    full = simulate_batch(model, z0[:model.m], z0[model.m:], Direction.make(
-        np.zeros(model.m), np.zeros(model.d)), grid, drawn)
+    full = simulate_batch(model, z0[:model.m], z0[model.m:], grid, drawn)
     _, _, valid = simulate_terminal_batch(model, z0[:model.m], z0[model.m:], grid, drawn)
     assert not full.valid.any()
     assert valid.all()

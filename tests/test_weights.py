@@ -32,14 +32,14 @@ def noise(model, grid, seed, idx):
 
 
 def weight(batch, v):
-    drift, trace, inner, _ = weight_terms_shared(batch, v.v2)
+    drift, trace, inner, _ = weight_terms_shared(batch, v)
     return drift + trace + inner
 
 
 def test_constant_sigma_collapses_to_brownian_weight():
     model = make_constant_identity_model()
-    pf = simulate_basic_batch(model, [0.0], [0.0], V11, GRID, noise(model, GRID, 2, [0]))
-    _, trace, _, _ = weight_terms_shared(pf, V11.v2)
+    pf = simulate_basic_batch(model, [0.0], [0.0], GRID, noise(model, GRID, 2, [0]))
+    _, trace, _, _ = weight_terms_shared(pf, V11)
     assert trace[0] == 0.0
     expected = pf.b_final[0, 0] + pf.sigma_stoch_integral[0, 0]
     assert weight(pf, V11)[0] == pytest.approx(expected, abs=1e-14)
@@ -48,16 +48,16 @@ def test_constant_sigma_collapses_to_brownian_weight():
 def test_zero_direction_gives_zero_weight():
     model = make_power_law_model(1, 1, 1.0)
     v0 = Direction.make(0.0, 0.0)
-    pf = simulate_basic_batch(model, [1.0], [0.0], v0, GRID, noise(model, GRID, 5, [1]))
+    pf = simulate_basic_batch(model, [1.0], [0.0], GRID, noise(model, GRID, 5, [1]))
     assert weight(pf, v0)[0] == 0.0
 
 
 def test_breakdown_sums_exactly():
     # the weight the estimators average is exactly the sum of the three terms
     model = make_power_law_model(1, 1, 1.0)
-    batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID,
+    batch = simulate_basic_batch(model, [1.0], [0.0], GRID,
                                  noise(model, GRID, 5, np.arange(64)))
-    drift, trace, inner, ok = weight_terms_shared(batch, V11.v2)
+    drift, trace, inner, ok = weight_terms_shared(batch, V11)
     est = estimate_gradient_bismut(model, observable("one", model), [1.0, 0.0], V11, 1.0,
                                    64, 100, 5)
     assert ok.all()
@@ -70,11 +70,8 @@ def test_weight_linear_in_direction_on_fixed_noise():
     w_dir = Direction.make(-0.4, 0.9)
     both = Direction(u.v1 + w_dir.v1, u.v2 + w_dir.v2)
     for i in range(25):
-        m_u, m_w, m_b = (
-            weight(simulate_basic_batch(model, [1.0], [0.0], d, GRID, noise(model, GRID, 7, [i])),
-                   d)[0]
-            for d in (u, w_dir, both)
-        )
+        batch = simulate_basic_batch(model, [1.0], [0.0], GRID, noise(model, GRID, 7, [i]))
+        m_u, m_w, m_b = (weight(batch, d)[0] for d in (u, w_dir, both))
         assert m_b == pytest.approx(m_u + m_w, rel=1e-10, abs=1e-12)
 
 
@@ -84,12 +81,8 @@ def test_extended_weight_linear_in_direction():
     w_dir = Direction.make(-0.4, 0.9)
     both = Direction(u.v1 + w_dir.v1, u.v2 + w_dir.v2)
     for i in range(15):
-        m_u, m_w, m_b = (
-            weight(simulate_extended_batch(model, [1.0], [0.0], d, GRID,
-                                           noise(model, GRID, 9, [i])),
-                   d)[0]
-            for d in (u, w_dir, both)
-        )
+        batch = simulate_extended_batch(model, [1.0], [0.0], GRID, noise(model, GRID, 9, [i]))
+        m_u, m_w, m_b = (weight(batch, d)[0] for d in (u, w_dir, both))
         assert m_b == pytest.approx(m_u + m_w, rel=1e-10, abs=1e-12)
 
 
@@ -97,24 +90,24 @@ def test_extended_reduction_matches_basic_weight():
     model = make_power_law_model(1, 1, 1.0)
     ext = as_extended(model)
     for i in range(50):
-        pfb = simulate_basic_batch(model, [1.0], [0.0], V11, GRID, noise(model, GRID, 11, [i]))
-        pfe = simulate_extended_batch(ext, [1.0], [0.0], V11, GRID, noise(ext, GRID, 11, [i]))
+        pfb = simulate_basic_batch(model, [1.0], [0.0], GRID, noise(model, GRID, 11, [i]))
+        pfe = simulate_extended_batch(ext, [1.0], [0.0], GRID, noise(ext, GRID, 11, [i]))
         assert abs(weight(pfb, V11)[0] - weight(pfe, V11)[0]) <= 1e-12
 
 
 def test_extended_constant_coefficients_collapse():
     # sigma1 = I, b = 0, sigma2 = I: M = <v1,B_T>/T + <v2,S>/T with S = Bt_T in law
     ext = as_extended(make_constant_identity_model())
-    pf = simulate_extended_batch(ext, [0.0], [0.0], V11, GRID, noise(ext, GRID, 13, [3]))
+    pf = simulate_extended_batch(ext, [0.0], [0.0], GRID, noise(ext, GRID, 13, [3]))
     expected = pf.b_final[0, 0] + pf.sigma_stoch_integral[0, 0]
     assert weight(pf, V11)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_weight_mean_is_centered():
     model = make_power_law_model(1, 1, 1.0)
-    batch = simulate_basic_batch(model, [1.0], [0.0], V11, GRID,
+    batch = simulate_basic_batch(model, [1.0], [0.0], GRID,
                                  noise(model, GRID, 17, np.arange(100000)))
-    drift, trace, inner, ok = weight_terms_shared(batch, V11.v2)
+    drift, trace, inner, ok = weight_terms_shared(batch, V11)
     m = drift + trace + inner
     assert ok.all()
     mean = m.mean()
@@ -132,9 +125,9 @@ def test_invalid_path_error_carries_min_eig():
                            sigma_scalar=zero,
                            grad_sigma_scalar=lambda x, v: zero(x),
                            name="identically_degenerate")
-    pf = simulate_basic_batch(degenerate, [1.0], [0.0], V11, GRID,
+    pf = simulate_basic_batch(degenerate, [1.0], [0.0], GRID,
                               noise(degenerate, GRID, 19, [0]))
-    drift, trace, inner, solvable = weight_terms_shared(pf, V11.v2)
+    drift, trace, inner, solvable = weight_terms_shared(pf, V11)
     assert not solvable[0]  # counted as invalid, never regularized away
     assert np.isnan(drift[0] + trace[0] + inner[0])
     assert pf.min_eig_q[0] == 0.0
@@ -148,11 +141,11 @@ def test_relabeling_symmetry():
     idx = np.arange(64)
     v = Direction.make([1.0], [0.3, 0.3])
     dB, zeta = noise(model, grid, 29, idx)
-    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid, (dB, zeta))
-    b = simulate_basic_batch(model, [1.0], [0.0, 0.0], v, grid,
+    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid, (dB, zeta))
+    b = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid,
                              (dB, zeta[:, ::-1].copy()))
-    da, ta, ia, _ = weight_terms_shared(a, v.v2)
-    db_, tb, ib, _ = weight_terms_shared(b, v.v2)
+    da, ta, ia, _ = weight_terms_shared(a, v)
+    db_, tb, ib, _ = weight_terms_shared(b, v)
     assert np.array_equal(ta, tb)           # trace term has no zeta dependence
     assert np.allclose(ia, ib, rtol=1e-12)  # symmetric v2 makes the inner term invariant
     assert np.array_equal(da, db_)
