@@ -32,10 +32,12 @@ from .estimators import (
     EstimationError,
     MCEstimate,
     bismut_panel,
+    bismut_panels,
     estimate_gradient_bismut,
     estimate_gradient_fd,
     estimate_lq_moment,
     estimate_negative_moment,
+    estimate_negative_moments,
     estimate_pt,
     fd_panel,
     pt_panel,

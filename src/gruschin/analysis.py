@@ -24,9 +24,9 @@ import numpy as np
 
 from .estimators import (
     _integrate,
-    bismut_panel,
+    bismut_panels,
     estimate_lq_moment,
-    estimate_negative_moment,
+    estimate_negative_moments,
     lq_moment_rhs,
     parallel_map,
     pt_panel,
@@ -184,45 +184,54 @@ class GradientGrid:
 
     The panel of a point estimates, from z0 = (x, 0, ..., 0), the gradient of
     every f of ``f_suite`` along all m + d coordinate axes, and P_T f^2 -- plus
-    P_T |f|^p when p != 2 -- under the seed label ``grad_grid:{phase}:{T}:{x}``.
-    Panel keys ("grad", f.name, axis) name the axis.  One simulation per batch
-    serves every axis (see ``bismut_panel``), so ``check_a5``, which reads axes
-    0 and m, and ``check_a6``, which reads all of them, share a grid and
-    simulate each point once; their verdicts are then correlated.  A panel is
-    built on first use, or by ``build``, and lives as long as the grid.
+    P_T |f|^p when p != 2.  Panel keys ("grad", f.name, axis) name the axis.
+    Every point runs under the one grid seed, of label ``grad_grid``: by
+    Brownian scaling the increments on [0, T] are sqrt(T/n_steps) times one
+    standard-normal array, so each tile draws once for every (T, x) point
+    (see ``bismut_panels``), and the rows of different points are correlated.
+    A point's panel is bit for bit the one-point ``bismut_panel`` at the grid
+    seed, whichever points were built with it.  One simulation per tile
+    serves every axis, so ``check_a5``, which reads axes 0 and m, and
+    ``check_a6``, which reads all of them, share a grid and simulate each
+    point once; their verdicts are then correlated too.  A panel is built on
+    first use, or by ``build``, and lives as long as the grid.
     """
 
     def __init__(self, model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
                  p: float = 2.0):
         self.model, self.f_suite, self.mc, self.p = model, list(f_suite), mc, float(p)
+        self.seed = derive_seed(mc.seed, "grad_grid")
         self._panels: dict[tuple, tuple] = {}
 
     def build(self, keys: Sequence[tuple[str, float, float]]) -> None:
         """Build the panels of the (phase, T, x) points in ``keys`` not built yet,
-        mapped over ``mc.workers`` threads."""
+        in one ``bismut_panels`` call whose points are mapped over ``mc.workers``
+        threads."""
         missing = [k for k in dict.fromkeys(keys) if k not in self._panels]
-        built = parallel_map(lambda key: self._build_point(*key), missing, self.mc.workers)
-        self._panels.update(zip(missing, built))
-
-    def point(self, phase: str, T: float, x: float) -> tuple[np.ndarray, int, dict]:
-        """(z0, seed, panel) of one grid point."""
-        key = (phase, T, x)
-        self.build([key])
-        return self._panels[key]
-
-    def _build_point(self, phase: str, T: float, x: float) -> tuple[np.ndarray, int, dict]:
-        z0 = np.zeros(self.model.m + self.model.d)
-        z0[0] = x
-        seed = derive_seed(self.mc.seed, f"grad_grid:{phase}:{T}:{x}")
+        if not missing:
+            return
+        starts = [self._start(x) for _, _, x in missing]
         extra = [(_power_label(f, 2.0), _square_obs(f)) for f in self.f_suite]
         if self.p != 2.0:
             extra += [(_power_label(f, self.p), _abs_power_obs(f, self.p))
                       for f in self.f_suite]
-        directions = [_axis_direction(self.model, a) for a in range(len(z0))]
-        panel = bismut_panel(self.model, z0, T, self.f_suite, directions,
-                             self.mc.n_paths, self.mc.n_steps, seed,
-                             extra_obs=extra, workers=self.mc.workers)
-        return z0, seed, panel
+        directions = [_axis_direction(self.model, a)
+                      for a in range(self.model.m + self.model.d)]
+        panels = bismut_panels(self.model, [(z0, T) for z0, (_, T, _) in zip(starts, missing)],
+                               self.f_suite, directions, self.mc.n_paths, self.mc.n_steps,
+                               self.seed, extra_obs=extra, workers=self.mc.workers)
+        self._panels.update(zip(missing, zip(starts, panels)))
+
+    def point(self, phase: str, T: float, x: float) -> tuple[np.ndarray, dict]:
+        """(z0, panel) of one grid point."""
+        key = (phase, T, x)
+        self.build([key])
+        return self._panels[key]
+
+    def _start(self, x: float) -> np.ndarray:
+        z0 = np.zeros(self.model.m + self.model.d)
+        z0[0] = x
+        return z0
 
 
 def _power_label(f: TestFunction, p: float) -> str:
@@ -272,7 +281,7 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
     grid.build(keys)
 
     for phase, T, x in keys:
-        z0, seed, panel = grid.point(phase, T, x)
+        z0, panel = grid.point(phase, T, x)
         for f in f_suite:
             denom_est = panel[("pt", _power_label(f, p))]
             if denom_est.mean <= 4.0 * denom_est.stderr:
@@ -292,7 +301,7 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
                 report.points.append(RatioPoint(
                     label=f"T={T},x={x},f={f.name},v={j}", phase=phase,
                     ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
-                    v=(tuple(v.v1), tuple(v.v2)), seed=seed, n_steps=mc.n_steps,
+                    v=(tuple(v.v1), tuple(v.v2)), seed=grid.seed, n_steps=mc.n_steps,
                     n_valid=grad.n_valid, n_invalid=grad.n_invalid,
                 ))
     _verdict(report)
@@ -318,7 +327,7 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
     grid.build(keys)
 
     for phase, T, x in keys:
-        z0, seed, panel = grid.point(phase, T, x)
+        z0, panel = grid.point(phase, T, x)
         sigma_x0 = np.asarray(model.sigma(z0[:m]))
         for f in f_suite:
             denom_est = panel[("pt", _power_label(f, 2.0))]
@@ -345,7 +354,7 @@ def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
             report.points.append(RatioPoint(
                 label=f"T={T},x={x},f={f.name}", phase=phase,
                 ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
-                seed=seed, n_steps=mc.n_steps,
+                seed=grid.seed, n_steps=mc.n_steps,
                 n_valid=denom_est.n_valid, n_invalid=denom_est.n_invalid,
             ))
     _verdict(report)
@@ -358,29 +367,27 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
                   ) -> BoundCheckReport:
     """Two-grid boundedness of E(int |x+B|^{2n})^{-alpha} * T^alpha (|x|^2+T)^{alpha n}.
 
-    The grid points are mapped over ``mc.workers`` threads.
+    Every grid point runs under the one seed of label ``lemma31``, so each tile
+    draws its standard normals once for all of them (see
+    ``estimate_negative_moments``) and the rows are correlated.  The points are
+    mapped over ``mc.workers`` threads inside each tile.
     """
     report = BoundCheckReport(inequality_id="Lemma31")
-
-    def ratio_point(key: tuple[str, float, float]) -> RatioPoint:
-        phase, T, x = key
-        seed = derive_seed(mc.seed, f"lemma31:{phase}:{T}:{x}")
-        xvec = np.zeros(m)
-        xvec[0] = x
-        est = estimate_negative_moment(
-            m, xvec, T, n_exp, alpha, mc.n_paths, mc.n_steps, seed,
-            workers=mc.workers,
-        )
+    seed = derive_seed(mc.seed, "lemma31")
+    keys = _grid_keys(calibration, holdout)
+    xvecs = [np.concatenate([[x], np.zeros(m - 1)]) for _, _, x in keys]
+    estimates = estimate_negative_moments(
+        m, [(xvec, T) for xvec, (_, T, _) in zip(xvecs, keys)], n_exp, alpha,
+        mc.n_paths, mc.n_steps, seed, workers=mc.workers)
+    for (phase, T, x), est in zip(keys, estimates):
         normalizer = T**alpha * (x**2 + T) ** (alpha * n_exp)
-        return RatioPoint(
+        report.points.append(RatioPoint(
             label=f"T={T},x={x}", phase=phase,
             ratio=est.mean * normalizer,
             tolerance=4.0 * est.stderr * normalizer,
             T=T, z0=(x,), seed=seed, n_steps=mc.n_steps,
             n_valid=est.n_valid, n_invalid=est.n_invalid,
-        )
-
-    report.points = parallel_map(ratio_point, _grid_keys(calibration, holdout), mc.workers)
+        ))
     _verdict(report)
     return report
 
@@ -666,7 +673,8 @@ def report_markdown(checks: Sequence[BoundCheckReport]) -> str:
         lines.append("")
         if c.inequality_id == "A6" and "A5" in ids:
             lines.append("- A5 and A6 read their gradients off the same paths at each "
-                         "grid point, so their verdicts are correlated.")
+                         "grid point, so their verdicts are correlated; the grid "
+                         "points also share one Brownian draw, scaled to each T.")
         if c.detail:
             lines.append(f"- {c.summary_line()}")
         else:

@@ -12,28 +12,38 @@ identical.
 Parallelism: ``parallel_map`` is the one place where work runs on threads.  It
 returns its results in input order, and a map called from inside a task of
 another map runs inline, so pools never nest and at most ``workers`` threads
-work at once.  The suite maps over its grid points, Harnack pairs, LemmaLL
-cases and bismut_vs_fd panels, whose estimator calls then run their batches
-inline; an estimator called on its own maps over its batches instead.
+work at once.  The suite maps over its Harnack pairs, LemmaLL cases and
+bismut_vs_fd panels, whose estimator calls then run their batches inline; a
+one-point estimator called on its own maps over its batches instead.  The
+points-list forms (``bismut_panels``, ``estimate_negative_moments``) run their
+batches inline and map their points over ``workers`` inside each tile, so the
+A5/A6 grid and the Lemma 3.1 grid keep the points as their parallel axis.
 
 Batches and tiles: a batch (``batch_size`` paths, 8,192 by default) is the unit
-of parallel work, and a tile is one kernel call.  A batch runs as consecutive
-tiles, each the largest multiple of ``rng.BLOCK_PATHS`` whose (P, n_steps, w)
-arrays fit ``TILE_NORMALS`` floats (2 MiB), w = m + d for a panel, cut at
-absolute multiples of the tile, so a call's arrays stay cache-sized and no
-tile cut splits an RNG block.  Panels on an extended model keep their batches
-whole: that kernel loops over the steps in Python, and its cost per step falls
-with the width of the call.  By the contract above, tiles change no result.
+of parallel work of a one-point call, and a tile is one noise draw.  A batch
+runs as consecutive tiles, each the largest multiple of ``rng.BLOCK_PATHS``
+whose (P, n_steps, w) arrays fit ``TILE_NORMALS`` floats (2 MiB), w = m + d
+for a panel, cut at absolute multiples of the tile, so a call's arrays stay
+cache-sized and no tile cut splits an RNG block.  Panels on an extended model
+keep their batches whole: that kernel loops over the steps in Python, and its
+cost per step falls with the width of the call.  By the contract above, tiles
+change no result.
 
 Panels share the work of a tile across their columns.  ``bismut_panel`` runs
 one simulation per tile for any list of directions: the kernels fill their
 direction part along the m coordinate axes, and ``weights`` combines those
 axes along each direction's v1.  ``fd_panel`` and ``pt_panel`` run the
-direction-free part once per distinct x-start.
+direction-free part once per distinct x-start.  A points-list form shares the
+draw of a tile across its points: by Brownian scaling the increments on
+[0, T] are sqrt(T/n_steps) times one standard-normal array, so every (T, x)
+point reads its noise off that array (``paths.scale_increments``), and each
+point's estimate is bit for bit its one-point estimate at the same seed.  The
+points' estimates are then correlated, each with its own validity mask.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -50,8 +60,11 @@ from .paths import (
     brownian_increments,
     brownian_left_nodes,
     draw_noise,
+    scale_increments,
     simulate_batch,
     simulate_terminal_batch,
+    standard_increments,
+    standard_noise,
 )
 from .rng import BLOCK_PATHS
 from .weights import weight_terms_shared
@@ -66,6 +79,7 @@ __all__ = [
     "estimate_gradient_bismut",
     "estimate_gradient_fd",
     "estimate_negative_moment",
+    "estimate_negative_moments",
     "estimate_lq_moment",
     "lq_moment_rhs",
     "LQ_INTEGRANDS",
@@ -73,6 +87,7 @@ __all__ = [
     "split_point",
     "pt_panel",
     "bismut_panel",
+    "bismut_panels",
     "fd_panel",
 ]
 
@@ -202,38 +217,60 @@ def _tiles(start: int, stop: int, tile: Optional[int]) -> list[tuple[int, int]]:
 
 def run_batches(
     n_paths: int,
-    batch_fn: Callable[[int, int], tuple[dict, np.ndarray]],
+    draw: Callable[[int, int], _T],
+    point_fns: Sequence[Callable[[_T], tuple[dict, np.ndarray]]],
     workers: int = 1,
     batch_size: Optional[int] = None,
     tile: Optional[int] = None,
-) -> dict:
-    """One MCEstimate per column that ``batch_fn`` fills, under the column's key.
+) -> list[dict]:
+    """For each function of ``point_fns``, one MCEstimate per column it fills,
+    under the column's key.
 
-    ``batch_fn(start, stop)`` returns ``({key: values}, ok)`` for paths
-    start..stop-1, with the same keys for every call; every column is averaged
-    over the paths ``ok`` marks valid.  Placement by path index keeps the result
-    independent of worker count, batch size, tile and completion order.
+    ``draw(start, stop)`` returns the noise of paths start..stop-1, and each
+    point function maps that noise to ``({key: values}, ok)``, with the same
+    keys for every call; every column of a point is averaged over the paths its
+    own ``ok`` marks valid, so an invalid path of one point leaves the counts of
+    the others unchanged.  Placement by path index keeps the result independent
+    of worker count, batch size, tile and completion order.
 
-    A batch of ``batch_size`` paths is the unit of parallel work: the batches go
-    through ``parallel_map``, so they overlap on ``workers`` threads when the
-    estimator is called on its own, and run inline when it is called from a task
-    of the suite's point-level map.  A tile is one ``batch_fn`` call: a batch
-    runs as the consecutive tiles cut at the absolute multiples of ``tile``
-    (see ``_tile``), so every tile's noise and temporaries stay
-    cache-sized, and no RNG block is drawn by two tiles of one batch.  Without ``tile`` a
-    batch is one call; the extended panels keep their batches whole, as their
-    kernel loops over the steps in Python and a narrower call costs more per
-    step.
+    A tile is one ``draw`` call, whose noise every point function reads before
+    it is dropped: a batch of ``batch_size`` paths runs as the consecutive
+    tiles cut at the absolute multiples of ``tile`` (see ``_tile``), so every
+    tile's noise and temporaries stay cache-sized, and no RNG block is drawn by
+    two tiles of one batch.  Without ``tile`` a batch is one tile; the extended
+    panels keep their batches whole, as their kernel loops over the steps in
+    Python and a narrower call costs more per step.
+
+    The work goes through ``parallel_map`` along one axis.  With one point
+    function the batches are mapped over ``workers``, so they overlap when the
+    estimator is called on its own, and run inline when it is called from a
+    task of the suite's map.  With several, the batches run inline and each
+    tile maps the point functions over ``workers``, so the parallel axis is the
+    points and at most one tile's draw is alive.  Without point functions
+    nothing is drawn.
     """
+    if not point_fns:
+        return []
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, batch_size or DEFAULT_BATCH_SIZE)]
-    results = parallel_map(lambda tiles: [batch_fn(*t) for t in tiles], spans, workers)
-    cols = {key: np.empty(n_paths) for key in results[0][0][0]}
-    valid = np.empty(n_paths, dtype=bool)
-    for (start, stop), (out, ok) in zip(itertools.chain(*spans), itertools.chain(*results)):
-        for key, col in cols.items():
-            col[start:stop] = out[key]
-        valid[start:stop] = ok
-    return {key: _finalize(col, valid) for key, col in cols.items()}
+
+    def run_tile(start: int, stop: int) -> list:
+        noise = draw(start, stop)
+        return parallel_map(lambda fn: fn(noise), point_fns, workers)
+
+    results = parallel_map(lambda tiles: [run_tile(*t) for t in tiles], spans,
+                           1 if len(point_fns) > 1 else workers)
+    tile_spans, tile_results = list(itertools.chain(*spans)), list(itertools.chain(*results))
+    estimates = []
+    for k in range(len(point_fns)):
+        cols = {key: np.empty(n_paths) for key in tile_results[0][k][0]}
+        valid = np.empty(n_paths, dtype=bool)
+        for (start, stop), per_point in zip(tile_spans, tile_results):
+            out, ok = per_point[k]
+            for key, col in cols.items():
+                col[start:stop] = out[key]
+            valid[start:stop] = ok
+        estimates.append({key: _finalize(col, valid) for key, col in cols.items()})
+    return estimates
 
 
 def split_point(model: ModelSpec, z0) -> tuple[np.ndarray, np.ndarray]:
@@ -293,30 +330,50 @@ def estimate_negative_moment(m: int, x, T: float, n_exp: float, alpha: float,
                              n_paths: int, n_steps: int, seed: int,
                              *, workers: int = 1,
                              batch_size: Optional[int] = None) -> MCEstimate:
-    """E (int_0^T |x + B_t|^{2n} dt)^{-alpha} for an m-dimensional Brownian path."""
+    """E (int_0^T |x + B_t|^{2n} dt)^{-alpha} for an m-dimensional Brownian path.
+
+    The one-point case of ``estimate_negative_moments``.
+    """
+    return estimate_negative_moments(m, [(x, T)], n_exp, alpha, n_paths, n_steps, seed,
+                                     workers=workers, batch_size=batch_size)[0]
+
+
+def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alpha: float,
+                              n_paths: int, n_steps: int, seed: int,
+                              *, workers: int = 1,
+                              batch_size: Optional[int] = None) -> list[MCEstimate]:
+    """``estimate_negative_moment`` at every (x, T) of ``points``, in order.
+
+    Every point reads its increments off one standard-normal draw per tile,
+    scaled to its own grid (``paths.scale_increments``), so each estimate is
+    bit for bit the one-point estimate at ``seed``, whichever points share the
+    call.  The points are mapped over ``workers`` inside each tile.
+    """
     if n_exp < 1:
         raise ValueError("moment exponent n must satisfy n >= 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (m,):
+    starts = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in points]
+    if any(x.shape != (m,) for x in starts):
         raise ValueError(f"x must have shape ({m},)")
-    grid = TimeGrid(T, n_steps)
+    grids = [TimeGrid(T, n_steps) for _, T in points]
 
-    def batch_fn(start, stop):
-        idx = np.arange(start, stop, dtype=np.int64)
-        dB = brownian_increments(seed, idx, grid, m)
-        x_left, _ = brownian_left_nodes(x, dB)
+    def draw(start, stop):
+        return standard_increments(seed, np.arange(start, stop, dtype=np.int64), n_steps, m)
+
+    def moment(x, grid, eps):
+        x_left, _ = brownian_left_nodes(x, scale_increments(eps, grid))
         r = np.abs(x_left[..., 0]) if m == 1 else np.linalg.norm(x_left, axis=-1)
-        integral = T * np.mean(r ** (2.0 * n_exp), axis=1)
+        integral = grid.horizon * np.mean(r ** (2.0 * n_exp), axis=1)
         ok = integral > 0.0
         vals = np.where(ok, integral, 1.0) ** (-alpha)
         return {"value": np.where(ok, vals, 0.0)}, ok
 
-    return run_batches(n_paths, batch_fn, workers, batch_size,
-                       _tile(n_steps, m))["value"]
+    point_fns = [functools.partial(moment, x, grid) for x, grid in zip(starts, grids)]
+    return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
+                                                batch_size, _tile(n_steps, m))]
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +467,10 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
     grid = TimeGrid(T, n_steps)
     width = 2 if integrand == "sigma_row" else 1
 
-    def batch_fn(start, stop):
-        idx = np.arange(start, stop, dtype=np.int64)
-        increments = brownian_increments(seed, idx, grid, width)
+    def draw(start, stop):
+        return brownian_increments(seed, np.arange(start, stop, dtype=np.int64), grid, width)
+
+    def moment(increments):
         dBt = increments[:, :, -1]
         if integrand == "constant_unit":
             rho = np.ones_like(dBt)
@@ -425,8 +483,8 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
         vals = np.abs(n_T) ** q
         return {"value": vals}, np.isfinite(vals)
 
-    return run_batches(n_paths, batch_fn, workers, batch_size,
-                       _tile(n_steps, width))["value"]
+    return run_batches(n_paths, draw, [moment], workers, batch_size,
+                       _tile(n_steps, width))[0]["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +550,12 @@ def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunc
         raise ValueError("n_paths must be at least 2")
     grid = TimeGrid(T, n_steps)
 
-    def batch_fn(start, stop):
-        ok = np.ones(stop - start, dtype=bool)
-        terminal = _terminal_states(model, grid, seed, start, stop)
+    def draw(start, stop):
+        return stop - start, _terminal_states(model, grid, seed, start, stop)
+
+    def values(tile):
+        n, terminal = tile
+        ok = np.ones(n, dtype=bool)
         finals = []
         for z0 in starts:
             z_final, valid = terminal(z0)
@@ -504,8 +565,8 @@ def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunc
                for f in fs for k, z_final in enumerate(finals)}
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, batch_fn, workers, batch_size,
-                       _model_tile(model, n_steps))
+    return run_batches(n_paths, draw, [values], workers, batch_size,
+                       _model_tile(model, n_steps))[0]
 
 
 def bismut_panel(model: ModelSpec, z0, T: float,
@@ -515,26 +576,54 @@ def bismut_panel(model: ModelSpec, z0, T: float,
                  workers: int = 1, batch_size: Optional[int] = None) -> dict:
     """Weight-gradient estimates for every (f, v) plus plain semigroup observables.
 
-    Each batch draws its noise once and runs one simulation, whose direction
-    part runs along the m coordinate axes; every direction's weight is the
-    combination of those axes along its v1 (``weights.weight_terms_shared``),
-    so an entry does not depend on which other directions share the panel.
-    The returned dict maps ("grad", f.name, j) and ("pt", label) to
-    MCEstimates.  All estimates share one validity mask: a path counts as
-    invalid in every column if its simulation is invalid, its Q_T is not
-    solvable, or any of its column values is not finite.
+    The one-point case of ``bismut_panels``.  Each tile draws its noise once
+    and runs one simulation, whose direction part runs along the m coordinate
+    axes; every direction's weight is the combination of those axes along its
+    v1 (``weights.weight_terms_shared``), so an entry does not depend on which
+    other directions share the panel.  The returned dict maps
+    ("grad", f.name, j) and ("pt", label) to MCEstimates.  All estimates share
+    one validity mask: a path counts as invalid in every column if its
+    simulation is invalid, its Q_T is not solvable, or any of its column values
+    is not finite.
+    """
+    return bismut_panels(model, [(z0, T)], fs, vs, n_paths, n_steps, seed,
+                         extra_obs=extra_obs, workers=workers, batch_size=batch_size)[0]
+
+
+def bismut_panels(model: ModelSpec, points: Sequence[tuple],
+                  fs: Sequence[TestFunction], vs: Sequence[Direction],
+                  n_paths: int, n_steps: int, seed: int,
+                  *, extra_obs: Sequence[tuple[str, Callable]] = (),
+                  workers: int = 1, batch_size: Optional[int] = None) -> list[dict]:
+    """``bismut_panel`` at every (z0, T) of ``points``, in order.
+
+    Each tile draws its standard normals once (``paths.standard_noise``), and
+    every point scales them to its own grid (``paths.scale_increments``): by
+    Brownian scaling one draw serves every horizon.  So each panel is bit for
+    bit the one-point panel at ``seed``, whichever points share the call, and
+    each keeps its own validity mask.  The points are mapped over ``workers``
+    inside each tile.  A one-point call shares its draw with no other point,
+    so it draws it on its grid, scaled in place (``paths.draw_noise``), the
+    same bits without a second copy of the tile's noise.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     if not vs:
         raise ValueError("bismut_panel needs at least one direction")
-    x0, y0 = split_point(model, z0)
-    grid = TimeGrid(T, n_steps)
+    grids = [TimeGrid(T, n_steps) for _, T in points]
+    shared = len(points) > 1
 
-    def batch_fn(start, stop):
-        ok = np.ones(stop - start, dtype=bool)
-        noise = draw_noise(seed, np.arange(start, stop, dtype=np.int64), grid, model)
+    def draw(start, stop):
+        idx = np.arange(start, stop, dtype=np.int64)
+        if shared:
+            return standard_noise(seed, idx, n_steps, model)
+        return draw_noise(seed, idx, grids[0], model)
+
+    def columns(x0, y0, grid, noise):
+        if shared:
+            noise = (scale_increments(noise[0], grid), noise[1])
         batch = simulate_batch(model, x0, y0, grid, noise)
+        ok = np.ones(len(batch), dtype=bool)
         m_t = []
         for v in vs:
             drift, trace, inner, solvable = weight_terms_shared(batch, v)
@@ -548,7 +637,9 @@ def bismut_panel(model: ModelSpec, z0, T: float,
             out[("pt", label)] = np.asarray(fn(z_final), dtype=float)
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, batch_fn, workers, batch_size,
+    point_fns = [functools.partial(columns, *split_point(model, z0), grid)
+                 for (z0, _), grid in zip(points, grids)]
+    return run_batches(n_paths, draw, point_fns, workers, batch_size,
                        _model_tile(model, n_steps))
 
 
@@ -574,9 +665,12 @@ def fd_panel(model: ModelSpec, z0, T: float,
     z = np.asarray(z0, dtype=float)
     grid = TimeGrid(T, n_steps)
 
-    def batch_fn(start, stop):
-        ok = np.ones(stop - start, dtype=bool)
-        terminal = _terminal_states(model, grid, seed, start, stop)
+    def draw(start, stop):
+        return stop - start, _terminal_states(model, grid, seed, start, stop)
+
+    def differences(tile):
+        n, terminal = tile
+        ok = np.ones(n, dtype=bool)
         ends = []
         for v in vs:
             shift = np.concatenate([v.v1, v.v2])
@@ -589,5 +683,5 @@ def fd_panel(model: ModelSpec, z0, T: float,
                for f in fs for j, (z_up, z_dn) in enumerate(ends)}
         return out, _all_finite(out, ok)
 
-    return run_batches(n_paths, batch_fn, workers, batch_size,
-                       _model_tile(model, n_steps))
+    return run_batches(n_paths, draw, [differences], workers, batch_size,
+                       _model_tile(model, n_steps))[0]

@@ -153,8 +153,17 @@ def _identity_lift_grad(dscalar_fn, d):
 
 
 def _dot_last(x, v):
-    """<x, v> over the last axis with v of shape (m,) or broadcastable (..., m)."""
-    return np.sum(np.asarray(x) * np.asarray(v), axis=-1)
+    """<x, v> over the last axis with v of shape (m,) or broadcastable (..., m).
+
+    One (m,) vector, as the kernels pass along each coordinate axis, is a
+    matrix-vector product, an order of magnitude faster than the elementwise
+    product and sum over (P, n_steps, m) nodes; ``as_extended`` passes
+    (P, m) directions, which take the broadcast form.
+    """
+    x, v = np.asarray(x), np.asarray(v)
+    if v.ndim == 1:
+        return x @ v
+    return np.sum(x * v, axis=-1)
 
 
 def make_power_law_model(m: int, d: int, l: float) -> ModelSpec:

@@ -64,7 +64,10 @@ is a function of row p of the noise alone, so a path gives the same bits in
 any batch, and running two kernels (or a coarse and a fine grid) on one draw
 needs no other entry point.  ``draw_noise`` draws dB from substream 0 and zeta
 from substream 1 of ``rng.PathStreams``: the noise of path i is a pure function
-of (master_seed, i).
+of (master_seed, i).  It is ``standard_noise``, the unit-variance normals, with
+the increments scaled to the grid by ``scale_increments``.  By Brownian scaling
+the increments on [0, T] are sqrt(T/n_steps) times those standard normals, so
+one standard draw serves every horizon T of a given step count, bit for bit.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ __all__ = [
     "brownian_increments",
     "brownian_left_nodes",
     "draw_noise",
+    "scale_increments",
+    "standard_increments",
+    "standard_noise",
     "simulate_basic_batch",
     "simulate_extended_batch",
     "simulate_batch",
@@ -154,23 +160,45 @@ def _as_state(value, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+def standard_increments(master_seed: int, path_indices, n_steps: int,
+                        width: int) -> np.ndarray:
+    """Standard normals (P, n_steps, width) from substream 0: those of a path are
+    a pure function of (master_seed, path index)."""
+    return PathStreams(master_seed).fill_normals(np.asarray(path_indices), (n_steps, width))
+
+
+def scale_increments(eps: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The Brownian increments on ``grid`` of the standard normals ``eps``
+    (P, n_steps, ...): by Brownian scaling, eps * sqrt(dt), as a new array."""
+    return eps * np.sqrt(grid.dt)
+
+
 def brownian_increments(master_seed: int, path_indices, grid: TimeGrid,
                         width: int) -> np.ndarray:
     """Increments (P, n_steps, width) of a width-dimensional Brownian motion from
     substream 0: those of a path are a pure function of (master_seed, path index)."""
-    eps = PathStreams(master_seed).fill_normals(np.asarray(path_indices),
-                                                (grid.n_steps, width))
-    eps *= np.sqrt(grid.dt)
+    eps = standard_increments(master_seed, path_indices, grid.n_steps, width)
+    eps *= np.sqrt(grid.dt)   # scale_increments, in place: no other reader
     return eps
+
+
+def standard_noise(master_seed: int, path_indices, n_steps: int,
+                   model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The standard normals of the kernel noise: (P, n_steps, m) from substream 0
+    and zeta (P, d) from substream 1.  ``scale_increments`` turns the first into
+    the increments of B on any grid of ``n_steps`` steps."""
+    idx = np.asarray(path_indices)
+    zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
+    return standard_increments(master_seed, idx, n_steps, model.m), zeta
 
 
 def draw_noise(master_seed: int, path_indices, grid: TimeGrid,
                model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """The kernel noise (dB, zeta) of the paths: increments (P, n_steps, m) of B
     from substream 0 and standard normals (P, d) from substream 1."""
-    idx = np.asarray(path_indices)
-    zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
-    return brownian_increments(master_seed, idx, grid, model.m), zeta
+    eps, zeta = standard_noise(master_seed, path_indices, grid.n_steps, model)
+    eps *= np.sqrt(grid.dt)   # scale_increments, in place: no other reader
+    return eps, zeta
 
 
 def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -245,14 +245,14 @@ def test_a5_ratio_homogeneous_in_direction_scale():
 
 @pytest.mark.parametrize("p", [4.0, 1.5])
 def test_a5_ratio_at_p_other_than_2_reads_the_abs_power_column(p):
-    # rebuild |grad_v P f| / ((P|f|^p)^{1/p} rate) from a panel on the grid
-    # point's own seed, with |f|^p as the only plain observable
+    # rebuild |grad_v P f| / ((P|f|^p)^{1/p} rate) from a one-point panel on
+    # the grid seed, with |f|^p as the only plain observable
     model = make_power_law_model(1, 1, 1.0)
     f = observable("sin_y", model)
     mc = McParams(n_paths=2000, n_steps=20, seed=17)
     rep = check_a5(model, p, [f], mc, calibration=((1.0, 1.0),), holdout=((0.5, 0.5),))
     point = next(q for q in rep.points if q.label == "T=0.5,x=0.5,f=sin_y,v=1")
-    seed = rng.derive_seed(mc.seed, "grad_grid:holdout:0.5:0.5")
+    seed = rng.derive_seed(mc.seed, "grad_grid")
     assert point.seed == seed
     panel = estimators.bismut_panel(
         model, [0.5, 0.0], 0.5, [f], [Direction.make(1.0, 0.0), Direction.make(0.0, 1.0)],
@@ -298,12 +298,81 @@ def test_a5_alone_simulates_only_its_axes(monkeypatch):
                                              ((0.0, 0.0, 0.0), (1.0,))]
 
 
-def _record_threads(monkeypatch, name):
-    """Record the thread of every call of ``analysis.<name>``.  Once armed, the
+# ---------------------------------------------------------------------------
+# one Brownian draw per check grid
+# ---------------------------------------------------------------------------
+
+_SHARED_KEYS = [("calibration", 0.5, 0.0), ("calibration", 2.0, 1.0),
+                ("holdout", 0.5, 1.0), ("holdout", 2.0, 0.0)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", [make_power_law_model(1, 1, 1.0), make_extended_demo_model()],
+                         ids=["basic", "extended"])
+def test_a_grid_point_is_the_one_point_panel_at_the_grid_seed(monkeypatch, model, workers):
+    # two T and two x in one grid call; a 256-path tile cuts the basic
+    # model's 600 paths into three tiles, each drawn once for all points
+    monkeypatch.setattr(estimators, "TILE_NORMALS", 12 * 2 * 256)
+    fs = [observable("sin_y", model), observable("tanh_y", model)]
+    mc = McParams(n_paths=600, n_steps=12, seed=71, workers=workers)
+    grid = GradientGrid(model, fs, mc)
+    grid.build(_SHARED_KEYS)
+    assert grid.seed == rng.derive_seed(mc.seed, "grad_grid")
+    axes = [Direction(e[: model.m], e[model.m:]) for e in np.eye(model.m + model.d)]
+    squares = [(f"{f.name}^2", lambda z, f=f: np.asarray(f.eval(z), dtype=float) ** 2)
+               for f in fs]
+    for phase, T, x in _SHARED_KEYS:
+        z0, panel = grid.point(phase, T, x)
+        assert list(z0) == [x, 0.0]
+        alone = estimators.bismut_panel(model, z0, T, fs, axes, mc.n_paths, mc.n_steps,
+                                        grid.seed, extra_obs=squares)
+        assert panel == alone, (phase, T, x)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_lemma31_point_is_the_one_point_moment_at_the_grid_seed(workers):
+    mc = McParams(n_paths=600, n_steps=12, seed=73, workers=workers)
+    cal, hold = [(T, x) for _, T, x in _SHARED_KEYS[:2]], [(T, x) for _, T, x in _SHARED_KEYS[2:]]
+    rep = check_lemma31(mc, m=2, n_exp=1.5, alpha=0.5, calibration=cal, holdout=hold)
+    seed = rng.derive_seed(mc.seed, "lemma31")
+    assert len(rep.points) == 4
+    for p in rep.points:
+        est = estimators.estimate_negative_moment(2, [p.z0[0], 0.0], p.T, 1.5, 0.5,
+                                                  mc.n_paths, mc.n_steps, seed)
+        normalizer = p.T**0.5 * (p.z0[0] ** 2 + p.T) ** 0.75
+        assert p.seed == seed
+        assert (p.ratio, p.tolerance) == (est.mean * normalizer, 4.0 * est.stderr * normalizer)
+        assert (p.n_valid, p.n_invalid) == (est.n_valid, est.n_invalid)
+
+
+def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
+    # K = 100: the A6 grid's tile (width m + d = 2) is 1,280 paths and Lemma
+    # 3.1's (width m = 1) 2,560, so 3,000 paths are three and two tiles; every
+    # tile draws once from each substream it reads, for all 13 points
+    draws = {0: [], 1: []}
+    real = rng.PathStreams.fill_normals
+
+    def counting(self, path_indices, shape):
+        draws[self.substream].append(len(path_indices))
+        return real(self, path_indices, shape)
+
+    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
+    model = make_power_law_model(1, 1, 1.0)
+    mc = McParams(n_paths=3000, n_steps=100, seed=79)
+    rep = check_a6(model, [observable("sin_y", model)], mc)
+    assert len(rep.points) == 13
+    assert draws == {0: [1280, 1280, 440], 1: [1280, 1280, 440]}
+    draws[0].clear(), draws[1].clear()
+    assert len(check_lemma31(mc).points) == 13
+    assert draws == {0: [2560, 440], 1: []}
+
+
+def _record_threads(monkeypatch, module, name):
+    """Record the thread of every call of ``module.<name>``.  Once armed, the
     first two calls wait for each other, so they pass only if they overlap."""
     threads, armed = set(), []
     barrier = threading.Barrier(2, timeout=30)
-    real = getattr(analysis, name)
+    real = getattr(module, name)
 
     def recording(*args, **kwargs):
         threads.add(threading.get_ident())
@@ -315,25 +384,27 @@ def _record_threads(monkeypatch, name):
             barrier.wait()
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return threads, armed
 
 
 def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
+    # a grid point's task runs the path functionals of its own T and x, inside
+    # the tile of the grid's one draw; a Harnack pair's task is a check_harnack
     model = make_power_law_model(1, 1, 1.0)
     cases = [
-        ("estimate_negative_moment", lambda mc: check_lemma31(
+        ((estimators, "brownian_left_nodes"), lambda mc: check_lemma31(
             mc, calibration=((0.25, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))),
-        ("check_harnack", lambda mc: check_harnack_suite(
+        ((analysis, "check_harnack"), lambda mc: check_harnack_suite(
             model, 1.0, [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5)),
                          ((1.0, 0.0), (1.5, 0.0))],
             observable("one_plus_tanh_y", model), 1.0, mc)),
-        ("bismut_panel", lambda mc: check_a5(
+        ((estimators, "simulate_batch"), lambda mc: check_a5(
             model, 2.0, [observable("sin_y", model)], mc,
             calibration=((1.0, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))),
     ]
-    for name, run in cases:
-        threads, armed = _record_threads(monkeypatch, name)
+    for (module, name), run in cases:
+        threads, armed = _record_threads(monkeypatch, module, name)
         serial = run(McParams(1000, 10, 59, workers=1))
         threads.clear()
         armed += [True, True]

@@ -195,14 +195,16 @@ def test_a5_and_a6_rows_of_a_grid_point_share_its_seed(bound_rows):
 
 
 def _count_grid_panels(monkeypatch):
+    """The n_paths of every grid point built, one entry per point of each
+    ``bismut_panels`` call."""
     calls = []
-    real = analysis.bismut_panel
+    real = analysis.bismut_panels
 
-    def counting(*args, **kwargs):
-        calls.append(args[5])   # n_paths
-        return real(*args, **kwargs)
+    def counting(model, points, *args, **kwargs):
+        calls.extend([args[2]] * len(points))   # n_paths
+        return real(model, points, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "bismut_panel", counting)
+    monkeypatch.setattr(analysis, "bismut_panels", counting)
     return calls
 
 

@@ -496,6 +496,21 @@ def test_panels_draw_noise_once_per_batch(monkeypatch):
     assert len(sims) == 3         # one per batch, whatever the directions
 
 
+def test_an_invalid_path_of_one_point_leaves_the_others_counts():
+    # the observable is NaN past x = 2.5: most paths from x = 3 hit it, none
+    # from x = 0 in a quarter of time; each point keeps its own validity mask
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    far = [("far", lambda z: np.where(np.asarray(z)[:, 0] > 2.5, np.nan, 1.0))]
+    points = [([0.0, 0.0], 0.25), ([3.0, 0.0], 0.25), ([0.5, 0.0], 1.0)]
+    panels = estimators.bismut_panels(model, points, fs, [EX, EY], 500, 10, 83,
+                                      extra_obs=far, workers=2)
+    assert panels[1][("pt", "far")].n_invalid > 250
+    for (z0, T), panel in zip(points, panels):
+        assert panel == bismut_panel(model, z0, T, fs, [EX, EY], 500, 10, 83, extra_obs=far)
+    assert {e.n_invalid for e in panels[0].values()} == {0}
+
+
 def _counting_draws(monkeypatch):
     """The path indices of every RNG draw, listed by substream."""
     draws = {0: [], 1: []}

@@ -45,6 +45,26 @@ def test_power_law_grad_matches_finite_difference():
     assert analytic == pytest.approx(fd, abs=1e-6)
 
 
+@pytest.mark.parametrize("l", [1.0, 1.5, 2.0])
+def test_power_law_grad_along_an_axis_is_the_product_and_sum_reference(l):
+    # m > 1: one (m,) direction takes a matrix-vector product, (P, m)
+    # directions the broadcast product and sum; both give the reference bits
+    model = make_power_law_model(3, 1, l)
+    x = np.random.default_rng(5).standard_normal((64, 10, 3))
+    x[0, 0] = 0.0
+    r = np.linalg.norm(x, axis=-1)
+
+    def reference(v):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = l * r ** (l - 2.0) * np.sum(x * v, axis=-1)
+        return np.where(r == 0.0, 0.0, out)
+
+    for e in np.eye(3):
+        assert model.grad_sigma_scalar(x, e).tobytes() == reference(e).tobytes()
+    rows = np.random.default_rng(6).standard_normal((64, 1, 3))
+    assert model.grad_sigma_scalar(x, rows).tobytes() == reference(rows).tobytes()
+
+
 def test_power_law_rejects_small_exponent():
     with pytest.raises(ValueError):
         make_power_law_model(1, 1, 0.5)

@@ -24,10 +24,13 @@ from gruschin.paths import (
     brownian_increments,
     brownian_left_nodes,
     draw_noise,
+    scale_increments,
     simulate_basic_batch,
     simulate_batch,
     simulate_extended_batch,
     simulate_terminal_batch,
+    standard_increments,
+    standard_noise,
 )
 from gruschin.rng import PathStreams
 from gruschin.weights import weight_terms_shared
@@ -285,6 +288,17 @@ def test_brownian_increments_split_across_a_partial_block():
     assert whole[0].shape == (1250, 30, 1) and whole[1].shape == (1250, 2)
     for w, h, t in zip(whole, head, tail):
         assert np.array_equal(w, np.concatenate([h, t]))
+
+
+@pytest.mark.parametrize("T", [0.25, 2.0])
+def test_one_standard_draw_scales_to_every_horizon_bit_for_bit(T):
+    # Brownian scaling: the noise on [0, T] is the standard draw times sqrt(T/K)
+    grid, idx, model = TimeGrid(T, 30), np.arange(5, 700), make_tilted_matrix_model()
+    eps = standard_increments(67, idx, 30, 3)
+    assert scale_increments(eps, grid).tobytes() == brownian_increments(67, idx, grid, 3).tobytes()
+    (eps, zeta), (dB, zeta_T) = standard_noise(67, idx, 30, model), draw_noise(67, idx, grid, model)
+    assert scale_increments(eps, grid).tobytes() == dB.tobytes()
+    assert zeta.tobytes() == zeta_T.tobytes()
 
 
 def test_extended_override_for_one_path_is_refused_for_four():
