@@ -35,8 +35,8 @@ from .models import (
 )
 from .paths import (
     TimeGrid,
-    draw_noise,
     simulate_batch,
+    standard_noise,
 )
 from .rng import derive_seed
 from .weights import weight_terms_shared
@@ -384,7 +384,7 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     n = min(mc.n_paths, 2000)
     idx = np.arange(n, dtype=np.int64)
     seed = derive_seed(mc.seed, "reduction")
-    noise = draw_noise(seed, idx, grid, model)
+    noise = standard_noise(seed, idx, mc.n_steps, model)
     # the two kernels only read the shared noise, so they run side by side
     bb, eb = parallel_map(
         lambda mdl: simulate_batch(mdl, x0, y0, grid, noise),
@@ -572,7 +572,7 @@ def _cmd_dump_paths(args) -> int:
     chunk = 8192
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        noise = draw_noise(cfg.run.master_seed, idx, grid, model)
+        noise = standard_noise(cfg.run.master_seed, idx, grid.n_steps, model)
         batch = simulate_batch(model, x0, y0, grid, noise)
         drift, trace, inner, _ = weight_terms_shared(batch, v)
         m_t = drift + trace + inner

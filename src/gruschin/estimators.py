@@ -4,7 +4,7 @@ and the moment quantities behind the negative-moment and L^q inequalities.
 Determinism contract: per-path sample values are pure functions of
 (master_seed, path_index), since path i reads column i % 256 of the SFC64 block
 i // 256 of each substream it draws (0, and 1 for the panels' zeta; see ``rng``
-and ``paths.draw_noise``) whatever batch asks for it; they are assembled into
+and ``paths.standard_noise``) whatever batch asks for it; they are assembled into
 arrays ordered by path index and reduced by a fixed pairwise tree.
 Serial and multi-worker runs, and any batch size, are therefore bitwise
 identical.
@@ -34,11 +34,11 @@ one simulation per tile for any list of directions: the kernels fill their
 direction part along the m coordinate axes, and ``weights`` combines those
 axes along each direction's v1.  ``fd_panel`` and ``pt_panel`` run the
 direction-free part once per distinct x-start.  A points-list form shares the
-draw of a tile across its points: by Brownian scaling the increments on
-[0, T] are sqrt(T/n_steps) times one standard-normal array, so every (T, x)
-point reads its noise off that array (``paths.scale_increments``), and each
-point's estimate is bit for bit its one-point estimate at the same seed.  The
-points' estimates are then correlated, each with its own validity mask.
+draw of a tile across its points: every draw is of standard normals, which
+the kernels and ``paths.brownian_left_nodes`` scale to each point's own grid,
+so every (T, x) point reads its noise off that one array, and each point's
+estimate is bit for bit its one-point estimate at the same seed.  The points'
+estimates are then correlated, each with its own validity mask.
 """
 
 from __future__ import annotations
@@ -57,10 +57,7 @@ import numpy as np
 from .models import Direction, ModelKind, ModelSpec, TestFunction
 from .paths import (
     TimeGrid,
-    brownian_increments,
     brownian_left_nodes,
-    draw_noise,
-    scale_increments,
     simulate_batch,
     simulate_terminal_batch,
     standard_increments,
@@ -344,15 +341,15 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
                               batch_size: Optional[int] = None) -> list[MCEstimate]:
     """``estimate_negative_moment`` at every (x, T) of ``points``, in order.
 
-    Every point reads its increments off one standard-normal draw per tile,
-    scaled to its own grid (``paths.scale_increments``), so each estimate is
-    bit for bit the one-point estimate at ``seed``, whichever points share the
-    call.  The points are mapped over ``workers`` inside each tile.
+    Every point builds its path from one standard-normal draw per tile, on
+    its own grid (``paths.brownian_left_nodes``), so each estimate is bit for
+    bit the one-point estimate at ``seed``, whichever points share the call.
+    The points are mapped over ``workers`` inside each tile.
     """
-    if n_exp < 1:
-        raise ValueError("moment exponent n must satisfy n >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (1 <= n_exp < math.inf):
+        raise ValueError("moment exponent n must be finite and satisfy n >= 1")
+    if not (0 < alpha < math.inf):
+        raise ValueError("alpha must be positive and finite")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     starts = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in points]
@@ -364,7 +361,7 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
         return standard_increments(seed, np.arange(start, stop, dtype=np.int64), n_steps, m)
 
     def moment(x, grid, eps):
-        x_left, _ = brownian_left_nodes(x, scale_increments(eps, grid))
+        x_left, _ = brownian_left_nodes(x, eps, grid)
         r = np.abs(x_left[..., 0]) if m == 1 else np.linalg.norm(x_left, axis=-1)
         integral = grid.horizon * np.mean(r ** (2.0 * n_exp), axis=1)
         ok = integral > 0.0
@@ -423,11 +420,16 @@ def _integrate(fn: Callable[[np.ndarray], np.ndarray], T: float) -> float:
     return 0.5 * h * float(np.sum(fn(t) @ _GL_WEIGHTS))
 
 
+def _check_q(q: float) -> None:
+    """Refuse a q outside [2, inf): the bound needs q >= 2, and NaN or inf has no moment."""
+    if not (2 <= q < math.inf):
+        raise ValueError("q must be finite and at least 2")
+
+
 def lq_moment_rhs(integrand: str, q: float, T: float, *, l: float = 1.0,
                   x: float = 0.0) -> float:
     """Closed-form bound {q(q-1)/2}^{q/2} (int_0^T (E|rho_t|^q)^{2/q} dt)^{q/2}."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    _check_q(q)
     if integrand == "constant_unit":
         return _LQ_CONSTANT_FACTOR(q) * T ** (q / 2.0)
     if integrand == "adapted_cos":
@@ -458,8 +460,7 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
       adapted_cos   -- rho_t = cos(Bt_{t}) at the left node (bounded, adapted);
       sigma_row     -- rho_t = (x + W_t)^l with W an independent Brownian motion.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    _check_q(q)
     if integrand not in LQ_INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand!r}; choose from {LQ_INTEGRANDS}")
     if n_paths < 2:
@@ -468,18 +469,17 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
     width = 2 if integrand == "sigma_row" else 1
 
     def draw(start, stop):
-        return brownian_increments(seed, np.arange(start, stop, dtype=np.int64), grid, width)
+        return standard_increments(seed, np.arange(start, stop, dtype=np.int64), n_steps, width)
 
-    def moment(increments):
-        dBt = increments[:, :, -1]
+    def moment(eps):
         if integrand == "constant_unit":
-            rho = np.ones_like(dBt)
+            rho = 1.0
         elif integrand == "adapted_cos":
-            rho = np.cos(brownian_left_nodes(0.0, dBt)[0])
+            rho = np.cos(brownian_left_nodes(0.0, eps[:, :, -1], grid)[0])
         else:  # sigma_row
-            w_left, _ = brownian_left_nodes(x, increments[:, :, 0])
+            w_left, _ = brownian_left_nodes(x, eps[:, :, 0], grid)
             rho = np.sign(w_left) * np.abs(w_left) ** l
-        n_T = (rho * dBt).sum(axis=1)
+        n_T = (rho * (eps[:, :, -1] * np.sqrt(grid.dt))).sum(axis=1)   # the Ito sum
         vals = np.abs(n_T) ** q
         return {"value": vals}, np.isfinite(vals)
 
@@ -519,7 +519,7 @@ def _terminal_states(model: ModelSpec, grid: TimeGrid, seed: int,
     well defined, while ``bismut_panel``, which needs the derivative, counts
     them invalid.
     """
-    noise = draw_noise(seed, np.arange(start, stop, dtype=np.int64), grid, model)
+    noise = standard_noise(seed, np.arange(start, stop, dtype=np.int64), grid.n_steps, model)
     y_origin = np.zeros(model.d)
     sims = {}  # x-start bytes -> (X_T, Y_T, valid) simulated from (x-start, 0)
 
@@ -598,30 +598,22 @@ def bismut_panels(model: ModelSpec, points: Sequence[tuple],
     """``bismut_panel`` at every (z0, T) of ``points``, in order.
 
     Each tile draws its standard normals once (``paths.standard_noise``), and
-    every point scales them to its own grid (``paths.scale_increments``): by
-    Brownian scaling one draw serves every horizon.  So each panel is bit for
-    bit the one-point panel at ``seed``, whichever points share the call, and
-    each keeps its own validity mask.  The points are mapped over ``workers``
-    inside each tile.  A one-point call shares its draw with no other point,
-    so it draws it on its grid, scaled in place (``paths.draw_noise``), the
-    same bits without a second copy of the tile's noise.
+    every point passes them with its own grid to ``simulate_batch``, whose
+    kernel scales them: by Brownian scaling one draw serves every horizon.  So
+    each panel is bit for bit the one-point panel at ``seed``, whichever points
+    share the call, and each keeps its own validity mask.  The points are
+    mapped over ``workers`` inside each tile.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     if not vs:
         raise ValueError("bismut_panel needs at least one direction")
     grids = [TimeGrid(T, n_steps) for _, T in points]
-    shared = len(points) > 1
 
     def draw(start, stop):
-        idx = np.arange(start, stop, dtype=np.int64)
-        if shared:
-            return standard_noise(seed, idx, n_steps, model)
-        return draw_noise(seed, idx, grids[0], model)
+        return standard_noise(seed, np.arange(start, stop, dtype=np.int64), n_steps, model)
 
     def columns(x0, y0, grid, noise):
-        if shared:
-            noise = (scale_increments(noise[0], grid), noise[1])
         batch = simulate_batch(model, x0, y0, grid, noise)
         ok = np.ones(len(batch), dtype=bool)
         m_t = []
@@ -660,8 +652,8 @@ def fd_panel(model: ModelSpec, z0, T: float,
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     eps = default_fd_eps(z0) if eps is None else float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0 < eps < math.inf):
+        raise ValueError("eps must be positive and finite")
     z = np.asarray(z0, dtype=float)
     grid = TimeGrid(T, n_steps)
 

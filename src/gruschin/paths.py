@@ -57,17 +57,18 @@ formula.  In particular slot i of ``xi_drift_weight`` is the extended model's
 int <sigma1^{-1} xi^i_t/(T-t), dB_t>, and the basic kernel stores the value that
 integral takes in the sigma1 = I, b1 = 0 reduction, B_T/T.
 
-Every kernel takes its noise as one required argument ``noise = (dB, zeta)``,
-the increments (P, n_steps, m) of B and the (P, d) standard normals of S; the
-kernel checks the two shapes and draws nothing itself.  Row p of every output
-is a function of row p of the noise alone, so a path gives the same bits in
-any batch, and running two kernels (or a coarse and a fine grid) on one draw
-needs no other entry point.  ``draw_noise`` draws dB from substream 0 and zeta
-from substream 1 of ``rng.PathStreams``: the noise of path i is a pure function
-of (master_seed, i).  It is ``standard_noise``, the unit-variance normals, with
-the increments scaled to the grid by ``scale_increments``.  By Brownian scaling
-the increments on [0, T] are sqrt(T/n_steps) times those standard normals, so
-one standard draw serves every horizon T of a given step count, bit for bit.
+Every kernel takes its noise as one required argument ``noise = (eps, zeta)``,
+standard normals as ``standard_noise`` draws them: eps (P, n_steps, m) for
+the increments of B and zeta (P, d) for S.  The kernel checks the two shapes,
+draws nothing itself and scales eps to its own grid: by Brownian scaling the
+increments on [0, T] are sqrt(T/n_steps) eps, so one draw serves every
+horizon T of a given step count, bit for bit.  ``brownian_left_nodes`` is the
+one builder of Brownian paths; the extended recursion scales step k's normals
+as it reaches them.  Row p of every output is a function of row p of the noise
+alone, so a path gives the same bits in any batch, and running two kernels (or
+two horizons) on one draw needs no other entry point.  ``standard_noise``
+draws eps from substream 0 and zeta from substream 1 of ``rng.PathStreams``:
+the noise of path i is a pure function of (master_seed, i).
 """
 
 from __future__ import annotations
@@ -82,10 +83,7 @@ from .rng import PathStreams
 __all__ = [
     "TimeGrid",
     "PathBatch",
-    "brownian_increments",
     "brownian_left_nodes",
-    "draw_noise",
-    "scale_increments",
     "standard_increments",
     "standard_noise",
     "simulate_basic_batch",
@@ -167,51 +165,31 @@ def standard_increments(master_seed: int, path_indices, n_steps: int,
     return PathStreams(master_seed).fill_normals(np.asarray(path_indices), (n_steps, width))
 
 
-def scale_increments(eps: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The Brownian increments on ``grid`` of the standard normals ``eps``
-    (P, n_steps, ...): by Brownian scaling, eps * sqrt(dt), as a new array."""
-    return eps * np.sqrt(grid.dt)
-
-
-def brownian_increments(master_seed: int, path_indices, grid: TimeGrid,
-                        width: int) -> np.ndarray:
-    """Increments (P, n_steps, width) of a width-dimensional Brownian motion from
-    substream 0: those of a path are a pure function of (master_seed, path index)."""
-    eps = standard_increments(master_seed, path_indices, grid.n_steps, width)
-    eps *= np.sqrt(grid.dt)   # scale_increments, in place: no other reader
-    return eps
-
-
 def standard_noise(master_seed: int, path_indices, n_steps: int,
                    model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The standard normals of the kernel noise: (P, n_steps, m) from substream 0
-    and zeta (P, d) from substream 1.  ``scale_increments`` turns the first into
-    the increments of B on any grid of ``n_steps`` steps."""
+    """The kernel noise (eps, zeta) of the paths: standard normals (P, n_steps, m)
+    from substream 0, the increments of B on any grid of ``n_steps`` steps once
+    a kernel scales them, and zeta (P, d) from substream 1."""
     idx = np.asarray(path_indices)
     zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
     return standard_increments(master_seed, idx, n_steps, model.m), zeta
 
 
-def draw_noise(master_seed: int, path_indices, grid: TimeGrid,
-               model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel noise (dB, zeta) of the paths: increments (P, n_steps, m) of B
-    from substream 0 and standard normals (P, d) from substream 1."""
-    eps, zeta = standard_noise(master_seed, path_indices, grid.n_steps, model)
-    eps *= np.sqrt(grid.dt)   # scale_increments, in place: no other reader
-    return eps, zeta
-
-
-def brownian_left_nodes(start, dB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Brownian paths from their increments dB (P, n_steps, ...).
+def brownian_left_nodes(start, eps: np.ndarray,
+                        grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Brownian paths on ``grid`` from their standard normals eps (P, n_steps, ...).
 
     Returns the left-node values start + B_{t_k}, k < n_steps, and the terminal
-    value B_T (started at 0).
+    value B_T (started at 0), with increments eps * sqrt(dt).
     """
-    # one (P, n_steps, ...) array, and B_T does not keep it alive as a view
-    nodes = np.empty(dB.shape)
+    # one (P, n_steps, ...) array, scaled and summed in place, and B_T does not
+    # keep it alive as a view
+    h = np.sqrt(grid.dt)
+    nodes = np.empty(eps.shape)
     nodes[:, 0] = 0.0
-    np.cumsum(dB[:, :-1], axis=1, out=nodes[:, 1:])
-    b_final = nodes[:, -1] + dB[:, -1]
+    np.multiply(eps[:, :-1], h, out=nodes[:, 1:])
+    np.cumsum(nodes[:, 1:], axis=1, out=nodes[:, 1:])
+    b_final = nodes[:, -1] + eps[:, -1] * h
     nodes += start
     return nodes, b_final
 
@@ -245,23 +223,23 @@ def _root_times(q: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, noise):
-    """Checked starting point and noise (dB, zeta) of a kernel call.
+    """Checked starting point and noise (eps, zeta) of a kernel call.
 
-    dB must be (P, n_steps, m) and zeta (P, d) with P = len(dB), so noise
-    drawn for another batch or another grid is refused, not truncated.
+    eps must be (P, n_steps, m) and zeta (P, d) with P = len(eps), so noise
+    drawn for another batch or another step count is refused, not truncated.
     """
     x0 = _as_state(x0, model.m, "x0")
     y0 = _as_state(y0, model.d, "y0")
-    dB, zeta = noise
-    P, n = len(dB), grid.n_steps
-    if np.shape(dB) != (P, n, model.m) or np.shape(zeta) != (P, model.d):
-        raise ValueError(f"noise has shapes {np.shape(dB)} and {np.shape(zeta)}; "
+    eps, zeta = noise
+    P, n = len(eps), grid.n_steps
+    if np.shape(eps) != (P, n, model.m) or np.shape(zeta) != (P, model.d):
+        raise ValueError(f"noise has shapes {np.shape(eps)} and {np.shape(zeta)}; "
                          f"expected ({P}, {n}, {model.m}) and ({P}, {model.d})")
-    return x0, y0, dB, zeta
+    return x0, y0, eps, zeta
 
 
 def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
-                  dB: np.ndarray, zeta: np.ndarray):
+                  eps: np.ndarray, zeta: np.ndarray):
     """The direction-free part of the basic kernel.
 
     Returns the left nodes of X, B_T, sigma at the left nodes (the (P, n) scalar
@@ -269,7 +247,7 @@ def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
     min eig Q_T and the mask of paths whose Q_T, S and Y_T are finite.
     """
     n, T, d = grid.n_steps, grid.horizon, model.d
-    x_left, b_final = brownian_left_nodes(x0, dB)
+    x_left, b_final = brownian_left_nodes(x0, eps, grid)
     if model.scalar_identity:
         field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
         min_eig = T * np.mean(field * field, axis=1)
@@ -295,14 +273,14 @@ def simulate_basic_batch(
     grid: TimeGrid,
     noise: tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
-    """Simulate a batch of basic-model paths on ``noise = (dB, zeta)`` and
+    """Simulate a batch of basic-model paths on ``noise = (eps, zeta)`` and
     accumulate all weight functionals, one slot per coordinate axis of R^m."""
     if model.kind is not ModelKind.BASIC:
         raise ValueError("simulate_basic_batch expects a basic model")
-    x0, y0, dB, zeta = _prepare(model, x0, y0, grid, noise)
+    x0, y0, eps, zeta = _prepare(model, x0, y0, grid, noise)
     x_left, b_final, field, q_matrix, s, y_final, min_eig, valid = _basic_states(
-        model, x0, y0, grid, dB, zeta)
-    P, m, d = len(dB), model.m, model.d
+        model, x0, y0, grid, eps, zeta)
+    P, m, d = len(eps), model.m, model.d
     n, T = grid.n_steps, grid.horizon
     w = grid.decay_weights()
 
@@ -339,21 +317,22 @@ class _ExtendedStates:
 
     Iterating runs the steps.  At each left node k it updates Q_T, int b2 dt and
     the sigma1-invertibility flag, yields (k, X_k, sigma1_k with its
-    non-invertible matrices replaced by I, sigma2_k), and then advances X.
+    non-invertible matrices replaced by I, sigma2_k, the increment dB_k of B,
+    its normals scaled once), and then advances X.
     Once the iteration ends, ``x_final``, ``y_final``, ``b_final``,
     ``q_matrix``, ``s``, ``min_eig`` and ``valid`` (X_T, Y_T, Q_T and S finite,
     sigma1 invertible at every node) hold the path's direction-free results.
     """
 
     def __init__(self, model: ModelSpec, x0: np.ndarray, y0: np.ndarray,
-                 grid: TimeGrid, dB: np.ndarray, zeta: np.ndarray):
+                 grid: TimeGrid, eps: np.ndarray, zeta: np.ndarray):
         self.model, self.x0, self.y0, self.grid = model, x0, y0, grid
-        self.dB, self.zeta = dB, zeta
+        self.eps, self.zeta = eps, zeta
 
     def __iter__(self):
-        model, grid, dB = self.model, self.grid, self.dB
-        P, m, d = len(dB), model.m, model.d
-        dt = grid.dt
+        model, grid, eps = self.model, self.grid, self.eps
+        P, m, d = len(eps), model.m, model.d
+        dt, h = grid.dt, np.sqrt(grid.dt)
         eye_m = np.eye(m)
         x = np.broadcast_to(self.x0, (P, m)).copy()
         b_running = np.zeros((P, m))
@@ -362,7 +341,7 @@ class _ExtendedStates:
         singular = np.zeros(P, dtype=bool)
 
         for k in range(grid.n_steps):
-            db = dB[:, k, :]
+            db = eps[:, k, :] * h
             s1 = np.asarray(model.sigma1(x), dtype=float)                 # (P, m, m)
             s2 = np.asarray(model.sigma(x), dtype=float)                  # (P, d, d)
             if m == 1:
@@ -373,7 +352,7 @@ class _ExtendedStates:
             singular |= bad
             q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
             ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
-            yield k, x, np.where(bad[:, None, None], eye_m, s1), s2
+            yield k, x, np.where(bad[:, None, None], eye_m, s1), s2, db
             x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
             b_running = b_running + db
 
@@ -396,7 +375,7 @@ def simulate_extended_batch(
     grid: TimeGrid,
     noise: tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
-    """Simulate extended-model paths on ``noise = (dB, zeta)``, advancing X and
+    """Simulate extended-model paths on ``noise = (eps, zeta)``, advancing X and
     one xi per coordinate axis e_i of R^m jointly.
 
     The xi step is exact for the singular part of the drift:
@@ -405,8 +384,8 @@ def simulate_extended_batch(
     """
     if model.kind is not ModelKind.EXTENDED:
         raise ValueError("simulate_extended_batch expects an extended model")
-    x0, y0, dB, zeta = _prepare(model, x0, y0, grid, noise)
-    P, m, d = len(dB), model.m, model.d
+    x0, y0, eps, zeta = _prepare(model, x0, y0, grid, noise)
+    P, m, d = len(eps), model.m, model.d
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
     remaining = T - grid.times()               # (n+1,), exactly 0 at the final node
@@ -417,10 +396,8 @@ def simulate_extended_batch(
     dgi_acc = np.zeros((P, m, d))
     xdw_acc = np.zeros((P, m))
 
-    states = _ExtendedStates(model, x0, y0, grid, dB, zeta)
-    for k, x, s1_safe, s2 in states:
-        db = dB[:, k, :]
-
+    states = _ExtendedStates(model, x0, y0, grid, eps, zeta)
+    for k, x, s1_safe, s2, db in states:
         # xi-drift weight term of each axis at the left node, <sigma1^{-1} xi/(T-t_k), dB_k>
         if m == 1:
             s1_inv_xi = xi / s1_safe
@@ -476,11 +453,11 @@ def simulate_terminal_batch(
     docstring): it equals the full kernel's mask unless a gradient callback is
     non-finite on a coordinate axis where sigma is finite.
     """
-    x0, y0, dB, zeta = _prepare(model, x0, y0, grid, noise)
+    x0, y0, eps, zeta = _prepare(model, x0, y0, grid, noise)
     if model.kind is ModelKind.BASIC:
-        _, b_final, _, _, _, y_final, _, valid = _basic_states(model, x0, y0, grid, dB, zeta)
+        _, b_final, _, _, _, y_final, _, valid = _basic_states(model, x0, y0, grid, eps, zeta)
         return x0 + b_final, y_final, valid
-    states = _ExtendedStates(model, x0, y0, grid, dB, zeta)
+    states = _ExtendedStates(model, x0, y0, grid, eps, zeta)
     for _ in states:
         pass
     return states.x_final, states.y_final, states.valid

@@ -40,9 +40,9 @@ from gruschin.models import (
 from gruschin.paths import (
     TimeGrid,
     brownian_left_nodes,
-    draw_noise,
     simulate_basic_batch,
     simulate_extended_batch,
+    standard_noise,
 )
 from gruschin.rng import derive_seed
 from gruschin.weights import weight_terms_shared
@@ -151,7 +151,7 @@ def test_criterion_05_extended_reduction_pathwise():
     grid = TimeGrid(1.0, 200)
     v = Direction.make(1.0, 1.0)
     idx = np.arange(10_000)
-    noise = draw_noise(105, idx, grid, model)
+    noise = standard_noise(105, idx, grid.n_steps, model)
     b = simulate_basic_batch(model, [1.0], [0.0], grid, noise)
     e = simulate_extended_batch(ext, [1.0], [0.0], grid, noise)
     db, tb, ib, okb = weight_terms_shared(b, v)
@@ -170,7 +170,7 @@ def test_criterion_06_weight_linearity():
     idx = np.arange(1000)
 
     def weights_for(sim_fn, model, seed):
-        batch = sim_fn(model, [1.0], [0.0], grid, draw_noise(seed, idx, grid, model))
+        batch = sim_fn(model, [1.0], [0.0], grid, standard_noise(seed, idx, grid.n_steps, model))
         out = []
         for d in (u, w, uw):
             drift, trace, inner, _ = weight_terms_shared(batch, d)
@@ -194,11 +194,11 @@ def test_criterion_06_weight_linearity():
 def test_criterion_07_discrete_degeneracy_bound():
     model = make_power_law_model(1, 1, 1.0)
     grid, idx = TimeGrid(1.0, 200), np.arange(10_000)
-    noise = draw_noise(107, idx, grid, model)
+    noise = standard_noise(107, idx, grid.n_steps, model)
     batch = simulate_basic_batch(model, [1.0], [0.0], grid, noise)
     # a^2 T mean |X_left|^{2l} on the batch's own Brownian x-path
-    dB, _ = noise
-    x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
+    eps, _ = noise
+    x_left, _ = brownian_left_nodes(np.array([1.0]), eps, grid)
     p = model.power_params
     degeneracy = p.a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * p.l), axis=1)
     slack = batch.min_eig_q - degeneracy
@@ -295,8 +295,9 @@ def test_criterion_12_xi_solver_exactness():
     xi[0] = v1
     for k in range(n):
         xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
-    dB, zeta = draw_noise(112, np.arange(5), grid, model)
-    pf = simulate_extended_batch(model, [1.0], [0.0], grid, (dB, zeta))
+    eps, zeta = standard_noise(112, np.arange(5), n, model)
+    pf = simulate_extended_batch(model, [1.0], [0.0], grid, (eps, zeta))
+    dB = eps * np.sqrt(grid.dt)
     x = np.ones((5, 1))
     xdw, tr = np.zeros(5), np.zeros((5, 1, 1))
     for k in range(n):

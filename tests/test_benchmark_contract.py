@@ -1,9 +1,9 @@
 """The benchmark's tracer patches program functions by name: renaming one breaks it.
 
 ``perfbench/tracer.py`` wraps module attributes of ``gruschin`` from outside the
-package.  This test installs it, runs a small panel and a four-check suite
-that includes the A5 and Lemma 3.1 grids, and checks that the spans it relies
-on are recorded and that ``restore`` undoes every patch.
+package.  This test installs it, runs a small panel and a five-check suite
+that includes the A5 and Lemma 3.1 grids and the L^q cases, and checks that
+the spans it relies on are recorded and that ``restore`` undoes every patch.
 """
 
 import dataclasses
@@ -32,7 +32,9 @@ def test_tracer_sees_the_program_and_restores_it(tmp_path, tracer_cls):
     patched = [(estimators, "bismut_panel"), (estimators, "pairwise_sum"),
                (paths, "simulate_basic_batch"), (paths, "simulate_extended_batch"),
                (weights, "weight_terms_shared"), (weights, "spd_solve"),
+               (estimators, "estimate_lq_moment"),
                (analysis, "check_a5"), (analysis, "check_lemma31"),
+               (analysis, "check_lemma_ll"),
                (analysis, "check_harnack_suite"),
                (cli, "run_experiment"), (cli, "_run_bismut_vs_fd"),
                (cli, "_run_reduction"), (cli, "bismut_panel"),
@@ -43,7 +45,7 @@ def test_tracer_sees_the_program_and_restores_it(tmp_path, tracer_cls):
         "run": {"horizons": [1.0], "points": [[1.0, 1.0]],
                 "directions": [[[1.0], [0.0]]], "n_paths": 200, "n_steps": 10,
                 "master_seed": 3, "functions": ["y_squared"]},
-        "suite": {"checks": ["bismut_vs_fd", "a5", "lemma31", "reduction"]},
+        "suite": {"checks": ["bismut_vs_fd", "a5", "lemma31", "lemma_ll", "reduction"]},
     }
     tr = tracer_cls()
     tr.install()
@@ -60,7 +62,8 @@ def test_tracer_sees_the_program_and_restores_it(tmp_path, tracer_cls):
     for name in ("estimators.bismut_panel", "estimators.fd_panel", "cli.run_experiment",
                  "cli._run_bismut_vs_fd", "cli._run_reduction", "paths.scalar",
                  "paths.extended", "weights.weight_terms", "rng.fill_normals",
-                 "analysis.check_a5", "analysis.check_lemma31"):
+                 "analysis.check_a5", "analysis.check_lemma31",
+                 "estimators.estimate_lq_moment", "analysis.check_lemma_ll"):
         assert name in names, name
     for (owner, name), original in zip(patched, originals):
         assert getattr(owner, name) is original, name

@@ -11,6 +11,7 @@ import pytest
 
 from gruschin import estimators, rng
 from gruschin.estimators import (
+    LQ_INTEGRANDS,
     EstimationError,
     bismut_panel,
     estimate_gradient_bismut,
@@ -35,7 +36,7 @@ from gruschin.models import (
     observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
-from gruschin.paths import TimeGrid, draw_noise, simulate_basic_batch
+from gruschin.paths import TimeGrid, simulate_basic_batch, standard_noise
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -190,6 +191,16 @@ def test_fd_rejects_nonpositive_eps():
                              100, 10, 1, eps=0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_fd_panel_rejects_a_nonfinite_eps_before_drawing(monkeypatch, eps):
+    draws = _counting_draws(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    with pytest.raises(ValueError, match="eps"):
+        fd_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [EX], 200, 10, 3,
+                 eps=eps)
+    assert draws == {0: [], 1: []}
+
+
 # ---------------------------------------------------------------------------
 # negative moment
 # ---------------------------------------------------------------------------
@@ -211,6 +222,22 @@ def test_negative_moment_validation():
         estimate_negative_moment(1, [0.0], 1.0, 0.5, 1.0, 100, 10, 1)
     with pytest.raises(ValueError):
         estimate_negative_moment(1, [0.0], 1.0, 1.0, 0.0, 100, 10, 1)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_negative_moment_rejects_a_nonfinite_alpha_before_drawing(monkeypatch, alpha):
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(ValueError, match="alpha"):
+        estimate_negative_moment(1, [0.5], 1.0, 1.0, alpha, 200, 10, 3)
+    assert draws == {0: [], 1: []}
+
+
+@pytest.mark.parametrize("n_exp", [math.nan, math.inf])
+def test_negative_moment_rejects_a_nonfinite_exponent_before_drawing(monkeypatch, n_exp):
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(ValueError, match="exponent"):
+        estimate_negative_moment(1, [0.5], 1.0, n_exp, 0.5, 200, 10, 3)
+    assert draws == {0: [], 1: []}
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +302,15 @@ def test_lq_validation():
         lq_moment_rhs("adapted_cos", 3.0, 1.0)  # closed form needs even q
     with pytest.raises(ValueError):
         lq_moment_rhs("sigma_row", 2.0, 1.0, l=1.5)  # l q must be an even integer
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_lq_moment_rejects_a_nonfinite_q_before_drawing(monkeypatch, q):
+    draws = _counting_draws(monkeypatch)
+    for name in LQ_INTEGRANDS:
+        with pytest.raises(ValueError, match="q must"):
+            estimate_lq_moment(name, q, 1.0, 200, 10, 3)
+    assert draws == {0: [], 1: []}
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +501,7 @@ def _counting(monkeypatch, name):
 
 
 def test_panels_draw_noise_once_per_batch(monkeypatch):
-    draws = _counting(monkeypatch, "draw_noise")
+    draws = _counting(monkeypatch, "standard_noise")
     sims = _counting(monkeypatch, "simulate_batch")
     terminals = _counting(monkeypatch, "simulate_terminal_batch")
     model = make_power_law_model(1, 1, 1.0)
@@ -509,6 +545,37 @@ def test_an_invalid_path_of_one_point_leaves_the_others_counts():
     for (z0, T), panel in zip(points, panels):
         assert panel == bismut_panel(model, z0, T, fs, [EX, EY], 500, 10, 83, extra_obs=far)
     assert {e.n_invalid for e in panels[0].values()} == {0}
+
+
+# K = 1,024 steps cut a power-law tile to one RNG block; the extended kernel runs
+# whole batches
+_POINTS_MODELS = {
+    "power_law": (make_power_law_model(1, 1, 1.0), 1024),
+    "extended_demo": (make_extended_demo_model(), 40),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(_POINTS_MODELS))
+def test_each_point_of_bismut_panels_is_its_one_point_panel(name, workers):
+    # distinct T and x, 700-path batches over 256-path tiles against one-point
+    # calls at the default batch size: mean, stderr and counts bit for bit
+    model, n_steps = _POINTS_MODELS[name]
+    fs = [observable("sin_y", model), observable("y_squared", model)]
+    points = [([1.0, 0.5], 1.0), ([0.0, 0.0], 0.25), ([2.0, -0.5], 1.7)]
+    panels = estimators.bismut_panels(model, points, fs, [EX, EY], 1100, n_steps, 29,
+                                      workers=workers, batch_size=700)
+    for (z0, T), panel in zip(points, panels):
+        assert panel == bismut_panel(model, z0, T, fs, [EX, EY], 1100, n_steps, 29)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_point_of_estimate_negative_moments_is_its_one_point_moment(workers):
+    points = [([0.0], 1.0), ([1.0], 0.25), ([0.5], 2.0)]
+    moments = estimators.estimate_negative_moments(1, points, 1.0, 0.3, 1100, 1024, 31,
+                                                   workers=workers, batch_size=700)
+    for (x, T), moment in zip(points, moments):
+        assert moment == estimate_negative_moment(1, x, T, 1.0, 0.3, 1100, 1024, 31)
 
 
 def _counting_draws(monkeypatch):
@@ -589,7 +656,7 @@ def _central_difference(model, z0, v, f, T, n_paths, n_steps, seed, eps):
     idx = np.arange(n_paths)
     shift = np.concatenate([v.v1, v.v2])
     z = np.asarray(z0, dtype=float)
-    noise = draw_noise(seed, idx, grid, model)
+    noise = standard_noise(seed, idx, n_steps, model)
     up = simulate_basic_batch(model, *split_point(model, z + eps * shift), grid, noise)
     dn = simulate_basic_batch(model, *split_point(model, z - eps * shift), grid, noise)
     assert up.valid.all() and dn.valid.all()

@@ -21,10 +21,7 @@ from gruschin.models import (
 from gruschin.models import TestFunction as Observable  # not a pytest class
 from gruschin.paths import (
     TimeGrid,
-    brownian_increments,
     brownian_left_nodes,
-    draw_noise,
-    scale_increments,
     simulate_basic_batch,
     simulate_batch,
     simulate_extended_batch,
@@ -37,8 +34,8 @@ from gruschin.weights import weight_terms_shared
 
 
 def noise(model, grid, seed, idx):
-    """The noise (dB, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
-    return draw_noise(seed, idx, grid, model)
+    """The noise (eps, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
+    return standard_noise(seed, idx, grid.n_steps, model)
 
 
 def test_time_grid_validation_and_endpoint():
@@ -102,8 +99,8 @@ def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
     idx = np.arange(300)
     batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid, noise(model, grid, 71, idx))
 
-    dB, zeta = noise(model, grid, 71, idx)
-    x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
+    eps, zeta = noise(model, grid, 71, idx)
+    x_left, _ = brownian_left_nodes(np.array([1.0]), eps, grid)
     S = model.sigma(x_left)
     G = model.grad_sigma(x_left, np.ones(1))             # along the one axis e_1
     w, T, n = grid.decay_weights(), grid.horizon, grid.n_steps
@@ -192,18 +189,20 @@ def test_discrete_degeneracy_inequality(l):
     grid, idx = TimeGrid(1.0, 100), np.arange(2000)
     batch = simulate_basic_batch(model, [1.0], [0.0], grid, noise(model, grid, 23, idx))
     # the right side on the batch's own Brownian x-path, by the same left-node rule
-    dB, _ = noise(model, grid, 23, idx)
-    x_left, _ = brownian_left_nodes(np.array([1.0]), dB)
+    eps, _ = noise(model, grid, 23, idx)
+    x_left, _ = brownian_left_nodes(np.array([1.0]), eps, grid)
     a = model.power_params.a
     degeneracy = a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * l), axis=1)
     slack = batch.min_eig_q - degeneracy
     assert np.all(slack >= -1e-10 * (1.0 + np.abs(degeneracy)))
 
 
-def xi_weight_sums(model, grid, xi, x0, dB):
+def xi_weight_sums(model, grid, xi, x0, eps):
     """The two xi-dependent accumulators of the extended kernel, summed step by
-    step from the given xi path, for sigma1 = I, b1 = 0 and m = d = 1."""
-    T, dt, P = grid.horizon, grid.dt, len(dB)
+    step from the given xi path on the standard normals ``eps``, for sigma1 = I,
+    b1 = 0 and m = d = 1."""
+    T, dt, P = grid.horizon, grid.dt, len(eps)
+    dB = eps * np.sqrt(dt)
     remaining = T - grid.times()
     x = np.full((P, 1), x0)
     xdw, tr = np.zeros(P), np.zeros((P, 1, 1))
@@ -223,8 +222,8 @@ def test_xi_closed_form_with_identity_coefficients():
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
     v1 = 1.0                       # the axis e_1, whose xi fills slot 0
-    dB, zeta = noise(model, grid, 41, np.arange(2, 10))
-    pf = simulate_extended_batch(model, [1.0], [0.0], grid, (dB, zeta))
+    eps, zeta = noise(model, grid, 41, np.arange(2, 10))
+    pf = simulate_extended_batch(model, [1.0], [0.0], grid, (eps, zeta))
     times = grid.times()
     # bitwise reconstruction of the telescoping product
     xi = np.empty(n + 1)
@@ -233,7 +232,7 @@ def test_xi_closed_form_with_identity_coefficients():
         xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
     assert xi[-1] == 0.0
     assert np.allclose(xi, v1 * (T - times) / T, atol=1e-12)
-    for name, want in xi_weight_sums(model, grid, xi, 1.0, dB).items():
+    for name, want in xi_weight_sums(model, grid, xi, 1.0, eps).items():
         assert np.array_equal(getattr(pf, name)[:, 0], want), name
 
 
@@ -277,9 +276,9 @@ def test_bitwise_determinism_across_calls_and_batching():
 
 def test_brownian_increments_split_across_a_partial_block():
     grid = TimeGrid(1.0, 30)
-    whole = brownian_increments(61, np.arange(1250), grid, 3)
-    head = brownian_increments(61, np.arange(300), grid, 3)
-    tail = brownian_increments(61, np.arange(300, 1250), grid, 3)
+    whole = standard_increments(61, np.arange(1250), 30, 3)
+    head = standard_increments(61, np.arange(300), 30, 3)
+    tail = standard_increments(61, np.arange(300, 1250), 30, 3)
     assert whole.shape == (1250, 30, 3)
     assert np.array_equal(whole, np.concatenate([head, tail]))
     model = make_tilted_matrix_model()
@@ -290,15 +289,19 @@ def test_brownian_increments_split_across_a_partial_block():
         assert np.array_equal(w, np.concatenate([h, t]))
 
 
-@pytest.mark.parametrize("T", [0.25, 2.0])
-def test_one_standard_draw_scales_to_every_horizon_bit_for_bit(T):
-    # Brownian scaling: the noise on [0, T] is the standard draw times sqrt(T/K)
-    grid, idx, model = TimeGrid(T, 30), np.arange(5, 700), make_tilted_matrix_model()
-    eps = standard_increments(67, idx, 30, 3)
-    assert scale_increments(eps, grid).tobytes() == brownian_increments(67, idx, grid, 3).tobytes()
-    (eps, zeta), (dB, zeta_T) = standard_noise(67, idx, 30, model), draw_noise(67, idx, grid, model)
-    assert scale_increments(eps, grid).tobytes() == dB.tobytes()
-    assert zeta.tobytes() == zeta_T.tobytes()
+def test_kernels_scale_one_standard_draw_to_their_grid():
+    # Brownian scaling: from x0 = 0 with sigma = I, X_T = B_T, so on one draw
+    # of standard normals X_T on [0, 1] is exactly twice X_T on [0, 1/4]
+    model = make_constant_identity_model()
+    drawn = standard_noise(19, np.arange(5, 700), 30, model)
+    finals = {}
+    for T in (1.0, 0.25):
+        grid = TimeGrid(T, 30)
+        x_final, _, _ = simulate_terminal_batch(model, [0.0], [0.0], grid, drawn)
+        assert np.array_equal(simulate_batch(model, [0.0], [0.0], grid, drawn).x_final, x_final)
+        finals[T] = x_final
+    assert np.array_equal(finals[1.0], 2.0 * finals[0.25])
+    assert np.abs(finals[1.0]).max() > 1.0
 
 
 def test_extended_override_for_one_path_is_refused_for_four():
@@ -367,15 +370,17 @@ def test_all_zero_sigma1_flags_paths_invalid():
 # direction-free part against the full kernels
 # ---------------------------------------------------------------------------
 
-def _reference_basic(model, x0, v, grid, dB, dBt):
+def _reference_basic(model, x0, v, grid, eps, eps_t):
     """Every functional of the basic kernel in one pass, with the same
-    operations as the kernel before it was split into two parts, on B~
-    increments dBt: the PathBatch fields that do not read the noise of Y,
-    int b2 dt (``ydrift``, 0 here) and the B~ integrals W = int w grad sigma dBt
-    and S~ = int sigma dBt that the kernel no longer forms."""
+    operations as the kernel before it was split into two parts, on the
+    standard normals eps of B and eps_t of B~: the PathBatch fields that do not
+    read the noise of Y, int b2 dt (``ydrift``, 0 here) and the B~ integrals
+    W = int w grad sigma dBt and S~ = int sigma dBt that the kernel no longer
+    forms."""
     d, n, T = model.d, grid.n_steps, grid.horizon
-    P = len(dB)
-    x_left, b_final = brownian_left_nodes(x0, dB)
+    P = len(eps)
+    x_left, b_final = brownian_left_nodes(x0, eps, grid)
+    dBt = eps_t * np.sqrt(grid.dt)
     w = grid.decay_weights()
     if model.scalar_identity:
         s = np.asarray(model.sigma_scalar(x_left), dtype=float)
@@ -403,10 +408,10 @@ def _reference_basic(model, x0, v, grid, dB, dBt):
                 ydrift=np.zeros((P, d)), w_tilde=wsi, s_tilde=ssi)
 
 
-def _reference_extended(model, x0, v, grid, dB, dBt):
+def _reference_extended(model, x0, v, grid, eps, eps_t):
     """As ``_reference_basic``, for the extended kernel's joint (X, Y, xi) loop."""
     m, d, n, T, dt = model.m, model.d, grid.n_steps, grid.horizon, grid.dt
-    P = len(dB)
+    P = len(eps)
     remaining = T - grid.times()
     factors = remaining[1:] / remaining[:n]
     x = np.broadcast_to(x0, (P, m)).copy()
@@ -416,7 +421,7 @@ def _reference_extended(model, x0, v, grid, dB, dBt):
     wsi, ssi, dgi, ydrift = (np.zeros((P, d)) for _ in range(4))
     xdw = np.zeros(P)
     for k in range(n):
-        db, dbt = dB[:, k, :], dBt[:, k, :]
+        db, dbt = eps[:, k, :] * np.sqrt(dt), eps_t[:, k, :] * np.sqrt(dt)
         s1 = np.asarray(model.sigma1(x), dtype=float)
         s2 = np.asarray(model.sigma(x), dtype=float)
         g2 = np.asarray(model.grad_sigma(x, xi), dtype=float)
@@ -444,9 +449,9 @@ def _reference_extended(model, x0, v, grid, dB, dBt):
                 w_tilde=wsi, s_tilde=ssi)
 
 
-def _reference(model, x0, v, grid, dB, dBt):
+def _reference(model, x0, v, grid, eps, eps_t):
     kernel = _reference_basic if model.kind is ModelKind.BASIC else _reference_extended
-    return kernel(model, x0, v, grid, dB, dBt)
+    return kernel(model, x0, v, grid, eps, eps_t)
 
 
 def _given_b(model, ref, y0, zeta):
@@ -522,9 +527,9 @@ def test_axis_slots_combine_to_the_reference_kernel(name):
     idx = np.arange(400)
     v = Direction.make([0.6, -0.8], np.full(model.d, 0.3))
     x0, y0 = np.array([1.0, 0.5]), np.zeros(model.d)
-    dB, zeta = noise(model, grid, 97, idx)
-    batch = simulate_batch(model, x0, y0, grid, (dB, zeta))
-    ref = _reference(model, x0, v, grid, dB, np.zeros((len(idx), grid.n_steps, model.d)))
+    eps, zeta = noise(model, grid, 97, idx)
+    batch = simulate_batch(model, x0, y0, grid, (eps, zeta))
+    ref = _reference(model, x0, v, grid, eps, np.zeros((len(idx), grid.n_steps, model.d)))
     assert batch.valid.all()
     for field in AXIS_FIELDS:
         slots = getattr(batch, field)
@@ -550,12 +555,12 @@ def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
     model = SPLIT_MODELS[name]
     grid, P = TimeGrid(1.0, 10), 100_000
     idx = np.arange(P)
-    dB_one, _ = noise(model, grid, 101, [3])
-    dB = np.repeat(dB_one, P, axis=0)
+    eps_one, _ = noise(model, grid, 101, [3])
+    eps = np.repeat(eps_one, P, axis=0)
     zeta = PathStreams(101, substream=1).fill_normals(idx, (model.d,))
     x0, y0 = np.full(model.m, 1.5), np.full(model.d, 0.3)
     v = Direction.make(np.ones(model.m), np.full(model.d, 0.5))
-    batch = simulate_batch(model, x0, y0, grid, (dB, zeta))
+    batch = simulate_batch(model, x0, y0, grid, (eps, zeta))
     assert batch.valid.all()
     q = batch.q_matrix[0]
     assert np.array_equal(batch.q_matrix, np.broadcast_to(q, batch.q_matrix.shape))
@@ -570,7 +575,8 @@ def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
         for j in range(model.d):
             assert within_4_sigma(s[:, i] * s[:, j], q[i, j]), (i, j)
 
-    ref = _reference(model, x0, v, grid, dB, brownian_increments(102, idx, grid, model.d))
+    ref = _reference(model, x0, v, grid, eps,
+                     standard_increments(102, idx, grid.n_steps, model.d))
     w_mat = np.linalg.solve(ref["q_matrix"], ref["trace_integral"])
     u = np.linalg.solve(ref["q_matrix"], (v.v2 + ref["w_tilde"] + ref["drift_grad_integral"])
                         [..., None])[..., 0]

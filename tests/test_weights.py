@@ -16,9 +16,9 @@ from gruschin.models import (
 )
 from gruschin.paths import (
     TimeGrid,
-    draw_noise,
     simulate_basic_batch,
     simulate_extended_batch,
+    standard_noise,
 )
 from gruschin.weights import weight_terms_shared
 
@@ -27,8 +27,8 @@ GRID = TimeGrid(1.0, 100)
 
 
 def noise(model, grid, seed, idx):
-    """The noise (dB, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
-    return draw_noise(seed, idx, grid, model)
+    """The noise (eps, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
+    return standard_noise(seed, idx, grid.n_steps, model)
 
 
 def weight(batch, v):
