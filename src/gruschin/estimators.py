@@ -32,13 +32,16 @@ change no result.
 Panels share the work of a tile across their columns.  ``bismut_panel`` runs
 one simulation per tile for any list of directions: the kernels fill their
 direction part along the m coordinate axes, and ``weights`` combines those
-axes along each direction's v1.  ``fd_panel`` and ``pt_panel`` run the
-direction-free part once per distinct x-start.  A points-list form shares the
-draw of a tile across its points: every draw is of standard normals, which
-the kernels and ``paths.brownian_left_nodes`` scale to each point's own grid,
-so every (T, x) point reads its noise off that one array, and each point's
-estimate is bit for bit its one-point estimate at the same seed.  The points'
-estimates are then correlated, each with its own validity mask.
+axes along each direction's v1.  ``pt_panel`` runs the direction-free part
+once per distinct x-start and reads every start with that x off it, and
+``fd_panel`` is that semigroup-value panel at the starts z +- eps*v,
+differenced path by path (see ``_terminal_panel``).  A points-list form
+shares the draw of a tile across its points: every draw is of standard
+normals, which the kernels and ``paths.brownian_left_nodes`` scale to each
+point's own grid, so every (T, x) point reads its noise off that one array,
+and each point's estimate is bit for bit its one-point estimate at the same
+seed.  The points' estimates are then correlated, each with its own validity
+mask.
 """
 
 from __future__ import annotations
@@ -212,9 +215,16 @@ def _tiles(start: int, stop: int, tile: Optional[int]) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
+    """``ok`` restricted to the paths whose values are finite in every column."""
+    for vals in cols.values():
+        ok &= np.isfinite(vals)
+    return ok
+
+
 def run_batches(
     n_paths: int,
-    draw: Callable[[int, int], _T],
+    draw: Callable[[np.ndarray], _T],
     point_fns: Sequence[Callable[[_T], tuple[dict, np.ndarray]]],
     workers: int = 1,
     batch_size: Optional[int] = None,
@@ -223,12 +233,14 @@ def run_batches(
     """For each function of ``point_fns``, one MCEstimate per column it fills,
     under the column's key.
 
-    ``draw(start, stop)`` returns the noise of paths start..stop-1, and each
-    point function maps that noise to ``({key: values}, ok)``, with the same
-    keys for every call; every column of a point is averaged over the paths its
-    own ``ok`` marks valid, so an invalid path of one point leaves the counts of
-    the others unchanged.  Placement by path index keeps the result independent
-    of worker count, batch size, tile and completion order.
+    ``draw(path_indices)`` returns the noise of the paths of an int64 index
+    array, and each point function maps that noise to ``({key: values}, ok)``,
+    with the same keys for every call.  A path counts as valid for a point if
+    its ``ok`` marks it and its values are finite in every column of the
+    point, and each column is averaged over the valid paths; an invalid path
+    of one point leaves the counts of the others unchanged.  Tiles are
+    concatenated in path order, so the result is independent of worker count,
+    batch size, tile and completion order.
 
     A tile is one ``draw`` call, whose noise every point function reads before
     it is dropped: a batch of ``batch_size`` paths runs as the consecutive
@@ -246,35 +258,39 @@ def run_batches(
     points and at most one tile's draw is alive.  Without point functions
     nothing is drawn.
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
     if not point_fns:
         return []
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, batch_size or DEFAULT_BATCH_SIZE)]
 
+    def checked(fn: Callable, noise) -> tuple[dict, np.ndarray]:
+        out, ok = fn(noise)
+        return out, _all_finite(out, ok)
+
     def run_tile(start: int, stop: int) -> list:
-        noise = draw(start, stop)
-        return parallel_map(lambda fn: fn(noise), point_fns, workers)
+        noise = draw(np.arange(start, stop, dtype=np.int64))
+        return parallel_map(lambda fn: checked(fn, noise), point_fns, workers)
 
     results = parallel_map(lambda tiles: [run_tile(*t) for t in tiles], spans,
                            1 if len(point_fns) > 1 else workers)
-    tile_spans, tile_results = list(itertools.chain(*spans)), list(itertools.chain(*results))
+    tile_results = list(itertools.chain(*results))  # in path order
     estimates = []
     for k in range(len(point_fns)):
-        cols = {key: np.empty(n_paths) for key in tile_results[0][k][0]}
-        valid = np.empty(n_paths, dtype=bool)
-        for (start, stop), per_point in zip(tile_spans, tile_results):
-            out, ok = per_point[k]
-            for key, col in cols.items():
-                col[start:stop] = out[key]
-            valid[start:stop] = ok
-        estimates.append({key: _finalize(col, valid) for key, col in cols.items()})
+        outs, oks = zip(*(per_point[k] for per_point in tile_results))
+        valid = np.concatenate(oks)
+        estimates.append({key: _finalize(np.concatenate([out[key] for out in outs]), valid)
+                          for key in outs[0]})
     return estimates
 
 
 def split_point(model: ModelSpec, z0) -> tuple[np.ndarray, np.ndarray]:
-    """Split a point of R^{m+d} into its (x, y) components."""
+    """Split a finite point of R^{m+d} into its (x, y) components."""
     z = np.atleast_1d(np.asarray(z0, dtype=float))
     if z.shape != (model.m + model.d,):
         raise ValueError(f"z0 must have shape ({model.m + model.d},), got {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"z0 must be finite, got {z}")
     return z[: model.m], z[model.m:]
 
 
@@ -350,23 +366,23 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
         raise ValueError("moment exponent n must be finite and satisfy n >= 1")
     if not (0 < alpha < math.inf):
         raise ValueError("alpha must be positive and finite")
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
     starts = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in points]
-    if any(x.shape != (m,) for x in starts):
-        raise ValueError(f"x must have shape ({m},)")
+    for x in starts:
+        if x.shape != (m,):
+            raise ValueError(f"x must have shape ({m},)")
+        if not np.isfinite(x).all():
+            raise ValueError(f"x must be finite, got {x}")
     grids = [TimeGrid(T, n_steps) for _, T in points]
 
-    def draw(start, stop):
-        return standard_increments(seed, np.arange(start, stop, dtype=np.int64), n_steps, m)
+    def draw(idx):
+        return standard_increments(seed, idx, n_steps, m)
 
     def moment(x, grid, eps):
         x_left, _ = brownian_left_nodes(x, eps, grid)
         r = np.abs(x_left[..., 0]) if m == 1 else np.linalg.norm(x_left, axis=-1)
         integral = grid.horizon * np.mean(r ** (2.0 * n_exp), axis=1)
         ok = integral > 0.0
-        vals = np.where(ok, integral, 1.0) ** (-alpha)
-        return {"value": np.where(ok, vals, 0.0)}, ok
+        return {"value": np.where(ok, integral, 1.0) ** (-alpha)}, ok
 
     point_fns = [functools.partial(moment, x, grid) for x, grid in zip(starts, grids)]
     return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
@@ -420,16 +436,19 @@ def _integrate(fn: Callable[[np.ndarray], np.ndarray], T: float) -> float:
     return 0.5 * h * float(np.sum(fn(t) @ _GL_WEIGHTS))
 
 
-def _check_q(q: float) -> None:
-    """Refuse a q outside [2, inf): the bound needs q >= 2, and NaN or inf has no moment."""
+def _check_lq(q: float, l: float, x: float) -> None:
+    """Refuse a q outside [2, inf), as the bound needs q >= 2 and NaN or inf has
+    no moment, and a non-finite l or x, which leave no moment to compare."""
     if not (2 <= q < math.inf):
         raise ValueError("q must be finite and at least 2")
+    if not (math.isfinite(l) and math.isfinite(x)):
+        raise ValueError(f"l and x must be finite, got l={l}, x={x}")
 
 
 def lq_moment_rhs(integrand: str, q: float, T: float, *, l: float = 1.0,
                   x: float = 0.0) -> float:
     """Closed-form bound {q(q-1)/2}^{q/2} (int_0^T (E|rho_t|^q)^{2/q} dt)^{q/2}."""
-    _check_q(q)
+    _check_lq(q, l, x)
     if integrand == "constant_unit":
         return _LQ_CONSTANT_FACTOR(q) * T ** (q / 2.0)
     if integrand == "adapted_cos":
@@ -460,16 +479,14 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
       adapted_cos   -- rho_t = cos(Bt_{t}) at the left node (bounded, adapted);
       sigma_row     -- rho_t = (x + W_t)^l with W an independent Brownian motion.
     """
-    _check_q(q)
+    _check_lq(q, l, x)
     if integrand not in LQ_INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand!r}; choose from {LQ_INTEGRANDS}")
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
     grid = TimeGrid(T, n_steps)
     width = 2 if integrand == "sigma_row" else 1
 
-    def draw(start, stop):
-        return standard_increments(seed, np.arange(start, stop, dtype=np.int64), n_steps, width)
+    def draw(idx):
+        return standard_increments(seed, idx, n_steps, width)
 
     def moment(eps):
         if integrand == "constant_unit":
@@ -480,8 +497,7 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
             w_left, _ = brownian_left_nodes(x, eps[:, :, 0], grid)
             rho = np.sign(w_left) * np.abs(w_left) ** l
         n_T = (rho * (eps[:, :, -1] * np.sqrt(grid.dt))).sum(axis=1)   # the Ito sum
-        vals = np.abs(n_T) ** q
-        return {"value": vals}, np.isfinite(vals)
+        return {"value": np.abs(n_T) ** q}, np.ones(len(n_T), dtype=bool)
 
     return run_batches(n_paths, draw, [moment], workers, batch_size,
                        _tile(n_steps, width))[0]["value"]
@@ -491,49 +507,54 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
 # Panels: many observables / directions off shared simulations
 # ---------------------------------------------------------------------------
 
-def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
-    """``ok`` restricted to the paths whose values are finite in every column."""
-    for vals in cols.values():
-        ok &= np.isfinite(vals)
-    return ok
+def _terminal_panel(model: ModelSpec, starts: Sequence, T: float,
+                    columns: Callable[[list[np.ndarray]], dict],
+                    n_paths: int, n_steps: int, seed: int,
+                    workers: int, batch_size: Optional[int]) -> dict:
+    """The MCEstimates of ``columns(finals)``, ``finals`` the terminal states
+    Z_T (P, m + d) from every start point of ``starts``, in order.
 
-
-def _terminal_states(model: ModelSpec, grid: TimeGrid, seed: int,
-                     start: int, stop: int) -> Callable:
-    """``terminal(z_start) -> (Z_T, valid)`` for paths start..stop-1, every start
-    on one noise draw of the batch.
-
-    The coefficients depend on x alone, so on fixed noise a shift of y0 only
-    translates Y_T: each distinct x-start is simulated once, at y0 = 0, and a
-    start (x, y) reads its terminal state as (X_T, y + Y_T), bit for bit the
-    state a simulation from (x, y) would give.  Only (X_T, Y_T, valid) is kept
-    per x-start.
+    Every start is checked before anything is drawn, and every start of a tile
+    runs on its one noise draw.  The coefficients depend on x alone, so on
+    fixed noise a shift of y0 only translates Y_T: each distinct x-start is
+    simulated once, at y0 = 0, and a start (x, y) reads its terminal state as
+    (X_T, y + Y_T), bit for bit the state a simulation from (x, y) would give.
+    All columns share one validity mask: a path is invalid in every column if
+    it is invalid from any start or any of its column values is not finite.
 
     The simulations run only the direction-free part of the kernel
-    (``simulate_terminal_batch``), so ``valid`` checks the quantities that
-    determine the terminal state and no gradient.  For every builtin model the
-    mask is the one the full kernel gives.  A custom model whose gradient
-    callback (``grad_sigma``, and for the extended kind ``grad_sigma1``,
-    ``grad_b1`` or ``grad_b2``) is not finite on the coordinate axes where sigma
-    is finite gets those paths counted valid here, as their terminal state is
-    well defined, while ``bismut_panel``, which needs the derivative, counts
-    them invalid.
+    (``simulate_terminal_batch``), so the mask checks the quantities that
+    determine the terminal state and no gradient.  For every builtin model it
+    is the one the full kernel gives.  A custom model whose gradient callback
+    (``grad_sigma``, and for the extended kind ``grad_sigma1``, ``grad_b1`` or
+    ``grad_b2``) is not finite on the coordinate axes where sigma is finite
+    gets those paths counted valid here, as their terminal state is well
+    defined, while ``bismut_panel``, which needs the derivative, counts them
+    invalid.
     """
-    noise = standard_noise(seed, np.arange(start, stop, dtype=np.int64), grid.n_steps, model)
+    points = [split_point(model, z) for z in starts]
+    grid = TimeGrid(T, n_steps)
     y_origin = np.zeros(model.d)
-    sims = {}  # x-start bytes -> (X_T, Y_T, valid) simulated from (x-start, 0)
 
-    def terminal(z_start):
-        x_start, y_start = split_point(model, z_start)
-        key = x_start.tobytes()
-        if key not in sims:
-            sims[key] = simulate_terminal_batch(model, x_start, y_origin, grid, noise)
-        x_final, y_rel, sim_valid = sims[key]
-        y_final = y_start + y_rel
-        valid = sim_valid & np.isfinite(y_final).all(axis=1)
-        return np.concatenate([x_final, y_final], axis=1), valid
+    def draw(idx):
+        return standard_noise(seed, idx, n_steps, model)
 
-    return terminal
+    def panel(noise):
+        sims = {}  # x-start bytes -> (X_T, Y_T, valid) simulated from (x-start, 0)
+        ok = np.ones(len(noise[1]), dtype=bool)
+        finals = []
+        for x_start, y_start in points:
+            key = x_start.tobytes()
+            if key not in sims:
+                sims[key] = simulate_terminal_batch(model, x_start, y_origin, grid, noise)
+            x_final, y_rel, valid = sims[key]
+            y_final = y_start + y_rel
+            ok &= valid & np.isfinite(y_final).all(axis=1)
+            finals.append(np.concatenate([x_final, y_final], axis=1))
+        return columns(finals), ok
+
+    return run_batches(n_paths, draw, [panel], workers, batch_size,
+                       _model_tile(model, n_steps))[0]
 
 
 def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunction],
@@ -541,32 +562,15 @@ def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunc
              *, workers: int = 1, batch_size: Optional[int] = None) -> dict:
     """Semigroup values E f(X_T, Y_T) for every f from every start point.
 
-    Every start of a batch runs on the same single noise draw, and starts with
-    equal x share one simulation (see ``_terminal_states``).  Maps
-    ("pt", f.name, k), k indexing ``starts``, to MCEstimates that share one
-    validity mask, as in ``bismut_panel``.
+    Maps ("pt", f.name, k), k indexing ``starts``, to MCEstimates that share
+    one validity mask (see ``_terminal_panel``).
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    grid = TimeGrid(T, n_steps)
+    def values(finals):
+        return {("pt", f.name, k): np.asarray(f.eval(z_final), dtype=float)
+                for f in fs for k, z_final in enumerate(finals)}
 
-    def draw(start, stop):
-        return stop - start, _terminal_states(model, grid, seed, start, stop)
-
-    def values(tile):
-        n, terminal = tile
-        ok = np.ones(n, dtype=bool)
-        finals = []
-        for z0 in starts:
-            z_final, valid = terminal(z0)
-            ok &= valid
-            finals.append(z_final)
-        out = {("pt", f.name, k): np.asarray(f.eval(z_final), dtype=float)
-               for f in fs for k, z_final in enumerate(finals)}
-        return out, _all_finite(out, ok)
-
-    return run_batches(n_paths, draw, [values], workers, batch_size,
-                       _model_tile(model, n_steps))[0]
+    return _terminal_panel(model, starts, T, values, n_paths, n_steps, seed,
+                           workers, batch_size)
 
 
 def bismut_panel(model: ModelSpec, z0, T: float,
@@ -604,14 +608,12 @@ def bismut_panels(model: ModelSpec, points: Sequence[tuple],
     share the call, and each keeps its own validity mask.  The points are
     mapped over ``workers`` inside each tile.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
     if not vs:
         raise ValueError("bismut_panel needs at least one direction")
     grids = [TimeGrid(T, n_steps) for _, T in points]
 
-    def draw(start, stop):
-        return standard_noise(seed, np.arange(start, stop, dtype=np.int64), n_steps, model)
+    def draw(idx):
+        return standard_noise(seed, idx, n_steps, model)
 
     def columns(x0, y0, grid, noise):
         batch = simulate_batch(model, x0, y0, grid, noise)
@@ -627,7 +629,7 @@ def bismut_panels(model: ModelSpec, points: Sequence[tuple],
                for f, fval in zip(fs, fvals) for j in range(len(vs))}
         for label, fn in extra_obs:
             out[("pt", label)] = np.asarray(fn(z_final), dtype=float)
-        return out, _all_finite(out, ok)
+        return out, ok
 
     point_fns = [functools.partial(columns, *split_point(model, z0), grid)
                  for (z0, _), grid in zip(points, grids)]
@@ -642,38 +644,24 @@ def fd_panel(model: ModelSpec, z0, T: float,
              *, workers: int = 1, batch_size: Optional[int] = None) -> dict:
     """Common-random-number central differences for every (f, v) pair.
 
-    Every shifted start reuses one noise draw per batch, so the per-path
-    difference has drastically reduced variance.  Each distinct x-start is
-    simulated once and every shifted start z +- eps*v reads its terminal state
-    from it, translated in y (see ``_terminal_states``), so directions with
-    v1 = 0 share the unshifted x-path.  All estimates share one validity mask,
-    as in ``bismut_panel``.
+    The semigroup-value panel at the starts z +- eps*v of every direction,
+    differenced path by path: ("grad_fd", f.name, j) is the MCEstimate of
+    (f(Z_T^+) - f(Z_T^-)) / (2 eps) along ``vs[j]``.  Every start reuses one
+    noise draw per tile, so the per-path difference has drastically reduced
+    variance, and directions with v1 = 0 share the unshifted x-path.  All
+    estimates share one validity mask (see ``_terminal_panel``).
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    eps = default_fd_eps(z0) if eps is None else float(eps)
+    z = np.concatenate(split_point(model, z0))
+    eps = default_fd_eps(z) if eps is None else float(eps)
     if not (0 < eps < math.inf):
         raise ValueError("eps must be positive and finite")
-    z = np.asarray(z0, dtype=float)
-    grid = TimeGrid(T, n_steps)
+    shifts = [eps * np.concatenate([v.v1, v.v2]) for v in vs]
+    starts = [z_start for shift in shifts for z_start in (z + shift, z - shift)]
 
-    def draw(start, stop):
-        return stop - start, _terminal_states(model, grid, seed, start, stop)
+    def differences(finals):
+        return {("grad_fd", f.name, j): (np.asarray(f.eval(z_up), dtype=float)
+                                         - np.asarray(f.eval(z_dn), dtype=float)) / (2.0 * eps)
+                for f in fs for j, (z_up, z_dn) in enumerate(zip(finals[::2], finals[1::2]))}
 
-    def differences(tile):
-        n, terminal = tile
-        ok = np.ones(n, dtype=bool)
-        ends = []
-        for v in vs:
-            shift = np.concatenate([v.v1, v.v2])
-            z_up, up_valid = terminal(z + eps * shift)
-            z_dn, dn_valid = terminal(z - eps * shift)
-            ok &= up_valid & dn_valid
-            ends.append((z_up, z_dn))
-        out = {("grad_fd", f.name, j): (np.asarray(f.eval(z_up), dtype=float)
-                                        - np.asarray(f.eval(z_dn), dtype=float)) / (2.0 * eps)
-               for f in fs for j, (z_up, z_dn) in enumerate(ends)}
-        return out, _all_finite(out, ok)
-
-    return run_batches(n_paths, draw, [differences], workers, batch_size,
-                       _model_tile(model, n_steps))[0]
+    return _terminal_panel(model, starts, T, differences, n_paths, n_steps, seed,
+                           workers, batch_size)

@@ -473,8 +473,10 @@ def test_dump_paths(tmp_path):
 
 
 def test_module_entry_point_runs():
+    root = MINIMAL_FILE.parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "gruschin", "list-builtins"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "power_law" in proc.stdout
 

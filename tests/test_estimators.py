@@ -36,7 +36,7 @@ from gruschin.models import (
     observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
-from gruschin.paths import TimeGrid, simulate_basic_batch, standard_noise
+from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_batch, standard_noise
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -201,6 +201,54 @@ def test_fd_panel_rejects_a_nonfinite_eps_before_drawing(monkeypatch, eps):
     assert draws == {0: [], 1: []}
 
 
+_START_CALLS = {
+    "bismut_panel": lambda model, fs, z0: bismut_panel(model, z0, 1.0, fs, [EX], 200, 10, 3),
+    "bismut_panels": lambda model, fs, z0: estimators.bismut_panels(
+        model, [([1.0, 0.5], 1.0), (z0, 0.5)], fs, [EX], 200, 10, 3),
+    "pt_panel": lambda model, fs, z0: pt_panel(model, [[1.0, 0.5], z0], 1.0, fs, 200, 10, 3),
+    "fd_panel": lambda model, fs, z0: fd_panel(model, z0, 1.0, fs, [EX], 200, 10, 3),
+    "estimate_pt": lambda model, fs, z0: estimate_pt(model, fs[0], z0, 1.0, 200, 10, 3),
+    "estimate_gradient_bismut": lambda model, fs, z0: estimate_gradient_bismut(
+        model, fs[0], z0, EX, 1.0, 200, 10, 3),
+    "estimate_gradient_fd": lambda model, fs, z0: estimate_gradient_fd(
+        model, fs[0], z0, EX, 1.0, 200, 10, 3),
+}
+
+
+@pytest.mark.parametrize("z0", [[math.nan, 0.0], [0.5, math.inf]])
+@pytest.mark.parametrize("name", sorted(_START_CALLS))
+def test_panels_refuse_a_nonfinite_start_before_drawing(monkeypatch, name, z0):
+    # fd_panel's default eps is read off z0, so the start is checked before it
+    draws = _counting_draws(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    with pytest.raises(ValueError, match="z0 must be finite"):
+        _START_CALLS[name](model, [observable("sin_y", model)], z0)
+    assert draws == {0: [], 1: []}
+
+
+def test_pt_panel_is_bitwise_a_simulation_from_each_start():
+    # (x, y1) and (x, y2) read one x-simulation translated in y, (x', y) its
+    # own; K = 1,024 steps cut the 700 paths into 256-path tiles
+    model = make_power_law_model(1, 1, 1.0)
+    starts = [[1.0, 0.5], [1.0, -0.3], [0.4, 0.5]]
+    fs = [observable("sin_y", model), observable("y_squared", model)]
+    T, n, steps, seed = 1.0, 700, 1024, 61
+    assert estimators._model_tile(model, steps) < n
+    panel = pt_panel(model, starts, T, fs, n, steps, seed)
+    noise = standard_noise(seed, np.arange(n), steps, model)
+    for k, z0 in enumerate(starts):
+        batch = simulate_batch(model, *split_point(model, z0), TimeGrid(T, steps), noise)
+        assert batch.valid.all()
+        for f in fs:
+            vals = f.eval(batch.z_final)
+            mean = pairwise_sum(vals) / n
+            stderr = math.sqrt(pairwise_sum((vals - mean) ** 2) / (n - 1) / n)
+            est = panel[("pt", f.name, k)]
+            assert est.n_valid == n
+            assert est.mean == mean
+            assert est.stderr == stderr
+
+
 # ---------------------------------------------------------------------------
 # negative moment
 # ---------------------------------------------------------------------------
@@ -237,6 +285,22 @@ def test_negative_moment_rejects_a_nonfinite_exponent_before_drawing(monkeypatch
     draws = _counting_draws(monkeypatch)
     with pytest.raises(ValueError, match="exponent"):
         estimate_negative_moment(1, [0.5], 1.0, n_exp, 0.5, 200, 10, 3)
+    assert draws == {0: [], 1: []}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_moments_refuse_nonfinite_parameters_before_drawing(monkeypatch, bad):
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(ValueError, match="x must be finite"):
+        estimate_negative_moment(1, [bad], 1.0, 1.0, 0.5, 200, 10, 3)
+    with pytest.raises(ValueError, match="x must be finite"):
+        estimators.estimate_negative_moments(2, [([0.0, 0.0], 1.0), ([0.5, bad], 0.5)],
+                                             1.0, 0.5, 200, 10, 3)
+    for kw in ({"x": bad}, {"l": bad}):
+        with pytest.raises(ValueError, match="must be finite"):
+            estimate_lq_moment("sigma_row", 2.0, 1.0, 200, 10, 3, **kw)
+        with pytest.raises(ValueError, match="must be finite"):
+            lq_moment_rhs("sigma_row", 2.0, 1.0, **kw)
     assert draws == {0: [], 1: []}
 
 
