@@ -40,6 +40,7 @@ from .estimators import (
     estimate_negative_moments,
     estimate_pt,
     fd_panel,
+    negative_moment_exact,
     pt_panel,
 )
 

@@ -57,22 +57,29 @@ formula.  In particular slot i of ``xi_drift_weight`` is the extended model's
 int <sigma1^{-1} xi^i_t/(T-t), dB_t>, and the basic kernel stores the value that
 integral takes in the sigma1 = I, b1 = 0 reduction, B_T/T.
 
-Every kernel takes its noise as one required argument ``noise = (eps, zeta)``,
-standard normals as ``standard_noise`` draws them: eps (P, n_steps, m) for
-the increments of B and zeta (P, d) for S.  The kernel checks the two shapes,
-draws nothing itself and scales eps to its own grid: by Brownian scaling the
-increments on [0, T] are sqrt(T/n_steps) eps, so one draw serves every
-horizon T of a given step count, bit for bit.  ``brownian_left_nodes`` is the
-one builder of Brownian paths; the extended recursion scales step k's normals
-as it reaches them.  Row p of every output is a function of row p of the noise
-alone, so a path gives the same bits in any batch, and running two kernels (or
-two horizons) on one draw needs no other entry point.  ``standard_noise``
-draws eps from substream 0 and zeta from substream 1 of ``rng.PathStreams``:
-the noise of path i is a pure function of (master_seed, i).
+Every kernel takes its noise as one required argument, a ``Noise`` (or a
+pair (eps, zeta)) of standard normals as ``standard_noise`` draws them: eps
+(P, n_steps, m) for the increments of B and zeta (P, d) for S.  The kernel
+checks the two shapes, draws nothing itself and scales to its own grid: by
+Brownian scaling the increments on [0, T] are sqrt(T/n_steps) eps, so one
+draw serves every horizon T of a given step count, bit for bit.  The basic
+kernel reads the standard random walk W of eps (W_0 = 0, W_k = eps_0 + ... +
+eps_{k-1}, ``standard_walk``), which a ``Noise`` builds on first read and
+keeps as long as the noise lives, so every point and every x-start simulated
+on one draw reads one cumulative sum.  ``brownian_left_nodes`` is the one
+builder of Brownian paths: it reads a walk as start + sqrt(dt) W at the left
+nodes and sqrt(dt) W_n at T.  The extended recursion reads eps and scales
+step k's normals as it reaches them, so it builds no walk.  Row p of every
+output is a function of row p of the noise alone, so a path gives the same
+bits in any batch, and running two kernels (or two horizons) on one draw
+needs no other entry point.  ``standard_noise`` draws eps from substream 0
+and zeta from substream 1 of ``rng.PathStreams``: the noise of path i is a
+pure function of (master_seed, i).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +90,11 @@ from .rng import PathStreams
 __all__ = [
     "TimeGrid",
     "PathBatch",
+    "Noise",
     "brownian_left_nodes",
     "standard_increments",
     "standard_noise",
+    "standard_walk",
     "simulate_basic_batch",
     "simulate_extended_batch",
     "simulate_batch",
@@ -165,33 +174,67 @@ def standard_increments(master_seed: int, path_indices, n_steps: int,
     return PathStreams(master_seed).fill_normals(np.asarray(path_indices), (n_steps, width))
 
 
+def standard_walk(eps: np.ndarray) -> np.ndarray:
+    """The standard random walk of eps (P, n_steps, ...): W (P, n_steps + 1, ...)
+    with W_0 = 0 and W_k = eps_0 + ... + eps_{k-1}."""
+    walk = np.empty((eps.shape[0], eps.shape[1] + 1) + eps.shape[2:])
+    walk[:, 0] = 0.0
+    np.cumsum(eps, axis=1, out=walk[:, 1:])
+    return walk
+
+
+class Noise:
+    """The kernel noise of a batch: standard normals eps (P, n_steps, m) and
+    zeta (P, d), and the walk of eps, built on first read.
+
+    Indexes and unpacks as the pair (eps, zeta).  The walk is built once
+    however many threads read it, and lives as long as the noise.
+    """
+
+    def __init__(self, eps: np.ndarray, zeta: np.ndarray):
+        self.eps, self.zeta = eps, zeta
+        self._walk = None
+        # one lock per noise: ``functools.cached_property`` holds one lock for
+        # every instance on Python 3.11, which would serialize the walks of
+        # batches running on different threads
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        return iter((self.eps, self.zeta))
+
+    def __getitem__(self, i):
+        return (self.eps, self.zeta)[i]
+
+    @property
+    def walk(self) -> np.ndarray:
+        """``standard_walk(eps)``, (P, n_steps + 1, m)."""
+        with self._lock:
+            if self._walk is None:
+                self._walk = standard_walk(self.eps)
+            return self._walk
+
+
 def standard_noise(master_seed: int, path_indices, n_steps: int,
-                   model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel noise (eps, zeta) of the paths: standard normals (P, n_steps, m)
-    from substream 0, the increments of B on any grid of ``n_steps`` steps once
-    a kernel scales them, and zeta (P, d) from substream 1."""
+                   model: ModelSpec) -> Noise:
+    """The kernel noise of the paths: standard normals eps (P, n_steps, m) from
+    substream 0, the increments of B on any grid of ``n_steps`` steps once a
+    kernel scales them, and zeta (P, d) from substream 1."""
     idx = np.asarray(path_indices)
     zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
-    return standard_increments(master_seed, idx, n_steps, model.m), zeta
+    return Noise(standard_increments(master_seed, idx, n_steps, model.m), zeta)
 
 
-def brownian_left_nodes(start, eps: np.ndarray,
+def brownian_left_nodes(start, walk: np.ndarray,
                         grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Brownian paths on ``grid`` from their standard normals eps (P, n_steps, ...).
+    """Brownian paths on ``grid`` from a standard random walk W (P, n_steps + 1, ...).
 
-    Returns the left-node values start + B_{t_k}, k < n_steps, and the terminal
-    value B_T (started at 0), with increments eps * sqrt(dt).
+    Returns the left-node values start + sqrt(dt) W_k, k < n_steps, and the
+    terminal value B_T = sqrt(dt) W_n (started at 0).
     """
-    # one (P, n_steps, ...) array, scaled and summed in place, and B_T does not
-    # keep it alive as a view
     h = np.sqrt(grid.dt)
-    nodes = np.empty(eps.shape)
-    nodes[:, 0] = 0.0
-    np.multiply(eps[:, :-1], h, out=nodes[:, 1:])
-    np.cumsum(nodes[:, 1:], axis=1, out=nodes[:, 1:])
-    b_final = nodes[:, -1] + eps[:, -1] * h
+    nodes = walk[:, :-1] * h
     nodes += start
-    return nodes, b_final
+    return nodes, walk[:, -1] * h
 
 
 def _row_major_steps(field) -> np.ndarray:
@@ -222,32 +265,36 @@ def _root_times(q: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (root @ zeta[..., None])[..., 0], np.where(finite, lam[:, 0], np.nan)
 
 
-def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, noise):
-    """Checked starting point and noise (eps, zeta) of a kernel call.
+def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, noise) -> tuple:
+    """Checked starting point and ``Noise`` of a kernel call; a pair
+    (eps, zeta) is wrapped in a ``Noise`` of its own.
 
     eps must be (P, n_steps, m) and zeta (P, d) with P = len(eps), so noise
     drawn for another batch or another step count is refused, not truncated.
     """
     x0 = _as_state(x0, model.m, "x0")
     y0 = _as_state(y0, model.d, "y0")
+    if not isinstance(noise, Noise):
+        noise = Noise(*noise)
     eps, zeta = noise
     P, n = len(eps), grid.n_steps
     if np.shape(eps) != (P, n, model.m) or np.shape(zeta) != (P, model.d):
         raise ValueError(f"noise has shapes {np.shape(eps)} and {np.shape(zeta)}; "
                          f"expected ({P}, {n}, {model.m}) and ({P}, {model.d})")
-    return x0, y0, eps, zeta
+    return x0, y0, noise
 
 
 def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
-                  eps: np.ndarray, zeta: np.ndarray):
-    """The direction-free part of the basic kernel.
+                  noise: Noise):
+    """The direction-free part of the basic kernel, on the walk of the noise.
 
     Returns the left nodes of X, B_T, sigma at the left nodes (the (P, n) scalar
     field, or the (P, d, n*d) operand A of the module docstring), Q_T, S, Y_T,
     min eig Q_T and the mask of paths whose Q_T, S and Y_T are finite.
     """
     n, T, d = grid.n_steps, grid.horizon, model.d
-    x_left, b_final = brownian_left_nodes(x0, eps, grid)
+    x_left, b_final = brownian_left_nodes(x0, noise.walk, grid)
+    zeta = noise.zeta
     if model.scalar_identity:
         field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
         min_eig = T * np.mean(field * field, axis=1)
@@ -271,16 +318,16 @@ def simulate_basic_batch(
     x0,
     y0,
     grid: TimeGrid,
-    noise: tuple[np.ndarray, np.ndarray],
+    noise: Noise | tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
     """Simulate a batch of basic-model paths on ``noise = (eps, zeta)`` and
     accumulate all weight functionals, one slot per coordinate axis of R^m."""
     if model.kind is not ModelKind.BASIC:
         raise ValueError("simulate_basic_batch expects a basic model")
-    x0, y0, eps, zeta = _prepare(model, x0, y0, grid, noise)
+    x0, y0, noise = _prepare(model, x0, y0, grid, noise)
     x_left, b_final, field, q_matrix, s, y_final, min_eig, valid = _basic_states(
-        model, x0, y0, grid, eps, zeta)
-    P, m, d = len(eps), model.m, model.d
+        model, x0, y0, grid, noise)
+    P, m, d = len(b_final), model.m, model.d
     n, T = grid.n_steps, grid.horizon
     w = grid.decay_weights()
 
@@ -373,7 +420,7 @@ def simulate_extended_batch(
     x0,
     y0,
     grid: TimeGrid,
-    noise: tuple[np.ndarray, np.ndarray],
+    noise: Noise | tuple[np.ndarray, np.ndarray],
 ) -> PathBatch:
     """Simulate extended-model paths on ``noise = (eps, zeta)``, advancing X and
     one xi per coordinate axis e_i of R^m jointly.
@@ -384,7 +431,7 @@ def simulate_extended_batch(
     """
     if model.kind is not ModelKind.EXTENDED:
         raise ValueError("simulate_extended_batch expects an extended model")
-    x0, y0, eps, zeta = _prepare(model, x0, y0, grid, noise)
+    x0, y0, (eps, zeta) = _prepare(model, x0, y0, grid, noise)
     P, m, d = len(eps), model.m, model.d
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
@@ -444,7 +491,7 @@ def simulate_terminal_batch(
     x0,
     y0,
     grid: TimeGrid,
-    noise: tuple[np.ndarray, np.ndarray],
+    noise: Noise | tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X_T, Y_T, valid) from the direction-free part of the model's kernel alone.
 
@@ -453,18 +500,18 @@ def simulate_terminal_batch(
     docstring): it equals the full kernel's mask unless a gradient callback is
     non-finite on a coordinate axis where sigma is finite.
     """
-    x0, y0, eps, zeta = _prepare(model, x0, y0, grid, noise)
+    x0, y0, noise = _prepare(model, x0, y0, grid, noise)
     if model.kind is ModelKind.BASIC:
-        _, b_final, _, _, _, y_final, _, valid = _basic_states(model, x0, y0, grid, eps, zeta)
+        _, b_final, _, _, _, y_final, _, valid = _basic_states(model, x0, y0, grid, noise)
         return x0 + b_final, y_final, valid
-    states = _ExtendedStates(model, x0, y0, grid, eps, zeta)
+    states = _ExtendedStates(model, x0, y0, grid, *noise)
     for _ in states:
         pass
     return states.x_final, states.y_final, states.valid
 
 
 def simulate_batch(model: ModelSpec, x0, y0, grid: TimeGrid,
-                   noise: tuple[np.ndarray, np.ndarray]) -> PathBatch:
+                   noise: Noise | tuple[np.ndarray, np.ndarray]) -> PathBatch:
     """Simulate with the kernel of the model's kind, basic or extended."""
     # the kernels are looked up as module globals at call time, so a rebinding
     # of ``simulate_basic_batch`` / ``simulate_extended_batch`` sees every call

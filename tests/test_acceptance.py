@@ -197,8 +197,7 @@ def test_criterion_07_discrete_degeneracy_bound():
     noise = standard_noise(107, idx, grid.n_steps, model)
     batch = simulate_basic_batch(model, [1.0], [0.0], grid, noise)
     # a^2 T mean |X_left|^{2l} on the batch's own Brownian x-path
-    eps, _ = noise
-    x_left, _ = brownian_left_nodes(np.array([1.0]), eps, grid)
+    x_left, _ = brownian_left_nodes(np.array([1.0]), noise.walk, grid)
     p = model.power_params
     degeneracy = p.a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * p.l), axis=1)
     slack = batch.min_eig_q - degeneracy

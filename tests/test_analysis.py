@@ -390,11 +390,14 @@ def _record_threads(monkeypatch, module, name):
 
 def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
     # a grid point's task runs the path functionals of its own T and x, inside
-    # the tile of the grid's one draw; a Harnack pair's task is a check_harnack
+    # the tile of the grid's one draw; a Harnack pair's task is a check_harnack.
+    # Lemma 3.1 points read the path at n = 1.5; at n = 1 they read per-path
+    # statistics of the walk, which the tile computes once
     model = make_power_law_model(1, 1, 1.0)
+    lemma31_grid = dict(calibration=((0.25, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))
     cases = [
         ((estimators, "brownian_left_nodes"), lambda mc: check_lemma31(
-            mc, calibration=((0.25, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))),
+            mc, n_exp=1.5, **lemma31_grid)),
         ((analysis, "check_harnack"), lambda mc: check_harnack_suite(
             model, 1.0, [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5)),
                          ((1.0, 0.0), (1.5, 0.0))],
@@ -412,6 +415,10 @@ def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
         assert len(threads) >= 2, name
         assert parallel == serial, name
         assert parallel.points and parallel.points == serial.points
+    serial, parallel = (check_lemma31(McParams(1000, 10, 59, workers=w), **lemma31_grid)
+                        for w in (1, 2))
+    assert parallel == serial
+    assert parallel.points and parallel.points == serial.points
 
 
 def test_a6_gaussian_closed_form():

@@ -9,7 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gruschin import estimators, rng
+from gruschin import estimators, models, paths, rng
+from gruschin.analysis import DEFAULT_CALIBRATION_GRID, DEFAULT_HOLDOUT_GRID
 from gruschin.estimators import (
     LQ_INTEGRANDS,
     EstimationError,
@@ -21,6 +22,7 @@ from gruschin.estimators import (
     estimate_pt,
     fd_panel,
     lq_moment_rhs,
+    negative_moment_exact,
     pairwise_sum,
     parallel_map,
     pt_panel,
@@ -36,7 +38,14 @@ from gruschin.models import (
     observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
-from gruschin.paths import TimeGrid, simulate_basic_batch, simulate_batch, standard_noise
+from gruschin.paths import (
+    TimeGrid,
+    simulate_basic_batch,
+    simulate_batch,
+    standard_increments,
+    standard_noise,
+    standard_walk,
+)
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
@@ -302,6 +311,67 @@ def test_moments_refuse_nonfinite_parameters_before_drawing(monkeypatch, bad):
         with pytest.raises(ValueError, match="must be finite"):
             lq_moment_rhs("sigma_row", 2.0, 1.0, **kw)
     assert draws == {0: [], 1: []}
+
+
+@pytest.mark.parametrize("s, want", [(0.0, 5.562860), (1.0, 2.872109), (2.0, 1.535379),
+                                     (4.0, 1.120679)])
+def test_negative_moment_exact_at_the_unit_horizon(s, want):
+    # (1 + s^2) E I^(-1) at T = 1, checked against adaptive quadrature
+    assert (1.0 + s * s) * negative_moment_exact(1, [s], 1.0, 1.0) == pytest.approx(want,
+                                                                                abs=5e-7)
+
+
+@pytest.mark.parametrize("T", [0.1, 1.0, 3.0, 20.0])
+@pytest.mark.parametrize("x", [0.0, 0.7, 2.0])
+def test_quadratic_laplace_transform_is_the_gaussian_y_factor(T, x):
+    # E exp(-Q_T/2), Q_T = int (x + B)^2 dt, is the m = 1, gamma = 1 transform
+    got = estimators._quadratic_laplace(1, [x], T, np.array(1.0))
+    assert got == pytest.approx(models._gaussian_y_factor(T, x), rel=1e-14, abs=0.0)
+
+
+def test_quadratic_laplace_transform_is_finite_where_cosh_overflows():
+    # cosh(800)^(-1/2) = sqrt(2) e^(-400); np.cosh(800) is inf
+    got = estimators._quadratic_laplace(1, [0.0], 800.0, np.array(1.0))
+    assert got == pytest.approx(math.sqrt(2.0) * math.exp(-400.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m, x, T", [(1, [2.0], 1.0), (2, [0.0, 0.0], 0.5),
+                                     (2, [1.0, -0.5], 2.0)])
+def test_negative_moment_estimate_agrees_with_its_exact_value(m, x, T):
+    # 200 steps keep the negative left-point bias near 0.1% here, inside the
+    # 1% allowance; the 4 sigma band covers the Monte Carlo error
+    exact = negative_moment_exact(m, x, T, 1.0)
+    est = estimate_negative_moment(m, x, T, 1.0, 1.0, 20_000, 200, 73)
+    assert abs(est.mean - exact) <= 4.0 * est.stderr + 0.01 * exact
+
+
+def test_negative_moment_exact_validation():
+    with pytest.raises(ValueError, match="shape"):
+        negative_moment_exact(2, [1.0], 1.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        negative_moment_exact(1, [math.nan], 1.0, 1.0)
+    for T, alpha in ((0.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            negative_moment_exact(1, [1.0], T, alpha)
+
+
+def test_quadratic_integral_of_the_walk_statistics_is_the_path_integral():
+    # at n = 1 a Lemma 3.1 point reads the mean and centred mean square of the
+    # walk in place of its path: on every row of the default grid (x = 0 and
+    # s = x / sqrt(T) = 4 included) and at m = 2 the forms agree path by path
+    for m in (1, 2):
+        walk = standard_walk(standard_increments(67, np.arange(4000), 100, m))
+        zero = standard_walk(np.zeros((3, 100, m)))
+        for T, x in (*DEFAULT_CALIBRATION_GRID, *DEFAULT_HOLDOUT_GRID):
+            grid = TimeGrid(T, 100)
+            for xv in {(x,) + (0.0,) * (m - 1), (x,) + (0.5,) * (m - 1)}:
+                xv = np.array(xv)
+                for w in (walk, zero):
+                    quad = estimators._quadratic_integral(
+                        xv, grid, estimators._left_node_statistics(w))
+                    path = estimators._path_integral(xv, grid, w, 1.0)
+                    np.testing.assert_allclose(quad, path, rtol=1e-13, atol=0.0)
+                    assert np.array_equal(quad > 0.0, path > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +664,59 @@ def test_panels_draw_noise_once_per_batch(monkeypatch):
                  2500, 20, 5, batch_size=1024)
     assert len(draws) == 3
     assert len(sims) == 3         # one per batch, whatever the directions
+
+
+def _counting_walks(monkeypatch) -> list:
+    """The shape of the normals of every walk built, by a ``paths.Noise`` or
+    by an estimator."""
+    walks = []
+    real = paths.standard_walk
+
+    def counting(eps):
+        walks.append(eps.shape)
+        return real(eps)
+
+    monkeypatch.setattr(paths, "standard_walk", counting)
+    monkeypatch.setattr(estimators, "standard_walk", counting)
+    return walks
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_point_and_x_start_of_a_tile_reads_one_walk(monkeypatch, workers):
+    # K = 20 steps: a tile is a whole 1,024-path batch, so 2,500 paths are 3 tiles
+    walks = _counting_walks(monkeypatch)
+    terminals = _counting(monkeypatch, "simulate_terminal_batch")
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    points = [([1.0, 0.5], 1.0), ([0.0, 0.0], 0.25), ([2.0, -0.5], 1.7)]
+    estimators.bismut_panels(model, points, fs, [EX, EY], 2500, 20, 5, workers=workers,
+                             batch_size=1024)
+    assert walks == [(1024, 20, 1), (1024, 20, 1), (452, 20, 1)]
+    # x + eps, x - eps and the unshifted x that EY's starts share
+    walks.clear()
+    fd_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 2500, 20, 5, workers=workers,
+             batch_size=1024)
+    assert len(terminals) == 3 * 3
+    assert len(walks) == 3
+    for n_exp in (1.0, 1.5):
+        walks.clear()
+        estimators.estimate_negative_moments(1, [([x], T) for (x, _), T in points], n_exp, 1.0,
+                                             2500, 20, 5, workers=workers, batch_size=1024)
+        assert len(walks) == 3
+
+
+def test_extended_panels_and_the_constant_integrand_build_no_walk(monkeypatch):
+    walks = _counting_walks(monkeypatch)
+    ext = make_extended_demo_model()
+    fs = [observable("sin_y", ext)]
+    estimators.bismut_panels(ext, [([1.0, 0.5], 1.0), ([0.5, 0.0], 0.5)], fs, [EX, EY],
+                             600, 20, 5, batch_size=256)
+    fd_panel(ext, [1.0, 0.5], 1.0, fs, [EX, EY], 600, 20, 5, batch_size=256)
+    pt_panel(ext, [[1.0, 0.5], [0.5, 0.0]], 1.0, fs, 600, 20, 5, batch_size=256)
+    estimate_lq_moment("constant_unit", 2.0, 1.0, 600, 20, 5, batch_size=256)
+    assert walks == []
+    estimate_lq_moment("adapted_cos", 2.0, 1.0, 600, 20, 5, batch_size=256)
+    assert len(walks) == 3
 
 
 def test_an_invalid_path_of_one_point_leaves_the_others_counts():

@@ -28,6 +28,7 @@ from gruschin.paths import (
     simulate_terminal_batch,
     standard_increments,
     standard_noise,
+    standard_walk,
 )
 from gruschin.rng import PathStreams
 from gruschin.weights import weight_terms_shared
@@ -62,7 +63,7 @@ def test_constant_sigma_exact_functionals():
     eps = PathStreams(3).fill_normals([0], (100, 1))
     (zeta,) = PathStreams(3, substream=1).fill_normals([0], (1,))
     assert pf.sigma_stoch_integral[0, 0] == zeta[0]
-    assert pf.b_final[0, 0] == np.cumsum(eps[0, :, 0] * np.sqrt(grid.dt))[-1]
+    assert pf.b_final[0, 0] == np.sqrt(grid.dt) * np.cumsum(eps[0, :, 0])[-1]
 
 
 def test_x_component_is_exact_brownian():
@@ -99,8 +100,9 @@ def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
     idx = np.arange(300)
     batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid, noise(model, grid, 71, idx))
 
-    eps, zeta = noise(model, grid, 71, idx)
-    x_left, _ = brownian_left_nodes(np.array([1.0]), eps, grid)
+    drawn = noise(model, grid, 71, idx)
+    zeta = drawn.zeta
+    x_left, _ = brownian_left_nodes(np.array([1.0]), drawn.walk, grid)
     S = model.sigma(x_left)
     G = model.grad_sigma(x_left, np.ones(1))             # along the one axis e_1
     w, T, n = grid.decay_weights(), grid.horizon, grid.n_steps
@@ -189,8 +191,7 @@ def test_discrete_degeneracy_inequality(l):
     grid, idx = TimeGrid(1.0, 100), np.arange(2000)
     batch = simulate_basic_batch(model, [1.0], [0.0], grid, noise(model, grid, 23, idx))
     # the right side on the batch's own Brownian x-path, by the same left-node rule
-    eps, _ = noise(model, grid, 23, idx)
-    x_left, _ = brownian_left_nodes(np.array([1.0]), eps, grid)
+    x_left, _ = brownian_left_nodes(np.array([1.0]), noise(model, grid, 23, idx).walk, grid)
     a = model.power_params.a
     degeneracy = a**2 * grid.horizon * np.mean(np.abs(x_left[..., 0]) ** (2.0 * l), axis=1)
     slack = batch.min_eig_q - degeneracy
@@ -379,7 +380,7 @@ def _reference_basic(model, x0, v, grid, eps, eps_t):
     forms."""
     d, n, T = model.d, grid.n_steps, grid.horizon
     P = len(eps)
-    x_left, b_final = brownian_left_nodes(x0, eps, grid)
+    x_left, b_final = brownian_left_nodes(x0, standard_walk(eps), grid)
     dBt = eps_t * np.sqrt(grid.dt)
     w = grid.decay_weights()
     if model.scalar_identity:
