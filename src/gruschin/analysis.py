@@ -205,8 +205,8 @@ class GradientGrid:
 
     def build(self, keys: Sequence[tuple[str, float, float]]) -> None:
         """Build the panels of the (phase, T, x) points in ``keys`` not built yet,
-        in one ``bismut_panels`` call whose points are mapped over ``mc.workers``
-        threads."""
+        in one ``bismut_panels`` call, whose batches are mapped over
+        ``mc.workers`` threads."""
         missing = [k for k in dict.fromkeys(keys) if k not in self._panels]
         if not missing:
             return
@@ -369,8 +369,8 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
 
     Every grid point runs under the one seed of label ``lemma31``, so each tile
     draws its standard normals once for all of them (see
-    ``estimate_negative_moments``) and the rows are correlated.  The points are
-    mapped over ``mc.workers`` threads inside each tile.
+    ``estimate_negative_moments``) and the rows are correlated.  The batches
+    are mapped over ``mc.workers`` threads.
     """
     report = BoundCheckReport(inequality_id="Lemma31")
     seed = derive_seed(mc.seed, "lemma31")

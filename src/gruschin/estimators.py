@@ -13,21 +13,21 @@ Parallelism: ``parallel_map`` is the one place where work runs on threads.  It
 returns its results in input order, and a map called from inside a task of
 another map runs inline, so pools never nest and at most ``workers`` threads
 work at once.  The suite maps over its Harnack pairs, LemmaLL cases and
-bismut_vs_fd panels, whose estimator calls then run their batches inline; a
-one-point estimator called on its own maps over its batches instead.  The
-points-list forms (``bismut_panels``, ``estimate_negative_moments``) run their
-batches inline and map their points over ``workers`` inside each tile, so the
-A5/A6 grid and the Lemma 3.1 grid keep the points as their parallel axis.
+bismut_vs_fd panels, whose estimator calls then run their batches inline.
+Every other call, of one point or of a points list, maps its batches over
+``workers``: batches are the one parallel axis of ``run_batches``, and the
+points of a list run inline, in order, on each tile's draw.
 
-Batches and tiles: a batch (``batch_size`` paths, 8,192 by default) is the unit
-of parallel work of a one-point call, and a tile is one noise draw.  A batch
-runs as consecutive tiles, each the largest multiple of ``rng.BLOCK_PATHS``
-whose (P, n_steps, w) arrays fit ``TILE_NORMALS`` floats (2 MiB), w = m + d
-for a panel, cut at absolute multiples of the tile, so a call's arrays stay
-cache-sized and no tile cut splits an RNG block.  Panels on an extended model
-keep their batches whole: that kernel loops over the steps in Python, and its
-cost per step falls with the width of the call.  By the contract above, tiles
-change no result.
+Batches and tiles: a batch is the unit of parallel work, and a tile is one
+noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or fewer
+where a call that runs on its own needs more batches to occupy its workers.
+A batch runs as consecutive tiles, each the largest multiple of
+``rng.BLOCK_PATHS`` whose (P, n_steps, w) arrays fit ``TILE_NORMALS`` floats
+(2 MiB), w = m + d for a panel, cut at absolute multiples of the tile, so a
+call's arrays stay cache-sized and no tile cut splits an RNG block.  Panels on
+an extended model keep their batches whole: that kernel loops over the steps
+in Python, and its cost per step falls with the width of the call.  By the
+contract above, batches and tiles change no result.
 
 Panels share the work of a tile across their columns.  ``bismut_panel`` runs
 one simulation per tile for any list of directions: the kernels fill their
@@ -51,11 +51,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -156,24 +155,14 @@ _R = TypeVar("_R")
 _task_thread = threading.local()
 
 
-def _cpu_shares(workers: int) -> list[set[int]]:
-    """The process's CPUs dealt round-robin into ``min(workers, #CPUs)`` shares;
-    empty where the platform cannot bind threads to CPUs."""
-    if not hasattr(os, "sched_getaffinity"):
-        return []
-    cpus = sorted(os.sched_getaffinity(0))
-    k = min(workers, len(cpus))
-    return [set(cpus[i::k]) for i in range(k)]
+def _runs_inline(workers: int) -> bool:
+    """Whether a map over ``workers`` runs on the calling thread: for one
+    worker, or inside a task of another map."""
+    return workers <= 1 or getattr(_task_thread, "active", False)
 
 
-def _start_task_thread(shares: list[set[int]], counter: Iterator[int]) -> None:
-    """Mark a pool thread as a task thread and bind it to the next CPU share."""
+def _mark_task_thread() -> None:
     _task_thread.active = True
-    if shares:
-        try:
-            os.sched_setaffinity(0, shares[next(counter) % len(shares)])
-        except OSError:
-            pass  # unbound threads give the same results, only less overlap
 
 
 def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) -> list[_R]:
@@ -182,17 +171,11 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) 
     Runs inline when ``workers <= 1``, when there is at most one item, or when
     called from inside a task of another ``parallel_map``, so pools never nest.
     The first exception raised by a task propagates.
-
-    Each pool thread is bound to its own share of the process's CPUs.  Unbound,
-    the scheduler kept both threads of a two-worker map on one CPU whenever
-    the tasks hand the GIL back and forth often (the suite's 1,250-path grid
-    points ran slower at two workers than at one on a 2-core Linux host).
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1 or getattr(_task_thread, "active", False):
+    if len(items) <= 1 or _runs_inline(workers):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers, initializer=_start_task_thread,
-                            initargs=(_cpu_shares(workers), itertools.count())) as pool:
+    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_task_thread) as pool:
         return list(pool.map(fn, items))
 
 
@@ -254,30 +237,31 @@ def run_batches(
     panels keep their batches whole, as their kernel loops over the steps in
     Python and a narrower call costs more per step.
 
-    The work goes through ``parallel_map`` along one axis.  With one point
-    function the batches are mapped over ``workers``, so they overlap when the
-    estimator is called on its own, and run inline when it is called from a
-    task of the suite's map.  With several, the batches run inline and each
-    tile maps the point functions over ``workers``, so the parallel axis is the
-    points and at most one tile's draw is alive.  Without point functions
+    The batches are the one parallel axis: they are mapped over ``workers``,
+    and inside a tile the point functions run inline, in order, on its one
+    draw.  A call that runs on its own cuts at most ceil(n_paths / workers)
+    paths per batch, so it has a batch for every worker.  Inside a task of
+    another map the batches run inline and keep ``batch_size``: cut narrower,
+    an extended panel would only pay more per step.  Without point functions
     nothing is drawn.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
+    if batch_size is not None and not (isinstance(batch_size, (int, np.integer))
+                                       and batch_size >= 1):
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
     if not point_fns:
         return []
-    spans = [_tiles(*span, tile) for span in _chunks(n_paths, batch_size or DEFAULT_BATCH_SIZE)]
-
-    def checked(fn: Callable, noise) -> tuple[dict, np.ndarray]:
-        out, ok = fn(noise)
-        return out, _all_finite(out, ok)
+    size = batch_size or DEFAULT_BATCH_SIZE
+    if not _runs_inline(workers):
+        size = min(size, math.ceil(n_paths / workers))
+    spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]
 
     def run_tile(start: int, stop: int) -> list:
         noise = draw(np.arange(start, stop, dtype=np.int64))
-        return parallel_map(lambda fn: checked(fn, noise), point_fns, workers)
+        return [(out, _all_finite(out, ok)) for out, ok in (fn(noise) for fn in point_fns)]
 
-    results = parallel_map(lambda tiles: [run_tile(*t) for t in tiles], spans,
-                           1 if len(point_fns) > 1 else workers)
+    results = parallel_map(lambda tiles: [run_tile(*t) for t in tiles], spans, workers)
     tile_results = list(itertools.chain(*results))  # in path order
     estimates = []
     for k in range(len(point_fns)):
@@ -368,8 +352,8 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
     integral is T (|x + sqrt(dt) m_W|^2 + dt v_W), with m_W the mean of W over
     the left nodes and v_W its centred mean square (``_left_node_statistics``):
     the tile computes those once and a point costs O(P m), not O(P n_steps m).
-    Other n read the path (``paths.brownian_left_nodes``).  The points are
-    mapped over ``workers`` inside each tile.
+    Other n read the path (``paths.brownian_left_nodes``).  The batches are
+    mapped over ``workers``, and the points run inline on each tile's draw.
     """
     if not (1 <= n_exp < math.inf):
         raise ValueError("moment exponent n must be finite and satisfy n >= 1")
@@ -647,8 +631,11 @@ def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunc
     """Semigroup values E f(X_T, Y_T) for every f from every start point.
 
     Maps ("pt", f.name, k), k indexing ``starts``, to MCEstimates that share
-    one validity mask (see ``_terminal_panel``).
+    one validity mask (see ``_terminal_panel``).  A panel with no observable or
+    no start is refused before anything is drawn.
     """
+    if not fs or not starts:
+        raise ValueError("pt_panel needs at least one observable and one start")
     def values(finals):
         return {("pt", f.name, k): np.asarray(f.eval(z_final), dtype=float)
                 for f in fs for k, z_final in enumerate(finals)}
@@ -690,11 +677,15 @@ def bismut_panels(model: ModelSpec, points: Sequence[tuple],
     kernel scales them: by Brownian scaling one draw serves every horizon, and
     the basic kernel of every point reads the one walk of the draw.  So
     each panel is bit for bit the one-point panel at ``seed``, whichever points
-    share the call, and each keeps its own validity mask.  The points are
-    mapped over ``workers`` inside each tile.
+    share the call, and each keeps its own validity mask.  The batches are
+    mapped over ``workers``, and the points run inline on each tile's draw.
+    A panel with no direction, or with neither an observable nor an
+    ``extra_obs``, is refused before anything is drawn.
     """
     if not vs:
         raise ValueError("bismut_panel needs at least one direction")
+    if not fs and not extra_obs:
+        raise ValueError("bismut_panel needs at least one observable or extra_obs")
     grids = [TimeGrid(T, n_steps) for _, T in points]
 
     def draw(idx):
@@ -734,8 +725,11 @@ def fd_panel(model: ModelSpec, z0, T: float,
     (f(Z_T^+) - f(Z_T^-)) / (2 eps) along ``vs[j]``.  Every start reuses one
     noise draw per tile, so the per-path difference has drastically reduced
     variance, and directions with v1 = 0 share the unshifted x-path.  All
-    estimates share one validity mask (see ``_terminal_panel``).
+    estimates share one validity mask (see ``_terminal_panel``).  A panel with
+    no observable or no direction is refused before anything is drawn.
     """
+    if not fs or not vs:
+        raise ValueError("fd_panel needs at least one observable and one direction")
     z = np.concatenate(split_point(model, z0))
     eps = default_fd_eps(z) if eps is None else float(eps)
     if not (0 < eps < math.inf):

@@ -57,9 +57,9 @@ formula.  In particular slot i of ``xi_drift_weight`` is the extended model's
 int <sigma1^{-1} xi^i_t/(T-t), dB_t>, and the basic kernel stores the value that
 integral takes in the sigma1 = I, b1 = 0 reduction, B_T/T.
 
-Every kernel takes its noise as one required argument, a ``Noise`` (or a
-pair (eps, zeta)) of standard normals as ``standard_noise`` draws them: eps
-(P, n_steps, m) for the increments of B and zeta (P, d) for S.  The kernel
+Every kernel takes its noise as one required argument, a ``Noise`` of
+standard normals as ``standard_noise`` draws them: eps (P, n_steps, m) for
+the increments of B and zeta (P, d) for S.  The kernel
 checks the two shapes, draws nothing itself and scales to its own grid: by
 Brownian scaling the increments on [0, T] are sqrt(T/n_steps) eps, so one
 draw serves every horizon T of a given step count, bit for bit.  The basic
@@ -187,23 +187,18 @@ class Noise:
     """The kernel noise of a batch: standard normals eps (P, n_steps, m) and
     zeta (P, d), and the walk of eps, built on first read.
 
-    Indexes and unpacks as the pair (eps, zeta).  The walk is built once
-    however many threads read it, and lives as long as the noise.
+    The walk is built once however many threads read it, and lives as long as
+    the noise.
     """
 
     def __init__(self, eps: np.ndarray, zeta: np.ndarray):
         self.eps, self.zeta = eps, zeta
         self._walk = None
-        # one lock per noise: ``functools.cached_property`` holds one lock for
-        # every instance on Python 3.11, which would serialize the walks of
-        # batches running on different threads
+        # the ``reduction`` check runs two kernels on one draw side by side, so
+        # the walk is built under a lock; one lock per noise, as
+        # ``functools.cached_property`` holds one lock for every instance on
+        # Python 3.11, which would serialize the walks of concurrent batches
         self._lock = threading.Lock()
-
-    def __iter__(self):
-        return iter((self.eps, self.zeta))
-
-    def __getitem__(self, i):
-        return (self.eps, self.zeta)[i]
 
     @property
     def walk(self) -> np.ndarray:
@@ -265,23 +260,24 @@ def _root_times(q: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (root @ zeta[..., None])[..., 0], np.where(finite, lam[:, 0], np.nan)
 
 
-def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid, noise) -> tuple:
-    """Checked starting point and ``Noise`` of a kernel call; a pair
-    (eps, zeta) is wrapped in a ``Noise`` of its own.
+def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid,
+             noise: Noise) -> tuple[np.ndarray, np.ndarray]:
+    """Checked starting point (x0, y0) of a kernel call on ``noise``.
 
-    eps must be (P, n_steps, m) and zeta (P, d) with P = len(eps), so noise
-    drawn for another batch or another step count is refused, not truncated.
+    The noise must be a ``Noise`` with eps (P, n_steps, m) and zeta (P, d),
+    P = len(eps), so noise drawn for another batch or another step count is
+    refused, not truncated.
     """
     x0 = _as_state(x0, model.m, "x0")
     y0 = _as_state(y0, model.d, "y0")
     if not isinstance(noise, Noise):
-        noise = Noise(*noise)
-    eps, zeta = noise
+        raise TypeError(f"noise must be a paths.Noise, got {type(noise).__name__}")
+    eps, zeta = noise.eps, noise.zeta
     P, n = len(eps), grid.n_steps
     if np.shape(eps) != (P, n, model.m) or np.shape(zeta) != (P, model.d):
         raise ValueError(f"noise has shapes {np.shape(eps)} and {np.shape(zeta)}; "
                          f"expected ({P}, {n}, {model.m}) and ({P}, {model.d})")
-    return x0, y0, noise
+    return x0, y0
 
 
 def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
@@ -318,13 +314,13 @@ def simulate_basic_batch(
     x0,
     y0,
     grid: TimeGrid,
-    noise: Noise | tuple[np.ndarray, np.ndarray],
+    noise: Noise,
 ) -> PathBatch:
-    """Simulate a batch of basic-model paths on ``noise = (eps, zeta)`` and
+    """Simulate a batch of basic-model paths on the ``Noise`` (eps, zeta) and
     accumulate all weight functionals, one slot per coordinate axis of R^m."""
     if model.kind is not ModelKind.BASIC:
         raise ValueError("simulate_basic_batch expects a basic model")
-    x0, y0, noise = _prepare(model, x0, y0, grid, noise)
+    x0, y0 = _prepare(model, x0, y0, grid, noise)
     x_left, b_final, field, q_matrix, s, y_final, min_eig, valid = _basic_states(
         model, x0, y0, grid, noise)
     P, m, d = len(b_final), model.m, model.d
@@ -372,9 +368,9 @@ class _ExtendedStates:
     """
 
     def __init__(self, model: ModelSpec, x0: np.ndarray, y0: np.ndarray,
-                 grid: TimeGrid, eps: np.ndarray, zeta: np.ndarray):
+                 grid: TimeGrid, noise: Noise):
         self.model, self.x0, self.y0, self.grid = model, x0, y0, grid
-        self.eps, self.zeta = eps, zeta
+        self.eps, self.zeta = noise.eps, noise.zeta
 
     def __iter__(self):
         model, grid, eps = self.model, self.grid, self.eps
@@ -420,9 +416,9 @@ def simulate_extended_batch(
     x0,
     y0,
     grid: TimeGrid,
-    noise: Noise | tuple[np.ndarray, np.ndarray],
+    noise: Noise,
 ) -> PathBatch:
-    """Simulate extended-model paths on ``noise = (eps, zeta)``, advancing X and
+    """Simulate extended-model paths on the ``Noise`` (eps, zeta), advancing X and
     one xi per coordinate axis e_i of R^m jointly.
 
     The xi step is exact for the singular part of the drift:
@@ -431,8 +427,8 @@ def simulate_extended_batch(
     """
     if model.kind is not ModelKind.EXTENDED:
         raise ValueError("simulate_extended_batch expects an extended model")
-    x0, y0, (eps, zeta) = _prepare(model, x0, y0, grid, noise)
-    P, m, d = len(eps), model.m, model.d
+    x0, y0 = _prepare(model, x0, y0, grid, noise)
+    P, m, d = len(noise.eps), model.m, model.d
     n, T, dt = grid.n_steps, grid.horizon, grid.dt
 
     remaining = T - grid.times()               # (n+1,), exactly 0 at the final node
@@ -443,7 +439,7 @@ def simulate_extended_batch(
     dgi_acc = np.zeros((P, m, d))
     xdw_acc = np.zeros((P, m))
 
-    states = _ExtendedStates(model, x0, y0, grid, eps, zeta)
+    states = _ExtendedStates(model, x0, y0, grid, noise)
     for k, x, s1_safe, s2, db in states:
         # xi-drift weight term of each axis at the left node, <sigma1^{-1} xi/(T-t_k), dB_k>
         if m == 1:
@@ -491,7 +487,7 @@ def simulate_terminal_batch(
     x0,
     y0,
     grid: TimeGrid,
-    noise: Noise | tuple[np.ndarray, np.ndarray],
+    noise: Noise,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X_T, Y_T, valid) from the direction-free part of the model's kernel alone.
 
@@ -500,18 +496,18 @@ def simulate_terminal_batch(
     docstring): it equals the full kernel's mask unless a gradient callback is
     non-finite on a coordinate axis where sigma is finite.
     """
-    x0, y0, noise = _prepare(model, x0, y0, grid, noise)
+    x0, y0 = _prepare(model, x0, y0, grid, noise)
     if model.kind is ModelKind.BASIC:
         _, b_final, _, _, _, y_final, _, valid = _basic_states(model, x0, y0, grid, noise)
         return x0 + b_final, y_final, valid
-    states = _ExtendedStates(model, x0, y0, grid, *noise)
+    states = _ExtendedStates(model, x0, y0, grid, noise)
     for _ in states:
         pass
     return states.x_final, states.y_final, states.valid
 
 
 def simulate_batch(model: ModelSpec, x0, y0, grid: TimeGrid,
-                   noise: Noise | tuple[np.ndarray, np.ndarray]) -> PathBatch:
+                   noise: Noise) -> PathBatch:
     """Simulate with the kernel of the model's kind, basic or extended."""
     # the kernels are looked up as module globals at call time, so a rebinding
     # of ``simulate_basic_batch`` / ``simulate_extended_batch`` sees every call

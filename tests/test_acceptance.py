@@ -294,9 +294,9 @@ def test_criterion_12_xi_solver_exactness():
     xi[0] = v1
     for k in range(n):
         xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
-    eps, zeta = standard_noise(112, np.arange(5), n, model)
-    pf = simulate_extended_batch(model, [1.0], [0.0], grid, (eps, zeta))
-    dB = eps * np.sqrt(grid.dt)
+    noise = standard_noise(112, np.arange(5), n, model)
+    pf = simulate_extended_batch(model, [1.0], [0.0], grid, noise)
+    dB = noise.eps * np.sqrt(grid.dt)
     x = np.ones((5, 1))
     xdw, tr = np.zeros(5), np.zeros((5, 1, 1))
     for k in range(n):

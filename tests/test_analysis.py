@@ -389,10 +389,10 @@ def _record_threads(monkeypatch, module, name):
 
 
 def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
-    # a grid point's task runs the path functionals of its own T and x, inside
-    # the tile of the grid's one draw; a Harnack pair's task is a check_harnack.
-    # Lemma 3.1 points read the path at n = 1.5; at n = 1 they read per-path
-    # statistics of the walk, which the tile computes once
+    # a grid call's tasks are its batches: each draws its tiles and runs every
+    # point's path functionals, in order, on each tile's draw; a Harnack pair's
+    # task is a check_harnack.  Lemma 3.1 points read the path at n = 1.5; at
+    # n = 1 they read per-path statistics of the walk, which the tile computes once
     model = make_power_law_model(1, 1, 1.0)
     lemma31_grid = dict(calibration=((0.25, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))
     cases = [
@@ -419,6 +419,19 @@ def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
                         for w in (1, 2))
     assert parallel == serial
     assert parallel.points and parallel.points == serial.points
+
+
+def test_a_standalone_panel_overlaps_two_batches(monkeypatch):
+    # 3,000 paths at workers=2 give two 1,500-path batches, each one tile; the
+    # first two kernel calls wait for each other, so they pass only if they overlap
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    serial = estimators.pt_panel(model, [[1.0, 0.5]], 1.0, fs, 3000, 10, 67)
+    threads, armed = _record_threads(monkeypatch, estimators, "simulate_terminal_batch")
+    armed += [True, True]
+    parallel = estimators.pt_panel(model, [[1.0, 0.5]], 1.0, fs, 3000, 10, 67, workers=2)
+    assert len(threads) == 2
+    assert parallel == serial
 
 
 def test_a6_gaussian_closed_form():

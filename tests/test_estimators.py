@@ -1,7 +1,6 @@
 """Monte Carlo estimators against closed forms, CRN exactness, moment oracles."""
 
 import math
-import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +9,12 @@ import numpy as np
 import pytest
 
 from gruschin import estimators, models, paths, rng
-from gruschin.analysis import DEFAULT_CALIBRATION_GRID, DEFAULT_HOLDOUT_GRID
+from gruschin.analysis import (
+    DEFAULT_CALIBRATION_GRID,
+    DEFAULT_HOLDOUT_GRID,
+    McParams,
+    check_lemma31,
+)
 from gruschin.estimators import (
     LQ_INTEGRANDS,
     EstimationError,
@@ -562,6 +566,53 @@ def test_bismut_panel_refuses_an_empty_direction_list():
         bismut_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [], 64, 10, 3)
 
 
+_EMPTY_PANELS = {
+    "fd_panel without directions": lambda model, f: fd_panel(
+        model, [1.0, 0.5], 1.0, [f], [], 1000, 10, 3),
+    "fd_panel without observables": lambda model, f: fd_panel(
+        model, [1.0, 0.5], 1.0, [], [EX], 1000, 10, 3),
+    "pt_panel without observables": lambda model, f: pt_panel(
+        model, [[1.0, 0.5]], 1.0, [], 1000, 10, 3),
+    "pt_panel without starts": lambda model, f: pt_panel(
+        model, [], 1.0, [f], 1000, 10, 3),
+    "bismut_panel without observables": lambda model, f: bismut_panel(
+        model, [1.0, 0.5], 1.0, [], [EX], 1000, 10, 3),
+    "bismut_panels without observables": lambda model, f: estimators.bismut_panels(
+        model, [([1.0, 0.5], 1.0), ([0.5, 0.0], 0.5)], [], [EX], 1000, 10, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_PANELS))
+def test_an_empty_panel_is_refused_before_any_draw(monkeypatch, name):
+    draws = _counting_draws(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    with pytest.raises(ValueError, match="at least one"):
+        _EMPTY_PANELS[name](model, observable("sin_y", model))
+    assert draws == {0: [], 1: []}
+
+
+@pytest.mark.parametrize("batch_size", [0, -5, 2.5])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_bad_batch_size_is_refused_before_any_draw(monkeypatch, batch_size, workers):
+    draws = _counting_draws(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable("sin_y", model)
+    calls = [
+        lambda: bismut_panel(model, [1.0, 0.5], 1.0, [f], [EX], 1000, 10, 3,
+                             workers=workers, batch_size=batch_size),
+        lambda: pt_panel(model, [[1.0, 0.5]], 1.0, [f], 1000, 10, 3,
+                         workers=workers, batch_size=batch_size),
+        lambda: estimate_negative_moment(1, [0.5], 1.0, 1.0, 1.0, 1000, 10, 3,
+                                         workers=workers, batch_size=batch_size),
+        lambda: estimate_lq_moment("constant_unit", 2.0, 1.0, 1000, 10, 3,
+                                   workers=workers, batch_size=batch_size),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="batch_size must be a positive integer"):
+            call()
+    assert draws == {0: [], 1: []}
+
+
 def test_panel_entry_does_not_depend_on_the_other_directions():
     # (1, 1e-7 | 0) is within 1e-12 in cosine of (1, 0 | 0), and its 1e-7 d/dx2
     # part must not be dropped when the two share a panel
@@ -683,7 +734,8 @@ def _counting_walks(monkeypatch) -> list:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_every_point_and_x_start_of_a_tile_reads_one_walk(monkeypatch, workers):
-    # K = 20 steps: a tile is a whole 1,024-path batch, so 2,500 paths are 3 tiles
+    # K = 20 steps: a tile is a whole 1,024-path batch, so 2,500 paths are 3
+    # tiles; at two workers the batches may finish in either order
     walks = _counting_walks(monkeypatch)
     terminals = _counting(monkeypatch, "simulate_terminal_batch")
     model = make_power_law_model(1, 1, 1.0)
@@ -691,7 +743,7 @@ def test_every_point_and_x_start_of_a_tile_reads_one_walk(monkeypatch, workers):
     points = [([1.0, 0.5], 1.0), ([0.0, 0.0], 0.25), ([2.0, -0.5], 1.7)]
     estimators.bismut_panels(model, points, fs, [EX, EY], 2500, 20, 5, workers=workers,
                              batch_size=1024)
-    assert walks == [(1024, 20, 1), (1024, 20, 1), (452, 20, 1)]
+    assert sorted(walks) == [(452, 20, 1), (1024, 20, 1), (1024, 20, 1)]
     # x + eps, x - eps and the unshifted x that EY's starts share
     walks.clear()
     fd_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 2500, 20, 5, workers=workers,
@@ -941,26 +993,15 @@ def test_parallel_map_builds_no_executor_for_one_item_or_one_worker(monkeypatch)
     assert built == []
 
 
-def test_cpu_shares_deal_the_process_cpus_round_robin(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5, 6, 7})
-    assert estimators._cpu_shares(2) == [{0, 2, 4, 6}, {1, 3, 5, 7}]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 6})
-    assert estimators._cpu_shares(8) == [{4}, {6}]
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
-                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
-def test_parallel_map_binds_its_threads_to_disjoint_cpu_shares():
-    mask = os.sched_getaffinity(0)
-    barrier = threading.Barrier(2, timeout=30)
-
-    def task(_):
-        barrier.wait()  # both pool threads are alive at once
-        return frozenset(os.sched_getaffinity(0))
-
-    a, b = parallel_map(task, [0, 1], workers=2)
-    assert a and b and not a & b and a | b <= mask
-    assert os.sched_getaffinity(0) == mask  # the calling thread keeps its CPUs
+def test_lemma31_grid_builds_one_pool_for_its_batches(monkeypatch):
+    # the batches are the one parallel axis: one pool maps them, and no tile
+    # builds a pool of its own for the grid points
+    serial = check_lemma31(McParams(10_000, 100, 61, workers=1))
+    built = _count_executors(monkeypatch)
+    parallel = check_lemma31(McParams(10_000, 100, 61, workers=2))
+    assert built == [2]
+    assert parallel == serial
+    assert parallel.points and parallel.points == serial.points
 
 
 def test_parallel_map_propagates_a_task_exception():

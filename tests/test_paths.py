@@ -20,6 +20,7 @@ from gruschin.models import (
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
 from gruschin.paths import (
+    Noise,
     TimeGrid,
     brownian_left_nodes,
     simulate_basic_batch,
@@ -35,7 +36,7 @@ from gruschin.weights import weight_terms_shared
 
 
 def noise(model, grid, seed, idx):
-    """The noise (eps, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
+    """The ``Noise`` of paths ``idx`` under ``seed``, as the estimators draw it."""
     return standard_noise(seed, idx, grid.n_steps, model)
 
 
@@ -150,7 +151,7 @@ def test_step_halving_is_first_order():
     model = make_power_law_model(1, 1, 1.0)
     T, n = 1.0, 25
     P = 20000
-    dB_f, zeta = noise(model, TimeGrid(T, 4 * n), 17, np.arange(P))
+    fine = noise(model, TimeGrid(T, 4 * n), 17, np.arange(P))
 
     def coarsen(arr, factor):
         return arr.reshape(P, -1, factor, arr.shape[-1]).sum(axis=2)
@@ -158,7 +159,7 @@ def test_step_halving_is_first_order():
     means = {}
     for factor in (4, 2, 1):
         steps = 4 * n // factor
-        inc = (coarsen(dB_f, factor), zeta)
+        inc = Noise(coarsen(fine.eps, factor), fine.zeta)
         batch = simulate_basic_batch(model, [1.0], [0.0], TimeGrid(T, steps), inc)
         means[steps] = batch.q_matrix[:, 0, 0].mean()
     d1 = means[2 * n] - means[n]
@@ -223,8 +224,8 @@ def test_xi_closed_form_with_identity_coefficients():
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
     v1 = 1.0                       # the axis e_1, whose xi fills slot 0
-    eps, zeta = noise(model, grid, 41, np.arange(2, 10))
-    pf = simulate_extended_batch(model, [1.0], [0.0], grid, (eps, zeta))
+    drawn = noise(model, grid, 41, np.arange(2, 10))
+    pf = simulate_extended_batch(model, [1.0], [0.0], grid, drawn)
     times = grid.times()
     # bitwise reconstruction of the telescoping product
     xi = np.empty(n + 1)
@@ -233,7 +234,7 @@ def test_xi_closed_form_with_identity_coefficients():
         xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
     assert xi[-1] == 0.0
     assert np.allclose(xi, v1 * (T - times) / T, atol=1e-12)
-    for name, want in xi_weight_sums(model, grid, xi, 1.0, eps).items():
+    for name, want in xi_weight_sums(model, grid, xi, 1.0, drawn.eps).items():
         assert np.array_equal(getattr(pf, name)[:, 0], want), name
 
 
@@ -285,9 +286,10 @@ def test_brownian_increments_split_across_a_partial_block():
     model = make_tilted_matrix_model()
     whole, head, tail = (noise(model, grid, 61, idx) for idx in (
         np.arange(1250), np.arange(300), np.arange(300, 1250)))
-    assert whole[0].shape == (1250, 30, 1) and whole[1].shape == (1250, 2)
-    for w, h, t in zip(whole, head, tail):
-        assert np.array_equal(w, np.concatenate([h, t]))
+    assert whole.eps.shape == (1250, 30, 1) and whole.zeta.shape == (1250, 2)
+    for part in ("eps", "zeta"):
+        assert np.array_equal(getattr(whole, part),
+                              np.concatenate([getattr(head, part), getattr(tail, part)]))
 
 
 def test_kernels_scale_one_standard_draw_to_their_grid():
@@ -311,7 +313,18 @@ def test_extended_override_for_one_path_is_refused_for_four():
     one_path = noise(model, grid, 83, [0])
     four_paths = noise(model, grid, 83, np.arange(4))
     with pytest.raises(ValueError, match="noise has shapes"):
-        simulate_extended_batch(model, [1.0], [0.0], grid, (four_paths[0], one_path[1]))
+        simulate_extended_batch(model, [1.0], [0.0], grid,
+                                Noise(four_paths.eps, one_path.zeta))
+
+
+@pytest.mark.parametrize("kernel", [simulate_batch, simulate_terminal_batch])
+@pytest.mark.parametrize("name", ["power_law", "extended_demo"])
+def test_kernels_refuse_noise_that_is_not_a_noise(kernel, name):
+    model = SPLIT_MODELS[name]
+    grid = TimeGrid(1.0, 20)
+    drawn = noise(model, grid, 83, np.arange(4))
+    with pytest.raises(TypeError, match="noise must be a paths.Noise"):
+        kernel(model, np.ones(model.m), np.zeros(model.d), grid, (drawn.eps, drawn.zeta))
 
 
 def test_extended_override_with_more_steps_than_the_grid_is_refused():
@@ -498,8 +511,8 @@ def test_direction_free_part_keeps_every_bit(name, x_start):
     # the reference runs one direction; slot i of the kernel is its run along e_i
     for i, e in enumerate(np.eye(model.m)):
         v = Direction.make(e, np.full(model.d, 0.5))
-        ref = _reference(model, x0, v, grid, drawn[0], no_b_tilde)
-        want = {key: ref[key] for key in FIELDS} | _given_b(model, ref, y0, drawn[1])
+        ref = _reference(model, x0, v, grid, drawn.eps, no_b_tilde)
+        want = {key: ref[key] for key in FIELDS} | _given_b(model, ref, y0, drawn.zeta)
         for field, value in want.items():
             got = getattr(full, field)
             if field in AXIS_FIELDS:
@@ -528,9 +541,10 @@ def test_axis_slots_combine_to_the_reference_kernel(name):
     idx = np.arange(400)
     v = Direction.make([0.6, -0.8], np.full(model.d, 0.3))
     x0, y0 = np.array([1.0, 0.5]), np.zeros(model.d)
-    eps, zeta = noise(model, grid, 97, idx)
-    batch = simulate_batch(model, x0, y0, grid, (eps, zeta))
-    ref = _reference(model, x0, v, grid, eps, np.zeros((len(idx), grid.n_steps, model.d)))
+    drawn = noise(model, grid, 97, idx)
+    batch = simulate_batch(model, x0, y0, grid, drawn)
+    ref = _reference(model, x0, v, grid, drawn.eps,
+                     np.zeros((len(idx), grid.n_steps, model.d)))
     assert batch.valid.all()
     for field in AXIS_FIELDS:
         slots = getattr(batch, field)
@@ -556,12 +570,11 @@ def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
     model = SPLIT_MODELS[name]
     grid, P = TimeGrid(1.0, 10), 100_000
     idx = np.arange(P)
-    eps_one, _ = noise(model, grid, 101, [3])
-    eps = np.repeat(eps_one, P, axis=0)
+    eps = np.repeat(noise(model, grid, 101, [3]).eps, P, axis=0)
     zeta = PathStreams(101, substream=1).fill_normals(idx, (model.d,))
     x0, y0 = np.full(model.m, 1.5), np.full(model.d, 0.3)
     v = Direction.make(np.ones(model.m), np.full(model.d, 0.5))
-    batch = simulate_batch(model, x0, y0, grid, (eps, zeta))
+    batch = simulate_batch(model, x0, y0, grid, Noise(eps, zeta))
     assert batch.valid.all()
     q = batch.q_matrix[0]
     assert np.array_equal(batch.q_matrix, np.broadcast_to(q, batch.q_matrix.shape))

@@ -15,6 +15,7 @@ from gruschin.models import (
     observable,
 )
 from gruschin.paths import (
+    Noise,
     TimeGrid,
     simulate_basic_batch,
     simulate_extended_batch,
@@ -27,7 +28,7 @@ GRID = TimeGrid(1.0, 100)
 
 
 def noise(model, grid, seed, idx):
-    """The noise (eps, zeta) of paths ``idx`` under ``seed``, as the estimators draw it."""
+    """The ``Noise`` of paths ``idx`` under ``seed``, as the estimators draw it."""
     return standard_noise(seed, idx, grid.n_steps, model)
 
 
@@ -140,10 +141,10 @@ def test_relabeling_symmetry():
     grid = TimeGrid(1.0, 64)
     idx = np.arange(64)
     v = Direction.make([1.0], [0.3, 0.3])
-    dB, zeta = noise(model, grid, 29, idx)
-    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid, (dB, zeta))
+    drawn = noise(model, grid, 29, idx)
+    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid, drawn)
     b = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid,
-                             (dB, zeta[:, ::-1].copy()))
+                             Noise(drawn.eps, drawn.zeta[:, ::-1].copy()))
     da, ta, ia, _ = weight_terms_shared(a, v)
     db_, tb, ib, _ = weight_terms_shared(b, v)
     assert np.array_equal(ta, tb)           # trace term has no zeta dependence
