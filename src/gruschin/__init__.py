@@ -36,6 +36,7 @@ from .estimators import (
     estimate_gradient_bismut,
     estimate_gradient_fd,
     estimate_lq_moment,
+    estimate_lq_moments,
     estimate_negative_moment,
     estimate_negative_moments,
     estimate_pt,

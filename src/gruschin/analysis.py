@@ -25,10 +25,9 @@ import numpy as np
 from .estimators import (
     _integrate,
     bismut_panels,
-    estimate_lq_moment,
+    estimate_lq_moments,
     estimate_negative_moments,
     lq_moment_rhs,
-    parallel_map,
     pt_panel,
 )
 from .models import Direction, Family, ModelKind, ModelSpec, TestFunction
@@ -408,24 +407,23 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
     The rows are ``check`` rows, judged by ``_verdict``: every ratio must stay at
     or below 1 plus its tolerance, and the fitted constant is the largest ratio.
     The inequality is an equality for q = 2 (Ito isometry), which pins the ratio
-    near 1 there.  The cases are mapped over ``mc.workers`` threads.
+    near 1 there.  Every case runs under the one seed of label ``lemma_ll``, on
+    one standard-normal draw per tile (see ``estimate_lq_moments``), so the rows
+    are correlated; the batches are mapped over ``mc.workers`` threads.  Without
+    cases nothing is drawn.
     """
     report = BoundCheckReport(inequality_id="LemmaLL")
-
-    def ratio_point(case: tuple[str, float, dict]) -> RatioPoint:
-        name, q, kwargs = case
-        seed = derive_seed(mc.seed, f"lemma_ll:{name}:{q}")
-        lhs = estimate_lq_moment(name, q, T, mc.n_paths, mc.n_steps, seed,
-                                 workers=mc.workers, **kwargs)
-        rhs = lq_moment_rhs(name, q, T, **kwargs)
-        return RatioPoint(
+    seed = derive_seed(mc.seed, "lemma_ll")
+    rhs = [lq_moment_rhs(name, q, T, **kwargs) for name, q, kwargs in cases]
+    estimates = estimate_lq_moments(cases, T, mc.n_paths, mc.n_steps, seed,
+                                    workers=mc.workers)
+    for (name, q, _), lhs, bound in zip(cases, estimates, rhs):
+        report.points.append(RatioPoint(
             label=f"{name},q={q}", phase="check",
-            ratio=lhs.mean / rhs, tolerance=4.0 * lhs.stderr / rhs,
+            ratio=lhs.mean / bound, tolerance=4.0 * lhs.stderr / bound,
             T=T, z0=(), seed=seed, n_steps=mc.n_steps,
             n_valid=lhs.n_valid, n_invalid=lhs.n_invalid,
-        )
-
-    report.points = parallel_map(ratio_point, cases, mc.workers)
+        ))
     _verdict(report)
     return report
 
@@ -576,55 +574,23 @@ def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
                   constant: float, mc: McParams) -> RatioPoint:
     """The A8 row of one pair: P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')).
 
-    The row, labelled ``z->z'``, has ratio P f(z') / rhs and tolerance
-    band / |rhs|, band being the 4-sigma band of P f(z') - rhs.  When rhs is 0,
-    the ratio is inf and the tolerance 0 if P f(z') exceeds its band, and NaN
-    (inconclusive) otherwise.
+    The one-pair case of ``check_harnack_suite``, whose rows it follows.  The
+    row, labelled ``z->z'``, has ratio P f(z') / rhs and tolerance band / |rhs|,
+    band being the 4-sigma band of P f(z') - rhs.  When rhs is 0, the ratio is
+    inf and the tolerance 0 if P f(z') exceeds its band, and NaN (inconclusive)
+    otherwise.
     ``rho`` is the exact Euclidean distance when the model declares
     ``Family.HEAT`` (sigma = I), and otherwise the subunit-curve upper bound
     ``rho_upper_bound``, which reads sigma (and sigma1 for an extended
     model) and holds for any (m, d).
-    P f(z'), P f^2(z') and P f(z) come from one ``pt_panel``: one noise draw
-    per batch drives both base points, and the three estimates share one
-    validity mask, so the z = z' case has ratio exactly 1.  The panel also
-    estimates P 1{f < 0} at z' and z on the same paths; f must be nonnegative,
-    so a sampled state with f < 0 raises ValueError.
+    P f(z'), P f^2(z') and P f(z) come from one ``pt_panel`` under the seed of
+    label ``harnack:{f.name}:{T}``, whose estimates share one validity mask,
+    so the z = z' case has ratio exactly 1.  The panel also estimates
+    P 1{f < 0} at z' and z on the same paths; f must be nonnegative, so a
+    sampled state with f < 0 raises ValueError.  Where no path is invalid from
+    any start of a suite, the row is bit for bit that suite's row of the pair.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    z_prime = np.atleast_1d(np.asarray(z_prime, dtype=float))
-    points = (tuple(z.tolist()), tuple(z_prime.tolist()))
-    seed = derive_seed(mc.seed, f"harnack:{points[0]}:{points[1]}:{f.name}:{T}")
-
-    if model.family is Family.HEAT:
-        rho = euclidean_distance(z, z_prime)
-    else:
-        rho = rho_upper_bound(model, z, z_prime)
-
-    f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f))
-    f_neg = TestFunction(name=f.name + "<0", eval=lambda w: np.asarray(f.eval(w)) < 0.0)
-    panel = pt_panel(model, [z_prime, z], T, [f, f_sq, f_neg], mc.n_paths, mc.n_steps,
-                     seed, workers=mc.workers)
-    if panel[("pt", f_neg.name, 0)].mean > 0.0 or panel[("pt", f_neg.name, 1)].mean > 0.0:
-        raise ValueError(f"observable {f.name!r} is negative on sampled states")
-    p_at_zp, p_sq_zp = panel[("pt", f.name, 0)], panel[("pt", f_sq.name, 0)]
-    p_at_z = panel[("pt", f.name, 1)]
-
-    root = math.sqrt(p_sq_zp.mean)
-    rhs = p_at_z.mean + constant * rho * root
-    root_se = p_sq_zp.stderr / (2.0 * root) if root > 0 else 0.0
-    band = 4.0 * math.sqrt(
-        p_at_zp.stderr**2 + p_at_z.stderr**2 + (constant * rho * root_se) ** 2
-    )
-    lhs = p_at_zp.mean
-    if rhs == 0.0:
-        ratio, tolerance = (math.inf if lhs > band else math.nan), 0.0
-    else:
-        ratio, tolerance = lhs / rhs, band / abs(rhs)
-    return RatioPoint(
-        label=f"{points[0]}->{points[1]}", phase="check", ratio=ratio,
-        tolerance=tolerance, T=T, z0=points[0], v=points[1], seed=seed,
-        n_steps=mc.n_steps, n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid,
-    )
+    return _harnack_rows(model, T, [(z, z_prime)], f, constant, mc)[0]
 
 
 def check_harnack_suite(model: ModelSpec, T: float,
@@ -632,19 +598,72 @@ def check_harnack_suite(model: ModelSpec, T: float,
                         constant: float, mc: McParams) -> BoundCheckReport:
     """A8: the ``check_harnack`` rows of the pairs, judged by ``_verdict``.
 
-    The pairs are mapped over ``mc.workers`` threads.  A row with a NaN ratio
-    is skipped as inconclusive; every other row counts towards the verdict and
-    the fitted constant.
+    Every row reads one ``pt_panel`` over the distinct starts of all pairs,
+    under the one seed of label ``harnack:{f.name}:{T}``: each tile draws once
+    and simulates each distinct x-start once, its batches are mapped over
+    ``mc.workers`` threads, and the rows share one validity mask (a path
+    invalid from any start is invalid in every row) and are correlated.  A row
+    with a NaN ratio is skipped as inconclusive; every other row counts towards
+    the verdict and the fitted constant.  Without pairs nothing is drawn.
     """
     report = BoundCheckReport(inequality_id="A8")
-    for row in parallel_map(lambda pair: check_harnack(model, T, *pair, f, constant, mc),
-                            pairs, mc.workers):
+    for row in _harnack_rows(model, T, pairs, f, constant, mc):
         if math.isnan(row.ratio):
             report.skipped.append(f"{row.label}: inconclusive")
         else:
             report.points.append(row)
     _verdict(report)
     return report
+
+
+def _harnack_rows(model: ModelSpec, T: float, pairs: Sequence[tuple], f: TestFunction,
+                  constant: float, mc: McParams) -> list[RatioPoint]:
+    """The A8 row of every pair (z, z'), in order, off one ``pt_panel`` over
+    the distinct points of the pairs (see ``check_harnack``)."""
+    if not pairs:
+        return []
+    def point(w) -> tuple:
+        return tuple(np.atleast_1d(np.asarray(w, dtype=float)).tolist())
+
+    pairs = [(point(z), point(z_prime)) for z, z_prime in pairs]
+    starts = list(dict.fromkeys(w for z, z_prime in pairs for w in (z_prime, z)))
+    column = {w: k for k, w in enumerate(starts)}
+    seed = derive_seed(mc.seed, f"harnack:{f.name}:{T}")
+
+    f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f))
+    f_neg = TestFunction(name=f.name + "<0", eval=lambda w: np.asarray(f.eval(w)) < 0.0)
+    panel = pt_panel(model, starts, T, [f, f_sq, f_neg], mc.n_paths, mc.n_steps,
+                     seed, workers=mc.workers)
+    if any(panel[("pt", f_neg.name, k)].mean > 0.0 for k in range(len(starts))):
+        raise ValueError(f"observable {f.name!r} is negative on sampled states")
+
+    rows = []
+    for z, z_prime in pairs:
+        if model.family is Family.HEAT:
+            rho = euclidean_distance(z, z_prime)
+        else:
+            rho = rho_upper_bound(model, z, z_prime)
+        p_at_zp = panel[("pt", f.name, column[z_prime])]
+        p_sq_zp = panel[("pt", f_sq.name, column[z_prime])]
+        p_at_z = panel[("pt", f.name, column[z])]
+
+        root = math.sqrt(p_sq_zp.mean)
+        rhs = p_at_z.mean + constant * rho * root
+        root_se = p_sq_zp.stderr / (2.0 * root) if root > 0 else 0.0
+        band = 4.0 * math.sqrt(
+            p_at_zp.stderr**2 + p_at_z.stderr**2 + (constant * rho * root_se) ** 2
+        )
+        lhs = p_at_zp.mean
+        if rhs == 0.0:
+            ratio, tolerance = (math.inf if lhs > band else math.nan), 0.0
+        else:
+            ratio, tolerance = lhs / rhs, band / abs(rhs)
+        rows.append(RatioPoint(
+            label=f"{z}->{z_prime}", phase="check", ratio=ratio,
+            tolerance=tolerance, T=T, z0=z, v=z_prime, seed=seed,
+            n_steps=mc.n_steps, n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid,
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ identical.
 Parallelism: ``parallel_map`` is the one place where work runs on threads.  It
 returns its results in input order, and a map called from inside a task of
 another map runs inline, so pools never nest and at most ``workers`` threads
-work at once.  The suite maps over its Harnack pairs, LemmaLL cases and
-bismut_vs_fd panels, whose estimator calls then run their batches inline.
-Every other call, of one point or of a points list, maps its batches over
-``workers``: batches are the one parallel axis of ``run_batches``, and the
-points of a list run inline, in order, on each tile's draw.
+work at once.  The suite maps over its bismut_vs_fd panels, whose estimator
+calls then run their batches inline.  Every other call, of one point or of a
+points list, maps its batches over ``workers``: batches are the one parallel
+axis of ``run_batches``, and the points of a list run inline, in order, on
+each tile's draw.
 
 Batches and tiles: a batch is the unit of parallel work, and a tile is one
 noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or fewer
@@ -42,8 +42,10 @@ standard random walk, built once per tile (``paths.Noise``), scaled to each
 point's own grid.  So every (T, x) point and every x-start of a tile reads
 one cumulative sum, and each point's estimate is bit for bit its one-point
 estimate at the same seed.  At n = 1 the Lemma 3.1 points read two per-path
-statistics of the walk in its place.  The points' estimates are then
-correlated, each with its own validity mask.
+statistics of the walk in its place.  ``estimate_lq_moments`` is the
+points-list form of the L^q cases: every case reads the one (P, n_steps, 2)
+draw of a tile.  The points' estimates are then correlated, each with its own
+validity mask.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ __all__ = [
     "estimate_negative_moments",
     "negative_moment_exact",
     "estimate_lq_moment",
+    "estimate_lq_moments",
     "lq_moment_rhs",
     "LQ_INTEGRANDS",
     "default_fd_eps",
@@ -239,11 +242,12 @@ def run_batches(
 
     The batches are the one parallel axis: they are mapped over ``workers``,
     and inside a tile the point functions run inline, in order, on its one
-    draw.  A call that runs on its own cuts at most ceil(n_paths / workers)
-    paths per batch, so it has a batch for every worker.  Inside a task of
-    another map the batches run inline and keep ``batch_size``: cut narrower,
-    an extended panel would only pay more per step.  Without point functions
-    nothing is drawn.
+    draw.  A call that runs on its own cuts its batches at most ceil(n_paths /
+    workers) paths long, rounded up to a multiple of ``rng.BLOCK_PATHS``: it has
+    up to one batch per worker, and that cut splits no RNG block between two
+    batches.  Inside a task of another map the batches run inline and keep
+    ``batch_size``: cut narrower, an extended panel would only pay more per
+    step.  Without point functions nothing is drawn.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -254,7 +258,8 @@ def run_batches(
         return []
     size = batch_size or DEFAULT_BATCH_SIZE
     if not _runs_inline(workers):
-        size = min(size, math.ceil(n_paths / workers))
+        per_worker = math.ceil(n_paths / workers)
+        size = min(size, math.ceil(per_worker / BLOCK_PATHS) * BLOCK_PATHS)
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]
 
     def run_tile(start: int, stop: int) -> list:
@@ -545,29 +550,56 @@ def estimate_lq_moment(integrand: str, q: float, T: float,
       constant_unit -- rho_t = 1;
       adapted_cos   -- rho_t = cos(Bt_{t}) at the left node (bounded, adapted);
       sigma_row     -- rho_t = (x + W_t)^l with W an independent Brownian motion.
+
+    The one-case form of ``estimate_lq_moments``.
     """
+    return estimate_lq_moments([(integrand, q, {"l": l, "x": x})], T, n_paths, n_steps,
+                               seed, workers=workers, batch_size=batch_size)[0]
+
+
+def estimate_lq_moments(cases: Sequence[tuple[str, float, dict]], T: float,
+                        n_paths: int, n_steps: int, seed: int,
+                        *, workers: int = 1,
+                        batch_size: Optional[int] = None) -> list[MCEstimate]:
+    """``estimate_lq_moment`` for every (integrand, q, {l, x}) of ``cases``, in order.
+
+    Each tile draws one (P, n_steps, 2) array of standard normals: column 1
+    drives the integrator Bt, and column 0 the independent W of ``sigma_row``.
+    Every case reads that draw, inline, so each estimate is bit for bit the
+    one-case estimate at ``seed``, whichever cases share the call, and the
+    estimates are correlated.  Every case is checked before anything is drawn.
+    The batches are mapped over ``workers``.
+    """
+    grid = TimeGrid(T, n_steps)
+    point_fns = [_lq_integral(name, q, grid, **kwargs) for name, q, kwargs in cases]
+
+    def draw(idx):
+        return standard_increments(seed, idx, n_steps, 2)
+
+    return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
+                                                batch_size, _tile(n_steps, 2))]
+
+
+def _lq_integral(integrand: str, q: float, grid: TimeGrid,
+                 *, l: float = 1.0, x: float = 0.0) -> Callable:
+    """The per-path |int <rho, dBt>|^q of one catalogue case, as a point
+    function of the standard normals (P, n_steps, 2) of ``estimate_lq_moments``."""
     _check_lq(q, l, x)
     if integrand not in LQ_INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand!r}; choose from {LQ_INTEGRANDS}")
-    grid = TimeGrid(T, n_steps)
-    width = 2 if integrand == "sigma_row" else 1
-
-    def draw(idx):
-        return standard_increments(seed, idx, n_steps, width)
 
     def moment(eps):
         if integrand == "constant_unit":
             rho = 1.0
         elif integrand == "adapted_cos":
-            rho = np.cos(brownian_left_nodes(0.0, standard_walk(eps[:, :, -1]), grid)[0])
+            rho = np.cos(brownian_left_nodes(0.0, standard_walk(eps[:, :, 1]), grid)[0])
         else:  # sigma_row
             w_left, _ = brownian_left_nodes(x, standard_walk(eps[:, :, 0]), grid)
             rho = np.sign(w_left) * np.abs(w_left) ** l
-        n_T = (rho * (eps[:, :, -1] * np.sqrt(grid.dt))).sum(axis=1)   # the Ito sum
+        n_T = (rho * (eps[:, :, 1] * np.sqrt(grid.dt))).sum(axis=1)   # the Ito sum
         return {"value": np.abs(n_T) ** q}, np.ones(len(n_T), dtype=bool)
 
-    return run_batches(n_paths, draw, [moment], workers, batch_size,
-                       _tile(n_steps, width))[0]["value"]
+    return moment
 
 
 # ---------------------------------------------------------------------------

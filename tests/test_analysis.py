@@ -367,6 +367,19 @@ def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
     assert draws == {0: [2560, 440], 1: []}
 
 
+def _record_args(monkeypatch, module, name):
+    """Record the positional arguments of every call of ``module.<name>``."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def _record_threads(monkeypatch, module, name):
     """Record the thread of every call of ``module.<name>``.  Once armed, the
     first two calls wait for each other, so they pass only if they overlap."""
@@ -389,19 +402,22 @@ def _record_threads(monkeypatch, module, name):
 
 
 def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
-    # a grid call's tasks are its batches: each draws its tiles and runs every
-    # point's path functionals, in order, on each tile's draw; a Harnack pair's
-    # task is a check_harnack.  Lemma 3.1 points read the path at n = 1.5; at
-    # n = 1 they read per-path statistics of the walk, which the tile computes once
+    # a check's tasks are its batches: each draws its tiles and runs every
+    # point's path functionals, in order, on each tile's draw; the Harnack
+    # pairs read one panel, whose tiles simulate each distinct x-start once,
+    # and the L^q cases one draw per tile.  Lemma 3.1 points read the path at
+    # n = 1.5; at n = 1 they read per-path statistics of the walk, which the
+    # tile computes once
     model = make_power_law_model(1, 1, 1.0)
     lemma31_grid = dict(calibration=((0.25, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))
     cases = [
         ((estimators, "brownian_left_nodes"), lambda mc: check_lemma31(
             mc, n_exp=1.5, **lemma31_grid)),
-        ((analysis, "check_harnack"), lambda mc: check_harnack_suite(
+        ((estimators, "simulate_terminal_batch"), lambda mc: check_harnack_suite(
             model, 1.0, [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5)),
                          ((1.0, 0.0), (1.5, 0.0))],
             observable("one_plus_tanh_y", model), 1.0, mc)),
+        ((estimators, "standard_increments"), check_lemma_ll),
         ((estimators, "simulate_batch"), lambda mc: check_a5(
             model, 2.0, [observable("sin_y", model)], mc,
             calibration=((1.0, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))),
@@ -507,6 +523,15 @@ def test_bound_check_without_rows_is_inconclusive(run):
     assert not rep.points and math.isnan(rep.fitted_constant)
 
 
+def test_harnack_and_lemma_ll_without_rows_draw_nothing(monkeypatch):
+    draws = _record_args(monkeypatch, rng.PathStreams, "fill_normals")
+    model = make_constant_identity_model()
+    mc = McParams(200, 10, 23, workers=2)
+    assert not check_harnack_suite(model, 1.0, [], observable("one", model), 1.0, mc).points
+    assert not check_lemma_ll(mc, cases=()).points
+    assert draws == []
+
+
 # ---------------------------------------------------------------------------
 # Harnack
 # ---------------------------------------------------------------------------
@@ -561,8 +586,8 @@ def test_harnack_rejects_negative_observable():
 
 
 def test_harnack_simulates_each_base_point_once(monkeypatch):
-    # P f(z') and P f^2(z') share one simulation at z'; one more runs at z
-    # unless z has the x of z', whose simulation it then reads translated in y
+    # the pairs read one panel, which simulates each distinct x-start of all
+    # their points once: x = 1 (for (1, 0) and (1, 0.5)) and x = 0.5
     calls = []
     real = estimators.simulate_terminal_batch
 
@@ -575,9 +600,58 @@ def test_harnack_simulates_each_base_point_once(monkeypatch):
     f = observable("one_plus_tanh_y", model)
     pairs = [((1.0, 0.0), (1.0, 0.5)), ((0.5, 0.0), (1.0, 0.5))]
     rep = check_harnack_suite(model, 1.0, pairs, f, 1.0, McParams(2000, 20, 47))
-    assert len(calls) == 1 + 2
+    assert len(calls) == 2
     for pt in rep.points:
         assert pt.n_valid + pt.n_invalid == 2000
+
+
+def _default_pairs():
+    # the four pairs the default run checks at its point (1, 0)
+    return [((1.0, 0.0), (1.0, 0.5)), ((1.0, 0.0), (1.5, 0.0)),
+            ((0.5, 0.0), (1.0, 0.5)), ((1.0, -0.5), (1.0, 0.5))]
+
+
+def test_each_a8_row_is_its_one_pair_check():
+    # one seed for the check; with no invalid path the suite's shared mask is
+    # each pair's own, so every row is bit for bit its one-pair check
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable("one_plus_tanh_y", model)
+    mc = McParams(3000, 20, 101)
+    rep = check_harnack_suite(model, 1.0, _default_pairs(), f, 0.8, mc)
+    assert len(rep.points) == 4 and not rep.skipped
+    for pair, row in zip(_default_pairs(), rep.points):
+        assert row.n_invalid == 0
+        assert row.seed == analysis.derive_seed(mc.seed, f"harnack:{f.name}:1.0")
+        assert row == check_harnack(model, 1.0, *pair, f, 0.8, mc)
+
+
+def test_harnack_pairs_draw_once_and_simulate_each_x_start_once_per_tile(monkeypatch):
+    # K = 100: the panel's tile (width m + d = 2) is 1,280 paths, so 2,000 paths
+    # are two tiles; the default pairs have three x-starts (1, 1.5 and 0.5)
+    draws = _record_args(monkeypatch, estimators, "standard_noise")
+    sims = _record_args(monkeypatch, estimators, "simulate_terminal_batch")
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable("one_plus_tanh_y", model)
+    rep = check_harnack_suite(model, 1.0, _default_pairs(), f, 0.8, McParams(2000, 100, 103))
+    assert len(rep.points) == 4
+    assert [len(args[1]) for args in draws] == [1280, 720]
+    assert [float(args[1][0]) for args in sims] == [1.0, 1.5, 0.5] * 2
+
+
+def test_each_lemma_ll_row_is_its_one_case_estimate(monkeypatch):
+    # one seed for the check and one width-2 draw per tile: K = 80 gives a
+    # 1,536-path tile, so 2,000 paths are two draws for all four cases
+    draws = _record_args(monkeypatch, estimators, "standard_increments")
+    mc = McParams(2000, 80, 107)
+    rep = check_lemma_ll(mc)
+    assert [(len(idx), width) for _, idx, _, width in draws] == [(1536, 2), (464, 2)]
+    seed = analysis.derive_seed(mc.seed, "lemma_ll")
+    for (name, q, kw), row in zip(analysis.DEFAULT_LQ_CASES, rep.points):
+        est = estimators.estimate_lq_moment(name, q, 1.0, mc.n_paths, mc.n_steps, seed, **kw)
+        rhs = estimators.lq_moment_rhs(name, q, 1.0, **kw)
+        assert row.seed == seed
+        assert (row.ratio, row.tolerance) == (est.mean / rhs, 4.0 * est.stderr / rhs)
+        assert (row.n_valid, row.n_invalid) == (est.n_valid, est.n_invalid)
 
 
 def test_harnack_draws_noise_once_per_batch(monkeypatch):

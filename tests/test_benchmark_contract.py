@@ -4,6 +4,8 @@
 package.  This test installs it, runs a small panel and a five-check suite
 that includes the A5 and Lemma 3.1 grids and the L^q cases, and checks that
 the spans it relies on are recorded and that ``restore`` undoes every patch.
+The suite's L^q cases run through ``estimate_lq_moments``, which the tracer
+does not wrap, so ``estimate_lq_moment`` is called on its own for its span.
 """
 
 import dataclasses
@@ -53,6 +55,7 @@ def test_tracer_sees_the_program_and_restores_it(tmp_path, tracer_cls):
         model = models.make_power_law_model(1, 1, 1.0)
         estimators.bismut_panel(model, [1.0, 0.0], 1.0, [models.observable("sin_y", model)],
                                 [models.Direction.make(1.0, 0.0)], 64, 4, 1)
+        estimators.estimate_lq_moment("constant_unit", 2.0, 1.0, 64, 4, 1)
         cfg = ExperimentConfig.from_dict(json.loads(json.dumps(config)))
         code, _ = cli.run_experiment(cfg, out_dir=str(tmp_path))
     finally:

@@ -22,6 +22,7 @@ from gruschin.estimators import (
     estimate_gradient_bismut,
     estimate_gradient_fd,
     estimate_lq_moment,
+    estimate_lq_moments,
     estimate_negative_moment,
     estimate_pt,
     fd_panel,
@@ -1002,6 +1003,55 @@ def test_lemma31_grid_builds_one_pool_for_its_batches(monkeypatch):
     assert built == [2]
     assert parallel == serial
     assert parallel.points and parallel.points == serial.points
+
+
+def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch):
+    # 1,250 paths at workers=2: ceil(1250 / 2) = 625 rounds up to 768, so the
+    # batches are paths 0-767 and 768-1249, and the five blocks are each
+    # generated once (a cut at 625 generated block 2 in both batches)
+    serial = check_lemma31(McParams(1250, 100, 71, workers=1))
+    blocks = []
+    real = rng.PathStreams.fill_normals
+
+    def counting(self, path_indices, shape):
+        blocks.append(len(np.unique(np.asarray(path_indices) // rng.BLOCK_PATHS)))
+        return real(self, path_indices, shape)
+
+    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
+    parallel = check_lemma31(McParams(1250, 100, 71, workers=2))
+    assert sorted(blocks) == [2, 3]   # the two batches run on two threads
+    assert parallel == serial
+    assert parallel.points and parallel.points == serial.points
+
+
+def test_lq_cases_are_bit_for_bit_their_one_case_estimates():
+    cases = [("constant_unit", 2.0, {}), ("adapted_cos", 4.0, {}),
+             ("sigma_row", 2.0, {"l": 1.0, "x": 1.0}), ("constant_unit", 4.0, {}),
+             ("sigma_row", 3.0, {"l": 0.5, "x": -0.5})]
+    together = estimate_lq_moments(cases, 0.7, 3000, 30, 89, batch_size=700)
+    for (name, q, kw), est in zip(cases, together):
+        assert est == estimate_lq_moment(name, q, 0.7, 3000, 30, 89, **kw), name
+    # a case's estimate does not depend on which cases share the call
+    assert estimate_lq_moments(cases[::-1], 0.7, 3000, 30, 89) == together[::-1]
+
+
+def test_lq_cases_are_checked_before_any_draw(monkeypatch):
+    draws = []
+    real = rng.PathStreams.fill_normals
+
+    def counting(self, path_indices, shape):
+        draws.append(shape)
+        return real(self, path_indices, shape)
+
+    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
+    good = ("constant_unit", 2.0, {})
+    for bad, error in ((("constant_unit", 1.0, {}), "q must be"),
+                       (("sigma_row", 2.0, {"x": math.nan}), "must be finite"),
+                       (("no_such", 2.0, {}), "unknown integrand")):
+        with pytest.raises(ValueError, match=error):
+            estimate_lq_moments([good, bad], 1.0, 200, 10, 3)
+    assert estimate_lq_moments([], 1.0, 200, 10, 3) == []
+    assert draws == []
 
 
 def test_parallel_map_propagates_a_task_exception():

@@ -307,6 +307,35 @@ def test_kernels_scale_one_standard_draw_to_their_grid():
     assert np.abs(finals[1.0]).max() > 1.0
 
 
+@pytest.mark.parametrize("m, d, l", [(1, 1, 1.0), (1, 1, 2.0), (2, 1, 1.5), (1, 2, 1.0)])
+def test_power_law_kernel_commutes_with_the_dilation(m, d, l):
+    # sigma(x) = |x|^l I is invariant under delta(x, y) = (lam x, lam^(l+1) y)
+    # with T -> lam^2 T: on one standard draw, the kernel from delta(z0) on
+    # [0, lam^2 T] gives lam X_T and lam^(l+1) (Y_T - y0), and the weight along
+    # an x axis scales by 1/lam, along a y axis by 1/lam^(l+1)
+    lam, T, K = 1.7, 0.8, 50
+    model = make_power_law_model(m, d, l)
+    x0, y0 = np.array([0.8, -0.3][:m]), np.array([0.4, -0.2][:d])
+    drawn = noise(model, TimeGrid(T, K), 13, np.arange(2000))
+    base = simulate_batch(model, x0, y0, TimeGrid(T, K), drawn)
+    dilated = simulate_batch(model, lam * x0, lam ** (l + 1) * y0, TimeGrid(lam**2 * T, K),
+                             drawn)
+
+    def assert_scaled(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    assert_scaled(dilated.x_final, lam * base.x_final)
+    assert_scaled(dilated.y_final - lam ** (l + 1) * y0, lam ** (l + 1) * (base.y_final - y0))
+    for axis in range(m + d):
+        e = np.eye(m + d)[axis]
+        v = Direction(e[:m], e[m:])
+        *terms, solvable = weight_terms_shared(base, v)
+        *dilated_terms, dilated_solvable = weight_terms_shared(dilated, v)
+        assert solvable.all() and dilated_solvable.all()
+        scale = lam if axis < m else lam ** (l + 1)
+        assert_scaled(sum(dilated_terms), sum(terms) / scale)
+
+
 def test_extended_override_for_one_path_is_refused_for_four():
     model = make_extended_demo_model()
     grid = TimeGrid(1.0, 20)
