@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .estimators import bismut_panel, fd_panel, parallel_map
+from .estimators import bismut_panel, fd_panel
 from .models import (
     BUILTIN_MODELS,
     Direction,
@@ -61,14 +62,19 @@ class ConfigError(ValueError):
 
 def _number(convert, value, name: str):
     """``convert(value)`` for ``convert`` int or float, or a ConfigError naming the
-    field unless it is a finite number."""
+    field unless ``value`` is a finite number: a string or a boolean is refused,
+    and so, for int, is a float with a fractional part (``1e4`` is a count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, numbers.Integral):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if convert is int and not float(value).is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return number
+        return convert(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
 def _count(value, name: str, minimum: int) -> int:
@@ -91,12 +97,9 @@ def _floats(value, name: str) -> tuple:
     """A list of finite numbers as a tuple of floats, or a ConfigError naming the field."""
     if isinstance(value, (list, tuple)):
         try:
-            floats = tuple(float(c) for c in value)
-        except (TypeError, ValueError):
+            return tuple(_number(float, c, name) for c in value)
+        except ConfigError:
             pass
-        else:
-            if all(map(math.isfinite, floats)):
-                return floats
     raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
 
 
@@ -228,18 +231,20 @@ class ExperimentConfig:
         overrides = sraw.get("overrides", {})
         if not isinstance(overrides, dict):
             raise ConfigError("suite.overrides must be a mapping")
-        overrides = dict(overrides)
+        parsed = {}
         for key, val in overrides.items():
             if key not in KNOWN_CHECKS:
                 raise ConfigError(f"suite.overrides names unknown check {key!r}")
             if not isinstance(val, dict):
                 raise ConfigError(f"suite.overrides.{key} must be a mapping")
+            parsed[key] = {}
             for name, count in val.items():
                 if name not in MIN_COUNTS:
                     raise ConfigError(f"suite.overrides.{key} sets unknown key {name!r}; "
                                       f"known: {tuple(MIN_COUNTS)}")
-                _count(count, f"suite.overrides.{key}.{name}", MIN_COUNTS[name])
-        suite = SuiteConfig(checks=checks, overrides=overrides)
+                parsed[key][name] = _count(count, f"suite.overrides.{key}.{name}",
+                                           MIN_COUNTS[name])
+        suite = SuiteConfig(checks=checks, overrides=parsed)
 
         oraw = raw.get("output", {})
         output = OutputConfig(
@@ -315,18 +320,16 @@ def _agreement(name: str, passed: bool, detail: str) -> an.BoundCheckReport:
 def _mc_for(cfg: ExperimentConfig, check: str, workers: int) -> an.McParams:
     over = cfg.suite.overrides.get(check, {})
     return an.McParams(
-        n_paths=int(over.get("n_paths", cfg.run.n_paths)),
-        n_steps=int(over.get("n_steps", cfg.run.n_steps)),
+        n_paths=over.get("n_paths", cfg.run.n_paths),
+        n_steps=over.get("n_steps", cfg.run.n_steps),
         seed=cfg.run.master_seed,
         workers=workers,
     )
 
 
 def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
-    """Weight vs finite-difference gradients: one panel of each per (T, z0).
-
-    The panels are mapped over ``workers`` threads; rows follow in (T, z0) order.
-    """
+    """Weight vs finite-difference gradients: one panel of each per (T, z0), in
+    that order; each panel maps its batches over ``workers`` threads."""
     rows, n_bad, n_combos = [], 0, 0
     mc = _mc_for(cfg, "bismut_vs_fd", workers)
     if cfg.run.functions:
@@ -334,36 +337,29 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     else:
         fs = crosscheck_suite(model)
     vs = [Direction.make(list(v1), list(v2)) for v1, v2 in cfg.run.directions]
-    combos = [(T, z0, f"T={T}/z0={_fmt_vec(z0)}")
-              for T in cfg.run.horizons for z0 in cfg.run.points]
-
-    def panel(task):
-        (T, z0, point), kind = task
-        seed = derive_seed(mc.seed, f"bvf:{kind}:{point}")
-        if kind == "bismut":
-            return seed, bismut_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps,
-                                      seed, workers=workers)
-        return seed, fd_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps, seed,
-                              eps=cfg.run.fd_eps, workers=workers)
-
-    panels = parallel_map(panel, [(c, kind) for c in combos for kind in ("bismut", "fd")],
-                          workers)
-    for k, (T, z0, point) in enumerate(combos):
-        (sb, pb), (sf, pf) = panels[2 * k], panels[2 * k + 1]
-        for j, v in enumerate(vs):
-            for f in fs:
-                n_combos += 1
-                label = f"{point}/v={_fmt_dir(v)}/f={f.name}"
-                gb, gf = pb[("grad", f.name, j)], pf[("grad_fd", f.name, j)]
-                tol = 4.0 * math.hypot(gb.stderr, gf.stderr) + FD_BIAS_ALLOWANCE
-                if abs(gb.mean - gf.mean) > tol or gb.n_invalid or gf.n_invalid:
-                    n_bad += 1
-                rows.append(_row(f"bismut_vs_fd/{label}", "grad_bismut",
-                                 gb.mean, gb.stderr, gb.n_valid, gb.n_invalid,
-                                 sb, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
-                rows.append(_row(f"bismut_vs_fd/{label}", "grad_fd",
-                                 gf.mean, gf.stderr, gf.n_valid, gf.n_invalid,
-                                 sf, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
+    for T in cfg.run.horizons:
+        for z0 in cfg.run.points:
+            point = f"T={T}/z0={_fmt_vec(z0)}"
+            sb = derive_seed(mc.seed, f"bvf:bismut:{point}")
+            pb = bismut_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps, sb,
+                              workers=workers)
+            sf = derive_seed(mc.seed, f"bvf:fd:{point}")
+            pf = fd_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps, sf,
+                          eps=cfg.run.fd_eps, workers=workers)
+            for j, v in enumerate(vs):
+                for f in fs:
+                    n_combos += 1
+                    label = f"{point}/v={_fmt_dir(v)}/f={f.name}"
+                    gb, gf = pb[("grad", f.name, j)], pf[("grad_fd", f.name, j)]
+                    tol = 4.0 * math.hypot(gb.stderr, gf.stderr) + FD_BIAS_ALLOWANCE
+                    if abs(gb.mean - gf.mean) > tol or gb.n_invalid or gf.n_invalid:
+                        n_bad += 1
+                    rows.append(_row(f"bismut_vs_fd/{label}", "grad_bismut",
+                                     gb.mean, gb.stderr, gb.n_valid, gb.n_invalid,
+                                     sb, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
+                    rows.append(_row(f"bismut_vs_fd/{label}", "grad_fd",
+                                     gf.mean, gf.stderr, gf.n_valid, gf.n_invalid,
+                                     sf, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
     return rows, _agreement(
         "BismutVsFD", n_bad == 0,
         f"{n_combos - n_bad}/{n_combos} combos agree within 4*stderr + {FD_BIAS_ALLOWANCE}",
@@ -385,10 +381,8 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     idx = np.arange(n, dtype=np.int64)
     seed = derive_seed(mc.seed, "reduction")
     noise = standard_noise(seed, idx, mc.n_steps, model)
-    # the two kernels only read the shared noise, so they run side by side
-    bb, eb = parallel_map(
-        lambda mdl: simulate_batch(mdl, x0, y0, grid, noise),
-        [model, ext], mc.workers)
+    bb = simulate_batch(model, x0, y0, grid, noise)
+    eb = simulate_batch(ext, x0, y0, grid, noise)
     db, tb, ib, okb = weight_terms_shared(bb, v)
     de, te, ie, oke = weight_terms_shared(eb, v)
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))

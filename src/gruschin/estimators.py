@@ -9,18 +9,15 @@ arrays ordered by path index and reduced by a fixed pairwise tree.
 Serial and multi-worker runs, and any batch size, are therefore bitwise
 identical.
 
-Parallelism: ``parallel_map`` is the one place where work runs on threads.  It
-returns its results in input order, and a map called from inside a task of
-another map runs inline, so pools never nest and at most ``workers`` threads
-work at once.  The suite maps over its bismut_vs_fd panels, whose estimator
-calls then run their batches inline.  Every other call, of one point or of a
-points list, maps its batches over ``workers``: batches are the one parallel
-axis of ``run_batches``, and the points of a list run inline, in order, on
-each tile's draw.
+Parallelism: ``run_batches`` is the one place where work runs on threads.  A
+call maps its batches over ``workers``, and the points of a list run inline, in
+order, on each tile's draw.  Nothing else starts a thread, so no map nests in
+another and at most ``workers`` threads work at once: the suite runs its
+checks, and the panels of a check, one after another.
 
 Batches and tiles: a batch is the unit of parallel work, and a tile is one
 noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or fewer
-where a call that runs on its own needs more batches to occupy its workers.
+where a call needs more batches to occupy its workers.
 A batch runs as consecutive tiles, each the largest multiple of
 ``rng.BLOCK_PATHS`` whose (P, n_steps, w) arrays fit ``TILE_NORMALS`` floats
 (2 MiB), w = m + d for a panel, cut at absolute multiples of the tile, so a
@@ -53,10 +50,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -78,7 +74,6 @@ __all__ = [
     "MCEstimate",
     "EstimationError",
     "pairwise_sum",
-    "parallel_map",
     "estimate_pt",
     "estimate_gradient_bismut",
     "estimate_gradient_fd",
@@ -152,36 +147,6 @@ def _chunks(n_paths: int, batch_size: int) -> list[tuple[int, int]]:
     return [(s, min(s + batch_size, n_paths)) for s in range(0, n_paths, batch_size)]
 
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-_task_thread = threading.local()
-
-
-def _runs_inline(workers: int) -> bool:
-    """Whether a map over ``workers`` runs on the calling thread: for one
-    worker, or inside a task of another map."""
-    return workers <= 1 or getattr(_task_thread, "active", False)
-
-
-def _mark_task_thread() -> None:
-    _task_thread.active = True
-
-
-def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) -> list[_R]:
-    """``[fn(x) for x in items]``, in input order, over up to ``workers`` threads.
-
-    Runs inline when ``workers <= 1``, when there is at most one item, or when
-    called from inside a task of another ``parallel_map``, so pools never nest.
-    The first exception raised by a task propagates.
-    """
-    items = list(items)
-    if len(items) <= 1 or _runs_inline(workers):
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_task_thread) as pool:
-        return list(pool.map(fn, items))
-
-
 def _tile(n_steps: int, width: int) -> int:
     """The tile of a kernel whose per-step arrays have ``width`` columns: the
     largest multiple of ``rng.BLOCK_PATHS`` whose (P, n_steps, width) array fits
@@ -214,8 +179,8 @@ def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
 
 def run_batches(
     n_paths: int,
-    draw: Callable[[np.ndarray], _T],
-    point_fns: Sequence[Callable[[_T], tuple[dict, np.ndarray]]],
+    draw: Callable[[np.ndarray], Any],
+    point_fns: Sequence[Callable[[Any], tuple[dict, np.ndarray]]],
     workers: int = 1,
     batch_size: Optional[int] = None,
     tile: Optional[int] = None,
@@ -240,14 +205,15 @@ def run_batches(
     panels keep their batches whole, as their kernel loops over the steps in
     Python and a narrower call costs more per step.
 
-    The batches are the one parallel axis: they are mapped over ``workers``,
-    and inside a tile the point functions run inline, in order, on its one
-    draw.  A call that runs on its own cuts its batches at most ceil(n_paths /
-    workers) paths long, rounded up to a multiple of ``rng.BLOCK_PATHS``: it has
-    up to one batch per worker, and that cut splits no RNG block between two
-    batches.  Inside a task of another map the batches run inline and keep
-    ``batch_size``: cut narrower, an extended panel would only pay more per
-    step.  Without point functions nothing is drawn.
+    The batches are the only parallel unit: this is the one code that starts
+    threads, and nothing it runs starts more.  With ``workers > 1`` and more
+    than one batch, the batches are mapped over a pool of ``workers`` threads
+    and their results kept in path order; otherwise they run inline.  Inside a
+    tile the point functions run inline, in order, on its one draw.  With
+    ``workers > 1`` a batch is at most ceil(n_paths / workers) paths long,
+    rounded up to a multiple of ``rng.BLOCK_PATHS``: a call has up to one batch
+    per worker, and that cut splits no RNG block between two batches.  Without
+    point functions nothing is drawn.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -257,7 +223,7 @@ def run_batches(
     if not point_fns:
         return []
     size = batch_size or DEFAULT_BATCH_SIZE
-    if not _runs_inline(workers):
+    if workers > 1:
         per_worker = math.ceil(n_paths / workers)
         size = min(size, math.ceil(per_worker / BLOCK_PATHS) * BLOCK_PATHS)
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]
@@ -266,7 +232,14 @@ def run_batches(
         noise = draw(np.arange(start, stop, dtype=np.int64))
         return [(out, _all_finite(out, ok)) for out, ok in (fn(noise) for fn in point_fns)]
 
-    results = parallel_map(lambda tiles: [run_tile(*t) for t in tiles], spans, workers)
+    def run_batch(tiles: list) -> list:
+        return [run_tile(*t) for t in tiles]
+
+    if workers > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_batch, spans))
+    else:
+        results = [run_batch(tiles) for tiles in spans]
     tile_results = list(itertools.chain(*results))  # in path order
     estimates = []
     for k in range(len(point_fns)):

@@ -79,7 +79,6 @@ pure function of (master_seed, i).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,26 +186,21 @@ class Noise:
     """The kernel noise of a batch: standard normals eps (P, n_steps, m) and
     zeta (P, d), and the walk of eps, built on first read.
 
-    The walk is built once however many threads read it, and lives as long as
-    the noise.
+    A noise belongs to one tile of one batch, and batches are the only
+    parallel unit (``estimators.run_batches``), so one thread reads it.  The
+    walk is built once, on first read, and lives as long as the noise.
     """
 
     def __init__(self, eps: np.ndarray, zeta: np.ndarray):
         self.eps, self.zeta = eps, zeta
         self._walk = None
-        # the ``reduction`` check runs two kernels on one draw side by side, so
-        # the walk is built under a lock; one lock per noise, as
-        # ``functools.cached_property`` holds one lock for every instance on
-        # Python 3.11, which would serialize the walks of concurrent batches
-        self._lock = threading.Lock()
 
     @property
     def walk(self) -> np.ndarray:
         """``standard_walk(eps)``, (P, n_steps + 1, m)."""
-        with self._lock:
-            if self._walk is None:
-                self._walk = standard_walk(self.eps)
-            return self._walk
+        if self._walk is None:
+            self._walk = standard_walk(self.eps)
+        return self._walk
 
 
 def standard_noise(master_seed: int, path_indices, n_steps: int,

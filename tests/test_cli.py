@@ -8,12 +8,12 @@ import os
 import re
 import subprocess
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from gruschin import analysis, cli, models
+from gruschin import analysis, cli, estimators, models
 from gruschin.analysis import (
     DEFAULT_CALIBRATION_GRID,
     DEFAULT_HOLDOUT_GRID,
@@ -96,6 +96,21 @@ MINIMAL_FILE = Path(__file__).resolve().parents[1] / "configs" / "minimal.json"
      r"run.points\[0\] must be a list of finite numbers"),
     (lambda b: b["run"].update(directions=[[[1.0], [float("inf")]]]),
      r"run.directions\[0\]\[1\]"),
+    # a string or a boolean is not a number, and a count or a seed is integral
+    (lambda b: b["run"].update(n_paths="1000"), "run.n_paths must be a number"),
+    (lambda b: b["run"].update(n_paths=1000.9), "run.n_paths must be an integer"),
+    (lambda b: b["run"].update(n_steps=True), "run.n_steps must be a number"),
+    (lambda b: b["run"].update(master_seed=7.5), "run.master_seed must be an integer"),
+    (lambda b: b["model"].update(m=True), "model.m must be a number"),
+    (lambda b: b["model"].update(l="1.0"), "model.l must be a number"),
+    (lambda b: b["run"].update(fd_eps="0.01"), "run.fd_eps must be a number"),
+    (lambda b: b["run"].update(horizons=["1.0"]), r"run\.horizons must be a list"),
+    (lambda b: b["run"].update(points=[["1.0", 1.0]]), r"run\.points\[0\] must be a list"),
+    (lambda b: b["run"].update(directions=[[[True], [0.0]]]), r"run.directions\[0\]\[0\]"),
+    (lambda b: b["suite"].update(overrides={"a5": {"n_paths": 500.5}}),
+     "suite.overrides.a5.n_paths must be an integer"),
+    (lambda b: b["suite"].update(overrides={"a5": {"n_steps": "20"}}),
+     "suite.overrides.a5.n_steps must be a number"),
 ])
 def test_malformed_config_fields_exit_2_naming_the_field(tmp_path, capsys, mutate, needle):
     body = json.loads(MINIMAL_FILE.read_text())
@@ -105,6 +120,17 @@ def test_malformed_config_fields_exit_2_naming_the_field(tmp_path, capsys, mutat
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and re.search(needle, err), err
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_counts_are_stored_as_integers():
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"].update(n_paths=1e4, n_steps=50.0, master_seed=7.0)
+    body["suite"]["overrides"] = {"bismut_vs_fd": {"n_paths": 500.0}}
+    cfg = ExperimentConfig.from_dict(body)
+    assert (cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed) == (10_000, 50, 7)
+    assert cfg.suite.overrides == {"bismut_vs_fd": {"n_paths": 500}}
+    assert all(type(v) is int for v in (cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed,
+                                        cfg.suite.overrides["bismut_vs_fd"]["n_paths"]))
 
 
 def test_default_config_with_its_directions_reversed_passes_the_agreement_check(tmp_path):
@@ -419,27 +445,37 @@ def test_reduction_holds_at_m2_on_an_oblique_direction(tmp_path):
     assert row["quantity"] == "max_pathwise_gap" and float(row["mean"]) <= 1e-12
 
 
-def test_reduction_runs_its_two_kernels_side_by_side(tmp_path, monkeypatch):
-    # at two workers the basic and extended kernels overlap: each waits for the
-    # other at a barrier before it simulates, and the artifacts stay the same
+def test_reduction_artifacts_do_not_depend_on_workers(tmp_path):
     body = json.loads(json.dumps(MINIMAL))
     body["suite"] = {"checks": ["reduction"]}
     cfg = ExperimentConfig.from_dict(body)
     run_experiment(cfg, workers=1, out_dir=str(tmp_path / "w1"))
-    barrier = threading.Barrier(2, timeout=30)
-    kinds, real = [], cli.simulate_batch
-
-    def waiting(model, *args, **kwargs):
-        kinds.append(model.kind)
-        barrier.wait()
-        return real(model, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "simulate_batch", waiting)
     code, _ = run_experiment(cfg, workers=2, out_dir=str(tmp_path / "w2"))
     assert code == 0
-    assert sorted(k.value for k in kinds) == ["basic", "extended"]
     for name in ("results.csv", "results.json", "report.md"):
         assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+
+
+def test_bismut_vs_fd_panels_each_map_their_batches_over_one_pool(monkeypatch):
+    # the (T, z0) panels run one after another, and each maps its two batches
+    # of 1,024 and 976 paths over a pool of its own
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"]["horizons"] = [0.5, 1.0]
+    cfg = ExperimentConfig.from_dict(body)
+    model = builtin_model("power_law", 1, 1, 1.0)
+    serial_rows, serial_rep = cli._run_bismut_vs_fd(cfg, model, 1)
+    built = []
+
+    class Counting(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", Counting)
+    rows, rep = cli._run_bismut_vs_fd(cfg, model, 2)
+    assert built == [2] * 4   # a bismut and an fd panel per horizon
+    assert rows == serial_rows and len(rows) == 4
+    assert rep.summary_line() == serial_rep.summary_line()
 
 
 def test_cli_run_exit_codes(tmp_path):

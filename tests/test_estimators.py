@@ -29,8 +29,8 @@ from gruschin.estimators import (
     lq_moment_rhs,
     negative_moment_exact,
     pairwise_sum,
-    parallel_map,
     pt_panel,
+    run_batches,
     split_point,
 )
 from gruschin.models import (
@@ -931,7 +931,7 @@ def test_fd_panel_is_bitwise_a_central_difference_of_two_simulations(case):
 
 
 # ---------------------------------------------------------------------------
-# parallel_map
+# the parallel map of run_batches over its batches
 # ---------------------------------------------------------------------------
 
 def _count_executors(monkeypatch) -> list:
@@ -946,52 +946,64 @@ def _count_executors(monkeypatch) -> list:
     return built
 
 
-def test_parallel_map_keeps_input_order_when_tasks_finish_out_of_order():
-    # item 0 cannot finish before item 1 has, so completion order is not input order
+def _reduced_columns(monkeypatch) -> list:
+    """Record the values of every column that ``run_batches`` reduces."""
+    seen, real = [], estimators._finalize
+
+    def recording(values, valid):
+        seen.append(values)
+        return real(values, valid)
+
+    monkeypatch.setattr(estimators, "_finalize", recording)
+    return seen
+
+
+def _path_indices(idx):
+    """A point function over the draw ``idx -> idx``: each path's value is its index."""
+    return {"value": idx.astype(float)}, np.ones(len(idx), dtype=bool)
+
+
+def test_parallel_map_keeps_input_order_when_tasks_finish_out_of_order(monkeypatch):
+    # batch 0 cannot finish before batch 1 has, so completion order is not path
+    # order; the column is still reduced in path order
+    seen = _reduced_columns(monkeypatch)
     second_done = threading.Event()
     finished = []
 
-    def task(k):
-        if k == 0:
+    def point(idx):
+        batch = int(idx[0]) // 256
+        if batch == 0:
             assert second_done.wait(timeout=30)
-        finished.append(k)
-        if k == 1:
+        finished.append(batch)
+        if batch == 1:
             second_done.set()
-        return 10 * k
+        return _path_indices(idx)
 
-    assert parallel_map(task, [0, 1, 2, 3], workers=2) == [0, 10, 20, 30]
+    run_batches(1024, lambda idx: idx, [point], workers=2, batch_size=256)
     assert finished.index(1) < finished.index(0)
+    assert len(seen) == 1 and np.array_equal(seen[0], np.arange(1024.0))
 
 
-def test_parallel_map_keeps_order_under_oversubscribed_threads():
+def test_parallel_map_keeps_order_under_oversubscribed_threads(monkeypatch):
+    seen = _reduced_columns(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = parallel_map(lambda k: k * k, range(2000), workers=8)
+        run_batches(64 * 256, lambda idx: idx, [_path_indices], workers=8, batch_size=256)
     finally:
         sys.setswitchinterval(interval)
-    assert out == [k * k for k in range(2000)]
-
-
-def test_parallel_map_nested_call_runs_inline(monkeypatch):
-    built = _count_executors(monkeypatch)
-
-    def outer(k):
-        return parallel_map(lambda j: (threading.get_ident(), k + j), [0, 1, 2], workers=4)
-
-    rows = parallel_map(outer, [10, 20], workers=2)
-    assert built == [2]  # the outer map's pool; the inner maps build none
-    assert [[v for _, v in row] for row in rows] == [[10, 11, 12], [20, 21, 22]]
-    for row in rows:  # an inner map runs on the thread of its outer task
-        assert len({ident for ident, _ in row}) == 1
+    assert len(seen) == 1 and np.array_equal(seen[0], np.arange(64 * 256.0))
 
 
 def test_parallel_map_builds_no_executor_for_one_item_or_one_worker(monkeypatch):
     built = _count_executors(monkeypatch)
-    assert parallel_map(lambda k: k + 1, [5], workers=4) == [6]
-    assert parallel_map(lambda k: k + 1, [], workers=4) == []
-    assert parallel_map(lambda k: k + 1, [1, 2, 3], workers=1) == [2, 3, 4]
+    # 200 paths at 4 workers are one batch; 1,000 paths at one worker run inline
+    (one_batch,) = run_batches(200, lambda idx: idx, [_path_indices], workers=4)
+    (inline,) = run_batches(1000, lambda idx: idx, [_path_indices], workers=1,
+                            batch_size=256)
+    assert run_batches(1000, lambda idx: idx, [], workers=4) == []
     assert built == []
+    assert one_batch["value"].mean == 99.5 and inline["value"].mean == 499.5
 
 
 def test_lemma31_grid_builds_one_pool_for_its_batches(monkeypatch):
@@ -1055,13 +1067,13 @@ def test_lq_cases_are_checked_before_any_draw(monkeypatch):
 
 
 def test_parallel_map_propagates_a_task_exception():
-    def task(k):
-        if k == 2:
-            raise ValueError("task 2")
-        return k
+    def point(idx):
+        if idx[0] == 512:
+            raise ValueError("batch 2")
+        return _path_indices(idx)
 
-    with pytest.raises(ValueError, match="task 2"):
-        parallel_map(task, range(4), workers=2)
+    with pytest.raises(ValueError, match="batch 2"):
+        run_batches(1024, lambda idx: idx, [point], workers=2, batch_size=256)
 
 
 def test_panel_called_directly_overlaps_its_batches(monkeypatch):

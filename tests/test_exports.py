@@ -1,10 +1,13 @@
-"""Every exported name resolves, and the package re-exports only declared names."""
+"""Every exported name resolves, the package re-exports only declared names, and
+thread code stays in ``estimators.run_batches``."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,27 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_threads_start_only_in_run_batches():
+    # batches are the only parallel unit: no module imports threading, only
+    # estimators imports concurrent.futures, and only run_batches builds a pool
+    importers, pool_users = {}, set()
+    for path in sorted(Path(gruschin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(n, ast.Name) and n.id == "ThreadPoolExecutor"
+                        for n in ast.walk(node)):
+                    pool_users.add(f"{path.stem}.{node.name}")
+                continue
+            for name in names:
+                importers.setdefault(name.split(".")[0], set()).add(path.stem)
+    assert "threading" not in importers and "_thread" not in importers
+    assert importers.get("concurrent") == {"estimators"}
+    assert pool_users == {"estimators.run_batches"}

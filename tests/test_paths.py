@@ -336,6 +336,35 @@ def test_power_law_kernel_commutes_with_the_dilation(m, d, l):
         assert_scaled(sum(dilated_terms), sum(terms) / scale)
 
 
+@pytest.mark.parametrize("m, d, l", [(2, 1, 1.0), (2, 1, 1.5), (3, 2, 1.0), (3, 1, 2.0)])
+def test_power_law_kernel_commutes_with_rotations_of_x(m, d, l):
+    # for m >= 2, sigma(x) = |x|^l I depends on |x| alone: rotating x0 and the
+    # increments of B by an orthogonal U gives U X_T and the same Y_T and Q_T,
+    # and the weight along (U v1, v2) equals the weight along (v1, v2)
+    T, K = 0.8, 50
+    u = np.linalg.qr(np.random.default_rng(17).standard_normal((m, m)))[0]
+    model = make_power_law_model(m, d, l)
+    x0, y0 = np.array([0.8, -0.3, 0.5][:m]), np.array([0.4, -0.2][:d])
+    grid = TimeGrid(T, K)
+    drawn = noise(model, grid, 29, np.arange(2000))
+    base = simulate_batch(model, x0, y0, grid, drawn)
+    turned = simulate_batch(model, u @ x0, y0, grid, Noise(drawn.eps @ u.T, drawn.zeta))
+
+    def assert_same(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    assert_same(turned.x_final, base.x_final @ u.T)
+    assert_same(turned.y_final, base.y_final)
+    assert_same(turned.q_matrix, base.q_matrix)
+    oblique = np.linspace(1.0, -0.5, m + d)
+    for v in [*np.eye(m + d), oblique / np.linalg.norm(oblique)]:
+        v1, v2 = v[:m], v[m:]
+        *terms, solvable = weight_terms_shared(base, Direction(v1, v2))
+        *turned_terms, turned_solvable = weight_terms_shared(turned, Direction(u @ v1, v2))
+        assert solvable.all() and turned_solvable.all()
+        assert_same(sum(turned_terms), sum(terms))
+
+
 def test_extended_override_for_one_path_is_refused_for_four():
     model = make_extended_demo_model()
     grid = TimeGrid(1.0, 20)
