@@ -16,15 +16,17 @@ another and at most ``workers`` threads work at once: the suite runs its
 checks, and the panels of a check, one after another.
 
 Batches and tiles: a batch is the unit of parallel work, and a tile is one
-noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or fewer
-where a call needs more batches to occupy its workers.
+noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or, in a
+tiled call, fewer where the call needs more batches to occupy its workers.
 A batch runs as consecutive tiles, each the largest multiple of
-``rng.BLOCK_PATHS`` whose (P, n_steps, w) arrays fit ``TILE_NORMALS`` floats
-(2 MiB), w = m + d for a panel, cut at absolute multiples of the tile, so a
-call's arrays stay cache-sized and no tile cut splits an RNG block.  Panels on
-an extended model keep their batches whole: that kernel loops over the steps
-in Python, and its cost per step falls with the width of the call.  By the
-contract above, batches and tiles change no result.
+``rng.BLOCK_PATHS`` whose (P, n_steps, w) draw fits ``TILE_NORMALS`` floats
+(2 MiB), w = m + d for a panel, cut at absolute multiples of the tile, so no
+tile cut splits an RNG block and a tile's (P, n_steps) arrays hold at most
+2 MiB / w each; the basic kernel writes its per-point ones into the tile
+scratch of the noise (``paths.Noise``).  Panels on an extended model are
+untiled and keep their batches whole at any worker count: that kernel loops
+over the steps in Python, and its cost per step falls with the width of the
+call.  By the contract above, batches and tiles change no result.
 
 Panels share the work of a tile across their columns.  ``bismut_panel`` runs
 one simulation per tile for any list of directions: the kernels fill their
@@ -200,20 +202,22 @@ def run_batches(
     A tile is one ``draw`` call, whose noise every point function reads before
     it is dropped: a batch of ``batch_size`` paths runs as the consecutive
     tiles cut at the absolute multiples of ``tile`` (see ``_tile``), so every
-    tile's noise and temporaries stay cache-sized, and no RNG block is drawn by
-    two tiles of one batch.  Without ``tile`` a batch is one tile; the extended
-    panels keep their batches whole, as their kernel loops over the steps in
-    Python and a narrower call costs more per step.
+    tile's (P, n_steps, w) draw stays within ``TILE_NORMALS`` floats, and no
+    RNG block is drawn by two tiles of one batch.  Without ``tile`` a batch is
+    one tile; the extended panels keep their batches whole, as their kernel
+    loops over the steps in Python and a narrower call costs more per step.
 
     The batches are the only parallel unit: this is the one code that starts
     threads, and nothing it runs starts more.  With ``workers > 1`` and more
     than one batch, the batches are mapped over a pool of ``workers`` threads
     and their results kept in path order; otherwise they run inline.  Inside a
     tile the point functions run inline, in order, on its one draw.  With
-    ``workers > 1`` a batch is at most ceil(n_paths / workers) paths long,
-    rounded up to a multiple of ``rng.BLOCK_PATHS``: a call has up to one batch
-    per worker, and that cut splits no RNG block between two batches.  Without
-    point functions nothing is drawn.
+    ``workers > 1`` and a ``tile``, a batch is at most ceil(n_paths / workers)
+    paths long, rounded up to a multiple of ``rng.BLOCK_PATHS``: a call has up
+    to one batch per worker, and that cut splits no RNG block between two
+    batches.  A call without ``tile`` is cut at ``batch_size`` alone, so it
+    runs inline up to ``batch_size`` paths at any worker count.  Without point
+    functions nothing is drawn.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -223,7 +227,7 @@ def run_batches(
     if not point_fns:
         return []
     size = batch_size or DEFAULT_BATCH_SIZE
-    if workers > 1:
+    if workers > 1 and tile is not None:
         per_worker = math.ceil(n_paths / workers)
         size = min(size, math.ceil(per_worker / BLOCK_PATHS) * BLOCK_PATHS)
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]

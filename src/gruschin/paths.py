@@ -66,10 +66,14 @@ draw serves every horizon T of a given step count, bit for bit.  The basic
 kernel reads the standard random walk W of eps (W_0 = 0, W_k = eps_0 + ... +
 eps_{k-1}, ``standard_walk``), which a ``Noise`` builds on first read and
 keeps as long as the noise lives, so every point and every x-start simulated
-on one draw reads one cumulative sum.  ``brownian_left_nodes`` is the one
-builder of Brownian paths: it reads a walk as start + sqrt(dt) W at the left
-nodes and sqrt(dt) W_n at T.  The extended recursion reads eps and scales
-step k's normals as it reaches them, so it builds no walk.  Row p of every
+on one draw reads one cumulative sum.  A ``Noise`` also holds the tile
+scratch, into which the basic kernel writes each point's left nodes of X and,
+for a scalar sigma, the step products sigma^2 and w (grad_e sigma) sigma that
+Q_T and the trace term average; nothing a kernel returns aliases it.
+``brownian_left_nodes`` is the one builder of Brownian paths: it reads a walk
+as start + sqrt(dt) W at the left nodes and sqrt(dt) W_n at T.  The extended
+recursion reads eps and scales step k's normals as it reaches them, so it
+builds no walk.  Row p of every
 output is a function of row p of the noise alone, so a path gives the same
 bits in any batch, and running two kernels (or two horizons) on one draw
 needs no other entry point.  ``standard_noise`` draws eps from substream 0
@@ -184,16 +188,21 @@ def standard_walk(eps: np.ndarray) -> np.ndarray:
 
 class Noise:
     """The kernel noise of a batch: standard normals eps (P, n_steps, m) and
-    zeta (P, d), and the walk of eps, built on first read.
+    zeta (P, d), the walk of eps, built on first read, and the tile scratch.
 
     A noise belongs to one tile of one batch, and batches are the only
     parallel unit (``estimators.run_batches``), so one thread reads it.  The
-    walk is built once, on first read, and lives as long as the noise.
+    walk is built once, on first read, and lives as long as the noise.  So
+    does the tile scratch: float64 buffers that the basic kernel fills anew at
+    each point simulated on the noise (the left nodes of X and, for a scalar
+    sigma, the step products that Q_T and the trace term average), so that no
+    point allocates them again.  Nothing a kernel returns aliases the scratch.
     """
 
     def __init__(self, eps: np.ndarray, zeta: np.ndarray):
         self.eps, self.zeta = eps, zeta
         self._walk = None
+        self._scratch = {}
 
     @property
     def walk(self) -> np.ndarray:
@@ -201,6 +210,14 @@ class Noise:
         if self._walk is None:
             self._walk = standard_walk(self.eps)
         return self._walk
+
+    def scratch(self, name: str, shape: tuple) -> np.ndarray:
+        """The float64 scratch buffer ``name``, made uninitialised with
+        ``shape`` on first request and reused while the noise lives, so a
+        caller overwrites what the last one left there."""
+        if name not in self._scratch:
+            self._scratch[name] = np.empty(shape)
+        return self._scratch[name]
 
 
 def standard_noise(master_seed: int, path_indices, n_steps: int,
@@ -213,15 +230,16 @@ def standard_noise(master_seed: int, path_indices, n_steps: int,
     return Noise(standard_increments(master_seed, idx, n_steps, model.m), zeta)
 
 
-def brownian_left_nodes(start, walk: np.ndarray,
-                        grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+def brownian_left_nodes(start, walk: np.ndarray, grid: TimeGrid,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Brownian paths on ``grid`` from a standard random walk W (P, n_steps + 1, ...).
 
-    Returns the left-node values start + sqrt(dt) W_k, k < n_steps, and the
-    terminal value B_T = sqrt(dt) W_n (started at 0).
+    Returns the left-node values start + sqrt(dt) W_k, k < n_steps, written
+    into ``out`` if given (shape (P, n_steps, ...)), and the terminal value
+    B_T = sqrt(dt) W_n (started at 0).
     """
     h = np.sqrt(grid.dt)
-    nodes = walk[:, :-1] * h
+    nodes = np.multiply(walk[:, :-1], h, out=out)
     nodes += start
     return nodes, walk[:, -1] * h
 
@@ -280,14 +298,18 @@ def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
 
     Returns the left nodes of X, B_T, sigma at the left nodes (the (P, n) scalar
     field, or the (P, d, n*d) operand A of the module docstring), Q_T, S, Y_T,
-    min eig Q_T and the mask of paths whose Q_T, S and Y_T are finite.
+    min eig Q_T and the mask of paths whose Q_T, S and Y_T are finite.  The
+    left nodes live in the scratch of the noise, as does the product sigma^2
+    that Q_T averages for a scalar sigma.
     """
     n, T, d = grid.n_steps, grid.horizon, model.d
-    x_left, b_final = brownian_left_nodes(x0, noise.walk, grid)
+    x_left, b_final = brownian_left_nodes(
+        x0, noise.walk, grid, out=noise.scratch("nodes", noise.eps.shape))
     zeta = noise.zeta
     if model.scalar_identity:
         field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
-        min_eig = T * np.mean(field * field, axis=1)
+        squares = np.multiply(field, field, out=noise.scratch("steps", noise.eps.shape[:2]))
+        min_eig = T * np.mean(squares, axis=1)
         q_matrix = min_eig[:, None, None] * np.eye(d)
         s = np.sqrt(min_eig)[:, None] * zeta
     else:
@@ -324,8 +346,11 @@ def simulate_basic_batch(
     def trace_slot(e: np.ndarray) -> np.ndarray:
         """int ((T-t)/T){(grad_e sigma) sigma^*} dt, (P, d, d)."""
         if model.scalar_identity:
-            wg = w * np.asarray(model.grad_sigma_scalar(x_left, e), dtype=float)
-            return (T * np.mean(wg * field, axis=1))[:, None, None] * np.eye(d)
+            # w_k (grad_e sigma)(X_k) sigma(X_k), in the scratch that held sigma^2
+            wgs = np.multiply(w, np.asarray(model.grad_sigma_scalar(x_left, e), dtype=float),
+                              out=noise.scratch("steps", noise.eps.shape[:2]))
+            wgs *= field
+            return (T * np.mean(wgs, axis=1))[:, None, None] * np.eye(d)
         # B as in the module docstring; the callback's array is freed as soon as
         # it is copied, so at most three (P, n, d, d) arrays are alive
         B = _row_major_steps(model.grad_sigma(x_left, e))             # (P, d, n*d)

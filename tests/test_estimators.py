@@ -963,6 +963,18 @@ def _path_indices(idx):
     return {"value": idx.astype(float)}, np.ones(len(idx), dtype=bool)
 
 
+def test_extended_panel_keeps_its_whole_batch_at_two_workers(monkeypatch):
+    # an untiled call is cut at batch_size alone: 5,000 extended paths at
+    # workers=2 are one batch, drawn once and run inline
+    draws = _counting_draws(monkeypatch)
+    built = _count_executors(monkeypatch)
+    ext = make_extended_demo_model()
+    bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 5000, 10, 5,
+                 workers=2)
+    assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [5000]
+    assert built == []
+
+
 def test_parallel_map_keeps_input_order_when_tasks_finish_out_of_order(monkeypatch):
     # batch 0 cannot finish before batch 1 has, so completion order is not path
     # order; the column is still reduced in path order

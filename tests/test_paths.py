@@ -1,6 +1,7 @@
 """Simulation kernels: exactness, convergence order, invariants, determinism."""
 
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -305,6 +306,55 @@ def test_kernels_scale_one_standard_draw_to_their_grid():
         finals[T] = x_final
     assert np.array_equal(finals[1.0], 2.0 * finals[0.25])
     assert np.abs(finals[1.0]).max() > 1.0
+
+
+@pytest.mark.parametrize("model", [make_power_law_model(1, 1, 1.0),
+                                   make_power_law_model(2, 1, 1.0),
+                                   make_tilted_matrix_model()], ids=lambda m: m.name)
+def test_a_later_point_on_one_noise_leaves_earlier_results_alone(model):
+    # the basic kernel writes every point into the tile scratch of the noise,
+    # so nothing it returned for point A may change when point B runs
+    point_a = ([0.8] * model.m, [0.2] * model.d, TimeGrid(1.0, 40))
+    point_b = ([-0.5] * model.m, [1.0] * model.d, TimeGrid(0.4, 40))
+    drawn = noise(model, point_a[2], 31, np.arange(300))
+
+    def run(point, on):
+        return (simulate_basic_batch(model, *point, on),
+                simulate_terminal_batch(model, *point, on))
+
+    a, a_terminal = run(point_a, drawn)
+    a_before = {f.name: getattr(a, f.name).copy() for f in fields(a)}
+    a_terminal_before = [arr.copy() for arr in a_terminal]
+    b, b_terminal = run(point_b, drawn)
+    for name, before in a_before.items():
+        assert np.array_equal(getattr(a, name), before), name
+    for arr, before in zip(a_terminal, a_terminal_before):
+        assert np.array_equal(arr, before)
+    # and point B reads the same bits off the reused scratch as off a new noise
+    alone, alone_terminal = run(point_b, Noise(drawn.eps, drawn.zeta))
+    for f in fields(b):
+        assert np.array_equal(getattr(b, f.name), getattr(alone, f.name)), f.name
+    for arr, want in zip(b_terminal, alone_terminal):
+        assert np.array_equal(arr, want)
+
+
+def test_a_second_point_on_one_noise_allocates_only_the_callback_outputs():
+    # P = 1,280 paths of n = 100 steps, one tile at m + d = 2.  The first point
+    # builds the walk and the tile scratch; at the second, the only fresh
+    # (P, n) arrays are what sigma and grad sigma return (tracemalloc sees
+    # numpy's data allocations)
+    model = make_power_law_model(1, 1, 1.0)
+    P, n = 1280, 100
+    drawn = noise(model, TimeGrid(1.0, n), 41, np.arange(P))
+    simulate_basic_batch(model, [1.0], [0.0], TimeGrid(1.0, n), drawn)
+    for kernel, limit in ((simulate_basic_batch, 2.5), (simulate_terminal_batch, 1.5)):
+        tracemalloc.start()
+        try:
+            kernel(model, [0.3], [1.0], TimeGrid(0.5, n), drawn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (P * n * 8) < limit, kernel.__name__
 
 
 @pytest.mark.parametrize("m, d, l", [(1, 1, 1.0), (1, 1, 2.0), (2, 1, 1.5), (1, 2, 1.0)])
