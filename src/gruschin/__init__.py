@@ -41,8 +41,8 @@ from .estimators import (
     estimate_negative_moments,
     estimate_pt,
     fd_panel,
-    negative_moment_exact,
     pt_panel,
 )
+from .oracles import negative_moment_exact
 
 __version__ = "0.1.0"

@@ -23,14 +23,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .estimators import (
-    _integrate,
     bismut_panels,
     estimate_lq_moments,
     estimate_negative_moments,
-    lq_moment_rhs,
     pt_panel,
 )
 from .models import Direction, Family, ModelKind, ModelSpec, TestFunction
+from .oracles import integrate, lq_moment_rhs
 from .rng import derive_seed
 
 __all__ = [
@@ -475,7 +474,7 @@ def _x_move_cost(model: ModelSpec) -> Callable[[list, list], float]:
     For a basic model X has unit diffusion, so the move costs |b - a|.  For an
     extended model a subunit curve moves x at sigma1(x) h1, so the move costs
     int_0^1 |sigma1(x(s))^-1 (b - a)| ds along x(s) = a + s (b - a): the
-    Gauss-Legendre rule of ``estimators._integrate`` on one sigma1 call per
+    Gauss-Legendre rule of ``oracles.integrate`` on one sigma1 call per
     segment, and infinity where sigma1 is singular on it.
     """
     if model.kind is not ModelKind.EXTENDED:
@@ -495,7 +494,7 @@ def _x_move_cost(model: ModelSpec) -> Callable[[list, list], float]:
                 return np.full(s.shape, math.inf)
             return np.linalg.norm(step[..., 0], axis=-1)
 
-        c = _integrate(speed, 1.0)
+        c = integrate(speed, 1.0)
         return c if math.isfinite(c) else math.inf
 
     return cost

@@ -1,5 +1,6 @@
 """Monte Carlo estimators: semigroup values, weight and finite-difference gradients,
-and the moment quantities behind the negative-moment and L^q inequalities.
+and the moment quantities behind the negative-moment and L^q inequalities.  The
+exact values they are checked against live in ``oracles``.
 
 Determinism contract: per-path sample values are pure functions of
 (master_seed, path_index), since path i reads column i % 256 of the SFC64 block
@@ -16,8 +17,9 @@ another and at most ``workers`` threads work at once: the suite runs its
 checks, and the panels of a check, one after another.
 
 Batches and tiles: a batch is the unit of parallel work, and a tile is one
-noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or, in a
-tiled call, fewer where the call needs more batches to occupy its workers.
+noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or fewer:
+a tiled call cuts more batches where it needs them to occupy its workers, and
+an untiled call above ``batch_size`` cuts its batches evenly.
 A batch runs as consecutive tiles, each the largest multiple of
 ``rng.BLOCK_PATHS`` whose (P, n_steps, w) draw fits ``TILE_NORMALS`` floats
 (2 MiB), w = m + d for a panel, cut at absolute multiples of the tile, so no
@@ -59,6 +61,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .models import Direction, ModelKind, ModelSpec, TestFunction
+from .oracles import LQ_INTEGRANDS, check_lq_case
 from .paths import (
     TimeGrid,
     brownian_left_nodes,
@@ -81,11 +84,8 @@ __all__ = [
     "estimate_gradient_fd",
     "estimate_negative_moment",
     "estimate_negative_moments",
-    "negative_moment_exact",
     "estimate_lq_moment",
     "estimate_lq_moments",
-    "lq_moment_rhs",
-    "LQ_INTEGRANDS",
     "default_fd_eps",
     "split_point",
     "pt_panel",
@@ -215,9 +215,12 @@ def run_batches(
     ``workers > 1`` and a ``tile``, a batch is at most ceil(n_paths / workers)
     paths long, rounded up to a multiple of ``rng.BLOCK_PATHS``: a call has up
     to one batch per worker, and that cut splits no RNG block between two
-    batches.  A call without ``tile`` is cut at ``batch_size`` alone, so it
-    runs inline up to ``batch_size`` paths at any worker count.  Without point
-    functions nothing is drawn.
+    batches.  A call without ``tile`` runs the fewest batches ``batch_size``
+    allows, cut evenly at ceil(n_paths / count) paths rounded up to a multiple
+    of ``rng.BLOCK_PATHS`` (never above ``batch_size``): it runs inline up to
+    ``batch_size`` paths at any worker count, and above that leaves no batch
+    narrow, as the extended kernel costs more per path on a narrow batch.
+    Without point functions nothing is drawn.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -227,9 +230,9 @@ def run_batches(
     if not point_fns:
         return []
     size = batch_size or DEFAULT_BATCH_SIZE
-    if workers > 1 and tile is not None:
-        per_worker = math.ceil(n_paths / workers)
-        size = min(size, math.ceil(per_worker / BLOCK_PATHS) * BLOCK_PATHS)
+    n_batches = math.ceil(n_paths / size) if tile is None else max(1, workers)
+    per_batch = math.ceil(n_paths / n_batches)
+    size = min(size, math.ceil(per_batch / BLOCK_PATHS) * BLOCK_PATHS)
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]
 
     def run_tile(start: int, stop: int) -> list:
@@ -366,51 +369,6 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
                                                 batch_size, _tile(n_steps, m))]
 
 
-_LAPLACE_NODES, _LAPLACE_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _quadratic_laplace(m: int, x, T: float, gamma):
-    """E exp(-(gamma^2/2) int_0^T |x + B_t|^2 dt) for an m-dimensional Brownian
-    motion B, at every gamma of an array: the Cameron-Martin formula
-    cosh(gamma T)^(-m/2) exp(-|x|^2 gamma tanh(gamma T) / 2).
-
-    cosh is written as e^z (1 + e^(-2z)) / 2, since it overflows above
-    z = gamma T near 710.
-    """
-    z = gamma * T
-    log_cosh = z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)
-    x_sq = float(np.sum(np.square(x)))
-    return np.exp(-0.5 * m * log_cosh - 0.5 * x_sq * gamma * np.tanh(z))
-
-
-def negative_moment_exact(m: int, x, T: float, alpha: float) -> float:
-    """The exact E (int_0^T |x + B_t|^2 dt)^(-alpha), n = 1 of
-    ``estimate_negative_moment``, for an m-dimensional Brownian motion B.
-
-    With I the integral, I^(-alpha) = int_0^inf s^(alpha-1) e^(-s I) ds / Gamma(alpha),
-    and s = gamma^2 / 2 gives
-    E I^(-alpha) = 2^(1-alpha) / Gamma(alpha) int_0^inf gamma^(2 alpha - 1) L(gamma) dgamma,
-    L the transform of ``_quadratic_laplace``.  By Brownian scaling I has the
-    law of T^2 times the integral at T = 1 from x / sqrt(T), so the integral
-    runs at T = 1, by 64-node Gauss-Legendre on gamma = u / (1 - u), u in
-    (0, 1).  Against adaptive quadrature it agrees within 1e-10 relative at
-    alpha = 1 and within 3e-6 for alpha in [1/2, 3], where gamma^(2 alpha - 1)
-    is not smooth at 0.  This is the time-continuous value: the estimator's
-    left-point sum differs from it by a bias of order 1/n_steps.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (m,) or not np.isfinite(x).all():
-        raise ValueError(f"x must be a finite vector of shape ({m},), got {x}")
-    if not (0 < T < math.inf and 0 < alpha < math.inf):
-        raise ValueError(f"T and alpha must be positive and finite, got T={T}, alpha={alpha}")
-    u = 0.5 * (_LAPLACE_NODES + 1.0)
-    gamma = u / (1.0 - u)
-    integrand = (gamma ** (2.0 * alpha - 1.0) * _quadratic_laplace(m, x / math.sqrt(T), 1.0, gamma)
-                 / (1.0 - u) ** 2)
-    integral = 0.5 * float(integrand @ _LAPLACE_WEIGHTS)
-    return 2.0 ** (1.0 - alpha) / math.gamma(alpha) * integral / T ** (2.0 * alpha)
-
-
 def _left_node_statistics(walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mean m_W (P, m) of a walk W (P, n + 1, m) over its left nodes
     W_0..W_{n-1}, and its centred mean square v_W = mean_k |W_k - m_W|^2 (P,)."""
@@ -439,82 +397,8 @@ def _path_integral(x: np.ndarray, grid: TimeGrid, walk: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# L^q moment inequality: catalogue of integrands with computable right-hand sides
+# L^q moments: the left-hand sides of the catalogue of ``oracles.LQ_INTEGRANDS``
 # ---------------------------------------------------------------------------
-
-LQ_INTEGRANDS = ("constant_unit", "adapted_cos", "sigma_row")
-
-_LQ_CONSTANT_FACTOR = lambda q: (q * (q - 1.0) / 2.0) ** (q / 2.0)
-
-
-def _double_factorial_odd(j: int) -> float:
-    """(2j-1)!! = (2j)! / (2^j j!)."""
-    return math.factorial(2 * j) / (2.0**j * math.factorial(j))
-
-
-def _gaussian_abs_moment_even(k: int, x: float, t):
-    """E |x + W_t|^k for even integer k: a polynomial in (x, t)."""
-    total = 0.0
-    for j in range(k // 2 + 1):
-        total += math.comb(k, 2 * j) * x ** (k - 2 * j) * _double_factorial_odd(j) * t**j
-    return total
-
-
-def _cos_power_mean(q: int, t):
-    """E cos(W_t)^q for even integer q via the binomial expansion into cosines."""
-    total = 0.0
-    for j in range(q + 1):
-        total += math.comb(q, j) * np.exp(-((q - 2 * j) ** 2) * t / 2.0)
-    return total / 2.0**q
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _integrate(fn: Callable[[np.ndarray], np.ndarray], T: float) -> float:
-    """int_0^T fn(t) dt by the 32-node Gauss-Legendre rule on each of ceil(T)
-    equal panels; ``fn`` is evaluated once, on an array of times.
-
-    On the catalogue's integrands this matches adaptive quadrature to rounding
-    for T up to 100, except sigma_row at x = 0 with non-integer l, whose
-    integrand c t^l is not smooth at 0 (relative error 5e-6 at l = 1/2).
-    """
-    n_panels = max(1, math.ceil(T))
-    h = T / n_panels
-    t = h * (np.arange(n_panels)[:, None] + 0.5 * (_GL_NODES + 1.0))
-    return 0.5 * h * float(np.sum(fn(t) @ _GL_WEIGHTS))
-
-
-def _check_lq(q: float, l: float, x: float) -> None:
-    """Refuse a q outside [2, inf), as the bound needs q >= 2 and NaN or inf has
-    no moment, and a non-finite l or x, which leave no moment to compare."""
-    if not (2 <= q < math.inf):
-        raise ValueError("q must be finite and at least 2")
-    if not (math.isfinite(l) and math.isfinite(x)):
-        raise ValueError(f"l and x must be finite, got l={l}, x={x}")
-
-
-def lq_moment_rhs(integrand: str, q: float, T: float, *, l: float = 1.0,
-                  x: float = 0.0) -> float:
-    """Closed-form bound {q(q-1)/2}^{q/2} (int_0^T (E|rho_t|^q)^{2/q} dt)^{q/2}."""
-    _check_lq(q, l, x)
-    if integrand == "constant_unit":
-        return _LQ_CONSTANT_FACTOR(q) * T ** (q / 2.0)
-    if integrand == "adapted_cos":
-        qi = int(q)
-        if qi != q or qi % 2 != 0:
-            raise ValueError("adapted_cos needs an even integer q for the closed form")
-        inner = _integrate(lambda t: _cos_power_mean(qi, t) ** (2.0 / q), T)
-        return _LQ_CONSTANT_FACTOR(q) * inner ** (q / 2.0)
-    if integrand == "sigma_row":
-        k = l * q
-        if int(k) != k or int(k) % 2 != 0:
-            raise ValueError("sigma_row needs l*q to be an even integer for the closed form")
-        k = int(k)
-        inner = _integrate(lambda t: _gaussian_abs_moment_even(k, x, t) ** (2.0 / q), T)
-        return _LQ_CONSTANT_FACTOR(q) * inner ** (q / 2.0)
-    raise ValueError(f"unknown integrand {integrand!r}; choose from {LQ_INTEGRANDS}")
-
 
 def estimate_lq_moment(integrand: str, q: float, T: float,
                        n_paths: int, n_steps: int, seed: int,
@@ -561,7 +445,7 @@ def _lq_integral(integrand: str, q: float, grid: TimeGrid,
                  *, l: float = 1.0, x: float = 0.0) -> Callable:
     """The per-path |int <rho, dBt>|^q of one catalogue case, as a point
     function of the standard normals (P, n_steps, 2) of ``estimate_lq_moments``."""
-    _check_lq(q, l, x)
+    check_lq_case(q, grid.horizon, l, x)
     if integrand not in LQ_INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand!r}; choose from {LQ_INTEGRANDS}")
 

@@ -24,6 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .oracles import quadratic_laplace
+
 __all__ = [
     "ModelKind",
     "Family",
@@ -410,19 +412,14 @@ class TestFunction:
     """Scalar observable f(x, y) with optional closed forms of P_T f and its gradient.
 
     ``eval`` is vectorized over points of shape (..., m+d).  Closed forms take
-    (T, x, y) with x, y arrays and are only attached when exact for the model
-    the instance was built for.
+    (T, x, y) at one point, x and y arrays of shape (m,) and (d,), and are only
+    attached when exact for the model the instance was built for.
     """
 
     name: str
     eval: Callable[[Array], Array]
     closed_form_pt: Optional[Callable] = None
     closed_form_grad_pt: Optional[Callable] = None
-
-
-def _gaussian_y_factor(T, x):
-    """E exp(-Q_T/2) for Q_T = int_0^T (x+B_t)^2 dt: sech(T)^(1/2) exp(-(x^2/2) tanh T)."""
-    return np.cosh(T) ** -0.5 * np.exp(-0.5 * np.asarray(x) ** 2 * np.tanh(T))
 
 
 def _build_test_function(name: str, model: ModelSpec) -> TestFunction:
@@ -473,13 +470,15 @@ def _build_test_function(name: str, model: ModelSpec) -> TestFunction:
         if family is Family.HEAT and model.m == 1 and model.d == 1:
             closed = lambda T, x, y: np.exp(-T / 2.0) * np.sin(np.asarray(y)[..., 0])
         elif linear:
+            # E sin(y + int X dBt) = sin(y) E exp(-Q_T/2), Q_T = int_0^T (x + B_t)^2 dt:
+            # the Cameron-Martin transform at gamma = 1
             def closed(T, x, y):
-                return np.sin(np.asarray(y)[..., 0]) * _gaussian_y_factor(T, np.asarray(x)[..., 0])
+                return np.sin(np.asarray(y)[..., 0]) * quadratic_laplace(1, x, T, 1.0)
 
             def closed_grad(T, x, y):
                 xx = np.asarray(x)[..., 0]
                 yy = np.asarray(y)[..., 0]
-                fac = _gaussian_y_factor(T, xx)
+                fac = quadratic_laplace(1, x, T, 1.0)
                 return np.array([-xx * np.tanh(T) * np.sin(yy) * fac, np.cos(yy) * fac])
 
         return TestFunction(

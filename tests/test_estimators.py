@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gruschin import estimators, models, paths, rng
+from gruschin import estimators, paths, rng
 from gruschin.analysis import (
     DEFAULT_CALIBRATION_GRID,
     DEFAULT_HOLDOUT_GRID,
@@ -16,7 +16,6 @@ from gruschin.analysis import (
     check_lemma31,
 )
 from gruschin.estimators import (
-    LQ_INTEGRANDS,
     EstimationError,
     bismut_panel,
     estimate_gradient_bismut,
@@ -26,8 +25,6 @@ from gruschin.estimators import (
     estimate_negative_moment,
     estimate_pt,
     fd_panel,
-    lq_moment_rhs,
-    negative_moment_exact,
     pairwise_sum,
     pt_panel,
     run_batches,
@@ -43,6 +40,12 @@ from gruschin.models import (
     observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
+from gruschin.oracles import (
+    LQ_INTEGRANDS,
+    lq_moment_rhs,
+    negative_moment_exact,
+    quadratic_laplace,
+)
 from gruschin.paths import (
     TimeGrid,
     simulate_basic_batch,
@@ -315,13 +318,31 @@ def test_moments_refuse_nonfinite_parameters_before_drawing(monkeypatch, bad):
             estimate_lq_moment("sigma_row", 2.0, 1.0, 200, 10, 3, **kw)
         with pytest.raises(ValueError, match="must be finite"):
             lq_moment_rhs("sigma_row", 2.0, 1.0, **kw)
+    # a horizon that is not positive and finite, and a negative l, leave no
+    # moment to compare; a refused case of a list draws nothing for any case
+    for T in (bad, -1.0, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_lq_moment("adapted_cos", 4.0, T, 200, 10, 3)
+        for name, q in (("adapted_cos", 4.0), ("constant_unit", 3.0), ("sigma_row", 2.0)):
+            with pytest.raises(ValueError, match="T must be positive and finite"):
+                lq_moment_rhs(name, q, T)
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        estimate_lq_moment("sigma_row", 2.0, 1.0, 200, 10, 3, l=-1.0, x=1.0)
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        estimators.estimate_lq_moments([("constant_unit", 2.0, {}),
+                                        ("sigma_row", 2.0, {"l": -1.0, "x": 1.0})],
+                                       1.0, 200, 10, 3)
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        lq_moment_rhs("sigma_row", 2.0, 1.0, l=-1.0)
     assert draws == {0: [], 1: []}
 
 
 @pytest.mark.parametrize("s, want", [(0.0, 5.562860), (1.0, 2.872109), (2.0, 1.535379),
-                                     (4.0, 1.120679)])
+                                     (4.0, 1.120679), (16.0, 1.007185141),
+                                     (64.0, 1.000447684)])
 def test_negative_moment_exact_at_the_unit_horizon(s, want):
-    # (1 + s^2) E I^(-1) at T = 1, checked against adaptive quadrature
+    # (1 + s^2) E I^(-1) at T = 1, checked against adaptive quadrature; s = 16
+    # and 64 are the natural-scale rows, where the moment nears its 1 / s^2 limit
     assert (1.0 + s * s) * negative_moment_exact(1, [s], 1.0, 1.0) == pytest.approx(want,
                                                                                 abs=5e-7)
 
@@ -329,14 +350,16 @@ def test_negative_moment_exact_at_the_unit_horizon(s, want):
 @pytest.mark.parametrize("T", [0.1, 1.0, 3.0, 20.0])
 @pytest.mark.parametrize("x", [0.0, 0.7, 2.0])
 def test_quadratic_laplace_transform_is_the_gaussian_y_factor(T, x):
-    # E exp(-Q_T/2), Q_T = int (x + B)^2 dt, is the m = 1, gamma = 1 transform
-    got = estimators._quadratic_laplace(1, [x], T, np.array(1.0))
-    assert got == pytest.approx(models._gaussian_y_factor(T, x), rel=1e-14, abs=0.0)
+    # E exp(-Q_T/2), Q_T = int (x + B)^2 dt, is the m = 1, gamma = 1 transform:
+    # sech(T)^(1/2) exp(-x^2 tanh(T) / 2)
+    want = np.cosh(T) ** -0.5 * np.exp(-0.5 * x**2 * np.tanh(T))
+    got = quadratic_laplace(1, [x], T, np.array(1.0))
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_quadratic_laplace_transform_is_finite_where_cosh_overflows():
     # cosh(800)^(-1/2) = sqrt(2) e^(-400); np.cosh(800) is inf
-    got = estimators._quadratic_laplace(1, [0.0], 800.0, np.array(1.0))
+    got = quadratic_laplace(1, [0.0], 800.0, np.array(1.0))
     assert got == pytest.approx(math.sqrt(2.0) * math.exp(-400.0), rel=1e-12, abs=0.0)
 
 
@@ -850,13 +873,13 @@ def test_batches_run_as_block_aligned_tiles(monkeypatch):
             assert np.array_equal(np.concatenate(sub), np.arange(16_384))
             blocks = [b for idx in sub for b in np.unique(idx // rng.BLOCK_PATHS)]
             assert len(blocks) == len(set(blocks))
-    # the extended kernel runs whole batches
+    # the extended kernel runs whole batches, cut evenly above batch_size
     for sub in draws.values():
         sub.clear()
     ext = make_extended_demo_model()
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 3000, 100, 5,
                  batch_size=2048)
-    assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [2048, 952]
+    assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [1536, 1464]
 
 
 _PL11, _PL21 = make_power_law_model(1, 1, 1.0), make_power_law_model(2, 1, 1.0)

@@ -1,5 +1,6 @@
-"""Every exported name resolves, the package re-exports only declared names, and
-thread code stays in ``estimators.run_batches``."""
+"""Every exported name resolves, the package re-exports only declared names,
+``oracles`` imports nothing from the package, no module imports another's
+private name, and thread code stays in ``estimators.run_batches``."""
 
 import ast
 import importlib
@@ -13,7 +14,8 @@ import pytest
 
 import gruschin
 
-MODULES = ("analysis", "cli", "estimators", "linalg", "models", "paths", "rng", "weights")
+MODULES = ("analysis", "cli", "estimators", "linalg", "models", "oracles", "paths", "rng",
+           "weights")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -39,6 +41,31 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, name) of every import of a package module in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level > 0 or module.split(".")[0] == "gruschin":
+                found += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, "") for alias in node.names
+                      if alias.name.split(".")[0] == "gruschin"]
+    return found
+
+
+def test_oracles_stand_alone_and_no_module_imports_a_private_name():
+    # the exact values read numpy and the standard library only, so any module
+    # may read them; and no module reaches into another's underscore names
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(gruschin.__file__).parent.glob("*.py"))}
+    assert _package_imports(trees["oracles"]) == []
+    private = [f"{stem}: {module}.{name}" for stem, tree in trees.items()
+               for module, name in _package_imports(tree) if name.startswith("_")]
+    assert private == []
 
 
 def test_threads_start_only_in_run_batches():
