@@ -103,6 +103,15 @@ def _floats(value, name: str) -> tuple:
     raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
 
 
+def _distinct(values: tuple, name: str) -> tuple:
+    """``values``, or a ConfigError naming the field if an entry repeats: a
+    repeated entry would write each of its result rows twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name} lists {value!r} more than once")
+    return values
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     builtin: str = "power_law"
@@ -178,13 +187,14 @@ class ExperimentConfig:
 
         rraw = raw["run"]
         seed = need(rraw, "run", "master_seed")
-        horizons = _floats(rraw.get("horizons", ()), "run.horizons")
+        horizons = _distinct(_floats(rraw.get("horizons", ()), "run.horizons"), "run.horizons")
         if not horizons:
             raise ConfigError("run.horizons must be a nonempty list")
         if not all(t > 0 for t in horizons):
             raise ConfigError("run.horizons entries must be positive")
-        points = tuple(_floats(p, f"run.points[{i}]")
-                       for i, p in enumerate(_list(rraw, "points", "run.points")))
+        points = _distinct(tuple(_floats(p, f"run.points[{i}]")
+                                 for i, p in enumerate(_list(rraw, "points", "run.points"))),
+                           "run.points")
         if not points:
             raise ConfigError("run.points must be a nonempty list")
         dim = model.m + model.d
@@ -197,7 +207,7 @@ class ExperimentConfig:
                 raise ConfigError(f"run.directions[{i}] must be a pair [v1, v2], got {pair!r}")
             directions.append(tuple(_floats(part, f"run.directions[{i}][{k}]")
                                     for k, part in enumerate(pair)))
-        directions = tuple(directions)
+        directions = _distinct(tuple(directions), "run.directions")
         if not directions:
             raise ConfigError("run.directions must be a nonempty list")
         for v1, v2 in directions:
@@ -210,7 +220,7 @@ class ExperimentConfig:
             fd_eps = _number(float, fd_eps, "run.fd_eps")
             if fd_eps <= 0:
                 raise ConfigError(f"run.fd_eps must be null or positive, got {fd_eps!r}")
-        functions = tuple(_list(rraw, "functions", "run.functions"))
+        functions = _distinct(tuple(_list(rraw, "functions", "run.functions")), "run.functions")
         for fname in functions:
             if fname not in TEST_FUNCTION_NAMES:
                 raise ConfigError(f"run.functions contains unknown observable {fname!r}; "
@@ -221,7 +231,8 @@ class ExperimentConfig:
                         functions=functions)
 
         sraw = raw.get("suite", {})
-        checks = tuple(_list(sraw, "checks", "suite.checks", KNOWN_CHECKS))
+        checks = _distinct(tuple(_list(sraw, "checks", "suite.checks", KNOWN_CHECKS)),
+                           "suite.checks")
         for c in checks:
             if c not in KNOWN_CHECKS:
                 raise ConfigError(f"suite.checks contains unknown check {c!r}; "
@@ -247,8 +258,11 @@ class ExperimentConfig:
         suite = SuiteConfig(checks=checks, overrides=parsed)
 
         oraw = raw.get("output", {})
+        directory = oraw.get("directory", "out")
+        if not (isinstance(directory, str) and directory):
+            raise ConfigError(f"output.directory must be a non-empty string, got {directory!r}")
         output = OutputConfig(
-            directory=str(oraw.get("directory", "out")),
+            directory=directory,
             formats=tuple(_list(oraw, "formats", "output.formats", ("csv", "json", "markdown"))),
         )
         for fmt in output.formats:

@@ -220,17 +220,20 @@ def run_batches(
     of ``rng.BLOCK_PATHS`` (never above ``batch_size``): it runs inline up to
     ``batch_size`` paths at any worker count, and above that leaves no batch
     narrow, as the extended kernel costs more per path on a narrow batch.
-    Without point functions nothing is drawn.
+    Without point functions nothing is drawn, and a ``batch_size`` or
+    ``workers`` that is not a positive integer raises ``ValueError`` first.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     if batch_size is not None and not (isinstance(batch_size, (int, np.integer))
                                        and batch_size >= 1):
         raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if not point_fns:
         return []
     size = batch_size or DEFAULT_BATCH_SIZE
-    n_batches = math.ceil(n_paths / size) if tile is None else max(1, workers)
+    n_batches = math.ceil(n_paths / size) if tile is None else workers
     per_batch = math.ceil(n_paths / n_batches)
     size = min(size, math.ceil(per_batch / BLOCK_PATHS) * BLOCK_PATHS)
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]

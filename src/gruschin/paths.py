@@ -44,11 +44,13 @@ has one slot per axis.  The basic kernel loops over the axes, in both forms;
 the extended kernel carries xi as (P, m, m), xi[:, i] the xi started at e_i.
 Every such functional is linear in the direction on fixed noise, so
 ``weights`` reads any direction v off one batch as sum_i v1_i (slot i).
+Each kernel is one function, ``_basic_kernel`` or ``_extended_kernel``, whose
+direction part its caller switches on with ``axes``:
 ``simulate_basic_batch`` and ``simulate_extended_batch`` run both parts;
 ``simulate_terminal_batch`` runs only the first, for callers that read nothing
-but (X_T, Y_T) and the validity mask.  The extended recursion is a generator
-over the steps, so its direction part runs inside the same loop and nothing is
-stored per step.  The terminal mask checks only direction-free quantities: it
+but (X_T, Y_T) and the validity mask.  The extended kernel is one loop over
+the steps that runs its direction part inside, so nothing is stored per
+step.  The terminal mask checks only direction-free quantities: it
 agrees with the full kernel's unless a gradient callback is non-finite on a
 coordinate axis where sigma is finite.
 
@@ -292,72 +294,53 @@ def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid,
     return x0, y0
 
 
-def _basic_states(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
-                  noise: Noise):
-    """The direction-free part of the basic kernel, on the walk of the noise.
+def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
+                  noise: Noise, axes: bool):
+    """The basic kernel on the walk of the noise: a ``PathBatch`` if ``axes``,
+    else (X_T, Y_T, valid) from its direction-free part alone.
 
-    Returns the left nodes of X, B_T, sigma at the left nodes (the (P, n) scalar
-    field, or the (P, d, n*d) operand A of the module docstring), Q_T, S, Y_T,
-    min eig Q_T and the mask of paths whose Q_T, S and Y_T are finite.  The
-    left nodes live in the scratch of the noise, as does the product sigma^2
-    that Q_T averages for a scalar sigma.
+    The left nodes of X live in the scratch of the noise, as do, for a scalar
+    sigma, the step products sigma^2 and w (grad_e sigma) sigma.
     """
-    n, T, d = grid.n_steps, grid.horizon, model.d
+    P, m, d = len(noise.eps), model.m, model.d
+    n, T = grid.n_steps, grid.horizon
     x_left, b_final = brownian_left_nodes(
         x0, noise.walk, grid, out=noise.scratch("nodes", noise.eps.shape))
-    zeta = noise.zeta
     if model.scalar_identity:
         field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
-        squares = np.multiply(field, field, out=noise.scratch("steps", noise.eps.shape[:2]))
-        min_eig = T * np.mean(squares, axis=1)
+        steps = np.multiply(field, field, out=noise.scratch("steps", noise.eps.shape[:2]))
+        min_eig = T * np.mean(steps, axis=1)
         q_matrix = min_eig[:, None, None] * np.eye(d)
-        s = np.sqrt(min_eig)[:, None] * zeta
+        s = np.sqrt(min_eig)[:, None] * noise.zeta
     else:
         field = _row_major_steps(model.sigma(x_left))                 # A, (P, d, n*d)
         q_matrix = T * (field @ field.transpose(0, 2, 1)) / n
-        s, min_eig = _root_times(q_matrix, zeta)
+        s, min_eig = _root_times(q_matrix, noise.zeta)
     y_final = y0 + s
     valid = (
         np.isfinite(q_matrix).all(axis=(1, 2))
         & np.isfinite(s).all(axis=1)
         & np.isfinite(y_final).all(axis=1)
     )
-    return x_left, b_final, field, q_matrix, s, y_final, min_eig, valid
+    if not axes:
+        return x0 + b_final, y_final, valid
 
-
-def simulate_basic_batch(
-    model: ModelSpec,
-    x0,
-    y0,
-    grid: TimeGrid,
-    noise: Noise,
-) -> PathBatch:
-    """Simulate a batch of basic-model paths on the ``Noise`` (eps, zeta) and
-    accumulate all weight functionals, one slot per coordinate axis of R^m."""
-    if model.kind is not ModelKind.BASIC:
-        raise ValueError("simulate_basic_batch expects a basic model")
-    x0, y0 = _prepare(model, x0, y0, grid, noise)
-    x_left, b_final, field, q_matrix, s, y_final, min_eig, valid = _basic_states(
-        model, x0, y0, grid, noise)
-    P, m, d = len(b_final), model.m, model.d
-    n, T = grid.n_steps, grid.horizon
     w = grid.decay_weights()
-
-    def trace_slot(e: np.ndarray) -> np.ndarray:
-        """int ((T-t)/T){(grad_e sigma) sigma^*} dt, (P, d, d)."""
+    slots = []      # int ((T-t)/T){(grad_e sigma) sigma^*} dt, (P, d, d) per axis e
+    for e in np.eye(m):
         if model.scalar_identity:
             # w_k (grad_e sigma)(X_k) sigma(X_k), in the scratch that held sigma^2
-            wgs = np.multiply(w, np.asarray(model.grad_sigma_scalar(x_left, e), dtype=float),
-                              out=noise.scratch("steps", noise.eps.shape[:2]))
-            wgs *= field
-            return (T * np.mean(wgs, axis=1))[:, None, None] * np.eye(d)
-        # B as in the module docstring; the callback's array is freed as soon as
-        # it is copied, so at most three (P, n, d, d) arrays are alive
-        B = _row_major_steps(model.grad_sigma(x_left, e))             # (P, d, n*d)
-        B *= np.repeat(w, d)                                          # w_k on step k
-        return T * (B @ field.transpose(0, 2, 1)) / n
-
-    trace_integral = np.stack([trace_slot(e) for e in np.eye(m)], axis=1)
+            np.multiply(w, np.asarray(model.grad_sigma_scalar(x_left, e), dtype=float),
+                        out=steps)
+            steps *= field
+            slots.append((T * np.mean(steps, axis=1))[:, None, None] * np.eye(d))
+        else:
+            # B as in the module docstring; the callback's array is freed as soon
+            # as it is copied, so at most three (P, n, d, d) arrays are alive
+            B = _row_major_steps(model.grad_sigma(x_left, e))         # (P, d, n*d)
+            B *= np.repeat(w, d)                                      # w_k on step k
+            slots.append(T * (B @ field.transpose(0, 2, 1)) / n)
+    trace_integral = np.stack(slots, axis=1)
     valid &= np.isfinite(trace_integral).all(axis=(1, 2, 3))
 
     return PathBatch(
@@ -374,60 +357,116 @@ def simulate_basic_batch(
     )
 
 
-class _ExtendedStates:
-    """The direction-free part of the extended kernel: the (X, Y) recursion.
+def _extended_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
+                     noise: Noise, axes: bool):
+    """The extended kernel, one loop over the steps: a ``PathBatch`` if ``axes``,
+    else (X_T, Y_T, valid) from its direction-free part alone.
 
-    Iterating runs the steps.  At each left node k it updates Q_T, int b2 dt and
-    the sigma1-invertibility flag, yields (k, X_k, sigma1_k with its
-    non-invertible matrices replaced by I, sigma2_k, the increment dB_k of B,
-    its normals scaled once), and then advances X.
-    Once the iteration ends, ``x_final``, ``y_final``, ``b_final``,
-    ``q_matrix``, ``s``, ``min_eig`` and ``valid`` (X_T, Y_T, Q_T and S finite,
-    sigma1 invertible at every node) hold the path's direction-free results.
+    At each left node the direction-free part updates Q_T, int b2 dt and the
+    sigma1-invertibility flag; then, if ``axes``, the direction part advances
+    one xi per coordinate axis e_i of R^m and its functionals; then X advances.
+    ``valid`` asks X_T, Y_T, Q_T and S finite and sigma1 invertible at every
+    node, and with ``axes`` also the direction functionals finite.
     """
+    eps = noise.eps
+    P, m, d = len(eps), model.m, model.d
+    n, T, dt, h = grid.n_steps, grid.horizon, grid.dt, np.sqrt(grid.dt)
+    x = np.broadcast_to(x0, (P, m)).copy()
+    b_running = np.zeros((P, m))
+    q_acc = np.zeros((P, d, d))
+    ydrift_acc = np.zeros((P, d))
+    singular = np.zeros(P, dtype=bool)
 
-    def __init__(self, model: ModelSpec, x0: np.ndarray, y0: np.ndarray,
-                 grid: TimeGrid, noise: Noise):
-        self.model, self.x0, self.y0, self.grid = model, x0, y0, grid
-        self.eps, self.zeta = noise.eps, noise.zeta
+    remaining = T - grid.times()               # (n+1,), exactly 0 at the final node
+    factors = remaining[1:] / remaining[:n]    # integrating factors, last one exactly 0
+    xi = np.broadcast_to(np.eye(m), (P, m, m)).copy()     # xi[:, i] starts at e_i
+    tr_acc = np.zeros((P, m, d, d))
+    dgi_acc = np.zeros((P, m, d))
+    xdw_acc = np.zeros((P, m))
 
-    def __iter__(self):
-        model, grid, eps = self.model, self.grid, self.eps
-        P, m, d = len(eps), model.m, model.d
-        dt, h = grid.dt, np.sqrt(grid.dt)
-        eye_m = np.eye(m)
-        x = np.broadcast_to(self.x0, (P, m)).copy()
-        b_running = np.zeros((P, m))
-        q_acc = np.zeros((P, d, d))
-        ydrift_acc = np.zeros((P, d))
-        singular = np.zeros(P, dtype=bool)
+    for k in range(n):
+        db = eps[:, k, :] * h
+        s1 = np.asarray(model.sigma1(x), dtype=float)                 # (P, m, m)
+        s2 = np.asarray(model.sigma(x), dtype=float)                  # (P, d, d)
+        if m == 1:
+            bad = np.abs(s1[:, 0, 0]) < 1e-300
+        else:
+            det = np.abs(np.linalg.det(s1))
+            bad = det <= 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
+        singular |= bad
+        q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
+        ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
 
-        for k in range(grid.n_steps):
-            db = eps[:, k, :] * h
-            s1 = np.asarray(model.sigma1(x), dtype=float)                 # (P, m, m)
-            s2 = np.asarray(model.sigma(x), dtype=float)                  # (P, d, d)
+        if axes:
+            # xi-drift weight term of each axis at the left node,
+            # <sigma1^{-1} xi/(T-t_k), dB_k>, a singular sigma1 read as I
+            s1_safe = np.where(bad[:, None, None], np.eye(m), s1)
             if m == 1:
-                bad = np.abs(s1[:, 0, 0]) < 1e-300
+                s1_inv_xi = xi / s1_safe
             else:
-                det = np.abs(np.linalg.det(s1))
-                bad = det <= 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
-            singular |= bad
-            q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
-            ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
-            yield k, x, np.where(bad[:, None, None], eye_m, s1), s2, db
-            x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
-            b_running = b_running + db
+                s1_inv_xi = np.linalg.solve(s1_safe, xi.transpose(0, 2, 1)).transpose(0, 2, 1)
+            xdw_acc += (s1_inv_xi * db[:, None, :]).sum(axis=2) / remaining[k]
 
-        self.x_final, self.b_final, self.q_matrix = x, b_running, q_acc
-        self.s, self.min_eig = _root_times(q_acc, self.zeta)
-        self.y_final = self.y0 + (self.s + ydrift_acc)
-        self.valid = (
-            np.isfinite(x).all(axis=1)
-            & np.isfinite(self.y_final).all(axis=1)
-            & np.isfinite(q_acc).all(axis=(1, 2))
-            & np.isfinite(self.s).all(axis=1)
-            & ~singular
-        )
+            for i in range(m):
+                xi_i = xi[:, i]
+                g2 = np.asarray(model.grad_sigma(x, xi_i), dtype=float)   # (P, d, d)
+                # the decay (T-t)/T of the basic weight lives inside xi here: in the
+                # sigma1 = I, b1 = 0 reduction xi_t = e_i (T-t)/T exactly, so these
+                # unweighted integrands coincide with the weighted basic ones
+                tr_acc[:, i] += dt * np.einsum("pij,pkj->pik", g2, s2)
+                dgi_acc[:, i] += np.asarray(model.grad_b2(x, xi_i), dtype=float) * dt
+
+                gs1 = np.asarray(model.grad_sigma1(x, xi_i), dtype=float)   # (P, m, m)
+                gb1 = np.asarray(model.grad_b1(x, xi_i), dtype=float)       # (P, m)
+                xi[:, i] = factors[k] * (xi_i + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
+
+        x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
+        b_running = b_running + db
+
+    s, min_eig = _root_times(q_acc, noise.zeta)
+    y_final = y0 + (s + ydrift_acc)
+    valid = (
+        np.isfinite(x).all(axis=1)
+        & np.isfinite(y_final).all(axis=1)
+        & np.isfinite(q_acc).all(axis=(1, 2))
+        & np.isfinite(s).all(axis=1)
+        & ~singular
+    )
+    if not axes:
+        return x, y_final, valid
+    valid &= (
+        np.isfinite(tr_acc).all(axis=(1, 2, 3))
+        & np.isfinite(dgi_acc).all(axis=(1, 2))
+        & np.isfinite(xdw_acc).all(axis=1)
+    )
+
+    return PathBatch(
+        b_final=b_running,
+        x_final=x,
+        y_final=y_final,
+        q_matrix=q_acc,
+        trace_integral=tr_acc,
+        sigma_stoch_integral=s,
+        drift_grad_integral=dgi_acc,
+        xi_drift_weight=xdw_acc,
+        min_eig_q=min_eig,
+        valid=valid,
+    )
+
+
+def simulate_basic_batch(
+    model: ModelSpec,
+    x0,
+    y0,
+    grid: TimeGrid,
+    noise: Noise,
+) -> PathBatch:
+    """Simulate a batch of basic-model paths on the ``Noise`` (eps, zeta) and
+    accumulate all weight functionals, one slot per coordinate axis of R^m."""
+    if model.kind is not ModelKind.BASIC:
+        raise ValueError("simulate_basic_batch expects a basic model")
+    x0, y0 = _prepare(model, x0, y0, grid, noise)
+    return _basic_kernel(model, x0, y0, grid, noise, axes=True)
 
 
 def simulate_extended_batch(
@@ -447,58 +486,7 @@ def simulate_extended_batch(
     if model.kind is not ModelKind.EXTENDED:
         raise ValueError("simulate_extended_batch expects an extended model")
     x0, y0 = _prepare(model, x0, y0, grid, noise)
-    P, m, d = len(noise.eps), model.m, model.d
-    n, T, dt = grid.n_steps, grid.horizon, grid.dt
-
-    remaining = T - grid.times()               # (n+1,), exactly 0 at the final node
-    factors = remaining[1:] / remaining[:n]    # integrating factors, last one exactly 0
-
-    xi = np.broadcast_to(np.eye(m), (P, m, m)).copy()     # xi[:, i] starts at e_i
-    tr_acc = np.zeros((P, m, d, d))
-    dgi_acc = np.zeros((P, m, d))
-    xdw_acc = np.zeros((P, m))
-
-    states = _ExtendedStates(model, x0, y0, grid, noise)
-    for k, x, s1_safe, s2, db in states:
-        # xi-drift weight term of each axis at the left node, <sigma1^{-1} xi/(T-t_k), dB_k>
-        if m == 1:
-            s1_inv_xi = xi / s1_safe
-        else:
-            s1_inv_xi = np.linalg.solve(s1_safe, xi.transpose(0, 2, 1)).transpose(0, 2, 1)
-        xdw_acc += (s1_inv_xi * db[:, None, :]).sum(axis=2) / remaining[k]
-
-        for i in range(m):
-            xi_i = xi[:, i]
-            g2 = np.asarray(model.grad_sigma(x, xi_i), dtype=float)   # (P, d, d)
-            # the decay (T-t)/T of the basic weight lives inside xi here: in the
-            # sigma1 = I, b1 = 0 reduction xi_t = e_i (T-t)/T exactly, so these
-            # unweighted integrands coincide with the weighted basic ones
-            tr_acc[:, i] += dt * np.einsum("pij,pkj->pik", g2, s2)
-            dgi_acc[:, i] += np.asarray(model.grad_b2(x, xi_i), dtype=float) * dt
-
-            gs1 = np.asarray(model.grad_sigma1(x, xi_i), dtype=float)   # (P, m, m)
-            gb1 = np.asarray(model.grad_b1(x, xi_i), dtype=float)       # (P, m)
-            xi[:, i] = factors[k] * (xi_i + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
-
-    valid = (
-        states.valid
-        & np.isfinite(tr_acc).all(axis=(1, 2, 3))
-        & np.isfinite(dgi_acc).all(axis=(1, 2))
-        & np.isfinite(xdw_acc).all(axis=1)
-    )
-
-    return PathBatch(
-        b_final=states.b_final,
-        x_final=states.x_final,
-        y_final=states.y_final,
-        q_matrix=states.q_matrix,
-        trace_integral=tr_acc,
-        sigma_stoch_integral=states.s,
-        drift_grad_integral=dgi_acc,
-        xi_drift_weight=xdw_acc,
-        min_eig_q=states.min_eig,
-        valid=valid,
-    )
+    return _extended_kernel(model, x0, y0, grid, noise, axes=True)
 
 
 def simulate_terminal_batch(
@@ -516,13 +504,8 @@ def simulate_terminal_batch(
     non-finite on a coordinate axis where sigma is finite.
     """
     x0, y0 = _prepare(model, x0, y0, grid, noise)
-    if model.kind is ModelKind.BASIC:
-        _, b_final, _, _, _, y_final, _, valid = _basic_states(model, x0, y0, grid, noise)
-        return x0 + b_final, y_final, valid
-    states = _ExtendedStates(model, x0, y0, grid, noise)
-    for _ in states:
-        pass
-    return states.x_final, states.y_final, states.valid
+    kernel = _basic_kernel if model.kind is ModelKind.BASIC else _extended_kernel
+    return kernel(model, x0, y0, grid, noise, axes=False)
 
 
 def simulate_batch(model: ModelSpec, x0, y0, grid: TimeGrid,

@@ -111,6 +111,19 @@ MINIMAL_FILE = Path(__file__).resolve().parents[1] / "configs" / "minimal.json"
      "suite.overrides.a5.n_paths must be an integer"),
     (lambda b: b["suite"].update(overrides={"a5": {"n_steps": "20"}}),
      "suite.overrides.a5.n_steps must be a number"),
+    # a repeated entry would write each of its rows twice
+    (lambda b: b["suite"].update(checks=["bismut_vs_fd", "bismut_vs_fd"]),
+     "suite.checks lists 'bismut_vs_fd' more than once"),
+    (lambda b: b["run"].update(functions=["y_squared", "y_squared"]),
+     "run.functions lists 'y_squared' more than once"),
+    (lambda b: b["run"].update(points=[[1.0, 1.0], [0.5, 0.0], [1.0, 1.0]]),
+     "run.points lists .* more than once"),
+    (lambda b: b["run"].update(directions=[[[1.0], [0.0]], [[1.0], [0.0]]]),
+     "run.directions lists .* more than once"),
+    (lambda b: b["run"].update(horizons=[1.0, 1]), "run.horizons lists 1.0 more than once"),
+    (lambda b: b["output"].update(directory=None), "output.directory must be a non-empty string"),
+    (lambda b: b["output"].update(directory=5), "output.directory must be a non-empty string"),
+    (lambda b: b["output"].update(directory=""), "output.directory must be a non-empty string"),
 ])
 def test_malformed_config_fields_exit_2_naming_the_field(tmp_path, capsys, mutate, needle):
     body = json.loads(MINIMAL_FILE.read_text())

@@ -637,6 +637,23 @@ def test_a_bad_batch_size_is_refused_before_any_draw(monkeypatch, batch_size, wo
     assert draws == {0: [], 1: []}
 
 
+@pytest.mark.parametrize("workers", [0, -3, 1.5])
+def test_a_bad_worker_count_is_refused_before_any_draw(monkeypatch, workers):
+    draws = _counting_draws(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable("sin_y", model)
+    calls = [
+        lambda: bismut_panel(model, [1.0, 0.5], 1.0, [f], [EX], 1000, 10, 3, workers=workers),
+        lambda: pt_panel(model, [[1.0, 0.5]], 1.0, [f], 1000, 10, 3, workers=workers),
+        lambda: estimate_negative_moment(1, [0.5], 1.0, 1.0, 1.0, 1000, 10, 3, workers=workers),
+        lambda: estimate_lq_moment("constant_unit", 2.0, 1.0, 1000, 10, 3, workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            call()
+    assert draws == {0: [], 1: []}
+
+
 def test_panel_entry_does_not_depend_on_the_other_directions():
     # (1, 1e-7 | 0) is within 1e-12 in cosine of (1, 0 | 0), and its 1e-7 d/dx2
     # part must not be dropped when the two share a panel
