@@ -42,11 +42,13 @@ normals, and the basic kernel and ``paths.brownian_left_nodes`` read their
 standard random walk, built once per tile (``paths.Noise``), scaled to each
 point's own grid.  So every (T, x) point and every x-start of a tile reads
 one cumulative sum, and each point's estimate is bit for bit its one-point
-estimate at the same seed.  At n = 1 the Lemma 3.1 points read two per-path
-statistics of the walk in its place.  ``estimate_lq_moments`` is the
-points-list form of the L^q cases: every case reads the one (P, n_steps, 2)
-draw of a tile.  The points' estimates are then correlated, each with its own
-validity mask.
+estimate at the same seed.  On a linear-family model the basic kernel reads
+per-path sums of that walk that the noise keeps, not the path.  At n = 1 the
+Lemma 3.1 points read two of them, ``paths.walk_statistics``, through
+``paths.quadratic_integral``, the kernel's own Q_T formula.
+``estimate_lq_moments`` is the points-list form of the L^q cases: every case
+reads the one (P, n_steps, 2) draw of a tile.  The points' estimates are then
+correlated, each with its own validity mask.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ from .oracles import LQ_INTEGRANDS, check_lq_case
 from .paths import (
     TimeGrid,
     brownian_left_nodes,
+    quadratic_integral,
     simulate_batch,
     simulate_terminal_batch,
     standard_increments,
     standard_noise,
     standard_walk,
+    walk_statistics,
 )
 from .rng import BLOCK_PATHS
 from .weights import weight_terms_shared
@@ -338,7 +342,8 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
     each estimate is bit for bit the one-point estimate at ``seed``, whichever
     points share the call.  At n = 1 the path is x + sqrt(dt) W_k, so the
     integral is T (|x + sqrt(dt) m_W|^2 + dt v_W), with m_W the mean of W over
-    the left nodes and v_W its centred mean square (``_left_node_statistics``):
+    the left nodes and v_W its centred mean square (``paths.walk_statistics``
+    and ``paths.quadratic_integral``, as the linear-family kernel reads Q_T):
     the tile computes those once and a point costs O(P m), not O(P n_steps m).
     Other n read the path (``paths.brownian_left_nodes``).  The batches are
     mapped over ``workers``, and the points run inline on each tile's draw.
@@ -359,10 +364,10 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
 
     def draw(idx):
         walk = standard_walk(standard_increments(seed, idx, n_steps, m))
-        return _left_node_statistics(walk) if quadratic else walk
+        return walk_statistics(walk) if quadratic else walk
 
     def moment(x, grid, drawn):
-        integral = (_quadratic_integral(x, grid, drawn) if quadratic
+        integral = (quadratic_integral(x, grid, drawn) if quadratic
                     else _path_integral(x, grid, drawn, n_exp))
         ok = integral > 0.0
         return {"value": np.where(ok, integral, 1.0) ** (-alpha)}, ok
@@ -370,25 +375,6 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
     point_fns = [functools.partial(moment, x, grid) for x, grid in zip(starts, grids)]
     return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
                                                 batch_size, _tile(n_steps, m))]
-
-
-def _left_node_statistics(walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mean m_W (P, m) of a walk W (P, n + 1, m) over its left nodes
-    W_0..W_{n-1}, and its centred mean square v_W = mean_k |W_k - m_W|^2 (P,)."""
-    left = walk[:, :-1]
-    w_mean = left.mean(axis=1)
-    dev = left - w_mean[:, None]
-    return w_mean, np.mean(np.sum(dev * dev, axis=2), axis=1)
-
-
-def _quadratic_integral(x: np.ndarray, grid: TimeGrid,
-                        statistics: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """T mean_k |x + h W_k|^2 = T (|x + h m_W|^2 + h^2 v_W), h = sqrt(dt), from
-    the ``_left_node_statistics`` of W: a sum of two nonnegative terms, with
-    no cancellation."""
-    w_mean, w_var = statistics
-    shifted = x + np.sqrt(grid.dt) * w_mean
-    return grid.horizon * (np.sum(shifted * shifted, axis=1) + grid.dt * w_var)
 
 
 def _path_integral(x: np.ndarray, grid: TimeGrid, walk: np.ndarray,

@@ -100,7 +100,10 @@ class ModelSpec:
     ``*_scalar`` closures are set and simulation uses the cheaper scalar kernel.
     ``family`` is set only when the coefficients are exactly those of a
     ``Family``; the closed forms, the exact Harnack constant and the Euclidean
-    distance are read from it.
+    distance are read from it.  The basic kernel reads ``Family.LINEAR`` as
+    sigma(x) = x and calls none of the sigma closures of such a model, so a
+    ``replace`` of a coefficient must also drop the family (``family=None``).
+    ``Family.LINEAR`` is refused unless m = d = 1.
     """
 
     m: int
@@ -124,6 +127,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("dimensions m and d must be positive")
+        if self.family is Family.LINEAR and (self.m, self.d) != (1, 1):
+            raise ValueError(f"family LINEAR is sigma(x) = x with m = d = 1, "
+                             f"got m = {self.m}, d = {self.d}")
         if self.kind is ModelKind.EXTENDED:
             missing = [n for n in ("sigma1", "grad_sigma1", "b1", "grad_b1", "b2", "grad_b2")
                        if getattr(self, n) is None]
@@ -424,9 +430,9 @@ class TestFunction:
 
 def _build_test_function(name: str, model: ModelSpec) -> TestFunction:
     m, family = model.m, model.family
-    # the linear closed forms hold for the basic system with m = d = 1 only
-    linear = (family is Family.LINEAR and model.kind is ModelKind.BASIC
-              and model.m == 1 and model.d == 1)
+    # the linear closed forms hold for the basic system only (ModelSpec
+    # already refuses the family unless m = d = 1)
+    linear = family is Family.LINEAR and model.kind is ModelKind.BASIC
 
     if name == "one":
         return TestFunction(

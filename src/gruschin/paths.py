@@ -18,8 +18,16 @@ left-point sum of sigma sigma^* dt.  The kernels set S = R zeta, with one
 zeta ~ N(0, I_d) per path and R the PSD square root of Q_T (``_root_times``),
 so (X_T, Y_T) has the law of the left-point scheme driven by (B, B~).
 
-The basic kernel has two forms.  A scalar-times-identity sigma works on (P, n)
-arrays of the scalar field.  Any other sigma is laid out once as a contiguous
+The basic kernel has three forms.  For the linear family (``Family.LINEAR``,
+sigma(x) = x, m = d = 1) the path is X_k = x0 + h W_k, h = sqrt(dt), on the
+standard random walk W below, so both step sums have closed forms in (x0, h)
+built from three per-path sums of W that depend on neither x0 nor T: its
+left-node mean m_W, centred mean square v_W and decay-weighted mean
+u_W = mean_k w_k W_k, w_k = (T-t_k)/T = 1 - k/n up to rounding.  Then
+Q_T = T ((x0 + h m_W)^2 + dt v_W) (``quadratic_integral``, which Lemma 3.1
+reads too) and the trace term is T (x0 mean_k w_k + h u_W); no callback runs,
+and a point costs O(P) once the noise holds the sums.  A scalar-times-identity
+sigma works on (P, n) arrays of the scalar field.  Any other sigma is laid out once as a contiguous
 (P, d, n*d) operand A with A[p, i, k*d + j] = sigma_ij(X_k), and the weighted
 gradient ((T-t_k)/T) grad sigma(X_k) as B in the same layout.  Step and column
 then form one contraction axis, and the accumulators are batched matrix
@@ -68,7 +76,12 @@ draw serves every horizon T of a given step count, bit for bit.  The basic
 kernel reads the standard random walk W of eps (W_0 = 0, W_k = eps_0 + ... +
 eps_{k-1}, ``standard_walk``), which a ``Noise`` builds on first read and
 keeps as long as the noise lives, so every point and every x-start simulated
-on one draw reads one cumulative sum.  A ``Noise`` also holds the tile
+on one draw reads one cumulative sum.  The noise keeps the walk's
+``walk_statistics`` (m_W, v_W) the same way, and its ``weighted_walk_mean``
+u_W once per set of decay weights, keyed by their bits, so a point reads the
+u_W of its own grid whichever points share the draw.  Each is a per-row
+reduction over the steps (no matrix product across rows), so a path's sums
+do not depend on its batch.  A ``Noise`` also holds the tile
 scratch, into which the basic kernel writes each point's left nodes of X and,
 for a scalar sigma, the step products sigma^2 and w (grad_e sigma) sigma that
 Q_T and the trace term average; nothing a kernel returns aliases it.
@@ -89,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelKind, ModelSpec
+from .models import Family, ModelKind, ModelSpec
 from .rng import PathStreams
 
 __all__ = [
@@ -100,6 +113,9 @@ __all__ = [
     "standard_increments",
     "standard_noise",
     "standard_walk",
+    "walk_statistics",
+    "weighted_walk_mean",
+    "quadratic_integral",
     "simulate_basic_batch",
     "simulate_extended_batch",
     "simulate_batch",
@@ -188,22 +204,57 @@ def standard_walk(eps: np.ndarray) -> np.ndarray:
     return walk
 
 
+def walk_statistics(walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean m_W (P, m) of a walk W (P, n + 1, m) over its left nodes
+    W_0..W_{n-1}, and its centred mean square v_W = mean_k |W_k - m_W|^2 (P,)."""
+    left = walk[:, :-1]
+    w_mean = left.mean(axis=1)
+    dev = left - w_mean[:, None]
+    dev *= dev
+    # at m = 1 the sum over the one coordinate is the deviation itself, and
+    # np.sum over that length-1 axis would cost a (P, n) pass of its own
+    squares = dev[..., 0] if dev.shape[2] == 1 else np.sum(dev, axis=2)
+    return w_mean, np.mean(squares, axis=1)
+
+
+def weighted_walk_mean(walk: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """u_W = mean_k w_k W_k (P, m) over the left nodes of a walk W (P, n + 1, m),
+    for weights w (n,).  Each row is reduced on its own (no matrix product
+    across rows), so a path gives the same bits in any batch."""
+    return (walk[:, :-1] * weights[:, None]).mean(axis=1)
+
+
+def quadratic_integral(x: np.ndarray, grid: TimeGrid,
+                       statistics: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """T mean_k |x + h W_k|^2 = T (|x + h m_W|^2 + h^2 v_W), h = sqrt(dt), from
+    the ``walk_statistics`` of W: a sum of two nonnegative terms, with no
+    cancellation."""
+    w_mean, w_var = statistics
+    shifted = x + np.sqrt(grid.dt) * w_mean
+    return grid.horizon * (np.sum(shifted * shifted, axis=1) + grid.dt * w_var)
+
+
 class Noise:
     """The kernel noise of a batch: standard normals eps (P, n_steps, m) and
-    zeta (P, d), the walk of eps, built on first read, and the tile scratch.
+    zeta (P, d), the walk of eps and its statistics, each built on first read,
+    and the tile scratch.
 
     A noise belongs to one tile of one batch, and batches are the only
     parallel unit (``estimators.run_batches``), so one thread reads it.  The
-    walk is built once, on first read, and lives as long as the noise.  So
-    does the tile scratch: float64 buffers that the basic kernel fills anew at
-    each point simulated on the noise (the left nodes of X and, for a scalar
-    sigma, the step products that Q_T and the trace term average), so that no
-    point allocates them again.  Nothing a kernel returns aliases the scratch.
+    walk, its ``walk_statistics`` and its ``weighted_walk_mean`` under each
+    set of weights asked for are built once, on first read, and live as long
+    as the noise.  So does the tile scratch: float64 buffers that the basic
+    kernel fills anew at each point simulated on the noise (the left nodes of
+    X and, for a scalar sigma, the step products that Q_T and the trace term
+    average), so that no point allocates them again.  Nothing a kernel
+    returns aliases the scratch or the statistics.
     """
 
     def __init__(self, eps: np.ndarray, zeta: np.ndarray):
         self.eps, self.zeta = eps, zeta
         self._walk = None
+        self._statistics = None
+        self._weighted_means = {}
         self._scratch = {}
 
     @property
@@ -212,6 +263,22 @@ class Noise:
         if self._walk is None:
             self._walk = standard_walk(self.eps)
         return self._walk
+
+    @property
+    def statistics(self) -> tuple[np.ndarray, np.ndarray]:
+        """``walk_statistics(walk)``: m_W (P, m) and v_W (P,)."""
+        if self._statistics is None:
+            self._statistics = walk_statistics(self.walk)
+        return self._statistics
+
+    def weighted_mean(self, weights: np.ndarray) -> np.ndarray:
+        """``weighted_walk_mean(walk, weights)`` (P, m), kept per value of the
+        weights, bit for bit, so that two grids whose weights differ in one
+        bit each read their own."""
+        key = weights.tobytes()
+        if key not in self._weighted_means:
+            self._weighted_means[key] = weighted_walk_mean(self.walk, weights)
+        return self._weighted_means[key]
 
     def scratch(self, name: str, shape: tuple) -> np.ndarray:
         """The float64 scratch buffer ``name``, made uninitialised with
@@ -299,17 +366,26 @@ def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
     """The basic kernel on the walk of the noise: a ``PathBatch`` if ``axes``,
     else (X_T, Y_T, valid) from its direction-free part alone.
 
-    The left nodes of X live in the scratch of the noise, as do, for a scalar
-    sigma, the step products sigma^2 and w (grad_e sigma) sigma.
+    The linear family (sigma(x) = x) reads the statistics of the walk that
+    the noise keeps and calls no callback.  Otherwise the left nodes of X live
+    in the scratch of the noise, as do, for a scalar sigma, the step products
+    sigma^2 and w (grad_e sigma) sigma.
     """
     P, m, d = len(noise.eps), model.m, model.d
-    n, T = grid.n_steps, grid.horizon
-    x_left, b_final = brownian_left_nodes(
-        x0, noise.walk, grid, out=noise.scratch("nodes", noise.eps.shape))
-    if model.scalar_identity:
-        field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
-        steps = np.multiply(field, field, out=noise.scratch("steps", noise.eps.shape[:2]))
-        min_eig = T * np.mean(steps, axis=1)
+    n, T, h = grid.n_steps, grid.horizon, np.sqrt(grid.dt)
+    linear = model.family is Family.LINEAR
+    if linear:
+        # X_k = x0 + h W_k: Q_T = T mean_k X_k^2 = T ((x0 + h m_W)^2 + dt v_W)
+        b_final = noise.walk[:, -1] * h
+        min_eig = quadratic_integral(x0, grid, noise.statistics)
+    else:
+        x_left, b_final = brownian_left_nodes(
+            x0, noise.walk, grid, out=noise.scratch("nodes", noise.eps.shape))
+        if model.scalar_identity:
+            field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
+            steps = np.multiply(field, field, out=noise.scratch("steps", noise.eps.shape[:2]))
+            min_eig = T * np.mean(steps, axis=1)
+    if linear or model.scalar_identity:
         q_matrix = min_eig[:, None, None] * np.eye(d)
         s = np.sqrt(min_eig)[:, None] * noise.zeta
     else:
@@ -326,21 +402,25 @@ def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
         return x0 + b_final, y_final, valid
 
     w = grid.decay_weights()
-    slots = []      # int ((T-t)/T){(grad_e sigma) sigma^*} dt, (P, d, d) per axis e
-    for e in np.eye(m):
-        if model.scalar_identity:
-            # w_k (grad_e sigma)(X_k) sigma(X_k), in the scratch that held sigma^2
-            np.multiply(w, np.asarray(model.grad_sigma_scalar(x_left, e), dtype=float),
-                        out=steps)
-            steps *= field
-            slots.append((T * np.mean(steps, axis=1))[:, None, None] * np.eye(d))
-        else:
-            # B as in the module docstring; the callback's array is freed as soon
-            # as it is copied, so at most three (P, n, d, d) arrays are alive
-            B = _row_major_steps(model.grad_sigma(x_left, e))         # (P, d, n*d)
-            B *= np.repeat(w, d)                                      # w_k on step k
-            slots.append(T * (B @ field.transpose(0, 2, 1)) / n)
-    trace_integral = np.stack(slots, axis=1)
+    if linear:
+        # grad_e sigma = 1 on the one axis: C = T mean_k w_k X_k = T (x0 w-bar + h u_W)
+        trace_integral = (T * (x0 * np.mean(w) + h * noise.weighted_mean(w)))[:, :, None, None]
+    else:
+        slots = []      # int ((T-t)/T){(grad_e sigma) sigma^*} dt, (P, d, d) per axis e
+        for e in np.eye(m):
+            if model.scalar_identity:
+                # w_k (grad_e sigma)(X_k) sigma(X_k), in the scratch that held sigma^2
+                np.multiply(w, np.asarray(model.grad_sigma_scalar(x_left, e), dtype=float),
+                            out=steps)
+                steps *= field
+                slots.append((T * np.mean(steps, axis=1))[:, None, None] * np.eye(d))
+            else:
+                # B as in the module docstring; the callback's array is freed as soon
+                # as it is copied, so at most three (P, n, d, d) arrays are alive
+                B = _row_major_steps(model.grad_sigma(x_left, e))         # (P, d, n*d)
+                B *= np.repeat(w, d)                                      # w_k on step k
+                slots.append(T * (B @ field.transpose(0, 2, 1)) / n)
+        trace_integral = np.stack(slots, axis=1)
     valid &= np.isfinite(trace_integral).all(axis=(1, 2, 3))
 
     return PathBatch(

@@ -199,7 +199,7 @@ def test_rho_search_reaches_the_far_waypoints_of_a_fast_extended_x():
     # sigma1 = 16: an x-move costs |dx| / 16, so (1, 0) -> (1, 8) is cheapest
     # through x* = 8, where 2 * 7/16 + 8/8 = 1.875; a bracket that charged
     # x-moves |dx| would stop at x* = 5 (cost 2.1)
-    fast = replace(as_extended(make_power_law_model(1, 1, 1.0)),
+    fast = replace(as_extended(make_power_law_model(1, 1, 1.0)), family=None,
                    sigma1=lambda x: np.full(np.shape(x)[:-1] + (1, 1), 16.0))
     assert rho_upper_bound(fast, (1.0, 0.0), (1.0, 8.0)) == pytest.approx(1.875, abs=1e-9)
 

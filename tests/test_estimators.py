@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from gruschin import estimators, paths, rng
-from gruschin.analysis import (
-    DEFAULT_CALIBRATION_GRID,
-    DEFAULT_HOLDOUT_GRID,
-    McParams,
-    check_lemma31,
-)
+from gruschin.analysis import McParams, check_lemma31
 from gruschin.estimators import (
     EstimationError,
     bismut_panel,
@@ -50,9 +45,7 @@ from gruschin.paths import (
     TimeGrid,
     simulate_basic_batch,
     simulate_batch,
-    standard_increments,
     standard_noise,
-    standard_walk,
 )
 
 EX = Direction.make(1.0, 0.0)
@@ -381,25 +374,6 @@ def test_negative_moment_exact_validation():
     for T, alpha in ((0.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="positive"):
             negative_moment_exact(1, [1.0], T, alpha)
-
-
-def test_quadratic_integral_of_the_walk_statistics_is_the_path_integral():
-    # at n = 1 a Lemma 3.1 point reads the mean and centred mean square of the
-    # walk in place of its path: on every row of the default grid (x = 0 and
-    # s = x / sqrt(T) = 4 included) and at m = 2 the forms agree path by path
-    for m in (1, 2):
-        walk = standard_walk(standard_increments(67, np.arange(4000), 100, m))
-        zero = standard_walk(np.zeros((3, 100, m)))
-        for T, x in (*DEFAULT_CALIBRATION_GRID, *DEFAULT_HOLDOUT_GRID):
-            grid = TimeGrid(T, 100)
-            for xv in {(x,) + (0.0,) * (m - 1), (x,) + (0.5,) * (m - 1)}:
-                xv = np.array(xv)
-                for w in (walk, zero):
-                    quad = estimators._quadratic_integral(
-                        xv, grid, estimators._left_node_statistics(w))
-                    path = estimators._path_integral(xv, grid, w, 1.0)
-                    np.testing.assert_allclose(quad, path, rtol=1e-13, atol=0.0)
-                    assert np.array_equal(quad > 0.0, path > 0.0)
 
 
 # ---------------------------------------------------------------------------

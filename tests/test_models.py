@@ -193,6 +193,17 @@ def test_builtins_declare_their_family(spec, family):
         assert as_extended(model).family is family
 
 
+@pytest.mark.parametrize("spec", [("power_law", 2, 1, 1.0), ("power_law", 1, 2, 1.0),
+                                  ("constant_identity", 3, 3, 1.0)], ids=_spec_id)
+def test_linear_family_is_refused_unless_m_and_d_are_one(spec):
+    # the basic kernel reads LINEAR as the scalar sigma(x) = x of m = d = 1
+    model = builtin_model(*spec)
+    with pytest.raises(ValueError, match="LINEAR"):
+        replace(model, family=Family.LINEAR)
+    with pytest.raises(ValueError, match="LINEAR"):
+        replace(as_extended(model), family=Family.LINEAR)
+
+
 def test_power_law_lookalike_gets_no_linear_closed_forms():
     # sigma(x) = 2x is not the linear family, whatever the model is called
     def s(x):

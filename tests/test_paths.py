@@ -6,9 +6,19 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gruschin.estimators import EstimationError, bismut_panel, fd_panel, pt_panel
+from gruschin import paths
+from gruschin.analysis import DEFAULT_CALIBRATION_GRID, DEFAULT_HOLDOUT_GRID
+from gruschin.estimators import (
+    EstimationError,
+    _path_integral,
+    bismut_panel,
+    bismut_panels,
+    fd_panel,
+    pt_panel,
+)
 from gruschin.models import (
     Direction,
+    Family,
     ModelKind,
     ModelSpec,
     as_extended,
@@ -22,8 +32,10 @@ from gruschin.models import (
 from gruschin.models import TestFunction as Observable  # not a pytest class
 from gruschin.paths import (
     Noise,
+    PathBatch,
     TimeGrid,
     brownian_left_nodes,
+    quadratic_integral,
     simulate_basic_batch,
     simulate_batch,
     simulate_extended_batch,
@@ -31,6 +43,7 @@ from gruschin.paths import (
     standard_increments,
     standard_noise,
     standard_walk,
+    walk_statistics,
 )
 from gruschin.rng import PathStreams
 from gruschin.weights import weight_terms_shared
@@ -342,8 +355,9 @@ def test_a_second_point_on_one_noise_allocates_only_the_callback_outputs():
     # P = 1,280 paths of n = 100 steps, one tile at m + d = 2.  The first point
     # builds the walk and the tile scratch; at the second, the only fresh
     # (P, n) arrays are what sigma and grad sigma return (tracemalloc sees
-    # numpy's data allocations)
-    model = make_power_law_model(1, 1, 1.0)
+    # numpy's data allocations).  The linear family calls neither, so sigma(x)
+    # = x runs here through its callbacks
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     P, n = 1280, 100
     drawn = noise(model, TimeGrid(1.0, n), 41, np.arange(P))
     simulate_basic_batch(model, [1.0], [0.0], TimeGrid(1.0, n), drawn)
@@ -590,8 +604,10 @@ def _given_b(model, ref, y0, zeta):
             "min_eig_q": min_eig}
 
 
+LINEAR = make_power_law_model(1, 1, 1.0)   # sigma(x) = x, read off the walk statistics
 SPLIT_MODELS = {
-    "power_law": make_power_law_model(1, 1, 1.0),
+    "linear": LINEAR,
+    "power_law": replace(LINEAR, family=None),   # the same sigma through its callbacks
     "power_law_m2": make_power_law_model(2, 1, 1.5),
     "tilted_matrix": make_tilted_matrix_model(),
     "extended_demo": make_extended_demo_model(),
@@ -600,10 +616,13 @@ SPLIT_MODELS = {
 FIELDS = ("b_final", "x_final", "q_matrix", "trace_integral", "drift_grad_integral",
           "xi_drift_weight")
 AXIS_FIELDS = ("trace_integral", "drift_grad_integral", "xi_drift_weight")
+# the models whose kernels sum their callbacks over the steps, as the references
+# do; the linear family reads no callback (test_linear_kernel_is_the_general_scalar_kernel)
+CALLBACK_MODELS = sorted(set(SPLIT_MODELS) - {"linear"})
 
 
 @pytest.mark.parametrize("x_start", [1.0, 0.0])
-@pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+@pytest.mark.parametrize("name", CALLBACK_MODELS)
 def test_direction_free_part_keeps_every_bit(name, x_start):
     model = SPLIT_MODELS[name]
     grid = TimeGrid(1.0, 40)
@@ -671,7 +690,7 @@ def test_axis_slots_combine_to_the_reference_kernel(name):
                                atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("name", ["power_law", "tilted_matrix", "extended_demo"])
+@pytest.mark.parametrize("name", ["linear", "power_law", "tilted_matrix", "extended_demo"])
 def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
     # one B path on 100k rows: over zeta, S must be N(0, Q_T), and f M_T must
     # average to what f M_T of the B~ scheme averages to over B~ on that path
@@ -751,3 +770,120 @@ def test_nonfinite_direction_callback_leaves_the_terminal_mask_alone(name):
     assert fd.n_invalid == 0 and pt.n_invalid == 0
     with pytest.raises(EstimationError):
         bismut_panel(model, z0, 1.0, [f], [ey], 300, 20, 7)
+
+
+# ---------------------------------------------------------------------------
+# the linear family: walk statistics in place of the callbacks
+# ---------------------------------------------------------------------------
+
+def test_quadratic_integral_of_the_walk_statistics_is_the_path_integral():
+    # at n = 1 a Lemma 3.1 point, and the linear kernel's Q_T, read the mean
+    # and centred mean square of the walk in place of its path: on every row of
+    # the default grid (x = 0 and s = x / sqrt(T) = 4 included) and at m = 2 the
+    # forms agree path by path
+    for m in (1, 2):
+        walk = standard_walk(standard_increments(67, np.arange(4000), 100, m))
+        zero = standard_walk(np.zeros((3, 100, m)))
+        for T, x in (*DEFAULT_CALIBRATION_GRID, *DEFAULT_HOLDOUT_GRID):
+            grid = TimeGrid(T, 100)
+            for xv in {(x,) + (0.0,) * (m - 1), (x,) + (0.5,) * (m - 1)}:
+                xv = np.array(xv)
+                for w in (walk, zero):
+                    quad = quadratic_integral(xv, grid, walk_statistics(w))
+                    path = _path_integral(xv, grid, w, 1.0)
+                    np.testing.assert_allclose(quad, path, rtol=1e-13, atol=0.0)
+                    assert np.array_equal(quad > 0.0, path > 0.0)
+
+
+# the PathBatch fields that read only the Brownian path, bit for bit; the rest
+# are sums over the steps, formed in another order off the walk statistics
+LINEAR_EXACT = ("b_final", "x_final", "drift_grad_integral", "xi_drift_weight", "valid")
+
+
+def _assert_to_rounding(got, want, name):
+    assert got.shape == want.shape and got.dtype == want.dtype, name
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("K", [2, 100])
+@pytest.mark.parametrize("T", [0.25, 0.7, 4.0])
+def test_linear_kernel_is_the_general_scalar_kernel(T, K):
+    # on one noise, sigma(x) = x read off the walk statistics against the same
+    # sigma summed through its callbacks, for the full and the terminal kernel
+    general = SPLIT_MODELS["power_law"]
+    assert LINEAR.family is Family.LINEAR and general.family is None
+    grid = TimeGrid(T, K)
+    drawn = noise(LINEAR, grid, 37, np.arange(700))
+    for x0 in (-2.0, 0.0, 0.3, 1.5):
+        start = ([x0], [0.4])
+        fast = simulate_batch(LINEAR, *start, grid, drawn)
+        slow = simulate_batch(general, *start, grid, drawn)
+        assert fast.valid.all()
+        for f in fields(PathBatch):
+            got, want = getattr(fast, f.name), getattr(slow, f.name)
+            if f.name in LINEAR_EXACT:
+                assert got.shape == want.shape and np.array_equal(got, want), f.name
+            else:
+                _assert_to_rounding(got, want, f.name)
+        # the terminal kernel keeps every bit of the full one, as for any model
+        x_final, y_final, valid = simulate_terminal_batch(LINEAR, *start, grid, drawn)
+        assert np.array_equal(x_final, fast.x_final)
+        assert np.array_equal(y_final, fast.y_final)
+        assert np.array_equal(valid, fast.valid)
+        general_x, general_y, general_valid = simulate_terminal_batch(general, *start, grid,
+                                                                      drawn)
+        assert np.array_equal(x_final, general_x) and np.array_equal(valid, general_valid)
+        _assert_to_rounding(y_final, general_y, "terminal y_final")
+
+
+def _outputs(result):
+    """A kernel's result by field name: a ``PathBatch``, or the terminal triple."""
+    if isinstance(result, PathBatch):
+        return {f.name: getattr(result, f.name) for f in fields(result)}
+    return dict(zip(("x_final", "y_final", "valid"), result))
+
+
+@pytest.mark.parametrize("kernel", [simulate_batch, simulate_terminal_batch])
+def test_linear_path_alone_equals_the_path_in_a_batch(kernel):
+    # 1,280 paths are one tile of a K = 100 panel; the statistics are reduced
+    # row by row, so no row's bits depend on its position or on the batch
+    starts = [(-2.0, 0.7), (0.3, 0.25), (1.5, 4.0)]
+    batches = {P: noise(LINEAR, TimeGrid(1.0, 100), 53, np.arange(P)) for P in (700, 1280)}
+    for i in (0, 255, 256, 699):
+        alone = noise(LINEAR, TimeGrid(1.0, 100), 53, [i])
+        for x0, T in starts:
+            grid = TimeGrid(T, 100)
+            one = _outputs(kernel(LINEAR, [x0], [0.4], grid, alone))
+            for P, drawn in batches.items():
+                many = _outputs(kernel(LINEAR, [x0], [0.4], grid, drawn))
+                for name, value in one.items():
+                    assert np.array_equal(value[0], many[name][i]), (name, P, i, x0, T)
+
+
+def test_each_linear_point_of_bismut_panels_is_its_one_point_panel():
+    # the three horizons give three sets of decay weights, each read on the
+    # tile's one walk; every point is its one-point panel bit for bit
+    fs = [observable("sin_y", LINEAR), observable("y_squared", LINEAR)]
+    vs = [Direction.make(1.0, 0.0), Direction.make(0.0, 1.0)]
+    points = [([1.0, 0.5], 0.3), ([0.0, 0.0], 0.7), ([-1.5, 0.2], 1.0)]
+    assert len({TimeGrid(T, 100).decay_weights().tobytes() for _, T in points}) == 3
+    panels = bismut_panels(LINEAR, points, fs, vs, 1100, 100, 59, batch_size=700)
+    for (z0, T), panel in zip(points, panels):
+        assert panel == bismut_panel(LINEAR, z0, T, fs, vs, 1100, 100, 59)
+
+
+def test_a_linear_noise_computes_its_walk_statistics_once(monkeypatch):
+    # m_W and v_W once per noise, and u_W once per distinct set of decay
+    # weights: T = 0.5 and 1 give the same weights, bit for bit, T = 0.7 others
+    calls = {"walk_statistics": 0, "weighted_walk_mean": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(paths, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(paths, name, counting)
+    drawn = noise(LINEAR, TimeGrid(1.0, 50), 61, np.arange(300))
+    for x0, T in ((1.0, 1.0), (-0.5, 0.5), (0.3, 0.7), (2.0, 0.7)):
+        simulate_terminal_batch(LINEAR, [x0], [0.0], TimeGrid(T, 50), drawn)
+        simulate_batch(LINEAR, [x0], [0.0], TimeGrid(T, 50), drawn)
+    assert calls == {"walk_statistics": 1, "weighted_walk_mean": 2}
