@@ -10,16 +10,24 @@ arrays ordered by path index and reduced by a fixed pairwise tree.
 Serial and multi-worker runs, and any batch size, are therefore bitwise
 identical.
 
-Parallelism: ``run_batches`` is the one place where work runs on threads.  A
-call maps its batches over ``workers``, and the points of a list run inline, in
-order, on each tile's draw.  Nothing else starts a thread, so no map nests in
-another and at most ``workers`` threads work at once: the suite runs its
-checks, and the panels of a check, one after another.
+Parallelism: every thread the package starts belongs to one pool of
+``workers`` threads per worker count, which ``_pool`` builds on the first call
+with ``workers > 1`` and keeps for the process; only ``_map`` hands it work.  A
+call with more than one batch maps its batches over the pool, and the points
+of a list run inline, in order, on each tile's draw.  A call with one batch
+runs it on the calling thread and passes its draws a ``share``
+(``rng.PathStreams.fill_normals``), through which the idle pool threads draw
+part of its RNG blocks: the draw releases the GIL, where the kernels'
+Python work does not.  A batch that runs on the pool never shares, so no pool
+work nests in another and at most ``workers`` threads work at once: the suite
+runs its checks, and the panels of a check, one after another.
+``draw_noise`` gives a caller outside ``run_batches`` the same shared draw.
 
 Batches and tiles: a batch is the unit of parallel work, and a tile is one
 noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or fewer:
-a tiled call cuts more batches where it needs them to occupy its workers, and
-an untiled call above ``batch_size`` cuts its batches evenly.
+a tiled call runs one batch per worker, but never more batches than the tiles
+it spans, so no batch is narrower than a tile, and an untiled call above
+``batch_size`` cuts its batches evenly.
 A batch runs as consecutive tiles, each the largest multiple of
 ``rng.BLOCK_PATHS`` whose (P, n_steps, w) draw fits ``TILE_NORMALS`` floats
 (2 MiB), w = m + d for a panel, cut at absolute multiples of the tile, so no
@@ -56,7 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -91,6 +99,7 @@ __all__ = [
     "estimate_lq_moment",
     "estimate_lq_moments",
     "default_fd_eps",
+    "draw_noise",
     "split_point",
     "pt_panel",
     "bismut_panel",
@@ -176,6 +185,50 @@ def _tiles(start: int, stop: int, tile: Optional[int]) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads, built on first use and kept.
+    A pool starts its threads on submit, so one built twice in a race and
+    dropped holds none."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+def _map(workers: int, fn: Callable, items: Sequence, inline: bool = False) -> list:
+    """``[fn(item) for item in items]``, the items run on ``_pool(workers)``,
+    and the first on the calling thread if ``inline``.  Returns once every
+    item has finished or been cancelled, and raises the exception of the
+    first item, in order, that raised."""
+    futures = [_pool(workers).submit(fn, item) for item in items[inline:]]
+    try:
+        first = [fn(items[0])] if inline else []
+        return first + [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+
+
+def _share(workers: int) -> Callable[[Callable[[int, int], None], int], None]:
+    """The ``share`` of ``rng.PathStreams.fill_normals`` over ``workers``
+    threads: the block loop runs in up to ``workers`` consecutive parts, the
+    first (and largest) on the calling thread and the rest on the pool."""
+    def share(loop: Callable[[int, int], None], n_blocks: int) -> None:
+        parts = min(workers, n_blocks)
+        cuts = [-(-n_blocks * k // parts) for k in range(parts + 1)]
+        _map(workers, lambda span: loop(*span), list(zip(cuts[:-1], cuts[1:])), inline=True)
+
+    return share
+
+
+def draw_noise(master_seed: int, path_indices, n_steps: int, model: ModelSpec,
+               *, workers: int = 1):
+    """``paths.standard_noise`` of the paths, bit for bit, with its increments
+    drawn on ``workers`` threads when ``workers > 1`` (see ``_share``), for a
+    caller that draws one batch of its own outside ``run_batches``."""
+    share = _share(workers) if workers > 1 else None
+    return standard_noise(master_seed, path_indices, n_steps, model, share=share)
+
+
 def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
     """``ok`` restricted to the paths whose values are finite in every column."""
     for vals in cols.values():
@@ -211,19 +264,27 @@ def run_batches(
     one tile; the extended panels keep their batches whole, as their kernel
     loops over the steps in Python and a narrower call costs more per step.
 
-    The batches are the only parallel unit: this is the one code that starts
-    threads, and nothing it runs starts more.  With ``workers > 1`` and more
-    than one batch, the batches are mapped over a pool of ``workers`` threads
-    and their results kept in path order; otherwise they run inline.  Inside a
-    tile the point functions run inline, in order, on its one draw.  With
-    ``workers > 1`` and a ``tile``, a batch is at most ceil(n_paths / workers)
-    paths long, rounded up to a multiple of ``rng.BLOCK_PATHS``: a call has up
-    to one batch per worker, and that cut splits no RNG block between two
+    With ``workers > 1`` and more than one batch, the batches are mapped over
+    the process pool of ``workers`` threads (``_pool``) and their results
+    kept in path order; otherwise they run inline.  Inside a tile the point
+    functions run inline, in order, on its one draw.  A call with a ``tile``
+    runs min(workers, tiles it spans) batches, each at most ceil(n_paths /
+    count) paths long, rounded up to a multiple of ``rng.BLOCK_PATHS``: no
+    batch is narrower than a tile, and no RNG block is split between two
     batches.  A call without ``tile`` runs the fewest batches ``batch_size``
     allows, cut evenly at ceil(n_paths / count) paths rounded up to a multiple
     of ``rng.BLOCK_PATHS`` (never above ``batch_size``): it runs inline up to
     ``batch_size`` paths at any worker count, and above that leaves no batch
     narrow, as the extended kernel costs more per path on a narrow batch.
+
+    A call that runs one batch at ``workers > 1`` calls ``draw(path_indices,
+    share=share)``, and the draw passes ``share`` on to its
+    ``rng.PathStreams.fill_normals`` of the (P, n_steps, w) increments: the
+    calling thread draws the first part of the blocks and the idle pool
+    threads the rest, bit for bit the serial draw.  Otherwise ``draw`` gets
+    the indices alone, so a draw needs the keyword only if a call of its own
+    can run one batch on several workers.  A batch on the pool never shares,
+    so no pool work waits on the pool.
     Without point functions nothing is drawn, and a ``batch_size`` or
     ``workers`` that is not a positive integer raises ``ValueError`` first.
     """
@@ -237,10 +298,13 @@ def run_batches(
     if not point_fns:
         return []
     size = batch_size or DEFAULT_BATCH_SIZE
-    n_batches = math.ceil(n_paths / size) if tile is None else workers
+    n_batches = (math.ceil(n_paths / size) if tile is None
+                 else min(workers, math.ceil(n_paths / tile)))
     per_batch = math.ceil(n_paths / n_batches)
     size = min(size, math.ceil(per_batch / BLOCK_PATHS) * BLOCK_PATHS)
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]
+    if workers > 1 and len(spans) == 1:
+        draw = functools.partial(draw, share=_share(workers))
 
     def run_tile(start: int, stop: int) -> list:
         noise = draw(np.arange(start, stop, dtype=np.int64))
@@ -250,8 +314,7 @@ def run_batches(
         return [run_tile(*t) for t in tiles]
 
     if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_batch, spans))
+        results = _map(workers, run_batch, spans)
     else:
         results = [run_batch(tiles) for tiles in spans]
     tile_results = list(itertools.chain(*results))  # in path order
@@ -362,8 +425,8 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
 
     quadratic = n_exp == 1.0
 
-    def draw(idx):
-        walk = standard_walk(standard_increments(seed, idx, n_steps, m))
+    def draw(idx, share=None):
+        walk = standard_walk(standard_increments(seed, idx, n_steps, m, share=share))
         return walk_statistics(walk) if quadratic else walk
 
     def moment(x, grid, drawn):
@@ -423,8 +486,8 @@ def estimate_lq_moments(cases: Sequence[tuple[str, float, dict]], T: float,
     grid = TimeGrid(T, n_steps)
     point_fns = [_lq_integral(name, q, grid, **kwargs) for name, q, kwargs in cases]
 
-    def draw(idx):
-        return standard_increments(seed, idx, n_steps, 2)
+    def draw(idx, share=None):
+        return standard_increments(seed, idx, n_steps, 2, share=share)
 
     return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
                                                 batch_size, _tile(n_steps, 2))]
@@ -486,8 +549,8 @@ def _terminal_panel(model: ModelSpec, starts: Sequence, T: float,
     grid = TimeGrid(T, n_steps)
     y_origin = np.zeros(model.d)
 
-    def draw(idx):
-        return standard_noise(seed, idx, n_steps, model)
+    def draw(idx, share=None):
+        return standard_noise(seed, idx, n_steps, model, share=share)
 
     def panel(noise):
         sims = {}  # x-start bytes -> (X_T, Y_T, valid) simulated from (x-start, 0)
@@ -570,8 +633,8 @@ def bismut_panels(model: ModelSpec, points: Sequence[tuple],
         raise ValueError("bismut_panel needs at least one observable or extra_obs")
     grids = [TimeGrid(T, n_steps) for _, T in points]
 
-    def draw(idx):
-        return standard_noise(seed, idx, n_steps, model)
+    def draw(idx, share=None):
+        return standard_noise(seed, idx, n_steps, model, share=share)
 
     def columns(x0, y0, grid, noise):
         batch = simulate_batch(model, x0, y0, grid, noise)

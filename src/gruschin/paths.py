@@ -189,10 +189,14 @@ def _as_state(value, dim: int, name: str) -> np.ndarray:
 
 
 def standard_increments(master_seed: int, path_indices, n_steps: int,
-                        width: int) -> np.ndarray:
+                        width: int, share=None) -> np.ndarray:
     """Standard normals (P, n_steps, width) from substream 0: those of a path are
-    a pure function of (master_seed, path index)."""
-    return PathStreams(master_seed).fill_normals(np.asarray(path_indices), (n_steps, width))
+    a pure function of (master_seed, path index).  A ``share`` is passed on to
+    ``rng.PathStreams.fill_normals``, as a keyword and only when set."""
+    streams, idx = PathStreams(master_seed), np.asarray(path_indices)
+    if share is None:
+        return streams.fill_normals(idx, (n_steps, width))
+    return streams.fill_normals(idx, (n_steps, width), share=share)
 
 
 def standard_walk(eps: np.ndarray) -> np.ndarray:
@@ -239,15 +243,18 @@ class Noise:
     zeta (P, d), the walk of eps and its statistics, each built on first read,
     and the tile scratch.
 
-    A noise belongs to one tile of one batch, and batches are the only
-    parallel unit (``estimators.run_batches``), so one thread reads it.  The
-    walk, its ``walk_statistics`` and its ``weighted_walk_mean`` under each
-    set of weights asked for are built once, on first read, and live as long
-    as the noise.  So does the tile scratch: float64 buffers that the basic
-    kernel fills anew at each point simulated on the noise (the left nodes of
-    X and, for a scalar sigma, the step products that Q_T and the trace term
-    average), so that no point allocates them again.  Nothing a kernel
-    returns aliases the scratch or the statistics.
+    A noise belongs to one tile of one batch, and one thread reads it: a
+    call's batches run one per thread, and the point functions of a batch
+    run in order (``estimators.run_batches``).  Up to ``workers`` threads
+    may fill its eps, when a one-batch call shares the draw, but all of them
+    are done before the noise is made.  The walk, its ``walk_statistics``
+    and its ``weighted_walk_mean`` under each set of weights asked for are
+    built once, on first read, and live as long as the noise.  So does the
+    tile scratch: float64 buffers that the basic kernel fills anew at each
+    point simulated on the noise (the left nodes of X and, for a scalar
+    sigma, the step products that Q_T and the trace term average), so that
+    no point allocates them again.  Nothing a kernel returns aliases the
+    scratch or the statistics.
     """
 
     def __init__(self, eps: np.ndarray, zeta: np.ndarray):
@@ -290,13 +297,15 @@ class Noise:
 
 
 def standard_noise(master_seed: int, path_indices, n_steps: int,
-                   model: ModelSpec) -> Noise:
+                   model: ModelSpec, share=None) -> Noise:
     """The kernel noise of the paths: standard normals eps (P, n_steps, m) from
     substream 0, the increments of B on any grid of ``n_steps`` steps once a
-    kernel scales them, and zeta (P, d) from substream 1."""
+    kernel scales them, and zeta (P, d) from substream 1.  A ``share`` goes
+    to the draw of eps alone (see ``standard_increments``): zeta's blocks of
+    256 d normals cost less than handing them to another thread."""
     idx = np.asarray(path_indices)
     zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
-    return Noise(standard_increments(master_seed, idx, n_steps, model.m), zeta)
+    return Noise(standard_increments(master_seed, idx, n_steps, model.m, share=share), zeta)
 
 
 def brownian_left_nodes(start, walk: np.ndarray, grid: TimeGrid,

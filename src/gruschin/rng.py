@@ -9,13 +9,16 @@ therefore a pure function of ``(master_seed, substream, path_index)`` --
 independent of how many other paths were simulated, in what order, or on which
 worker -- and the first ``k`` steps of a draw equal a ``k``-step draw.
 ``SeedSequence`` hashes its whole entropy list, so distinct blocks, substreams
-and seeds start from well-separated states.
+and seeds start from well-separated states.  The blocks of one draw may be
+drawn on several threads at once (``PathStreams.fill_normals``'s ``share``):
+each writes the rows of its own paths, so the output does not change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +45,9 @@ class PathStreams:
         self.master_seed = int(master_seed) & (2**64 - 1)
         self.substream = int(substream) & (2**64 - 1)
 
-    def fill_normals(self, path_indices: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    def fill_normals(self, path_indices: np.ndarray, shape: tuple[int, ...],
+                     share: Optional[Callable[[Callable[[int, int], None], int], None]] = None,
+                     ) -> np.ndarray:
         """Stack of per-path normals, leading axis ordered as ``path_indices``.
 
         ``shape[0]`` is the step axis.  Each block that holds a requested path is
@@ -50,6 +55,15 @@ class PathStreams:
         with consecutive indices are copied as one strided slice.  The copy
         moves the w = prod(shape[1:]) normals of one (path, step) as a single
         8w-byte record, a 2-d transpose of records, so the bits do not change.
+
+        Without ``share`` the blocks are drawn one after another on the calling
+        thread.  With it, ``share(loop, n_blocks)`` must call ``loop(start,
+        stop)`` on consecutive ranges that cover range(n_blocks), possibly on
+        several threads at once, and return once every call has returned
+        (raising if one raised).  Each range draws its blocks into a buffer of
+        its own and writes the rows of its blocks alone, so the output is the
+        serial one bit for bit.  ``estimators.run_batches`` passes a ``share``
+        to the draws of a call that leaves pool threads idle.
         """
         idx = np.asarray(path_indices)
         shape = tuple(shape)
@@ -64,16 +78,24 @@ class PathStreams:
         block_of = idx // BLOCK_PATHS
         order = np.argsort(block_of, kind="stable")
         blocks, firsts = np.unique(block_of[order], return_index=True)
-        buf = np.empty((n_steps, BLOCK_PATHS) + shape[1:])
-        buf_rec = buf.reshape(n_steps, BLOCK_PATHS * w).view(record)  # (n_steps, 256)
-        for block, lo, hi in zip(blocks, firsts, np.append(firsts[1:], idx.size)):
-            bitgen = np.random.SFC64(np.random.SeedSequence(
-                [self.master_seed, self.substream, int(block)]))
-            np.random.Generator(bitgen).standard_normal(out=buf)
-            rows = order[lo:hi]
-            cols = idx[rows] - block * BLOCK_PATHS
-            if np.all(np.diff(rows) == 1) and np.all(np.diff(cols) == 1):
-                out_rec[rows[0]:rows[-1] + 1] = buf_rec[:, cols[0]:cols[-1] + 1].T
-            else:
-                out_rec[rows] = buf_rec[:, cols].T
+        ends = np.append(firsts[1:], idx.size)
+
+        def draw_blocks(start: int, stop: int) -> None:
+            buf = np.empty((n_steps, BLOCK_PATHS) + shape[1:])
+            buf_rec = buf.reshape(n_steps, BLOCK_PATHS * w).view(record)  # (n_steps, 256)
+            for block, lo, hi in zip(blocks[start:stop], firsts[start:stop], ends[start:stop]):
+                bitgen = np.random.SFC64(np.random.SeedSequence(
+                    [self.master_seed, self.substream, int(block)]))
+                np.random.Generator(bitgen).standard_normal(out=buf)
+                rows = order[lo:hi]
+                cols = idx[rows] - block * BLOCK_PATHS
+                if np.all(np.diff(rows) == 1) and np.all(np.diff(cols) == 1):
+                    out_rec[rows[0]:rows[-1] + 1] = buf_rec[:, cols[0]:cols[-1] + 1].T
+                else:
+                    out_rec[rows] = buf_rec[:, cols].T
+
+        if share is None:
+            draw_blocks(0, len(blocks))
+        else:
+            share(draw_blocks, len(blocks))
         return out

@@ -403,7 +403,9 @@ def _record_threads(monkeypatch, module, name):
 
 def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
     # a check's tasks are its batches: each draws its tiles and runs every
-    # point's path functionals, in order, on each tile's draw; the Harnack
+    # point's path functionals, in order, on each tile's draw.  At K = 100,
+    # 3,000 paths span two tiles or more (2,560 paths at width 1, 1,280 at
+    # width 2), so every check runs two batches at workers=2; the Harnack
     # pairs read one panel, whose tiles simulate each distinct x-start once,
     # and the L^q cases one draw per tile.  Lemma 3.1 points read the path at
     # n = 1.5; at n = 1 they read per-path statistics of the walk, which the
@@ -424,10 +426,10 @@ def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
     ]
     for (module, name), run in cases:
         threads, armed = _record_threads(monkeypatch, module, name)
-        serial = run(McParams(1000, 10, 59, workers=1))
+        serial = run(McParams(3000, 100, 59, workers=1))
         threads.clear()
         armed += [True, True]
-        parallel = run(McParams(1000, 10, 59, workers=2))
+        parallel = run(McParams(3000, 100, 59, workers=2))
         assert len(threads) >= 2, name
         assert parallel == serial, name
         assert parallel.points and parallel.points == serial.points
@@ -438,14 +440,15 @@ def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
 
 
 def test_a_standalone_panel_overlaps_two_batches(monkeypatch):
-    # 3,000 paths at workers=2 give two 1,500-path batches, each one tile; the
-    # first two kernel calls wait for each other, so they pass only if they overlap
+    # K = 100: 3,000 paths span three 1,280-path tiles, so at workers=2 they
+    # run as two batches, of 1,536 and 1,464 paths; the first two kernel calls
+    # wait for each other, so they pass only if they overlap
     model = make_power_law_model(1, 1, 1.0)
     fs = [observable("sin_y", model)]
-    serial = estimators.pt_panel(model, [[1.0, 0.5]], 1.0, fs, 3000, 10, 67)
+    serial = estimators.pt_panel(model, [[1.0, 0.5]], 1.0, fs, 3000, 100, 67)
     threads, armed = _record_threads(monkeypatch, estimators, "simulate_terminal_batch")
     armed += [True, True]
-    parallel = estimators.pt_panel(model, [[1.0, 0.5]], 1.0, fs, 3000, 10, 67, workers=2)
+    parallel = estimators.pt_panel(model, [[1.0, 0.5]], 1.0, fs, 3000, 100, 67, workers=2)
     assert len(threads) == 2
     assert parallel == serial
 

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -469,24 +468,29 @@ def test_reduction_artifacts_do_not_depend_on_workers(tmp_path):
         assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
 
-def test_bismut_vs_fd_panels_each_map_their_batches_over_one_pool(monkeypatch):
-    # the (T, z0) panels run one after another, and each maps its two batches
-    # of 1,024 and 976 paths over a pool of its own
+def test_bismut_vs_fd_panels_each_map_their_batches_over_one_pool(monkeypatch, new_pools):
+    # K = 100: 2,000 paths span two 1,280-path tiles, so each (T, z0) panel
+    # runs two batches, of 1,024 paths and of 976 drawn as tiles of 256 and
+    # 720; the panels run one after another, and all map their batches over
+    # the one pool of the process
     body = json.loads(json.dumps(MINIMAL))
     body["run"]["horizons"] = [0.5, 1.0]
+    body["run"]["n_steps"] = 100
     cfg = ExperimentConfig.from_dict(body)
     model = builtin_model("power_law", 1, 1, 1.0)
     serial_rows, serial_rep = cli._run_bismut_vs_fd(cfg, model, 1)
-    built = []
+    tiles = []
+    real = estimators.standard_noise
 
-    class Counting(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    def recording(seed, idx, *args, **kwargs):
+        tiles.append(len(idx))
+        return real(seed, idx, *args, **kwargs)
 
-    monkeypatch.setattr(estimators, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(estimators, "standard_noise", recording)
     rows, rep = cli._run_bismut_vs_fd(cfg, model, 2)
-    assert built == [2] * 4   # a bismut and an fd panel per horizon
+    # a bismut and an fd panel per horizon
+    assert sorted(tiles) == [256] * 4 + [720] * 4 + [1024] * 4
+    assert new_pools == [2]
     assert rows == serial_rows and len(rows) == 4
     assert rep.summary_line() == serial_rep.summary_line()
 

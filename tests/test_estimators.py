@@ -3,7 +3,7 @@
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 import numpy as np
 import pytest
@@ -837,12 +837,38 @@ def _counting_draws(monkeypatch):
     draws = {0: [], 1: []}
     real = rng.PathStreams.fill_normals
 
-    def counting(self, path_indices, shape):
+    def counting(self, path_indices, shape, **share):
         draws[self.substream].append(np.asarray(path_indices).copy())
-        return real(self, path_indices, shape)
+        return real(self, path_indices, shape, **share)
 
     monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
     return draws
+
+
+def _record_blocks(monkeypatch) -> list:
+    """(master seed, substream, block, thread) of every RNG block drawn, as the
+    block loop of ``rng.PathStreams.fill_normals`` seeds it."""
+    blocks, real = [], np.random.SeedSequence
+
+    def recording(entropy=None, *args, **kwargs):
+        if isinstance(entropy, list) and len(entropy) == 3:
+            blocks.append((*entropy, threading.get_ident()))
+        return real(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(rng.np.random, "SeedSequence", recording)
+    return blocks
+
+
+def _record_kwargs(monkeypatch, module, name) -> list:
+    """The keyword arguments of every call of ``module.<name>``."""
+    calls, real = [], getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 def test_batches_run_as_block_aligned_tiles(monkeypatch):
@@ -871,6 +897,16 @@ def test_batches_run_as_block_aligned_tiles(monkeypatch):
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 3000, 100, 5,
                  batch_size=2048)
     assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [1536, 1464]
+    # at two workers a tiled call runs min(workers, tiles it spans) batches:
+    # 16,384 paths are two batches of 8,192, cut into tiles as above, and 1,100
+    # paths, within one 1,280-path tile, are one batch and one draw
+    for n_paths, want_cut in ((16_384, want), (1100, [1100])):
+        for sub in draws.values():
+            sub.clear()
+        bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], n_paths, 100, 5, workers=2)
+        for sub in draws.values():
+            assert sorted(len(idx) for idx in sub) == sorted(want_cut)
+            assert np.array_equal(np.sort(np.concatenate(sub)), np.arange(n_paths))
 
 
 _PL11, _PL21 = make_power_law_model(1, 1, 1.0), make_power_law_model(2, 1, 1.0)
@@ -948,18 +984,6 @@ def test_fd_panel_is_bitwise_a_central_difference_of_two_simulations(case):
 # the parallel map of run_batches over its batches
 # ---------------------------------------------------------------------------
 
-def _count_executors(monkeypatch) -> list:
-    built = []
-
-    class Counting(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("max_workers", args[0] if args else None))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(estimators, "ThreadPoolExecutor", Counting)
-    return built
-
-
 def _reduced_columns(monkeypatch) -> list:
     """Record the values of every column that ``run_batches`` reduces."""
     seen, real = [], estimators._finalize
@@ -977,16 +1001,16 @@ def _path_indices(idx):
     return {"value": idx.astype(float)}, np.ones(len(idx), dtype=bool)
 
 
-def test_extended_panel_keeps_its_whole_batch_at_two_workers(monkeypatch):
+def test_extended_panel_keeps_its_whole_batch_at_two_workers(monkeypatch, new_pools):
     # an untiled call is cut at batch_size alone: 5,000 extended paths at
-    # workers=2 are one batch, drawn once and run inline
+    # workers=2 are one batch, drawn once and run inline; the idle worker of
+    # the pool shares that one draw
     draws = _counting_draws(monkeypatch)
-    built = _count_executors(monkeypatch)
     ext = make_extended_demo_model()
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 5000, 10, 5,
                  workers=2)
     assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [5000]
-    assert built == []
+    assert new_pools == [2]
 
 
 def test_parallel_map_keeps_input_order_when_tasks_finish_out_of_order(monkeypatch):
@@ -1021,45 +1045,149 @@ def test_parallel_map_keeps_order_under_oversubscribed_threads(monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], np.arange(64 * 256.0))
 
 
-def test_parallel_map_builds_no_executor_for_one_item_or_one_worker(monkeypatch):
-    built = _count_executors(monkeypatch)
-    # 200 paths at 4 workers are one batch; 1,000 paths at one worker run inline
-    (one_batch,) = run_batches(200, lambda idx: idx, [_path_indices], workers=4)
-    (inline,) = run_batches(1000, lambda idx: idx, [_path_indices], workers=1,
-                            batch_size=256)
-    assert run_batches(1000, lambda idx: idx, [], workers=4) == []
-    assert built == []
+def test_one_worker_builds_no_pool_and_one_batch_runs_on_the_caller(new_pools):
+    # 1,000 paths at one worker run inline, and their draws get no share
+    shares, parts = [], []
+
+    def draw(idx, **share):
+        shares.append((share, threading.get_ident()))
+        if share:
+            share["share"](lambda start, stop: parts.append(
+                (start, stop, threading.get_ident())), 2)
+        return idx
+
+    (inline,) = run_batches(1000, draw, [_path_indices], workers=1, batch_size=256)
+    assert run_batches(1000, draw, [], workers=4) == []
+    assert new_pools == [] and [share for share, _ in shares] == [{}] * 4
+    # 200 paths at 4 workers are one batch, drawn and run on the calling
+    # thread; its draw gets a share, whose first use builds the pool of 4
+    shares.clear()
+    (one_batch,) = run_batches(200, draw, [_path_indices], workers=4)
+    assert new_pools == [4]
+    ((share, thread),) = shares
+    assert list(share) == ["share"] and thread == threading.get_ident()
+    assert sorted(parts)[0] == (0, 1, thread) and sorted(parts)[1][:2] == (1, 2)
+    assert sorted(parts)[1][2] != thread
     assert one_batch["value"].mean == 99.5 and inline["value"].mean == 499.5
 
 
-def test_lemma31_grid_builds_one_pool_for_its_batches(monkeypatch):
-    # the batches are the one parallel axis: one pool maps them, and no tile
-    # builds a pool of its own for the grid points
+def test_lemma31_grid_builds_one_pool_for_its_batches(new_pools):
+    # the batches are the one parallel axis: one pool maps them, no tile
+    # builds a pool of its own for the grid points, and a second call reuses it
     serial = check_lemma31(McParams(10_000, 100, 61, workers=1))
-    built = _count_executors(monkeypatch)
     parallel = check_lemma31(McParams(10_000, 100, 61, workers=2))
-    assert built == [2]
+    assert new_pools == [2]
     assert parallel == serial
     assert parallel.points and parallel.points == serial.points
+    assert check_lemma31(McParams(10_000, 100, 61, workers=2)) == serial
+    assert new_pools == [2]
 
 
 def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch):
-    # 1,250 paths at workers=2: ceil(1250 / 2) = 625 rounds up to 768, so the
-    # batches are paths 0-767 and 768-1249, and the five blocks are each
-    # generated once (a cut at 625 generated block 2 in both batches)
-    serial = check_lemma31(McParams(1250, 100, 71, workers=1))
-    blocks = []
-    real = rng.PathStreams.fill_normals
-
-    def counting(self, path_indices, shape):
-        blocks.append(len(np.unique(np.asarray(path_indices) // rng.BLOCK_PATHS)))
-        return real(self, path_indices, shape)
-
-    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
-    parallel = check_lemma31(McParams(1250, 100, 71, workers=2))
-    assert sorted(blocks) == [2, 3]   # the two batches run on two threads
+    # K = 100: a Lemma 3.1 tile (width m = 1) is 2,560 paths.  2,600 paths at
+    # workers=2 span two tiles, so two batches: ceil(2600 / 2) = 1,300 rounds
+    # up to 1,536, the batches are paths 0-1535 and 1536-2599 (the second
+    # drawn as the tiles 1536-2559 and 2560-2599), and each of the 11 blocks
+    # is drawn once (a cut at 1,300 drew block 5 in both batches)
+    serial = check_lemma31(McParams(2600, 100, 71, workers=1))
+    draws = _counting_draws(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
+    parallel = check_lemma31(McParams(2600, 100, 71, workers=2))
+    assert sorted(len(idx) for idx in draws[0]) == [40, 1024, 1536]
+    assert sorted(block for _, _, block, _ in blocks) == list(range(11))
+    assert len({thread for *_, thread in blocks}) == 2   # the two batches overlap
     assert parallel == serial
     assert parallel.points and parallel.points == serial.points
+
+
+def test_a_call_within_one_tile_runs_one_batch_and_shares_its_draw(monkeypatch):
+    # 1,250 paths at workers=2 are within one 2,560-path tile: one batch, one
+    # draw, whose five blocks are each drawn once, on the calling thread and
+    # one pool thread
+    serial = check_lemma31(McParams(1250, 100, 71, workers=1))
+    draws = _counting_draws(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
+    parallel = check_lemma31(McParams(1250, 100, 71, workers=2))
+    assert [len(idx) for idx in draws[0]] == [1250] and draws[1] == []
+    assert sorted(block for _, _, block, _ in blocks) == list(range(5))
+    threads = {thread for *_, thread in blocks}
+    assert len(threads) == 2 and threading.get_ident() in threads
+    assert parallel == serial
+    assert parallel.points and parallel.points == serial.points
+
+
+def test_a_panel_shares_only_its_increment_draw(monkeypatch):
+    # a one-batch panel at workers=2 shares the (P, n_steps, m) increments and
+    # draws the (P, d) zeta of substream 1 on the calling thread alone
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    serial = bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 1250, 100, 5)
+    blocks = _record_blocks(monkeypatch)
+    parallel = bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 1250, 100, 5, workers=2)
+    by_substream = {sub: [(block, thread) for _, s, block, thread in blocks if s == sub]
+                    for sub in (0, 1)}
+    assert sorted(block for block, _ in by_substream[0]) == list(range(5))
+    assert len({thread for _, thread in by_substream[0]}) == 2
+    assert by_substream[1] == [(block, threading.get_ident()) for block in range(5)]
+    assert parallel == serial
+
+
+def test_ten_two_worker_calls_start_at_most_two_pool_threads(monkeypatch, new_pools):
+    # one pool for the process: shared draws and two-batch maps all run on
+    # its two threads, whatever the number of calls
+    blocks = _record_blocks(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    for k in range(5):
+        estimate_negative_moment(1, [0.3], 1.0, 1.0, 0.5, 1250, 100, k, workers=2)
+        bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX], 3000, 100, k, workers=2)
+    threads = {thread for *_, thread in blocks} - {threading.get_ident()}
+    assert 1 <= len(threads) <= 2
+    assert new_pools == [2]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_draw_noise_is_the_standard_noise(workers):
+    model = make_power_law_model(2, 1, 1.0)
+    idx = np.arange(100, 1350)
+    want = standard_noise(17, idx, 50, model)
+    got = estimators.draw_noise(17, idx, 50, model, workers=workers)
+    assert np.array_equal(got.eps, want.eps) and np.array_equal(got.zeta, want.zeta)
+
+
+def test_a_shared_part_that_raises_propagates_and_leaves_the_pool_usable(new_pools):
+    share = estimators._share(2)
+    ranges = []
+
+    def loop(start, stop):
+        ranges.append((start, stop))
+        if start > 0:
+            raise ValueError(f"blocks {start}-{stop}")
+
+    with pytest.raises(ValueError, match="blocks 3-5"):   # the part on the pool
+        share(loop, 5)
+    assert sorted(ranges) == [(0, 3), (3, 5)]
+    ranges.clear()
+    # a part on the calling thread that raises while the pool part runs: the
+    # share returns once the pool part has finished
+    started, finished = threading.Event(), []
+
+    def loop_raising_first(start, stop):
+        if start == 0:
+            assert started.wait(timeout=30)
+            raise ValueError("the calling thread's part")
+        started.set()
+        time.sleep(0.2)
+        finished.append((start, stop))
+
+    with pytest.raises(ValueError, match="calling thread"):
+        share(loop_raising_first, 2)
+    assert finished == [(1, 2)]
+    # the pool still runs shared draws, bit for bit the serial draw
+    idx = np.arange(1250)
+    want = paths.standard_increments(3, idx, 100, 1)
+    assert np.array_equal(paths.standard_increments(3, idx, 100, 1, share=share), want)
+    assert new_pools == [2]
 
 
 def test_lq_cases_are_bit_for_bit_their_one_case_estimates():
@@ -1102,12 +1230,21 @@ def test_parallel_map_propagates_a_task_exception():
         run_batches(1024, lambda idx: idx, [point], workers=2, batch_size=256)
 
 
-def test_panel_called_directly_overlaps_its_batches(monkeypatch):
-    built = _count_executors(monkeypatch)
+def test_panel_called_directly_overlaps_its_batches(monkeypatch, new_pools):
+    # batch_size=1000 cuts two batches out of one tile; they run on the pool,
+    # one per thread, and share no draw, so no pool nests in another
+    draws = _counting_draws(monkeypatch)
     model = make_power_law_model(1, 1, 1.0)
     fs = [observable("sin_y", model)]
     a = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000)
+    draws[0].clear(), draws[1].clear()
+    blocks = _record_blocks(monkeypatch)
+    shares = _record_kwargs(monkeypatch, estimators, "standard_noise")
     b = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000,
                      workers=2)
-    assert built == [2]
+    assert new_pools == [2]
+    assert sorted(len(idx) for idx in draws[0]) == [1000, 1000]
+    assert [kwargs.get("share") for kwargs in shares] == [None, None]
+    threads = {thread for *_, thread in blocks}
+    assert len(threads) == 2 and threading.get_ident() not in threads
     assert a == b

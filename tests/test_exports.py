@@ -68,10 +68,10 @@ def test_oracles_stand_alone_and_no_module_imports_a_private_name():
     assert private == []
 
 
-def test_threads_start_only_in_run_batches():
-    # batches are the only parallel unit: no module imports threading, only
-    # estimators imports concurrent.futures, and only run_batches builds a pool
-    importers, pool_users = {}, set()
+def test_threads_start_only_in_the_estimators_pool():
+    # no module imports threading, only estimators imports concurrent.futures,
+    # only its _pool builds a pool, and only its _map submits work to one
+    importers, pool_users, submitters = {}, set(), set()
     for path in sorted(Path(gruschin.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -80,13 +80,16 @@ def test_threads_start_only_in_run_batches():
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             else:
-                if isinstance(node, ast.FunctionDef) and any(
-                        isinstance(n, ast.Name) and n.id == "ThreadPoolExecutor"
-                        for n in ast.walk(node)):
-                    pool_users.add(f"{path.stem}.{node.name}")
+                if isinstance(node, ast.FunctionDef):
+                    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    if "ThreadPoolExecutor" in names:
+                        pool_users.add(f"{path.stem}.{node.name}")
+                    if "_pool" in names:
+                        submitters.add(f"{path.stem}.{node.name}")
                 continue
             for name in names:
                 importers.setdefault(name.split(".")[0], set()).add(path.stem)
     assert "threading" not in importers and "_thread" not in importers
     assert importers.get("concurrent") == {"estimators"}
-    assert pool_users == {"estimators.run_batches"}
+    assert pool_users == {"estimators._pool"}
+    assert submitters == {"estimators._map"}
