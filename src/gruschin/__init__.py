@@ -21,9 +21,7 @@ from .models import (
 from .paths import (
     PathBatch,
     TimeGrid,
-    simulate_basic_batch,
     simulate_batch,
-    simulate_extended_batch,
     simulate_terminal_batch,
 )
 from .rng import PathStreams, derive_seed

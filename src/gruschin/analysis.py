@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "check_lemma_ll",
     "rho_upper_bound",
     "euclidean_distance",
-    "check_harnack",
     "check_harnack_suite",
     "suite_exit_code",
     "report_markdown",
@@ -178,11 +177,13 @@ def _grid_keys(calibration, holdout) -> list[tuple[str, float, float]]:
 
 
 class GradientGrid:
-    """The weight-gradient panels of the A5/A6 grid, one per (phase, T, x).
+    """The weight-gradient panels of the A5/A6 grid, one per (phase, T, x): the
+    one input of ``check_a5`` and ``check_a6``.
 
     The panel of a point estimates, from z0 = (x, 0, ..., 0), the gradient of
     every f of ``f_suite`` along all m + d coordinate axes, and P_T f^2 -- plus
-    P_T |f|^p when p != 2.  Panel keys ("grad", f.name, axis) name the axis.
+    P_T |f|^p when p != 2, for A5 at that p (p > 1).  Panel keys ("grad",
+    f.name, axis) name the axis.
     Every point runs under the one grid seed, of label ``grad_grid``: by
     Brownian scaling the increments on [0, T] are sqrt(T/n_steps) times one
     standard-normal array, so each tile draws once for every (T, x) point
@@ -192,60 +193,44 @@ class GradientGrid:
     serves every axis, so ``check_a5``, which reads axes 0 and m, and
     ``check_a6``, which reads all of them, share a grid and simulate each
     point once; their verdicts are then correlated too.  A panel is built on
-    first use, or by ``build``, and lives as long as the grid.
+    first use by ``rows`` and lives as long as the grid.
     """
 
     def __init__(self, model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
                  p: float = 2.0):
+        if p <= 1:
+            raise ValueError("p must exceed 1")
         self.model, self.f_suite, self.mc, self.p = model, list(f_suite), mc, float(p)
         self.seed = derive_seed(mc.seed, "grad_grid")
         self._panels: dict[tuple, tuple] = {}
 
-    def build(self, keys: Sequence[tuple[str, float, float]]) -> None:
-        """Build the panels of the (phase, T, x) points in ``keys`` not built yet,
-        in one ``bismut_panels`` call, whose batches are mapped over
-        ``mc.workers`` threads."""
+    def rows(self, calibration: Sequence[tuple[float, float]],
+             holdout: Sequence[tuple[float, float]]) -> list[tuple]:
+        """(phase, T, x, z0, panel) of every (T, x) point of the two grids,
+        calibration first.  The panels not built yet are built in one
+        ``bismut_panels`` call, whose batches are mapped over ``mc.workers``
+        threads."""
+        keys = _grid_keys(calibration, holdout)
         missing = [k for k in dict.fromkeys(keys) if k not in self._panels]
-        if not missing:
-            return
-        starts = [self._start(x) for _, _, x in missing]
-        extra = [(_power_label(f, 2.0), _square_obs(f)) for f in self.f_suite]
-        if self.p != 2.0:
-            extra += [(_power_label(f, self.p), _abs_power_obs(f, self.p))
-                      for f in self.f_suite]
-        directions = [_axis_direction(self.model, a)
-                      for a in range(self.model.m + self.model.d)]
-        panels = bismut_panels(self.model, [(z0, T) for z0, (_, T, _) in zip(starts, missing)],
-                               self.f_suite, directions, self.mc.n_paths, self.mc.n_steps,
-                               self.seed, extra_obs=extra, workers=self.mc.workers)
-        self._panels.update(zip(missing, zip(starts, panels)))
-
-    def point(self, phase: str, T: float, x: float) -> tuple[np.ndarray, dict]:
-        """(z0, panel) of one grid point."""
-        key = (phase, T, x)
-        self.build([key])
-        return self._panels[key]
-
-    def _start(self, x: float) -> np.ndarray:
-        z0 = np.zeros(self.model.m + self.model.d)
-        z0[0] = x
-        return z0
+        if missing:
+            m, d = self.model.m, self.model.d
+            starts = [np.array([x] + [0.0] * (m + d - 1), dtype=float) for _, _, x in missing]
+            extra = [(_power_label(f, 2.0), _square_obs(f)) for f in self.f_suite]
+            if self.p != 2.0:
+                extra += [(_power_label(f, self.p), _abs_power_obs(f, self.p))
+                          for f in self.f_suite]
+            directions = [_axis_direction(self.model, a) for a in range(m + d)]
+            points = [(z0, T) for z0, (_, T, _) in zip(starts, missing)]
+            panels = bismut_panels(self.model, points, self.f_suite, directions,
+                                   self.mc.n_paths, self.mc.n_steps, self.seed,
+                                   extra_obs=extra, workers=self.mc.workers)
+            self._panels.update(zip(missing, zip(starts, panels)))
+        return [key + self._panels[key] for key in keys]
 
 
 def _power_label(f: TestFunction, p: float) -> str:
     """The panel label of P_T |f|^p; |f|^2 is f^2."""
     return f"{f.name}^2" if p == 2.0 else f"|{f.name}|^{p}"
-
-
-def _grid_for(grid: Optional[GradientGrid], model: ModelSpec,
-              f_suite: Sequence[TestFunction], mc: McParams, p: float) -> GradientGrid:
-    """``grid``, checked against a check's own inputs, or a fresh grid for them."""
-    if grid is None:
-        return GradientGrid(model, f_suite, mc, p)
-    if (grid.model is not model or grid.mc != mc or p not in (2.0, grid.p)
-            or [f.name for f in grid.f_suite] != [f.name for f in f_suite]):
-        raise ValueError("the gradient grid was built for other inputs than this check's")
-    return grid
 
 
 def _a5_rate(v: Direction, T: float, x: np.ndarray, l: float) -> float:
@@ -255,32 +240,25 @@ def _a5_rate(v: Direction, T: float, x: np.ndarray, l: float) -> float:
     return n1 / math.sqrt(T) + n2 / math.sqrt(T * (r2 + T) ** l)
 
 
-def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
-             mc: McParams,
+def check_a5(grid: GradientGrid,
              calibration: Sequence[tuple[float, float]] = DEFAULT_CALIBRATION_GRID,
              holdout: Sequence[tuple[float, float]] = DEFAULT_HOLDOUT_GRID,
-             *, grid: Optional[GradientGrid] = None,
              ) -> BoundCheckReport:
     """Two-grid boundedness of |grad_v P_T f| / [(P_T|f|^p)^{1/p} * rate(v, T, x)].
 
     The rate factor is |v1|/sqrt(T) + |v2|/sqrt(T (|x|^2+T)^l), the claimed decay
     for models comparable to |x|^l.  Grid points are (T, x) with y = 0, and v
-    runs over the first x and the first y axis.  The panels come from ``grid``,
-    which ``check_a6`` may share; without one the check builds its own.
+    runs over the first x and the first y axis.  The model, the observables f,
+    the Monte Carlo effort and p are the grid's, whose panels ``check_a6`` may
+    share.
     """
+    model, p, mc = grid.model, grid.p, grid.mc
     if model.power_params is None:
         raise ValueError("the gradient-rate check needs a power-law comparable model")
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    grid = _grid_for(grid, model, f_suite, mc, p)
     l = model.power_params.l
     report = BoundCheckReport(inequality_id="A5")
-    keys = _grid_keys(calibration, holdout)
-    grid.build(keys)
-
-    for phase, T, x in keys:
-        z0, panel = grid.point(phase, T, x)
-        for f in f_suite:
+    for phase, T, x, z0, panel in grid.rows(calibration, holdout):
+        for f in grid.f_suite:
             denom_est = panel[("pt", _power_label(f, p))]
             if denom_est.mean <= 4.0 * denom_est.stderr:
                 report.skipped.append(
@@ -306,28 +284,23 @@ def check_a5(model: ModelSpec, p: float, f_suite: Sequence[TestFunction],
     return report
 
 
-def check_a6(model: ModelSpec, f_suite: Sequence[TestFunction], mc: McParams,
+def check_a6(grid: GradientGrid,
              calibration: Sequence[tuple[float, float]] = DEFAULT_CALIBRATION_GRID,
              holdout: Sequence[tuple[float, float]] = DEFAULT_HOLDOUT_GRID,
-             *, grid: Optional[GradientGrid] = None,
              ) -> BoundCheckReport:
     """Two-grid boundedness of Gamma_1(P_T f)(z0) * T / P_T f^2 (z0).
 
     The square field of P_T f is assembled from directional weight-gradient
     estimates along the m + d coordinate directions, with the y-block contracted
-    against sigma(x0)^*.  The panels come from ``grid``, which ``check_a5`` may
-    share; without one the check builds its own.
+    against sigma(x0)^*.  The model, the observables f and the Monte Carlo
+    effort are the grid's, whose panels ``check_a5`` may share.
     """
-    grid = _grid_for(grid, model, f_suite, mc, 2.0)
+    model, mc = grid.model, grid.mc
     report = BoundCheckReport(inequality_id="A6")
     m, d = model.m, model.d
-    keys = _grid_keys(calibration, holdout)
-    grid.build(keys)
-
-    for phase, T, x in keys:
-        z0, panel = grid.point(phase, T, x)
+    for phase, T, x, z0, panel in grid.rows(calibration, holdout):
         sigma_x0 = np.asarray(model.sigma(z0[:m]))
-        for f in f_suite:
+        for f in grid.f_suite:
             denom_est = panel[("pt", _power_label(f, 2.0))]
             if denom_est.mean <= 4.0 * denom_est.stderr:
                 report.skipped.append(
@@ -569,58 +542,35 @@ def euclidean_distance(z, z_prime) -> float:
 # Harnack inequality
 # ---------------------------------------------------------------------------
 
-def check_harnack(model: ModelSpec, T: float, z, z_prime, f: TestFunction,
-                  constant: float, mc: McParams) -> RatioPoint:
-    """The A8 row of one pair: P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')).
+def check_harnack_suite(model: ModelSpec, T: float,
+                        pairs: Sequence[tuple], f: TestFunction,
+                        constant: float, mc: McParams) -> BoundCheckReport:
+    """A8: P f(z') <= P f(z) + C rho(z, z') sqrt(P f^2 (z')) on every pair
+    (z, z'), judged by ``_verdict``.
 
-    The one-pair case of ``check_harnack_suite``, whose rows it follows.  The
-    row, labelled ``z->z'``, has ratio P f(z') / rhs and tolerance band / |rhs|,
-    band being the 4-sigma band of P f(z') - rhs.  When rhs is 0, the ratio is
-    inf and the tolerance 0 if P f(z') exceeds its band, and NaN (inconclusive)
-    otherwise.
+    The row of a pair, labelled ``z->z'``, has ratio P f(z') / rhs and
+    tolerance band / |rhs|, band being the 4-sigma band of P f(z') - rhs.
+    When rhs is 0, the ratio is inf and the tolerance 0 if P f(z') exceeds its
+    band, and NaN otherwise.  A pair whose ratio is NaN is skipped as
+    inconclusive; every other row counts towards the verdict and the fitted
+    constant.
     ``rho`` is the exact Euclidean distance when the model declares
     ``Family.HEAT`` (sigma = I), and otherwise the subunit-curve upper bound
     ``rho_upper_bound``, which reads sigma (and sigma1 for an extended
     model) and holds for any (m, d).
-    P f(z'), P f^2(z') and P f(z) come from one ``pt_panel`` under the seed of
-    label ``harnack:{f.name}:{T}``, whose estimates share one validity mask,
-    so the z = z' case has ratio exactly 1.  The panel also estimates
-    P 1{f < 0} at z' and z on the same paths; f must be nonnegative, so a
-    sampled state with f < 0 raises ValueError.  Where no path is invalid from
-    any start of a suite, the row is bit for bit that suite's row of the pair.
-    """
-    return _harnack_rows(model, T, [(z, z_prime)], f, constant, mc)[0]
-
-
-def check_harnack_suite(model: ModelSpec, T: float,
-                        pairs: Sequence[tuple], f: TestFunction,
-                        constant: float, mc: McParams) -> BoundCheckReport:
-    """A8: the ``check_harnack`` rows of the pairs, judged by ``_verdict``.
-
-    Every row reads one ``pt_panel`` over the distinct starts of all pairs,
-    under the one seed of label ``harnack:{f.name}:{T}``: each tile draws once
-    and simulates each distinct x-start once, its batches are mapped over
-    ``mc.workers`` threads, and the rows share one validity mask (a path
-    invalid from any start is invalid in every row) and are correlated.  A row
-    with a NaN ratio is skipped as inconclusive; every other row counts towards
-    the verdict and the fitted constant.  Without pairs nothing is drawn.
+    Every row reads one ``pt_panel`` of f, f^2 and 1{f < 0} over the distinct
+    starts of all pairs, under the one seed of label ``harnack:{f.name}:{T}``:
+    each tile draws once and simulates each distinct x-start once, its batches
+    are mapped over ``mc.workers`` threads, and the rows share one validity
+    mask (a path invalid from any start is invalid in every row) and are
+    correlated, so the z = z' case has ratio exactly 1.  f must be
+    nonnegative, so a sampled state with f < 0 raises ValueError.  Without
+    pairs nothing is drawn.
     """
     report = BoundCheckReport(inequality_id="A8")
-    for row in _harnack_rows(model, T, pairs, f, constant, mc):
-        if math.isnan(row.ratio):
-            report.skipped.append(f"{row.label}: inconclusive")
-        else:
-            report.points.append(row)
-    _verdict(report)
-    return report
-
-
-def _harnack_rows(model: ModelSpec, T: float, pairs: Sequence[tuple], f: TestFunction,
-                  constant: float, mc: McParams) -> list[RatioPoint]:
-    """The A8 row of every pair (z, z'), in order, off one ``pt_panel`` over
-    the distinct points of the pairs (see ``check_harnack``)."""
     if not pairs:
-        return []
+        return report
+
     def point(w) -> tuple:
         return tuple(np.atleast_1d(np.asarray(w, dtype=float)).tolist())
 
@@ -636,7 +586,6 @@ def _harnack_rows(model: ModelSpec, T: float, pairs: Sequence[tuple], f: TestFun
     if any(panel[("pt", f_neg.name, k)].mean > 0.0 for k in range(len(starts))):
         raise ValueError(f"observable {f.name!r} is negative on sampled states")
 
-    rows = []
     for z, z_prime in pairs:
         if model.family is Family.HEAT:
             rho = euclidean_distance(z, z_prime)
@@ -657,12 +606,17 @@ def _harnack_rows(model: ModelSpec, T: float, pairs: Sequence[tuple], f: TestFun
             ratio, tolerance = (math.inf if lhs > band else math.nan), 0.0
         else:
             ratio, tolerance = lhs / rhs, band / abs(rhs)
-        rows.append(RatioPoint(
-            label=f"{z}->{z_prime}", phase="check", ratio=ratio,
+        label = f"{z}->{z_prime}"
+        if math.isnan(ratio):
+            report.skipped.append(f"{label}: inconclusive")
+            continue
+        report.points.append(RatioPoint(
+            label=label, phase="check", ratio=ratio,
             tolerance=tolerance, T=T, z0=z, v=z_prime, seed=seed,
             n_steps=mc.n_steps, n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid,
         ))
-    return rows
+    _verdict(report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -674,13 +628,20 @@ def suite_exit_code(checks: Sequence[BoundCheckReport]) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+def _grid_paths(report: BoundCheckReport) -> set[tuple[int, int, int]]:
+    """The (seed, n_steps, path count) of the rows of a check.  A5 and A6 rows
+    on one model read the same paths iff these agree: they read one grid."""
+    return {(p.seed, p.n_steps, p.n_valid + p.n_invalid) for p in report.points}
+
+
 def report_markdown(checks: Sequence[BoundCheckReport]) -> str:
-    """The verdict summary: one section per check, in suite order."""
+    """The verdict summary: one section per check, in suite order.  The A6
+    section notes that A5 and A6 are correlated when they read one grid."""
     lines = ["# Bound verification report", ""]
     if not checks:
         lines.append("No checks were run.")
         return "\n".join(lines) + "\n"
-    ids = {c.inequality_id for c in checks}
+    paths = {c.inequality_id: _grid_paths(c) for c in checks}
     for c in checks:
         # an agreement check (one with a detail line) passes or fails; it fits no constant
         if not c.passed:
@@ -689,7 +650,7 @@ def report_markdown(checks: Sequence[BoundCheckReport]) -> str:
             marker = "passed" if c.detail else c.verdict.value
         lines.append(f"## {c.inequality_id}: {marker}")
         lines.append("")
-        if c.inequality_id == "A6" and "A5" in ids:
+        if c.inequality_id == "A6" and paths["A6"] and paths.get("A5") == paths["A6"]:
             lines.append("- A5 and A6 read their gradients off the same paths at each "
                          "grid point, so their verdicts are correlated; the grid "
                          "points also share one Brownian draw, scaled to each T.")

@@ -448,15 +448,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
         if model.family is Family.HEAT:
             return 1.0 / math.sqrt(T)   # exact for the Gaussian semigroup
         if "a6" in cfg.suite.checks:
-            mc_a6 = _mc_for(cfg, "a6", workers)
-            fit = an.check_a6(model, bounded_suite(model), mc_a6,
-                              grid=grid_for(mc_a6)).fitted_constant
+            fit = an.check_a6(grid_for(_mc_for(cfg, "a6", workers))).fitted_constant
             if math.isfinite(fit) and fit > 0:
                 return math.sqrt(fit / T)
         small = an.McParams(max(2000, mc.n_paths // 4), mc.n_steps, mc.seed, workers)
-        fit_rep = an.check_a6(model, bounded_suite(model), small,
-                              calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
-                              holdout=((T, 0.5),), grid=grid_for(small))
+        fit_rep = an.check_a6(grid_for(small), calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
+                              holdout=((T, 0.5),))
         return math.sqrt(max(fit_rep.fitted_constant, 1e-12) / T)
 
     for check in cfg.suite.checks:
@@ -465,9 +462,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             new_rows, rep = _run_bismut_vs_fd(cfg, model, workers)
             rows += new_rows
         elif check == "a5":
-            rep = an.check_a5(model, 2.0, bounded_suite(model), mc, grid=grid_for(mc))
+            rep = an.check_a5(grid_for(mc))
         elif check == "a6":
-            rep = an.check_a6(model, bounded_suite(model), mc, grid=grid_for(mc))
+            rep = an.check_a6(grid_for(mc))
         elif check == "lemma31":
             rep = an.check_lemma31(mc)
         elif check == "lemma_ll":

@@ -19,7 +19,8 @@ runs it on the calling thread and passes its draws a ``share``
 (``rng.PathStreams.fill_normals``), through which the idle pool threads draw
 part of its RNG blocks: the draw releases the GIL, where the kernels'
 Python work does not.  A batch that runs on the pool never shares, so no pool
-work nests in another and at most ``workers`` threads work at once: the suite
+work nests in another (``_map`` raises RuntimeError on a pool thread rather
+than wait on the pool) and at most ``workers`` threads work at once: the suite
 runs its checks, and the panels of a check, one after another.
 ``draw_noise`` gives a caller outside ``run_batches`` the same shared draw.
 
@@ -61,6 +62,7 @@ correlated, each with its own validity mask.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -185,19 +187,26 @@ def _tiles(start: int, stop: int, tile: Optional[int]) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+# set on every thread of a ``_pool``, by its initializer
+_ON_POOL = contextvars.ContextVar("on_pool", default=False)
+
+
 @functools.lru_cache(maxsize=None)
 def _pool(workers: int) -> ThreadPoolExecutor:
     """The process's pool of ``workers`` threads, built on first use and kept.
     A pool starts its threads on submit, so one built twice in a race and
     dropped holds none."""
-    return ThreadPoolExecutor(max_workers=workers)
+    return ThreadPoolExecutor(max_workers=workers, initializer=_ON_POOL.set, initargs=(True,))
 
 
 def _map(workers: int, fn: Callable, items: Sequence, inline: bool = False) -> list:
     """``[fn(item) for item in items]``, the items run on ``_pool(workers)``,
     and the first on the calling thread if ``inline``.  Returns once every
     item has finished or been cancelled, and raises the exception of the
-    first item, in order, that raised."""
+    first item, in order, that raised.  On a pool thread it raises
+    RuntimeError instead: pool work that waited on the pool could deadlock."""
+    if _ON_POOL.get():
+        raise RuntimeError("estimators._map called from a pool thread")
     futures = [_pool(workers).submit(fn, item) for item in items[inline:]]
     try:
         first = [fn(items[0])] if inline else []

@@ -428,7 +428,8 @@ class TestFunction:
     closed_form_grad_pt: Optional[Callable] = None
 
 
-def _build_test_function(name: str, model: ModelSpec) -> TestFunction:
+def observable(name: str, model: ModelSpec) -> TestFunction:
+    """Builtin observable by name, with closed forms attached when exact for ``model``."""
     m, family = model.m, model.family
     # the linear closed forms hold for the basic system only (ModelSpec
     # already refuses the family unless m = d = 1)
@@ -550,11 +551,6 @@ TEST_FUNCTION_NAMES = (
     "one", "sin_x", "cos_x", "sin_y", "tanh_y", "sin_xy",
     "y_squared", "x_plus_y", "one_plus_tanh_y",
 )
-
-
-def observable(name: str, model: ModelSpec) -> TestFunction:
-    """Builtin observable by name, with closed forms attached when exact for ``model``."""
-    return _build_test_function(name, model)
 
 
 def bounded_suite(model: ModelSpec) -> list[TestFunction]:

@@ -133,6 +133,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be at least 2, got {self.n_steps}")
 

@@ -13,6 +13,7 @@ import pytest
 
 from gruschin.analysis import (
     BoundCheckVerdict,
+    GradientGrid,
     McParams,
     check_a5,
     check_a6,
@@ -238,8 +239,8 @@ def test_criterion_09_stochastic_integral_moments():
 def two_grid_reports():
     model = make_power_law_model(1, 1, 1.0)
     mc = McParams(n_paths=40_000, n_steps=100, seed=110)
-    fs = bounded_suite(model)
-    return check_a5(model, 2.0, fs, mc), check_a6(model, fs, mc)
+    grid = GradientGrid(model, bounded_suite(model), mc)
+    return check_a5(grid), check_a6(grid)
 
 
 def test_criterion_10_gradient_bounds_two_grid(two_grid_reports):

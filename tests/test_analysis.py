@@ -17,7 +17,6 @@ from gruschin.analysis import (
     RatioPoint,
     check_a5,
     check_a6,
-    check_harnack,
     check_harnack_suite,
     check_lemma31,
     check_lemma_ll,
@@ -215,7 +214,7 @@ SMALL_HOLD = ((0.75, 0.75),)
 def test_a5_trivial_observable_gives_zero_ratios():
     model = make_power_law_model(1, 1, 1.0)
     mc = McParams(n_paths=3000, n_steps=40, seed=5)
-    rep = check_a5(model, 2.0, [observable("one", model)], mc,
+    rep = check_a5(GradientGrid(model, [observable("one", model)], mc),
                    calibration=SMALL_CAL, holdout=SMALL_HOLD)
     assert rep.verdict is BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
     assert all(p.ratio <= p.tolerance for p in rep.points)
@@ -225,7 +224,7 @@ def test_a5_full_small_grid_is_bounded():
     model = make_power_law_model(1, 1, 1.0)
     mc = McParams(n_paths=4000, n_steps=50, seed=7)
     fs = [observable("sin_y", model), observable("cos_x", model)]
-    rep = check_a5(model, 2.0, fs, mc, calibration=SMALL_CAL, holdout=SMALL_HOLD)
+    rep = check_a5(GradientGrid(model, fs, mc), calibration=SMALL_CAL, holdout=SMALL_HOLD)
     assert rep.verdict is BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
     assert rep.fitted_constant > 0.0
     assert rep.max_ratio < float("inf")
@@ -250,7 +249,8 @@ def test_a5_ratio_at_p_other_than_2_reads_the_abs_power_column(p):
     model = make_power_law_model(1, 1, 1.0)
     f = observable("sin_y", model)
     mc = McParams(n_paths=2000, n_steps=20, seed=17)
-    rep = check_a5(model, p, [f], mc, calibration=((1.0, 1.0),), holdout=((0.5, 0.5),))
+    rep = check_a5(GradientGrid(model, [f], mc, p), calibration=((1.0, 1.0),),
+                   holdout=((0.5, 0.5),))
     point = next(q for q in rep.points if q.label == "T=0.5,x=0.5,f=sin_y,v=1")
     seed = rng.derive_seed(mc.seed, "grad_grid")
     assert point.seed == seed
@@ -264,18 +264,10 @@ def test_a5_ratio_at_p_other_than_2_reads_the_abs_power_column(p):
 
 
 def test_a5_requires_power_params():
-    with pytest.raises(ValueError):
-        check_a5(make_constant_identity_model(), 2.0, [], McParams(100, 10, 1))
-
-
-def test_a5_and_a6_reject_a_grid_built_for_other_inputs():
-    model = make_power_law_model(1, 1, 1.0)
-    fs = [observable("sin_y", model)]
-    grid = GradientGrid(model, fs, McParams(200, 10, 1))
-    with pytest.raises(ValueError, match="other inputs"):
-        check_a6(model, fs, McParams(300, 10, 1), grid=grid)
-    with pytest.raises(ValueError, match="other inputs"):
-        check_a5(model, 3.0, fs, McParams(200, 10, 1), grid=grid)
+    with pytest.raises(ValueError, match="power-law"):
+        check_a5(GradientGrid(make_constant_identity_model(), [], McParams(100, 10, 1)))
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        GradientGrid(make_power_law_model(1, 1, 1.0), [], McParams(100, 10, 1), p=1.0)
 
 
 def test_a5_alone_simulates_only_its_axes(monkeypatch):
@@ -291,7 +283,7 @@ def test_a5_alone_simulates_only_its_axes(monkeypatch):
     monkeypatch.setattr(estimators, "simulate_batch", counting)
     model = make_power_law_model(3, 1, 1.0)
     fs = [observable("tanh_y", model)]
-    rep = check_a5(model, 2.0, fs, McParams(200, 10, 3),
+    rep = check_a5(GradientGrid(model, fs, McParams(200, 10, 3)),
                    calibration=((1.0, 1.0),), holdout=((1.0, 0.5),))
     assert len(calls) == 2
     assert [p.v for p in rep.points[:2]] == [((1.0, 0.0, 0.0), (0.0,)),
@@ -304,6 +296,8 @@ def test_a5_alone_simulates_only_its_axes(monkeypatch):
 
 _SHARED_KEYS = [("calibration", 0.5, 0.0), ("calibration", 2.0, 1.0),
                 ("holdout", 0.5, 1.0), ("holdout", 2.0, 0.0)]
+_SHARED_CAL = [(T, x) for _, T, x in _SHARED_KEYS[:2]]
+_SHARED_HOLD = [(T, x) for _, T, x in _SHARED_KEYS[2:]]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -316,13 +310,13 @@ def test_a_grid_point_is_the_one_point_panel_at_the_grid_seed(monkeypatch, model
     fs = [observable("sin_y", model), observable("tanh_y", model)]
     mc = McParams(n_paths=600, n_steps=12, seed=71, workers=workers)
     grid = GradientGrid(model, fs, mc)
-    grid.build(_SHARED_KEYS)
+    rows = grid.rows(_SHARED_CAL, _SHARED_HOLD)
     assert grid.seed == rng.derive_seed(mc.seed, "grad_grid")
     axes = [Direction(e[: model.m], e[model.m:]) for e in np.eye(model.m + model.d)]
     squares = [(f"{f.name}^2", lambda z, f=f: np.asarray(f.eval(z), dtype=float) ** 2)
                for f in fs]
-    for phase, T, x in _SHARED_KEYS:
-        z0, panel = grid.point(phase, T, x)
+    assert [row[:3] for row in rows] == _SHARED_KEYS
+    for phase, T, x, z0, panel in rows:
         assert list(z0) == [x, 0.0]
         alone = estimators.bismut_panel(model, z0, T, fs, axes, mc.n_paths, mc.n_steps,
                                         grid.seed, extra_obs=squares)
@@ -332,8 +326,8 @@ def test_a_grid_point_is_the_one_point_panel_at_the_grid_seed(monkeypatch, model
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_lemma31_point_is_the_one_point_moment_at_the_grid_seed(workers):
     mc = McParams(n_paths=600, n_steps=12, seed=73, workers=workers)
-    cal, hold = [(T, x) for _, T, x in _SHARED_KEYS[:2]], [(T, x) for _, T, x in _SHARED_KEYS[2:]]
-    rep = check_lemma31(mc, m=2, n_exp=1.5, alpha=0.5, calibration=cal, holdout=hold)
+    rep = check_lemma31(mc, m=2, n_exp=1.5, alpha=0.5, calibration=_SHARED_CAL,
+                        holdout=_SHARED_HOLD)
     seed = rng.derive_seed(mc.seed, "lemma31")
     assert len(rep.points) == 4
     for p in rep.points:
@@ -359,7 +353,7 @@ def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
     monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
     model = make_power_law_model(1, 1, 1.0)
     mc = McParams(n_paths=3000, n_steps=100, seed=79)
-    rep = check_a6(model, [observable("sin_y", model)], mc)
+    rep = check_a6(GradientGrid(model, [observable("sin_y", model)], mc))
     assert len(rep.points) == 13
     assert draws == {0: [1280, 1280, 440], 1: [1280, 1280, 440]}
     draws[0].clear(), draws[1].clear()
@@ -421,7 +415,7 @@ def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
             observable("one_plus_tanh_y", model), 1.0, mc)),
         ((estimators, "standard_increments"), check_lemma_ll),
         ((estimators, "simulate_batch"), lambda mc: check_a5(
-            model, 2.0, [observable("sin_y", model)], mc,
+            GradientGrid(model, [observable("sin_y", model)], mc),
             calibration=((1.0, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))),
     ]
     for (module, name), run in cases:
@@ -478,14 +472,14 @@ def test_a6_small_grid_bounded():
     model = make_power_law_model(1, 1, 1.0)
     mc = McParams(n_paths=4000, n_steps=50, seed=17)
     fs = [observable("sin_y", model), observable("tanh_y", model)]
-    rep = check_a6(model, fs, mc, calibration=SMALL_CAL, holdout=SMALL_HOLD)
+    rep = check_a6(GradientGrid(model, fs, mc), calibration=SMALL_CAL, holdout=SMALL_HOLD)
     assert rep.verdict is BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
 
 
 def test_a6_trivial_observable_gives_zero_ratios():
     model = make_power_law_model(1, 1, 1.0)
     mc = McParams(n_paths=3000, n_steps=40, seed=18)
-    rep = check_a6(model, [observable("one", model)], mc,
+    rep = check_a6(GradientGrid(model, [observable("one", model)], mc),
                    calibration=SMALL_CAL, holdout=SMALL_HOLD)
     assert rep.verdict is BoundCheckVerdict.BOUNDED_CONSTANT_FOUND
     assert all(p.ratio <= p.tolerance for p in rep.points)
@@ -542,16 +536,16 @@ def test_harnack_and_lemma_ll_without_rows_draw_nothing(monkeypatch):
 def test_harnack_same_point_holds_with_equality():
     model = make_constant_identity_model()
     f = observable("one_plus_tanh_y", model)
-    res = check_harnack(model, 1.0, (0.4, 0.1), (0.4, 0.1), f, 1.0,
-                        McParams(4000, 40, 29))
+    res = check_harnack_suite(model, 1.0, [((0.4, 0.1), (0.4, 0.1))], f, 1.0,
+                              McParams(4000, 40, 29)).points[0]
     assert res.ratio == 1.0  # identical seeds at identical points
 
 
 def test_harnack_constant_observable_holds_for_any_constant():
     model = make_constant_identity_model()
     f = observable("one", model)
-    res = check_harnack(model, 1.0, (0.0, 0.0), (1.0, 1.0), f, 5.0,
-                        McParams(4000, 40, 31))
+    res = check_harnack_suite(model, 1.0, [((0.0, 0.0), (1.0, 1.0))], f, 5.0,
+                              McParams(4000, 40, 31)).points[0]
     # P f = 1 at both points and rho = sqrt(2): the ratio is 1 / (1 + 5 sqrt(2))
     assert res.ratio == pytest.approx(1.0 / (1.0 + 5.0 * math.sqrt(2.0)))
     assert res.ratio <= 1.0 + res.tolerance
@@ -560,8 +554,8 @@ def test_harnack_constant_observable_holds_for_any_constant():
 def test_harnack_degenerate_model_pair_holds():
     model = make_power_law_model(1, 1, 1.0)
     f = observable("one_plus_tanh_y", model)
-    res = check_harnack(model, 1.0, (1.0, 0.0), (1.0, 0.5), f, 1.0,
-                        McParams(20000, 80, 37))
+    res = check_harnack_suite(model, 1.0, [((1.0, 0.0), (1.0, 0.5))], f, 1.0,
+                              McParams(20000, 80, 37)).points[0]
     assert res.ratio <= 1.0 + res.tolerance
     # the vertical segment at x* = 1
     assert rho_upper_bound(model, (1.0, 0.0), (1.0, 0.5)) <= 0.5 + 1e-9
@@ -576,7 +570,7 @@ def test_harnack_on_renamed_heat_model_uses_euclidean_distance(monkeypatch):
     f = observable("one_plus_tanh_y", model)
     z, zp = (0.3, 0.0), (0.8, 0.4)
     monkeypatch.setattr(analysis, "rho_upper_bound", no_bound)
-    res = check_harnack(model, 1.0, z, zp, f, 1.0, McParams(2000, 20, 33))
+    res = check_harnack_suite(model, 1.0, [(z, zp)], f, 1.0, McParams(2000, 20, 33)).points[0]
     assert 0.0 < res.ratio <= 1.0 + res.tolerance
 
 
@@ -584,8 +578,8 @@ def test_harnack_rejects_negative_observable():
     model = make_constant_identity_model()
     f = observable("sin_y", model)
     with pytest.raises(ValueError, match="negative"):
-        check_harnack(model, 1.0, (0.0, 0.0), (0.5, 0.5), f, 1.0,
-                      McParams(2000, 40, 41))
+        check_harnack_suite(model, 1.0, [((0.0, 0.0), (0.5, 0.5))], f, 1.0,
+                            McParams(2000, 40, 41))
 
 
 def test_harnack_simulates_each_base_point_once(monkeypatch):
@@ -625,7 +619,7 @@ def test_each_a8_row_is_its_one_pair_check():
     for pair, row in zip(_default_pairs(), rep.points):
         assert row.n_invalid == 0
         assert row.seed == analysis.derive_seed(mc.seed, f"harnack:{f.name}:1.0")
-        assert row == check_harnack(model, 1.0, *pair, f, 0.8, mc)
+        assert row == check_harnack_suite(model, 1.0, [pair], f, 0.8, mc).points[0]
 
 
 def test_harnack_pairs_draw_once_and_simulate_each_x_start_once_per_tile(monkeypatch):
@@ -671,8 +665,8 @@ def test_harnack_draws_noise_once_per_batch(monkeypatch):
     model = make_power_law_model(1, 1, 1.0)
     f = observable("one_plus_tanh_y", model)
     n_paths = estimators.DEFAULT_BATCH_SIZE + 500
-    res = check_harnack(model, 1.0, (0.5, 0.0), (1.0, 0.5), f, 1.0,
-                        McParams(n_paths, 10, 53))
+    res = check_harnack_suite(model, 1.0, [((0.5, 0.0), (1.0, 0.5))], f, 1.0,
+                              McParams(n_paths, 10, 53)).points[0]
     assert shapes == [estimators.DEFAULT_BATCH_SIZE] * 2 + [500] * 2
     assert res.n_valid + res.n_invalid == n_paths
 
@@ -701,9 +695,9 @@ def test_harnack_pair_with_zero_rhs_is_violated_alone():
     mc = McParams(500, 10, 1)
     rep = check_harnack_suite(model, 1.0, [far], f, 0.0, mc)
     assert rep.verdict is BoundCheckVerdict.VIOLATED
-    row = check_harnack(model, 1.0, *far, f, 0.0, mc)
+    assert len(rep.points) == 1 and not rep.skipped
+    row = rep.points[0]
     assert row.ratio == math.inf and row.tolerance == 0.0
-    assert rep.points == [row] and not rep.skipped
     # a pair with P f(z') within its band of rhs = 0 is still skipped
     both = check_harnack_suite(model, 1.0, [far, ((0.0, 0.0), (0.0, 0.0))], f, 0.0, mc)
     assert both.verdict is BoundCheckVerdict.VIOLATED

@@ -17,7 +17,7 @@ from gruschin.analysis import (
     DEFAULT_CALIBRATION_GRID,
     DEFAULT_HOLDOUT_GRID,
     McParams,
-    check_harnack,
+    check_harnack_suite,
 )
 from gruschin.cli import ConfigError, ExperimentConfig, main, run_experiment
 from gruschin.estimators import estimate_pt
@@ -269,6 +269,20 @@ def test_a6_override_gets_its_own_grid(tmp_path, monkeypatch):
     for r in rows:
         size = 300 if r["experiment_id"].startswith("A6/") else 200
         assert int(r["n_valid"]) + int(r["n_invalid"]) == size, r["experiment_id"]
+    assert "verdicts are correlated" not in (tmp_path / "report.md").read_text()
+
+
+def test_a5_step_override_drops_the_shared_paths_note(tmp_path):
+    # A5 at 20 steps and A6 at 10 read two grids, so the A6 section must not
+    # say that the two checks read their gradients off the same paths
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
+    body["suite"] = {"checks": ["a5", "a6"], "overrides": {"a5": {"n_steps": 20}}}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    report = (tmp_path / "report.md").read_text()
+    assert "## A6: " in report
+    assert "same paths" not in report and "verdicts are correlated" not in report
 
 
 def test_rerun_and_worker_count_are_byte_identical(tmp_path):
@@ -323,7 +337,7 @@ def test_harnack_rows_carry_the_seed_of_their_estimates(tmp_path):
         seed = int(r["seed"])
         # one seed for every row of the check
         assert seed == derive_seed(mc.seed, f"harnack:{f.name}:1.0")
-        pt = check_harnack(model, 1.0, z, zp, f, 1.0, mc)
+        pt = check_harnack_suite(model, 1.0, [(z, zp)], f, 1.0, mc).points[0]
         assert (seed, int(r["n_valid"]), int(r["n_invalid"])) == (pt.seed, pt.n_valid,
                                                                   pt.n_invalid)
         assert (float(r["mean"]), float(r["stderr"])) == (pt.ratio, pt.tolerance / 4.0)

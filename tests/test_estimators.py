@@ -1230,6 +1230,13 @@ def test_parallel_map_propagates_a_task_exception():
         run_batches(1024, lambda idx: idx, [point], workers=2, batch_size=256)
 
 
+def test_map_refuses_to_run_on_a_pool_thread():
+    # pool work that waits on the pool could deadlock; with one outer item a
+    # pool thread stays free, so a missing refusal would return, not hang
+    with pytest.raises(RuntimeError, match="pool thread"):
+        estimators._map(2, lambda _: estimators._map(2, lambda x: x, [1, 2]), [0])
+
+
 def test_panel_called_directly_overlaps_its_batches(monkeypatch, new_pools):
     # batch_size=1000 cuts two batches out of one tile; they run on the pool,
     # one per thread, and share no draw, so no pool nests in another

@@ -59,6 +59,13 @@ def test_time_grid_validation_and_endpoint():
         TimeGrid(0.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1)
+    # a float step count is refused by name, not by a TypeError deep in a panel
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        TimeGrid(1.0, 10.0)
+    model = make_power_law_model(1, 1, 1.0)
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        pt_panel(model, [[1.0, 0.0]], 1.0, [observable("sin_y", model)], 200, 10.0, 3)
+    assert TimeGrid(1.0, np.int64(10)).n_steps == 10
     grid = TimeGrid(0.3, 7)
     assert grid.times()[-1] == 0.3
     assert grid.times()[0] == 0.0
