@@ -186,7 +186,8 @@ class GradientGrid:
     f.name, axis) name the axis.
     Every point runs under the one grid seed, of label ``grad_grid``: by
     Brownian scaling the increments on [0, T] are sqrt(T/n_steps) times one
-    standard-normal array, so each tile draws once for every (T, x) point
+    standard-normal array (and the KL functionals of a linear-family model
+    scale the same way), so each tile draws once for every (T, x) point
     (see ``bismut_panels``), and the rows of different points are correlated.
     A point's panel is bit for bit the one-point ``bismut_panel`` at the grid
     seed, whichever points were built with it.  One simulation per tile
@@ -252,7 +253,7 @@ def check_a5(grid: GradientGrid,
     the Monte Carlo effort and p are the grid's, whose panels ``check_a6`` may
     share.
     """
-    model, p, mc = grid.model, grid.p, grid.mc
+    model, p = grid.model, grid.p
     if model.power_params is None:
         raise ValueError("the gradient-rate check needs a power-law comparable model")
     l = model.power_params.l
@@ -277,7 +278,7 @@ def check_a5(grid: GradientGrid,
                 report.points.append(RatioPoint(
                     label=f"T={T},x={x},f={f.name},v={j}", phase=phase,
                     ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
-                    v=(tuple(v.v1), tuple(v.v2)), seed=grid.seed, n_steps=mc.n_steps,
+                    v=(tuple(v.v1), tuple(v.v2)), seed=grid.seed, n_steps=grad.n_steps,
                     n_valid=grad.n_valid, n_invalid=grad.n_invalid,
                 ))
     _verdict(report)
@@ -295,7 +296,7 @@ def check_a6(grid: GradientGrid,
     against sigma(x0)^*.  The model, the observables f and the Monte Carlo
     effort are the grid's, whose panels ``check_a5`` may share.
     """
-    model, mc = grid.model, grid.mc
+    model = grid.model
     report = BoundCheckReport(inequality_id="A6")
     m, d = model.m, model.d
     for phase, T, x, z0, panel in grid.rows(calibration, holdout):
@@ -325,7 +326,7 @@ def check_a6(grid: GradientGrid,
             report.points.append(RatioPoint(
                 label=f"T={T},x={x},f={f.name}", phase=phase,
                 ratio=ratio, tolerance=tol, T=T, z0=tuple(z0),
-                seed=grid.seed, n_steps=mc.n_steps,
+                seed=grid.seed, n_steps=denom_est.n_steps,
                 n_valid=denom_est.n_valid, n_invalid=denom_est.n_invalid,
             ))
     _verdict(report)
@@ -356,7 +357,7 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
             label=f"T={T},x={x}", phase=phase,
             ratio=est.mean * normalizer,
             tolerance=4.0 * est.stderr * normalizer,
-            T=T, z0=(x,), seed=seed, n_steps=mc.n_steps,
+            T=T, z0=(x,), seed=seed, n_steps=est.n_steps,
             n_valid=est.n_valid, n_invalid=est.n_invalid,
         ))
     _verdict(report)
@@ -393,7 +394,7 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
         report.points.append(RatioPoint(
             label=f"{name},q={q}", phase="check",
             ratio=lhs.mean / bound, tolerance=4.0 * lhs.stderr / bound,
-            T=T, z0=(), seed=seed, n_steps=mc.n_steps,
+            T=T, z0=(), seed=seed, n_steps=lhs.n_steps,
             n_valid=lhs.n_valid, n_invalid=lhs.n_invalid,
         ))
     _verdict(report)
@@ -613,7 +614,7 @@ def check_harnack_suite(model: ModelSpec, T: float,
         report.points.append(RatioPoint(
             label=label, phase="check", ratio=ratio,
             tolerance=tolerance, T=T, z0=z, v=z_prime, seed=seed,
-            n_steps=mc.n_steps, n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid,
+            n_steps=p_at_zp.n_steps, n_valid=p_at_zp.n_valid, n_invalid=p_at_zp.n_invalid,
         ))
     _verdict(report)
     return report

@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -370,10 +370,10 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
                         n_bad += 1
                     rows.append(_row(f"bismut_vs_fd/{label}", "grad_bismut",
                                      gb.mean, gb.stderr, gb.n_valid, gb.n_invalid,
-                                     sb, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
+                                     sb, T, _fmt_vec(z0), _fmt_dir(v), gb.n_steps))
                     rows.append(_row(f"bismut_vs_fd/{label}", "grad_fd",
                                      gf.mean, gf.stderr, gf.n_valid, gf.n_invalid,
-                                     sf, T, _fmt_vec(z0), _fmt_dir(v), mc.n_steps))
+                                     sf, T, _fmt_vec(z0), _fmt_dir(v), gf.n_steps))
     return rows, _agreement(
         "BismutVsFD", n_bad == 0,
         f"{n_combos - n_bad}/{n_combos} combos agree within 4*stderr + {FD_BIAS_ALLOWANCE}",
@@ -381,9 +381,14 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
 
 
 def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
+    """The basic and the extended kernel on one walk of ``n_steps`` increments:
+    the weights of the sigma1 = I, b1 = 0 embedding must equal the basic ones
+    path by path.  The basic side runs the model's callbacks (``family=None``),
+    as the linear family would read KL modes, not the walk."""
     mc = _mc_for(cfg, "reduction", workers)
     if model.kind is not ModelKind.BASIC:
         return [], _agreement("ExtendedReduction", True, "skipped: model already extended")
+    model = replace(model, family=None)
     ext = as_extended(model)
     T = cfg.run.horizons[0]
     z0 = cfg.run.points[0]

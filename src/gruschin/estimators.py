@@ -4,8 +4,9 @@ exact values they are checked against live in ``oracles``.
 
 Determinism contract: per-path sample values are pure functions of
 (master_seed, path_index), since path i reads column i % 256 of the SFC64 block
-i // 256 of each substream it draws (0, and 1 for the panels' zeta; see ``rng``
-and ``paths.standard_noise``) whatever batch asks for it; they are assembled into
+i // 256 of each substream it draws (0 for increments, 1 for the panels' zeta
+and 2 for KL modes; see ``rng`` and ``paths.standard_noise``) whatever batch
+asks for it; they are assembled into
 arrays ordered by path index and reduced by a fixed pairwise tree.
 Serial and multi-worker runs, and any batch size, are therefore bitwise
 identical.
@@ -17,8 +18,10 @@ call with more than one batch maps its batches over the pool, and the points
 of a list run inline, in order, on each tile's draw.  A call with one batch
 runs it on the calling thread and passes its draws a ``share``
 (``rng.PathStreams.fill_normals``), through which the idle pool threads draw
-part of its RNG blocks: the draw releases the GIL, where the kernels'
-Python work does not.  A batch that runs on the pool never shares, so no pool
+part of the RNG blocks of its increments: the draw releases the GIL, where the
+kernels' Python work does not.  The KL modes of the linear family are drawn
+on the calling thread alone, as zeta is: at K + 3 normals per path they cost
+less than the hand-off.  A batch that runs on the pool never shares, so no pool
 work nests in another (``_map`` raises RuntimeError on a pool thread rather
 than wait on the pool) and at most ``workers`` threads work at once: the suite
 runs its checks, and the panels of a check, one after another.
@@ -31,7 +34,9 @@ it spans, so no batch is narrower than a tile, and an untiled call above
 ``batch_size`` cuts its batches evenly.
 A batch runs as consecutive tiles, each the largest multiple of
 ``rng.BLOCK_PATHS`` whose (P, n_steps, w) draw fits ``TILE_NORMALS`` floats
-(2 MiB), w = m + d for a panel, cut at absolute multiples of the tile, so no
+(2 MiB), w = m + d for a panel, with KL_MODES + 3 rows in place of n_steps
+for a draw of KL modes (``_draw_layout``: 6,656 paths for a linear-family
+panel), cut at absolute multiples of the tile, so no
 tile cut splits an RNG block and a tile's (P, n_steps) arrays hold at most
 2 MiB / w each; the basic kernel writes its per-point ones into the tile
 scratch of the noise (``paths.Noise``).  Panels on an extended model are
@@ -51,10 +56,15 @@ normals, and the basic kernel and ``paths.brownian_left_nodes`` read their
 standard random walk, built once per tile (``paths.Noise``), scaled to each
 point's own grid.  So every (T, x) point and every x-start of a tile reads
 one cumulative sum, and each point's estimate is bit for bit its one-point
-estimate at the same seed.  On a linear-family model the basic kernel reads
-per-path sums of that walk that the noise keeps, not the path.  At n = 1 the
-Lemma 3.1 points read two of them, ``paths.walk_statistics``, through
-``paths.quadratic_integral``, the kernel's own Q_T formula.
+estimate at the same seed.  A linear-family model (sigma(x) = x) draws no
+increments: ``paths.standard_noise`` draws K + 3 Karhunen-Loeve modes per
+path, the tile computes their four Brownian functionals on [0, 1] once
+(``paths.kl_functionals``), and every point scales them to its horizon,
+exact in time.  At n = 1 the Lemma 3.1 points read two of them, the mean and
+the spread, through ``paths.quadratic_integral``, the kernel's own Q_T
+formula.  Every estimate reports the resolution of its paths as
+``MCEstimate.n_steps``: the step count, or ``paths.KL_MODES`` where it read
+modes (``_draw_layout``).
 ``estimate_lq_moments`` is the points-list form of the L^q cases: every case
 reads the one (P, n_steps, 2) draw of a tile.  The points' estimates are then
 correlated, each with its own validity mask.
@@ -75,15 +85,18 @@ import numpy as np
 from .models import Direction, ModelKind, ModelSpec, TestFunction
 from .oracles import LQ_INTEGRANDS, check_lq_case
 from .paths import (
+    KL_MODES,
     TimeGrid,
     brownian_left_nodes,
+    kl_functionals,
     quadratic_integral,
+    reads_modes,
     simulate_batch,
     simulate_terminal_batch,
     standard_increments,
+    standard_modes,
     standard_noise,
     standard_walk,
-    walk_statistics,
 )
 from .rng import BLOCK_PATHS
 from .weights import weight_terms_shared
@@ -122,12 +135,17 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo mean with its standard error and path accounting."""
+    """A Monte Carlo mean with its standard error and path accounting.
+
+    ``n_steps`` is the resolution of the paths: their time steps, or the KL
+    modes of paths drawn as modes (``_draw_layout``).
+    """
 
     mean: float
     stderr: float
     n_valid: int
     n_invalid: int
+    n_steps: int
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -144,7 +162,7 @@ def _pairwise(x: np.ndarray) -> float:
     return _pairwise(x[:mid]) + _pairwise(x[mid:])
 
 
-def _finalize(values: np.ndarray, valid: np.ndarray) -> MCEstimate:
+def _finalize(values: np.ndarray, valid: np.ndarray, n_steps: int) -> MCEstimate:
     n_total = len(values)
     good = values[valid]
     n_valid = int(valid.sum())
@@ -157,7 +175,7 @@ def _finalize(values: np.ndarray, valid: np.ndarray) -> MCEstimate:
     else:
         stderr = float("inf")
     return MCEstimate(mean=mean, stderr=stderr, n_valid=n_valid,
-                      n_invalid=n_total - n_valid)
+                      n_invalid=n_total - n_valid, n_steps=n_steps)
 
 
 def _chunks(n_paths: int, batch_size: int) -> list[tuple[int, int]]:
@@ -171,12 +189,23 @@ def _tile(n_steps: int, width: int) -> int:
     return max(1, TILE_NORMALS // (n_steps * width) // BLOCK_PATHS) * BLOCK_PATHS
 
 
-def _model_tile(model: ModelSpec, n_steps: int) -> Optional[int]:
-    """The tile of a panel on ``model``, at the width m + d of the kernel's
-    per-step arrays; none for an extended model, whose batches stay whole."""
+def _draw_layout(modes: bool, n_steps: int, width: int) -> tuple[int, int]:
+    """(tile, resolution) of a draw of ``width`` columns: the tile of its
+    (P, rows, width) arrays, and the step count its estimates report.  A draw
+    of KL modes has ``paths.KL_MODES`` + 3 rows and reports ``KL_MODES``,
+    whatever ``n_steps``; a draw of increments has ``n_steps`` of each."""
+    if modes:
+        return _tile(KL_MODES + 3, width), KL_MODES
+    return _tile(n_steps, width), n_steps
+
+
+def _model_layout(model: ModelSpec, n_steps: int) -> tuple[Optional[int], int]:
+    """``_draw_layout`` of a panel on ``model``, at the width m + d of the
+    kernel's per-step arrays; no tile for an extended model, whose batches
+    stay whole."""
     if model.kind is ModelKind.EXTENDED:
-        return None
-    return _tile(n_steps, model.m + model.d)
+        return None, n_steps
+    return _draw_layout(reads_modes(model), n_steps, model.m + model.d)
 
 
 def _tiles(start: int, stop: int, tile: Optional[int]) -> list[tuple[int, int]]:
@@ -252,9 +281,11 @@ def run_batches(
     workers: int = 1,
     batch_size: Optional[int] = None,
     tile: Optional[int] = None,
+    n_steps: int = 0,
 ) -> list[dict]:
     """For each function of ``point_fns``, one MCEstimate per column it fills,
-    under the column's key.
+    under the column's key, each reporting ``n_steps`` as the resolution of
+    the paths (0 where the caller states none).
 
     ``draw(path_indices)`` returns the noise of the paths of an int64 index
     array, and each point function maps that noise to ``({key: values}, ok)``,
@@ -331,7 +362,8 @@ def run_batches(
     for k in range(len(point_fns)):
         outs, oks = zip(*(per_point[k] for per_point in tile_results))
         valid = np.concatenate(oks)
-        estimates.append({key: _finalize(np.concatenate([out[key] for out in outs]), valid)
+        estimates.append({key: _finalize(np.concatenate([out[key] for out in outs]), valid,
+                                         n_steps)
                           for key in outs[0]})
     return estimates
 
@@ -409,16 +441,19 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
                               batch_size: Optional[int] = None) -> list[MCEstimate]:
     """``estimate_negative_moment`` at every (x, T) of ``points``, in order.
 
-    Each tile draws its standard normals once and builds their random walk W
-    (``paths.standard_walk``), which every point reads on its own grid, so
-    each estimate is bit for bit the one-point estimate at ``seed``, whichever
-    points share the call.  At n = 1 the path is x + sqrt(dt) W_k, so the
-    integral is T (|x + sqrt(dt) m_W|^2 + dt v_W), with m_W the mean of W over
-    the left nodes and v_W its centred mean square (``paths.walk_statistics``
-    and ``paths.quadratic_integral``, as the linear-family kernel reads Q_T):
-    the tile computes those once and a point costs O(P m), not O(P n_steps m).
-    Other n read the path (``paths.brownian_left_nodes``).  The batches are
-    mapped over ``workers``, and the points run inline on each tile's draw.
+    At n = 1 the integral int_0^T |x + B_t|^2 dt reads the Karhunen-Loeve
+    functionals of B on [0, 1] (``paths.kl_functionals``), exact in time:
+    each tile draws the KL modes of its paths once (``paths.standard_modes``,
+    whatever ``n_steps``) and computes their mean m and spread v, which every
+    point reads as T (|x + sqrt(T) m|^2 + T v) (``paths.quadratic_integral``,
+    as the linear-family kernel reads Q_T), so a point costs O(P m).  Other n
+    draw standard normals, build their random walk W (``paths.standard_walk``)
+    and read the left-point sum on each point's grid
+    (``paths.brownian_left_nodes``).  Either way each estimate is bit for bit
+    the one-point estimate at ``seed``, whichever points share the call, and
+    reports the resolution it read: ``paths.KL_MODES`` modes at n = 1, else
+    ``n_steps``.  The batches are mapped over ``workers``, and the points run
+    inline on each tile's draw.
     """
     if not (1 <= n_exp < math.inf):
         raise ValueError("moment exponent n must be finite and satisfy n >= 1")
@@ -435,18 +470,19 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
     quadratic = n_exp == 1.0
 
     def draw(idx, share=None):
-        walk = standard_walk(standard_increments(seed, idx, n_steps, m, share=share))
-        return walk_statistics(walk) if quadratic else walk
+        if quadratic:
+            return kl_functionals(standard_modes(seed, idx, m))
+        return standard_walk(standard_increments(seed, idx, n_steps, m, share=share))
 
     def moment(x, grid, drawn):
-        integral = (quadratic_integral(x, grid, drawn) if quadratic
+        integral = (quadratic_integral(x, grid.horizon, drawn) if quadratic
                     else _path_integral(x, grid, drawn, n_exp))
         ok = integral > 0.0
         return {"value": np.where(ok, integral, 1.0) ** (-alpha)}, ok
 
     point_fns = [functools.partial(moment, x, grid) for x, grid in zip(starts, grids)]
-    return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
-                                                batch_size, _tile(n_steps, m))]
+    return [col["value"] for col in run_batches(
+        n_paths, draw, point_fns, workers, batch_size, *_draw_layout(quadratic, n_steps, m))]
 
 
 def _path_integral(x: np.ndarray, grid: TimeGrid, walk: np.ndarray,
@@ -499,7 +535,7 @@ def estimate_lq_moments(cases: Sequence[tuple[str, float, dict]], T: float,
         return standard_increments(seed, idx, n_steps, 2, share=share)
 
     return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
-                                                batch_size, _tile(n_steps, 2))]
+                                                batch_size, _tile(n_steps, 2), n_steps)]
 
 
 def _lq_integral(integrand: str, q: float, grid: TimeGrid,
@@ -576,7 +612,7 @@ def _terminal_panel(model: ModelSpec, starts: Sequence, T: float,
         return columns(finals), ok
 
     return run_batches(n_paths, draw, [panel], workers, batch_size,
-                       _model_tile(model, n_steps))[0]
+                       *_model_layout(model, n_steps))[0]
 
 
 def pt_panel(model: ModelSpec, starts: Sequence, T: float, fs: Sequence[TestFunction],
@@ -629,7 +665,8 @@ def bismut_panels(model: ModelSpec, points: Sequence[tuple],
     Each tile draws its standard normals once (``paths.standard_noise``), and
     every point passes them with its own grid to ``simulate_batch``, whose
     kernel scales them: by Brownian scaling one draw serves every horizon, and
-    the basic kernel of every point reads the one walk of the draw.  So
+    the basic kernel of every point reads the one walk of the draw, or on a
+    linear-family model its one set of KL functionals.  So
     each panel is bit for bit the one-point panel at ``seed``, whichever points
     share the call, and each keeps its own validity mask.  The batches are
     mapped over ``workers``, and the points run inline on each tile's draw.
@@ -664,7 +701,7 @@ def bismut_panels(model: ModelSpec, points: Sequence[tuple],
     point_fns = [functools.partial(columns, *split_point(model, z0), grid)
                  for (z0, _), grid in zip(points, grids)]
     return run_batches(n_paths, draw, point_fns, workers, batch_size,
-                       _model_tile(model, n_steps))
+                       *_model_layout(model, n_steps))
 
 
 def fd_panel(model: ModelSpec, z0, T: float,

@@ -101,8 +101,10 @@ class ModelSpec:
     ``family`` is set only when the coefficients are exactly those of a
     ``Family``; the closed forms, the exact Harnack constant and the Euclidean
     distance are read from it.  The basic kernel reads ``Family.LINEAR`` as
-    sigma(x) = x and calls none of the sigma closures of such a model, so a
-    ``replace`` of a coefficient must also drop the family (``family=None``).
+    sigma(x) = x on Karhunen-Loeve modes, not increments
+    (``paths.standard_noise``), and calls none of the sigma closures of such
+    a model, so a ``replace`` of a coefficient must also drop the family
+    (``family=None``), as must a caller that wants the model on a walk.
     ``Family.LINEAR`` is refused unless m = d = 1.
     """
 

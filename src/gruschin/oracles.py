@@ -55,8 +55,8 @@ def negative_moment_exact(m: int, x, T: float, alpha: float) -> float:
     runs at T = 1, by 64-node Gauss-Legendre on gamma = u / (1 - u), u in
     (0, 1).  Against adaptive quadrature it agrees within 1e-10 relative at
     alpha = 1 and within 3e-6 for alpha in [1/2, 3], where gamma^(2 alpha - 1)
-    is not smooth at 0.  This is the time-continuous value: the estimator's
-    left-point sum differs from it by a bias of order 1/n_steps.
+    is not smooth at 0.  This is the time-continuous value, which the
+    estimator reads off Karhunen-Loeve modes at n = 1, with no time bias.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (m,) or not np.isfinite(x).all():

@@ -1,6 +1,7 @@
 """Path simulation over a uniform grid, accumulating every functional the weights need.
 
-All discretization is left-point (Ito):
+All discretization is left-point (Ito), except for the linear family, which is
+exact in time (below):
 
 * Basic model: the X-component has unit diffusion and no drift, so X is advanced
   by exact Brownian accumulation (no scheme error in X); every integral uses
@@ -14,19 +15,23 @@ the left Riemann sum but is exact for constant integrands.
 
 Y is not simulated: it reads the second Brownian motion B~ only through
 S = int sigma(X) dB~, which given the B path is exactly N(0, Q_T), Q_T the
-left-point sum of sigma sigma^* dt.  The kernels set S = R zeta, with one
+left-point sum of sigma sigma^* dt (the integral itself for the linear
+family, below).  The kernels set S = R zeta, with one
 zeta ~ N(0, I_d) per path and R the PSD square root of Q_T (``_root_times``),
 so (X_T, Y_T) has the law of the left-point scheme driven by (B, B~).
 
 The basic kernel has three forms.  For the linear family (``Family.LINEAR``,
-sigma(x) = x, m = d = 1) the path is X_k = x0 + h W_k, h = sqrt(dt), on the
-standard random walk W below, so both step sums have closed forms in (x0, h)
-built from three per-path sums of W that depend on neither x0 nor T: its
-left-node mean m_W, centred mean square v_W and decay-weighted mean
-u_W = mean_k w_k W_k, w_k = (T-t_k)/T = 1 - k/n up to rounding.  Then
-Q_T = T ((x0 + h m_W)^2 + dt v_W) (``quadratic_integral``, which Lemma 3.1
-reads too) and the trace term is T (x0 mean_k w_k + h u_W); no callback runs,
-and a point costs O(P) once the noise holds the sums.  A scalar-times-identity
+sigma(x) = x, m = d = 1) it is exact in time and reads no step: the weight
+reads the path only through B_T, Q_T = int_0^T (x0 + B_t)^2 dt and the trace
+term C = int_0^T ((T-t)/T) (x0 + B_t) dt, and these are linear or diagonal
+quadratic forms in the Karhunen-Loeve coordinates of B (``kl_functionals``).
+By Brownian scaling they are read off four functionals of one Brownian
+motion on [0, 1] -- its end B_1, its mean m = int B, its decay-weighted mean
+u = int (1-s) B_s ds and its spread v = int (B - m)^2 -- as B_T = sqrt(T) B_1,
+Q_T = T ((x0 + sqrt(T) m)^2 + T v) (``quadratic_integral``, which Lemma 3.1
+reads too: a sum of two nonnegative terms, with no cancellation) and
+C = T (x0/2 + sqrt(T) u).  So one draw serves every horizon, no callback
+runs, and a point costs O(P).  A scalar-times-identity
 sigma works on (P, n) arrays of the scalar field.  Any other sigma is laid out once as a contiguous
 (P, d, n*d) operand A with A[p, i, k*d + j] = sigma_ij(X_k), and the weighted
 gradient ((T-t_k)/T) grad sigma(X_k) as B in the same layout.  Step and column
@@ -67,38 +72,52 @@ formula.  In particular slot i of ``xi_drift_weight`` is the extended model's
 int <sigma1^{-1} xi^i_t/(T-t), dB_t>, and the basic kernel stores the value that
 integral takes in the sigma1 = I, b1 = 0 reduction, B_T/T.
 
-Every kernel takes its noise as one required argument, a ``Noise`` of
-standard normals as ``standard_noise`` draws them: eps (P, n_steps, m) for
-the increments of B and zeta (P, d) for S.  The kernel
-checks the two shapes, draws nothing itself and scales to its own grid: by
-Brownian scaling the increments on [0, T] are sqrt(T/n_steps) eps, so one
-draw serves every horizon T of a given step count, bit for bit.  The basic
-kernel reads the standard random walk W of eps (W_0 = 0, W_k = eps_0 + ... +
-eps_{k-1}, ``standard_walk``), which a ``Noise`` builds on first read and
-keeps as long as the noise lives, so every point and every x-start simulated
-on one draw reads one cumulative sum.  The noise keeps the walk's
-``walk_statistics`` (m_W, v_W) the same way, and its ``weighted_walk_mean``
-u_W once per set of decay weights, keyed by their bits, so a point reads the
-u_W of its own grid whichever points share the draw.  Each is a per-row
-reduction over the steps (no matrix product across rows), so a path's sums
-do not depend on its batch.  A ``Noise`` also holds the tile
+Every kernel takes its noise as one required argument, a ``Noise`` as
+``standard_noise`` draws it: zeta (P, d) for S, and for B either the KL modes
+(P, KL_MODES + 3, m) of a basic linear-family model (``standard_modes``) or
+the increments eps (P, n_steps, m) of any other model.  The kernel checks the
+shapes, draws nothing itself and scales to its own grid: by Brownian scaling
+the increments on [0, T] are sqrt(T/n_steps) eps, and the functionals of the
+modes scale as above, so one draw serves every horizon T, bit for bit.
+
+A Brownian motion on [0, 1] is B_t = sum_k xi_k sqrt(2) sin(omega_k t) / omega_k,
+omega_k = (k - 1/2) pi, with xi_k independent standard normals (Kac and
+Siegert, 1947).  The modes of a path are its first K = ``KL_MODES`` xi_k and
+three more normals, which draw the part of (B_1, m, u) that the modes beyond
+K carry, exactly: a Gaussian with the 3x3 tail covariance, the exact
+covariance of the three minus that of the K-term head.  int B^2 is
+sum_k xi_k^2 / omega_k^2; its tail beyond K is set to its conditional mean
+given the three tail normals, so E int B^2 = 1/2 holds exactly and v is at
+least the tail variance the three normals leave unexplained.  The tail
+constants are computed once per K, on first use (``_kl_weights``).  Each
+functional is a per-row reduction over the K + 3 modes (no matrix product
+across rows), so a path's functionals do not depend on its batch.
+
+The other basic kernels read the standard random walk W of eps (W_0 = 0,
+W_k = eps_0 + ... + eps_{k-1}, ``standard_walk``), which a ``Noise`` builds
+on first read and keeps as long as the noise lives, so every point and every
+x-start simulated on one draw reads one cumulative sum; a linear ``Noise``
+keeps its ``kl_functionals`` the same way.  A ``Noise`` also holds the tile
 scratch, into which the basic kernel writes each point's left nodes of X and,
 for a scalar sigma, the step products sigma^2 and w (grad_e sigma) sigma that
 Q_T and the trace term average; nothing a kernel returns aliases it.
-``brownian_left_nodes`` is the one builder of Brownian paths: it reads a walk
-as start + sqrt(dt) W at the left nodes and sqrt(dt) W_n at T.  The extended
-recursion reads eps and scales step k's normals as it reaches them, so it
-builds no walk.  Row p of every
-output is a function of row p of the noise alone, so a path gives the same
-bits in any batch, and running two kernels (or two horizons) on one draw
-needs no other entry point.  ``standard_noise`` draws eps from substream 0
-and zeta from substream 1 of ``rng.PathStreams``: the noise of path i is a
-pure function of (master_seed, i).
+``brownian_left_nodes`` is the one builder of Brownian paths on a grid: it
+reads a walk as start + sqrt(dt) W at the left nodes and sqrt(dt) W_n at T.
+The extended recursion reads eps and scales step k's normals as it reaches
+them, so it builds no walk.  Row p of every output is a function of row p of
+the noise alone, so a path gives the same bits in any batch, and running two
+kernels (or two horizons) on one draw needs no other entry point.
+``standard_noise`` draws eps from substream 0, zeta from substream 1 and the
+modes from substream 2 of ``rng.PathStreams``: the noise of path i is a pure
+function of (master_seed, i).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,21 +125,28 @@ from .models import Family, ModelKind, ModelSpec
 from .rng import PathStreams
 
 __all__ = [
+    "KL_MODES",
     "TimeGrid",
     "PathBatch",
     "Noise",
+    "KLFunctionals",
     "brownian_left_nodes",
+    "kl_functionals",
+    "reads_modes",
     "standard_increments",
+    "standard_modes",
     "standard_noise",
     "standard_walk",
-    "walk_statistics",
-    "weighted_walk_mean",
     "quadratic_integral",
     "simulate_basic_batch",
     "simulate_extended_batch",
     "simulate_batch",
     "simulate_terminal_batch",
 ]
+
+# Karhunen-Loeve modes per path and coordinate of a linear-family or Lemma 3.1
+# (n = 1) draw, which adds three normals for the tail beyond them
+KL_MODES = 16
 
 
 @dataclass(frozen=True)
@@ -190,6 +216,12 @@ def _as_state(value, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+def reads_modes(model: ModelSpec) -> bool:
+    """Whether the kernel of ``model`` reads KL modes, not increments, and so
+    ``standard_noise`` draws them: a basic linear-family model."""
+    return model.family is Family.LINEAR and model.kind is ModelKind.BASIC
+
+
 def standard_increments(master_seed: int, path_indices, n_steps: int,
                         width: int, share=None) -> np.ndarray:
     """Standard normals (P, n_steps, width) from substream 0: those of a path are
@@ -201,6 +233,14 @@ def standard_increments(master_seed: int, path_indices, n_steps: int,
     return streams.fill_normals(idx, (n_steps, width), share=share)
 
 
+def standard_modes(master_seed: int, path_indices, width: int) -> np.ndarray:
+    """Standard normals (P, KL_MODES + 3, width) from substream 2: the KL modes
+    and the three tail normals of ``width`` independent Brownian motions per
+    path (``kl_functionals``), a pure function of (master_seed, path index)."""
+    return PathStreams(master_seed, substream=2).fill_normals(
+        np.asarray(path_indices), (KL_MODES + 3, width))
+
+
 def standard_walk(eps: np.ndarray) -> np.ndarray:
     """The standard random walk of eps (P, n_steps, ...): W (P, n_steps + 1, ...)
     with W_0 = 0 and W_k = eps_0 + ... + eps_{k-1}."""
@@ -210,60 +250,108 @@ def standard_walk(eps: np.ndarray) -> np.ndarray:
     return walk
 
 
-def walk_statistics(walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mean m_W (P, m) of a walk W (P, n + 1, m) over its left nodes
-    W_0..W_{n-1}, and its centred mean square v_W = mean_k |W_k - m_W|^2 (P,)."""
-    left = walk[:, :-1]
-    w_mean = left.mean(axis=1)
-    dev = left - w_mean[:, None]
-    dev *= dev
-    # at m = 1 the sum over the one coordinate is the deviation itself, and
-    # np.sum over that length-1 axis would cost a (P, n) pass of its own
-    squares = dev[..., 0] if dev.shape[2] == 1 else np.sum(dev, axis=2)
-    return w_mean, np.mean(squares, axis=1)
+@functools.lru_cache(maxsize=None)
+def _kl_weights(n_modes: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(L, q, tau): the Brownian functionals on [0, 1] as forms in K = n_modes
+    KL modes xi_1..xi_K and three tail normals eta, computed once per K.
+
+    Row j of L (3, K + 3) weighs the modes and eta into L_j, for L = (B_1,
+    int B, int (1-s) B_s ds): xi_k enters B_1 with sqrt(2) sin(omega_k)/omega_k,
+    int B with sqrt(2)/omega_k^2 and the decay-weighted mean with
+    sqrt(2) (1/omega_k^2 - sin(omega_k)/omega_k^3), sin(omega_k) = (-1)^(k+1),
+    and eta through a root R of the tail covariance (exact minus head).  Then
+    int B^2 = sum_k q_k xi_k^2 + sum_i q_{K+i} eta_i^2 + tau: the head exactly,
+    and the tail sum_{k>K} xi_k^2/omega_k^2 by its conditional mean given eta.
+    Given L_tail = R eta, the tail modes have mean Psi eta with Psi^T Psi = I,
+    so the mean is eta^T (Psi^T D Psi) eta + tr D - tr(Psi^T D Psi), D the tail
+    diag(omega_k^-2); R is chosen so that Psi^T D Psi is diagonal (its
+    eigenvalues q_{K+i}), and tau = tr D - sum_i q_{K+i} >= 0 is the variance the
+    three leave unexplained.  Every tail sum is its closed form over all modes
+    minus the K-term head.  The tail covariance has eigenvalues from about 1e-10
+    to 1e-2 at K = 16, so its root comes from ``eigh``, not a Cholesky factor.
+    Those differences lose digits as K grows: at K = 16 the smallest q_{K+i}
+    is good to about 1e-4 relative (an error near 1e-8 in int B^2, and none
+    in its mean, which tau keeps exact), and well above K = 32 the tail would
+    need summing term by term.
+    """
+    k = np.arange(1, n_modes + 1)
+    omega = (k - 0.5) * np.pi
+    sign = np.where(k % 2 == 1, 1.0, -1.0)
+    head = math.sqrt(2.0) * np.array([sign / omega, 1.0 / omega**2,
+                                      1.0 / omega**2 - sign / omega**3])
+    # the full sums over all modes: Cov(L), and int_0^1 psi_i psi_j dt for the
+    # covariances psi_j(t) = Cov(B_t, L_j) = (t, t - t^2/2, t/2 - t^2/2 + t^3/6)
+    covariance = np.array([[1, 1 / 2, 1 / 6], [1 / 2, 1 / 3, 1 / 8],
+                           [1 / 6, 1 / 8, 1 / 20]]) - head @ head.T
+    gram = np.array([[1 / 3, 5 / 24, 3 / 40], [5 / 24, 2 / 15, 7 / 144],
+                     [3 / 40, 7 / 144, 1 / 56]]) - (head / omega**2) @ head.T
+    lam, u = np.linalg.eigh(covariance)
+    gamma, v = np.linalg.eigh((u.T @ gram @ u) / np.sqrt(np.outer(lam, lam)))
+    root = (u * np.sqrt(lam)) @ v
+    tau = 0.5 - float(np.sum(1.0 / omega**2)) - float(np.sum(gamma))
+    weights, quad = np.concatenate([head, root], axis=1), np.concatenate([1.0 / omega**2, gamma])
+    weights.setflags(write=False)   # the cache hands the same arrays to every caller
+    quad.setflags(write=False)
+    return weights, quad, tau
 
 
-def weighted_walk_mean(walk: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """u_W = mean_k w_k W_k (P, m) over the left nodes of a walk W (P, n + 1, m),
-    for weights w (n,).  Each row is reduced on its own (no matrix product
-    across rows), so a path gives the same bits in any batch."""
-    return (walk[:, :-1] * weights[:, None]).mean(axis=1)
+class KLFunctionals(NamedTuple):
+    """Functionals of Brownian motions B on [0, 1], per path and coordinate."""
+
+    end: np.ndarray       # (P, m) B_1
+    mean: np.ndarray      # (P, m) m = int_0^1 B_s ds
+    decay: np.ndarray     # (P, m) u = int_0^1 (1 - s) B_s ds
+    spread: np.ndarray    # (P,)   v = int_0^1 |B_s - m|^2 ds, summed over the coordinates
 
 
-def quadratic_integral(x: np.ndarray, grid: TimeGrid,
-                       statistics: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """T mean_k |x + h W_k|^2 = T (|x + h m_W|^2 + h^2 v_W), h = sqrt(dt), from
-    the ``walk_statistics`` of W: a sum of two nonnegative terms, with no
-    cancellation."""
-    w_mean, w_var = statistics
-    shifted = x + np.sqrt(grid.dt) * w_mean
-    return grid.horizon * (np.sum(shifted * shifted, axis=1) + grid.dt * w_var)
+def kl_functionals(modes: np.ndarray) -> KLFunctionals:
+    """The ``KLFunctionals`` of the KL modes (P, K + 3, m) of ``standard_modes``,
+    by the forms of ``_kl_weights``: (B_1, m, u) have their exact joint law, and
+    int B^2 is exact in its K-mode head and its tail's conditional mean beyond.
+    v = int B^2 - m^2 coordinate by coordinate, at least the unexplained tail
+    variance tau > 0.  Every sum is a per-row reduction over the modes, so a
+    path's functionals do not depend on its batch."""
+    weights, quad, tau = _kl_weights(modes.shape[1] - 3)
+    x = np.ascontiguousarray(np.moveaxis(modes, 1, 2))                # (P, m, K + 3)
+    linear = (x[:, :, None, :] * weights).sum(axis=-1)                # (P, m, 3)
+    mean = linear[..., 1]
+    square = (x * x * quad).sum(axis=-1) + tau                        # int B^2, (P, m)
+    return KLFunctionals(end=linear[..., 0], mean=mean, decay=linear[..., 2],
+                         spread=np.sum(square - mean * mean, axis=1))
+
+
+def quadratic_integral(x: np.ndarray, horizon: float, functionals: KLFunctionals) -> np.ndarray:
+    """int_0^T |x + B_t|^2 dt = T (|x + sqrt(T) m|^2 + T v) on [0, T], T the
+    horizon, from the ``KLFunctionals`` of B on [0, 1] by Brownian scaling: a
+    sum of two nonnegative terms, with no cancellation."""
+    shifted = x + math.sqrt(horizon) * functionals.mean
+    return horizon * (np.sum(shifted * shifted, axis=1) + horizon * functionals.spread)
 
 
 class Noise:
-    """The kernel noise of a batch: standard normals eps (P, n_steps, m) and
-    zeta (P, d), the walk of eps and its statistics, each built on first read,
-    and the tile scratch.
+    """The kernel noise of a batch: zeta (P, d), and either the KL modes
+    (P, KL_MODES + 3, m) of a basic linear-family model or the standard normals
+    eps (P, n_steps, m) of any other; the modes' ``functionals`` or the walk of
+    eps, each built on first read, and the tile scratch.
 
     A noise belongs to one tile of one batch, and one thread reads it: a
     call's batches run one per thread, and the point functions of a batch
     run in order (``estimators.run_batches``).  Up to ``workers`` threads
     may fill its eps, when a one-batch call shares the draw, but all of them
-    are done before the noise is made.  The walk, its ``walk_statistics``
-    and its ``weighted_walk_mean`` under each set of weights asked for are
+    are done before the noise is made.  The walk and the functionals are
     built once, on first read, and live as long as the noise.  So does the
     tile scratch: float64 buffers that the basic kernel fills anew at each
     point simulated on the noise (the left nodes of X and, for a scalar
     sigma, the step products that Q_T and the trace term average), so that
     no point allocates them again.  Nothing a kernel returns aliases the
-    scratch or the statistics.
+    scratch or the functionals.
     """
 
-    def __init__(self, eps: np.ndarray, zeta: np.ndarray):
-        self.eps, self.zeta = eps, zeta
+    def __init__(self, eps: np.ndarray | None, zeta: np.ndarray,
+                 modes: np.ndarray | None = None):
+        self.eps, self.zeta, self.modes = eps, zeta, modes
         self._walk = None
-        self._statistics = None
-        self._weighted_means = {}
+        self._functionals = None
         self._scratch = {}
 
     @property
@@ -274,20 +362,11 @@ class Noise:
         return self._walk
 
     @property
-    def statistics(self) -> tuple[np.ndarray, np.ndarray]:
-        """``walk_statistics(walk)``: m_W (P, m) and v_W (P,)."""
-        if self._statistics is None:
-            self._statistics = walk_statistics(self.walk)
-        return self._statistics
-
-    def weighted_mean(self, weights: np.ndarray) -> np.ndarray:
-        """``weighted_walk_mean(walk, weights)`` (P, m), kept per value of the
-        weights, bit for bit, so that two grids whose weights differ in one
-        bit each read their own."""
-        key = weights.tobytes()
-        if key not in self._weighted_means:
-            self._weighted_means[key] = weighted_walk_mean(self.walk, weights)
-        return self._weighted_means[key]
+    def functionals(self) -> KLFunctionals:
+        """``kl_functionals(modes)``."""
+        if self._functionals is None:
+            self._functionals = kl_functionals(self.modes)
+        return self._functionals
 
     def scratch(self, name: str, shape: tuple) -> np.ndarray:
         """The float64 scratch buffer ``name``, made uninitialised with
@@ -300,13 +379,18 @@ class Noise:
 
 def standard_noise(master_seed: int, path_indices, n_steps: int,
                    model: ModelSpec, share=None) -> Noise:
-    """The kernel noise of the paths: standard normals eps (P, n_steps, m) from
-    substream 0, the increments of B on any grid of ``n_steps`` steps once a
-    kernel scales them, and zeta (P, d) from substream 1.  A ``share`` goes
-    to the draw of eps alone (see ``standard_increments``): zeta's blocks of
-    256 d normals cost less than handing them to another thread."""
+    """The kernel noise of the paths: zeta (P, d) from substream 1, and for a
+    basic linear-family model the KL modes of ``standard_modes`` (substream
+    2), whatever ``n_steps``; for any other model standard normals eps
+    (P, n_steps, m) from substream 0, the increments of B on any grid of
+    ``n_steps`` steps once a kernel scales them.  A ``share`` goes to the draw
+    of eps alone (see ``standard_increments``): zeta's blocks of 256 d normals,
+    and the modes' of 256 (KL_MODES + 3), cost less than handing them to
+    another thread."""
     idx = np.asarray(path_indices)
     zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
+    if reads_modes(model):
+        return Noise(None, zeta, modes=standard_modes(master_seed, idx, model.m))
     return Noise(standard_increments(master_seed, idx, n_steps, model.m, share=share), zeta)
 
 
@@ -356,39 +440,44 @@ def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid,
              noise: Noise) -> tuple[np.ndarray, np.ndarray]:
     """Checked starting point (x0, y0) of a kernel call on ``noise``.
 
-    The noise must be a ``Noise`` with eps (P, n_steps, m) and zeta (P, d),
-    P = len(eps), so noise drawn for another batch or another step count is
-    refused, not truncated.
+    The noise must be a ``Noise`` with zeta (P, d), P = len(zeta), and the
+    modes (P, KL_MODES + 3, m) of a basic linear-family model or the eps
+    (P, n_steps, m) of any other, so noise drawn for another batch, another
+    step count or another kind of model is refused, not truncated.
     """
     x0 = _as_state(x0, model.m, "x0")
     y0 = _as_state(y0, model.d, "y0")
     if not isinstance(noise, Noise):
         raise TypeError(f"noise must be a paths.Noise, got {type(noise).__name__}")
-    eps, zeta = noise.eps, noise.zeta
-    P, n = len(eps), grid.n_steps
-    if np.shape(eps) != (P, n, model.m) or np.shape(zeta) != (P, model.d):
-        raise ValueError(f"noise has shapes {np.shape(eps)} and {np.shape(zeta)}; "
-                         f"expected ({P}, {n}, {model.m}) and ({P}, {model.d})")
+    P = len(noise.zeta)
+    if reads_modes(model):
+        name, drawn, want = "modes", noise.modes, (P, KL_MODES + 3, model.m)
+    else:
+        name, drawn, want = "eps", noise.eps, (P, grid.n_steps, model.m)
+    if np.shape(drawn) != want or np.shape(noise.zeta) != (P, model.d):
+        raise ValueError(f"noise has shapes {np.shape(drawn)} ({name}) and "
+                         f"{np.shape(noise.zeta)}; expected {want} and ({P}, {model.d})")
     return x0, y0
 
 
 def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
                   noise: Noise, axes: bool):
-    """The basic kernel on the walk of the noise: a ``PathBatch`` if ``axes``,
-    else (X_T, Y_T, valid) from its direction-free part alone.
+    """The basic kernel on the noise: a ``PathBatch`` if ``axes``, else
+    (X_T, Y_T, valid) from its direction-free part alone.
 
-    The linear family (sigma(x) = x) reads the statistics of the walk that
-    the noise keeps and calls no callback.  Otherwise the left nodes of X live
-    in the scratch of the noise, as do, for a scalar sigma, the step products
-    sigma^2 and w (grad_e sigma) sigma.
+    The linear family (sigma(x) = x) reads the ``KLFunctionals`` that the noise
+    keeps, scaled to the horizon, and calls no callback.  Otherwise the left
+    nodes of X on the walk of the noise live in its scratch, as do, for a
+    scalar sigma, the step products sigma^2 and w (grad_e sigma) sigma.
     """
-    P, m, d = len(noise.eps), model.m, model.d
-    n, T, h = grid.n_steps, grid.horizon, np.sqrt(grid.dt)
-    linear = model.family is Family.LINEAR
+    P, m, d = len(noise.zeta), model.m, model.d
+    n, T = grid.n_steps, grid.horizon
+    linear = reads_modes(model)
     if linear:
-        # X_k = x0 + h W_k: Q_T = T mean_k X_k^2 = T ((x0 + h m_W)^2 + dt v_W)
-        b_final = noise.walk[:, -1] * h
-        min_eig = quadratic_integral(x0, grid, noise.statistics)
+        # B_T = sqrt(T) B_1 and Q_T = T ((x0 + sqrt(T) m)^2 + T v), exact in time
+        functionals = noise.functionals
+        b_final = math.sqrt(T) * functionals.end
+        min_eig = quadratic_integral(x0, T, functionals)
     else:
         x_left, b_final = brownian_left_nodes(
             x0, noise.walk, grid, out=noise.scratch("nodes", noise.eps.shape))
@@ -412,11 +501,11 @@ def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
     if not axes:
         return x0 + b_final, y_final, valid
 
-    w = grid.decay_weights()
     if linear:
-        # grad_e sigma = 1 on the one axis: C = T mean_k w_k X_k = T (x0 w-bar + h u_W)
-        trace_integral = (T * (x0 * np.mean(w) + h * noise.weighted_mean(w)))[:, :, None, None]
+        # grad_e sigma = 1 on the one axis: C = int_0^T ((T-t)/T) X_t dt = T (x0/2 + sqrt(T) u)
+        trace_integral = (T * (0.5 * x0 + math.sqrt(T) * functionals.decay))[:, :, None, None]
     else:
+        w = grid.decay_weights()
         slots = []      # int ((T-t)/T){(grad_e sigma) sigma^*} dt, (P, d, d) per axis e
         for e in np.eye(m):
             if model.scalar_identity:

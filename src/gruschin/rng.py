@@ -79,20 +79,27 @@ class PathStreams:
         order = np.argsort(block_of, kind="stable")
         blocks, firsts = np.unique(block_of[order], return_index=True)
         ends = np.append(firsts[1:], idx.size)
+        # a block is one slice when its paths sit in consecutive rows with
+        # consecutive indices: no break between neighbours of the block order
+        breaks = np.cumsum((np.diff(order) != 1) | (np.diff(idx[order]) != 1))
+        breaks = np.concatenate([[0], breaks])
+        whole = (breaks[ends - 1] == breaks[firsts]).tolist()
+        blocks, firsts, ends = blocks.tolist(), firsts.tolist(), ends.tolist()
 
         def draw_blocks(start: int, stop: int) -> None:
             buf = np.empty((n_steps, BLOCK_PATHS) + shape[1:])
             buf_rec = buf.reshape(n_steps, BLOCK_PATHS * w).view(record)  # (n_steps, 256)
-            for block, lo, hi in zip(blocks[start:stop], firsts[start:stop], ends[start:stop]):
+            for k in range(start, stop):
+                block, lo, hi = blocks[k], firsts[k], ends[k]
                 bitgen = np.random.SFC64(np.random.SeedSequence(
-                    [self.master_seed, self.substream, int(block)]))
+                    [self.master_seed, self.substream, block]))
                 np.random.Generator(bitgen).standard_normal(out=buf)
-                rows = order[lo:hi]
-                cols = idx[rows] - block * BLOCK_PATHS
-                if np.all(np.diff(rows) == 1) and np.all(np.diff(cols) == 1):
-                    out_rec[rows[0]:rows[-1] + 1] = buf_rec[:, cols[0]:cols[-1] + 1].T
+                if whole[k]:
+                    row, col = int(order[lo]), int(idx[order[lo]]) - block * BLOCK_PATHS
+                    out_rec[row:row + hi - lo] = buf_rec[:, col:col + hi - lo].T
                 else:
-                    out_rec[rows] = buf_rec[:, cols].T
+                    rows = order[lo:hi]
+                    out_rec[rows] = buf_rec[:, idx[rows] - block * BLOCK_PATHS].T
 
         if share is None:
             draw_blocks(0, len(blocks))

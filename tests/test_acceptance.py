@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they pass.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ def test_criterion_04_weight_centering():
 
 
 def test_criterion_05_extended_reduction_pathwise():
-    model = make_power_law_model(1, 1, 1.0)
+    # on one walk: the basic side runs sigma(x) = x through its callbacks
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     ext = as_extended(model)
     grid = TimeGrid(1.0, 200)
     v = Direction.make(1.0, 1.0)
@@ -193,7 +195,8 @@ def test_criterion_06_weight_linearity():
 
 
 def test_criterion_07_discrete_degeneracy_bound():
-    model = make_power_law_model(1, 1, 1.0)
+    # the left-point sums of sigma(x) = x through its callbacks, on the walk
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     grid, idx = TimeGrid(1.0, 200), np.arange(10_000)
     noise = standard_noise(107, idx, grid.n_steps, model)
     batch = simulate_basic_batch(model, [1.0], [0.0], grid, noise)

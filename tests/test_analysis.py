@@ -24,7 +24,7 @@ from gruschin.analysis import (
     rho_upper_bound,
     suite_exit_code,
 )
-from gruschin import analysis, estimators, oracles, rng
+from gruschin import analysis, estimators, oracles, paths, rng
 from gruschin.estimators import estimate_gradient_bismut, estimate_pt
 from gruschin.models import (
     Direction,
@@ -340,10 +340,14 @@ def test_a_lemma31_point_is_the_one_point_moment_at_the_grid_seed(workers):
 
 
 def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
-    # K = 100: the A6 grid's tile (width m + d = 2) is 1,280 paths and Lemma
-    # 3.1's (width m = 1) 2,560, so 3,000 paths are three and two tiles; every
-    # tile draws once from each substream it reads, for all 13 points
-    draws = {0: [], 1: []}
+    # the linear family draws KL_MODES + 3 rows: the A6 grid's tile (width
+    # m + d = 2) is 6,656 paths and Lemma 3.1's (width m = 1) 13,568, cut at
+    # their absolute multiples inside 8,192-path batches, so 14,000 paths are
+    # four and three tiles; every tile draws once from each substream it
+    # reads, for all 13 points: zeta and the KL modes of substream 2, no
+    # increments
+    assert paths.KL_MODES + 3 == 19
+    draws = {0: [], 1: [], 2: []}
     real = rng.PathStreams.fill_normals
 
     def counting(self, path_indices, shape):
@@ -352,13 +356,13 @@ def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
 
     monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
     model = make_power_law_model(1, 1, 1.0)
-    mc = McParams(n_paths=3000, n_steps=100, seed=79)
+    mc = McParams(n_paths=14_000, n_steps=100, seed=79)
     rep = check_a6(GradientGrid(model, [observable("sin_y", model)], mc))
     assert len(rep.points) == 13
-    assert draws == {0: [1280, 1280, 440], 1: [1280, 1280, 440]}
-    draws[0].clear(), draws[1].clear()
+    assert draws == {0: [], 1: [6656, 1536, 5120, 688], 2: [6656, 1536, 5120, 688]}
+    draws[1].clear(), draws[2].clear()
     assert len(check_lemma31(mc).points) == 13
-    assert draws == {0: [2560, 440], 1: []}
+    assert draws == {0: [], 1: [], 2: [8192, 5376, 432]}
 
 
 def _record_args(monkeypatch, module, name):
@@ -402,9 +406,9 @@ def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
     # width 2), so every check runs two batches at workers=2; the Harnack
     # pairs read one panel, whose tiles simulate each distinct x-start once,
     # and the L^q cases one draw per tile.  Lemma 3.1 points read the path at
-    # n = 1.5; at n = 1 they read per-path statistics of the walk, which the
-    # tile computes once
-    model = make_power_law_model(1, 1, 1.0)
+    # n = 1.5; at n = 1 they read the KL functionals the tile computes once.
+    # sigma(x) = x runs through its callbacks, on walks of K steps
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     lemma31_grid = dict(calibration=((0.25, 0.0), (1.0, 1.0)), holdout=((0.5, 0.5),))
     cases = [
         ((estimators, "brownian_left_nodes"), lambda mc: check_lemma31(
@@ -436,8 +440,9 @@ def test_point_tasks_overlap_and_match_the_serial_reports(monkeypatch):
 def test_a_standalone_panel_overlaps_two_batches(monkeypatch):
     # K = 100: 3,000 paths span three 1,280-path tiles, so at workers=2 they
     # run as two batches, of 1,536 and 1,464 paths; the first two kernel calls
-    # wait for each other, so they pass only if they overlap
-    model = make_power_law_model(1, 1, 1.0)
+    # wait for each other, so they pass only if they overlap; sigma(x) = x
+    # runs through its callbacks, on walks of K steps
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     fs = [observable("sin_y", model)]
     serial = estimators.pt_panel(model, [[1.0, 0.5]], 1.0, fs, 3000, 100, 67)
     threads, armed = _record_threads(monkeypatch, estimators, "simulate_terminal_batch")
@@ -624,10 +629,11 @@ def test_each_a8_row_is_its_one_pair_check():
 
 def test_harnack_pairs_draw_once_and_simulate_each_x_start_once_per_tile(monkeypatch):
     # K = 100: the panel's tile (width m + d = 2) is 1,280 paths, so 2,000 paths
-    # are two tiles; the default pairs have three x-starts (1, 1.5 and 0.5)
+    # are two tiles; the default pairs have three x-starts (1, 1.5 and 0.5).
+    # sigma(x) = x runs through its callbacks, on walks of K steps
     draws = _record_args(monkeypatch, estimators, "standard_noise")
     sims = _record_args(monkeypatch, estimators, "simulate_terminal_batch")
-    model = make_power_law_model(1, 1, 1.0)
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     f = observable("one_plus_tanh_y", model)
     rep = check_harnack_suite(model, 1.0, _default_pairs(), f, 0.8, McParams(2000, 100, 103))
     assert len(rep.points) == 4
@@ -653,7 +659,7 @@ def test_each_lemma_ll_row_is_its_one_case_estimate(monkeypatch):
 
 def test_harnack_draws_noise_once_per_batch(monkeypatch):
     # z and z' read one draw per batch, of dB and of zeta, which the
-    # nonnegativity check reads too
+    # nonnegativity check reads too; sigma(x) = x runs through its callbacks
     shapes = []
     real = rng.PathStreams.fill_normals
 
@@ -662,7 +668,7 @@ def test_harnack_draws_noise_once_per_batch(monkeypatch):
         return real(self, path_indices, shape)
 
     monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
-    model = make_power_law_model(1, 1, 1.0)
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     f = observable("one_plus_tanh_y", model)
     n_paths = estimators.DEFAULT_BATCH_SIZE + 500
     res = check_harnack_suite(model, 1.0, [((0.5, 0.0), (1.0, 0.5))], f, 1.0,

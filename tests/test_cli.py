@@ -8,11 +8,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gruschin import analysis, cli, estimators, models
+from gruschin import analysis, cli, estimators, models, paths
 from gruschin.analysis import (
     DEFAULT_CALIBRATION_GRID,
     DEFAULT_HOLDOUT_GRID,
@@ -274,8 +275,10 @@ def test_a6_override_gets_its_own_grid(tmp_path, monkeypatch):
 
 def test_a5_step_override_drops_the_shared_paths_note(tmp_path):
     # A5 at 20 steps and A6 at 10 read two grids, so the A6 section must not
-    # say that the two checks read their gradients off the same paths
+    # say that the two checks read their gradients off the same paths; at
+    # l = 2 both read walks of their own step counts
     body = json.loads(json.dumps(MINIMAL))
+    body["model"]["l"] = 2.0
     body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
     body["suite"] = {"checks": ["a5", "a6"], "overrides": {"a5": {"n_steps": 20}}}
     code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
@@ -283,6 +286,28 @@ def test_a5_step_override_drops_the_shared_paths_note(tmp_path):
     report = (tmp_path / "report.md").read_text()
     assert "## A6: " in report
     assert "same paths" not in report and "verdicts are correlated" not in report
+
+
+def test_linear_rows_report_the_kl_modes_and_a_step_override_keeps_the_note(tmp_path):
+    # the linear family reads KL modes whatever the step count: its A5, A6,
+    # Lemma 3.1, A8 and BismutVsFD rows report KL_MODES as n_steps, the A5
+    # grid at 20 steps reads the paths of the A6 grid at 10, so the note
+    # stays; LemmaLL and ExtendedReduction read walks of the configured steps
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
+    body["suite"] = {"checks": ["bismut_vs_fd", "a5", "a6", "lemma31", "lemma_ll",
+                                "harnack", "reduction"],
+                     "overrides": {"a5": {"n_steps": 20}}}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
+    steps = {}
+    for r in rows:
+        steps.setdefault(r["experiment_id"].split("/")[0], set()).add(int(r["n_steps"]))
+    k = paths.KL_MODES
+    assert steps == {"bismut_vs_fd": {k}, "A5": {k}, "A6": {k}, "Lemma31": {k},
+                     "A8": {k}, "LemmaLL": {10}, "reduction": {10}}
+    assert "verdicts are correlated" in (tmp_path / "report.md").read_text()
 
 
 def test_rerun_and_worker_count_are_byte_identical(tmp_path):
@@ -486,12 +511,13 @@ def test_bismut_vs_fd_panels_each_map_their_batches_over_one_pool(monkeypatch, n
     # K = 100: 2,000 paths span two 1,280-path tiles, so each (T, z0) panel
     # runs two batches, of 1,024 paths and of 976 drawn as tiles of 256 and
     # 720; the panels run one after another, and all map their batches over
-    # the one pool of the process
+    # the one pool of the process.  sigma(x) = x runs through its callbacks,
+    # on walks of K steps: the linear family draws KL modes, unshared
     body = json.loads(json.dumps(MINIMAL))
     body["run"]["horizons"] = [0.5, 1.0]
     body["run"]["n_steps"] = 100
     cfg = ExperimentConfig.from_dict(body)
-    model = builtin_model("power_law", 1, 1, 1.0)
+    model = replace(builtin_model("power_law", 1, 1, 1.0), family=None)
     serial_rows, serial_rep = cli._run_bismut_vs_fd(cfg, model, 1)
     tiles = []
     real = estimators.standard_noise

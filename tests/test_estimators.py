@@ -5,6 +5,8 @@ import sys
 import threading
 import time
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,8 @@ from gruschin.paths import (
 
 EX = Direction.make(1.0, 0.0)
 EY = Direction.make(0.0, 1.0)
+# sigma(x) = x through its callbacks, on a walk: the linear family reads KL modes
+WALK_LINEAR = replace(make_power_law_model(1, 1, 1.0), family=None)
 
 
 def combined_gap(a, b):
@@ -208,7 +212,7 @@ def test_fd_panel_rejects_a_nonfinite_eps_before_drawing(monkeypatch, eps):
     with pytest.raises(ValueError, match="eps"):
         fd_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [EX], 200, 10, 3,
                  eps=eps)
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 _START_CALLS = {
@@ -233,17 +237,17 @@ def test_panels_refuse_a_nonfinite_start_before_drawing(monkeypatch, name, z0):
     model = make_power_law_model(1, 1, 1.0)
     with pytest.raises(ValueError, match="z0 must be finite"):
         _START_CALLS[name](model, [observable("sin_y", model)], z0)
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 def test_pt_panel_is_bitwise_a_simulation_from_each_start():
     # (x, y1) and (x, y2) read one x-simulation translated in y, (x', y) its
     # own; K = 1,024 steps cut the 700 paths into 256-path tiles
-    model = make_power_law_model(1, 1, 1.0)
+    model = WALK_LINEAR
     starts = [[1.0, 0.5], [1.0, -0.3], [0.4, 0.5]]
     fs = [observable("sin_y", model), observable("y_squared", model)]
     T, n, steps, seed = 1.0, 700, 1024, 61
-    assert estimators._model_tile(model, steps) < n
+    assert estimators._model_layout(model, steps) == (256, steps)
     panel = pt_panel(model, starts, T, fs, n, steps, seed)
     noise = standard_noise(seed, np.arange(n), steps, model)
     for k, z0 in enumerate(starts):
@@ -287,7 +291,7 @@ def test_negative_moment_rejects_a_nonfinite_alpha_before_drawing(monkeypatch, a
     draws = _counting_draws(monkeypatch)
     with pytest.raises(ValueError, match="alpha"):
         estimate_negative_moment(1, [0.5], 1.0, 1.0, alpha, 200, 10, 3)
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 @pytest.mark.parametrize("n_exp", [math.nan, math.inf])
@@ -295,7 +299,7 @@ def test_negative_moment_rejects_a_nonfinite_exponent_before_drawing(monkeypatch
     draws = _counting_draws(monkeypatch)
     with pytest.raises(ValueError, match="exponent"):
         estimate_negative_moment(1, [0.5], 1.0, n_exp, 0.5, 200, 10, 3)
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -327,7 +331,7 @@ def test_moments_refuse_nonfinite_parameters_before_drawing(monkeypatch, bad):
                                        1.0, 200, 10, 3)
     with pytest.raises(ValueError, match="l must be nonnegative"):
         lq_moment_rhs("sigma_row", 2.0, 1.0, l=-1.0)
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 @pytest.mark.parametrize("s, want", [(0.0, 5.562860), (1.0, 2.872109), (2.0, 1.535379),
@@ -359,11 +363,75 @@ def test_quadratic_laplace_transform_is_finite_where_cosh_overflows():
 @pytest.mark.parametrize("m, x, T", [(1, [2.0], 1.0), (2, [0.0, 0.0], 0.5),
                                      (2, [1.0, -0.5], 2.0)])
 def test_negative_moment_estimate_agrees_with_its_exact_value(m, x, T):
-    # 200 steps keep the negative left-point bias near 0.1% here, inside the
-    # 1% allowance; the 4 sigma band covers the Monte Carlo error
+    # at n = 1 the estimate reads KL modes, exact in time, so the 4 sigma band
+    # covers its whole error, at m = 2 too
     exact = negative_moment_exact(m, x, T, 1.0)
     est = estimate_negative_moment(m, x, T, 1.0, 1.0, 20_000, 200, 73)
-    assert abs(est.mean - exact) <= 4.0 * est.stderr + 0.01 * exact
+    assert abs(est.mean - exact) <= 4.0 * est.stderr
+
+
+def test_lemma31_estimates_match_the_exact_moment():
+    # at n = 1 the integral is read off KL modes, exact in time, so with no
+    # bias allowance the estimates at s = x / sqrt(T) = 0, 1, 2 and 4 (T = 1,
+    # one call) sit within |z| <= 4 of negative_moment_exact, in under 2 s
+    t0 = time.perf_counter()
+    points = [([s], 1.0) for s in (0.0, 1.0, 2.0, 4.0)]
+    estimates = estimators.estimate_negative_moments(1, points, 1.0, 1.0, 200_000, 100, 89)
+    elapsed = time.perf_counter() - t0
+    for (x, T), est in zip(points, estimates):
+        z = (est.mean - negative_moment_exact(1, x, T, 1.0)) / est.stderr
+        assert abs(z) <= 4.0, (x, z)
+        assert est.n_invalid == 0 and est.n_steps == paths.KL_MODES
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("name", ["sin_y", "y_squared"])
+def test_degenerate_start_y_gradient_matches_its_closed_form(name):
+    # z0 = (0, 1), where sigma(x0) = 0 and Q_T is smallest: the weight
+    # gradient along y against the closed form, with no bias allowance
+    model = make_power_law_model(1, 1, 1.0)
+    f = observable(name, model)
+    est = bismut_panel(model, [0.0, 1.0], 1.0, [f], [EY], 200_000, 100, 91)[("grad", name, 0)]
+    want = f.closed_form_grad_pt(1.0, np.array([0.0]), np.array([1.0]))[1]
+    assert est.n_invalid == 0
+    assert abs(est.mean - want) <= 4.0 * est.stderr
+
+
+def test_linear_calls_draw_kl_modes_and_no_increments(monkeypatch):
+    # a linear-family panel draws K + 3 normals per path for B and d for zeta,
+    # and Lemma 3.1 at n = 1 draws (K + 3) m: no (P, n_steps, m) increments
+    # and no walk, at one worker or two
+    shapes = []
+    real = rng.PathStreams.fill_normals
+
+    def counting(self, path_indices, shape, **share):
+        shapes.append((len(path_indices), tuple(shape)))
+        return real(self, path_indices, shape, **share)
+
+    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
+    walks = _counting_walks(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    n_paths, n_steps, width = 1500, 100, paths.KL_MODES + 3
+    calls = [
+        (lambda w: bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], n_paths, n_steps, 3,
+                                workers=w), width + 1),
+        (lambda w: fd_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], n_paths, n_steps, 3,
+                            workers=w), width + 1),
+        (lambda w: pt_panel(model, [[1.0, 0.5]], 1.0, fs, n_paths, n_steps, 3,
+                            workers=w), width + 1),
+        (lambda w: estimators.estimate_negative_moments(
+            1, [([0.5], 1.0), ([0.0], 0.5)], 1.0, 1.0, n_paths, n_steps, 3, workers=w), width),
+        (lambda w: estimators.estimate_negative_moments(
+            2, [([0.5, 0.0], 1.0)], 1.0, 1.0, n_paths, n_steps, 3, workers=w), 2 * width),
+    ]
+    for call, per_path in calls:
+        for workers in (1, 2):
+            shapes.clear()
+            call(workers)
+            assert sum(P * math.prod(shape) for P, shape in shapes) == per_path * n_paths
+            assert all(shape[0] != n_steps for _, shape in shapes)
+    assert walks == []
 
 
 def test_negative_moment_exact_validation():
@@ -446,7 +514,7 @@ def test_lq_moment_rejects_a_nonfinite_q_before_drawing(monkeypatch, q):
     for name in LQ_INTEGRANDS:
         with pytest.raises(ValueError, match="q must"):
             estimate_lq_moment(name, q, 1.0, 200, 10, 3)
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +654,7 @@ def test_an_empty_panel_is_refused_before_any_draw(monkeypatch, name):
     model = make_power_law_model(1, 1, 1.0)
     with pytest.raises(ValueError, match="at least one"):
         _EMPTY_PANELS[name](model, observable("sin_y", model))
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 @pytest.mark.parametrize("batch_size", [0, -5, 2.5])
@@ -608,7 +676,7 @@ def test_a_bad_batch_size_is_refused_before_any_draw(monkeypatch, batch_size, wo
     for call in calls:
         with pytest.raises(ValueError, match="batch_size must be a positive integer"):
             call()
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5])
@@ -625,7 +693,7 @@ def test_a_bad_worker_count_is_refused_before_any_draw(monkeypatch, workers):
     for call in calls:
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             call()
-    assert draws == {0: [], 1: []}
+    assert draws == {0: [], 1: [], 2: []}
 
 
 def test_panel_entry_does_not_depend_on_the_other_directions():
@@ -750,10 +818,19 @@ def _counting_walks(monkeypatch) -> list:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_every_point_and_x_start_of_a_tile_reads_one_walk(monkeypatch, workers):
     # K = 20 steps: a tile is a whole 1,024-path batch, so 2,500 paths are 3
-    # tiles; at two workers the batches may finish in either order
+    # tiles; at two workers the batches may finish in either order.  Lemma 3.1
+    # at n = 1 reads the KL functionals of the tile's modes, once per tile
     walks = _counting_walks(monkeypatch)
+    functionals = []
+    real = paths.kl_functionals
+
+    def counting(modes):
+        functionals.append(modes.shape)
+        return real(modes)
+
+    monkeypatch.setattr(estimators, "kl_functionals", counting)
     terminals = _counting(monkeypatch, "simulate_terminal_batch")
-    model = make_power_law_model(1, 1, 1.0)
+    model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     points = [([1.0, 0.5], 1.0), ([0.0, 0.0], 0.25), ([2.0, -0.5], 1.7)]
     estimators.bismut_panels(model, points, fs, [EX, EY], 2500, 20, 5, workers=workers,
@@ -769,7 +846,8 @@ def test_every_point_and_x_start_of_a_tile_reads_one_walk(monkeypatch, workers):
         walks.clear()
         estimators.estimate_negative_moments(1, [([x], T) for (x, _), T in points], n_exp, 1.0,
                                              2500, 20, 5, workers=workers, batch_size=1024)
-        assert len(walks) == 3
+        assert len(walks) == (0 if n_exp == 1.0 else 3)
+    assert sorted(functionals) == [(452, paths.KL_MODES + 3, 1)] + [(1024, paths.KL_MODES + 3, 1)] * 2
 
 
 def test_extended_panels_and_the_constant_integrand_build_no_walk(monkeypatch):
@@ -802,10 +880,11 @@ def test_an_invalid_path_of_one_point_leaves_the_others_counts():
 
 
 # K = 1,024 steps cut a power-law tile to one RNG block; the extended kernel runs
-# whole batches
+# whole batches, and a tile of the linear family's KL modes holds a whole batch
 _POINTS_MODELS = {
-    "power_law": (make_power_law_model(1, 1, 1.0), 1024),
+    "power_law": (WALK_LINEAR, 1024),
     "extended_demo": (make_extended_demo_model(), 40),
+    "linear": (make_power_law_model(1, 1, 1.0), 100),
 }
 
 
@@ -834,7 +913,7 @@ def test_each_point_of_estimate_negative_moments_is_its_one_point_moment(workers
 
 def _counting_draws(monkeypatch):
     """The path indices of every RNG draw, listed by substream."""
-    draws = {0: [], 1: []}
+    draws = {0: [], 1: [], 2: []}
     real = rng.PathStreams.fill_normals
 
     def counting(self, path_indices, shape, **share):
@@ -876,14 +955,15 @@ def test_batches_run_as_block_aligned_tiles(monkeypatch):
     # multiples of 1,280 inside each 8,192-path batch; each tile draws dB from
     # substream 0 and zeta from substream 1 once
     draws = _counting_draws(monkeypatch)
-    model = make_power_law_model(1, 1, 1.0)
+    model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     want = [1280] * 6 + [512] + [768] + [1280] * 5 + [1024]
     for panel in (bismut_panel, fd_panel):
         for sub in draws.values():
             sub.clear()
         panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 16_384, 100, 5, batch_size=8192)
-        for sub in draws.values():
+        assert draws[2] == []
+        for sub in (draws[0], draws[1]):
             assert [len(idx) for idx in sub] == want
             starts = [int(idx[0]) for idx in sub]
             assert all(s % 256 == 0 for s in starts)
@@ -904,12 +984,12 @@ def test_batches_run_as_block_aligned_tiles(monkeypatch):
         for sub in draws.values():
             sub.clear()
         bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], n_paths, 100, 5, workers=2)
-        for sub in draws.values():
+        for sub in (draws[0], draws[1]):
             assert sorted(len(idx) for idx in sub) == sorted(want_cut)
             assert np.array_equal(np.sort(np.concatenate(sub)), np.arange(n_paths))
 
 
-_PL11, _PL21 = make_power_law_model(1, 1, 1.0), make_power_law_model(2, 1, 1.0)
+_PL11, _PL21 = WALK_LINEAR, make_power_law_model(2, 1, 1.0)
 _TILED_CALLS = {
     "pt_panel": lambda **kw: pt_panel(
         _PL11, [[1.0, 0.5], [0.5, 0.0]], 1.0, [observable("sin_y", _PL11)], 1100, 1024, 7, **kw),
@@ -938,6 +1018,29 @@ def test_tiles_do_not_change_estimates(monkeypatch, name):
     for batch_size in (100, 256, 700):
         for workers in (1, 2):
             assert call(batch_size=batch_size, workers=workers) == want
+
+
+def test_kl_tiles_do_not_change_estimates(monkeypatch):
+    # a draw of KL modes has KL_MODES + 3 rows, whatever n_steps: the linear
+    # family's tile (width 2) is 6,656 paths and Lemma 3.1's at n = 1 (width
+    # 1) 13,568, so 14,000 paths span several; batches and tiles give the
+    # estimates of whole batches
+    assert estimators._draw_layout(True, 100, 2) == (6656, paths.KL_MODES)
+    assert estimators._draw_layout(True, 100, 1) == (13_568, paths.KL_MODES)
+    model = make_power_law_model(1, 1, 1.0)
+    fs = [observable("sin_y", model)]
+    calls = [
+        lambda **kw: bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 14_000, 100, 7, **kw),
+        lambda **kw: estimators.estimate_negative_moments(
+            1, [([0.3], 1.0), ([0.0], 0.5)], 1.0, 0.5, 14_000, 100, 7, **kw),
+    ]
+    for call in calls:
+        with monkeypatch.context() as untiled:
+            untiled.setattr(estimators, "TILE_NORMALS", 2**40)
+            want = call(batch_size=14_000)
+        for batch_size in (None, 5000):
+            for workers in (1, 2):
+                assert call(batch_size=batch_size, workers=workers) == want
 
 
 def _central_difference(model, z0, v, f, T, n_paths, n_steps, seed, eps):
@@ -988,9 +1091,9 @@ def _reduced_columns(monkeypatch) -> list:
     """Record the values of every column that ``run_batches`` reduces."""
     seen, real = [], estimators._finalize
 
-    def recording(values, valid):
+    def recording(values, valid, n_steps):
         seen.append(values)
-        return real(values, valid)
+        return real(values, valid, n_steps)
 
     monkeypatch.setattr(estimators, "_finalize", recording)
     return seen
@@ -1088,11 +1191,12 @@ def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch):
     # workers=2 span two tiles, so two batches: ceil(2600 / 2) = 1,300 rounds
     # up to 1,536, the batches are paths 0-1535 and 1536-2599 (the second
     # drawn as the tiles 1536-2559 and 2560-2599), and each of the 11 blocks
-    # is drawn once (a cut at 1,300 drew block 5 in both batches)
-    serial = check_lemma31(McParams(2600, 100, 71, workers=1))
+    # is drawn once (a cut at 1,300 drew block 5 in both batches).  At n = 1.5
+    # Lemma 3.1 draws increments; at n = 1 it would draw one tile of KL modes
+    serial = check_lemma31(McParams(2600, 100, 71, workers=1), n_exp=1.5)
     draws = _counting_draws(monkeypatch)
     blocks = _record_blocks(monkeypatch)
-    parallel = check_lemma31(McParams(2600, 100, 71, workers=2))
+    parallel = check_lemma31(McParams(2600, 100, 71, workers=2), n_exp=1.5)
     assert sorted(len(idx) for idx in draws[0]) == [40, 1024, 1536]
     assert sorted(block for _, _, block, _ in blocks) == list(range(11))
     assert len({thread for *_, thread in blocks}) == 2   # the two batches overlap
@@ -1103,11 +1207,12 @@ def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch):
 def test_a_call_within_one_tile_runs_one_batch_and_shares_its_draw(monkeypatch):
     # 1,250 paths at workers=2 are within one 2,560-path tile: one batch, one
     # draw, whose five blocks are each drawn once, on the calling thread and
-    # one pool thread
-    serial = check_lemma31(McParams(1250, 100, 71, workers=1))
+    # one pool thread.  At n = 1.5 Lemma 3.1 draws increments; at n = 1 it
+    # would draw KL modes, which are not shared
+    serial = check_lemma31(McParams(1250, 100, 71, workers=1), n_exp=1.5)
     draws = _counting_draws(monkeypatch)
     blocks = _record_blocks(monkeypatch)
-    parallel = check_lemma31(McParams(1250, 100, 71, workers=2))
+    parallel = check_lemma31(McParams(1250, 100, 71, workers=2), n_exp=1.5)
     assert [len(idx) for idx in draws[0]] == [1250] and draws[1] == []
     assert sorted(block for _, _, block, _ in blocks) == list(range(5))
     threads = {thread for *_, thread in blocks}
@@ -1119,7 +1224,7 @@ def test_a_call_within_one_tile_runs_one_batch_and_shares_its_draw(monkeypatch):
 def test_a_panel_shares_only_its_increment_draw(monkeypatch):
     # a one-batch panel at workers=2 shares the (P, n_steps, m) increments and
     # draws the (P, d) zeta of substream 1 on the calling thread alone
-    model = make_power_law_model(1, 1, 1.0)
+    model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     serial = bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 1250, 100, 5)
     blocks = _record_blocks(monkeypatch)
@@ -1134,12 +1239,13 @@ def test_a_panel_shares_only_its_increment_draw(monkeypatch):
 
 def test_ten_two_worker_calls_start_at_most_two_pool_threads(monkeypatch, new_pools):
     # one pool for the process: shared draws and two-batch maps all run on
-    # its two threads, whatever the number of calls
+    # its two threads, whatever the number of calls.  The calls draw
+    # increments: the moment at n = 1.5, and sigma(x) = x through its callbacks
     blocks = _record_blocks(monkeypatch)
-    model = make_power_law_model(1, 1, 1.0)
+    model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     for k in range(5):
-        estimate_negative_moment(1, [0.3], 1.0, 1.0, 0.5, 1250, 100, k, workers=2)
+        estimate_negative_moment(1, [0.3], 1.0, 1.5, 0.5, 1250, 100, k, workers=2)
         bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX], 3000, 100, k, workers=2)
     threads = {thread for *_, thread in blocks} - {threading.get_ident()}
     assert 1 <= len(threads) <= 2
@@ -1241,7 +1347,7 @@ def test_panel_called_directly_overlaps_its_batches(monkeypatch, new_pools):
     # batch_size=1000 cuts two batches out of one tile; they run on the pool,
     # one per thread, and share no draw, so no pool nests in another
     draws = _counting_draws(monkeypatch)
-    model = make_power_law_model(1, 1, 1.0)
+    model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     a = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000)
     draws[0].clear(), draws[1].clear()

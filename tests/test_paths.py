@@ -31,19 +31,21 @@ from gruschin.models import (
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
 from gruschin.paths import (
+    KL_MODES,
     Noise,
     PathBatch,
     TimeGrid,
     brownian_left_nodes,
+    kl_functionals,
     quadratic_integral,
     simulate_basic_batch,
     simulate_batch,
     simulate_extended_batch,
     simulate_terminal_batch,
     standard_increments,
+    standard_modes,
     standard_noise,
     standard_walk,
-    walk_statistics,
 )
 from gruschin.rng import PathStreams
 from gruschin.weights import weight_terms_shared
@@ -168,8 +170,9 @@ def test_matrix_panels_invariant_to_workers_and_batch_size():
 
 def test_step_halving_is_first_order():
     # couple three resolutions through shared fine increments; the covariance
-    # integral converges weakly at rate dt, so successive differences halve
-    model = make_power_law_model(1, 1, 1.0)
+    # integral converges weakly at rate dt, so successive differences halve.
+    # sigma(x) = x runs through its callbacks: the linear family reads no step
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     T, n = 1.0, 25
     P = 20000
     fine = noise(model, TimeGrid(T, 4 * n), 17, np.arange(P))
@@ -208,8 +211,9 @@ def test_covariance_matrix_symmetric_psd():
 
 @pytest.mark.parametrize("l", [1.0, 2.0])
 def test_discrete_degeneracy_inequality(l):
-    # Q_T >= (a^2 int |X|^{2l}) I holds with the same quadrature on both sides
-    model = make_power_law_model(1, 1, l)
+    # Q_T >= (a^2 int |X|^{2l}) I holds with the same quadrature on both sides,
+    # on the walk: at l = 1 sigma(x) = x runs through its callbacks
+    model = replace(make_power_law_model(1, 1, l), family=None)
     grid, idx = TimeGrid(1.0, 100), np.arange(2000)
     batch = simulate_basic_batch(model, [1.0], [0.0], grid, noise(model, grid, 23, idx))
     # the right side on the batch's own Brownian x-path, by the same left-node rule
@@ -260,7 +264,8 @@ def test_xi_closed_form_with_identity_coefficients():
 
 
 def test_extended_reduces_to_basic_pathwise():
-    model = make_power_law_model(1, 1, 1.0)
+    # on one walk: the basic side runs sigma(x) = x through its callbacks
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     ext = as_extended(model)
     grid = TimeGrid(1.0, 120)
     idx = np.arange(300)
@@ -351,7 +356,7 @@ def test_a_later_point_on_one_noise_leaves_earlier_results_alone(model):
     for arr, before in zip(a_terminal, a_terminal_before):
         assert np.array_equal(arr, before)
     # and point B reads the same bits off the reused scratch as off a new noise
-    alone, alone_terminal = run(point_b, Noise(drawn.eps, drawn.zeta))
+    alone, alone_terminal = run(point_b, Noise(drawn.eps, drawn.zeta, drawn.modes))
     for f in fields(b):
         assert np.array_equal(getattr(b, f.name), getattr(alone, f.name)), f.name
     for arr, want in zip(b_terminal, alone_terminal):
@@ -611,7 +616,7 @@ def _given_b(model, ref, y0, zeta):
             "min_eig_q": min_eig}
 
 
-LINEAR = make_power_law_model(1, 1, 1.0)   # sigma(x) = x, read off the walk statistics
+LINEAR = make_power_law_model(1, 1, 1.0)   # sigma(x) = x, read off the KL functionals
 SPLIT_MODELS = {
     "linear": LINEAR,
     "power_law": replace(LINEAR, family=None),   # the same sigma through its callbacks
@@ -624,7 +629,7 @@ FIELDS = ("b_final", "x_final", "q_matrix", "trace_integral", "drift_grad_integr
           "xi_drift_weight")
 AXIS_FIELDS = ("trace_integral", "drift_grad_integral", "xi_drift_weight")
 # the models whose kernels sum their callbacks over the steps, as the references
-# do; the linear family reads no callback (test_linear_kernel_is_the_general_scalar_kernel)
+# do; the linear family reads KL modes (test_linear_kernel_is_the_general_scalar_kernel)
 CALLBACK_MODELS = sorted(set(SPLIT_MODELS) - {"linear"})
 
 
@@ -697,18 +702,39 @@ def test_axis_slots_combine_to_the_reference_kernel(name):
                                atol=1e-12 * np.abs(want).max())
 
 
+def _reference_linear(batch, grid, eps_t):
+    """The B~ scheme of the linear family given its B path, along v1 = 1: on
+    that path W = int w dB~ and S~ = int X dB~ are jointly Gaussian, with
+    Var S~ = Q_T, Cov(W, S~) = C and Var W = int_0^T w^2 dt = T/3, so the
+    reference draws them from two of the standard normals eps_t."""
+    q, c = batch.q_matrix[:, 0, 0], batch.trace_integral[:, 0, 0, 0]
+    residual = grid.horizon / 3.0 - c * c / q
+    assert (residual >= 0.0).all()
+    g0, g1 = eps_t[:, 0, :], eps_t[:, 1, :]
+    zeros = np.zeros_like(g0)
+    return dict(x_final=batch.x_final, q_matrix=batch.q_matrix,
+                trace_integral=batch.trace_integral[:, 0], drift_grad_integral=zeros,
+                xi_drift_weight=batch.xi_drift_weight[:, 0], ydrift=zeros,
+                s_tilde=np.sqrt(q)[:, None] * g0,
+                w_tilde=(c / np.sqrt(q))[:, None] * g0 + np.sqrt(residual)[:, None] * g1)
+
+
 @pytest.mark.parametrize("name", ["linear", "power_law", "tilted_matrix", "extended_demo"])
 def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
     # one B path on 100k rows: over zeta, S must be N(0, Q_T), and f M_T must
-    # average to what f M_T of the B~ scheme averages to over B~ on that path
+    # average to what f M_T of the B~ scheme averages to over B~ on that path;
+    # the linear family's path is one row of KL modes, whose B~ scheme is drawn
+    # from its Gaussian law given the path (``_reference_linear``)
     model = SPLIT_MODELS[name]
     grid, P = TimeGrid(1.0, 10), 100_000
     idx = np.arange(P)
-    eps = np.repeat(noise(model, grid, 101, [3]).eps, P, axis=0)
+    path = noise(model, grid, 101, [3])
+    eps, modes = (None if arr is None else np.repeat(arr, P, axis=0)
+                  for arr in (path.eps, path.modes))
     zeta = PathStreams(101, substream=1).fill_normals(idx, (model.d,))
     x0, y0 = np.full(model.m, 1.5), np.full(model.d, 0.3)
     v = Direction.make(np.ones(model.m), np.full(model.d, 0.5))
-    batch = simulate_batch(model, x0, y0, grid, Noise(eps, zeta))
+    batch = simulate_batch(model, x0, y0, grid, Noise(eps, zeta, modes))
     assert batch.valid.all()
     q = batch.q_matrix[0]
     assert np.array_equal(batch.q_matrix, np.broadcast_to(q, batch.q_matrix.shape))
@@ -723,8 +749,9 @@ def test_y_given_b_has_the_law_of_the_b_tilde_scheme(name):
         for j in range(model.d):
             assert within_4_sigma(s[:, i] * s[:, j], q[i, j]), (i, j)
 
-    ref = _reference(model, x0, v, grid, eps,
-                     standard_increments(102, idx, grid.n_steps, model.d))
+    eps_t = standard_increments(102, idx, grid.n_steps, model.d)
+    ref = (_reference_linear(batch, grid, eps_t) if name == "linear"
+           else _reference(model, x0, v, grid, eps, eps_t))
     w_mat = np.linalg.solve(ref["q_matrix"], ref["trace_integral"])
     u = np.linalg.solve(ref["q_matrix"], (v.v2 + ref["w_tilde"] + ref["drift_grad_integral"])
                         [..., None])[..., 0]
@@ -780,67 +807,111 @@ def test_nonfinite_direction_callback_leaves_the_terminal_mask_alone(name):
 
 
 # ---------------------------------------------------------------------------
-# the linear family: walk statistics in place of the callbacks
+# the linear family: Karhunen-Loeve modes in place of the walk
 # ---------------------------------------------------------------------------
 
-def test_quadratic_integral_of_the_walk_statistics_is_the_path_integral():
-    # at n = 1 a Lemma 3.1 point, and the linear kernel's Q_T, read the mean
-    # and centred mean square of the walk in place of its path: on every row of
-    # the default grid (x = 0 and s = x / sqrt(T) = 4 included) and at m = 2 the
-    # forms agree path by path
-    for m in (1, 2):
-        walk = standard_walk(standard_increments(67, np.arange(4000), 100, m))
-        zero = standard_walk(np.zeros((3, 100, m)))
-        for T, x in (*DEFAULT_CALIBRATION_GRID, *DEFAULT_HOLDOUT_GRID):
-            grid = TimeGrid(T, 100)
-            for xv in {(x,) + (0.0,) * (m - 1), (x,) + (0.5,) * (m - 1)}:
-                xv = np.array(xv)
-                for w in (walk, zero):
-                    quad = quadratic_integral(xv, grid, walk_statistics(w))
-                    path = _path_integral(xv, grid, w, 1.0)
-                    np.testing.assert_allclose(quad, path, rtol=1e-13, atol=0.0)
-                    assert np.array_equal(quad > 0.0, path > 0.0)
+def _exact_covariance(T):
+    """Cov(B_T, int_0^T B dt, int_0^T ((T-t)/T) B_t dt)."""
+    return np.array([[T, T**2 / 2, T**2 / 6],
+                     [T**2 / 2, T**3 / 3, T**3 / 8],
+                     [T**2 / 6, T**3 / 8, T**3 / 20]])
 
 
-# the PathBatch fields that read only the Brownian path, bit for bit; the rest
-# are sums over the steps, formed in another order off the walk statistics
-LINEAR_EXACT = ("b_final", "x_final", "drift_grad_integral", "xi_drift_weight", "valid")
+@pytest.mark.parametrize("T", [0.25, 1.0, 1.7])
+def test_kl_head_and_tail_reproduce_the_exact_covariance(T):
+    # no Monte Carlo: (B_T, int B, int (T-t)/T B) are linear in the K + 3
+    # normals of a path, so over the K + 3 unit vectors (a path each) their
+    # outer products sum to their covariance; int_0^T B^2, which the kernel
+    # reads as Q_T at x0 = 0, is a diagonal quadratic form in them plus a
+    # constant, with mean Q(0) + sum_i (Q(e_i) - Q(0)) = T^2 / 2.  The kernel
+    # gives B_T and, at x0 = 0, the trace term C = int (T-t)/T B dt
+    n = KL_MODES + 3
+    unit = np.concatenate([np.eye(n), np.zeros((1, n))])[:, :, None]   # last row: 0
+    batch = simulate_batch(LINEAR, [0.0], [0.0], TimeGrid(T, 2),
+                           Noise(None, np.zeros((n + 1, 1)), unit))
+    linear = np.stack([batch.b_final[:, 0], T**1.5 * kl_functionals(unit).mean[:, 0],
+                       batch.trace_integral[:, 0, 0, 0]], axis=1)
+    assert np.array_equal(linear[n], np.zeros(3))
+    want = _exact_covariance(T)
+    got = linear[:n].T @ linear[:n]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    quad = batch.q_matrix[:, 0, 0]
+    mean_square = quad[n] + np.sum(quad[:n] - quad[n])
+    assert abs(mean_square - T**2 / 2) <= 1e-12 * T**2 / 2
+    assert batch.valid.all() and (quad > 0.0).all()
 
 
-def _assert_to_rounding(got, want, name):
-    assert got.shape == want.shape and got.dtype == want.dtype, name
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+def _head_walk(modes, n):
+    """The standard increments (P, n, m) of the K-mode head of the modes'
+    Brownian motions, sum_k xi_k sqrt(2) sin(omega_k t) / omega_k on [0, 1],
+    sampled at n + 1 nodes: a smooth path, which a kernel scales to [0, T] as
+    it scales any walk."""
+    omega = (np.arange(1, KL_MODES + 1) - 0.5) * np.pi
+    basis = np.sqrt(2.0) * np.sin(np.outer(omega, np.linspace(0.0, 1.0, n + 1))) / omega[:, None]
+    head = np.einsum("pkm,kn->pnm", modes[:, :KL_MODES], basis)       # (P, n + 1, m)
+    return np.diff(head, axis=1) * np.sqrt(n)
 
 
 @pytest.mark.parametrize("K", [2, 100])
 @pytest.mark.parametrize("T", [0.25, 0.7, 4.0])
 def test_linear_kernel_is_the_general_scalar_kernel(T, K):
-    # on one noise, sigma(x) = x read off the walk statistics against the same
-    # sigma summed through its callbacks, for the full and the terminal kernel
+    # the linear kernel reads no step: on grids of K = 2 and 100 steps it gives
+    # the same bits.  With the three tail normals at 0 its B is the K-mode head
+    # path, a smooth function; the general scalar kernel, sigma(x) = x through
+    # its callbacks, on that path at n = 20,000 steps agrees with it to O(1/n):
+    # within 1e-3 of max |value|, Q_T once the tail's unexplained variance
+    # T^2 tau (the linear kernel's conditional mean of int B^2 beyond the
+    # head) is taken off
+    idx, n = np.arange(20), 20_000
+    modes = standard_modes(37, idx, 1)
+    modes[:, KL_MODES:] = 0.0
+    zeta = PathStreams(37, substream=1).fill_normals(idx, (1,))
+    tau = paths._kl_weights(KL_MODES)[2]
     general = SPLIT_MODELS["power_law"]
     assert LINEAR.family is Family.LINEAR and general.family is None
-    grid = TimeGrid(T, K)
-    drawn = noise(LINEAR, grid, 37, np.arange(700))
     for x0 in (-2.0, 0.0, 0.3, 1.5):
         start = ([x0], [0.4])
-        fast = simulate_batch(LINEAR, *start, grid, drawn)
-        slow = simulate_batch(general, *start, grid, drawn)
+        fast = simulate_batch(LINEAR, *start, TimeGrid(T, K), Noise(None, zeta, modes))
+        again = simulate_batch(LINEAR, *start, TimeGrid(T, 3), Noise(None, zeta, modes))
         assert fast.valid.all()
         for f in fields(PathBatch):
-            got, want = getattr(fast, f.name), getattr(slow, f.name)
-            if f.name in LINEAR_EXACT:
-                assert got.shape == want.shape and np.array_equal(got, want), f.name
-            else:
-                _assert_to_rounding(got, want, f.name)
+            assert np.array_equal(getattr(fast, f.name), getattr(again, f.name)), f.name
+        slow = simulate_batch(general, *start, TimeGrid(T, n), Noise(_head_walk(modes, n), zeta))
+        np.testing.assert_allclose(fast.b_final, slow.b_final, rtol=0, atol=1e-12 * np.sqrt(T))
+        assert np.array_equal(fast.x_final, x0 + fast.b_final)
+        assert np.array_equal(fast.xi_drift_weight, fast.b_final / T)
+        for got, want in ((fast.q_matrix - T**2 * tau, slow.q_matrix),
+                          (fast.trace_integral, slow.trace_integral)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-3 * np.abs(want).max())
         # the terminal kernel keeps every bit of the full one, as for any model
-        x_final, y_final, valid = simulate_terminal_batch(LINEAR, *start, grid, drawn)
+        x_final, y_final, valid = simulate_terminal_batch(LINEAR, *start, TimeGrid(T, K),
+                                                          Noise(None, zeta, modes))
         assert np.array_equal(x_final, fast.x_final)
         assert np.array_equal(y_final, fast.y_final)
         assert np.array_equal(valid, fast.valid)
-        general_x, general_y, general_valid = simulate_terminal_batch(general, *start, grid,
-                                                                      drawn)
-        assert np.array_equal(x_final, general_x) and np.array_equal(valid, general_valid)
-        _assert_to_rounding(y_final, general_y, "terminal y_final")
+
+
+def test_quadratic_integral_of_the_kl_functionals_is_the_path_integral():
+    # at n = 1 a Lemma 3.1 point, and the linear kernel's Q_T, read the mean
+    # and spread of the KL functionals in place of the path: with the tail
+    # normals at 0, on every row of the default grid (x = 0 and s = x /
+    # sqrt(T) = 4 included) and at m = 2, T (|x + sqrt(T) m|^2 + T v) less the
+    # tail's unexplained variance T^2 tau per coordinate is the left-point
+    # path integral of the head path at n = 20,000 steps, within 1e-3
+    n = 20_000
+    tau = paths._kl_weights(KL_MODES)[2]
+    for m in (1, 2):
+        modes = standard_modes(67, np.arange(40), m)
+        modes[:, KL_MODES:] = 0.0
+        walk = standard_walk(_head_walk(modes, n))
+        functionals = kl_functionals(modes)
+        assert (functionals.spread >= m * tau).all()
+        for T, x in (*DEFAULT_CALIBRATION_GRID, *DEFAULT_HOLDOUT_GRID):
+            for xv in {(x,) + (0.0,) * (m - 1), (x,) + (0.5,) * (m - 1)}:
+                xv = np.array(xv)
+                quad = quadratic_integral(xv, T, functionals) - m * T**2 * tau
+                path = _path_integral(xv, TimeGrid(T, n), walk, 1.0)
+                np.testing.assert_allclose(quad, path, rtol=1e-3, atol=0.0)
 
 
 def _outputs(result):
@@ -852,8 +923,9 @@ def _outputs(result):
 
 @pytest.mark.parametrize("kernel", [simulate_batch, simulate_terminal_batch])
 def test_linear_path_alone_equals_the_path_in_a_batch(kernel):
-    # 1,280 paths are one tile of a K = 100 panel; the statistics are reduced
-    # row by row, so no row's bits depend on its position or on the batch
+    # 1,280 paths are one tile of a K = 100 panel; the KL functionals are
+    # reduced row by row over the modes, so no row's bits depend on its
+    # position or on the batch
     starts = [(-2.0, 0.7), (0.3, 0.25), (1.5, 4.0)]
     batches = {P: noise(LINEAR, TimeGrid(1.0, 100), 53, np.arange(P)) for P in (700, 1280)}
     for i in (0, 255, 256, 699):
@@ -868,29 +940,31 @@ def test_linear_path_alone_equals_the_path_in_a_batch(kernel):
 
 
 def test_each_linear_point_of_bismut_panels_is_its_one_point_panel():
-    # the three horizons give three sets of decay weights, each read on the
-    # tile's one walk; every point is its one-point panel bit for bit
+    # the three horizons scale the tile's one set of KL functionals; every
+    # point is its one-point panel bit for bit
     fs = [observable("sin_y", LINEAR), observable("y_squared", LINEAR)]
     vs = [Direction.make(1.0, 0.0), Direction.make(0.0, 1.0)]
     points = [([1.0, 0.5], 0.3), ([0.0, 0.0], 0.7), ([-1.5, 0.2], 1.0)]
-    assert len({TimeGrid(T, 100).decay_weights().tobytes() for _, T in points}) == 3
     panels = bismut_panels(LINEAR, points, fs, vs, 1100, 100, 59, batch_size=700)
     for (z0, T), panel in zip(points, panels):
         assert panel == bismut_panel(LINEAR, z0, T, fs, vs, 1100, 100, 59)
 
 
-def test_a_linear_noise_computes_its_walk_statistics_once(monkeypatch):
-    # m_W and v_W once per noise, and u_W once per distinct set of decay
-    # weights: T = 0.5 and 1 give the same weights, bit for bit, T = 0.7 others
-    calls = {"walk_statistics": 0, "weighted_walk_mean": 0}
+def test_a_linear_noise_computes_its_kl_functionals_once(monkeypatch):
+    # the functionals once per linear noise, whatever the points and horizons
+    # read on it, and no walk; sigma(x) = x through its callbacks builds its
+    # walk once per noise instead
+    calls = {"kl_functionals": 0, "standard_walk": 0}
     for name in calls:
         def counting(*args, _real=getattr(paths, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(paths, name, counting)
-    drawn = noise(LINEAR, TimeGrid(1.0, 50), 61, np.arange(300))
-    for x0, T in ((1.0, 1.0), (-0.5, 0.5), (0.3, 0.7), (2.0, 0.7)):
-        simulate_terminal_batch(LINEAR, [x0], [0.0], TimeGrid(T, 50), drawn)
-        simulate_batch(LINEAR, [x0], [0.0], TimeGrid(T, 50), drawn)
-    assert calls == {"walk_statistics": 1, "weighted_walk_mean": 2}
+    for model in (LINEAR, SPLIT_MODELS["power_law"]):
+        drawn = noise(model, TimeGrid(1.0, 50), 61, np.arange(300))
+        for x0, T in ((1.0, 1.0), (-0.5, 0.5), (0.3, 0.7), (2.0, 0.7)):
+            simulate_terminal_batch(model, [x0], [0.0], TimeGrid(T, 50), drawn)
+            simulate_batch(model, [x0], [0.0], TimeGrid(T, 50), drawn)
+        assert calls == ({"kl_functionals": 1, "standard_walk": 0} if model is LINEAR
+                         else {"kl_functionals": 1, "standard_walk": 1})

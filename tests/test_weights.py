@@ -1,5 +1,7 @@
 """Weight assembly: collapse cases, linearity, reduction identity, centering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,8 @@ def test_extended_weight_linear_in_direction():
 
 
 def test_extended_reduction_matches_basic_weight():
-    model = make_power_law_model(1, 1, 1.0)
+    # on one walk: the basic side runs sigma(x) = x through its callbacks
+    model = replace(make_power_law_model(1, 1, 1.0), family=None)
     ext = as_extended(model)
     for i in range(50):
         pfb = simulate_basic_batch(model, [1.0], [0.0], GRID, noise(model, GRID, 11, [i]))
