@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .estimators import bismut_panel, draw_noise, fd_panel
+from .estimators import bismut_panel, fd_panel
 from .models import (
     BUILTIN_MODELS,
     Direction,
@@ -399,7 +399,7 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     n = min(mc.n_paths, 2000)
     idx = np.arange(n, dtype=np.int64)
     seed = derive_seed(mc.seed, "reduction")
-    noise = draw_noise(seed, idx, mc.n_steps, model, workers=workers)
+    noise = standard_noise(seed, idx, mc.n_steps, model)
     bb = simulate_batch(model, x0, y0, grid, noise)
     eb = simulate_batch(ext, x0, y0, grid, noise)
     db, tb, ib, okb = weight_terms_shared(bb, v)

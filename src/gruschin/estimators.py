@@ -13,19 +13,14 @@ identical.
 
 Parallelism: every thread the package starts belongs to one pool of
 ``workers`` threads per worker count, which ``_pool`` builds on the first call
-with ``workers > 1`` and keeps for the process; only ``_map`` hands it work.  A
-call with more than one batch maps its batches over the pool, and the points
-of a list run inline, in order, on each tile's draw.  A call with one batch
-runs it on the calling thread and passes its draws a ``share``
-(``rng.PathStreams.fill_normals``), through which the idle pool threads draw
-part of the RNG blocks of its increments: the draw releases the GIL, where the
-kernels' Python work does not.  The KL modes of the linear family are drawn
-on the calling thread alone, as zeta is: at K + 3 normals per path they cost
-less than the hand-off.  A batch that runs on the pool never shares, so no pool
-work nests in another (``_map`` raises RuntimeError on a pool thread rather
-than wait on the pool) and at most ``workers`` threads work at once: the suite
-runs its checks, and the panels of a check, one after another.
-``draw_noise`` gives a caller outside ``run_batches`` the same shared draw.
+with ``workers > 1`` and keeps for the process.  Batches are the one
+parallel axis: only ``run_batches`` hands the pool work, through ``_map``, and
+only when a call runs more than one batch.  The points of a list run
+inline, in order, on each tile's draw.  A call with one batch runs it on the
+calling thread and starts no thread.  No pool work nests in another (``_map``
+raises RuntimeError on a pool thread rather than wait on the pool), so at most
+``workers`` threads work at once: the suite runs its checks, and the panels of
+a check, one after another.
 
 Batches and tiles: a batch is the unit of parallel work, and a tile is one
 noise draw.  A batch holds ``batch_size`` paths (8,192 by default), or fewer:
@@ -114,7 +109,6 @@ __all__ = [
     "estimate_lq_moment",
     "estimate_lq_moments",
     "default_fd_eps",
-    "draw_noise",
     "split_point",
     "pt_panel",
     "bismut_panel",
@@ -228,43 +222,21 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, initializer=_ON_POOL.set, initargs=(True,))
 
 
-def _map(workers: int, fn: Callable, items: Sequence, inline: bool = False) -> list:
-    """``[fn(item) for item in items]``, the items run on ``_pool(workers)``,
-    and the first on the calling thread if ``inline``.  Returns once every
-    item has finished or been cancelled, and raises the exception of the
-    first item, in order, that raised.  On a pool thread it raises
-    RuntimeError instead: pool work that waited on the pool could deadlock."""
+def _map(workers: int, fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, the items run on ``_pool(workers)``.
+    Returns once every item has finished or been cancelled, and raises the
+    exception of the first item, in order, that raised.  On a pool thread it
+    raises RuntimeError instead: pool work that waited on the pool could
+    deadlock."""
     if _ON_POOL.get():
         raise RuntimeError("estimators._map called from a pool thread")
-    futures = [_pool(workers).submit(fn, item) for item in items[inline:]]
+    futures = [_pool(workers).submit(fn, item) for item in items]
     try:
-        first = [fn(items[0])] if inline else []
-        return first + [future.result() for future in futures]
+        return [future.result() for future in futures]
     finally:
         for future in futures:
             future.cancel()
         wait(futures)
-
-
-def _share(workers: int) -> Callable[[Callable[[int, int], None], int], None]:
-    """The ``share`` of ``rng.PathStreams.fill_normals`` over ``workers``
-    threads: the block loop runs in up to ``workers`` consecutive parts, the
-    first (and largest) on the calling thread and the rest on the pool."""
-    def share(loop: Callable[[int, int], None], n_blocks: int) -> None:
-        parts = min(workers, n_blocks)
-        cuts = [-(-n_blocks * k // parts) for k in range(parts + 1)]
-        _map(workers, lambda span: loop(*span), list(zip(cuts[:-1], cuts[1:])), inline=True)
-
-    return share
-
-
-def draw_noise(master_seed: int, path_indices, n_steps: int, model: ModelSpec,
-               *, workers: int = 1):
-    """``paths.standard_noise`` of the paths, bit for bit, with its increments
-    drawn on ``workers`` threads when ``workers > 1`` (see ``_share``), for a
-    caller that draws one batch of its own outside ``run_batches``."""
-    share = _share(workers) if workers > 1 else None
-    return standard_noise(master_seed, path_indices, n_steps, model, share=share)
 
 
 def _all_finite(cols: dict, ok: np.ndarray) -> np.ndarray:
@@ -306,8 +278,10 @@ def run_batches(
 
     With ``workers > 1`` and more than one batch, the batches are mapped over
     the process pool of ``workers`` threads (``_pool``) and their results
-    kept in path order; otherwise they run inline.  Inside a tile the point
-    functions run inline, in order, on its one draw.  A call with a ``tile``
+    kept in path order; otherwise they run inline, on the calling thread,
+    and no thread starts.  So ``draw`` takes the path indices alone, and the
+    pool is the only parallel axis.  Inside a tile the point functions run
+    inline, in order, on its one draw.  A call with a ``tile``
     runs min(workers, tiles it spans) batches, each at most ceil(n_paths /
     count) paths long, rounded up to a multiple of ``rng.BLOCK_PATHS``: no
     batch is narrower than a tile, and no RNG block is split between two
@@ -317,14 +291,6 @@ def run_batches(
     ``batch_size`` paths at any worker count, and above that leaves no batch
     narrow, as the extended kernel costs more per path on a narrow batch.
 
-    A call that runs one batch at ``workers > 1`` calls ``draw(path_indices,
-    share=share)``, and the draw passes ``share`` on to its
-    ``rng.PathStreams.fill_normals`` of the (P, n_steps, w) increments: the
-    calling thread draws the first part of the blocks and the idle pool
-    threads the rest, bit for bit the serial draw.  Otherwise ``draw`` gets
-    the indices alone, so a draw needs the keyword only if a call of its own
-    can run one batch on several workers.  A batch on the pool never shares,
-    so no pool work waits on the pool.
     Without point functions nothing is drawn, and a ``batch_size`` or
     ``workers`` that is not a positive integer raises ``ValueError`` first.
     """
@@ -343,8 +309,6 @@ def run_batches(
     per_batch = math.ceil(n_paths / n_batches)
     size = min(size, math.ceil(per_batch / BLOCK_PATHS) * BLOCK_PATHS)
     spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]
-    if workers > 1 and len(spans) == 1:
-        draw = functools.partial(draw, share=_share(workers))
 
     def run_tile(start: int, stop: int) -> list:
         noise = draw(np.arange(start, stop, dtype=np.int64))
@@ -469,10 +433,10 @@ def estimate_negative_moments(m: int, points: Sequence[tuple], n_exp: float, alp
 
     quadratic = n_exp == 1.0
 
-    def draw(idx, share=None):
+    def draw(idx):
         if quadratic:
             return kl_functionals(standard_modes(seed, idx, m))
-        return standard_walk(standard_increments(seed, idx, n_steps, m, share=share))
+        return standard_walk(standard_increments(seed, idx, n_steps, m))
 
     def moment(x, grid, drawn):
         integral = (quadratic_integral(x, grid.horizon, drawn) if quadratic
@@ -531,8 +495,8 @@ def estimate_lq_moments(cases: Sequence[tuple[str, float, dict]], T: float,
     grid = TimeGrid(T, n_steps)
     point_fns = [_lq_integral(name, q, grid, **kwargs) for name, q, kwargs in cases]
 
-    def draw(idx, share=None):
-        return standard_increments(seed, idx, n_steps, 2, share=share)
+    def draw(idx):
+        return standard_increments(seed, idx, n_steps, 2)
 
     return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
                                                 batch_size, _tile(n_steps, 2), n_steps)]
@@ -594,8 +558,8 @@ def _terminal_panel(model: ModelSpec, starts: Sequence, T: float,
     grid = TimeGrid(T, n_steps)
     y_origin = np.zeros(model.d)
 
-    def draw(idx, share=None):
-        return standard_noise(seed, idx, n_steps, model, share=share)
+    def draw(idx):
+        return standard_noise(seed, idx, n_steps, model)
 
     def panel(noise):
         sims = {}  # x-start bytes -> (X_T, Y_T, valid) simulated from (x-start, 0)
@@ -679,8 +643,8 @@ def bismut_panels(model: ModelSpec, points: Sequence[tuple],
         raise ValueError("bismut_panel needs at least one observable or extra_obs")
     grids = [TimeGrid(T, n_steps) for _, T in points]
 
-    def draw(idx, share=None):
-        return standard_noise(seed, idx, n_steps, model, share=share)
+    def draw(idx):
+        return standard_noise(seed, idx, n_steps, model)
 
     def columns(x0, y0, grid, noise):
         batch = simulate_batch(model, x0, y0, grid, noise)

@@ -223,14 +223,10 @@ def reads_modes(model: ModelSpec) -> bool:
 
 
 def standard_increments(master_seed: int, path_indices, n_steps: int,
-                        width: int, share=None) -> np.ndarray:
+                        width: int) -> np.ndarray:
     """Standard normals (P, n_steps, width) from substream 0: those of a path are
-    a pure function of (master_seed, path index).  A ``share`` is passed on to
-    ``rng.PathStreams.fill_normals``, as a keyword and only when set."""
-    streams, idx = PathStreams(master_seed), np.asarray(path_indices)
-    if share is None:
-        return streams.fill_normals(idx, (n_steps, width))
-    return streams.fill_normals(idx, (n_steps, width), share=share)
+    a pure function of (master_seed, path index)."""
+    return PathStreams(master_seed).fill_normals(np.asarray(path_indices), (n_steps, width))
 
 
 def standard_modes(master_seed: int, path_indices, width: int) -> np.ndarray:
@@ -272,7 +268,9 @@ def _kl_weights(n_modes: int) -> tuple[np.ndarray, np.ndarray, float]:
     Those differences lose digits as K grows: at K = 16 the smallest q_{K+i}
     is good to about 1e-4 relative (an error near 1e-8 in int B^2, and none
     in its mean, which tau keeps exact), and well above K = 32 the tail would
-    need summing term by term.
+    need summing term by term.  So a K whose tail weights q_{K+i} or tau come
+    out <= 0 raises ValueError (K = 64 does) rather than return forms that can
+    put int B^2 below its head.
     """
     k = np.arange(1, n_modes + 1)
     omega = (k - 0.5) * np.pi
@@ -289,6 +287,9 @@ def _kl_weights(n_modes: int) -> tuple[np.ndarray, np.ndarray, float]:
     gamma, v = np.linalg.eigh((u.T @ gram @ u) / np.sqrt(np.outer(lam, lam)))
     root = (u * np.sqrt(lam)) @ v
     tau = 0.5 - float(np.sum(1.0 / omega**2)) - float(np.sum(gamma))
+    if not (np.all(gamma > 0) and tau > 0):
+        raise ValueError(f"{n_modes} KL modes leave a tail weight <= 0: the closed-form "
+                         "tail sums have lost their digits")
     weights, quad = np.concatenate([head, root], axis=1), np.concatenate([1.0 / omega**2, gamma])
     weights.setflags(write=False)   # the cache hands the same arrays to every caller
     quad.setflags(write=False)
@@ -336,10 +337,9 @@ class Noise:
 
     A noise belongs to one tile of one batch, and one thread reads it: a
     call's batches run one per thread, and the point functions of a batch
-    run in order (``estimators.run_batches``).  Up to ``workers`` threads
-    may fill its eps, when a one-batch call shares the draw, but all of them
-    are done before the noise is made.  The walk and the functionals are
-    built once, on first read, and live as long as the noise.  So does the
+    run in order (``estimators.run_batches``), so the thread that draws a
+    noise is the one that reads it.  The walk and the functionals are built
+    once, on first read, and live as long as the noise.  So does the
     tile scratch: float64 buffers that the basic kernel fills anew at each
     point simulated on the noise (the left nodes of X and, for a scalar
     sigma, the step products that Q_T and the trace term average), so that
@@ -378,20 +378,17 @@ class Noise:
 
 
 def standard_noise(master_seed: int, path_indices, n_steps: int,
-                   model: ModelSpec, share=None) -> Noise:
+                   model: ModelSpec) -> Noise:
     """The kernel noise of the paths: zeta (P, d) from substream 1, and for a
     basic linear-family model the KL modes of ``standard_modes`` (substream
     2), whatever ``n_steps``; for any other model standard normals eps
     (P, n_steps, m) from substream 0, the increments of B on any grid of
-    ``n_steps`` steps once a kernel scales them.  A ``share`` goes to the draw
-    of eps alone (see ``standard_increments``): zeta's blocks of 256 d normals,
-    and the modes' of 256 (KL_MODES + 3), cost less than handing them to
-    another thread."""
+    ``n_steps`` steps once a kernel scales them."""
     idx = np.asarray(path_indices)
     zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
     if reads_modes(model):
         return Noise(None, zeta, modes=standard_modes(master_seed, idx, model.m))
-    return Noise(standard_increments(master_seed, idx, n_steps, model.m, share=share), zeta)
+    return Noise(standard_increments(master_seed, idx, n_steps, model.m), zeta)
 
 
 def brownian_left_nodes(start, walk: np.ndarray, grid: TimeGrid,

@@ -9,16 +9,13 @@ therefore a pure function of ``(master_seed, substream, path_index)`` --
 independent of how many other paths were simulated, in what order, or on which
 worker -- and the first ``k`` steps of a draw equal a ``k``-step draw.
 ``SeedSequence`` hashes its whole entropy list, so distinct blocks, substreams
-and seeds start from well-separated states.  The blocks of one draw may be
-drawn on several threads at once (``PathStreams.fill_normals``'s ``share``):
-each writes the rows of its own paths, so the output does not change.
+and seeds start from well-separated states.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,9 +42,7 @@ class PathStreams:
         self.master_seed = int(master_seed) & (2**64 - 1)
         self.substream = int(substream) & (2**64 - 1)
 
-    def fill_normals(self, path_indices: np.ndarray, shape: tuple[int, ...],
-                     share: Optional[Callable[[Callable[[int, int], None], int], None]] = None,
-                     ) -> np.ndarray:
+    def fill_normals(self, path_indices: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         """Stack of per-path normals, leading axis ordered as ``path_indices``.
 
         ``shape[0]`` is the step axis.  Each block that holds a requested path is
@@ -55,15 +50,8 @@ class PathStreams:
         with consecutive indices are copied as one strided slice.  The copy
         moves the w = prod(shape[1:]) normals of one (path, step) as a single
         8w-byte record, a 2-d transpose of records, so the bits do not change.
-
-        Without ``share`` the blocks are drawn one after another on the calling
-        thread.  With it, ``share(loop, n_blocks)`` must call ``loop(start,
-        stop)`` on consecutive ranges that cover range(n_blocks), possibly on
-        several threads at once, and return once every call has returned
-        (raising if one raised).  Each range draws its blocks into a buffer of
-        its own and writes the rows of its blocks alone, so the output is the
-        serial one bit for bit.  ``estimators.run_batches`` passes a ``share``
-        to the draws of a call that leaves pool threads idle.
+        The blocks are drawn one after another on the calling thread, into one
+        buffer.
         """
         idx = np.asarray(path_indices)
         shape = tuple(shape)
@@ -84,25 +72,16 @@ class PathStreams:
         breaks = np.cumsum((np.diff(order) != 1) | (np.diff(idx[order]) != 1))
         breaks = np.concatenate([[0], breaks])
         whole = (breaks[ends - 1] == breaks[firsts]).tolist()
-        blocks, firsts, ends = blocks.tolist(), firsts.tolist(), ends.tolist()
-
-        def draw_blocks(start: int, stop: int) -> None:
-            buf = np.empty((n_steps, BLOCK_PATHS) + shape[1:])
-            buf_rec = buf.reshape(n_steps, BLOCK_PATHS * w).view(record)  # (n_steps, 256)
-            for k in range(start, stop):
-                block, lo, hi = blocks[k], firsts[k], ends[k]
-                bitgen = np.random.SFC64(np.random.SeedSequence(
-                    [self.master_seed, self.substream, block]))
-                np.random.Generator(bitgen).standard_normal(out=buf)
-                if whole[k]:
-                    row, col = int(order[lo]), int(idx[order[lo]]) - block * BLOCK_PATHS
-                    out_rec[row:row + hi - lo] = buf_rec[:, col:col + hi - lo].T
-                else:
-                    rows = order[lo:hi]
-                    out_rec[rows] = buf_rec[:, idx[rows] - block * BLOCK_PATHS].T
-
-        if share is None:
-            draw_blocks(0, len(blocks))
-        else:
-            share(draw_blocks, len(blocks))
+        buf = np.empty((n_steps, BLOCK_PATHS) + shape[1:])
+        buf_rec = buf.reshape(n_steps, BLOCK_PATHS * w).view(record)  # (n_steps, 256)
+        for block, lo, hi, one_slice in zip(blocks.tolist(), firsts.tolist(), ends.tolist(), whole):
+            bitgen = np.random.SFC64(np.random.SeedSequence(
+                [self.master_seed, self.substream, block]))
+            np.random.Generator(bitgen).standard_normal(out=buf)
+            if one_slice:
+                row, col = int(order[lo]), int(idx[order[lo]]) - block * BLOCK_PATHS
+                out_rec[row:row + hi - lo] = buf_rec[:, col:col + hi - lo].T
+            else:
+                rows = order[lo:hi]
+                out_rec[rows] = buf_rec[:, idx[rows] - block * BLOCK_PATHS].T
         return out

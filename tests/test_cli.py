@@ -507,6 +507,20 @@ def test_reduction_artifacts_do_not_depend_on_workers(tmp_path):
         assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
 
+def test_default_suite_within_one_tile_per_call_starts_no_thread(tmp_path, new_pools):
+    # at 1,250 paths every call of the default suite stays within one tile, so
+    # runs one batch on the calling thread: two workers build no pool and
+    # write the bytes of one
+    body = json.loads((MINIMAL_FILE.parent / "default.json").read_text())
+    body["run"]["n_paths"] = 1250
+    cfg = ExperimentConfig.from_dict(body)
+    assert run_experiment(cfg, workers=1, out_dir=str(tmp_path / "w1"))[0] == 0
+    assert run_experiment(cfg, workers=2, out_dir=str(tmp_path / "w2"))[0] == 0
+    assert new_pools == []
+    for name in ("results.csv", "results.json", "report.md"):
+        assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+
+
 def test_bismut_vs_fd_panels_each_map_their_batches_over_one_pool(monkeypatch, new_pools):
     # K = 100: 2,000 paths span two 1,280-path tiles, so each (T, z0) panel
     # runs two batches, of 1,024 paths and of 976 drawn as tiles of 256 and

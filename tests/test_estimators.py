@@ -404,9 +404,9 @@ def test_linear_calls_draw_kl_modes_and_no_increments(monkeypatch):
     shapes = []
     real = rng.PathStreams.fill_normals
 
-    def counting(self, path_indices, shape, **share):
+    def counting(self, path_indices, shape):
         shapes.append((len(path_indices), tuple(shape)))
-        return real(self, path_indices, shape, **share)
+        return real(self, path_indices, shape)
 
     monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
     walks = _counting_walks(monkeypatch)
@@ -916,9 +916,9 @@ def _counting_draws(monkeypatch):
     draws = {0: [], 1: [], 2: []}
     real = rng.PathStreams.fill_normals
 
-    def counting(self, path_indices, shape, **share):
+    def counting(self, path_indices, shape):
         draws[self.substream].append(np.asarray(path_indices).copy())
-        return real(self, path_indices, shape, **share)
+        return real(self, path_indices, shape)
 
     monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
     return draws
@@ -936,18 +936,6 @@ def _record_blocks(monkeypatch) -> list:
 
     monkeypatch.setattr(rng.np.random, "SeedSequence", recording)
     return blocks
-
-
-def _record_kwargs(monkeypatch, module, name) -> list:
-    """The keyword arguments of every call of ``module.<name>``."""
-    calls, real = [], getattr(module, name)
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, recording)
-    return calls
 
 
 def test_batches_run_as_block_aligned_tiles(monkeypatch):
@@ -1106,14 +1094,13 @@ def _path_indices(idx):
 
 def test_extended_panel_keeps_its_whole_batch_at_two_workers(monkeypatch, new_pools):
     # an untiled call is cut at batch_size alone: 5,000 extended paths at
-    # workers=2 are one batch, drawn once and run inline; the idle worker of
-    # the pool shares that one draw
+    # workers=2 are one batch, drawn once and run inline, so no pool is built
     draws = _counting_draws(monkeypatch)
     ext = make_extended_demo_model()
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 5000, 10, 5,
                  workers=2)
     assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [5000]
-    assert new_pools == [2]
+    assert new_pools == []
 
 
 def test_parallel_map_keeps_input_order_when_tasks_finish_out_of_order(monkeypatch):
@@ -1149,29 +1136,22 @@ def test_parallel_map_keeps_order_under_oversubscribed_threads(monkeypatch):
 
 
 def test_one_worker_builds_no_pool_and_one_batch_runs_on_the_caller(new_pools):
-    # 1,000 paths at one worker run inline, and their draws get no share
-    shares, parts = [], []
+    # 1,000 paths at one worker run inline, as four 256-path batches; 200
+    # paths at 4 workers are one batch, untiled or within one tile, and run
+    # inline too: every draw is on the calling thread, and no pool is built
+    threads = []
 
-    def draw(idx, **share):
-        shares.append((share, threading.get_ident()))
-        if share:
-            share["share"](lambda start, stop: parts.append(
-                (start, stop, threading.get_ident())), 2)
+    def draw(idx):
+        threads.append(threading.get_ident())
         return idx
 
     (inline,) = run_batches(1000, draw, [_path_indices], workers=1, batch_size=256)
     assert run_batches(1000, draw, [], workers=4) == []
-    assert new_pools == [] and [share for share, _ in shares] == [{}] * 4
-    # 200 paths at 4 workers are one batch, drawn and run on the calling
-    # thread; its draw gets a share, whose first use builds the pool of 4
-    shares.clear()
     (one_batch,) = run_batches(200, draw, [_path_indices], workers=4)
-    assert new_pools == [4]
-    ((share, thread),) = shares
-    assert list(share) == ["share"] and thread == threading.get_ident()
-    assert sorted(parts)[0] == (0, 1, thread) and sorted(parts)[1][:2] == (1, 2)
-    assert sorted(parts)[1][2] != thread
-    assert one_batch["value"].mean == 99.5 and inline["value"].mean == 499.5
+    (one_tile,) = run_batches(200, draw, [_path_indices], workers=4, tile=256)
+    assert new_pools == [] and threads == [threading.get_ident()] * 6
+    assert one_batch["value"].mean == one_tile["value"].mean == 99.5
+    assert inline["value"].mean == 499.5
 
 
 def test_lemma31_grid_builds_one_pool_for_its_batches(new_pools):
@@ -1204,43 +1184,28 @@ def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch):
     assert parallel.points and parallel.points == serial.points
 
 
-def test_a_call_within_one_tile_runs_one_batch_and_shares_its_draw(monkeypatch):
+def test_a_call_within_one_tile_runs_one_batch_on_the_caller(monkeypatch, new_pools):
     # 1,250 paths at workers=2 are within one 2,560-path tile: one batch, one
-    # draw, whose five blocks are each drawn once, on the calling thread and
-    # one pool thread.  At n = 1.5 Lemma 3.1 draws increments; at n = 1 it
-    # would draw KL modes, which are not shared
+    # draw, whose five blocks are each drawn once, on the calling thread, and
+    # no pool is built.  At n = 1.5 Lemma 3.1 draws increments; at n = 1 it
+    # would draw KL modes
     serial = check_lemma31(McParams(1250, 100, 71, workers=1), n_exp=1.5)
     draws = _counting_draws(monkeypatch)
     blocks = _record_blocks(monkeypatch)
     parallel = check_lemma31(McParams(1250, 100, 71, workers=2), n_exp=1.5)
     assert [len(idx) for idx in draws[0]] == [1250] and draws[1] == []
     assert sorted(block for _, _, block, _ in blocks) == list(range(5))
-    threads = {thread for *_, thread in blocks}
-    assert len(threads) == 2 and threading.get_ident() in threads
+    assert {thread for *_, thread in blocks} == {threading.get_ident()}
+    assert new_pools == []
     assert parallel == serial
     assert parallel.points and parallel.points == serial.points
 
 
-def test_a_panel_shares_only_its_increment_draw(monkeypatch):
-    # a one-batch panel at workers=2 shares the (P, n_steps, m) increments and
-    # draws the (P, d) zeta of substream 1 on the calling thread alone
-    model = WALK_LINEAR
-    fs = [observable("sin_y", model)]
-    serial = bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 1250, 100, 5)
-    blocks = _record_blocks(monkeypatch)
-    parallel = bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 1250, 100, 5, workers=2)
-    by_substream = {sub: [(block, thread) for _, s, block, thread in blocks if s == sub]
-                    for sub in (0, 1)}
-    assert sorted(block for block, _ in by_substream[0]) == list(range(5))
-    assert len({thread for _, thread in by_substream[0]}) == 2
-    assert by_substream[1] == [(block, threading.get_ident()) for block in range(5)]
-    assert parallel == serial
-
-
 def test_ten_two_worker_calls_start_at_most_two_pool_threads(monkeypatch, new_pools):
-    # one pool for the process: shared draws and two-batch maps all run on
-    # its two threads, whatever the number of calls.  The calls draw
-    # increments: the moment at n = 1.5, and sigma(x) = x through its callbacks
+    # one pool for the process: the two-batch panels all run on its two
+    # threads, whatever the number of calls, and the one-batch moments on the
+    # calling thread.  The calls draw increments: the moment at n = 1.5, and
+    # sigma(x) = x through its callbacks
     blocks = _record_blocks(monkeypatch)
     model = WALK_LINEAR
     fs = [observable("sin_y", model)]
@@ -1249,50 +1214,6 @@ def test_ten_two_worker_calls_start_at_most_two_pool_threads(monkeypatch, new_po
         bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX], 3000, 100, k, workers=2)
     threads = {thread for *_, thread in blocks} - {threading.get_ident()}
     assert 1 <= len(threads) <= 2
-    assert new_pools == [2]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_draw_noise_is_the_standard_noise(workers):
-    model = make_power_law_model(2, 1, 1.0)
-    idx = np.arange(100, 1350)
-    want = standard_noise(17, idx, 50, model)
-    got = estimators.draw_noise(17, idx, 50, model, workers=workers)
-    assert np.array_equal(got.eps, want.eps) and np.array_equal(got.zeta, want.zeta)
-
-
-def test_a_shared_part_that_raises_propagates_and_leaves_the_pool_usable(new_pools):
-    share = estimators._share(2)
-    ranges = []
-
-    def loop(start, stop):
-        ranges.append((start, stop))
-        if start > 0:
-            raise ValueError(f"blocks {start}-{stop}")
-
-    with pytest.raises(ValueError, match="blocks 3-5"):   # the part on the pool
-        share(loop, 5)
-    assert sorted(ranges) == [(0, 3), (3, 5)]
-    ranges.clear()
-    # a part on the calling thread that raises while the pool part runs: the
-    # share returns once the pool part has finished
-    started, finished = threading.Event(), []
-
-    def loop_raising_first(start, stop):
-        if start == 0:
-            assert started.wait(timeout=30)
-            raise ValueError("the calling thread's part")
-        started.set()
-        time.sleep(0.2)
-        finished.append((start, stop))
-
-    with pytest.raises(ValueError, match="calling thread"):
-        share(loop_raising_first, 2)
-    assert finished == [(1, 2)]
-    # the pool still runs shared draws, bit for bit the serial draw
-    idx = np.arange(1250)
-    want = paths.standard_increments(3, idx, 100, 1)
-    assert np.array_equal(paths.standard_increments(3, idx, 100, 1, share=share), want)
     assert new_pools == [2]
 
 
@@ -1345,19 +1266,17 @@ def test_map_refuses_to_run_on_a_pool_thread():
 
 def test_panel_called_directly_overlaps_its_batches(monkeypatch, new_pools):
     # batch_size=1000 cuts two batches out of one tile; they run on the pool,
-    # one per thread, and share no draw, so no pool nests in another
+    # one per thread, each drawing its own noise
     draws = _counting_draws(monkeypatch)
     model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     a = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000)
     draws[0].clear(), draws[1].clear()
     blocks = _record_blocks(monkeypatch)
-    shares = _record_kwargs(monkeypatch, estimators, "standard_noise")
     b = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000,
                      workers=2)
     assert new_pools == [2]
     assert sorted(len(idx) for idx in draws[0]) == [1000, 1000]
-    assert [kwargs.get("share") for kwargs in shares] == [None, None]
     threads = {thread for *_, thread in blocks}
     assert len(threads) == 2 and threading.get_ident() not in threads
     assert a == b

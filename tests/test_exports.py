@@ -70,8 +70,9 @@ def test_oracles_stand_alone_and_no_module_imports_a_private_name():
 
 def test_threads_start_only_in_the_estimators_pool():
     # no module imports threading, only estimators imports concurrent.futures,
-    # only its _pool builds a pool, and only its _map submits work to one
-    importers, pool_users, submitters = {}, set(), set()
+    # only its _pool builds a pool, only its _map submits work to one, and
+    # only run_batches calls _map: batches are the one parallel axis
+    importers, pool_users, submitters, mappers = {}, set(), set(), set()
     for path in sorted(Path(gruschin.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -86,6 +87,8 @@ def test_threads_start_only_in_the_estimators_pool():
                         pool_users.add(f"{path.stem}.{node.name}")
                     if "_pool" in names:
                         submitters.add(f"{path.stem}.{node.name}")
+                    if "_map" in names:
+                        mappers.add(f"{path.stem}.{node.name}")
                 continue
             for name in names:
                 importers.setdefault(name.split(".")[0], set()).add(path.stem)
@@ -93,3 +96,4 @@ def test_threads_start_only_in_the_estimators_pool():
     assert importers.get("concurrent") == {"estimators"}
     assert pool_users == {"estimators._pool"}
     assert submitters == {"estimators._map"}
+    assert mappers == {"estimators.run_batches"}

@@ -968,3 +968,16 @@ def test_a_linear_noise_computes_its_kl_functionals_once(monkeypatch):
             simulate_batch(model, [x0], [0.0], TimeGrid(T, 50), drawn)
         assert calls == ({"kl_functionals": 1, "standard_walk": 0} if model is LINEAR
                          else {"kl_functionals": 1, "standard_walk": 1})
+
+
+def test_kl_weights_refuse_a_mode_count_whose_tail_loses_its_sign():
+    # the tail constants are full sums less the K-term head: at KL_MODES = 16
+    # every tail weight and tau are positive, while at K = 64 the differences
+    # have lost their digits (a tail weight near -1.5e-4), so the forms, and
+    # kl_functionals of a (P, 67, m) array, refuse that K
+    _, quad, tau = paths._kl_weights(KL_MODES)
+    assert (quad > 0).all() and tau > 0
+    with pytest.raises(ValueError, match="tail weight"):
+        paths._kl_weights(64)
+    with pytest.raises(ValueError, match="tail weight"):
+        kl_functionals(np.zeros((2, 64 + 3, 1)))

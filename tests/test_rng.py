@@ -6,7 +6,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gruschin import estimators
 from gruschin.rng import PathStreams, derive_seed
 
 
@@ -61,35 +60,6 @@ def test_shared_instance_across_threads():
         sys.setswitchinterval(interval)
     for k, got in enumerate(threaded):
         assert np.array_equal(got, serial[k % len(spans)])
-
-
-def _threaded_reverse_share(loop, n_blocks):
-    """A ``share`` that runs one block per part, last block first, each on a
-    thread of its own, with a short switch interval to interleave them."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=n_blocks) as pool:
-            futures = [pool.submit(loop, b, b + 1) for b in reversed(range(n_blocks))]
-            for future in futures:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("share", [_threaded_reverse_share, estimators._share(2),
-                                   estimators._share(3)],
-                         ids=["reverse", "pool2", "pool3"])
-@pytest.mark.parametrize("indices", [
-    np.arange(1280),                                  # five whole blocks
-    np.array([900, 3, 511, 256, 4000, 2, 257, 770]),  # scattered, out of order
-    np.arange(700),                                   # cuts block 2 at path 700
-], ids=["consecutive", "scattered", "cut"])
-def test_shared_draw_is_the_serial_draw(share, indices):
-    streams = PathStreams(23, substream=1)
-    for shape in ((40, 2), (40,)):
-        serial = streams.fill_normals(indices, shape)
-        assert np.array_equal(streams.fill_normals(indices, shape, share=share), serial)
 
 
 def test_rejects_out_of_range_index():
