@@ -367,8 +367,9 @@ def make_tilted_matrix_model() -> ModelSpec:
         sigma(x) = x * [[1, 1/2], [tanh(x)/2, 1]]
 
     det sigma = x^2 (1 - tanh(x)/4) > 0 away from 0, and sigma sigma^* has nonzero
-    off-diagonal entries, so it runs the matrix kernel, the eigh square root of
-    Q_T and the Cholesky solve of the weight on a genuinely coupled Y.
+    off-diagonal entries, so it runs the matrix kernel, the closed-form 2 x 2
+    square root of Q_T and the Cholesky solve of the weight on a genuinely
+    coupled Y.
     """
 
     def sigma(x):

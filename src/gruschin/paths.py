@@ -31,14 +31,15 @@ u = int (1-s) B_s ds and its spread v = int (B - m)^2 -- as B_T = sqrt(T) B_1,
 Q_T = T ((x0 + sqrt(T) m)^2 + T v) (``quadratic_integral``, which Lemma 3.1
 reads too: a sum of two nonnegative terms, with no cancellation) and
 C = T (x0/2 + sqrt(T) u).  So one draw serves every horizon, no callback
-runs, and a point costs O(P).  A scalar-times-identity
-sigma works on (P, n) arrays of the scalar field.  Any other sigma is laid out once as a contiguous
-(P, d, n*d) operand A with A[p, i, k*d + j] = sigma_ij(X_k), and the weighted
-gradient ((T-t_k)/T) grad sigma(X_k) as B in the same layout.  Step and column
-then form one contraction axis, and the accumulators are batched matrix
-products: Q_T = T (A A^*)/n and the trace term T (B A^*)/n.  Each path's
-products read only its own rows, so a path gives the same bits alone as in
-any batch.
+runs, and a point costs O(P).  A scalar-times-identity sigma works on (P, n)
+arrays of the scalar field.  Any other sigma is read as its callbacks return
+it, (P, n, d, d), and a contiguous array is not copied: Q_T = T sum_k
+sigma_k sigma_k^* / n and the trace term T sum_k L_k sigma_k^* / n, with
+L_k = ((T-t_k)/T) grad sigma(X_k), are each one batched product over the
+steps of the flattened d^2 entries, whose diagonal blocks sum to the d x d
+result (``_step_gram``).  The square root of Q_T is closed-form at d = 2.
+Each path's products read only its own rows, so a path gives the same bits
+alone as in any batch.
 
 Every coefficient depends on x alone, so on fixed noise Y_T - y0 does not depend
 on y0: a shift of y0 only translates Y_T.  Both kernels set
@@ -100,7 +101,8 @@ x-start simulated on one draw reads one cumulative sum; a linear ``Noise``
 keeps its ``kl_functionals`` the same way.  A ``Noise`` also holds the tile
 scratch, into which the basic kernel writes each point's left nodes of X and,
 for a scalar sigma, the step products sigma^2 and w (grad_e sigma) sigma that
-Q_T and the trace term average; nothing a kernel returns aliases it.
+Q_T and the trace term average, or for any other sigma the weighted steps
+w (grad_e sigma); nothing a kernel returns aliases it.
 ``brownian_left_nodes`` is the one builder of Brownian paths on a grid: it
 reads a walk as start + sqrt(dt) W at the left nodes and sqrt(dt) W_n at T.
 The extended recursion reads eps and scales step k's normals as it reaches
@@ -342,9 +344,10 @@ class Noise:
     once, on first read, and live as long as the noise.  So does the
     tile scratch: float64 buffers that the basic kernel fills anew at each
     point simulated on the noise (the left nodes of X and, for a scalar
-    sigma, the step products that Q_T and the trace term average), so that
-    no point allocates them again.  Nothing a kernel returns aliases the
-    scratch or the functionals.
+    sigma, the step products that Q_T and the trace term average, or for
+    any other sigma the weighted gradient steps), so that no point allocates
+    them again.  Nothing a kernel returns aliases the scratch or the
+    functionals.
     """
 
     def __init__(self, eps: np.ndarray | None, zeta: np.ndarray,
@@ -405,30 +408,55 @@ def brownian_left_nodes(start, walk: np.ndarray, grid: TimeGrid,
     return nodes, walk[:, -1] * h
 
 
-def _row_major_steps(field) -> np.ndarray:
-    """A fresh contiguous (P, d, n*d) copy of coefficient values (P, n, d, d).
+def _step_gram(left, right) -> np.ndarray:
+    """sum_k L_k R_k^* (P, d, d) of two step arrays (P, n, d, d), as the
+    callbacks return them.
 
-    Row i of the matrix at step k sits at columns k*d .. k*d + d - 1, so a
-    product over that axis sums over steps and matrix columns at once.
+    Each step flattens to its d^2 entries (a reshape, no copy of a contiguous
+    array), one batched product over the steps forms the (d^2, d^2) Gram
+    G[(i, j), (l, r)] = sum_k L_k[i, j] R_k[l, r] of each path, and the sum of
+    its diagonal blocks, j = r, is the result.  Neither input is written.
     """
-    arr = np.asarray(field, dtype=float)
-    P, n, d, _ = arr.shape
-    return np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(P, d, n * d)
+    left = np.ascontiguousarray(left, dtype=float)
+    right = np.ascontiguousarray(right, dtype=float)
+    P, n, d, _ = left.shape
+    gram = left.reshape(P, n, d * d).transpose(0, 2, 1) @ right.reshape(P, n, d * d)
+    return np.einsum("pijlj->pil", gram.reshape(P, d, d, d, d))
 
 
 def _root_times(q: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R zeta, min eig Q_T) for R the PSD square root of Q_T (P, d, d).
 
-    R = sqrt(Q_T) for d = 1; else R = U diag(sqrt(lambda+)) U^T from one
-    batched ``eigh``, which is continuous in Q_T (eigenvector signs cancel), so
-    Q_T that agree to rounding give S that agree to rounding.  Non-finite rows
-    are decomposed as I, with smallest eigenvalue NaN; their paths are invalid.
+    R = sqrt(Q_T) for d = 1.  For d = 2, R has a closed form (Levinger, Math.
+    Mag. 53, 1980): R = (Q + s I)/sqrt(tr Q + 2 s) with s = sqrt(det Q), and
+    the smallest eigenvalue is det Q / lambda_max, lambda_max = tr Q/2 +
+    sqrt(((a - c)/2)^2 + b^2) for Q = [[a, b], [b, c]] read off the lower
+    triangle.  Q is divided by its larger diagonal entry first, so det Q
+    cannot overflow at any finite scale, and Q = 0 gives R = 0 and min eig 0.
+    For d >= 3, R = U diag(sqrt(lambda+)) U^T from one batched ``eigh``.  Each
+    form is continuous in Q_T, so Q_T that agree to rounding give S that
+    agree to rounding.  Non-finite rows are decomposed as I, with smallest
+    eigenvalue NaN; their paths are invalid.
     """
     d = q.shape[-1]
     if d == 1:
         return np.sqrt(q[:, 0]) * zeta, q[:, 0, 0]
     finite = np.isfinite(q).all(axis=(1, 2))
-    lam, u = np.linalg.eigh(np.where(finite[:, None, None], q, np.eye(d)))
+    q = np.where(finite[:, None, None], q, np.eye(d))
+    if d == 2:
+        scale = np.maximum(q[:, 0, 0], q[:, 1, 1])
+        # Q / scale, and I for Q = 0, whose scale 0 then zeroes R and min eig
+        unit = np.where((scale > 0.0)[:, None, None],
+                        q / np.where(scale > 0.0, scale, 1.0)[:, None, None], np.eye(2))
+        a, b, c = unit[:, 0, 0], unit[:, 1, 0], unit[:, 1, 1]
+        det = np.maximum(a * c - b * b, 0.0)
+        s = np.sqrt(det)
+        lam_max = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b)   # in [1, 2]
+        factor = np.sqrt(scale / (a + c + 2.0 * s))
+        z0, z1 = zeta[:, 0], zeta[:, 1]
+        root_zeta = np.stack([(a + s) * z0 + b * z1, b * z0 + (c + s) * z1], axis=1)
+        return factor[:, None] * root_zeta, np.where(finite, det / lam_max * scale, np.nan)
+    lam, u = np.linalg.eigh(q)
     root = (u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ u.transpose(0, 2, 1)
     return (root @ zeta[..., None])[..., 0], np.where(finite, lam[:, 0], np.nan)
 
@@ -465,7 +493,9 @@ def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
     The linear family (sigma(x) = x) reads the ``KLFunctionals`` that the noise
     keeps, scaled to the horizon, and calls no callback.  Otherwise the left
     nodes of X on the walk of the noise live in its scratch, as do, for a
-    scalar sigma, the step products sigma^2 and w (grad_e sigma) sigma.
+    scalar sigma, the step products sigma^2 and w (grad_e sigma) sigma, and
+    for any other sigma the weighted steps w (grad_e sigma), whose
+    ``_step_gram`` with sigma is the trace term.
     """
     P, m, d = len(noise.zeta), model.m, model.d
     n, T = grid.n_steps, grid.horizon
@@ -486,8 +516,8 @@ def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
         q_matrix = min_eig[:, None, None] * np.eye(d)
         s = np.sqrt(min_eig)[:, None] * noise.zeta
     else:
-        field = _row_major_steps(model.sigma(x_left))                 # A, (P, d, n*d)
-        q_matrix = T * (field @ field.transpose(0, 2, 1)) / n
+        field = np.ascontiguousarray(model.sigma(x_left), dtype=float)   # (P, n, d, d)
+        q_matrix = T * _step_gram(field, field) / n
         s, min_eig = _root_times(q_matrix, noise.zeta)
     y_final = y0 + s
     valid = (
@@ -512,11 +542,12 @@ def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
                 steps *= field
                 slots.append((T * np.mean(steps, axis=1))[:, None, None] * np.eye(d))
             else:
-                # B as in the module docstring; the callback's array is freed as soon
-                # as it is copied, so at most three (P, n, d, d) arrays are alive
-                B = _row_major_steps(model.grad_sigma(x_left, e))         # (P, d, n*d)
-                B *= np.repeat(w, d)                                      # w_k on step k
-                slots.append(T * (B @ field.transpose(0, 2, 1)) / n)
+                # w_k (grad_e sigma)(X_k) in the scratch, as the callback's array
+                # may be read-only
+                weighted = np.multiply(np.asarray(model.grad_sigma(x_left, e), dtype=float),
+                                       w[:, None, None],
+                                       out=noise.scratch("weighted", field.shape))
+                slots.append(T * _step_gram(weighted, field) / n)
         trace_integral = np.stack(slots, axis=1)
     valid &= np.isfinite(trace_integral).all(axis=(1, 2, 3))
 

@@ -48,7 +48,7 @@ from gruschin.paths import (
     standard_walk,
 )
 from gruschin.rng import PathStreams
-from gruschin.weights import weight_terms_shared
+from gruschin.weights import INVERTIBILITY_FLOOR, weight_terms_shared
 
 
 def noise(model, grid, seed, idx):
@@ -117,43 +117,227 @@ def test_matrix_kernel_matches_scalar_kernel():
     assert np.allclose(a.min_eig_q, b.min_eig_q, rtol=1e-9, atol=1e-12)
 
 
+def _coupled_d3_model():
+    """m = 1, d = 3 basic model sigma(x) = x A + sin(x) B, non-diagonal and
+    invertible away from x = 0, whose root of Q_T comes from ``eigh``."""
+    a = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.25, 0.0, 1.0]])
+    b = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+
+    def sigma(x):
+        xx = np.asarray(x)[..., 0, None, None]
+        return xx * a + np.sin(xx) * b
+
+    def grad_sigma(x, v):
+        xa = np.asarray(x)
+        xx = xa[..., 0, None, None]
+        vv = np.broadcast_to(np.asarray(v, dtype=float), xa.shape)[..., 0, None, None]
+        return vv * (a + np.cos(xx) * b)
+
+    return ModelSpec(m=1, d=3, kind=ModelKind.BASIC, sigma=sigma, grad_sigma=grad_sigma,
+                     name="coupled_d3")
+
+
 def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
-    # every accumulator written out as the defining sum over steps and columns
-    model = make_tilted_matrix_model()
+    # every accumulator written out as the defining sum over steps and columns;
+    # the root of Q_T is closed-form at d = 2 and from eigh at d = 3
     grid = TimeGrid(0.8, 60)
     idx = np.arange(300)
-    batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid, noise(model, grid, 71, idx))
-
-    drawn = noise(model, grid, 71, idx)
-    zeta = drawn.zeta
-    x_left, _ = brownian_left_nodes(np.array([1.0]), drawn.walk, grid)
-    S = model.sigma(x_left)
-    G = model.grad_sigma(x_left, np.ones(1))             # along the one axis e_1
     w, T, n = grid.decay_weights(), grid.horizon, grid.n_steps
-    assert np.abs(S[..., 1, 0]).max() > 0.1  # sigma really is off-diagonal
-    q = T * np.einsum("pnij,pnkj->pik", S, S) / n
-    lam, u = np.linalg.eigh(q)
-    want = {
-        "q_matrix": q,
-        "trace_integral": (T * np.einsum("n,pnij,pnkj->pik", w, G, S) / n)[:, None],
-        "sigma_stoch_integral": np.einsum("pij,pj,pkj,pk->pi", u, np.sqrt(lam), u, zeta),
-        "min_eig_q": np.linalg.eigvalsh(q)[:, 0],
-    }
-    for name, ref in want.items():
-        np.testing.assert_allclose(getattr(batch, name), ref, rtol=1e-12,
-                                   atol=1e-12 * np.abs(ref).max(), err_msg=name)
-    assert np.abs(q[:, 0, 1]).min() > 0.0
-    assert batch.valid.all()
+    for model in (make_tilted_matrix_model(), _coupled_d3_model()):
+        batch = simulate_basic_batch(model, [1.0], np.zeros(model.d), grid,
+                                     noise(model, grid, 71, idx))
+
+        drawn = noise(model, grid, 71, idx)
+        zeta = drawn.zeta
+        x_left, _ = brownian_left_nodes(np.array([1.0]), drawn.walk, grid)
+        S = model.sigma(x_left)
+        G = model.grad_sigma(x_left, np.ones(1))             # along the one axis e_1
+        assert np.abs(S[..., 1, 0]).max() > 0.1  # sigma really is off-diagonal
+        q = T * np.einsum("pnij,pnkj->pik", S, S) / n
+        lam, u = np.linalg.eigh(q)
+        want = {
+            "q_matrix": q,
+            "trace_integral": (T * np.einsum("n,pnij,pnkj->pik", w, G, S) / n)[:, None],
+            "sigma_stoch_integral": np.einsum("pij,pj,pkj,pk->pi", u, np.sqrt(lam), u, zeta),
+            "min_eig_q": np.linalg.eigvalsh(q)[:, 0],
+        }
+        for name, ref in want.items():
+            np.testing.assert_allclose(getattr(batch, name), ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max(),
+                                       err_msg=f"{model.name}: {name}")
+        assert np.abs(q[:, 0, 1]).min() > 0.0
+        assert batch.valid.all()
 
 
 def test_matrix_kernel_path_alone_equals_path_in_batch():
     model = make_tilted_matrix_model()
     grid = TimeGrid(1.0, 100)
-    big = simulate_basic_batch(model, [1.0], [0.0, 0.5], grid,
-                               noise(model, grid, 73, np.arange(1024)))
-    one = simulate_basic_batch(model, [1.0], [0.0, 0.5], grid, noise(model, grid, 73, [7]))
+    big_noise, one_noise = noise(model, grid, 73, np.arange(1024)), noise(model, grid, 73, [7])
+    big = simulate_basic_batch(model, [1.0], [0.0, 0.5], grid, big_noise)
+    one = simulate_basic_batch(model, [1.0], [0.0, 0.5], grid, one_noise)
     for name in ("q_matrix", "trace_integral", "sigma_stoch_integral", "y_final", "min_eig_q"):
         assert np.array_equal(getattr(one, name)[0], getattr(big, name)[7]), name
+    big_terminal = simulate_terminal_batch(model, [1.0], [0.0, 0.5], grid, big_noise)
+    one_terminal = simulate_terminal_batch(model, [1.0], [0.0, 0.5], grid, one_noise)
+    for big_arr, one_arr in zip(big_terminal, one_terminal):
+        assert np.array_equal(one_arr[0], big_arr[7])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_step_gram_is_the_sum_over_steps(d):
+    rng = np.random.default_rng(d)
+    left, right = rng.standard_normal((2, 50, 30, d, d))
+    want = np.einsum("pkij,pklj->pil", left, right)
+    for got, ref in ((paths._step_gram(left, right), want),
+                     (paths._step_gram(left, left), np.einsum("pkij,pklj->pil", left, left))):
+        assert got.shape == (50, d, d)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_step_gram_reads_read_only_and_strided_outputs_without_writing():
+    # a callback may return a read-only broadcast or a strided view: the Gram
+    # is the one of their contiguous copies, and neither input is written
+    rng = np.random.default_rng(3)
+    steps = rng.standard_normal((30, 2, 2))
+    read_only = np.broadcast_to(steps, (40, 30, 2, 2))
+    strided = rng.standard_normal((40, 30, 2, 2)).transpose(0, 1, 3, 2)
+    before = strided.copy()
+    assert not read_only.flags.writeable and not strided.flags.c_contiguous
+    got = paths._step_gram(strided, read_only)
+    want = paths._step_gram(np.ascontiguousarray(strided), np.ascontiguousarray(read_only))
+    assert np.array_equal(got, want)
+    assert np.array_equal(strided, before)
+    assert np.array_equal(read_only, np.broadcast_to(steps, read_only.shape))
+    assert np.array_equal(paths._step_gram(read_only, read_only),
+                          paths._step_gram(*[np.ascontiguousarray(read_only)] * 2))
+
+    # and a kernel whose callbacks return read-only arrays leaves them alone
+    model = make_tilted_matrix_model()
+
+    def frozen(callback):
+        def call(*args):
+            out = callback(*args)
+            out.setflags(write=False)
+            return out
+        return call
+
+    frozen_model = replace(model, sigma=frozen(model.sigma),
+                           grad_sigma=frozen(model.grad_sigma))
+    grid = TimeGrid(1.0, 20)
+    a = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid, noise(model, grid, 5, np.arange(64)))
+    b = simulate_basic_batch(frozen_model, [1.0], [0.0, 0.0], grid,
+                             noise(model, grid, 5, np.arange(64)))
+    for f in fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def _spd_2x2(rng, P, cond):
+    """P random SPD 2x2 matrices of condition number ``cond``, exactly symmetric,
+    with largest eigenvalues spread over six decades."""
+    theta = rng.uniform(0.0, np.pi, P)
+    c, s = np.cos(theta), np.sin(theta)
+    u = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    top = 10.0 ** rng.uniform(-3.0, 3.0, P)
+    q = np.einsum("pij,pj,pkj->pik", u, np.stack([top / cond, top], axis=-1), u)
+    return 0.5 * (q + q.transpose(0, 2, 1))
+
+
+def _root_matrix(q):
+    """The root R of ``paths._root_times`` as a matrix, column j its R e_j."""
+    P = len(q)
+    cols = [paths._root_times(q, np.broadcast_to(e, (P, 2)))[0] for e in np.eye(2)]
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
+def test_closed_form_root_matches_eigh_on_spd_q(cond):
+    # eigh's root and smallest eigenvalue carry errors of order eps |Q| and
+    # eps |Q| / sqrt(lambda_min), as the closed form does; both are compared
+    # at four times those scales
+    eps = np.finfo(float).eps
+    q = _spd_2x2(np.random.default_rng(11), 2000, cond)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        root = _root_matrix(q)
+        s, min_eig = paths._root_times(q, np.random.default_rng(12).standard_normal((2000, 2)))
+    lam, u = np.linalg.eigh(q)
+    want = (u * np.sqrt(lam)[:, None, :]) @ u.transpose(0, 2, 1)
+    top = lam[:, 1]
+    assert (np.abs(root - want).max(axis=(1, 2)) <= 4 * eps * np.sqrt(cond * top)).all()
+    assert (np.abs(min_eig - lam[:, 0]) <= 4 * eps * top).all()
+    assert np.array_equal(root, root.transpose(0, 2, 1))
+    assert np.isfinite(s).all()
+
+
+def test_closed_form_root_of_zero_and_nonfinite_rows():
+    # Q = 0 gives S = 0 and min eig 0; a NaN or inf row is decomposed as I with
+    # min eig NaN; an SPD row beside them is unaffected
+    spd = np.array([[2.0, 0.5], [0.5, 1.0]])
+    q = np.stack([np.zeros((2, 2)), [[np.nan, 0.0], [0.0, 1.0]],
+                  [[1.0, np.inf], [np.inf, 1.0]], spd])
+    zeta = np.random.default_rng(2).standard_normal((4, 2))
+    with np.errstate(all="raise"):
+        s, min_eig = paths._root_times(q, zeta)
+        alone = paths._root_times(spd[None], zeta[3:])
+    assert np.array_equal(s[0], [0.0, 0.0]) and min_eig[0] == 0.0
+    assert np.array_equal(s[1:3], zeta[1:3]) and np.isnan(min_eig[1:3]).all()
+    assert np.array_equal(s[3], alone[0][0]) and min_eig[3] == alone[1][0]
+
+
+def _nan_where_negative(model):
+    """``model`` with sigma NaN (not an error) where X < 0."""
+    def sigma(x):
+        out = model.sigma(x)
+        out[np.asarray(x)[..., 0] < 0.0] = np.nan
+        return out
+
+    return replace(model, sigma=sigma, name=model.name + "+nan_below_0")
+
+
+def test_nonfinite_matrix_sigma_gives_nan_min_eig_and_an_invalid_path():
+    model = _nan_where_negative(make_tilted_matrix_model())
+    grid = TimeGrid(2.0, 40)
+    drawn = noise(model, grid, 61, np.arange(400))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        batch = simulate_basic_batch(model, [0.5], [0.0, 0.0], grid, drawn)
+        _, _, terminal_valid = simulate_terminal_batch(model, [0.5], [0.0, 0.0], grid, drawn)
+        solvable = weight_terms_shared(batch, Direction.make([1.0], [0.0, 0.0]))[3]
+    bad = ~np.isfinite(batch.q_matrix).all(axis=(1, 2))
+    assert 0 < bad.sum() < 400
+    assert np.isnan(batch.min_eig_q[bad]).all() and np.isfinite(batch.min_eig_q[~bad]).all()
+    assert np.array_equal(batch.valid, ~bad) and np.array_equal(terminal_valid, ~bad)
+    assert np.array_equal(solvable, ~bad)
+
+
+def test_rank_one_q_is_unsolvable_as_with_eigh():
+    # sigma(x) = u r(x)^* for a fixed u has Q_T = |r|^2-weighted u u^*, rank 1:
+    # every path is finite and valid, and no weight may be assembled on it
+    u = np.array([1.0, 0.3])
+
+    def sigma(x):
+        xx = np.asarray(x)[..., 0]
+        r = np.stack([xx, 0.5 * np.sin(xx)], axis=-1)
+        return u[:, None] * r[..., None, :]
+
+    def grad_sigma(x, v):
+        xa = np.asarray(x)
+        xx = xa[..., 0]
+        vv = np.broadcast_to(np.asarray(v, dtype=float), xa.shape)[..., 0]
+        r = np.stack([vv, 0.5 * np.cos(xx) * vv], axis=-1)
+        return u[:, None] * r[..., None, :]
+
+    model = ModelSpec(m=1, d=2, kind=ModelKind.BASIC, sigma=sigma, grad_sigma=grad_sigma,
+                      name="rank_one")
+    grid = TimeGrid(1.0, 40)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        batch = simulate_basic_batch(model, [1.0], [0.0, 0.0], grid,
+                                     noise(model, grid, 67, np.arange(500)))
+        drift, trace, inner, solvable = weight_terms_shared(
+            batch, Direction.make([1.0], [0.0, 1.0]))
+    assert batch.valid.all() and not solvable.any()
+    floor = INVERTIBILITY_FLOOR * np.einsum("pii->p", batch.q_matrix)
+    assert (np.linalg.eigvalsh(batch.q_matrix)[:, 0] <= floor).all()
+    assert (batch.min_eig_q <= floor).all()
+    assert np.isnan(drift + trace + inner).all()
 
 
 def test_matrix_panels_invariant_to_workers_and_batch_size():
@@ -539,17 +723,17 @@ def _reference_basic(model, x0, v, grid, eps, eps_t):
         wsi = (wg[:, :, None] * dBt).sum(axis=1)
         ssi = (s[:, :, None] * dBt).sum(axis=1)
     else:
-        A = np.array(np.asarray(model.sigma(x_left)).transpose(0, 2, 1, 3),
-                     order="C").reshape(P, d, n * d)
-        B = np.array(np.asarray(model.grad_sigma(x_left, v.v1)).transpose(0, 2, 1, 3),
-                     order="C").reshape(P, d, n * d)
-        B *= np.repeat(w, d)
-        At = A.transpose(0, 2, 1)
-        q = T * (A @ At) / n
-        tr = T * (B @ At) / n
-        dbt = dBt.reshape(P, n * d, 1)
-        wsi = (B @ dbt)[..., 0]
-        ssi = (A @ dbt)[..., 0]
+        # each step flattened to its d^2 entries, one (d^2, d^2) Gram per path
+        # over the steps, and its diagonal blocks summed
+        S = np.asarray(model.sigma(x_left), dtype=float)
+        G = np.asarray(model.grad_sigma(x_left, v.v1), dtype=float) * w[:, None, None]
+        flat_s, flat_g = S.reshape(P, n, d * d), G.reshape(P, n, d * d)
+        q = T * np.einsum("pijlj->pil", (flat_s.transpose(0, 2, 1) @ flat_s)
+                          .reshape(P, d, d, d, d)) / n
+        tr = T * np.einsum("pijlj->pil", (flat_g.transpose(0, 2, 1) @ flat_s)
+                           .reshape(P, d, d, d, d)) / n
+        wsi = (G * dBt[:, :, None, :]).sum(axis=(1, 3))
+        ssi = (S * dBt[:, :, None, :]).sum(axis=(1, 3))
     return dict(b_final=b_final, x_final=x0 + b_final, q_matrix=q, trace_integral=tr,
                 drift_grad_integral=np.zeros((P, d)),
                 xi_drift_weight=(b_final * v.v1).sum(axis=1) / T,
@@ -608,6 +792,19 @@ def _given_b(model, ref, y0, zeta):
     q = ref["q_matrix"]
     if model.d == 1 or (model.kind is ModelKind.BASIC and model.scalar_identity):
         s, min_eig = np.sqrt(q[:, 0, 0])[:, None] * zeta, q[:, 0, 0]
+    elif model.d == 2:
+        # the closed-form root of Q / max(Q_00, Q_11), for finite Q != 0
+        scale = np.maximum(q[:, 0, 0], q[:, 1, 1])
+        unit = q / scale[:, None, None]
+        a, b, c = unit[:, 0, 0], unit[:, 1, 0], unit[:, 1, 1]
+        det = np.maximum(a * c - b * b, 0.0)
+        root_det = np.sqrt(det)
+        lam_max = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b)
+        factor = np.sqrt(scale / (a + c + 2.0 * root_det))
+        z0, z1 = zeta[:, 0], zeta[:, 1]
+        s = factor[:, None] * np.stack([(a + root_det) * z0 + b * z1,
+                                        b * z0 + (c + root_det) * z1], axis=1)
+        min_eig = det / lam_max * scale
     else:
         lam, u = np.linalg.eigh(q)
         root = (u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ u.transpose(0, 2, 1)
