@@ -35,9 +35,12 @@ panel), cut at absolute multiples of the tile, so no
 tile cut splits an RNG block and a tile's (P, n_steps) arrays hold at most
 2 MiB / w each; the basic kernel writes its per-point ones into the tile
 scratch of the noise (``paths.Noise``).  Panels on an extended model are
-untiled and keep their batches whole at any worker count: that kernel loops
-over the steps in Python, and its cost per step falls with the width of the
-call.  By the contract above, batches and tiles change no result.
+untiled and keep their batches whole at any worker count: that kernel's
+Python loop steps X through the whole call, a fixed count of numpy calls per
+step and per block of ``paths.BLOCK_STEPS`` steps whatever its width, so a
+narrower call costs more per path (BENCH_cache_tiles.json and
+BENCH_extended_blocks.json measure tiles on them).  By the contract above,
+batches and tiles change no result.
 
 Panels share the work of a tile across their columns.  ``bismut_panel`` runs
 one simulation per tile for any list of directions: the kernels fill their
@@ -273,8 +276,9 @@ def run_batches(
     tiles cut at the absolute multiples of ``tile`` (see ``_tile``), so every
     tile's (P, n_steps, w) draw stays within ``TILE_NORMALS`` floats, and no
     RNG block is drawn by two tiles of one batch.  Without ``tile`` a batch is
-    one tile; the extended panels keep their batches whole, as their kernel
-    loops over the steps in Python and a narrower call costs more per step.
+    one tile; the extended panels keep their batches whole, as their kernel's
+    Python loop steps X through the whole call, a fixed count of numpy calls
+    per step whatever its width, so a narrower call costs more per path.
 
     With ``workers > 1`` and more than one batch, the batches are mapped over
     the process pool of ``workers`` threads (``_pool``) and their results

@@ -106,6 +106,14 @@ class ModelSpec:
     a model, so a ``replace`` of a coefficient must also drop the family
     (``family=None``), as must a caller that wants the model on a walk.
     ``Family.LINEAR`` is refused unless m = d = 1.
+
+    Every gradient callback -- ``grad_sigma``, ``grad_sigma_scalar``,
+    ``grad_sigma1``, ``grad_b1`` and ``grad_b2`` -- is the directional
+    derivative at x along v, so it must be linear in v: f(x, a u + b w) =
+    a f(x, u) + b f(x, w).  The kernels call them along the coordinate axes
+    e_j alone, and the extended kernel reads the derivative along its xi as
+    sum_j xi_j f(x, e_j) (``paths``), so a callback that is not linear in v
+    gives wrong weights, not an error.
     """
 
     m: int

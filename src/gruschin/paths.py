@@ -6,9 +6,10 @@ exact in time (below):
 * Basic model: the X-component has unit diffusion and no drift, so X is advanced
   by exact Brownian accumulation (no scheme error in X); every integral uses
   left-endpoint sums.
-* Extended model: (X, xi) advance jointly.  The auxiliary process xi carries
-  the singular drift -xi/(T-t), handled by the exact integrating factor
-  (T-t-dt)/(T-t) per step, which telescopes and pins xi to 0 at the final node.
+* Extended model: X advances by the Euler step.  The auxiliary process xi
+  carries the singular drift -xi/(T-t), handled by the exact integrating
+  factor (T-t-dt)/(T-t) per step, which telescopes and pins xi to 0 at the
+  final node.
 
 Time integrals are evaluated as T * mean(integrand over left nodes), which equals
 the left Riemann sum but is exact for constant integrands.
@@ -55,18 +56,29 @@ sigma1-invertibility flag.  The direction part reads grad sigma (and, for the
 extended model, the other gradients), and no kernel takes a direction: it runs
 once along each coordinate axis e_1..e_m of R^m, and every functional it fills
 has one slot per axis.  The basic kernel loops over the axes, in both forms;
-the extended kernel carries xi as (P, m, m), xi[:, i] the xi started at e_i.
+the extended kernel carries xi as (P, m, m), column i the xi started at e_i.
 Every such functional is linear in the direction on fixed noise, so
 ``weights`` reads any direction v off one batch as sum_i v1_i (slot i).
 Each kernel is one function, ``_basic_kernel`` or ``_extended_kernel``, whose
 direction part its caller switches on with ``axes``:
 ``simulate_basic_batch`` and ``simulate_extended_batch`` run both parts;
 ``simulate_terminal_batch`` runs only the first, for callers that read nothing
-but (X_T, Y_T) and the validity mask.  The extended kernel is one loop over
-the steps that runs its direction part inside, so nothing is stored per
-step.  The terminal mask checks only direction-free quantities: it
-agrees with the full kernel's unless a gradient callback is non-finite on a
-coordinate axis where sigma is finite.
+but (X_T, Y_T) and the validity mask.  The terminal mask checks only
+direction-free quantities: it agrees with the full kernel's unless a
+gradient callback is non-finite on a coordinate axis where sigma is finite.
+
+The extended kernel runs in blocks of ``BLOCK_STEPS`` steps.  Its step loop
+advances X alone, with the sigma1 and b1 callbacks, and keeps a block's
+left nodes and sigma1 values in the scratch of the noise; every other
+callback runs once per block on those nodes (per axis for a gradient), so
+Python steps through nothing but the X recursion and each numpy call spans a
+block.  Every gradient callback is linear in its direction (``ModelSpec``),
+so the xi step is a linear map, xi_{k+1} = f_k (I + A_k) xi_k, read off the
+gradients along the axes; the running products of a block's step matrices
+carry xi to its every node, and a gradient along xi is the xi-weighted sum
+of those along the axes.  A block's steps are summed by halving, row by row
+(``_step_sum``).  The block length is a constant, so the order of every sum
+is fixed and a path gives the same bits in any batch.
 
 Both kernels fill the same functionals, so ``weights`` assembles M_T by one
 formula.  In particular slot i of ``xi_drift_weight`` is the extended model's
@@ -102,11 +114,12 @@ keeps its ``kl_functionals`` the same way.  A ``Noise`` also holds the tile
 scratch, into which the basic kernel writes each point's left nodes of X and,
 for a scalar sigma, the step products sigma^2 and w (grad_e sigma) sigma that
 Q_T and the trace term average, or for any other sigma the weighted steps
-w (grad_e sigma); nothing a kernel returns aliases it.
+w (grad_e sigma), and the extended kernel a block's increments, left nodes
+and sigma1 values; nothing a kernel returns aliases it.
 ``brownian_left_nodes`` is the one builder of Brownian paths on a grid: it
 reads a walk as start + sqrt(dt) W at the left nodes and sqrt(dt) W_n at T.
-The extended recursion reads eps and scales step k's normals as it reaches
-them, so it builds no walk.  Row p of every output is a function of row p of
+The extended kernel scales a block of eps at a time into its scratch, so it
+builds no walk.  Row p of every output is a function of row p of
 the noise alone, so a path gives the same bits in any batch, and running two
 kernels (or two horizons) on one draw needs no other entry point.
 ``standard_noise`` draws eps from substream 0, zeta from substream 1 and the
@@ -127,6 +140,7 @@ from .models import Family, ModelKind, ModelSpec
 from .rng import PathStreams
 
 __all__ = [
+    "BLOCK_STEPS",
     "KL_MODES",
     "TimeGrid",
     "PathBatch",
@@ -149,6 +163,10 @@ __all__ = [
 # Karhunen-Loeve modes per path and coordinate of a linear-family or Lemma 3.1
 # (n = 1) draw, which adds three normals for the tail beyond them
 KL_MODES = 16
+# steps per block of the extended kernel, whose step loop advances X alone and
+# reads every other functional off a block's left nodes at once; fixed, so a
+# path's bits never depend on its batch (BENCH_extended_blocks.json)
+BLOCK_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -345,9 +363,10 @@ class Noise:
     tile scratch: float64 buffers that the basic kernel fills anew at each
     point simulated on the noise (the left nodes of X and, for a scalar
     sigma, the step products that Q_T and the trace term average, or for
-    any other sigma the weighted gradient steps), so that no point allocates
-    them again.  Nothing a kernel returns aliases the scratch or the
-    functionals.
+    any other sigma the weighted gradient steps), and that the extended
+    kernel fills at each block (its increments, left nodes and sigma1
+    values), so that no point allocates them again.  Nothing a kernel
+    returns aliases the scratch or the functionals.
     """
 
     def __init__(self, eps: np.ndarray | None, zeta: np.ndarray,
@@ -461,6 +480,51 @@ def _root_times(q: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (root @ zeta[..., None])[..., 0], np.where(finite, lam[:, 0], np.nan)
 
 
+def _sigma_integral(q: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q_T, S, min eig Q_T) of an integral of sigma sigma^* dt: a (P,) scalar
+    q of a scalar sigma, for Q_T = q I_d with root sqrt(q) I_d, or a
+    (P, d, d) Q_T, whose root is ``_root_times``."""
+    if q.ndim == 1:
+        return q[:, None, None] * np.eye(zeta.shape[1]), np.sqrt(q)[:, None] * zeta, q
+    return (q, *_root_times(q, zeta))
+
+
+def _running_products(steps: np.ndarray) -> None:
+    """Overwrite each steps[k] of a (B, P, m, m) array with the running
+    product steps[k] ... steps[0]: ceil(log2 B) doubling rounds of one
+    batched product each (Hillis and Steele, 1986), in place of B dependent
+    steps."""
+    span = 1
+    while span < len(steps):
+        steps[span:] = np.einsum("kpab,kpbc->kpac", steps[span:], steps[:-span])
+        span *= 2
+
+
+def _step_sum(values: np.ndarray) -> np.ndarray:
+    """The sum over the leading (step) axis of ``values``, by halving: it adds
+    whole rows only, so a path's sum takes one order whatever the number of
+    paths beside it (``np.sum`` would sum a lone path's steps pairwise).
+    ``values`` is not written; the halves after the first are added in place."""
+    summed = None
+    while len(values) > 1:
+        half = len(values) // 2
+        summed = np.add(values[:half], values[half:2 * half],
+                        out=None if summed is None else summed[:half])
+        if len(values) % 2:
+            summed[0] += values[-1]
+        values = summed
+    return values[0]
+
+
+def _at_directions(axis_values: list, directions: np.ndarray) -> np.ndarray:
+    """sum_j directions[..., j] axis_values[j]: a callback that is linear in
+    its direction, at the directions (B, P, m), from its values (B, P, ...)
+    along the coordinate axes e_j."""
+    return functools.reduce(np.add, (
+        directions[..., j].reshape(directions.shape[:2] + (1,) * (value.ndim - 2)) * value
+        for j, value in enumerate(axis_values)))
+
+
 def _prepare(model: ModelSpec, x0, y0, grid: TimeGrid,
              noise: Noise) -> tuple[np.ndarray, np.ndarray]:
     """Checked starting point (x0, y0) of a kernel call on ``noise``.
@@ -504,21 +568,18 @@ def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
         # B_T = sqrt(T) B_1 and Q_T = T ((x0 + sqrt(T) m)^2 + T v), exact in time
         functionals = noise.functionals
         b_final = math.sqrt(T) * functionals.end
-        min_eig = quadratic_integral(x0, T, functionals)
+        q = quadratic_integral(x0, T, functionals)
     else:
         x_left, b_final = brownian_left_nodes(
             x0, noise.walk, grid, out=noise.scratch("nodes", noise.eps.shape))
         if model.scalar_identity:
             field = np.asarray(model.sigma_scalar(x_left), dtype=float)   # (P, n)
             steps = np.multiply(field, field, out=noise.scratch("steps", noise.eps.shape[:2]))
-            min_eig = T * np.mean(steps, axis=1)
-    if linear or model.scalar_identity:
-        q_matrix = min_eig[:, None, None] * np.eye(d)
-        s = np.sqrt(min_eig)[:, None] * noise.zeta
-    else:
-        field = np.ascontiguousarray(model.sigma(x_left), dtype=float)   # (P, n, d, d)
-        q_matrix = T * _step_gram(field, field) / n
-        s, min_eig = _root_times(q_matrix, noise.zeta)
+            q = T * np.mean(steps, axis=1)
+        else:
+            field = np.ascontiguousarray(model.sigma(x_left), dtype=float)   # (P, n, d, d)
+            q = T * _step_gram(field, field) / n
+    q_matrix, s, min_eig = _sigma_integral(q, noise.zeta)
     y_final = y0 + s
     valid = (
         np.isfinite(q_matrix).all(axis=(1, 2))
@@ -567,96 +628,149 @@ def _basic_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGr
 
 def _extended_kernel(model: ModelSpec, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid,
                      noise: Noise, axes: bool):
-    """The extended kernel, one loop over the steps: a ``PathBatch`` if ``axes``,
-    else (X_T, Y_T, valid) from its direction-free part alone.
+    """The extended kernel in blocks of ``BLOCK_STEPS`` steps: a ``PathBatch``
+    if ``axes``, else (X_T, Y_T, valid) from its direction-free part alone.
 
-    At each left node the direction-free part updates Q_T, int b2 dt and the
-    sigma1-invertibility flag; then, if ``axes``, the direction part advances
-    one xi per coordinate axis e_i of R^m and its functionals; then X advances.
-    ``valid`` asks X_T, Y_T, Q_T and S finite and sigma1 invertible at every
-    node, and with ``axes`` also the direction functionals finite.
+    The step loop advances X alone, X_{k+1} = X_k + sigma1(X_k) dB_k +
+    b1(X_k) dt, and writes each left node X_k and sigma1(X_k) into the
+    scratch of the noise, step-major: (B, P, ...), so a sum over a block's
+    steps adds whole rows (``_step_sum``).  Every other functional is read
+    off a block's left nodes at once, with one call of each other callback
+    per block (per axis for a gradient).  The direction-free part adds the
+    block's steps of Q_T (scalar products, or ``_step_gram`` for a matrix
+    sigma) and of int b2 dt, and flags a singular sigma1.
+
+    If ``axes``, the direction part advances xi, whose column i is the xi
+    started at e_i.  Every gradient callback is linear in its direction
+    (``ModelSpec``), so xi_{k+1} = M_k xi_k, M_k = f_k (I + A_k), with f_k the
+    integrating factor and column j of A_k (grad_{e_j} sigma1) dB_k +
+    (grad_{e_j} b1) dt; the running products of xi and a block's M_k
+    (``_running_products``) give xi at its every node.  A gradient along xi
+    is the sum of those along the axes, weighted by the entries of xi
+    (``_at_directions``), so the steps of the trace term and of
+    int grad_xi b2 dt are weighted by xi as the basic kernel's are by the
+    decay weights, and the xi-drift weight sums
+    <xi_k, sigma1(X_k)^{-T} dB_k>/(T-t_k).  ``valid`` asks X_T, Y_T, Q_T and S
+    finite and sigma1 invertible at every node, and with ``axes`` also the
+    direction functionals finite.
     """
     eps = noise.eps
     P, m, d = len(eps), model.m, model.d
     n, T, dt, h = grid.n_steps, grid.horizon, grid.dt, np.sqrt(grid.dt)
+    scalar = model.scalar_identity
+    width = min(BLOCK_STEPS, n)
+    block_db = noise.scratch("block_db", (width, P, m))
+    block_x = noise.scratch("block_x", (width, P, m))
+    block_sigma1 = noise.scratch("block_sigma1", (width, P, m, m))
     x = np.broadcast_to(x0, (P, m)).copy()
-    b_running = np.zeros((P, m))
-    q_acc = np.zeros((P, d, d))
-    ydrift_acc = np.zeros((P, d))
+    b_final = np.zeros((P, m))
+    q_sum = np.zeros((P,) if scalar else (P, d, d))
+    ydrift_sum = np.zeros((P, d))
     singular = np.zeros(P, dtype=bool)
 
     remaining = T - grid.times()               # (n+1,), exactly 0 at the final node
     factors = remaining[1:] / remaining[:n]    # integrating factors, last one exactly 0
-    xi = np.broadcast_to(np.eye(m), (P, m, m)).copy()     # xi[:, i] starts at e_i
-    tr_acc = np.zeros((P, m, d, d))
-    dgi_acc = np.zeros((P, m, d))
-    xdw_acc = np.zeros((P, m))
+    eye = np.eye(m)
+    xi = np.broadcast_to(eye, (P, m, m)).copy()     # column i starts at e_i
+    tr_sum = np.zeros((P, m) if scalar else (P, m, d, d))
+    dgi_sum = np.zeros((P, m, d))
+    xdw_sum = np.zeros((P, m))
 
-    for k in range(n):
-        db = eps[:, k, :] * h
-        s1 = np.asarray(model.sigma1(x), dtype=float)                 # (P, m, m)
-        s2 = np.asarray(model.sigma(x), dtype=float)                  # (P, d, d)
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        db = np.multiply(eps[:, start:stop].transpose(1, 0, 2), h,
+                         out=block_db[:stop - start])                # (B, P, m)
+        x_left, s1 = block_x[:stop - start], block_sigma1[:stop - start]
+        for j in range(stop - start):
+            x_left[j] = x
+            s1_now = np.asarray(model.sigma1(x), dtype=float)         # (P, m, m)
+            s1[j] = s1_now
+            x = (x + np.einsum("pij,pj->pi", s1_now, db[j])
+                 + np.asarray(model.b1(x), dtype=float) * dt)
+            b_final += db[j]
+
         if m == 1:
-            bad = np.abs(s1[:, 0, 0]) < 1e-300
+            bad = np.abs(s1[..., 0, 0]) < 1e-300
         else:
-            det = np.abs(np.linalg.det(s1))
-            bad = det <= 1e-12 * np.abs(s1).max(axis=(1, 2)) ** m
-        singular |= bad
-        q_acc += np.einsum("pij,pkj->pik", s2, s2) * dt
-        ydrift_acc += np.asarray(model.b2(x), dtype=float) * dt
+            bad = np.abs(np.linalg.det(s1)) <= 1e-12 * np.abs(s1).max(axis=(2, 3)) ** m
+        singular |= bad.any(axis=0)
+        if scalar:
+            field = np.asarray(model.sigma_scalar(x_left), dtype=float)       # (B, P)
+            q_sum += _step_sum(field * field)
+        else:
+            field = np.asarray(model.sigma(x_left), dtype=float)              # (B, P, d, d)
+            field = np.ascontiguousarray(field.transpose(1, 0, 2, 3))        # (P, B, d, d)
+            q_sum += _step_gram(field, field)
+        ydrift_sum += _step_sum(np.asarray(model.b2(x_left), dtype=float))
+        if not axes:
+            continue
 
-        if axes:
-            # xi-drift weight term of each axis at the left node,
-            # <sigma1^{-1} xi/(T-t_k), dB_k>, a singular sigma1 read as I
-            s1_safe = np.where(bad[:, None, None], np.eye(m), s1)
-            if m == 1:
-                s1_inv_xi = xi / s1_safe
+        # xi at the block's nodes: the running products of xi and the block's M_k,
+        # column j of A_k along e_j
+        xis = np.empty((stop - start + 1, P, m, m))
+        xis[0] = xi
+        for j, e in enumerate(eye):
+            np.einsum("kpab,kpb->kpa", np.asarray(model.grad_sigma1(x_left, e), dtype=float),
+                      db, out=xis[1:, ..., j])
+            xis[1:, ..., j] += np.asarray(model.grad_b1(x_left, e), dtype=float) * dt
+        xis[1:] += eye
+        xis[1:] *= factors[start:stop, None, None, None]
+        _running_products(xis)
+        xi, xi_left = xis[-1].copy(), xis[:-1]
+        # z_k = sigma1^{-T} dB_k / (T - t_k), a singular sigma1 read as I, in
+        # the scratch of sigma1 and dB
+        s1[bad] = eye
+        if m == 1:
+            z = np.divide(db, s1[..., 0], out=db)
+        else:
+            z = db
+            z[...] = np.linalg.solve(np.swapaxes(s1, 2, 3), db[..., None])[..., 0]
+        z /= remaining[start:stop, None, None]
+        xdw_sum += _step_sum(np.einsum("kpa,kpai->kpi", z, xi_left))
+        grad = model.grad_sigma_scalar if scalar else model.grad_sigma
+        grads = [np.asarray(grad(x_left, e), dtype=float) for e in eye]
+        for i in range(m):
+            along = _at_directions(grads, xi_left[..., i])
+            if scalar:
+                tr_sum[:, i] += _step_sum(np.multiply(along, field, out=along))
             else:
-                s1_inv_xi = np.linalg.solve(s1_safe, xi.transpose(0, 2, 1)).transpose(0, 2, 1)
-            xdw_acc += (s1_inv_xi * db[:, None, :]).sum(axis=2) / remaining[k]
+                tr_sum[:, i] += _step_gram(along.transpose(1, 0, 2, 3), field)
+        del grads   # block arrays are dropped as soon as read: they set the peak RSS
+        drift_grads = [np.asarray(model.grad_b2(x_left, e), dtype=float) for e in eye]
+        for i in range(m):
+            dgi_sum[:, i] += _step_sum(_at_directions(drift_grads, xi_left[..., i]))
+        del xis, xi_left, drift_grads
 
-            for i in range(m):
-                xi_i = xi[:, i]
-                g2 = np.asarray(model.grad_sigma(x, xi_i), dtype=float)   # (P, d, d)
-                # the decay (T-t)/T of the basic weight lives inside xi here: in the
-                # sigma1 = I, b1 = 0 reduction xi_t = e_i (T-t)/T exactly, so these
-                # unweighted integrands coincide with the weighted basic ones
-                tr_acc[:, i] += dt * np.einsum("pij,pkj->pik", g2, s2)
-                dgi_acc[:, i] += np.asarray(model.grad_b2(x, xi_i), dtype=float) * dt
-
-                gs1 = np.asarray(model.grad_sigma1(x, xi_i), dtype=float)   # (P, m, m)
-                gb1 = np.asarray(model.grad_b1(x, xi_i), dtype=float)       # (P, m)
-                xi[:, i] = factors[k] * (xi_i + np.einsum("pij,pj->pi", gs1, db) + gb1 * dt)
-
-        x = x + np.einsum("pij,pj->pi", s1, db) + np.asarray(model.b1(x), dtype=float) * dt
-        b_running = b_running + db
-
-    s, min_eig = _root_times(q_acc, noise.zeta)
-    y_final = y0 + (s + ydrift_acc)
+    q_matrix, s, min_eig = _sigma_integral(T * q_sum / n, noise.zeta)
+    y_final = y0 + (s + T * ydrift_sum / n)
     valid = (
         np.isfinite(x).all(axis=1)
         & np.isfinite(y_final).all(axis=1)
-        & np.isfinite(q_acc).all(axis=(1, 2))
+        & np.isfinite(q_matrix).all(axis=(1, 2))
         & np.isfinite(s).all(axis=1)
         & ~singular
     )
     if not axes:
         return x, y_final, valid
+    trace_integral = T * tr_sum / n
+    if scalar:
+        trace_integral = trace_integral[:, :, None, None] * np.eye(d)
+    drift_grad_integral = T * dgi_sum / n
     valid &= (
-        np.isfinite(tr_acc).all(axis=(1, 2, 3))
-        & np.isfinite(dgi_acc).all(axis=(1, 2))
-        & np.isfinite(xdw_acc).all(axis=1)
+        np.isfinite(trace_integral).all(axis=(1, 2, 3))
+        & np.isfinite(drift_grad_integral).all(axis=(1, 2))
+        & np.isfinite(xdw_sum).all(axis=1)
     )
 
     return PathBatch(
-        b_final=b_running,
+        b_final=b_final,
         x_final=x,
         y_final=y_final,
-        q_matrix=q_acc,
-        trace_integral=tr_acc,
+        q_matrix=q_matrix,
+        trace_integral=trace_integral,
         sigma_stoch_integral=s,
-        drift_grad_integral=dgi_acc,
-        xi_drift_weight=xdw_acc,
+        drift_grad_integral=drift_grad_integral,
+        xi_drift_weight=xdw_sum,
         min_eig_q=min_eig,
         valid=valid,
     )

@@ -40,6 +40,7 @@ from gruschin.models import (
     observable,
 )
 from gruschin.paths import (
+    BLOCK_STEPS,
     TimeGrid,
     brownian_left_nodes,
     simulate_basic_batch,
@@ -288,30 +289,51 @@ def test_criterion_11_harnack_loop(two_grid_reports):
 
 def test_criterion_12_xi_solver_exactness():
     # sigma1 = I, b1 = 0: xi_k is the telescoped product of the integrating
-    # factors, and each accumulator that reads xi is its step sum on the noise
+    # factors, formed over each block of BLOCK_STEPS steps as running products
+    # by doubling, and each accumulator that reads xi is the sum of its blocks,
+    # each block's steps summed by halving, on the noise
     model = as_extended(make_power_law_model(1, 1, 1.0))
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
-    times, remaining = grid.times(), T - grid.times()
-    v1 = 1.0
-    xi = np.empty(n + 1)
-    xi[0] = v1
-    for k in range(n):
-        xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
+    remaining = T - grid.times()
+    factors = remaining[1:] / remaining[:n]
+
+    def running_products(chain):
+        span = 1
+        while span < len(chain):
+            chain[span:] = chain[span:] * chain[:-span]
+            span *= 2
+        return chain
+
+    def halving_sum(values):
+        while len(values) > 1:
+            half = len(values) // 2
+            summed = values[:half] + values[half:2 * half]
+            if len(values) % 2:
+                summed[0] += values[-1]
+            values = summed
+        return values[0]
+
     noise = standard_noise(112, np.arange(5), n, model)
     pf = simulate_extended_batch(model, [1.0], [0.0], grid, noise)
-    dB = noise.eps * np.sqrt(grid.dt)
-    x = np.ones((5, 1))
-    xdw, tr = np.zeros(5), np.zeros((5, 1, 1))
-    for k in range(n):
-        g = model.grad_sigma(x, np.full((5, 1), xi[k]))
-        xdw += xi[k] * dB[:, k, 0] / remaining[k]
-        tr += grid.dt * (g * model.sigma(x))
-        x = x + dB[:, k]
-    # v1 = 1 is the axis e_1, so slot 0 of each accumulator is its step sum
-    ok = (xi[-1] == 0.0 and np.array_equal(pf.xi_drift_weight[:, 0], xdw)
-          and np.array_equal(pf.trace_integral[:, 0], tr))
-    report(12, ok, "xi-drift weight and trace term equal bitwise their step sums "
+    dB = (noise.eps * np.sqrt(grid.dt))[..., 0].T          # (n, 5)
+    xi = np.empty(n + 1)
+    xi[0] = 1.0
+    x, xdw, tr = np.ones(5), np.zeros(5), np.zeros(5)
+    for start in range(0, n, BLOCK_STEPS):
+        k = np.arange(start, min(start + BLOCK_STEPS, n))
+        xi[start:k[-1] + 2] = running_products(np.concatenate([[xi[start]], factors[k]]))
+        x_left = np.empty((len(k), 5))
+        for j, step in enumerate(k):
+            x_left[j] = x
+            x = x + dB[step]
+        xdw += halving_sum(dB[k] / remaining[k, None] * xi[k, None])
+        tr += halving_sum(xi[k, None] * x_left)      # grad sigma = 1 and sigma(x) = x
+    # v1 = 1 is the axis e_1, so slot 0 of each accumulator is its block sum
+    ok = (xi[-1] == 0.0 and np.allclose(xi, (T - grid.times()) / T, rtol=0, atol=1e-12)
+          and np.array_equal(pf.xi_drift_weight[:, 0], xdw)
+          and np.array_equal(pf.trace_integral[:, 0, 0, 0], T * tr / n))
+    report(12, ok, "xi-drift weight and trace term equal bitwise their block sums "
                    "over the telescoped xi on 5 paths; xi_T exactly 0")
 
 

@@ -90,6 +90,44 @@ def test_grad_sigma_linear_in_direction(a, b, u, w, x):
     assert left == pytest.approx(right, abs=1e-9 * (1 + abs(left)))
 
 
+GRADIENT_CALLBACKS = ("grad_sigma", "grad_sigma_scalar", "grad_sigma1", "grad_b1", "grad_b2")
+LINEARITY_MODELS = {
+    "power_law(1,1,1)": make_power_law_model(1, 1, 1.0),
+    "power_law(1,1,2)": make_power_law_model(1, 1, 2.0),
+    "power_law(1,2,1.5)": make_power_law_model(1, 2, 1.5),
+    "power_law(2,1,1)": make_power_law_model(2, 1, 1.0),
+    "power_law(3,2,2.5)": make_power_law_model(3, 2, 2.5),
+    "constant_identity(2,2)": builtin_model("constant_identity", 2, 2),
+    "extended_demo": make_extended_demo_model(),
+    "tilted_matrix": builtin_model("tilted_matrix"),
+    "as_extended(power_law(2,1,1.5))": as_extended(make_power_law_model(2, 1, 1.5)),
+    "as_extended(tilted_matrix)": as_extended(builtin_model("tilted_matrix")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEARITY_MODELS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_gradient_callback_is_linear_in_its_direction(name, data):
+    # the extended kernel reads a gradient along xi as sum_j xi_j (gradient
+    # along e_j), and every kernel calls the callbacks along the axes alone
+    model = LINEARITY_MODELS[name]
+    m = model.m
+    vector = st.lists(finite, min_size=m, max_size=m).map(np.array)
+    x = np.stack([data.draw(vector) for _ in range(3)])          # (3, m) points
+    u, w = data.draw(vector), data.draw(vector)
+    a, b = data.draw(finite), data.draw(finite)
+    callbacks = [c for c in GRADIENT_CALLBACKS if getattr(model, c) is not None]
+    assert "grad_sigma" in callbacks
+    for callback in callbacks:
+        f = getattr(model, callback)
+        left = np.asarray(f(x, a * u + b * w), dtype=float)
+        right = a * np.asarray(f(x, u), dtype=float) + b * np.asarray(f(x, w), dtype=float)
+        scale = 1.0 + np.abs(a * np.asarray(f(x, u))) + np.abs(b * np.asarray(f(x, w)))
+        assert left.shape == right.shape, callback
+        assert np.all(np.abs(left - right) <= 1e-12 * scale), callback
+
+
 def test_extended_demo_sigma1_inverse_bounded():
     model = make_extended_demo_model()
     xs = np.linspace(-5, 5, 101)[:, None]

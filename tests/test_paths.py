@@ -1,6 +1,9 @@
 """Simulation kernels: exactness, convergence order, invariants, determinism."""
 
+import functools
+import math
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -31,6 +34,7 @@ from gruschin.models import (
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
 from gruschin.paths import (
+    BLOCK_STEPS,
     KL_MODES,
     Noise,
     PathBatch,
@@ -135,6 +139,61 @@ def _coupled_d3_model():
 
     return ModelSpec(m=1, d=3, kind=ModelKind.BASIC, sigma=sigma, grad_sigma=grad_sigma,
                      name="coupled_d3")
+
+
+def _coupled_extended_model():
+    """m = d = 2 extended model whose every coefficient couples the
+    coordinates: sigma1 = I + 0.2 C(x) is non-diagonal and invertible, and
+    the non-diagonal sigma2 runs the matrix (``_step_gram``) form."""
+    def parts(x, v=None):
+        xa = np.asarray(x, dtype=float)
+        x0, x1 = xa[..., 0], xa[..., 1]
+        if v is None:
+            return x0, x1
+        vv = np.broadcast_to(np.asarray(v, dtype=float), xa.shape)
+        return x0, x1, vv[..., 0], vv[..., 1]
+
+    def matrix(a, b, c, d):
+        return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+
+    def sigma1(x):
+        x0, x1 = parts(x)
+        return matrix(1.0 + 0.2 * np.tanh(x0), 0.1 * np.sin(x1),
+                      0.06 * np.sin(x0), 1.0 + 0.2 * np.tanh(x1))
+
+    def grad_sigma1(x, v):
+        x0, x1, v0, v1 = parts(x, v)
+        return matrix(0.2 * v0 / np.cosh(x0) ** 2, 0.1 * np.cos(x1) * v1,
+                      0.06 * np.cos(x0) * v0, 0.2 * v1 / np.cosh(x1) ** 2)
+
+    def b1(x):
+        x0, x1 = parts(x)
+        return -0.3 * np.stack([np.tanh(x0 + 0.5 * x1), np.sin(x1)], axis=-1)
+
+    def grad_b1(x, v):
+        x0, x1, v0, v1 = parts(x, v)
+        return -0.3 * np.stack([(v0 + 0.5 * v1) / np.cosh(x0 + 0.5 * x1) ** 2,
+                                np.cos(x1) * v1], axis=-1)
+
+    def sigma2(x):
+        x0, x1 = parts(x)
+        return matrix(x0, 0.5 * x1, 0.25 * x0 * x1, x1)
+
+    def grad_sigma2(x, v):
+        x0, x1, v0, v1 = parts(x, v)
+        return matrix(v0, 0.5 * v1, 0.25 * (v0 * x1 + x0 * v1), v1)
+
+    def b2(x):
+        x0, x1 = parts(x)
+        return np.stack([0.5 * np.sin(x0), 0.2 * x0 * x1], axis=-1)
+
+    def grad_b2(x, v):
+        x0, x1, v0, v1 = parts(x, v)
+        return np.stack([0.5 * np.cos(x0) * v0, 0.2 * (v0 * x1 + x0 * v1)], axis=-1)
+
+    return ModelSpec(m=2, d=2, kind=ModelKind.EXTENDED, sigma=sigma2, grad_sigma=grad_sigma2,
+                     name="coupled_extended", sigma1=sigma1, grad_sigma1=grad_sigma1,
+                     b1=b1, grad_b1=grad_b1, b2=b2, grad_b2=grad_b2)
 
 
 def test_matrix_kernel_matches_einsum_reference_on_non_diagonal_sigma():
@@ -408,27 +467,68 @@ def test_discrete_degeneracy_inequality(l):
     assert np.all(slack >= -1e-10 * (1.0 + np.abs(degeneracy)))
 
 
+def _halving_sum(values):
+    """The sum over the leading (step) axis by halving, row by row: the order
+    in which the extended kernel sums a block's steps."""
+    while len(values) > 1:
+        half = len(values) // 2
+        summed = values[:half] + values[half:2 * half]
+        if len(values) % 2:
+            summed[0] += values[-1]
+        values = summed
+    return values[0]
+
+
+def _doubling_products(chain):
+    """The running products chain[k] ... chain[0], at every k, by doubling, as
+    the extended kernel forms xi over a block (scalars here)."""
+    chain = np.array(chain, dtype=float)
+    span = 1
+    while span < len(chain):
+        chain[span:] = chain[span:] * chain[:-span]
+        span *= 2
+    return chain
+
+
+def telescoped_xi(grid, v1):
+    """xi_k at every node for sigma1 = I and b1 = 0 and m = 1, as the extended
+    kernel forms it: in each block of ``BLOCK_STEPS`` steps, the running
+    products of xi at its start and the integrating factors."""
+    n, T, times = grid.n_steps, grid.horizon, grid.times()
+    factors = (T - times[1:]) / (T - times[:n])
+    xi = np.empty(n + 1)
+    xi[0] = v1
+    for start in range(0, n, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, n)
+        xi[start:stop + 1] = _doubling_products(np.concatenate([[xi[start]], factors[start:stop]]))
+    return xi
+
+
 def xi_weight_sums(model, grid, xi, x0, eps):
-    """The two xi-dependent accumulators of the extended kernel, summed step by
-    step from the given xi path on the standard normals ``eps``, for sigma1 = I,
-    b1 = 0 and m = d = 1."""
-    T, dt, P = grid.horizon, grid.dt, len(eps)
-    dB = eps * np.sqrt(dt)
+    """The two xi-dependent accumulators of the extended kernel, from the given
+    xi path on the standard normals ``eps``, for sigma1 = I, b1 = 0 and
+    m = d = 1: each block's steps summed by halving, the blocks in order."""
+    T, dt, P, n = grid.horizon, grid.dt, len(eps), grid.n_steps
+    dB = (eps * np.sqrt(dt))[..., 0].T             # (n, P), step-major as the kernel's
     remaining = T - grid.times()
-    x = np.full((P, 1), x0)
-    xdw, tr = np.zeros(P), np.zeros((P, 1, 1))
-    for k in range(grid.n_steps):
-        g = model.grad_sigma(x, np.full((P, 1), xi[k]))
-        xdw += xi[k] * dB[:, k, 0] / remaining[k]
-        tr += dt * (g * model.sigma(x))
-        x = x + dB[:, k]
-    return {"xi_drift_weight": xdw, "trace_integral": tr}
+    x = np.full(P, x0)
+    xdw, tr = np.zeros(P), np.zeros(P)
+    for start in range(0, n, BLOCK_STEPS):
+        k = np.arange(start, min(start + BLOCK_STEPS, n))
+        x_left = np.empty((len(k), P))
+        for j, step in enumerate(k):
+            x_left[j] = x
+            x = x + dB[step]
+        xdw += _halving_sum(dB[k] / remaining[k, None] * xi[k, None])
+        g = model.grad_sigma_scalar(x_left[..., None], np.ones(1))
+        tr += _halving_sum(xi[k, None] * g * model.sigma_scalar(x_left[..., None]))
+    return {"xi_drift_weight": xdw, "trace_integral": (T * tr / n)[:, None, None]}
 
 
 def test_xi_closed_form_with_identity_coefficients():
     # sigma1 = I, b1 = 0: the integrating factors telescope to (T - t_k)/T and
     # the final node lands on exactly zero; every accumulator that reads xi is
-    # bit for bit the sum of the telescoped xi_k against the noise
+    # bit for bit the block sums of the telescoped xi_k against the noise
     model = as_extended(make_power_law_model(1, 1, 1.0))
     T, n = 1.0, 200
     grid = TimeGrid(T, n)
@@ -436,13 +536,15 @@ def test_xi_closed_form_with_identity_coefficients():
     drawn = noise(model, grid, 41, np.arange(2, 10))
     pf = simulate_extended_batch(model, [1.0], [0.0], grid, drawn)
     times = grid.times()
-    # bitwise reconstruction of the telescoping product
-    xi = np.empty(n + 1)
-    xi[0] = v1
-    for k in range(n):
-        xi[k + 1] = ((T - times[k + 1]) / (T - times[k])) * xi[k]
+    xi = telescoped_xi(grid, v1)
     assert xi[-1] == 0.0
     assert np.allclose(xi, v1 * (T - times) / T, atol=1e-12)
+    # the step-by-step telescoping product agrees to rounding
+    sequential = np.empty(n + 1)
+    sequential[0] = v1
+    for k in range(n):
+        sequential[k + 1] = ((T - times[k + 1]) / (T - times[k])) * sequential[k]
+    np.testing.assert_allclose(xi, sequential, rtol=1e-14, atol=0.0)
     for name, want in xi_weight_sums(model, grid, xi, 1.0, drawn.eps).items():
         assert np.array_equal(getattr(pf, name)[:, 0], want), name
 
@@ -740,8 +842,100 @@ def _reference_basic(model, x0, v, grid, eps, eps_t):
                 ydrift=np.zeros((P, d)), w_tilde=wsi, s_tilde=ssi)
 
 
+def _gram_steps(left, right):
+    """sum_k L_k R_k^* (P, d, d) of two (B, P, d, d) step arrays, through the
+    (d^2, d^2) Gram over the steps of their flattened entries."""
+    B, P, d, _ = left.shape
+    flat_l = np.ascontiguousarray(left.transpose(1, 0, 2, 3)).reshape(P, B, d * d)
+    flat_r = np.ascontiguousarray(right.transpose(1, 0, 2, 3)).reshape(P, B, d * d)
+    return np.einsum("pijlj->pil", (flat_l.transpose(0, 2, 1) @ flat_r).reshape(P, d, d, d, d))
+
+
 def _reference_extended(model, x0, v, grid, eps, eps_t):
-    """As ``_reference_basic``, for the extended kernel's joint (X, Y, xi) loop."""
+    """As ``_reference_basic``, for the extended kernel's blocks of
+    ``BLOCK_STEPS`` steps along one direction v1: X step by step, every other
+    callback once per block on its left nodes (the gradients along the axes),
+    xi carried as the matrix whose columns start at the axes by the running
+    products of its block's step matrices, and the functionals read along the
+    xi of v1, xi v1, each block summed by halving."""
+    m, d, n, T, dt = model.m, model.d, grid.n_steps, grid.horizon, grid.dt
+    P, h, eye = len(eps), np.sqrt(dt), np.eye(m)
+    scalar = model.scalar_identity
+    remaining = T - grid.times()
+    factors = remaining[1:] / remaining[:n]
+    x = np.broadcast_to(x0, (P, m)).copy()
+    xi = np.broadcast_to(eye, (P, m, m)).copy()
+    b = np.zeros((P, m))
+    q, tr = (np.zeros(P) if scalar else np.zeros((P, d, d)) for _ in range(2))
+    wsi, ssi, dgi, ydrift = (np.zeros((P, d)) for _ in range(4))
+    xdw = np.zeros(P)
+    for start in range(0, n, BLOCK_STEPS):
+        k = np.arange(start, min(start + BLOCK_STEPS, n))
+        db, dbt = eps[:, k].transpose(1, 0, 2) * h, eps_t[:, k].transpose(1, 0, 2) * h
+        x_left, s1 = np.empty((len(k), P, m)), np.empty((len(k), P, m, m))
+        for j in range(len(k)):
+            x_left[j] = x
+            s1[j] = model.sigma1(x)
+            x = (x + np.einsum("pij,pj->pi", s1[j], db[j])
+                 + np.asarray(model.b1(x), dtype=float) * dt)
+            b += db[j]
+        if m == 1:
+            bad = np.abs(s1[..., 0, 0]) < 1e-300
+            z = db / np.where(bad[..., None, None], eye, s1)[..., 0]
+        else:
+            bad = np.abs(np.linalg.det(s1)) <= 1e-12 * np.abs(s1).max(axis=(2, 3)) ** m
+            s1_safe = np.where(bad[..., None, None], eye, s1)
+            z = np.linalg.solve(np.swapaxes(s1_safe, 2, 3), db[..., None])[..., 0]
+        z /= remaining[k, None, None]
+        xis = np.empty((len(k) + 1, P, m, m))
+        xis[0] = xi
+        for j, e in enumerate(eye):
+            xis[1:, ..., j] = np.einsum("kpab,kpb->kpa", model.grad_sigma1(x_left, e), db)
+            xis[1:, ..., j] += np.asarray(model.grad_b1(x_left, e), dtype=float) * dt
+        xis[1:] = (xis[1:] + eye) * factors[k, None, None, None]
+        span = 1
+        while span < len(xis):
+            xis[span:] = np.einsum("kpab,kpbc->kpac", xis[span:], xis[:-span])
+            span *= 2
+        xi = xis[-1]
+        xi_v = np.einsum("kpai,i->kpa", xis[:-1], v.v1)        # xi of v1 at the left nodes
+
+        def along(callback):
+            values = [np.asarray(callback(x_left, e), dtype=float) for e in eye]
+            weights = [xi_v[..., j].reshape(xi_v.shape[:2] + (1,) * (values[j].ndim - 2))
+                       for j in range(m)]
+            return functools.reduce(np.add, (w * g for w, g in zip(weights, values)))
+
+        xdw += _halving_sum(np.einsum("kpa,kpa->kp", z, xi_v))
+        dgi += _halving_sum(along(model.grad_b2))
+        ydrift += _halving_sum(np.asarray(model.b2(x_left), dtype=float))
+        if scalar:
+            field = np.asarray(model.sigma_scalar(x_left), dtype=float)
+            g2 = along(model.grad_sigma_scalar)
+            q += _halving_sum(field * field)
+            tr += _halving_sum(g2 * field)
+            wsi += _halving_sum(g2[..., None] * dbt)
+            ssi += _halving_sum(field[..., None] * dbt)
+        else:
+            field = np.asarray(model.sigma(x_left), dtype=float)
+            g2 = along(model.grad_sigma)
+            q += _gram_steps(field, field)
+            tr += _gram_steps(g2, field)
+            wsi += _halving_sum(np.einsum("kpij,kpj->kpi", g2, dbt))
+            ssi += _halving_sum(np.einsum("kpij,kpj->kpi", field, dbt))
+    if scalar:
+        q, tr = ((T * acc / n)[:, None, None] * np.eye(d) for acc in (q, tr))
+    else:
+        q, tr = T * q / n, T * tr / n
+    return dict(b_final=b, x_final=x, q_matrix=q, trace_integral=tr,
+                drift_grad_integral=T * dgi / n, xi_drift_weight=xdw,
+                ydrift=T * ydrift / n, w_tilde=wsi, s_tilde=ssi)
+
+
+def _joint_loop_extended(model, x0, v, grid, eps, eps_t):
+    """As ``_reference_basic``, for the extended kernel as one joint (X, Y, xi)
+    loop over the steps, along one direction: every callback at every step,
+    and every integral a running sum."""
     m, d, n, T, dt = model.m, model.d, grid.n_steps, grid.horizon, grid.dt
     P = len(eps)
     remaining = T - grid.times()
@@ -821,6 +1015,7 @@ SPLIT_MODELS = {
     "tilted_matrix": make_tilted_matrix_model(),
     "extended_demo": make_extended_demo_model(),
     "extended_m2": as_extended(make_power_law_model(2, 1, 1.0)),
+    "extended_coupled": _coupled_extended_model(),
 }
 FIELDS = ("b_final", "x_final", "q_matrix", "trace_integral", "drift_grad_integral",
           "xi_drift_weight")
@@ -856,6 +1051,93 @@ def test_direction_free_part_keeps_every_bit(name, x_start):
             assert got.shape == value.shape and got.dtype == value.dtype, field
             assert np.array_equal(got, value), field
     assert valid.all()
+
+
+EXTENDED_MODELS = ["extended_coupled", "extended_demo", "extended_m2"]
+
+
+@pytest.mark.parametrize("n_steps", [40, 43])
+@pytest.mark.parametrize("name", EXTENDED_MODELS)
+def test_extended_blocks_agree_with_the_joint_step_loop(name, n_steps):
+    # the blocks and the one joint loop over the steps are two orders of the
+    # same sums and products: X_T keeps every bit, every other field agrees
+    # to rounding, read along a direction that mixes the axes
+    model = SPLIT_MODELS[name]
+    grid = TimeGrid(1.0, n_steps)
+    idx = np.arange(500)
+    x0, y0 = np.linspace(0.4, 1.0, model.m), np.full(model.d, 0.3)
+    v = Direction.make(np.linspace(0.8, -0.6, model.m), np.full(model.d, 0.5))
+    drawn = noise(model, grid, 71, idx)
+    batch = simulate_batch(model, x0, y0, grid, drawn)
+    ref = _joint_loop_extended(model, x0, v, grid, drawn.eps,
+                               np.zeros((len(idx), n_steps, model.d)))
+    assert batch.valid.all()
+    assert np.array_equal(batch.x_final, ref["x_final"])
+    want = {key: ref[key] for key in FIELDS} | _given_b(model, ref, y0, drawn.zeta)
+    for field, value in want.items():
+        got = getattr(batch, field)
+        if field in AXIS_FIELDS:
+            got = np.einsum("pi...,i->p...", got, v.v1)
+        np.testing.assert_allclose(got, value, rtol=0, atol=1e-12 * np.abs(value).max(),
+                                   err_msg=field)
+
+
+@pytest.mark.parametrize("n_steps", [BLOCK_STEPS - 1, 2 * BLOCK_STEPS + 1])
+@pytest.mark.parametrize("kernel", [simulate_batch, simulate_terminal_batch])
+@pytest.mark.parametrize("name", EXTENDED_MODELS)
+def test_extended_path_alone_equals_the_path_in_a_batch(name, kernel, n_steps):
+    # a block spans steps, never paths: each sum over its steps adds whole
+    # rows, so no path's bits depend on the paths beside it, below one block
+    # and with a last block cut short
+    model = SPLIT_MODELS[name]
+    grid = TimeGrid(1.0, n_steps)
+    x0, y0 = np.full(model.m, 0.7), np.full(model.d, 0.4)
+    batches = {P: noise(model, grid, 53, np.arange(P)) for P in (300, 700)}
+    for i in (0, 255, 256, 299):
+        one = _outputs(kernel(model, x0, y0, grid, noise(model, grid, 53, [i])))
+        for P, drawn in batches.items():
+            many = _outputs(kernel(model, x0, y0, grid, drawn))
+            for field, value in one.items():
+                assert np.array_equal(value[0], many[field][i]), (field, P, i)
+
+
+CALLBACKS = ("sigma", "grad_sigma", "sigma_scalar", "grad_sigma_scalar", "sigma1",
+             "grad_sigma1", "b1", "grad_b1", "b2", "grad_b2")
+
+
+def _counting(model):
+    """``model`` with each callback wrapped to count its calls, and the counter."""
+    counts = Counter()
+
+    def counted(name, callback):
+        def call(*args):
+            counts[name] += 1
+            return callback(*args)
+        return call
+
+    wrapped = {name: counted(name, getattr(model, name)) for name in CALLBACKS
+               if getattr(model, name) is not None}
+    return replace(model, **wrapped), counts
+
+
+@pytest.mark.parametrize("n_steps", [BLOCK_STEPS - 1, 3 * BLOCK_STEPS, 3 * BLOCK_STEPS + 2, 100])
+@pytest.mark.parametrize("name", EXTENDED_MODELS)
+def test_extended_kernel_steps_only_sigma1_and_b1(name, n_steps):
+    # X's recursion calls sigma1 and b1 at every step; every other callback
+    # runs at most once per block, along each axis for a gradient
+    model, counts = _counting(SPLIT_MODELS[name])
+    grid = TimeGrid(1.0, n_steps)
+    drawn = noise(model, grid, 61, np.arange(64))
+    x0, y0 = np.full(model.m, 0.5), np.zeros(model.d)
+    blocks = math.ceil(n_steps / BLOCK_STEPS)
+    for kernel in (simulate_batch, simulate_terminal_batch):
+        counts.clear()
+        kernel(model, x0, y0, grid, drawn)
+        assert counts["sigma1"] == n_steps and counts["b1"] == n_steps, kernel
+        for name_, calls in counts.items():
+            if name_ not in ("sigma1", "b1"):
+                per_block = model.m if name_.startswith("grad") else 1
+                assert calls <= blocks * per_block, (kernel, name_, calls)
 
 
 AXIS_MODELS = {
