@@ -103,8 +103,9 @@ sum_k xi_k^2 / omega_k^2; its tail beyond K is set to its conditional mean
 given the three tail normals, so E int B^2 = 1/2 holds exactly and v is at
 least the tail variance the three normals leave unexplained.  The tail
 constants are computed once per K, on first use (``_kl_weights``).  Each
-functional is a per-row reduction over the K + 3 modes (no matrix product
-across rows), so a path's functionals do not depend on its batch.
+functional is one einsum contraction per row over its K + 3 modes, with no
+product across rows and no BLAS, so a path's functionals do not depend on its
+batch.
 
 The other basic kernels read the standard random walk W of eps (W_0 = 0,
 W_k = eps_0 + ... + eps_{k-1}, ``standard_walk``), which a ``Noise`` builds
@@ -330,13 +331,14 @@ def kl_functionals(modes: np.ndarray) -> KLFunctionals:
     by the forms of ``_kl_weights``: (B_1, m, u) have their exact joint law, and
     int B^2 is exact in its K-mode head and its tail's conditional mean beyond.
     v = int B^2 - m^2 coordinate by coordinate, at least the unexplained tail
-    variance tau > 0.  Every sum is a per-row reduction over the modes, so a
-    path's functionals do not depend on its batch."""
+    variance tau > 0.  Each is one ``np.einsum`` contraction over the modes of
+    a row, without ``optimize``: no BLAS runs and no product spans two rows, so
+    a path's functionals do not depend on its batch."""
     weights, quad, tau = _kl_weights(modes.shape[1] - 3)
     x = np.ascontiguousarray(np.moveaxis(modes, 1, 2))                # (P, m, K + 3)
-    linear = (x[:, :, None, :] * weights).sum(axis=-1)                # (P, m, 3)
+    linear = np.einsum("pmk,jk->pmj", x, weights)                     # (P, m, 3)
     mean = linear[..., 1]
-    square = (x * x * quad).sum(axis=-1) + tau                        # int B^2, (P, m)
+    square = np.einsum("pmk,pmk,k->pm", x, x, quad) + tau             # int B^2, (P, m)
     return KLFunctionals(end=linear[..., 0], mean=mean, decay=linear[..., 2],
                          spread=np.sum(square - mean * mean, axis=1))
 

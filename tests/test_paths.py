@@ -36,6 +36,7 @@ from gruschin.models import TestFunction as Observable  # not a pytest class
 from gruschin.paths import (
     BLOCK_STEPS,
     KL_MODES,
+    KLFunctionals,
     Noise,
     PathBatch,
     TimeGrid,
@@ -1393,6 +1394,56 @@ def test_quadratic_integral_of_the_kl_functionals_is_the_path_integral():
                 np.testing.assert_allclose(quad, path, rtol=1e-3, atol=0.0)
 
 
+def _at_offset(modes, offset):
+    """A copy of ``modes`` that starts ``offset`` float64 entries into a larger
+    buffer, so its data sits 8 * offset bytes past the buffer's alignment."""
+    buffer = np.empty(modes.size + offset)
+    shifted = buffer[offset:].reshape(modes.shape)
+    shifted[...] = modes
+    return shifted
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_kl_functionals_of_a_row_alone_equal_the_row_in_any_batch(m):
+    # every row computed alone gives the bits of the same row in batches of
+    # 1, 255, 256, 257 and 6,656 rows (a 6,656-row tile and the 256-path
+    # blocks of the draw), also when the modes sit 8 bytes into a buffer:
+    # at m = 1 the function contracts that buffer in place, without a copy
+    drawn = standard_modes(71, np.arange(6656), m)
+    for offset in (0, 1):
+        modes = _at_offset(drawn, offset)
+        alone = [kl_functionals(modes[p:p + 1]) for p in range(len(modes))]
+        want = KLFunctionals(*(np.concatenate(f) for f in zip(*alone)))
+        for P in (1, 255, 256, 257, 6656):
+            got = [kl_functionals(modes[s:s + P]) for s in range(0, len(modes), P)]
+            for name, value in zip(KLFunctionals._fields, zip(*got)):
+                assert np.array_equal(np.concatenate(value), getattr(want, name)), \
+                    (name, P, offset)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_kl_functionals_are_the_exact_sums_of_their_terms(m):
+    # on 200 rows, (B_1, m, u) against math.fsum of their per-mode terms, and
+    # int B^2, which the output carries as v = sum_i (int B_i^2 - m_i^2),
+    # through v against math.fsum of the terms of every int B_i^2 (tau one of
+    # them) and every -m_i^2: each within 8 ulp of the sum of |terms|
+    weights, quad, tau = paths._kl_weights(KL_MODES)
+    modes = standard_modes(73, np.arange(200), m)
+    got = kl_functionals(modes)
+    linear = np.stack([got.end, got.mean, got.decay], axis=-1)       # (P, m, 3)
+    for p in range(len(modes)):
+        spread_terms = []
+        for i in range(m):
+            x = modes[p, :, i]
+            for j in range(3):
+                terms = x * weights[j]
+                assert abs(linear[p, i, j] - math.fsum(terms)) \
+                    <= 8 * np.spacing(math.fsum(np.abs(terms))), (p, i, j)
+            spread_terms += [*(x * x * quad), tau, -got.mean[p, i] * got.mean[p, i]]
+        assert abs(got.spread[p] - math.fsum(spread_terms)) \
+            <= 8 * np.spacing(math.fsum(np.abs(spread_terms))), p
+
+
 def _outputs(result):
     """A kernel's result by field name: a ``PathBatch``, or the terminal triple."""
     if isinstance(result, PathBatch):
@@ -1402,9 +1453,9 @@ def _outputs(result):
 
 @pytest.mark.parametrize("kernel", [simulate_batch, simulate_terminal_batch])
 def test_linear_path_alone_equals_the_path_in_a_batch(kernel):
-    # 1,280 paths are one tile of a K = 100 panel; the KL functionals are
-    # reduced row by row over the modes, so no row's bits depend on its
-    # position or on the batch
+    # 1,280 paths are one tile of a K = 100 panel; each KL functional is one
+    # einsum contraction per row over its modes, with no product across rows
+    # and no BLAS, so no row's bits depend on its position or on the batch
     starts = [(-2.0, 0.7), (0.3, 0.25), (1.5, 4.0)]
     batches = {P: noise(LINEAR, TimeGrid(1.0, 100), 53, np.arange(P)) for P in (700, 1280)}
     for i in (0, 255, 256, 699):
