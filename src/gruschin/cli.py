@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ KNOWN_CHECKS = ("bismut_vs_fd", "a5", "a6", "lemma31", "lemma_ll", "harnack", "r
 # absolute allowance for the O(eps^2) central-difference bias in agreement checks
 FD_BIAS_ALLOWANCE = 1e-3
 
-# the path and step counts a config may set, run-wide or per check, with their minima
+# the path and step counts of a run, with their minima
 MIN_COUNTS = {"n_paths": 100, "n_steps": 2}
 
 CSV_FIELDS = ("experiment_id", "quantity", "mean", "stderr", "n_valid",
@@ -103,6 +103,15 @@ def _floats(value, name: str) -> tuple:
     raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
 
 
+def _known_keys(block: dict, cls, prefix: str) -> None:
+    """A ConfigError naming the first key of ``block`` that is not a field of
+    ``cls``: a misspelt key would otherwise be ignored, and its default used."""
+    known = tuple(f.name for f in fields(cls))
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key} is not a known key; known: {known}")
+
+
 def _distinct(values: tuple, name: str) -> tuple:
     """``values``, or a ConfigError naming the field if an entry repeats: a
     repeated entry would write each of its result rows twice."""
@@ -128,20 +137,17 @@ class RunConfig:
     n_paths: int
     n_steps: int
     master_seed: int
-    fd_eps: float | None = None
     functions: tuple = ()   # observable names for the agreement run; () = default suite
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
     checks: tuple = KNOWN_CHECKS
-    overrides: dict = field(default_factory=dict)   # check -> {n_paths, n_steps}
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    formats: tuple = ("csv", "json", "markdown")
 
 
 @dataclass(frozen=True)
@@ -163,9 +169,13 @@ class ExperimentConfig:
         for block in ("model", "run"):
             if block not in raw:
                 raise ConfigError(f"{block} block is required")
-        for block in ("model", "run", "suite", "output"):
-            if not isinstance(raw.get(block, {}), dict):
+        _known_keys(raw, ExperimentConfig, "")
+        for block, cls in (("model", ModelConfig), ("run", RunConfig),
+                           ("suite", SuiteConfig), ("output", OutputConfig)):
+            body = raw.get(block, {})
+            if not isinstance(body, dict):
                 raise ConfigError(f"{block} must be a mapping")
+            _known_keys(body, cls, f"{block}.")
         mraw = raw["model"]
         builtin = mraw.get("builtin", "power_law")
         if builtin not in BUILTIN_MODELS:
@@ -215,11 +225,6 @@ class ExperimentConfig:
                 raise ConfigError("run.directions entries must have shapes (m, d)")
         n_paths = _count(need(rraw, "run", "n_paths"), "run.n_paths", MIN_COUNTS["n_paths"])
         n_steps = _count(need(rraw, "run", "n_steps"), "run.n_steps", MIN_COUNTS["n_steps"])
-        fd_eps = rraw.get("fd_eps")
-        if fd_eps is not None:
-            fd_eps = _number(float, fd_eps, "run.fd_eps")
-            if fd_eps <= 0:
-                raise ConfigError(f"run.fd_eps must be null or positive, got {fd_eps!r}")
         functions = _distinct(tuple(_list(rraw, "functions", "run.functions")), "run.functions")
         for fname in functions:
             if fname not in TEST_FUNCTION_NAMES:
@@ -227,7 +232,7 @@ class ExperimentConfig:
                                   f"known: {TEST_FUNCTION_NAMES}")
         run = RunConfig(horizons=horizons, points=points, directions=directions,
                         n_paths=n_paths, n_steps=n_steps,
-                        master_seed=_number(int, seed, "run.master_seed"), fd_eps=fd_eps,
+                        master_seed=_number(int, seed, "run.master_seed"),
                         functions=functions)
 
         sraw = raw.get("suite", {})
@@ -239,36 +244,14 @@ class ExperimentConfig:
                                   f"known: {KNOWN_CHECKS}")
         if not checks:
             raise ConfigError("suite.checks must be a nonempty list")
-        overrides = sraw.get("overrides", {})
-        if not isinstance(overrides, dict):
-            raise ConfigError("suite.overrides must be a mapping")
-        parsed = {}
-        for key, val in overrides.items():
-            if key not in KNOWN_CHECKS:
-                raise ConfigError(f"suite.overrides names unknown check {key!r}")
-            if not isinstance(val, dict):
-                raise ConfigError(f"suite.overrides.{key} must be a mapping")
-            parsed[key] = {}
-            for name, count in val.items():
-                if name not in MIN_COUNTS:
-                    raise ConfigError(f"suite.overrides.{key} sets unknown key {name!r}; "
-                                      f"known: {tuple(MIN_COUNTS)}")
-                parsed[key][name] = _count(count, f"suite.overrides.{key}.{name}",
-                                           MIN_COUNTS[name])
-        suite = SuiteConfig(checks=checks, overrides=parsed)
+        suite = SuiteConfig(checks=checks)
 
         oraw = raw.get("output", {})
         directory = oraw.get("directory", "out")
         if not (isinstance(directory, str) and directory):
             raise ConfigError(f"output.directory must be a non-empty string, got {directory!r}")
-        output = OutputConfig(
-            directory=directory,
-            formats=tuple(_list(oraw, "formats", "output.formats", ("csv", "json", "markdown"))),
-        )
-        for fmt in output.formats:
-            if fmt not in ("csv", "json", "markdown"):
-                raise ConfigError(f"output.formats contains unknown format {fmt!r}")
-        return ExperimentConfig(model=model, run=run, suite=suite, output=output)
+        return ExperimentConfig(model=model, run=run, suite=suite,
+                                output=OutputConfig(directory=directory))
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
@@ -331,21 +314,11 @@ def _agreement(name: str, passed: bool, detail: str) -> an.BoundCheckReport:
     return an.BoundCheckReport(name, verdict=verdict, detail=detail)
 
 
-def _mc_for(cfg: ExperimentConfig, check: str, workers: int) -> an.McParams:
-    over = cfg.suite.overrides.get(check, {})
-    return an.McParams(
-        n_paths=over.get("n_paths", cfg.run.n_paths),
-        n_steps=over.get("n_steps", cfg.run.n_steps),
-        seed=cfg.run.master_seed,
-        workers=workers,
-    )
-
-
 def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     """Weight vs finite-difference gradients: one panel of each per (T, z0), in
     that order; each panel maps its batches over ``workers`` threads."""
     rows, n_bad, n_combos = [], 0, 0
-    mc = _mc_for(cfg, "bismut_vs_fd", workers)
+    n_paths, n_steps, seed = cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed
     if cfg.run.functions:
         fs = [observable(name, model) for name in cfg.run.functions]
     else:
@@ -354,12 +327,12 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     for T in cfg.run.horizons:
         for z0 in cfg.run.points:
             point = f"T={T}/z0={_fmt_vec(z0)}"
-            sb = derive_seed(mc.seed, f"bvf:bismut:{point}")
-            pb = bismut_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps, sb,
+            sb = derive_seed(seed, f"bvf:bismut:{point}")
+            pb = bismut_panel(model, list(z0), T, fs, vs, n_paths, n_steps, sb,
                               workers=workers)
-            sf = derive_seed(mc.seed, f"bvf:fd:{point}")
-            pf = fd_panel(model, list(z0), T, fs, vs, mc.n_paths, mc.n_steps, sf,
-                          eps=cfg.run.fd_eps, workers=workers)
+            sf = derive_seed(seed, f"bvf:fd:{point}")
+            pf = fd_panel(model, list(z0), T, fs, vs, n_paths, n_steps, sf,
+                          workers=workers)
             for j, v in enumerate(vs):
                 for f in fs:
                     n_combos += 1
@@ -385,7 +358,6 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     the weights of the sigma1 = I, b1 = 0 embedding must equal the basic ones
     path by path.  The basic side runs the model's callbacks (``family=None``),
     as the linear family would read KL modes, not the walk."""
-    mc = _mc_for(cfg, "reduction", workers)
     if model.kind is not ModelKind.BASIC:
         return [], _agreement("ExtendedReduction", True, "skipped: model already extended")
     model = replace(model, family=None)
@@ -395,11 +367,11 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     x0, y0 = list(z0[: model.m]), list(z0[model.m:])
     v1, v2 = cfg.run.directions[0]
     v = Direction.make(list(v1), list(v2))
-    grid = TimeGrid(T, mc.n_steps)
-    n = min(mc.n_paths, 2000)
+    grid = TimeGrid(T, cfg.run.n_steps)
+    n = min(cfg.run.n_paths, 2000)
     idx = np.arange(n, dtype=np.int64)
-    seed = derive_seed(mc.seed, "reduction")
-    noise = standard_noise(seed, idx, mc.n_steps, model)
+    seed = derive_seed(cfg.run.master_seed, "reduction")
+    noise = standard_noise(seed, idx, grid.n_steps, model)
     bb = simulate_batch(model, x0, y0, grid, noise)
     eb = simulate_batch(ext, x0, y0, grid, noise)
     db, tb, ib, okb = weight_terms_shared(bb, v)
@@ -407,7 +379,7 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
     passed = bool((okb & oke).all()) and gap <= 1e-12
     rows = [_row("reduction", "max_pathwise_gap", gap, 0.0, n, 0, seed, T,
-                 _fmt_vec(z0), _fmt_dir(v), mc.n_steps)]
+                 _fmt_vec(z0), _fmt_dir(v), grid.n_steps)]
     return rows, _agreement("ExtendedReduction", passed,
                             f"max pathwise |gap| = {gap:.3e} over {n} paths")
 
@@ -428,7 +400,9 @@ def _harnack_pairs(points, m: int) -> list[tuple]:
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    out_dir: str | None = None) -> tuple[int, list[str]]:
-    """Execute the configured checks; write artifacts; return (exit_code, summary lines)."""
+    """Execute the configured checks at the run's one Monte Carlo effort (``run.n_paths``,
+    ``run.n_steps``, ``run.master_seed``); write results.csv, results.json and report.md;
+    return (exit_code, summary lines)."""
     model = _build_model(cfg)
     if "a5" in cfg.suite.checks and model.power_params is None:
         raise ConfigError(
@@ -438,38 +412,34 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     rows: list[dict] = []
     checks: list[an.BoundCheckReport] = []
 
-    # A5 and A6 read one gradient grid per McParams; it lives for this run only
-    grids: dict[an.McParams, an.GradientGrid] = {}
+    mc = an.McParams(cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed, workers)
+    # A5 and A6 read one gradient grid; it lives for this run only
+    grid = an.GradientGrid(model, bounded_suite(model), mc)
 
-    def grid_for(mc: an.McParams) -> an.GradientGrid:
-        if mc not in grids:
-            grids[mc] = an.GradientGrid(model, bounded_suite(model), mc)
-        return grids[mc]
-
-    def harnack_constant(T: float, mc: an.McParams) -> float:
+    def harnack_constant(T: float) -> float:
         """C of the Harnack check: exact for the heat family, else sqrt(fit / T)
         of the A6 fit -- of the configured a6 check wherever it is listed (its
         panels are shared), or of a small fit of its own."""
         if model.family is Family.HEAT:
             return 1.0 / math.sqrt(T)   # exact for the Gaussian semigroup
         if "a6" in cfg.suite.checks:
-            fit = an.check_a6(grid_for(_mc_for(cfg, "a6", workers))).fitted_constant
+            fit = an.check_a6(grid).fitted_constant
             if math.isfinite(fit) and fit > 0:
                 return math.sqrt(fit / T)
         small = an.McParams(max(2000, mc.n_paths // 4), mc.n_steps, mc.seed, workers)
-        fit_rep = an.check_a6(grid_for(small), calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
+        fit_rep = an.check_a6(an.GradientGrid(model, bounded_suite(model), small),
+                              calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
                               holdout=((T, 0.5),))
         return math.sqrt(max(fit_rep.fitted_constant, 1e-12) / T)
 
     for check in cfg.suite.checks:
-        mc = _mc_for(cfg, check, workers)
         if check == "bismut_vs_fd":
             new_rows, rep = _run_bismut_vs_fd(cfg, model, workers)
             rows += new_rows
         elif check == "a5":
-            rep = an.check_a5(grid_for(mc))
+            rep = an.check_a5(grid)
         elif check == "a6":
-            rep = an.check_a6(grid_for(mc))
+            rep = an.check_a6(grid)
         elif check == "lemma31":
             rep = an.check_lemma31(mc)
         elif check == "lemma_ll":
@@ -478,7 +448,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             T = cfg.run.horizons[0]
             f = observable("one_plus_tanh_y", model)
             rep = an.check_harnack_suite(model, T, _harnack_pairs(cfg.run.points, model.m),
-                                         f, harnack_constant(T, mc), mc)
+                                         f, harnack_constant(T), mc)
         elif check == "reduction":
             new_rows, rep = _run_reduction(cfg, model, workers)
             rows += new_rows
@@ -487,15 +457,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
 
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    if "csv" in cfg.output.formats:
-        (out / "results.csv").write_bytes(_render_csv(rows).encode("utf-8"))
-    if "json" in cfg.output.formats:
-        payload = {"rows": rows, "checks": [_check_entry(c) for c in checks]}
-        (out / "results.json").write_bytes(
-            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-        )
-    if "markdown" in cfg.output.formats:
-        (out / "report.md").write_bytes(an.report_markdown(checks).encode("utf-8"))
+    (out / "results.csv").write_bytes(_render_csv(rows).encode("utf-8"))
+    payload = {"rows": rows, "checks": [_check_entry(c) for c in checks]}
+    (out / "results.json").write_bytes(
+        json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+    )
+    (out / "report.md").write_bytes(an.report_markdown(checks).encode("utf-8"))
     return an.suite_exit_code(checks), [c.summary_line() for c in checks]
 
 

@@ -37,7 +37,7 @@ MINIMAL = {
         "functions": ["y_squared"],
     },
     "suite": {"checks": ["bismut_vs_fd"]},
-    "output": {"directory": "out", "formats": ["csv", "json", "markdown"]},
+    "output": {"directory": "out"},
 }
 
 
@@ -61,7 +61,6 @@ def test_missing_master_seed_names_the_field(tmp_path):
     (lambda b: b["run"].update(points=[]), "points"),
     (lambda b: b["run"].update(directions=[]), "directions"),
     (lambda b: b["suite"].update(checks=["nope"]), "nope"),
-    (lambda b: b["output"].update(formats=["xml"]), "xml"),
     (lambda b: b["run"].update(functions=["mystery"]), "mystery"),
     (lambda b: b["model"].update(builtin="mystery"), "model.builtin"),
 ])
@@ -76,15 +75,6 @@ MINIMAL_FILE = Path(__file__).resolve().parents[1] / "configs" / "minimal.json"
 
 
 @pytest.mark.parametrize("mutate,needle", [
-    (lambda b: b["suite"].update(overrides={"bismut_vs_fd": {"n_path": 10}}),
-     "suite.overrides.bismut_vs_fd"),
-    (lambda b: b["suite"].update(overrides={"bismut_vs_fd": {"n_steps": 1}}),
-     "suite.overrides.bismut_vs_fd.n_steps"),
-    (lambda b: b["suite"].update(overrides={"bismut_vs_fd": {"n_paths": 1}}),
-     "suite.overrides.bismut_vs_fd.n_paths"),
-    (lambda b: b["suite"].update(overrides=[]), "suite.overrides must be a mapping"),
-    (lambda b: b["run"].update(fd_eps=-1), "run.fd_eps"),
-    (lambda b: b["run"].update(fd_eps=float("inf")), "run.fd_eps"),
     (lambda b: b["run"].update(directions=[[1.0, 0.0]]), r"run.directions\[0\]"),
     (lambda b: b["run"].update(points=[1.0]), r"run.points\[0\]"),
     (lambda b: b["run"].update(points=1.0), "run.points"),
@@ -103,14 +93,9 @@ MINIMAL_FILE = Path(__file__).resolve().parents[1] / "configs" / "minimal.json"
     (lambda b: b["run"].update(master_seed=7.5), "run.master_seed must be an integer"),
     (lambda b: b["model"].update(m=True), "model.m must be a number"),
     (lambda b: b["model"].update(l="1.0"), "model.l must be a number"),
-    (lambda b: b["run"].update(fd_eps="0.01"), "run.fd_eps must be a number"),
     (lambda b: b["run"].update(horizons=["1.0"]), r"run\.horizons must be a list"),
     (lambda b: b["run"].update(points=[["1.0", 1.0]]), r"run\.points\[0\] must be a list"),
     (lambda b: b["run"].update(directions=[[[True], [0.0]]]), r"run.directions\[0\]\[0\]"),
-    (lambda b: b["suite"].update(overrides={"a5": {"n_paths": 500.5}}),
-     "suite.overrides.a5.n_paths must be an integer"),
-    (lambda b: b["suite"].update(overrides={"a5": {"n_steps": "20"}}),
-     "suite.overrides.a5.n_steps must be a number"),
     # a repeated entry would write each of its rows twice
     (lambda b: b["suite"].update(checks=["bismut_vs_fd", "bismut_vs_fd"]),
      "suite.checks lists 'bismut_vs_fd' more than once"),
@@ -124,6 +109,15 @@ MINIMAL_FILE = Path(__file__).resolve().parents[1] / "configs" / "minimal.json"
     (lambda b: b["output"].update(directory=None), "output.directory must be a non-empty string"),
     (lambda b: b["output"].update(directory=5), "output.directory must be a non-empty string"),
     (lambda b: b["output"].update(directory=""), "output.directory must be a non-empty string"),
+    # a key outside its block's fields is refused, not ignored: a misspelling,
+    # or a key older configs set (suite.overrides, run.fd_eps, output.formats)
+    (lambda b: b["model"].update(L=3), "model.L is not a known key"),
+    (lambda b: b["run"].update(fd_epsilon=0.01), "run.fd_epsilon is not a known key"),
+    (lambda b: b["run"].update(fd_eps=None), "run.fd_eps is not a known key"),
+    (lambda b: b["suite"].update(override={}), "suite.override is not a known key"),
+    (lambda b: b["suite"].update(overrides={}), "suite.overrides is not a known key"),
+    (lambda b: b["output"].update(formats=["csv"]), "output.formats is not a known key"),
+    (lambda b: b.update(outputs={"directory": "x"}), "^config error: outputs is not a known key"),
 ])
 def test_malformed_config_fields_exit_2_naming_the_field(tmp_path, capsys, mutate, needle):
     body = json.loads(MINIMAL_FILE.read_text())
@@ -138,12 +132,16 @@ def test_malformed_config_fields_exit_2_naming_the_field(tmp_path, capsys, mutat
 def test_integral_float_counts_are_stored_as_integers():
     body = json.loads(json.dumps(MINIMAL))
     body["run"].update(n_paths=1e4, n_steps=50.0, master_seed=7.0)
-    body["suite"]["overrides"] = {"bismut_vs_fd": {"n_paths": 500.0}}
     cfg = ExperimentConfig.from_dict(body)
     assert (cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed) == (10_000, 50, 7)
-    assert cfg.suite.overrides == {"bismut_vs_fd": {"n_paths": 500}}
-    assert all(type(v) is int for v in (cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed,
-                                        cfg.suite.overrides["bismut_vs_fd"]["n_paths"]))
+    assert all(type(v) is int for v in (cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed))
+
+
+@pytest.mark.parametrize("path", sorted(MINIMAL_FILE.parent.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_shipped_configs_parse(path):
+    # the benchmark reads configs/default.json: a key the parser refuses fails here first
+    ExperimentConfig.from_file(path)
 
 
 def test_default_config_with_its_directions_reversed_passes_the_agreement_check(tmp_path):
@@ -258,46 +256,14 @@ def test_a5_and_a6_build_one_panel_per_grid_point(tmp_path, monkeypatch):
     assert "verdicts are correlated" in (tmp_path / "report.md").read_text()
 
 
-def test_a6_override_gets_its_own_grid(tmp_path, monkeypatch):
-    calls = _count_grid_panels(monkeypatch)
-    body = json.loads(json.dumps(MINIMAL))
-    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
-    body["suite"] = {"checks": ["a5", "a6"], "overrides": {"a6": {"n_paths": 300}}}
-    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
-    assert code == 0
-    assert sorted(calls) == [200] * 13 + [300] * 13
-    rows = list(csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
-    for r in rows:
-        size = 300 if r["experiment_id"].startswith("A6/") else 200
-        assert int(r["n_valid"]) + int(r["n_invalid"]) == size, r["experiment_id"]
-    assert "verdicts are correlated" not in (tmp_path / "report.md").read_text()
-
-
-def test_a5_step_override_drops_the_shared_paths_note(tmp_path):
-    # A5 at 20 steps and A6 at 10 read two grids, so the A6 section must not
-    # say that the two checks read their gradients off the same paths; at
-    # l = 2 both read walks of their own step counts
-    body = json.loads(json.dumps(MINIMAL))
-    body["model"]["l"] = 2.0
-    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
-    body["suite"] = {"checks": ["a5", "a6"], "overrides": {"a5": {"n_steps": 20}}}
-    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
-    assert code == 0
-    report = (tmp_path / "report.md").read_text()
-    assert "## A6: " in report
-    assert "same paths" not in report and "verdicts are correlated" not in report
-
-
-def test_linear_rows_report_the_kl_modes_and_a_step_override_keeps_the_note(tmp_path):
+def test_linear_rows_report_the_kl_modes(tmp_path):
     # the linear family reads KL modes whatever the step count: its A5, A6,
-    # Lemma 3.1, A8 and BismutVsFD rows report KL_MODES as n_steps, the A5
-    # grid at 20 steps reads the paths of the A6 grid at 10, so the note
-    # stays; LemmaLL and ExtendedReduction read walks of the configured steps
+    # Lemma 3.1, A8 and BismutVsFD rows report KL_MODES as n_steps;
+    # LemmaLL and ExtendedReduction read walks of the configured steps
     body = json.loads(json.dumps(MINIMAL))
     body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
     body["suite"] = {"checks": ["bismut_vs_fd", "a5", "a6", "lemma31", "lemma_ll",
-                                "harnack", "reduction"],
-                     "overrides": {"a5": {"n_steps": 20}}}
+                                "harnack", "reduction"]}
     code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
     assert code == 0
     rows = list(csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
@@ -324,8 +290,8 @@ def test_rerun_and_worker_count_are_byte_identical(tmp_path):
 
 def test_harnack_only_suite_runs_internal_fit(tmp_path):
     body = json.loads(json.dumps(MINIMAL))
-    body["suite"] = {"checks": ["harnack"],
-                     "overrides": {"harnack": {"n_paths": 2000, "n_steps": 30}}}
+    body["run"].update(n_paths=2000, n_steps=30)
+    body["suite"] = {"checks": ["harnack"]}
     cfg = ExperimentConfig.from_dict(body)
     code, lines = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert code == 0
@@ -335,8 +301,8 @@ def test_harnack_only_suite_runs_internal_fit(tmp_path):
 def test_harnack_gaussian_model_uses_exact_constant(tmp_path):
     body = json.loads(json.dumps(MINIMAL))
     body["model"] = {"builtin": "constant_identity", "m": 1, "d": 1}
-    body["suite"] = {"checks": ["harnack"],
-                     "overrides": {"harnack": {"n_paths": 2000, "n_steps": 30}}}
+    body["run"].update(n_paths=2000, n_steps=30)
+    body["suite"] = {"checks": ["harnack"]}
     cfg = ExperimentConfig.from_dict(body)
     code, lines = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert code == 0
@@ -346,8 +312,8 @@ def test_harnack_gaussian_model_uses_exact_constant(tmp_path):
 def test_harnack_rows_carry_the_seed_of_their_estimates(tmp_path):
     body = json.loads(json.dumps(MINIMAL))
     body["model"] = {"builtin": "constant_identity", "m": 1, "d": 1}
-    body["suite"] = {"checks": ["harnack"],
-                     "overrides": {"harnack": {"n_paths": 500, "n_steps": 20}}}
+    body["run"].update(n_paths=500, n_steps=20)
+    body["suite"] = {"checks": ["harnack"]}
     code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
     assert code == 0
     model = builtin_model("constant_identity", 1, 1, 1.0)
@@ -445,8 +411,8 @@ def test_harnack_runs_on_three_coordinates(tmp_path, model, points):
     body["model"] = model
     body["run"]["points"] = points
     body["run"]["directions"] = [[[1.0] * model["m"], [0.0] * model["d"]]]
-    body["suite"] = {"checks": ["harnack"],
-                     "overrides": {"harnack": {"n_paths": 500, "n_steps": 20}}}
+    body["run"].update(n_paths=500, n_steps=20)
+    body["suite"] = {"checks": ["harnack"]}
     cfg_path = write_config(tmp_path, body)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "results.csv").read_text())))
