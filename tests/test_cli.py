@@ -256,6 +256,35 @@ def test_a5_and_a6_build_one_panel_per_grid_point(tmp_path, monkeypatch):
     assert "verdicts are correlated" in (tmp_path / "report.md").read_text()
 
 
+def test_walk_family_a5_and_a6_rows_count_the_run_paths(tmp_path):
+    # at l = 2 both checks read one grid of walks at run.n_paths and run.n_steps,
+    # and the A6 section says that their verdicts are correlated
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"]["l"] = 2.0
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
+    body["suite"] = {"checks": ["a5", "a6"]}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
+    assert {r["experiment_id"].split("/")[0] for r in rows} == {"A5", "A6"}
+    for r in rows:
+        assert int(r["n_valid"]) + int(r["n_invalid"]) == 200, r["experiment_id"]
+        assert int(r["n_steps"]) == 10, r["experiment_id"]
+    assert "verdicts are correlated" in (tmp_path / "report.md").read_text()
+
+
+def test_a6_without_a5_has_no_shared_paths_note(tmp_path):
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"]["l"] = 2.0
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
+    body["suite"] = {"checks": ["a6"]}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    report = (tmp_path / "report.md").read_text()
+    assert "## A6: " in report
+    assert "same paths" not in report and "verdicts are correlated" not in report
+
+
 def test_linear_rows_report_the_kl_modes(tmp_path):
     # the linear family reads KL modes whatever the step count: its A5, A6,
     # Lemma 3.1, A8 and BismutVsFD rows report KL_MODES as n_steps;

@@ -215,6 +215,16 @@ def test_fd_panel_rejects_a_nonfinite_eps_before_drawing(monkeypatch, eps):
     assert draws == {0: [], 1: [], 2: []}
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_fd_panel_rejects_a_nonpositive_eps_before_drawing(monkeypatch, eps):
+    draws = _counting_draws(monkeypatch)
+    model = make_power_law_model(1, 1, 1.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        fd_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [EX], 200, 10, 3,
+                 eps=eps)
+    assert draws == {0: [], 1: [], 2: []}
+
+
 _START_CALLS = {
     "bismut_panel": lambda model, fs, z0: bismut_panel(model, z0, 1.0, fs, [EX], 200, 10, 3),
     "bismut_panels": lambda model, fs, z0: estimators.bismut_panels(
