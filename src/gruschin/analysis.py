@@ -159,10 +159,6 @@ def _abs_power_obs(f: TestFunction, p: float) -> Callable:
     return lambda z: np.abs(np.asarray(f.eval(z), dtype=float)) ** p
 
 
-def _square_obs(f: TestFunction) -> Callable:
-    return lambda z: np.asarray(f.eval(z), dtype=float) ** 2
-
-
 def _axis_direction(model: ModelSpec, axis: int) -> Direction:
     """Coordinate direction ``axis`` of R^{m+d}, split as (v1, v2)."""
     e = np.eye(model.m + model.d)[axis]
@@ -216,7 +212,7 @@ class GradientGrid:
         if missing:
             m, d = self.model.m, self.model.d
             starts = [np.array([x] + [0.0] * (m + d - 1), dtype=float) for _, _, x in missing]
-            extra = [(_power_label(f, 2.0), _square_obs(f)) for f in self.f_suite]
+            extra = [(_power_label(f, 2.0), _abs_power_obs(f, 2.0)) for f in self.f_suite]
             if self.p != 2.0:
                 extra += [(_power_label(f, self.p), _abs_power_obs(f, self.p))
                           for f in self.f_suite]
@@ -580,7 +576,7 @@ def check_harnack_suite(model: ModelSpec, T: float,
     column = {w: k for k, w in enumerate(starts)}
     seed = derive_seed(mc.seed, f"harnack:{f.name}:{T}")
 
-    f_sq = TestFunction(name=f.name + "^2", eval=_square_obs(f))
+    f_sq = TestFunction(name=f.name + "^2", eval=_abs_power_obs(f, 2.0))
     f_neg = TestFunction(name=f.name + "<0", eval=lambda w: np.asarray(f.eval(w)) < 0.0)
     panel = pt_panel(model, starts, T, [f, f_sq, f_neg], mc.n_paths, mc.n_steps,
                      seed, workers=mc.workers)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .estimators import bismut_panel, fd_panel
+from .estimators import EstimationError, bismut_panel, fd_panel
 from .models import (
     BUILTIN_MODELS,
     Direction,
@@ -353,11 +353,12 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     )
 
 
-def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
+def _run_reduction(cfg: ExperimentConfig, model: ModelSpec):
     """The basic and the extended kernel on one walk of ``n_steps`` increments:
     the weights of the sigma1 = I, b1 = 0 embedding must equal the basic ones
     path by path.  The basic side runs the model's callbacks (``family=None``),
-    as the linear family would read KL modes, not the walk."""
+    as the linear family would read KL modes, not the walk.  The gap is over the paths
+    valid on both kernels (NaN if none is), and an invalid path fails the check."""
     if model.kind is not ModelKind.BASIC:
         return [], _agreement("ExtendedReduction", True, "skipped: model already extended")
     model = replace(model, family=None)
@@ -376,12 +377,15 @@ def _run_reduction(cfg: ExperimentConfig, model: ModelSpec, workers: int):
     eb = simulate_batch(ext, x0, y0, grid, noise)
     db, tb, ib, okb = weight_terms_shared(bb, v)
     de, te, ie, oke = weight_terms_shared(eb, v)
-    gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))))
-    passed = bool((okb & oke).all()) and gap <= 1e-12
-    rows = [_row("reduction", "max_pathwise_gap", gap, 0.0, n, 0, seed, T,
+    valid = okb & oke
+    n_valid = int(valid.sum())
+    gap = float(np.max(np.abs((db + tb + ib) - (de + te + ie))[valid])) if n_valid else math.nan
+    passed = n_valid == n and gap <= 1e-12
+    rows = [_row("reduction", "max_pathwise_gap", gap, 0.0, n_valid, n - n_valid, seed, T,
                  _fmt_vec(z0), _fmt_dir(v), grid.n_steps)]
+    invalid = f", {n - n_valid} invalid" if n_valid < n else ""
     return rows, _agreement("ExtendedReduction", passed,
-                            f"max pathwise |gap| = {gap:.3e} over {n} paths")
+                            f"max pathwise |gap| = {gap:.3e} over {n_valid} paths{invalid}")
 
 
 def _harnack_pairs(points, m: int) -> list[tuple]:
@@ -402,7 +406,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    out_dir: str | None = None) -> tuple[int, list[str]]:
     """Execute the configured checks at the run's one Monte Carlo effort (``run.n_paths``,
     ``run.n_steps``, ``run.master_seed``); write results.csv, results.json and report.md;
-    return (exit_code, summary lines)."""
+    return (exit_code, summary lines).  A8's constant at T, the first horizon, is 1/sqrt(T)
+    for the heat family, else sqrt(fit / T) of the A6 fit of the run's one grid, listed or not;
+    a non-finite fit gives NaN A8 rows, skipped, so A8 reads Inconclusive."""
     model = _build_model(cfg)
     if "a5" in cfg.suite.checks and model.power_params is None:
         raise ConfigError(
@@ -413,45 +419,36 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     checks: list[an.BoundCheckReport] = []
 
     mc = an.McParams(cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed, workers)
-    # A5 and A6 read one gradient grid; it lives for this run only
     grid = an.GradientGrid(model, bounded_suite(model), mc)
 
-    def harnack_constant(T: float) -> float:
-        """C of the Harnack check: exact for the heat family, else sqrt(fit / T)
-        of the A6 fit -- of the configured a6 check wherever it is listed (its
-        panels are shared), or of a small fit of its own."""
-        if model.family is Family.HEAT:
-            return 1.0 / math.sqrt(T)   # exact for the Gaussian semigroup
-        if "a6" in cfg.suite.checks:
-            fit = an.check_a6(grid).fitted_constant
-            if math.isfinite(fit) and fit > 0:
-                return math.sqrt(fit / T)
-        small = an.McParams(max(2000, mc.n_paths // 4), mc.n_steps, mc.seed, workers)
-        fit_rep = an.check_a6(an.GradientGrid(model, bounded_suite(model), small),
-                              calibration=((T, 0.0), (T, 1.0), (T, 2.0)),
-                              holdout=((T, 0.5),))
-        return math.sqrt(max(fit_rep.fitted_constant, 1e-12) / T)
-
     for check in cfg.suite.checks:
-        if check == "bismut_vs_fd":
-            new_rows, rep = _run_bismut_vs_fd(cfg, model, workers)
-            rows += new_rows
-        elif check == "a5":
-            rep = an.check_a5(grid)
-        elif check == "a6":
-            rep = an.check_a6(grid)
-        elif check == "lemma31":
-            rep = an.check_lemma31(mc)
-        elif check == "lemma_ll":
-            rep = an.check_lemma_ll(mc, T=cfg.run.horizons[0])
-        elif check == "harnack":
-            T = cfg.run.horizons[0]
-            f = observable("one_plus_tanh_y", model)
-            rep = an.check_harnack_suite(model, T, _harnack_pairs(cfg.run.points, model.m),
-                                         f, harnack_constant(T), mc)
-        elif check == "reduction":
-            new_rows, rep = _run_reduction(cfg, model, workers)
-            rows += new_rows
+        try:
+            if check == "bismut_vs_fd":
+                new_rows, rep = _run_bismut_vs_fd(cfg, model, workers)
+                rows += new_rows
+            elif check == "a5":
+                rep = an.check_a5(grid)
+            elif check == "a6":
+                rep = an.check_a6(grid)
+            elif check == "lemma31":
+                rep = an.check_lemma31(mc)
+            elif check == "lemma_ll":
+                rep = an.check_lemma_ll(mc, T=cfg.run.horizons[0])
+            elif check == "harnack":
+                T = cfg.run.horizons[0]
+                if model.family is Family.HEAT:
+                    constant = 1.0 / math.sqrt(T)   # exact for the Gaussian semigroup
+                else:
+                    fit = an.check_a6(grid).fitted_constant
+                    constant = math.sqrt(fit / T) if math.isfinite(fit) else math.nan
+                f = observable("one_plus_tanh_y", model)
+                rep = an.check_harnack_suite(model, T, _harnack_pairs(cfg.run.points, model.m),
+                                             f, constant, mc)
+            elif check == "reduction":
+                new_rows, rep = _run_reduction(cfg, model)
+                rows += new_rows
+        except EstimationError as exc:
+            raise EstimationError(f"check {check}: {exc}") from exc
         rows += _rows_from_bound_report(rep)
         checks.append(rep)
 
@@ -489,6 +486,9 @@ def _cmd_run(args) -> int:
         code, lines = run_experiment(cfg, workers=args.workers, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except EstimationError as exc:
+        print(f"estimation error: {exc}", file=sys.stderr)
         return 2
     for line in lines:
         print(line)

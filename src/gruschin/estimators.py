@@ -175,10 +175,6 @@ def _finalize(values: np.ndarray, valid: np.ndarray, n_steps: int) -> MCEstimate
                       n_invalid=n_total - n_valid, n_steps=n_steps)
 
 
-def _chunks(n_paths: int, batch_size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + batch_size, n_paths)) for s in range(0, n_paths, batch_size)]
-
-
 def _tile(n_steps: int, width: int) -> int:
     """The tile of a kernel whose per-step arrays have ``width`` columns: the
     largest multiple of ``rng.BLOCK_PATHS`` whose (P, n_steps, width) array fits
@@ -312,7 +308,7 @@ def run_batches(
                  else min(workers, math.ceil(n_paths / tile)))
     per_batch = math.ceil(n_paths / n_batches)
     size = min(size, math.ceil(per_batch / BLOCK_PATHS) * BLOCK_PATHS)
-    spans = [_tiles(*span, tile) for span in _chunks(n_paths, size)]
+    spans = [_tiles(*span, tile) for span in _tiles(0, n_paths, size)]
 
     def run_tile(start: int, stop: int) -> list:
         noise = draw(np.arange(start, stop, dtype=np.int64))

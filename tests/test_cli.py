@@ -317,16 +317,6 @@ def test_rerun_and_worker_count_are_byte_identical(tmp_path):
     assert (tmp_path / "c" / "results.json").read_bytes() == refj
 
 
-def test_harnack_only_suite_runs_internal_fit(tmp_path):
-    body = json.loads(json.dumps(MINIMAL))
-    body["run"].update(n_paths=2000, n_steps=30)
-    body["suite"] = {"checks": ["harnack"]}
-    cfg = ExperimentConfig.from_dict(body)
-    code, lines = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-    assert code == 0
-    assert any("A8" in ln for ln in lines)
-
-
 def test_harnack_gaussian_model_uses_exact_constant(tmp_path):
     body = json.loads(json.dumps(MINIMAL))
     body["model"] = {"builtin": "constant_identity", "m": 1, "d": 1}
@@ -450,18 +440,53 @@ def test_harnack_runs_on_three_coordinates(tmp_path, model, points):
 
 
 def test_harnack_constant_does_not_depend_on_the_check_order(tmp_path):
-    # the constant is the configured a6 fit, whether a6 is listed first or last
+    # the constant is the A6 fit of the run's grid, whether a6 is listed first,
+    # last or not at all
     body = json.loads((MINIMAL_FILE.parent / "default.json").read_text())
     body["run"].update(n_paths=200, n_steps=10)
     a8_rows = []
-    for checks in (["a6", "harnack"], ["harnack", "a6"]):
+    for checks in (["a6", "harnack"], ["harnack", "a6"], ["harnack"], ["a5", "harnack"]):
         body["suite"]["checks"] = checks
         out = tmp_path / "_".join(checks)
         run_experiment(ExperimentConfig.from_dict(body), out_dir=str(out))
         a8_rows.append([ln for ln in (out / "results.csv").read_text().splitlines()
                         if ln.startswith('"A8/')])
     assert len(a8_rows[0]) == 4
-    assert a8_rows[0] == a8_rows[1]
+    assert all(rows == a8_rows[0] for rows in a8_rows[1:])
+
+
+@pytest.mark.parametrize("checks", [
+    ["harnack"],
+    ["a5", "harnack"],
+    list(cli.KNOWN_CHECKS),
+])
+def test_a_run_builds_one_mc_params_and_one_gradient_grid(tmp_path, monkeypatch, checks):
+    built = []
+    for cls in (analysis.McParams, analysis.GradientGrid):
+        class Counted(cls):
+            def __init__(self, *args, _cls=cls, **kwargs):
+                built.append(_cls.__name__)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(analysis, cls.__name__, Counted)
+    body = json.loads((MINIMAL_FILE.parent / "default.json").read_text())
+    body["run"].update(n_paths=200, n_steps=10)
+    body["suite"]["checks"] = checks
+    assert run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))[0] == 0
+    assert sorted(built) == ["GradientGrid", "McParams"]
+
+
+def test_a_nan_a6_fit_leaves_a8_inconclusive(tmp_path, monkeypatch):
+    # a non-finite fit gives NaN A8 rows, which are skipped
+    def no_fit(grid, *args, **kwargs):
+        return analysis.BoundCheckReport("A6")
+
+    monkeypatch.setattr(analysis, "check_a6", no_fit)
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"].update(points=[[1.0, 0.0]], n_paths=200, n_steps=10)
+    body["suite"] = {"checks": ["harnack"]}
+    code, lines = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    assert lines == ["A8: Inconclusive (fitted=nan, max_ratio=nan, points=0, skipped=4)"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -489,6 +514,21 @@ def test_reduction_holds_at_m2_on_an_oblique_direction(tmp_path):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     (row,) = csv.DictReader(io.StringIO((tmp_path / "out" / "results.csv").read_text()))
     assert row["quantity"] == "max_pathwise_gap" and float(row["mean"]) <= 1e-12
+
+
+def test_reduction_counts_the_paths_invalid_on_either_kernel(tmp_path):
+    # x = 1e200 overflows every path: the row counts them all invalid, and the
+    # gap over no valid path is NaN
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"]["points"] = [[1e200, 0.0]]
+    body["suite"] = {"checks": ["reduction"]}
+    with pytest.warns(RuntimeWarning):
+        code, lines = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 1
+    assert lines == ["ExtendedReduction: FAILED "
+                     "(max pathwise |gap| = nan over 0 paths, 2000 invalid)"]
+    (row,) = csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text()))
+    assert (row["mean"], row["n_valid"], row["n_invalid"]) == ("nan", "0", "2000")
 
 
 def test_reduction_artifacts_do_not_depend_on_workers(tmp_path):
@@ -552,6 +592,20 @@ def test_cli_run_exit_codes(tmp_path):
     del bad["run"]["master_seed"]
     bad_path = write_config(tmp_path, bad, "bad.json")
     assert main(["run", str(bad_path)]) == 2
+
+
+@pytest.mark.parametrize("check", ["bismut_vs_fd", "harnack"])
+def test_a_check_left_no_valid_path_exits_2_naming_it(tmp_path, capsys, check):
+    body = json.loads(json.dumps(MINIMAL))
+    body["run"]["points"] = [[1e200, 0.0]]
+    body["suite"] = {"checks": [check]}
+    cfg_path = write_config(tmp_path, body)
+    with pytest.warns(RuntimeWarning):
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"estimation error: check {check}: all paths invalid; nothing to average\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_list_builtins_catalogue(capsys):
