@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -420,6 +421,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
 
     mc = an.McParams(cfg.run.n_paths, cfg.run.n_steps, cfg.run.master_seed, workers)
     grid = an.GradientGrid(model, bounded_suite(model), mc)
+    a6_report = functools.cache(lambda: an.check_a6(grid))   # read by a6 and harnack
 
     for check in cfg.suite.checks:
         try:
@@ -429,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             elif check == "a5":
                 rep = an.check_a5(grid)
             elif check == "a6":
-                rep = an.check_a6(grid)
+                rep = a6_report()
             elif check == "lemma31":
                 rep = an.check_lemma31(mc)
             elif check == "lemma_ll":
@@ -439,7 +441,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                 if model.family is Family.HEAT:
                     constant = 1.0 / math.sqrt(T)   # exact for the Gaussian semigroup
                 else:
-                    fit = an.check_a6(grid).fitted_constant
+                    fit = a6_report().fitted_constant
                     constant = math.sqrt(fit / T) if math.isfinite(fit) else math.nan
                 f = observable("one_plus_tanh_y", model)
                 rep = an.check_harnack_suite(model, T, _harnack_pairs(cfg.run.points, model.m),

@@ -487,41 +487,76 @@ def estimate_lq_moments(cases: Sequence[tuple[str, float, dict]], T: float,
 
     Each tile draws one (P, n_steps, 2) array of standard normals: column 1
     drives the integrator Bt, and column 0 the independent W of ``sigma_row``.
-    Every case reads that draw, inline, so each estimate is bit for bit the
-    one-case estimate at ``seed``, whichever cases share the call, and the
-    estimates are correlated.  Every case is checked before anything is drawn.
-    The batches are mapped over ``workers``.
+    The tile builds each distinct Ito sum of the cases once on that draw
+    (``_ito_sums``), and drops the draw before the cases read their sums: cases
+    differing only in q raise one sum to their powers.  So each estimate is bit
+    for bit the one-case estimate at ``seed``, whichever cases share the call,
+    and the estimates are correlated.  Every case is checked before anything
+    is drawn.  The batches are mapped over ``workers``.
     """
     grid = TimeGrid(T, n_steps)
-    point_fns = [_lq_integral(name, q, grid, **kwargs) for name, q, kwargs in cases]
+    keys = [_lq_sum_key(name, q, grid, **kwargs) for name, q, kwargs in cases]
+    distinct = list(dict.fromkeys(keys))
 
     def draw(idx):
-        return standard_increments(seed, idx, n_steps, 2)
+        return _ito_sums(standard_increments(seed, idx, n_steps, 2), grid, distinct)
 
+    def moment(key, q, sums):
+        return {"value": np.abs(sums[key]) ** q}, np.ones(len(sums[key]), dtype=bool)
+
+    point_fns = [functools.partial(moment, key, q) for key, (_, q, _) in zip(keys, cases)]
     return [col["value"] for col in run_batches(n_paths, draw, point_fns, workers,
                                                 batch_size, _tile(n_steps, 2), n_steps)]
 
 
-def _lq_integral(integrand: str, q: float, grid: TimeGrid,
-                 *, l: float = 1.0, x: float = 0.0) -> Callable:
-    """The per-path |int <rho, dBt>|^q of one catalogue case, as a point
-    function of the standard normals (P, n_steps, 2) of ``estimate_lq_moments``."""
+def _lq_sum_key(integrand: str, q: float, grid: TimeGrid,
+                *, l: float = 1.0, x: float = 0.0) -> tuple:
+    """The Ito sum a checked catalogue case reads: (integrand,), or
+    ("sigma_row", l, x), as ``sigma_row`` alone depends on l and x."""
     check_lq_case(q, grid.horizon, l, x)
     if integrand not in LQ_INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand!r}; choose from {LQ_INTEGRANDS}")
+    return (integrand, l, x) if integrand == "sigma_row" else (integrand,)
 
-    def moment(eps):
-        if integrand == "constant_unit":
-            rho = 1.0
-        elif integrand == "adapted_cos":
-            rho = np.cos(brownian_left_nodes(0.0, standard_walk(eps[:, :, 1]), grid)[0])
-        else:  # sigma_row
-            w_left, _ = brownian_left_nodes(x, standard_walk(eps[:, :, 0]), grid)
-            rho = np.sign(w_left) * np.abs(w_left) ** l
-        n_T = (rho * (eps[:, :, 1] * np.sqrt(grid.dt))).sum(axis=1)   # the Ito sum
-        return {"value": np.abs(n_T) ** q}, np.ones(len(n_T), dtype=bool)
 
-    return moment
+def _ito_sums(eps: np.ndarray, grid: TimeGrid, keys: Sequence[tuple]) -> dict:
+    """The per-path Ito sums int <rho, dBt> (P,) of ``keys`` on the standard
+    normals (P, n_steps, 2) of one tile.  The increments of Bt are built once
+    for all of them, and each rho is formed in place, with the walk under it,
+    in two contiguous work arrays, so a sum allocates no step-sized array.
+    Each sum has the bits of (rho * (sqrt(dt) eps[:, :, 1])).sum(axis=1) on
+    the catalogue's rho."""
+    h = np.sqrt(grid.dt)
+    dbt = eps[:, :, 1] * h
+    rho, work = np.empty_like(dbt), np.empty_like(dbt)
+    sums = {}
+    for key in keys:
+        if key[0] == "constant_unit":
+            sums[key] = dbt.sum(axis=1)
+            continue
+        if key[0] == "adapted_cos":   # rho = cos(Bt) at the left nodes
+            np.cos(_left_nodes(eps[:, :, 1], 0.0, h, out=rho), out=rho)
+        else:   # sigma_row: rho = sign(w) |w|^l at the left nodes w of x + W
+            _, l, x = key
+            _left_nodes(eps[:, :, 0], x, h, out=rho)
+            np.abs(rho, out=work)
+            work **= l
+            np.sign(rho, out=rho)
+            rho *= work
+        rho *= dbt
+        sums[key] = rho.sum(axis=1)
+    return sums
+
+
+def _left_nodes(eps: np.ndarray, start: float, h: float, out: np.ndarray) -> np.ndarray:
+    """start + h W_k, k < n_steps, of the standard walk W of eps (P, n_steps),
+    written into ``out``: the bits of ``brownian_left_nodes(start,
+    standard_walk(eps), grid)``, whose first n_steps partial sums these are."""
+    out[:, 0] = 0.0
+    np.cumsum(eps[:, :-1], axis=1, out=out[:, 1:])
+    out *= h
+    out += start
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,29 @@ def test_a_run_builds_one_mc_params_and_one_gradient_grid(tmp_path, monkeypatch,
     assert sorted(built) == ["GradientGrid", "McParams"]
 
 
+@pytest.mark.parametrize("checks", [
+    None,   # the default suite
+    ["harnack", "a6"],
+    ["a6", "harnack"],
+])
+def test_a_run_computes_the_a6_report_once(tmp_path, monkeypatch, checks):
+    # a6 and harnack read one report of the run's grid, in either order
+    calls = []
+    real = analysis.check_a6
+
+    def counted(grid, *args, **kwargs):
+        calls.append(grid)
+        return real(grid, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "check_a6", counted)
+    body = json.loads((MINIMAL_FILE.parent / "default.json").read_text())
+    body["run"].update(n_paths=200, n_steps=10)
+    if checks is not None:
+        body["suite"]["checks"] = checks
+    assert run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))[0] == 0
+    assert len(calls) == 1
+
+
 def test_a_nan_a6_fit_leaves_a8_inconclusive(tmp_path, monkeypatch):
     # a non-finite fit gives NaN A8 rows, which are skipped
     def no_fit(grid, *args, **kwargs):

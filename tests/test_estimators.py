@@ -475,6 +475,24 @@ def test_lq_fourth_moment_constant_integrand():
     assert 2.5 / 36.0 <= ratio <= 3.5 / 36.0
 
 
+def test_lq_ito_sums_keep_the_bits_of_the_catalogue_formula():
+    # each sum is (rho * (sqrt(dt) eps[:, :, 1])).sum(axis=1) on the walk-built
+    # rho, in either order of the keys, though the tile forms every rho in the
+    # same two work arrays; sigma_row at l = 0, x = 0 keeps sign(0) = 0
+    grid = TimeGrid(1.0, 30)
+    eps = paths.standard_increments(61, np.arange(300), 30, 2)
+    dbt = eps[:, :, 1] * np.sqrt(grid.dt)
+    want = {("constant_unit",): (1.0 * dbt).sum(axis=1),
+            ("adapted_cos",): (np.cos(paths.brownian_left_nodes(
+                0.0, paths.standard_walk(eps[:, :, 1]), grid)[0]) * dbt).sum(axis=1)}
+    for l, x in ((1.0, 1.0), (0.0, 0.0), (2.5, -0.5)):
+        w, _ = paths.brownian_left_nodes(x, paths.standard_walk(eps[:, :, 0]), grid)
+        want[("sigma_row", l, x)] = (np.sign(w) * np.abs(w) ** l * dbt).sum(axis=1)
+    for keys in (list(want), list(want)[::-1]):
+        got = estimators._ito_sums(eps, grid, keys)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
 def test_lq_adapted_and_sigma_row_hold():
     for name, q, kw in (("adapted_cos", 4.0, {}), ("sigma_row", 2.0, {"l": 1.0, "x": 1.0})):
         est = estimate_lq_moment(name, q, 1.0, 30000, 100, 53, **kw)
@@ -812,16 +830,21 @@ def test_panels_draw_noise_once_per_batch(monkeypatch):
 
 def _counting_walks(monkeypatch) -> list:
     """The shape of the normals of every walk built, by a ``paths.Noise`` or
-    by an estimator."""
+    by an estimator, whole or, for an L^q case, into its left nodes."""
     walks = []
-    real = paths.standard_walk
+    real, real_left = paths.standard_walk, estimators._left_nodes
 
     def counting(eps):
         walks.append(eps.shape)
         return real(eps)
 
+    def counting_left(eps, *args, **kwargs):
+        walks.append(eps.shape)
+        return real_left(eps, *args, **kwargs)
+
     monkeypatch.setattr(paths, "standard_walk", counting)
     monkeypatch.setattr(estimators, "standard_walk", counting)
+    monkeypatch.setattr(estimators, "_left_nodes", counting_left)
     return walks
 
 

@@ -135,6 +135,44 @@ def test_extended_demo_sigma1_inverse_bounded():
     assert np.all(np.abs(1.0 / s1) <= 4.0 / 3.0 + 1e-12)
 
 
+# |x| <= 1e6 on a grid, finer near 0, with the signed zeros, +-pi, 1e300 and
+# two subnormals
+DEMO_TRIG_INPUTS = np.concatenate([
+    np.linspace(-1e6, 1e6, 100_001), np.linspace(-10.0, 10.0, 20_001),
+    [0.0, -0.0, np.pi, -np.pi, 1e300, 5e-324, -1e-310],
+])
+
+
+def test_extended_demo_drift_sine_is_within_4_ulp_of_numpys():
+    # b2 = 0.5 sin x from t = tan(x/2); the spacing of 0 is the smallest
+    # subnormal, the absolute floor of the bound
+    x = DEMO_TRIG_INPUTS
+    ref = 0.5 * np.sin(x)
+    got = make_extended_demo_model().b2(x[:, None])[:, 0]
+    assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)))
+    assert np.array_equal(np.signbit(got[ref == 0.0]), np.signbit(ref[ref == 0.0]))
+
+
+def test_extended_demo_drift_cosine_is_within_2_to_minus_52_of_numpys():
+    x = DEMO_TRIG_INPUTS
+    got = make_extended_demo_model().grad_b2(x[:, None], np.ones(1))[:, 0]
+    assert np.all(np.abs(got - 0.5 * np.cos(x)) <= 2.0 ** -52)
+
+
+@pytest.mark.parametrize("callback", ["b2", "grad_b2"])
+def test_extended_demo_drift_signals_infinity_and_passes_nan_as_np_sin_does(callback):
+    model = make_extended_demo_model()
+    args = (np.ones(1),) if callback == "grad_b2" else ()
+    f = getattr(model, callback)
+    for inf in (np.inf, -np.inf):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(f(np.array([[inf]]), *args)).all()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            f(np.array([[inf]]), *args)
+    with np.errstate(invalid="raise"):
+        assert np.isnan(f(np.array([[np.nan]]), *args)).all()
+
+
 def test_as_extended_requires_basic():
     with pytest.raises(ValueError):
         as_extended(make_extended_demo_model())

@@ -577,6 +577,30 @@ def test_zero_direction_zeroes_every_direction_dependent_field():
     assert drift[0] == 0.0 and trace[0] == 0.0 and inner[0] == 0.0
 
 
+def test_extended_demo_tile_matches_a_copy_on_np_sin_and_np_cos():
+    # b2 and grad_b2 reach a PathBatch only through y_final and
+    # drift_grad_integral, which move at rounding level; every other field and
+    # the mask keep their bits
+    model = make_extended_demo_model()
+    libm = replace(
+        model,
+        b2=lambda x: 0.5 * np.sin(np.asarray(x)),
+        grad_b2=lambda x, v: (0.5 * np.cos(np.asarray(x)[..., 0])
+                              * np.broadcast_to(np.asarray(v), np.shape(x))[..., 0])[..., None],
+    )
+    grid = TimeGrid(1.0, 100)
+    idx = np.arange(4096)
+    got, ref = (simulate_extended_batch(m, [1.0], [0.5], grid, noise(m, grid, 89, idx))
+                for m in (model, libm))
+    assert got.valid.all()
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if field.name in ("y_final", "drift_grad_integral"):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), field.name
+        else:
+            assert np.array_equal(a, b), field.name
+
+
 def test_bitwise_determinism_across_calls_and_batching():
     model = make_power_law_model(1, 1, 2.0)
     grid = TimeGrid(0.5, 64)
