@@ -522,12 +522,10 @@ def _lq_sum_key(integrand: str, q: float, grid: TimeGrid,
 def _ito_sums(eps: np.ndarray, grid: TimeGrid, keys: Sequence[tuple]) -> dict:
     """The per-path Ito sums int <rho, dBt> (P,) of ``keys`` on the standard
     normals (P, n_steps, 2) of one tile.  The increments of Bt are built once
-    for all of them, and each rho is formed in place, with the walk under it,
-    in two contiguous work arrays, so a sum allocates no step-sized array.
-    Each sum has the bits of (rho * (sqrt(dt) eps[:, :, 1])).sum(axis=1) on
-    the catalogue's rho."""
-    h = np.sqrt(grid.dt)
-    dbt = eps[:, :, 1] * h
+    for all of them, and each rho is formed in place, on the left nodes of its
+    walk, in two work arrays.  Each sum has the bits of
+    (rho * (sqrt(dt) eps[:, :, 1])).sum(axis=1) on the catalogue's rho."""
+    dbt = eps[:, :, 1] * np.sqrt(grid.dt)
     rho, work = np.empty_like(dbt), np.empty_like(dbt)
     sums = {}
     for key in keys:
@@ -535,10 +533,11 @@ def _ito_sums(eps: np.ndarray, grid: TimeGrid, keys: Sequence[tuple]) -> dict:
             sums[key] = dbt.sum(axis=1)
             continue
         if key[0] == "adapted_cos":   # rho = cos(Bt) at the left nodes
-            np.cos(_left_nodes(eps[:, :, 1], 0.0, h, out=rho), out=rho)
+            brownian_left_nodes(0.0, standard_walk(eps[:, :, 1]), grid, out=rho)
+            np.cos(rho, out=rho)
         else:   # sigma_row: rho = sign(w) |w|^l at the left nodes w of x + W
             _, l, x = key
-            _left_nodes(eps[:, :, 0], x, h, out=rho)
+            brownian_left_nodes(x, standard_walk(eps[:, :, 0]), grid, out=rho)
             np.abs(rho, out=work)
             work **= l
             np.sign(rho, out=rho)
@@ -546,17 +545,6 @@ def _ito_sums(eps: np.ndarray, grid: TimeGrid, keys: Sequence[tuple]) -> dict:
         rho *= dbt
         sums[key] = rho.sum(axis=1)
     return sums
-
-
-def _left_nodes(eps: np.ndarray, start: float, h: float, out: np.ndarray) -> np.ndarray:
-    """start + h W_k, k < n_steps, of the standard walk W of eps (P, n_steps),
-    written into ``out``: the bits of ``brownian_left_nodes(start,
-    standard_walk(eps), grid)``, whose first n_steps partial sums these are."""
-    out[:, 0] = 0.0
-    np.cumsum(eps[:, :-1], axis=1, out=out[:, 1:])
-    out *= h
-    out += start
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -310,12 +310,6 @@ def as_extended(model: ModelSpec) -> ModelSpec:
     )
 
 
-def _half_tan(x) -> Array:
-    """tan(x / 2) as a new float array; ``x`` is not written."""
-    t = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
-    return np.tan(t, out=t)
-
-
 def make_extended_demo_model() -> ModelSpec:
     """One-dimensional extended demo: elliptic X with bounded drift, degenerate Y.
 
@@ -331,8 +325,8 @@ def make_extended_demo_model() -> ModelSpec:
     of 0.5 np.sin and the cosine form within 2^-52 absolute of 0.5 np.cos;
     +-inf gives NaN with numpy's invalid-value signal, as np.sin does.  On a
     CPU without AVX-512, tan is scalar too, and each callback costs 5-10% more
-    than its sin or cos form (README, Numerical conventions).  Neither
-    callback writes into its input, the kernel's scratch.
+    than its sin or cos form (README, Numerical conventions).  Both callbacks
+    return new arrays: the kernel passes its scratch as their input.
     """
 
     def s2(x):
@@ -359,22 +353,14 @@ def make_extended_demo_model() -> ModelSpec:
         return (-0.3 / np.cosh(xx) ** 2 * vv)[..., None]
 
     def b2(x):
-        t = _half_tan(x)
-        s = t * t
-        s += 1.0
-        return np.divide(t, s, out=t)
+        t = np.tan(0.5 * np.asarray(x))
+        return t / (1.0 + t * t)
 
     def grad_b2(x, v):
         xx = np.asarray(x)[..., 0]
         vv = np.broadcast_to(np.asarray(v), np.asarray(x).shape)[..., 0]
-        s = _half_tan(xx)
-        np.square(s, out=s)
-        c = np.subtract(1.0, s)
-        s += 1.0
-        c /= s
-        c *= 0.5
-        c *= vv
-        return c[..., None]
+        s = np.tan(0.5 * xx) ** 2
+        return ((1.0 - s) / (1.0 + s) * 0.5 * vv)[..., None]
 
     return ModelSpec(
         m=1,

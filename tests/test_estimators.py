@@ -830,21 +830,16 @@ def test_panels_draw_noise_once_per_batch(monkeypatch):
 
 def _counting_walks(monkeypatch) -> list:
     """The shape of the normals of every walk built, by a ``paths.Noise`` or
-    by an estimator, whole or, for an L^q case, into its left nodes."""
+    by an estimator."""
     walks = []
-    real, real_left = paths.standard_walk, estimators._left_nodes
+    real = paths.standard_walk
 
     def counting(eps):
         walks.append(eps.shape)
         return real(eps)
 
-    def counting_left(eps, *args, **kwargs):
-        walks.append(eps.shape)
-        return real_left(eps, *args, **kwargs)
-
     monkeypatch.setattr(paths, "standard_walk", counting)
     monkeypatch.setattr(estimators, "standard_walk", counting)
-    monkeypatch.setattr(estimators, "_left_nodes", counting_left)
     return walks
 
 
