@@ -4,9 +4,9 @@ exact values they are checked against live in ``oracles``.
 
 Determinism contract: per-path sample values are pure functions of
 (master_seed, path_index), since path i reads column i % 256 of the SFC64 block
-i // 256 of each substream it draws (0 for increments, 1 for the panels' zeta
-and 2 for KL modes; see ``rng`` and ``paths.standard_noise``) whatever batch
-asks for it; they are assembled into
+i // 256 of the substream it draws (0 for increments and 2 for KL modes, each
+led by the panels' zeta; see ``rng`` and ``paths.standard_noise``) whatever
+batch asks for it; they are assembled into
 arrays ordered by path index and reduced by a fixed pairwise tree.
 Serial and multi-worker runs, and any batch size, are therefore bitwise
 identical.

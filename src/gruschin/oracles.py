@@ -10,6 +10,7 @@ every other module may read it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -25,7 +26,15 @@ __all__ = [
 ]
 
 
-_LAPLACE_NODES, _LAPLACE_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@functools.cache
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the ``n_nodes``-point Gauss-Legendre rule on [-1, 1],
+    built on first use: ``numpy.polynomial`` is imported only when a rule is
+    needed.  The arrays are read-only, as the cache hands them to every caller."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def quadratic_laplace(m: int, x, T: float, gamma):
@@ -63,11 +72,12 @@ def negative_moment_exact(m: int, x, T: float, alpha: float) -> float:
         raise ValueError(f"x must be a finite vector of shape ({m},), got {x}")
     if not (0 < T < math.inf and 0 < alpha < math.inf):
         raise ValueError(f"T and alpha must be positive and finite, got T={T}, alpha={alpha}")
-    u = 0.5 * (_LAPLACE_NODES + 1.0)
+    nodes, weights = _gauss_legendre(64)
+    u = 0.5 * (nodes + 1.0)
     gamma = u / (1.0 - u)
     integrand = (gamma ** (2.0 * alpha - 1.0) * quadratic_laplace(m, x / math.sqrt(T), 1.0, gamma)
                  / (1.0 - u) ** 2)
-    integral = 0.5 * float(integrand @ _LAPLACE_WEIGHTS)
+    integral = 0.5 * float(integrand @ weights)
     return 2.0 ** (1.0 - alpha) / math.gamma(alpha) * integral / T ** (2.0 * alpha)
 
 
@@ -101,9 +111,6 @@ def _cos_power_mean(q: int, t):
     return total / 2.0**q
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
 def integrate(fn: Callable[[np.ndarray], np.ndarray], T: float) -> float:
     """int_0^T fn(t) dt by the 32-node Gauss-Legendre rule on each of ceil(T)
     equal panels; ``fn`` is evaluated once, on an array of times.
@@ -112,10 +119,11 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], T: float) -> float:
     for T up to 100, except sigma_row at x = 0 with non-integer l, whose
     integrand c t^l is not smooth at 0 (relative error 5e-6 at l = 1/2).
     """
+    nodes, weights = _gauss_legendre(32)
     n_panels = max(1, math.ceil(T))
     h = T / n_panels
-    t = h * (np.arange(n_panels)[:, None] + 0.5 * (_GL_NODES + 1.0))
-    return 0.5 * h * float(np.sum(fn(t) @ _GL_WEIGHTS))
+    t = h * (np.arange(n_panels)[:, None] + 0.5 * (nodes + 1.0))
+    return 0.5 * h * float(np.sum(fn(t) @ weights))
 
 
 def check_lq_case(q: float, T: float, l: float, x: float) -> None:

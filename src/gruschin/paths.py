@@ -86,8 +86,8 @@ int <sigma1^{-1} xi^i_t/(T-t), dB_t>, and the basic kernel stores the value that
 integral takes in the sigma1 = I, b1 = 0 reduction, B_T/T.
 
 Every kernel takes its noise as one required argument, a ``Noise`` as
-``standard_noise`` draws it: zeta (P, d) for S, and for B either the KL modes
-(P, KL_MODES + 3, m) of a basic linear-family model (``standard_modes``) or
+``standard_noise`` draws it, one record per path: zeta (P, d) for S, and for
+B either the KL modes (P, KL_MODES + 3, m) of a basic linear-family model or
 the increments eps (P, n_steps, m) of any other model.  The kernel checks the
 shapes, draws nothing itself and scales to its own grid: by Brownian scaling
 the increments on [0, T] are sqrt(T/n_steps) eps, and the functionals of the
@@ -123,9 +123,11 @@ The extended kernel scales a block of eps at a time into its scratch, so it
 builds no walk.  Row p of every output is a function of row p of
 the noise alone, so a path gives the same bits in any batch, and running two
 kernels (or two horizons) on one draw needs no other entry point.
-``standard_noise`` draws eps from substream 0, zeta from substream 1 and the
-modes from substream 2 of ``rng.PathStreams``: the noise of path i is a pure
-function of (master_seed, i).
+``standard_noise`` draws the noise of a path as one record of
+``rng.PathStreams``, zeta first and then eps (substream 0) or the modes
+(substream 2), so one generator per block serves both: the noise of path i
+is a pure function of (master_seed, i), zeta does not depend on n_steps,
+and the first k steps of a draw equal a k-step draw.
 """
 
 from __future__ import annotations
@@ -327,15 +329,20 @@ class KLFunctionals(NamedTuple):
 
 
 def kl_functionals(modes: np.ndarray) -> KLFunctionals:
-    """The ``KLFunctionals`` of the KL modes (P, K + 3, m) of ``standard_modes``,
-    by the forms of ``_kl_weights``: (B_1, m, u) have their exact joint law, and
-    int B^2 is exact in its K-mode head and its tail's conditional mean beyond.
-    v = int B^2 - m^2 coordinate by coordinate, at least the unexplained tail
-    variance tau > 0.  Each is one ``np.einsum`` contraction over the modes of
-    a row, without ``optimize``: no BLAS runs and no product spans two rows, so
-    a path's functionals do not depend on its batch."""
+    """The ``KLFunctionals`` of the KL modes (P, K + 3, m) of ``standard_modes``
+    or ``standard_noise``, by the forms of ``_kl_weights``: (B_1, m, u) have
+    their exact joint law, and int B^2 is exact in its K-mode head and its
+    tail's conditional mean beyond.  v = int B^2 - m^2 coordinate by
+    coordinate, at least the unexplained tail variance tau > 0.  Each is one
+    ``np.einsum`` contraction over the modes of a row, without ``optimize``: no
+    BLAS runs and no product spans two rows, so a path's functionals do not
+    depend on its batch.  The modes are contracted where they lie when the
+    modes of a coordinate are adjacent (m = 1, also in a row of a noise
+    record), and from a contiguous copy otherwise."""
     weights, quad, tau = _kl_weights(modes.shape[1] - 3)
-    x = np.ascontiguousarray(np.moveaxis(modes, 1, 2))                # (P, m, K + 3)
+    x = np.moveaxis(modes, 1, 2)                                      # (P, m, K + 3)
+    if x.strides[2] != x.itemsize:
+        x = np.ascontiguousarray(x)
     linear = np.einsum("pmk,jk->pmj", x, weights)                     # (P, m, 3)
     mean = linear[..., 1]
     square = np.einsum("pmk,pmk,k->pm", x, x, quad) + tau             # int B^2, (P, m)
@@ -403,16 +410,26 @@ class Noise:
 
 def standard_noise(master_seed: int, path_indices, n_steps: int,
                    model: ModelSpec) -> Noise:
-    """The kernel noise of the paths: zeta (P, d) from substream 1, and for a
-    basic linear-family model the KL modes of ``standard_modes`` (substream
-    2), whatever ``n_steps``; for any other model standard normals eps
-    (P, n_steps, m) from substream 0, the increments of B on any grid of
-    ``n_steps`` steps once a kernel scales them."""
+    """The kernel noise of the paths, one record of d + rows * m normals per
+    path from one ``PathStreams.fill_normals`` call: zeta (P, d) is its first
+    d entries, and the rows (P, rows, m) follow.  For a basic linear-family
+    model the rows are the KL_MODES + 3 modes of ``kl_functionals``, drawn
+    from substream 2 whatever ``n_steps``; for any other model they are the
+    standard normals eps (P, n_steps, m), drawn from substream 0, the
+    increments of B on any grid of ``n_steps`` steps once a kernel scales
+    them.  The record leads with zeta, so zeta does not depend on
+    ``n_steps`` and the first k rows of a draw equal a k-row draw.  zeta is
+    copied out contiguous; the rows are a view of the record."""
     idx = np.asarray(path_indices)
-    zeta = PathStreams(master_seed, substream=1).fill_normals(idx, (model.d,))
-    if reads_modes(model):
-        return Noise(None, zeta, modes=standard_modes(master_seed, idx, model.m))
-    return Noise(standard_increments(master_seed, idx, n_steps, model.m), zeta)
+    linear = reads_modes(model)
+    rows = KL_MODES + 3 if linear else n_steps
+    record = PathStreams(master_seed, substream=2 if linear else 0).fill_normals(
+        idx, (model.d + rows * model.m,))
+    zeta = np.ascontiguousarray(record[:, :model.d])
+    drawn = record[:, model.d:].reshape(len(record), rows, model.m)
+    if linear:
+        return Noise(None, zeta, modes=drawn)
+    return Noise(drawn, zeta)
 
 
 def brownian_left_nodes(start, walk: np.ndarray, grid: TimeGrid,

@@ -10,6 +10,13 @@ independent of how many other paths were simulated, in what order, or on which
 worker -- and the first ``k`` steps of a draw equal a ``k``-step draw.
 ``SeedSequence`` hashes its whole entropy list, so distinct blocks, substreams
 and seeds start from well-separated states.
+
+The package draws from substreams 0 and 2 only.  ``paths.standard_noise``
+draws a path's zeta and its increments (substream 0) or its KL modes
+(substream 2) as one record, and ``paths.standard_increments`` and
+``paths.standard_modes`` draw increments or modes alone from the same two.
+Substream 1 is no longer drawn; the other two keep their numbers, so the
+draws that read no zeta keep their bits.
 """
 
 from __future__ import annotations
@@ -51,11 +58,16 @@ class PathStreams:
         moves the w = prod(shape[1:]) normals of one (path, step) as a single
         8w-byte record, a 2-d transpose of records, so the bits do not change.
         The blocks are drawn one after another on the calling thread, into one
-        buffer.
+        buffer.  Path indices must be a nonnegative integer array (int64 or
+        uint64 holds any index): any other dtype, such as the object array of
+        an index of 2**64 or more, is refused with ``ValueError`` before a
+        block is drawn.
         """
         idx = np.asarray(path_indices)
         shape = tuple(shape)
-        if idx.size and (idx.min() < 0 or idx.max() >= 2**64):
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"path indices must be an integer array, got dtype {idx.dtype}")
+        if idx.size and idx.min() < 0:
             raise ValueError(f"path indices out of range: [{idx.min()}, {idx.max()}]")
         out = np.empty((idx.size,) + shape)
         n_steps, w = shape[0], math.prod(shape[1:])

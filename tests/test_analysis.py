@@ -343,9 +343,9 @@ def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
     # the linear family draws KL_MODES + 3 rows: the A6 grid's tile (width
     # m + d = 2) is 6,656 paths and Lemma 3.1's (width m = 1) 13,568, cut at
     # their absolute multiples inside 8,192-path batches, so 14,000 paths are
-    # four and three tiles; every tile draws once from each substream it
-    # reads, for all 13 points: zeta and the KL modes of substream 2, no
-    # increments
+    # four and three tiles; every tile draws once, for all 13 points: the A6
+    # grid one record of zeta and the KL modes, Lemma 3.1 the KL modes alone,
+    # both from substream 2, with no increments and nothing from substream 1
     assert paths.KL_MODES + 3 == 19
     draws = {0: [], 1: [], 2: []}
     real = rng.PathStreams.fill_normals
@@ -359,8 +359,8 @@ def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
     mc = McParams(n_paths=14_000, n_steps=100, seed=79)
     rep = check_a6(GradientGrid(model, [observable("sin_y", model)], mc))
     assert len(rep.points) == 13
-    assert draws == {0: [], 1: [6656, 1536, 5120, 688], 2: [6656, 1536, 5120, 688]}
-    draws[1].clear(), draws[2].clear()
+    assert draws == {0: [], 1: [], 2: [6656, 1536, 5120, 688]}
+    draws[2].clear()
     assert len(check_lemma31(mc).points) == 13
     assert draws == {0: [], 1: [], 2: [8192, 5376, 432]}
 
@@ -658,13 +658,14 @@ def test_each_lemma_ll_row_is_its_one_case_estimate(monkeypatch):
 
 
 def test_harnack_draws_noise_once_per_batch(monkeypatch):
-    # z and z' read one draw per batch, of dB and of zeta, which the
-    # nonnegativity check reads too; sigma(x) = x runs through its callbacks
+    # z and z' read one draw per batch, one record of zeta and dB per path,
+    # which the nonnegativity check reads too; sigma(x) = x runs through its
+    # callbacks
     shapes = []
     real = rng.PathStreams.fill_normals
 
     def counting(self, path_indices, shape):
-        shapes.append(len(path_indices))
+        shapes.append((self.substream, len(path_indices), shape))
         return real(self, path_indices, shape)
 
     monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
@@ -673,7 +674,7 @@ def test_harnack_draws_noise_once_per_batch(monkeypatch):
     n_paths = estimators.DEFAULT_BATCH_SIZE + 500
     res = check_harnack_suite(model, 1.0, [((0.5, 0.0), (1.0, 0.5))], f, 1.0,
                               McParams(n_paths, 10, 53)).points[0]
-    assert shapes == [estimators.DEFAULT_BATCH_SIZE] * 2 + [500] * 2
+    assert shapes == [(0, estimators.DEFAULT_BATCH_SIZE, (1 + 10,)), (0, 500, (1 + 10,))]
     assert res.n_valid + res.n_invalid == n_paths
 
 

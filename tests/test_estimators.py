@@ -34,6 +34,7 @@ from gruschin.models import (
     make_constant_identity_model,
     make_extended_demo_model,
     make_power_law_model,
+    make_tilted_matrix_model,
     observable,
 )
 from gruschin.models import TestFunction as Observable  # not a pytest class
@@ -968,8 +969,8 @@ def _record_blocks(monkeypatch) -> list:
 
 def test_batches_run_as_block_aligned_tiles(monkeypatch):
     # K = 100 steps, m + d = 2: a tile is 1,280 paths, cut at absolute
-    # multiples of 1,280 inside each 8,192-path batch; each tile draws dB from
-    # substream 0 and zeta from substream 1 once
+    # multiples of 1,280 inside each 8,192-path batch; each tile draws one
+    # record of zeta and dB per path from substream 0, once
     draws = _counting_draws(monkeypatch)
     model = WALK_LINEAR
     fs = [observable("sin_y", model)]
@@ -978,21 +979,21 @@ def test_batches_run_as_block_aligned_tiles(monkeypatch):
         for sub in draws.values():
             sub.clear()
         panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 16_384, 100, 5, batch_size=8192)
-        assert draws[2] == []
-        for sub in (draws[0], draws[1]):
-            assert [len(idx) for idx in sub] == want
-            starts = [int(idx[0]) for idx in sub]
-            assert all(s % 256 == 0 for s in starts)
-            assert np.array_equal(np.concatenate(sub), np.arange(16_384))
-            blocks = [b for idx in sub for b in np.unique(idx // rng.BLOCK_PATHS)]
-            assert len(blocks) == len(set(blocks))
+        assert draws[1] == draws[2] == []
+        sub = draws[0]
+        assert [len(idx) for idx in sub] == want
+        starts = [int(idx[0]) for idx in sub]
+        assert all(s % 256 == 0 for s in starts)
+        assert np.array_equal(np.concatenate(sub), np.arange(16_384))
+        blocks = [b for idx in sub for b in np.unique(idx // rng.BLOCK_PATHS)]
+        assert len(blocks) == len(set(blocks))
     # the extended kernel runs whole batches, cut evenly above batch_size
     for sub in draws.values():
         sub.clear()
     ext = make_extended_demo_model()
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 3000, 100, 5,
                  batch_size=2048)
-    assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [1536, 1464]
+    assert [len(idx) for idx in draws[0]] == [1536, 1464] and draws[1] == []
     # at two workers a tiled call runs min(workers, tiles it spans) batches:
     # 16,384 paths are two batches of 8,192, cut into tiles as above, and 1,100
     # paths, within one 1,280-path tile, are one batch and one draw
@@ -1000,9 +1001,65 @@ def test_batches_run_as_block_aligned_tiles(monkeypatch):
         for sub in draws.values():
             sub.clear()
         bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], n_paths, 100, 5, workers=2)
-        for sub in (draws[0], draws[1]):
-            assert sorted(len(idx) for idx in sub) == sorted(want_cut)
-            assert np.array_equal(np.sort(np.concatenate(sub)), np.arange(n_paths))
+        assert sorted(len(idx) for idx in draws[0]) == sorted(want_cut)
+        assert np.array_equal(np.sort(np.concatenate(draws[0])), np.arange(n_paths))
+        assert draws[1] == []
+
+
+def _recorded_noise(monkeypatch) -> dict:
+    """path index -> (zeta, rows) of every ``standard_noise`` draw of the
+    estimators, the rows being the eps or the KL modes of the path."""
+    seen, real = {}, estimators.standard_noise
+
+    def recording(seed, idx, n_steps, model):
+        noise = real(seed, idx, n_steps, model)
+        rows = noise.eps if noise.eps is not None else noise.modes
+        for i, z, r in zip(np.asarray(idx).tolist(), noise.zeta, rows):
+            assert i not in seen, f"path {i} drawn twice"
+            seen[i] = (z.copy(), r.copy())
+        return noise
+
+    monkeypatch.setattr(estimators, "standard_noise", recording)
+    return seen
+
+
+@pytest.mark.parametrize("model", [WALK_LINEAR, make_power_law_model(1, 1, 1.0),
+                                   make_tilted_matrix_model()], ids=lambda m: m.name)
+def test_a_path_record_is_the_same_whatever_batch_tile_and_workers(model, monkeypatch):
+    # 100 steps at width m + d: tiles of 1,280 or 768 paths, or 6,656 of KL
+    # modes; batch_size=700 and workers=2 cut other tiles and batches, and
+    # every path is drawn once, with the same zeta and rows
+    fs = [observable("sin_y", model)]
+    x0 = [1.0] * model.m + [0.5] * model.d
+    vs = [Direction.make([1.0] * model.m, [0.0] * model.d)]
+    seen, runs = _recorded_noise(monkeypatch), []
+    for kw in ({}, {"batch_size": 700}, {"batch_size": 700, "workers": 2}):
+        seen.clear()
+        bismut_panel(model, x0, 1.0, fs, vs, 3000, 100, 17, **kw)
+        assert sorted(seen) == list(range(3000))
+        runs.append(dict(seen))
+    for seen in runs[1:]:
+        for i in range(3000):
+            assert np.array_equal(seen[i][0], runs[0][i][0])
+            assert np.array_equal(seen[i][1], runs[0][i][1])
+
+
+@pytest.mark.parametrize("model, substream", [(WALK_LINEAR, 0),
+                                              (make_power_law_model(1, 1, 1.0), 2)],
+                         ids=("walk", "modes"))
+def test_each_tile_seeds_each_of_its_blocks_once(model, substream, monkeypatch):
+    # 3,000 paths span blocks 0-11: the walk draw's tiles of 1,280, 1,280 and
+    # 440 paths, or the one tile of KL modes, seed each block once for zeta
+    # and rows together, and nothing from substream 1
+    blocks = _record_blocks(monkeypatch)
+    draws = _counting_draws(monkeypatch)
+    bismut_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [EX, EY],
+                 3000, 100, 9)
+    assert [len(idx) for idx in draws[substream]] == ([1280, 1280, 440] if substream == 0
+                                                      else [3000])
+    assert draws[1] == []
+    assert sorted(block for _, _, block, _ in blocks) == list(range(12))
+    assert {(seed, sub) for seed, sub, _, _ in blocks} == {(9, substream)}
 
 
 _PL11, _PL21 = WALK_LINEAR, make_power_law_model(2, 1, 1.0)
@@ -1127,7 +1184,7 @@ def test_extended_panel_keeps_its_whole_batch_at_two_workers(monkeypatch, new_po
     ext = make_extended_demo_model()
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 5000, 10, 5,
                  workers=2)
-    assert [len(idx) for idx in draws[0]] == [len(idx) for idx in draws[1]] == [5000]
+    assert [len(idx) for idx in draws[0]] == [5000] and draws[1] == []
     assert new_pools == []
 
 
@@ -1294,13 +1351,21 @@ def test_map_refuses_to_run_on_a_pool_thread():
 
 def test_panel_called_directly_overlaps_its_batches(monkeypatch, new_pools):
     # batch_size=1000 cuts two batches out of one tile; they run on the pool,
-    # one per thread, each drawing its own noise
+    # one per thread, each drawing its own noise.  Neither batch draws until
+    # the other has started, so one thread cannot run both
     draws = _counting_draws(monkeypatch)
     model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     a = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000)
     draws[0].clear(), draws[1].clear()
     blocks = _record_blocks(monkeypatch)
+    both, real = threading.Barrier(2, timeout=60), estimators.standard_noise
+
+    def meeting(*args):
+        both.wait()
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "standard_noise", meeting)
     b = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000,
                      workers=2)
     assert new_pools == [2]

@@ -43,6 +43,27 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # oracles builds its Gauss-Legendre rules on first use, not at import
+    code = "import sys, gruschin.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def test_gauss_legendre_rules_are_numpy_s_bit_for_bit():
+    import numpy as np
+
+    from gruschin import oracles
+
+    for n in (32, 64):
+        nodes, weights = oracles._gauss_legendre(n)
+        want = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert oracles._gauss_legendre(n)[0] is nodes
+
+
 def _package_imports(tree: ast.Module) -> list[tuple[str, str]]:
     """(module, name) of every import of a package module in ``tree``."""
     found = []

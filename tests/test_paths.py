@@ -88,11 +88,11 @@ def test_constant_sigma_exact_functionals():
     assert pf.trace_integral[0, 0, 0, 0] == 0.0
     assert pf.min_eig_q[0] == 1.0
 
-    # Q_T = 1 makes S = zeta, and B_T is the increment sum
-    eps = PathStreams(3).fill_normals([0], (100, 1))
-    (zeta,) = PathStreams(3, substream=1).fill_normals([0], (1,))
-    assert pf.sigma_stoch_integral[0, 0] == zeta[0]
-    assert pf.b_final[0, 0] == np.sqrt(grid.dt) * np.cumsum(eps[0, :, 0])[-1]
+    # Q_T = 1 makes S = zeta, and B_T is the increment sum: the path's record
+    # is zeta, then its 100 increments
+    (record,) = PathStreams(3).fill_normals([0], (1 + 100,))
+    assert pf.sigma_stoch_integral[0, 0] == record[0]
+    assert pf.b_final[0, 0] == np.sqrt(grid.dt) * np.cumsum(record[1:])[-1]
 
 
 def test_x_component_is_exact_brownian():
@@ -627,6 +627,48 @@ def test_brownian_increments_split_across_a_partial_block():
     for part in ("eps", "zeta"):
         assert np.array_equal(getattr(whole, part),
                               np.concatenate([getattr(head, part), getattr(tail, part)]))
+
+
+_NOISE_MODELS = [make_power_law_model(1, 1, 1.0), make_power_law_model(2, 1, 1.0),
+                 make_tilted_matrix_model(), make_extended_demo_model()]
+
+
+@pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.name)
+def test_standard_noise_draws_one_record_per_path_leading_with_zeta(model, monkeypatch):
+    # one fill_normals call per draw, of d + rows * m normals per path: zeta is
+    # the first d, then the rows; substream 2 for KL modes, else 0, never 1
+    calls = []
+    real = PathStreams.fill_normals
+
+    def counting(self, path_indices, shape):
+        calls.append((self.substream, tuple(shape)))
+        return real(self, path_indices, shape)
+
+    monkeypatch.setattr(PathStreams, "fill_normals", counting)
+    idx = np.arange(200, 700)
+    drawn = standard_noise(23, idx, 12, model)
+    linear = paths.reads_modes(model)
+    rows, substream = (KL_MODES + 3, 2) if linear else (12, 0)
+    assert calls == [(substream, (model.d + rows * model.m,))]
+    record = real(PathStreams(23, substream), idx, (model.d + rows * model.m,))
+    body = drawn.modes if linear else drawn.eps
+    assert drawn.zeta.flags.c_contiguous and drawn.zeta.shape == (500, model.d)
+    assert np.array_equal(drawn.zeta, record[:, :model.d])
+    assert np.array_equal(body, record[:, model.d:].reshape(500, rows, model.m))
+    assert (drawn.eps is None) is linear
+
+
+@pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.name)
+def test_zeta_ignores_the_step_count_and_the_increments_nest(model):
+    # zeta leads the record, so it is the same at any n_steps; the first k
+    # steps of an n-step draw are the k-step draw, and KL modes ignore n_steps
+    idx = np.arange(250, 800)
+    short, long = (standard_noise(29, idx, n, model) for n in (7, 40))
+    assert np.array_equal(short.zeta, long.zeta)
+    if paths.reads_modes(model):
+        assert np.array_equal(short.modes, long.modes)
+    else:
+        assert np.array_equal(long.eps[:, :7], short.eps)
 
 
 def test_kernels_scale_one_standard_draw_to_their_grid():
@@ -1431,11 +1473,15 @@ def _at_offset(modes, offset):
 def test_kl_functionals_of_a_row_alone_equal_the_row_in_any_batch(m):
     # every row computed alone gives the bits of the same row in batches of
     # 1, 255, 256, 257 and 6,656 rows (a 6,656-row tile and the 256-path
-    # blocks of the draw), also when the modes sit 8 bytes into a buffer:
-    # at m = 1 the function contracts that buffer in place, without a copy
+    # blocks of the draw), also when the modes sit 8 bytes into a buffer or
+    # follow zeta in a noise record: at m = 1 the function contracts both in
+    # place, without a copy
     drawn = standard_modes(71, np.arange(6656), m)
-    for offset in (0, 1):
-        modes = _at_offset(drawn, offset)
+    record = np.empty((6656, 1 + drawn[0].size))
+    record[:, 1:] = drawn.reshape(6656, -1)
+    layouts = {0: _at_offset(drawn, 0), 1: _at_offset(drawn, 1),
+               "record": record[:, 1:].reshape(drawn.shape)}
+    for offset, modes in layouts.items():
         alone = [kl_functionals(modes[p:p + 1]) for p in range(len(modes))]
         want = KLFunctionals(*(np.concatenate(f) for f in zip(*alone)))
         for P in (1, 255, 256, 257, 6656):

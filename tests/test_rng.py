@@ -67,6 +67,18 @@ def test_rejects_out_of_range_index():
         PathStreams(0).fill_normals([-1], (4,))[0]
 
 
+def test_refuses_non_integer_indices_before_drawing(monkeypatch):
+    # float and boolean indices would fail deep in numpy (a TypeError in
+    # SeedSequence, an OverflowError), and an index of 2**64 makes an object
+    # array; each is refused by dtype before any block is seeded
+    seeded = []
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: seeded.append(args))
+    for bad in (np.array([0.0, 3.0]), np.array([True, False]), np.array([2**64])):
+        with pytest.raises(ValueError, match=f"integer array, got dtype {bad.dtype}"):
+            PathStreams(0).fill_normals(bad, (4,))
+    assert seeded == []
+
+
 def test_moments_sane():
     x = PathStreams(123).fill_normals(np.arange(200), (500,))
     assert abs(x.mean()) < 0.01
