@@ -50,10 +50,14 @@ __all__ = [
     "DEFAULT_CALIBRATION_GRID",
     "DEFAULT_HOLDOUT_GRID",
     "HOLDOUT_HEADROOM",
+    "BAND_SIGMAS",
 ]
 
 # a holdout ratio may exceed the calibration fit by 20% plus statistical tolerance
 HOLDOUT_HEADROOM = 1.2
+
+# the statistical band of every check: this many standard errors
+BAND_SIGMAS = 4.0
 
 DEFAULT_CALIBRATION_GRID = tuple((T, x) for T in (0.25, 1.0, 4.0) for x in (0.0, 1.0, 2.0))
 DEFAULT_HOLDOUT_GRID = tuple((T, x) for T in (0.5, 2.0) for x in (0.5, 1.5))
@@ -257,7 +261,7 @@ def check_a5(grid: GradientGrid,
     for phase, T, x, z0, panel in grid.rows(calibration, holdout):
         for f in grid.f_suite:
             denom_est = panel[("pt", _power_label(f, p))]
-            if denom_est.mean <= 4.0 * denom_est.stderr:
+            if denom_est.mean <= BAND_SIGMAS * denom_est.stderr:
                 report.skipped.append(
                     f"{phase} T={T} x={x} f={f.name}: denominator indistinguishable from 0"
                 )
@@ -268,8 +272,8 @@ def check_a5(grid: GradientGrid,
                 grad = panel[("grad", f.name, axis)]
                 rate = _a5_rate(v, T, z0[: model.m], l)
                 ratio = abs(grad.mean) / (denom * rate)
-                tol = (4.0 * grad.stderr) / (denom * rate) + ratio * (
-                    4.0 * denom_est.stderr / (p * denom_est.mean)
+                tol = (BAND_SIGMAS * grad.stderr) / (denom * rate) + ratio * (
+                    BAND_SIGMAS * denom_est.stderr / (p * denom_est.mean)
                 )
                 report.points.append(RatioPoint(
                     label=f"T={T},x={x},f={f.name},v={j}", phase=phase,
@@ -299,7 +303,7 @@ def check_a6(grid: GradientGrid,
         sigma_x0 = np.asarray(model.sigma(z0[:m]))
         for f in grid.f_suite:
             denom_est = panel[("pt", _power_label(f, 2.0))]
-            if denom_est.mean <= 4.0 * denom_est.stderr:
+            if denom_est.mean <= BAND_SIGMAS * denom_est.stderr:
                 report.skipped.append(
                     f"{phase} T={T} x={x} f={f.name}: P_T f^2 indistinguishable from 0"
                 )
@@ -312,12 +316,12 @@ def check_a6(grid: GradientGrid,
             gamma_hat = float(np.sum(gx**2) + np.sum(sty**2))
             # first-order error: d(g^2) = 2|g| dg, y-block through sigma^T
             dgamma = float(
-                2.0 * np.sum(np.abs(gx) * 4.0 * gx_se)
-                + 2.0 * np.sum(np.abs(sty) * (np.abs(sigma_x0.T) @ (4.0 * gy_se)))
+                2.0 * np.sum(np.abs(gx) * BAND_SIGMAS * gx_se)
+                + 2.0 * np.sum(np.abs(sty) * (np.abs(sigma_x0.T) @ (BAND_SIGMAS * gy_se)))
             )
             ratio = gamma_hat * T / denom_est.mean
             tol = dgamma * T / denom_est.mean + ratio * (
-                4.0 * denom_est.stderr / denom_est.mean
+                BAND_SIGMAS * denom_est.stderr / denom_est.mean
             )
             report.points.append(RatioPoint(
                 label=f"T={T},x={x},f={f.name}", phase=phase,
@@ -352,7 +356,7 @@ def check_lemma31(mc: McParams, m: int = 1, n_exp: float = 1.0, alpha: float = 1
         report.points.append(RatioPoint(
             label=f"T={T},x={x}", phase=phase,
             ratio=est.mean * normalizer,
-            tolerance=4.0 * est.stderr * normalizer,
+            tolerance=BAND_SIGMAS * est.stderr * normalizer,
             T=T, z0=(x,), seed=seed, n_steps=est.n_steps,
             n_valid=est.n_valid, n_invalid=est.n_invalid,
         ))
@@ -389,7 +393,7 @@ def check_lemma_ll(mc: McParams, T: float = 1.0,
     for (name, q, _), lhs, bound in zip(cases, estimates, rhs):
         report.points.append(RatioPoint(
             label=f"{name},q={q}", phase="check",
-            ratio=lhs.mean / bound, tolerance=4.0 * lhs.stderr / bound,
+            ratio=lhs.mean / bound, tolerance=BAND_SIGMAS * lhs.stderr / bound,
             T=T, z0=(), seed=seed, n_steps=lhs.n_steps,
             n_valid=lhs.n_valid, n_invalid=lhs.n_invalid,
         ))
@@ -595,7 +599,7 @@ def check_harnack_suite(model: ModelSpec, T: float,
         root = math.sqrt(p_sq_zp.mean)
         rhs = p_at_z.mean + constant * rho * root
         root_se = p_sq_zp.stderr / (2.0 * root) if root > 0 else 0.0
-        band = 4.0 * math.sqrt(
+        band = BAND_SIGMAS * math.sqrt(
             p_at_zp.stderr**2 + p_at_z.stderr**2 + (constant * rho * root_se) ** 2
         )
         lhs = p_at_zp.mean

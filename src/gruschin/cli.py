@@ -301,7 +301,7 @@ def _rows_from_bound_report(rep: an.BoundCheckReport) -> list[dict]:
         rows.append(_row(
             experiment_id=f"{rep.inequality_id}/{p.phase}/{p.label}",
             quantity=f"{rep.inequality_id.lower()}_ratio",
-            mean=p.ratio, stderr=p.tolerance / 4.0,
+            mean=p.ratio, stderr=p.tolerance / an.BAND_SIGMAS,
             n_valid=p.n_valid, n_invalid=p.n_invalid, seed=p.seed, T=p.T,
             z0=_fmt_vec(p.z0), v=_fmt_ratio_v(p.v), n_steps=p.n_steps,
         ))
@@ -339,7 +339,7 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
                     n_combos += 1
                     label = f"{point}/v={_fmt_dir(v)}/f={f.name}"
                     gb, gf = pb[("grad", f.name, j)], pf[("grad_fd", f.name, j)]
-                    tol = 4.0 * math.hypot(gb.stderr, gf.stderr) + FD_BIAS_ALLOWANCE
+                    tol = an.BAND_SIGMAS * math.hypot(gb.stderr, gf.stderr) + FD_BIAS_ALLOWANCE
                     if abs(gb.mean - gf.mean) > tol or gb.n_invalid or gf.n_invalid:
                         n_bad += 1
                     rows.append(_row(f"bismut_vs_fd/{label}", "grad_bismut",
@@ -350,7 +350,8 @@ def _run_bismut_vs_fd(cfg: ExperimentConfig, model: ModelSpec, workers: int):
                                      sf, T, _fmt_vec(z0), _fmt_dir(v), gf.n_steps))
     return rows, _agreement(
         "BismutVsFD", n_bad == 0,
-        f"{n_combos - n_bad}/{n_combos} combos agree within 4*stderr + {FD_BIAS_ALLOWANCE}",
+        f"{n_combos - n_bad}/{n_combos} combos agree within "
+        f"{an.BAND_SIGMAS:g}*stderr + {FD_BIAS_ALLOWANCE}",
     )
 
 
@@ -409,7 +410,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     ``run.n_steps``, ``run.master_seed``); write results.csv, results.json and report.md;
     return (exit_code, summary lines).  A8's constant at T, the first horizon, is 1/sqrt(T)
     for the heat family, else sqrt(fit / T) of the A6 fit of the run's one grid, listed or not;
-    a non-finite fit gives NaN A8 rows, skipped, so A8 reads Inconclusive."""
+    a non-finite fit gives NaN A8 rows, skipped, so A8 reads Inconclusive.  Lemma31 runs at
+    the model's m and at n = l, its exponent (1 for a model without comparability constants)."""
     model = _build_model(cfg)
     if "a5" in cfg.suite.checks and model.power_params is None:
         raise ConfigError(
@@ -433,7 +435,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             elif check == "a6":
                 rep = a6_report()
             elif check == "lemma31":
-                rep = an.check_lemma31(mc)
+                l = model.power_params.l if model.power_params is not None else 1.0
+                rep = an.check_lemma31(mc, m=model.m, n_exp=l)
             elif check == "lemma_ll":
                 rep = an.check_lemma_ll(mc, T=cfg.run.horizons[0])
             elif check == "harnack":

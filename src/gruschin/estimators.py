@@ -258,12 +258,13 @@ def run_batches(
     under the column's key, each reporting ``n_steps`` as the resolution of
     the paths (0 where the caller states none).
 
-    ``draw(path_indices)`` returns the noise of the paths of an int64 index
-    array, and each point function maps that noise to ``({key: values}, ok)``,
-    with the same keys for every call.  A path counts as valid for a point if
-    its ``ok`` marks it and its values are finite in every column of the
-    point, and each column is averaged over the valid paths; an invalid path
-    of one point leaves the counts of the others unchanged.  Tiles are
+    ``draw(path_indices)`` returns the noise of the paths of a contiguous
+    ascending int64 run of path indices, and each point function maps that
+    noise to ``({key: values}, ok)``, with the same keys for every call.  A
+    path counts as valid for a point if its ``ok`` marks it and its values are
+    finite in every column of the point, and each column is averaged over the
+    valid paths; an invalid path of one point leaves the counts of the others
+    unchanged.  Tiles are
     concatenated in path order, so the result is independent of worker count,
     batch size, tile and completion order.
 

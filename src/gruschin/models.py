@@ -175,8 +175,8 @@ def _dot_last(x, v):
 
     One (m,) vector, as the kernels pass along each coordinate axis, is a
     matrix-vector product, an order of magnitude faster than the elementwise
-    product and sum over (P, n_steps, m) nodes; ``as_extended`` passes
-    (P, m) directions, which take the broadcast form.
+    product and sum over (P, n_steps, m) nodes.  The broadcast form serves
+    (P, m) directions, which only the tests' reference kernels pass.
     """
     x, v = np.asarray(x), np.asarray(v)
     if v.ndim == 1:

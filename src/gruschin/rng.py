@@ -4,10 +4,11 @@ Paths are grouped in blocks of ``BLOCK_PATHS``, and each block has a generator
 of its own, seeded by hashing the block's identity.  Under master seed ``s``,
 block ``b`` is drawn as ``standard_normal((n_steps, BLOCK_PATHS) + rest)`` from
 ``SFC64(SeedSequence([s, substream, b]))``, and path ``i`` is column
-``i % BLOCK_PATHS`` of block ``i // BLOCK_PATHS``.  The increments of a path are
-therefore a pure function of ``(master_seed, substream, path_index)`` --
-independent of how many other paths were simulated, in what order, or on which
-worker -- and the first ``k`` steps of a draw equal a ``k``-step draw.
+``i % BLOCK_PATHS`` of block ``i // BLOCK_PATHS``.  Every draw is one contiguous
+run of paths, and the increments of a path are a pure function of
+``(master_seed, substream, path_index)`` -- the same in any run that holds the
+path, whatever its length and on whichever worker it is drawn -- and the first
+``k`` steps of a draw equal a ``k``-step draw.
 ``SeedSequence`` hashes its whole entropy list, so distinct blocks, substreams
 and seeds start from well-separated states.
 
@@ -50,50 +51,42 @@ class PathStreams:
         self.substream = int(substream) & (2**64 - 1)
 
     def fill_normals(self, path_indices: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """Stack of per-path normals, leading axis ordered as ``path_indices``.
+        """Stack of per-path normals (P, *shape) for the run of paths
+        ``path_indices``, row k holding path ``path_indices[k]``.
 
-        ``shape[0]`` is the step axis.  Each block that holds a requested path is
-        drawn once per call; the paths of a block that sit in consecutive rows
-        with consecutive indices are copied as one strided slice.  The copy
-        moves the w = prod(shape[1:]) normals of one (path, step) as a single
-        8w-byte record, a 2-d transpose of records, so the bits do not change.
-        The blocks are drawn one after another on the calling thread, into one
-        buffer.  Path indices must be a nonnegative integer array (int64 or
-        uint64 holds any index): any other dtype, such as the object array of
-        an index of 2**64 or more, is refused with ``ValueError`` before a
-        block is drawn.
+        ``shape[0]`` is the step axis.  ``path_indices`` must be a contiguous
+        ascending run start, start + 1, ..., stop - 1 of nonnegative integers,
+        possibly empty, as an integer array (int64 or uint64 holds any index).
+        Anything else -- another dtype, such as the object array of an index of
+        2**64 or more, a negative start, a gap, a repeat or a descending step
+        -- is refused with ``ValueError`` before a block is seeded.  Each block
+        that overlaps the run is drawn once, one after another on the calling
+        thread into one buffer, and its overlap is copied as one slice.  The
+        copy moves the w = prod(shape[1:]) normals of one (path, step) as a
+        single 8w-byte record, a 2-d transpose of records, so the bits do not
+        change.
         """
         idx = np.asarray(path_indices)
         shape = tuple(shape)
         if idx.dtype.kind not in "iu":
             raise ValueError(f"path indices must be an integer array, got dtype {idx.dtype}")
-        if idx.size and idx.min() < 0:
-            raise ValueError(f"path indices out of range: [{idx.min()}, {idx.max()}]")
+        if idx.ndim != 1 or (idx.size and (idx[0] < 0 or np.any(np.diff(idx) != 1))):
+            raise ValueError("path indices must be a contiguous ascending run of "
+                             f"nonnegative integers, got {idx}")
         out = np.empty((idx.size,) + shape)
-        n_steps, w = shape[0], math.prod(shape[1:])
         if out.size == 0:
             return out
+        start, stop = int(idx[0]), int(idx[0]) + idx.size
+        n_steps, w = shape[0], math.prod(shape[1:])
         record = np.dtype((np.void, 8 * w))
         out_rec = out.reshape(idx.size, n_steps * w).view(record)   # (P, n_steps)
-        block_of = idx // BLOCK_PATHS
-        order = np.argsort(block_of, kind="stable")
-        blocks, firsts = np.unique(block_of[order], return_index=True)
-        ends = np.append(firsts[1:], idx.size)
-        # a block is one slice when its paths sit in consecutive rows with
-        # consecutive indices: no break between neighbours of the block order
-        breaks = np.cumsum((np.diff(order) != 1) | (np.diff(idx[order]) != 1))
-        breaks = np.concatenate([[0], breaks])
-        whole = (breaks[ends - 1] == breaks[firsts]).tolist()
         buf = np.empty((n_steps, BLOCK_PATHS) + shape[1:])
         buf_rec = buf.reshape(n_steps, BLOCK_PATHS * w).view(record)  # (n_steps, 256)
-        for block, lo, hi, one_slice in zip(blocks.tolist(), firsts.tolist(), ends.tolist(), whole):
+        for block in range(start // BLOCK_PATHS, (stop - 1) // BLOCK_PATHS + 1):
             bitgen = np.random.SFC64(np.random.SeedSequence(
                 [self.master_seed, self.substream, block]))
             np.random.Generator(bitgen).standard_normal(out=buf)
-            if one_slice:
-                row, col = int(order[lo]), int(idx[order[lo]]) - block * BLOCK_PATHS
-                out_rec[row:row + hi - lo] = buf_rec[:, col:col + hi - lo].T
-            else:
-                rows = order[lo:hi]
-                out_rec[rows] = buf_rec[:, idx[rows] - block * BLOCK_PATHS].T
+            base = block * BLOCK_PATHS
+            lo, hi = max(start, base), min(stop, base + BLOCK_PATHS)
+            out_rec[lo - start:hi - start] = buf_rec[:, lo - base:hi - base].T
         return out

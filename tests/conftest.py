@@ -2,10 +2,12 @@
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
-from gruschin import estimators
+from gruschin import estimators, rng
 
 
 @pytest.fixture
@@ -28,3 +30,32 @@ def new_pools(monkeypatch):
     yield built
     for pool in pools:
         pool.shutdown()
+
+
+class Draw(NamedTuple):
+    """One ``rng.PathStreams.fill_normals`` call."""
+
+    substream: int
+    path_indices: np.ndarray
+    shape: tuple
+
+
+class Draws(list):
+    """The ``Draw`` of every ``rng.PathStreams.fill_normals`` call, in call order."""
+
+    def by_substream(self) -> dict:
+        """The path indices of every draw, listed by substream."""
+        return {s: [d.path_indices for d in self if d.substream == s] for s in (0, 1, 2)}
+
+
+@pytest.fixture
+def rng_draws(monkeypatch):
+    """A ``Draws`` list that records every RNG draw of the test."""
+    draws, real = Draws(), rng.PathStreams.fill_normals
+
+    def recording(self, path_indices, shape):
+        draws.append(Draw(self.substream, np.asarray(path_indices).copy(), tuple(shape)))
+        return real(self, path_indices, shape)
+
+    monkeypatch.setattr(rng.PathStreams, "fill_normals", recording)
+    return draws

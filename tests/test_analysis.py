@@ -339,7 +339,7 @@ def test_a_lemma31_point_is_the_one_point_moment_at_the_grid_seed(workers):
         assert (p.n_valid, p.n_invalid) == (est.n_valid, est.n_invalid)
 
 
-def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
+def test_a_grid_draws_once_per_tile_for_all_its_points(rng_draws):
     # the linear family draws KL_MODES + 3 rows: the A6 grid's tile (width
     # m + d = 2) is 6,656 paths and Lemma 3.1's (width m = 1) 13,568, cut at
     # their absolute multiples inside 8,192-path batches, so 14,000 paths are
@@ -347,22 +347,18 @@ def test_a_grid_draws_once_per_tile_for_all_its_points(monkeypatch):
     # grid one record of zeta and the KL modes, Lemma 3.1 the KL modes alone,
     # both from substream 2, with no increments and nothing from substream 1
     assert paths.KL_MODES + 3 == 19
-    draws = {0: [], 1: [], 2: []}
-    real = rng.PathStreams.fill_normals
 
-    def counting(self, path_indices, shape):
-        draws[self.substream].append(len(path_indices))
-        return real(self, path_indices, shape)
+    def draws():
+        return {s: [len(idx) for idx in sub] for s, sub in rng_draws.by_substream().items()}
 
-    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
     model = make_power_law_model(1, 1, 1.0)
     mc = McParams(n_paths=14_000, n_steps=100, seed=79)
     rep = check_a6(GradientGrid(model, [observable("sin_y", model)], mc))
     assert len(rep.points) == 13
-    assert draws == {0: [], 1: [], 2: [6656, 1536, 5120, 688]}
-    draws[2].clear()
+    assert draws() == {0: [], 1: [], 2: [6656, 1536, 5120, 688]}
+    rng_draws.clear()
     assert len(check_lemma31(mc).points) == 13
-    assert draws == {0: [], 1: [], 2: [8192, 5376, 432]}
+    assert draws() == {0: [], 1: [], 2: [8192, 5376, 432]}
 
 
 def _record_args(monkeypatch, module, name):
@@ -525,13 +521,12 @@ def test_bound_check_without_rows_is_inconclusive(run):
     assert not rep.points and math.isnan(rep.fitted_constant)
 
 
-def test_harnack_and_lemma_ll_without_rows_draw_nothing(monkeypatch):
-    draws = _record_args(monkeypatch, rng.PathStreams, "fill_normals")
+def test_harnack_and_lemma_ll_without_rows_draw_nothing(rng_draws):
     model = make_constant_identity_model()
     mc = McParams(200, 10, 23, workers=2)
     assert not check_harnack_suite(model, 1.0, [], observable("one", model), 1.0, mc).points
     assert not check_lemma_ll(mc, cases=()).points
-    assert draws == []
+    assert rng_draws == []
 
 
 # ---------------------------------------------------------------------------
@@ -657,23 +652,16 @@ def test_each_lemma_ll_row_is_its_one_case_estimate(monkeypatch):
         assert (row.n_valid, row.n_invalid) == (est.n_valid, est.n_invalid)
 
 
-def test_harnack_draws_noise_once_per_batch(monkeypatch):
+def test_harnack_draws_noise_once_per_batch(rng_draws):
     # z and z' read one draw per batch, one record of zeta and dB per path,
     # which the nonnegativity check reads too; sigma(x) = x runs through its
     # callbacks
-    shapes = []
-    real = rng.PathStreams.fill_normals
-
-    def counting(self, path_indices, shape):
-        shapes.append((self.substream, len(path_indices), shape))
-        return real(self, path_indices, shape)
-
-    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
     model = replace(make_power_law_model(1, 1, 1.0), family=None)
     f = observable("one_plus_tanh_y", model)
     n_paths = estimators.DEFAULT_BATCH_SIZE + 500
     res = check_harnack_suite(model, 1.0, [((0.5, 0.0), (1.0, 0.5))], f, 1.0,
                               McParams(n_paths, 10, 53)).points[0]
+    shapes = [(d.substream, len(d.path_indices), d.shape) for d in rng_draws]
     assert shapes == [(0, estimators.DEFAULT_BATCH_SIZE, (1 + 10,)), (0, 500, (1 + 10,))]
     assert res.n_valid + res.n_invalid == n_paths
 

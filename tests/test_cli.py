@@ -317,6 +317,24 @@ def test_rerun_and_worker_count_are_byte_identical(tmp_path):
     assert (tmp_path / "c" / "results.json").read_bytes() == refj
 
 
+@pytest.mark.parametrize("m, l", [(1, 2.0), (2, 1.0)])
+def test_lemma31_rows_are_those_of_the_run_model(tmp_path, m, l):
+    # Lemma 3.1 runs at the model's m and at n = l, the model's exponent
+    body = json.loads(json.dumps(MINIMAL))
+    body["model"].update(m=m, l=l)
+    body["run"].update(points=[[1.0] * m + [0.0]], directions=[[[1.0] * m, [0.0]]],
+                       n_paths=200, n_steps=20)
+    body["suite"] = {"checks": ["lemma31"]}
+    code, _ = run_experiment(ExperimentConfig.from_dict(body), out_dir=str(tmp_path))
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
+    rep = analysis.check_lemma31(McParams(200, 20, MINIMAL["run"]["master_seed"]), m, l)
+    assert [(r["experiment_id"], float(r["mean"]), float(r["stderr"]), int(r["n_valid"]))
+            for r in rows] == [(f"Lemma31/{p.phase}/{p.label}", p.ratio,
+                                p.tolerance / analysis.BAND_SIGMAS, p.n_valid)
+                               for p in rep.points]
+
+
 def test_harnack_gaussian_model_uses_exact_constant(tmp_path):
     body = json.loads(json.dumps(MINIMAL))
     body["model"] = {"builtin": "constant_identity", "m": 1, "d": 1}

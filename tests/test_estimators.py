@@ -207,23 +207,21 @@ def test_fd_rejects_nonpositive_eps():
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf])
-def test_fd_panel_rejects_a_nonfinite_eps_before_drawing(monkeypatch, eps):
-    draws = _counting_draws(monkeypatch)
+def test_fd_panel_rejects_a_nonfinite_eps_before_drawing(rng_draws, eps):
     model = make_power_law_model(1, 1, 1.0)
     with pytest.raises(ValueError, match="eps"):
         fd_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [EX], 200, 10, 3,
                  eps=eps)
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
-def test_fd_panel_rejects_a_nonpositive_eps_before_drawing(monkeypatch, eps):
-    draws = _counting_draws(monkeypatch)
+def test_fd_panel_rejects_a_nonpositive_eps_before_drawing(rng_draws, eps):
     model = make_power_law_model(1, 1, 1.0)
     with pytest.raises(ValueError, match="eps must be positive"):
         fd_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [EX], 200, 10, 3,
                  eps=eps)
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 _START_CALLS = {
@@ -242,13 +240,12 @@ _START_CALLS = {
 
 @pytest.mark.parametrize("z0", [[math.nan, 0.0], [0.5, math.inf]])
 @pytest.mark.parametrize("name", sorted(_START_CALLS))
-def test_panels_refuse_a_nonfinite_start_before_drawing(monkeypatch, name, z0):
+def test_panels_refuse_a_nonfinite_start_before_drawing(rng_draws, name, z0):
     # fd_panel's default eps is read off z0, so the start is checked before it
-    draws = _counting_draws(monkeypatch)
     model = make_power_law_model(1, 1, 1.0)
     with pytest.raises(ValueError, match="z0 must be finite"):
         _START_CALLS[name](model, [observable("sin_y", model)], z0)
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 def test_pt_panel_is_bitwise_a_simulation_from_each_start():
@@ -298,24 +295,21 @@ def test_negative_moment_validation():
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-def test_negative_moment_rejects_a_nonfinite_alpha_before_drawing(monkeypatch, alpha):
-    draws = _counting_draws(monkeypatch)
+def test_negative_moment_rejects_a_nonfinite_alpha_before_drawing(rng_draws, alpha):
     with pytest.raises(ValueError, match="alpha"):
         estimate_negative_moment(1, [0.5], 1.0, 1.0, alpha, 200, 10, 3)
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 @pytest.mark.parametrize("n_exp", [math.nan, math.inf])
-def test_negative_moment_rejects_a_nonfinite_exponent_before_drawing(monkeypatch, n_exp):
-    draws = _counting_draws(monkeypatch)
+def test_negative_moment_rejects_a_nonfinite_exponent_before_drawing(rng_draws, n_exp):
     with pytest.raises(ValueError, match="exponent"):
         estimate_negative_moment(1, [0.5], 1.0, n_exp, 0.5, 200, 10, 3)
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_moments_refuse_nonfinite_parameters_before_drawing(monkeypatch, bad):
-    draws = _counting_draws(monkeypatch)
+def test_moments_refuse_nonfinite_parameters_before_drawing(rng_draws, bad):
     with pytest.raises(ValueError, match="x must be finite"):
         estimate_negative_moment(1, [bad], 1.0, 1.0, 0.5, 200, 10, 3)
     with pytest.raises(ValueError, match="x must be finite"):
@@ -342,7 +336,7 @@ def test_moments_refuse_nonfinite_parameters_before_drawing(monkeypatch, bad):
                                        1.0, 200, 10, 3)
     with pytest.raises(ValueError, match="l must be nonnegative"):
         lq_moment_rhs("sigma_row", 2.0, 1.0, l=-1.0)
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 @pytest.mark.parametrize("s, want", [(0.0, 5.562860), (1.0, 2.872109), (2.0, 1.535379),
@@ -408,18 +402,10 @@ def test_degenerate_start_y_gradient_matches_its_closed_form(name):
     assert abs(est.mean - want) <= 4.0 * est.stderr
 
 
-def test_linear_calls_draw_kl_modes_and_no_increments(monkeypatch):
+def test_linear_calls_draw_kl_modes_and_no_increments(monkeypatch, rng_draws):
     # a linear-family panel draws K + 3 normals per path for B and d for zeta,
     # and Lemma 3.1 at n = 1 draws (K + 3) m: no (P, n_steps, m) increments
     # and no walk, at one worker or two
-    shapes = []
-    real = rng.PathStreams.fill_normals
-
-    def counting(self, path_indices, shape):
-        shapes.append((len(path_indices), tuple(shape)))
-        return real(self, path_indices, shape)
-
-    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
     walks = _counting_walks(monkeypatch)
     model = make_power_law_model(1, 1, 1.0)
     fs = [observable("sin_y", model)]
@@ -438,8 +424,9 @@ def test_linear_calls_draw_kl_modes_and_no_increments(monkeypatch):
     ]
     for call, per_path in calls:
         for workers in (1, 2):
-            shapes.clear()
+            rng_draws.clear()
             call(workers)
+            shapes = [(len(d.path_indices), d.shape) for d in rng_draws]
             assert sum(P * math.prod(shape) for P, shape in shapes) == per_path * n_paths
             assert all(shape[0] != n_steps for _, shape in shapes)
     assert walks == []
@@ -538,12 +525,11 @@ def test_lq_validation():
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf])
-def test_lq_moment_rejects_a_nonfinite_q_before_drawing(monkeypatch, q):
-    draws = _counting_draws(monkeypatch)
+def test_lq_moment_rejects_a_nonfinite_q_before_drawing(rng_draws, q):
     for name in LQ_INTEGRANDS:
         with pytest.raises(ValueError, match="q must"):
             estimate_lq_moment(name, q, 1.0, 200, 10, 3)
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 # ---------------------------------------------------------------------------
@@ -678,18 +664,16 @@ _EMPTY_PANELS = {
 
 
 @pytest.mark.parametrize("name", sorted(_EMPTY_PANELS))
-def test_an_empty_panel_is_refused_before_any_draw(monkeypatch, name):
-    draws = _counting_draws(monkeypatch)
+def test_an_empty_panel_is_refused_before_any_draw(rng_draws, name):
     model = make_power_law_model(1, 1, 1.0)
     with pytest.raises(ValueError, match="at least one"):
         _EMPTY_PANELS[name](model, observable("sin_y", model))
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 @pytest.mark.parametrize("batch_size", [0, -5, 2.5])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_bad_batch_size_is_refused_before_any_draw(monkeypatch, batch_size, workers):
-    draws = _counting_draws(monkeypatch)
+def test_a_bad_batch_size_is_refused_before_any_draw(rng_draws, batch_size, workers):
     model = make_power_law_model(1, 1, 1.0)
     f = observable("sin_y", model)
     calls = [
@@ -705,12 +689,11 @@ def test_a_bad_batch_size_is_refused_before_any_draw(monkeypatch, batch_size, wo
     for call in calls:
         with pytest.raises(ValueError, match="batch_size must be a positive integer"):
             call()
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5])
-def test_a_bad_worker_count_is_refused_before_any_draw(monkeypatch, workers):
-    draws = _counting_draws(monkeypatch)
+def test_a_bad_worker_count_is_refused_before_any_draw(rng_draws, workers):
     model = make_power_law_model(1, 1, 1.0)
     f = observable("sin_y", model)
     calls = [
@@ -722,7 +705,7 @@ def test_a_bad_worker_count_is_refused_before_any_draw(monkeypatch, workers):
     for call in calls:
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             call()
-    assert draws == {0: [], 1: [], 2: []}
+    assert rng_draws == []
 
 
 def test_panel_entry_does_not_depend_on_the_other_directions():
@@ -940,19 +923,6 @@ def test_each_point_of_estimate_negative_moments_is_its_one_point_moment(workers
         assert moment == estimate_negative_moment(1, x, T, 1.0, 0.3, 1100, 1024, 31)
 
 
-def _counting_draws(monkeypatch):
-    """The path indices of every RNG draw, listed by substream."""
-    draws = {0: [], 1: [], 2: []}
-    real = rng.PathStreams.fill_normals
-
-    def counting(self, path_indices, shape):
-        draws[self.substream].append(np.asarray(path_indices).copy())
-        return real(self, path_indices, shape)
-
-    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
-    return draws
-
-
 def _record_blocks(monkeypatch) -> list:
     """(master seed, substream, block, thread) of every RNG block drawn, as the
     block loop of ``rng.PathStreams.fill_normals`` seeds it."""
@@ -967,18 +937,17 @@ def _record_blocks(monkeypatch) -> list:
     return blocks
 
 
-def test_batches_run_as_block_aligned_tiles(monkeypatch):
+def test_batches_run_as_block_aligned_tiles(rng_draws):
     # K = 100 steps, m + d = 2: a tile is 1,280 paths, cut at absolute
     # multiples of 1,280 inside each 8,192-path batch; each tile draws one
     # record of zeta and dB per path from substream 0, once
-    draws = _counting_draws(monkeypatch)
     model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     want = [1280] * 6 + [512] + [768] + [1280] * 5 + [1024]
     for panel in (bismut_panel, fd_panel):
-        for sub in draws.values():
-            sub.clear()
+        rng_draws.clear()
         panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], 16_384, 100, 5, batch_size=8192)
+        draws = rng_draws.by_substream()
         assert draws[1] == draws[2] == []
         sub = draws[0]
         assert [len(idx) for idx in sub] == want
@@ -988,19 +957,19 @@ def test_batches_run_as_block_aligned_tiles(monkeypatch):
         blocks = [b for idx in sub for b in np.unique(idx // rng.BLOCK_PATHS)]
         assert len(blocks) == len(set(blocks))
     # the extended kernel runs whole batches, cut evenly above batch_size
-    for sub in draws.values():
-        sub.clear()
+    rng_draws.clear()
     ext = make_extended_demo_model()
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 3000, 100, 5,
                  batch_size=2048)
+    draws = rng_draws.by_substream()
     assert [len(idx) for idx in draws[0]] == [1536, 1464] and draws[1] == []
     # at two workers a tiled call runs min(workers, tiles it spans) batches:
     # 16,384 paths are two batches of 8,192, cut into tiles as above, and 1,100
     # paths, within one 1,280-path tile, are one batch and one draw
     for n_paths, want_cut in ((16_384, want), (1100, [1100])):
-        for sub in draws.values():
-            sub.clear()
+        rng_draws.clear()
         bismut_panel(model, [1.0, 0.5], 1.0, fs, [EX, EY], n_paths, 100, 5, workers=2)
+        draws = rng_draws.by_substream()
         assert sorted(len(idx) for idx in draws[0]) == sorted(want_cut)
         assert np.array_equal(np.sort(np.concatenate(draws[0])), np.arange(n_paths))
         assert draws[1] == []
@@ -1047,14 +1016,14 @@ def test_a_path_record_is_the_same_whatever_batch_tile_and_workers(model, monkey
 @pytest.mark.parametrize("model, substream", [(WALK_LINEAR, 0),
                                               (make_power_law_model(1, 1, 1.0), 2)],
                          ids=("walk", "modes"))
-def test_each_tile_seeds_each_of_its_blocks_once(model, substream, monkeypatch):
+def test_each_tile_seeds_each_of_its_blocks_once(model, substream, monkeypatch, rng_draws):
     # 3,000 paths span blocks 0-11: the walk draw's tiles of 1,280, 1,280 and
     # 440 paths, or the one tile of KL modes, seed each block once for zeta
     # and rows together, and nothing from substream 1
     blocks = _record_blocks(monkeypatch)
-    draws = _counting_draws(monkeypatch)
     bismut_panel(model, [1.0, 0.5], 1.0, [observable("sin_y", model)], [EX, EY],
                  3000, 100, 9)
+    draws = rng_draws.by_substream()
     assert [len(idx) for idx in draws[substream]] == ([1280, 1280, 440] if substream == 0
                                                       else [3000])
     assert draws[1] == []
@@ -1177,13 +1146,13 @@ def _path_indices(idx):
     return {"value": idx.astype(float)}, np.ones(len(idx), dtype=bool)
 
 
-def test_extended_panel_keeps_its_whole_batch_at_two_workers(monkeypatch, new_pools):
+def test_extended_panel_keeps_its_whole_batch_at_two_workers(rng_draws, new_pools):
     # an untiled call is cut at batch_size alone: 5,000 extended paths at
     # workers=2 are one batch, drawn once and run inline, so no pool is built
-    draws = _counting_draws(monkeypatch)
     ext = make_extended_demo_model()
     bismut_panel(ext, [1.0, 0.5], 1.0, [observable("sin_y", ext)], [EX], 5000, 10, 5,
                  workers=2)
+    draws = rng_draws.by_substream()
     assert [len(idx) for idx in draws[0]] == [5000] and draws[1] == []
     assert new_pools == []
 
@@ -1251,7 +1220,7 @@ def test_lemma31_grid_builds_one_pool_for_its_batches(new_pools):
     assert new_pools == [2]
 
 
-def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch):
+def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch, rng_draws):
     # K = 100: a Lemma 3.1 tile (width m = 1) is 2,560 paths.  2,600 paths at
     # workers=2 span two tiles, so two batches: ceil(2600 / 2) = 1,300 rounds
     # up to 1,536, the batches are paths 0-1535 and 1536-2599 (the second
@@ -1259,9 +1228,10 @@ def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch):
     # is drawn once (a cut at 1,300 drew block 5 in both batches).  At n = 1.5
     # Lemma 3.1 draws increments; at n = 1 it would draw one tile of KL modes
     serial = check_lemma31(McParams(2600, 100, 71, workers=1), n_exp=1.5)
-    draws = _counting_draws(monkeypatch)
+    rng_draws.clear()
     blocks = _record_blocks(monkeypatch)
     parallel = check_lemma31(McParams(2600, 100, 71, workers=2), n_exp=1.5)
+    draws = rng_draws.by_substream()
     assert sorted(len(idx) for idx in draws[0]) == [40, 1024, 1536]
     assert sorted(block for _, _, block, _ in blocks) == list(range(11))
     assert len({thread for *_, thread in blocks}) == 2   # the two batches overlap
@@ -1269,15 +1239,17 @@ def test_a_standalone_cut_splits_no_block_between_batches(monkeypatch):
     assert parallel.points and parallel.points == serial.points
 
 
-def test_a_call_within_one_tile_runs_one_batch_on_the_caller(monkeypatch, new_pools):
+def test_a_call_within_one_tile_runs_one_batch_on_the_caller(monkeypatch, new_pools,
+                                                             rng_draws):
     # 1,250 paths at workers=2 are within one 2,560-path tile: one batch, one
     # draw, whose five blocks are each drawn once, on the calling thread, and
     # no pool is built.  At n = 1.5 Lemma 3.1 draws increments; at n = 1 it
     # would draw KL modes
     serial = check_lemma31(McParams(1250, 100, 71, workers=1), n_exp=1.5)
-    draws = _counting_draws(monkeypatch)
+    rng_draws.clear()
     blocks = _record_blocks(monkeypatch)
     parallel = check_lemma31(McParams(1250, 100, 71, workers=2), n_exp=1.5)
+    draws = rng_draws.by_substream()
     assert [len(idx) for idx in draws[0]] == [1250] and draws[1] == []
     assert sorted(block for _, _, block, _ in blocks) == list(range(5))
     assert {thread for *_, thread in blocks} == {threading.get_ident()}
@@ -1313,15 +1285,7 @@ def test_lq_cases_are_bit_for_bit_their_one_case_estimates():
     assert estimate_lq_moments(cases[::-1], 0.7, 3000, 30, 89) == together[::-1]
 
 
-def test_lq_cases_are_checked_before_any_draw(monkeypatch):
-    draws = []
-    real = rng.PathStreams.fill_normals
-
-    def counting(self, path_indices, shape):
-        draws.append(shape)
-        return real(self, path_indices, shape)
-
-    monkeypatch.setattr(rng.PathStreams, "fill_normals", counting)
+def test_lq_cases_are_checked_before_any_draw(rng_draws):
     good = ("constant_unit", 2.0, {})
     for bad, error in ((("constant_unit", 1.0, {}), "q must be"),
                        (("sigma_row", 2.0, {"x": math.nan}), "must be finite"),
@@ -1329,7 +1293,7 @@ def test_lq_cases_are_checked_before_any_draw(monkeypatch):
         with pytest.raises(ValueError, match=error):
             estimate_lq_moments([good, bad], 1.0, 200, 10, 3)
     assert estimate_lq_moments([], 1.0, 200, 10, 3) == []
-    assert draws == []
+    assert rng_draws == []
 
 
 def test_parallel_map_propagates_a_task_exception():
@@ -1349,15 +1313,14 @@ def test_map_refuses_to_run_on_a_pool_thread():
         estimators._map(2, lambda _: estimators._map(2, lambda x: x, [1, 2]), [0])
 
 
-def test_panel_called_directly_overlaps_its_batches(monkeypatch, new_pools):
+def test_panel_called_directly_overlaps_its_batches(monkeypatch, new_pools, rng_draws):
     # batch_size=1000 cuts two batches out of one tile; they run on the pool,
     # one per thread, each drawing its own noise.  Neither batch draws until
     # the other has started, so one thread cannot run both
-    draws = _counting_draws(monkeypatch)
     model = WALK_LINEAR
     fs = [observable("sin_y", model)]
     a = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000)
-    draws[0].clear(), draws[1].clear()
+    rng_draws.clear()
     blocks = _record_blocks(monkeypatch)
     both, real = threading.Barrier(2, timeout=60), estimators.standard_noise
 
@@ -1369,7 +1332,7 @@ def test_panel_called_directly_overlaps_its_batches(monkeypatch, new_pools):
     b = bismut_panel(model, [1.0, 0.0], 1.0, fs, [EX], 2000, 10, 5, batch_size=1000,
                      workers=2)
     assert new_pools == [2]
-    assert sorted(len(idx) for idx in draws[0]) == [1000, 1000]
+    assert sorted(len(idx) for idx in rng_draws.by_substream()[0]) == [1000, 1000]
     threads = {thread for *_, thread in blocks}
     assert len(threads) == 2 and threading.get_ident() not in threads
     assert a == b

@@ -634,23 +634,16 @@ _NOISE_MODELS = [make_power_law_model(1, 1, 1.0), make_power_law_model(2, 1, 1.0
 
 
 @pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.name)
-def test_standard_noise_draws_one_record_per_path_leading_with_zeta(model, monkeypatch):
+def test_standard_noise_draws_one_record_per_path_leading_with_zeta(model, rng_draws):
     # one fill_normals call per draw, of d + rows * m normals per path: zeta is
     # the first d, then the rows; substream 2 for KL modes, else 0, never 1
-    calls = []
-    real = PathStreams.fill_normals
-
-    def counting(self, path_indices, shape):
-        calls.append((self.substream, tuple(shape)))
-        return real(self, path_indices, shape)
-
-    monkeypatch.setattr(PathStreams, "fill_normals", counting)
     idx = np.arange(200, 700)
     drawn = standard_noise(23, idx, 12, model)
     linear = paths.reads_modes(model)
     rows, substream = (KL_MODES + 3, 2) if linear else (12, 0)
+    calls = [(d.substream, d.shape) for d in rng_draws]
     assert calls == [(substream, (model.d + rows * model.m,))]
-    record = real(PathStreams(23, substream), idx, (model.d + rows * model.m,))
+    record = PathStreams(23, substream).fill_normals(idx, (model.d + rows * model.m,))
     body = drawn.modes if linear else drawn.eps
     assert drawn.zeta.flags.c_contiguous and drawn.zeta.shape == (500, model.d)
     assert np.array_equal(drawn.zeta, record[:, :model.d])

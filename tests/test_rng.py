@@ -16,10 +16,14 @@ def test_same_identity_same_values():
 
 
 def test_order_independence():
-    streams = PathStreams(11)
-    batch = streams.fill_normals(np.array([5, 3, 9]), (20, 2))
-    for row, idx in enumerate([5, 3, 9]):
-        assert np.array_equal(batch[row], PathStreams(11).fill_normals([idx], (20, 2))[0])
+    # a path's row is the same in every run that holds it
+    runs = [(3, 10), (0, 300), (5, 6)]
+    batches = [PathStreams(11).fill_normals(np.arange(lo, hi), (20, 2)) for lo, hi in runs]
+    for i in range(300):
+        alone = PathStreams(11).fill_normals([i], (20, 2))[0]
+        for (lo, hi), batch in zip(runs, batches):
+            if lo <= i < hi:
+                assert np.array_equal(batch[i - lo], alone)
 
 
 def test_distinct_paths_seeds_substreams_differ():
@@ -33,9 +37,9 @@ def test_block_layout_matches_fresh_constructor():
     # path i is column i % 256 of the (n_steps, 256, w) draw of block i // 256
     blocks = [np.random.Generator(np.random.SFC64(np.random.SeedSequence([9, 0, b])))
               .standard_normal((32, 256, 3)) for b in (0, 1)]
-    got = PathStreams(9).fill_normals([13, 300], (32, 3))
+    got = PathStreams(9).fill_normals(np.arange(13, 301), (32, 3))
     assert np.array_equal(got[0], blocks[0][:, 13])
-    assert np.array_equal(got[1], blocks[1][:, 44])
+    assert np.array_equal(got[287], blocks[1][:, 44])
 
 
 def test_step_prefixes_nest():
@@ -65,6 +69,17 @@ def test_shared_instance_across_threads():
 def test_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         PathStreams(0).fill_normals([-1], (4,))[0]
+
+
+def test_refuses_indices_that_are_not_a_run_before_drawing(monkeypatch):
+    # out of order, a gap, a repeat and a descending run are each refused
+    # before any block is seeded
+    seeded = []
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: seeded.append(args))
+    for bad in ([5, 3, 9], [0, 2], [4, 4], [9, 8, 7]):
+        with pytest.raises(ValueError, match="contiguous ascending run"):
+            PathStreams(0).fill_normals(np.array(bad), (4,))
+    assert seeded == []
 
 
 def test_refuses_non_integer_indices_before_drawing(monkeypatch):
